@@ -1,6 +1,7 @@
 #include "src/cloud/health.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace scfs {
 
@@ -55,21 +56,50 @@ bool CloudHealthTracker::Demoted(unsigned cloud, VirtualTime now) const {
   return DemotedLocked(clouds_[cloud], now);
 }
 
+size_t CloudHealthTracker::PartitionLocked(
+    const std::vector<unsigned>& base, VirtualTime now,
+    std::vector<unsigned>* ordered) const {
+  auto demoted = [&](unsigned cloud) {
+    return cloud < clouds_.size() && DemotedLocked(clouds_[cloud], now);
+  };
+  ordered->clear();
+  ordered->reserve(base.size());
+  for (unsigned cloud : base) {
+    if (!demoted(cloud)) {
+      ordered->push_back(cloud);
+    }
+  }
+  const size_t healthy = ordered->size();
+  for (unsigned cloud : base) {
+    if (demoted(cloud)) {
+      ordered->push_back(cloud);
+    }
+  }
+  return healthy;
+}
+
 std::vector<unsigned> CloudHealthTracker::Reorder(
     const std::vector<unsigned>& base, VirtualTime now) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<unsigned> ordered;
-  ordered.reserve(base.size());
-  for (unsigned cloud : base) {
-    if (cloud >= clouds_.size() || !DemotedLocked(clouds_[cloud], now)) {
-      ordered.push_back(cloud);
-    }
-  }
-  for (unsigned cloud : base) {
-    if (cloud < clouds_.size() && DemotedLocked(clouds_[cloud], now)) {
-      ordered.push_back(cloud);
-    }
-  }
+  PartitionLocked(base, now, &ordered);
+  return ordered;
+}
+
+std::vector<unsigned> CloudHealthTracker::ReorderByLatency(
+    const std::vector<unsigned>& base, VirtualTime now) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<unsigned> ordered;
+  const size_t healthy = PartitionLocked(base, now, &ordered);
+  // Unsampled clouds (EWMA 0) sort after every sampled one and tie among
+  // themselves, so the stable sort keeps their `base` order.
+  auto key = [&](unsigned cloud) {
+    const double ewma =
+        cloud < clouds_.size() ? clouds_[cloud].ewma_latency : 0;
+    return std::make_pair(ewma == 0, ewma);
+  };
+  std::stable_sort(ordered.begin(), ordered.begin() + healthy,
+                   [&](unsigned a, unsigned b) { return key(a) < key(b); });
   return ordered;
 }
 

@@ -69,6 +69,13 @@ class CloudHealthTracker {
   std::vector<unsigned> Reorder(const std::vector<unsigned>& base,
                                 VirtualTime now) const;
 
+  // Like Reorder, but non-demoted clouds are sorted by ascending EWMA
+  // latency (the read path's order: the first k launched are the fastest
+  // holders). Clouds without a latency sample yet follow the sampled ones
+  // in `base` order; demoted clouds stay last, in `base` order.
+  std::vector<unsigned> ReorderByLatency(const std::vector<unsigned>& base,
+                                         VirtualTime now) const;
+
   // Adaptive delay before hedging a read to one more cloud.
   VirtualDuration HedgeDelay() const;
 
@@ -90,6 +97,10 @@ class CloudHealthTracker {
   };
 
   bool DemotedLocked(const CloudState& state, VirtualTime now) const;
+  // Reorder's stable partition; returns the count of non-demoted clouds,
+  // which lead `*ordered`.
+  size_t PartitionLocked(const std::vector<unsigned>& base, VirtualTime now,
+                         std::vector<unsigned>* ordered) const;
 
   HealthOptions options_;
   mutable std::mutex mu_;

@@ -224,28 +224,38 @@ Bytes DepSkyClient::RandomBytesLocked(size_t size) {
 }
 
 Result<DepSkyMetadata> DepSkyClient::ReadMetadata(const std::string& unit) {
+  ASSIGN_OR_RETURN(MetadataRead read, ReadMetadata(unit, std::string()));
+  return std::move(read.md);
+}
+
+Result<DepSkyClient::MetadataRead> DepSkyClient::ReadMetadata(
+    const std::string& unit, const std::string& anchor) {
   const std::string key = MetadataKey(unit);
   // Fan the GET out to every cloud through the async API, but return as soon
-  // as a quorum (n-f) of authenticated copies answered — the protocol only
-  // needs n-f replies, and waiting for the slowest cloud is exactly the
-  // latency the paper's quorum design avoids.
+  // as the read is settled — the protocol only needs n-f replies, and
+  // waiting for the slowest cloud is exactly the latency the paper's quorum
+  // design avoids.
   std::vector<Future<Result<Bytes>>> futures;
   futures.reserve(clouds_.size());
   for (unsigned i = 0; i < clouds_.size(); ++i) {
     futures.push_back(RobustGet(i, key));
   }
-  // The predicate authenticates each reply once and keeps the decoded copy
-  // (it runs serialized under the combinator's lock and never after the
-  // trigger, so the shared vector needs no further synchronization).
+  // The predicate authenticates each reply once, keeps the decoded copy, and
+  // says whether this reply settles the read: the (n-f)-th authentic copy,
+  // or, for an anchored read, the first authentic copy that lists the
+  // anchor. It runs serialized under the combinator's lock and never after
+  // the trigger, so the shared state needs no further synchronization.
   struct Decoded {
     std::vector<std::optional<DepSkyMetadata>> entries;
+    unsigned authentic = 0;
   };
   auto decoded = std::make_shared<Decoded>();
   decoded->entries.resize(clouds_.size());
   const Bytes auth_key = config_.auth_key;
+  const unsigned quorum = config_.quorum();
   (void)WhenQuorum<Result<Bytes>>(
-      std::move(futures), config_.quorum(),
-      [decoded, auth_key](size_t i, const Result<Bytes>& raw) {
+      std::move(futures), 1,
+      [decoded, auth_key, anchor, quorum](size_t i, const Result<Bytes>& raw) {
         if (!raw.ok()) {
           return false;
         }
@@ -253,31 +263,37 @@ Result<DepSkyMetadata> DepSkyClient::ReadMetadata(const std::string& unit) {
         if (!md.ok()) {
           return false;  // corrupted/forged copy: skip
         }
+        const bool lists_anchor =
+            !anchor.empty() && md->FindByHash(anchor) != nullptr;
         decoded->entries[i] = std::move(*md);
-        return true;
+        ++decoded->authentic;
+        return lists_anchor || decoded->authentic >= quorum;
       })
       .Join();
 
-  // Keep the highest *authenticated* version view among the replies.
-  // Byzantine clouds cannot forge the HMAC; at worst they serve an old copy,
-  // which loses the max-version vote as long as one honest fresh copy is in
-  // the quorum.
-  Result<DepSkyMetadata> best = NotFoundError("no metadata for " + unit);
-  uint64_t best_version = 0;
-  bool found = false;
+  // Keep the highest *authenticated* version view among the replies —
+  // among those listing the anchor, if any does. Byzantine clouds cannot
+  // forge the HMAC; at worst they serve an old copy, which loses the
+  // max-version vote as long as one honest fresh copy is in the quorum, and
+  // an old copy that still lists the anchor names immutable content.
+  std::optional<DepSkyMetadata>* best = nullptr;
+  std::pair<bool, uint64_t> best_rank;
   for (auto& entry : decoded->entries) {
     if (!entry.has_value()) {
       continue;
     }
-    uint64_t version =
-        entry->versions.empty() ? 0 : entry->versions.back().version;
-    if (!found || version > best_version) {
-      best = std::move(*entry);
-      best_version = version;
-      found = true;
+    const std::pair<bool, uint64_t> rank(
+        !anchor.empty() && entry->FindByHash(anchor) != nullptr,
+        entry->versions.empty() ? 0 : entry->versions.back().version);
+    if (best == nullptr || rank > best_rank) {
+      best = &entry;
+      best_rank = rank;
     }
   }
-  return best;
+  if (best == nullptr) {
+    return NotFoundError("no metadata for " + unit);
+  }
+  return MetadataRead{std::move(**best), decoded->authentic < quorum};
 }
 
 Status DepSkyClient::PushMetadata(const std::string& unit,
@@ -663,7 +679,7 @@ struct DepSkyClient::ShardFetchState {
   std::string unit;
   std::string value_key;
   unsigned k = 0;
-  std::vector<unsigned> holders;     // health-ordered launch sequence
+  std::vector<unsigned> holders;     // latency-ordered launch sequence
   std::vector<int32_t> cloud_shard;  // copy: outlives the caller's metadata
   std::vector<Bytes> shard_hashes;
   VirtualTime started = 0;
@@ -779,7 +795,7 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
     const std::string& unit, const std::string& value_key, unsigned k,
     const std::vector<int32_t>& cloud_shard,
     const std::vector<Bytes>& shard_hashes) {
-  // Clouds that hold a shard of this object, in preference order.
+  // Clouds that hold a shard of this object, in cost order.
   std::vector<unsigned> holders;
   for (unsigned i = 0; i < clouds_.size(); ++i) {
     if (i < cloud_shard.size() && cloud_shard[i] >= 0) {
@@ -794,9 +810,10 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
   state->unit = unit;
   state->value_key = value_key;
   state->k = k;
-  // Breaker-demoted holders sort to the back: a broken cloud is only asked
-  // once the healthy ones cannot supply k valid shards.
-  state->holders = health_.Reorder(holders, env_->Now());
+  // Fastest healthy holders first (the read waits for the k-th launched),
+  // breaker-demoted ones at the back: a broken cloud is only asked once the
+  // healthy ones cannot supply k valid shards.
+  state->holders = health_.ReorderByLatency(holders, env_->Now());
   // Copies, not references: a straggler's collector may run after this
   // frame (and the caller's metadata) are gone.
   state->cloud_shard = cloud_shard;
@@ -804,8 +821,8 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
   state->started = env_->Now();
   state->shards.resize(clouds_.size());
 
-  // First wave: k health-ordered holders in parallel. Each unhelpful reply
-  // (unreachable, timed out, corrupted, byzantine) triggers the next
+  // First wave: the k fastest healthy holders in parallel. Each unhelpful
+  // reply (unreachable, timed out, corrupted, byzantine) triggers the next
   // unlaunched holder immediately; the hedge timer additionally launches
   // the (f+2)-th holder after an adaptive delay, so one quietly slow cloud
   // does not put its full straggler latency on the read path.
@@ -977,28 +994,60 @@ Result<Bytes> DepSkyClient::FetchStripedVersion(const std::string& unit,
   return plaintext;
 }
 
-Result<Bytes> DepSkyClient::ReadAt(const std::string& unit,
-                                   const std::string& content_hash,
-                                   uint64_t offset, size_t length) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  const DepSkyVersion* version = md.FindByHash(content_hash);
+Result<Bytes> DepSkyClient::ReadAnchored(
+    const std::string& unit, const std::string& content_hash,
+    const std::function<Result<Bytes>(const DepSkyMetadata&,
+                                      const DepSkyVersion&)>& fetch) {
+  ASSIGN_OR_RETURN(MetadataRead read, ReadMetadata(unit, content_hash));
+  const DepSkyVersion* version = read.md.FindByHash(content_hash);
   if (version == nullptr) {
     return NotFoundError("version " + content_hash + " not visible yet");
   }
-  if (offset >= version->size || length == 0) {
+  Result<Bytes> data = fetch(read.md, *version);
+  if (data.ok() || !read.early) {
+    return data;
+  }
+  // The early-accepted copy named the right content but could not deliver
+  // it: a stale-but-authentic shard map (scrub relocation), a GC'd version,
+  // or a Byzantine cloud replaying an old copy. Settle the metadata at the
+  // full n-f quorum once and fetch again.
+  anchored_read_fallbacks_.fetch_add(1);
+  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
+  version = md.FindByHash(content_hash);
+  if (version == nullptr) {
+    return NotFoundError("version " + content_hash + " not visible yet");
+  }
+  return fetch(md, *version);
+}
+
+Result<Bytes> DepSkyClient::ReadAt(const std::string& unit,
+                                   const std::string& content_hash,
+                                   uint64_t offset, size_t length) {
+  return ReadAnchored(unit, content_hash,
+                      [&](const DepSkyMetadata& md,
+                          const DepSkyVersion& version) {
+                        return ReadRange(unit, md, version, offset, length);
+                      });
+}
+
+Result<Bytes> DepSkyClient::ReadRange(const std::string& unit,
+                                      const DepSkyMetadata& md,
+                                      const DepSkyVersion& version,
+                                      uint64_t offset, size_t length) {
+  if (offset >= version.size || length == 0) {
     return Bytes{};
   }
-  length = std::min<uint64_t>(length, version->size - offset);
+  length = std::min<uint64_t>(length, version.size - offset);
 
-  if (!version->striped() || md.mode != DepSkyMode::kSecretSharing) {
-    ASSIGN_OR_RETURN(Bytes all, FetchVersion(unit, md, *version));
+  if (!version.striped() || md.mode != DepSkyMode::kSecretSharing) {
+    ASSIGN_OR_RETURN(Bytes all, FetchVersion(unit, md, version));
     return Bytes(all.begin() + offset, all.begin() + offset + length);
   }
 
   // Fetch only the stripe units overlapping [offset, offset+length). Each
   // unit is decoded and decrypted in full (its recorded plaintext hash
   // covers the whole unit), then the overlap is copied out.
-  const size_t unit_size = version->stripe_unit_size;
+  const size_t unit_size = version.stripe_unit_size;
   const size_t first_unit = offset / unit_size;
   const size_t last_unit = (offset + length - 1) / unit_size;
   Bytes out(length);
@@ -1013,13 +1062,13 @@ Result<Bytes> DepSkyClient::ReadAt(const std::string& unit,
       first_error = s;
     }
   };
-  auto fetch_unit = [this, &unit, &md, version, unit_size, offset, length,
+  auto fetch_unit = [this, &unit, &md, &version, unit_size, offset, length,
                      &out](size_t u) -> Status {
     const size_t begin = u * unit_size;
     const size_t unit_length =
-        std::min<size_t>(unit_size, version->size - begin);
+        std::min<size_t>(unit_size, version.size - begin);
     Bytes buffer(unit_length);
-    RETURN_IF_ERROR(FetchStripeUnit(unit, md, *version, u, ByteSpan(buffer),
+    RETURN_IF_ERROR(FetchStripeUnit(unit, md, version, u, ByteSpan(buffer),
                                     /*verify_unit_hash=*/true));
     // Copy the overlap into the caller's range (disjoint per unit).
     const size_t copy_begin = std::max<size_t>(offset, begin);
@@ -1053,12 +1102,11 @@ Result<Bytes> DepSkyClient::ReadAt(const std::string& unit,
 
 Result<Bytes> DepSkyClient::ReadByHash(const std::string& unit,
                                        const std::string& content_hash) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  const DepSkyVersion* version = md.FindByHash(content_hash);
-  if (version == nullptr) {
-    return NotFoundError("version " + content_hash + " not visible yet");
-  }
-  return FetchVersion(unit, md, *version);
+  return ReadAnchored(unit, content_hash,
+                      [&](const DepSkyMetadata& md,
+                          const DepSkyVersion& version) {
+                        return FetchVersion(unit, md, version);
+                      });
 }
 
 Result<Bytes> DepSkyClient::ReadLatest(const std::string& unit) {

@@ -10,9 +10,14 @@
 //      cheapest n-f clouds are used unless one fails,
 //   5. appends the version to the authenticated metadata object replicated in
 //      every cloud.
-// A read fetches the metadata from all clouds, keeps the highest
-// authenticated version, then fetches any k valid shards (hash-checked, so
-// corrupted or byzantine clouds are detected and skipped).
+// A read asks every cloud for the metadata. A read of the latest version
+// waits for n-f authenticated copies and keeps the highest version. A read
+// by hash (the version the consistency anchor names) settles on the first
+// authenticated copy that lists that hash. Either read then fetches k valid
+// shards from the fastest healthy holders (hash-checked, so corrupted or
+// byzantine clouds are detected and skipped). If the shards named by an
+// early-accepted copy cannot be fetched, the read re-reads the metadata once
+// at the full quorum.
 //
 // No single cloud ever holds the plaintext or the whole key: confidentiality,
 // integrity and availability survive f arbitrary cloud faults.
@@ -142,7 +147,10 @@ class DepSkyClient {
       const std::vector<DepSkyGrant>* merge_grants = nullptr);
 
   // Reads the version with the given content hash; NOT_FOUND if no (visible)
-  // metadata lists it — the consistency-anchor read loop retries.
+  // metadata lists it — the consistency-anchor read loop retries. The hash
+  // is the anchor: the metadata read settles on the first authenticated copy
+  // listing it (or on n-f authenticated copies, none listing it), and falls
+  // back to one full-quorum re-read if that copy's shards cannot be fetched.
   Result<Bytes> ReadByHash(const std::string& unit,
                            const std::string& content_hash);
 
@@ -153,6 +161,7 @@ class DepSkyClient {
   // version only the stripe units overlapping [offset, offset+length) are
   // fetched (each verified against its recorded plaintext hash); monolithic
   // versions fall back to a full fetch and slice. Reads past EOF are clamped.
+  // Reads the metadata exactly like ReadByHash.
   Result<Bytes> ReadAt(const std::string& unit, const std::string& content_hash,
                        uint64_t offset, size_t length);
 
@@ -167,7 +176,8 @@ class DepSkyClient {
   // never the read path.
   Result<DepSkyScrubReport> ScrubUnit(const std::string& unit);
 
-  // Quorum-read of the data unit's metadata.
+  // Quorum-read of the data unit's metadata: the highest version among n-f
+  // authenticated copies.
   Result<DepSkyMetadata> ReadMetadata(const std::string& unit);
 
   // Garbage collection: drops one version (objects + metadata entry), or the
@@ -189,6 +199,11 @@ class DepSkyClient {
   uint64_t retries() const { return retries_.load(); }
   uint64_t deadline_expiries() const { return deadline_expiries_.load(); }
   uint64_t hedged_reads() const { return hedged_reads_.load(); }
+  // Reads by hash whose early-accepted metadata copy could not deliver the
+  // version and that re-read the metadata at the full quorum.
+  uint64_t anchored_read_fallbacks() const {
+    return anchored_read_fallbacks_.load();
+  }
   // Arena recycling across stripe units and sequential writes.
   uint64_t arena_pool_hits() const { return arena_pool_.hits(); }
   uint64_t arena_pool_misses() const { return arena_pool_.misses(); }
@@ -208,6 +223,33 @@ class DepSkyClient {
     std::vector<std::optional<Bytes>> shards;  // by shard index
     std::vector<SecretShare> shares;
   };
+
+  // One metadata read: the chosen copy, and whether the read settled before
+  // n-f authenticated copies had answered.
+  struct MetadataRead {
+    DepSkyMetadata md;
+    bool early = false;
+  };
+
+  // The one metadata read path. Every cloud is asked; the read settles on
+  // the (n-f)-th authenticated copy or — when `anchor` (a content hash) is
+  // non-empty — on the first authenticated copy listing it. Of the copies in
+  // hand it keeps the highest version, preferring copies that list the
+  // anchor. NOT_FOUND when no authenticated copy answered.
+  Result<MetadataRead> ReadMetadata(const std::string& unit,
+                                    const std::string& anchor);
+
+  // Read by hash: anchored metadata read, `fetch` on the version it names,
+  // and one full-quorum re-read + fetch if an early-accepted copy fails.
+  Result<Bytes> ReadAnchored(
+      const std::string& unit, const std::string& content_hash,
+      const std::function<Result<Bytes>(const DepSkyMetadata&,
+                                        const DepSkyVersion&)>& fetch);
+  // ReadAt's fetch: the stripe units overlapping the range, or the whole
+  // version sliced.
+  Result<Bytes> ReadRange(const std::string& unit, const DepSkyMetadata& md,
+                          const DepSkyVersion& version, uint64_t offset,
+                          size_t length);
 
   // Writes the given metadata to every cloud through the async ObjectStore
   // API, returning as soon as a write quorum (n-f) has acknowledged; the
@@ -230,7 +272,8 @@ class DepSkyClient {
       const std::function<Bytes(unsigned)>& encode_object);
 
   // Quorum-fetches k hash-valid stored objects of one value key (monolithic
-  // version or single stripe unit) through the hedged/breaker read path.
+  // version or single stripe unit) through the hedged/breaker read path,
+  // launching the holders with the lowest EWMA latency first.
   Result<FetchedShards> FetchShards(const std::string& unit,
                                     const std::string& value_key, unsigned k,
                                     const std::vector<int32_t>& cloud_shard,
@@ -320,6 +363,7 @@ class DepSkyClient {
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> deadline_expiries_{0};
   std::atomic<uint64_t> hedged_reads_{0};
+  std::atomic<uint64_t> anchored_read_fallbacks_{0};
   // Recycled across stripe units and sequential writes; sized to keep a full
   // stripe window's arenas warm.
   ArenaPool arena_pool_;

@@ -78,10 +78,6 @@ std::unique_ptr<Deployment> Deployment::Create(Environment* env,
     if (options.coord_max_inflight_instances > 0) {
       config.max_inflight_instances = options.coord_max_inflight_instances;
     }
-    if (options.coord_batch_accumulation_delay > 0) {
-      config.enable_batching = true;
-      config.batch_accumulation_delay = options.coord_batch_accumulation_delay;
-    }
     if (options.coord_replica_link_one_way > 0) {
       config.replica_link =
           LatencyModel::Fixed(options.coord_replica_link_one_way);

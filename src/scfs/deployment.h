@@ -50,11 +50,6 @@ struct DeploymentOptions {
   // counts. Ignored for kAws and zero-latency deployments.
   unsigned coord_max_batch = 0;
   unsigned coord_max_inflight_instances = 0;
-  // Leader batch-accumulation delay (0 keeps the SmrConfig default of
-  // proposing immediately): partial batches are held up to this long so
-  // concurrent requests ride one consensus instance. Ignored for kAws and
-  // zero-latency deployments.
-  VirtualDuration coord_batch_accumulation_delay = 0;
   // Fixed one-way replica<->replica link latency override (0 keeps the
   // default ~10 ms wide-area model). With coord_max_inflight_instances=1
   // this pins the ordering capacity of a partition to

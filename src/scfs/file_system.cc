@@ -136,6 +136,14 @@ void ScfsFileSystem::WaitForCloseChains(const std::string& path) {
   }
 }
 
+void ScfsFileSystem::StopOpenFileStats(const std::string& path) {
+  for (auto& [handle, file] : open_files_) {
+    if (PathIsWithin(file.metadata.path, path)) {
+      file.answers_stat = false;
+    }
+  }
+}
+
 std::string ScfsFileSystem::NewObjectId() {
   std::lock_guard<std::mutex> lock(fs_mu_);
   return options_.user + "-" + rng_.RandomName(16);
@@ -237,6 +245,7 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
     open_file.data = std::move(*data);
   }
 
+  open_file.opened_at = env_->Now();
   FileHandle handle = next_handle_.fetch_add(1);
   {
     std::lock_guard<std::mutex> lock(fs_mu_);
@@ -595,6 +604,9 @@ Future<Status> ScfsFileSystem::CloseAsync(FileHandle handle) {
     }
     file = std::move(it->second);
     open_files_.erase(it);
+    if (file.write_mode && file.dirty) {
+      StopOpenFileStats(file.metadata.path);  // this close publishes
+    }
   }
 
   if (!file.write_mode) {
@@ -669,6 +681,10 @@ Status ScfsFileSystem::Unlink(const std::string& path) {
     }
   }
   RETURN_IF_ERROR(removed);
+  {
+    std::lock_guard<std::mutex> lock(fs_mu_);
+    StopOpenFileStats(normalized);
+  }
   if (!md.object_id.empty() && !md.content_hash.empty()) {
     // Versions stay in the cloud until the garbage collector reclaims them
     // (multi-versioning: removed files can be recovered until then).
@@ -697,6 +713,8 @@ Status ScfsFileSystem::Rename(const std::string& from, const std::string& to) {
   }
   RETURN_IF_ERROR(metadata_->RenameSubtree(src, dst));
   metadata_->InvalidateCache(src);
+  std::lock_guard<std::mutex> lock(fs_mu_);
+  StopOpenFileStats(src);
   return OkStatus();
 }
 
@@ -707,6 +725,23 @@ Result<FileStat> ScfsFileSystem::Stat(const std::string& path) {
     root.type = FileType::kDirectory;
     root.owner = options_.user;
     return root;
+  }
+  // A just-opened file answers from its own metadata. The metadata cache
+  // counts its TTL from the metadata read, before the open's cloud fetch, so
+  // a stat right after a cold open would pay a coordination read or not
+  // depending on whether the fetch outlasted the TTL. The newest read
+  // handle wins.
+  {
+    const VirtualTime now = env_->Now();
+    std::lock_guard<std::mutex> lock(fs_mu_);
+    for (auto it = open_files_.rbegin(); it != open_files_.rend(); ++it) {
+      const OpenFile& file = it->second;
+      if (!file.write_mode && file.answers_stat &&
+          file.metadata.path == normalized &&
+          now - file.opened_at <= options_.metadata_cache_ttl) {
+        return file.metadata.ToStat();
+      }
+    }
   }
   ASSIGN_OR_RETURN(FileMetadata md, metadata_->Get(normalized));
   if (md.type == FileType::kFile && !md.AllowsRead(options_.user)) {

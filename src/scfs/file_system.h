@@ -93,6 +93,9 @@ class ScfsFileSystem : public FileSystem {
   Status Rmdir(const std::string& path) override;
   Status Unlink(const std::string& path) override;
   Status Rename(const std::string& from, const std::string& to) override;
+  // For one metadata cache TTL after an open for reading returns, the open
+  // file answers with the version it opened (the one Read returns), with no
+  // metadata round; otherwise the metadata service answers.
   Result<FileStat> Stat(const std::string& path) override;
   Result<std::vector<DirEntry>> ReadDir(const std::string& path) override;
   Status SetFacl(const std::string& path, const std::string& user, bool read,
@@ -116,6 +119,11 @@ class ScfsFileSystem : public FileSystem {
     Bytes data;
     bool write_mode = false;
     bool dirty = false;
+    // A read handle answers Stat of its path for one metadata cache TTL
+    // after `opened_at`, unless this agent itself changes the path first
+    // (unlink, rename, a publishing close).
+    VirtualTime opened_at = 0;
+    bool answers_stat = true;
   };
 
   std::string NewObjectId();
@@ -130,6 +138,10 @@ class ScfsFileSystem : public FileSystem {
   // Drain(): the resurrection hazard they guard against is path-keyed, so
   // an unlink or rename must not barrier behind unrelated files' uploads.
   void WaitForCloseChains(const std::string& path);
+  // Stops open read handles at or below `path` from answering Stat: this
+  // agent changed the path, so the version they hold is no longer its view.
+  // Requires fs_mu_.
+  void StopOpenFileStats(const std::string& path);
   void MaybeTriggerGc(uint64_t written_bytes);
   Status GcCollectFile(const FileMetadata& metadata);
 

@@ -31,7 +31,8 @@ StorageService::StorageService(Environment* env, BlobBackend* backend,
               [this](const std::string& key, Bytes&& data) {
                 SpillToDisk(key, std::move(data));
               }),
-      disk_index_(options.disk_cache_bytes, nullptr,
+      disk_index_(options.disk_cache_bytes,
+                  [](const uint64_t& size) { return size; },
                   [this](const std::string& key, uint64_t&&) {
                     std::error_code ec;
                     std::filesystem::remove(
@@ -83,7 +84,12 @@ void StorageService::WriteToDisk(const std::string& id,
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
   out.close();
-  disk_index_.Put(CacheKey(id, hash), data.size());
+  if (!disk_index_.Put(CacheKey(id, hash), data.size())) {
+    // Larger than the whole disk budget: the index refused it, so the file
+    // must not linger untracked.
+    std::error_code ec;
+    std::filesystem::remove(DiskPath(id, hash), ec);
+  }
 }
 
 Result<Bytes> StorageService::ReadFromDisk(const std::string& id,

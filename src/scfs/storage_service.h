@@ -30,7 +30,7 @@ namespace scfs {
 
 struct StorageServiceOptions {
   size_t memory_cache_bytes = 256ull * 1024 * 1024;
-  size_t disk_cache_bytes = 4ull * 1024 * 1024 * 1024;
+  size_t disk_cache_bytes = 4ull * 1024 * 1024 * 1024;  // file bytes on disk
   std::filesystem::path disk_cache_dir;  // empty => unique temp directory
   VirtualDuration disk_write_latency = FromMillis(5);  // 15K RPM SCSI-ish
   VirtualDuration disk_read_latency = FromMillis(2);
@@ -109,7 +109,7 @@ class StorageService {
 
   std::mutex mu_;
   LruCache<std::string, Bytes> memory_;
-  LruCache<std::string, uint64_t> disk_index_;  // key -> size on disk
+  LruCache<std::string, uint64_t> disk_index_;  // key -> size on disk (bytes)
 
   uint64_t memory_hits_ = 0;
   uint64_t disk_hits_ = 0;

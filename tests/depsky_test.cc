@@ -203,6 +203,7 @@ TEST_F(DepSkyTest, WriteReadRoundTrip) {
   auto read = client.ReadByHash("file1", ContentHash(data));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
 
   auto latest = client.ReadLatest("file1");
   ASSERT_TRUE(latest.ok());
@@ -493,11 +494,15 @@ TEST_F(DepSkyTest, EventualConsistencyNotFoundUntilVisible) {
   env_->Sleep(6 * kSecond);
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
 
-  // Metadata overwrite still in the window: v2 not found yet.
+  // Metadata overwrite still in the window: v2 not found yet, by either
+  // anchored read.
   EXPECT_EQ(client.ReadByHash("f", ContentHash(v2)).status().code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(client.ReadAt("f", ContentHash(v2), 0, 2).status().code(),
             ErrorCode::kNotFound);
   env_->Sleep(6 * kSecond);
   EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
 }
 
 // ---------------------------------------------------------------------------

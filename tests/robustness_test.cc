@@ -1,6 +1,7 @@
 // Data-plane robustness tests: DepSky read/write with exactly f faulty
 // clouds (outage, corruption, Byzantine) at (n=4, f=1) and (n=7, f=2),
-// hedged reads racing a straggler on a scaled clock, per-attempt deadlines,
+// hedged reads racing a straggler on a scaled clock, anchored reads against
+// forged, replayed and stale metadata copies, per-attempt deadlines,
 // fake-clock circuit-breaker unit tests, and BackoffPolicy bounds.
 
 #include <gtest/gtest.h>
@@ -164,13 +165,41 @@ INSTANTIATE_TEST_SUITE_P(FaultMargins, DepSkyFaultMarginTest,
 
 class DepSkyTimerTest : public ::testing::Test {
  protected:
-  DepSkyTimerTest() : env_(Environment::Scaled(1e-3)) {
-    for (unsigned i = 0; i < 4; ++i) {
+  // 1 virtual second = 50 ms: the latency gaps below stay tens of real
+  // milliseconds wide, well clear of scheduling noise on a loaded host.
+  DepSkyTimerTest() : env_(Environment::Scaled(0.05)) {
+    UseLatencies({0, 0, 0, 0});
+  }
+
+  // Rebuilds the four clouds with one fixed latency per cloud for every GET
+  // and PUT (call before MakeClient).
+  void UseLatencies(const std::vector<VirtualDuration>& latencies) {
+    clouds_.clear();
+    for (unsigned i = 0; i < latencies.size(); ++i) {
       CloudProfile profile;
       profile.name = "cloud" + std::to_string(i);
+      profile.read_latency = LatencyModel::Fixed(latencies[i]);
+      profile.write_latency = LatencyModel::Fixed(latencies[i]);
       clouds_.push_back(
           std::make_unique<SimulatedCloud>(profile, env_.get(), 40 + i));
     }
+  }
+
+  CloudCredentials Creds(unsigned cloud) const {
+    return {clouds_[cloud]->provider_name() + ":alice"};
+  }
+
+  uint64_t Gets(unsigned cloud) {
+    clouds_[cloud]->Quiesce();
+    return clouds_[cloud]->costs().GrandTotals().gets;
+  }
+
+  // Cost order is cloud 0, 1, 2, 3, so preferred quorums place shards on
+  // clouds 0..2. Latency order is 2, 3, 0, 1: the fastest cloud holds a
+  // shard and the slowest holder is the second-cheapest.
+  static std::vector<VirtualDuration> Spread() {
+    return {600 * kMillisecond, 800 * kMillisecond, 100 * kMillisecond,
+            400 * kMillisecond};
   }
 
   DepSkyClient MakeClient(DepSkyConfig config) {
@@ -193,15 +222,16 @@ TEST_F(DepSkyTimerTest, HedgedReadRoutesAroundStraggler) {
   config.request_deadline = 60 * kSecond;  // out of the way
   config.max_attempts = 1;
   Bytes data(9000, 9);
+  UseLatencies(Spread());
   {
     auto client = MakeClient(config);
     ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
     // With preferred quorums the shards live on clouds 0..2; the read
-    // launches k=2 holders (clouds 0 and 1). Make cloud 0 a straggler
-    // (30 s brown-out): cloud 1 answers but k is not reached, and nothing
-    // has *failed*, so only the hedge timer can bring in cloud 2 and
-    // finish the read quickly.
-    clouds_[0]->faults().SetLatencyDegradation(30 * kSecond);
+    // launches the k=2 fastest holders (clouds 2 and 0). Make cloud 2 a
+    // straggler (30 s brown-out): cloud 0 answers but k is not reached, and
+    // nothing has *failed*, so only the hedge timer can bring in cloud 1
+    // and finish the read quickly.
+    clouds_[2]->faults().SetLatencyDegradation(30 * kSecond);
     const VirtualTime before = env_->Now();
     auto read = client.ReadByHash("f", ContentHash(data));
     const VirtualDuration elapsed = env_->Now() - before;
@@ -211,7 +241,7 @@ TEST_F(DepSkyTimerTest, HedgedReadRoutesAroundStraggler) {
     // Far faster than waiting out the straggler; generous bound for CI
     // noise.
     EXPECT_LT(elapsed, 15 * kSecond);
-    clouds_[0]->faults().SetLatencyDegradation(0);
+    clouds_[2]->faults().SetLatencyDegradation(0);
     // Destruction waits for the straggler's in-flight op.
   }
 }
@@ -233,6 +263,168 @@ TEST_F(DepSkyTimerTest, DeadlineExpiryCountsAndRecovers) {
     env_->Sleep(2 * kSecond);
     EXPECT_GE(client.deadline_expiries(), 1u);
     clouds_[3]->faults().SetLatencyDegradation(0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Anchored reads: ReadByHash settles its metadata on the first authentic
+// copy listing the hash and fetches shards from the fastest holders.
+// ---------------------------------------------------------------------------
+
+TEST_F(DepSkyTimerTest, AnchoredReadWaitsForFastestCopyAndFastestHolders) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes data(9000, 3);
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
+  env_->Sleep(kSecond);  // the straggling metadata PUT lands
+  const uint64_t gets_before[] = {Gets(0), Gets(1), Gets(2), Gets(3)};
+
+  Environment::ResetThreadCharged();
+  auto read = client.ReadByHash("f", ContentHash(data));
+  const VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  // Cloud 2's copy (100 ms) settles the metadata; the shards come from the
+  // two fastest holders, clouds 2 and 0 (600 ms): 700 ms. The quorum read
+  // waited for the third copy (cloud 0, 600 ms) and then the two cheapest
+  // holders, clouds 0 and 1 (800 ms): 1400 ms. Either half alone would
+  // take 900 ms or more.
+  EXPECT_GE(charged, 700 * kMillisecond);
+  EXPECT_LT(charged, 850 * kMillisecond);
+  // One metadata GET per cloud; shard GETs only at clouds 2 and 0.
+  EXPECT_EQ(Gets(0) - gets_before[0], 2u);
+  EXPECT_EQ(Gets(1) - gets_before[1], 1u);
+  EXPECT_EQ(Gets(2) - gets_before[2], 2u);
+  EXPECT_EQ(Gets(3) - gets_before[3], 1u);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+  EXPECT_EQ(client.hedged_reads(), 0u);
+}
+
+TEST_F(DepSkyTimerTest, InauthenticFastestCopyNeverSettlesAnchoredRead) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes data(9000, 4);
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
+  env_->Sleep(kSecond);
+
+  // Forged: the fastest cloud serves a copy that lists the hash with an
+  // emptied shard map, authenticated under the wrong key. Accepting it
+  // would fail the fetch and fall back.
+  auto md = client.ReadMetadata("f");
+  ASSERT_TRUE(md.ok()) << md.status().ToString();
+  DepSkyMetadata forged = *md;
+  forged.versions.back().cloud_shard.assign(4, -1);
+  ASSERT_TRUE(clouds_[2]
+                  ->Put(Creds(2), DepSkyClient::MetadataKey("f"),
+                        forged.Encode(ToBytes("not-the-deployment-key")))
+                  .ok());
+  Environment::ResetThreadCharged();
+  auto read = client.ReadByHash("f", ContentHash(data));
+  const VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+  // Settled by an authentic copy (cloud 3: 400 ms), not by cloud 2's
+  // (100 ms); then the shards (600 ms).
+  EXPECT_GE(charged, 1000 * kMillisecond);
+
+  // Corrupted: every read from the fastest cloud comes back bit-flipped,
+  // its metadata copy and its shard alike.
+  clouds_[2]->faults().SetCorruptAllReads(true);
+  read = client.ReadByHash("f", ContentHash(data));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+  clouds_[2]->faults().SetCorruptAllReads(false);
+}
+
+TEST_F(DepSkyTimerTest, ByzantineFastestCopyWithoutTheHashIsPassedOver) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes v1 = ToBytes("version one");
+  Bytes v2 = ToBytes("version two!");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  env_->Sleep(kSecond);
+  auto old_copy = clouds_[2]->Get(Creds(2), DepSkyClient::MetadataKey("f"));
+  ASSERT_TRUE(old_copy.ok());
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
+  env_->Sleep(kSecond);
+  // The fastest cloud replays its authentic pre-v2 copy.
+  ASSERT_TRUE(
+      clouds_[2]->Put(Creds(2), DepSkyClient::MetadataKey("f"), *old_copy)
+          .ok());
+
+  auto read = client.ReadByHash("f", ContentHash(v2));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, v2);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+}
+
+TEST_F(DepSkyTimerTest, EarlyCopyNamingDeletedObjectsFallsBackToQuorum) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes a = ToBytes("contents a");
+  Bytes b = ToBytes("contents b");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(a), a).ok());
+  env_->Sleep(kSecond);
+  // An authentic copy that lists a's hash at version 1.
+  auto stale = clouds_[2]->Get(Creds(2), DepSkyClient::MetadataKey("f"));
+  ASSERT_TRUE(stale.ok());
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(b), b).ok());
+  auto v3 = client.WriteVersion("f", ContentHash(a), a);
+  ASSERT_TRUE(v3.ok());
+  ASSERT_EQ(*v3, 3u);
+  ASSERT_TRUE(client.DeleteVersion("f", 1).ok());
+  env_->Sleep(kSecond);
+  // The fastest cloud replays it, and a brown-out on the others keeps its
+  // copy first: the early accept picks version 1, whose objects are gone;
+  // the quorum re-read finds version 3.
+  ASSERT_TRUE(
+      clouds_[2]->Put(Creds(2), DepSkyClient::MetadataKey("f"), *stale).ok());
+  for (unsigned cloud : {0u, 1u, 3u}) {
+    clouds_[cloud]->faults().SetLatencyDegradation(2 * kSecond);
+  }
+
+  auto read = client.ReadByHash("f", ContentHash(a));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, a);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 1u);
+  for (unsigned cloud : {0u, 1u, 3u}) {
+    clouds_[cloud]->faults().SetLatencyDegradation(0);
+  }
+}
+
+TEST_F(DepSkyTimerTest, AnchoredReadOfInvisibleVersionIsNotFoundAtQuorum) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  config.max_attempts = 1;
+  {
+    auto client = MakeClient(config);
+    Bytes data = ToBytes("published");
+    ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
+    env_->Sleep(kSecond);
+    // A brown-out cloud does not hold up the answer: n-f authentic copies
+    // without the hash settle the read as NOT_FOUND.
+    clouds_[1]->faults().SetLatencyDegradation(10 * kSecond);
+    const std::string unpublished = ContentHash(ToBytes("not yet"));
+    const VirtualTime before = env_->Now();
+    EXPECT_EQ(client.ReadByHash("f", unpublished).status().code(),
+              ErrorCode::kNotFound);
+    EXPECT_EQ(client.ReadAt("f", unpublished, 0, 4).status().code(),
+              ErrorCode::kNotFound);
+    EXPECT_LT(env_->Now() - before, 5 * kSecond);
+    EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+    clouds_[1]->faults().SetLatencyDegradation(0);
+    // Destruction waits for the straggler's in-flight ops.
   }
 }
 
@@ -306,6 +498,27 @@ TEST(CloudHealthTrackerTest, ReorderMovesDemotedToBackKeepingCostOrder) {
   now += FromMillis(1500);
   EXPECT_EQ(tracker.Reorder(base, now),
             (std::vector<unsigned>{0, 1, 2, 3}));
+}
+
+TEST(CloudHealthTrackerTest, ReorderByLatencySortsHealthyCloudsByEwma) {
+  HealthOptions options;
+  options.failure_threshold = 1;
+  CloudHealthTracker tracker(5, options);
+  const VirtualTime now = 0;
+  tracker.RecordSuccess(0, now, 300 * kMillisecond);
+  tracker.RecordSuccess(1, now, 100 * kMillisecond);
+  tracker.RecordSuccess(3, now, 200 * kMillisecond);
+  // Cloud 2 has no sample; cloud 4 has none either.
+  const std::vector<unsigned> base = {0, 1, 2, 3, 4};
+  EXPECT_EQ(tracker.ReorderByLatency(base, now),
+            (std::vector<unsigned>{1, 3, 0, 2, 4}));
+  // A demoted cloud goes last however fast it was.
+  tracker.RecordFailure(1, now);
+  EXPECT_EQ(tracker.ReorderByLatency(base, now),
+            (std::vector<unsigned>{3, 0, 2, 4, 1}));
+  // Reorder keeps cost order among the healthy.
+  EXPECT_EQ(tracker.Reorder(base, now),
+            (std::vector<unsigned>{0, 2, 3, 4, 1}));
 }
 
 TEST(CloudHealthTrackerTest, HedgeDelayTracksMedianHealthyLatency) {

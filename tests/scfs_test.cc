@@ -199,6 +199,58 @@ TEST_P(ScfsTest, ConsistencyOnCloseAcrossAgents) {
   EXPECT_EQ(*read, v2);
 }
 
+TEST_P(ScfsTest, StatOfJustOpenedFileNeedsNoRound) {
+  auto alice = MountAgent("alice");
+  auto reader = MountAgent("alice");  // second machine, same user
+  Bytes v1 = ToBytes("version 1");
+  ASSERT_TRUE(alice->WriteFile("/f", v1).ok());
+  auto fh = reader->Open("/f", kOpenRead);
+  ASSERT_TRUE(fh.ok());
+  // As after a cold open whose cloud fetch outlasted the cache TTL: the
+  // cached entry is gone, but the just-opened file answers without a round.
+  reader->metadata_service().InvalidateCache("/f");
+  const uint64_t coord_reads = reader->metadata_service().coord_reads();
+  auto stat = reader->Stat("/f");
+  ASSERT_TRUE(stat.ok());
+  EXPECT_EQ(stat->size, v1.size());
+  EXPECT_EQ(reader->metadata_service().coord_reads(), coord_reads);
+  // One TTL after the open, stat asks the metadata service again and sees
+  // another agent's update, while the handle still reads what it opened.
+  Bytes v2 = ToBytes("version 2 -- longer");
+  ASSERT_TRUE(alice->WriteFile("/f", v2).ok());
+  env_->Sleep(kSecond);
+  EXPECT_EQ(reader->Stat("/f")->size, v2.size());
+  EXPECT_EQ(reader->metadata_service().coord_reads(), coord_reads + 1);
+  EXPECT_EQ(*reader->Read(*fh, 0, 100), v1);
+  ASSERT_TRUE(reader->Close(*fh).ok());
+}
+
+TEST_P(ScfsTest, OwnChangesStopOpenFileStats) {
+  auto fs = MountAgent("alice");
+  ASSERT_TRUE(fs->WriteFile("/u", ToBytes("unlinked")).ok());
+  ASSERT_TRUE(fs->Mkdir("/d").ok());
+  ASSERT_TRUE(fs->WriteFile("/d/r", ToBytes("renamed")).ok());
+  ASSERT_TRUE(fs->WriteFile("/w", ToBytes("short")).ok());
+  auto unlinked = fs->Open("/u", kOpenRead);
+  auto renamed = fs->Open("/d/r", kOpenRead);
+  auto reread = fs->Open("/w", kOpenRead);
+  ASSERT_TRUE(unlinked.ok() && renamed.ok() && reread.ok());
+
+  ASSERT_TRUE(fs->Unlink("/u").ok());
+  EXPECT_EQ(fs->Stat("/u").status().code(), ErrorCode::kNotFound);
+  ASSERT_TRUE(fs->Rename("/d", "/e").ok());
+  EXPECT_EQ(fs->Stat("/d/r").status().code(), ErrorCode::kNotFound);
+  Bytes longer = ToBytes("a longer version");
+  ASSERT_TRUE(fs->WriteFile("/w", longer).ok());
+  EXPECT_EQ(fs->Stat("/w")->size, longer.size());
+  // The handles still read the versions they opened.
+  EXPECT_EQ(ToString(*fs->Read(*unlinked, 0, 100)), "unlinked");
+  EXPECT_EQ(ToString(*fs->Read(*reread, 0, 100)), "short");
+  for (FileHandle h : {*unlinked, *renamed, *reread}) {
+    ASSERT_TRUE(fs->Close(h).ok());
+  }
+}
+
 TEST_P(ScfsTest, WriteWriteConflictGetsBusy) {
   auto a = MountAgent("alice");
   auto b = MountAgent("alice");

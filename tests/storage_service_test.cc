@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "src/cloud/simulated_cloud.h"
 #include "src/crypto/sha1.h"
 #include "src/scfs/blob_backend.h"
@@ -73,6 +75,38 @@ TEST_F(StorageServiceTest, MemoryEvictionSpillsToDisk) {
   EXPECT_EQ(*fetched, a);
   EXPECT_GE(service.disk_hits(), 1u);
   EXPECT_EQ(service.cloud_reads(), 0u);
+}
+
+size_t FilesIn(const std::filesystem::path& dir) {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    count += entry.is_regular_file() ? 1 : 0;
+  }
+  return count;
+}
+
+TEST_F(StorageServiceTest, DiskCacheBudgetCountsBytes) {
+  // 2500 bytes hold two 1000-byte files; the third evicts the oldest, and
+  // its file goes with it.
+  auto service = MakeService(1 << 20, 2500);
+  Bytes a(1000, 'a');
+  Bytes b(1000, 'b');
+  Bytes c(1000, 'c');
+  ASSERT_TRUE(service.FlushToDisk("A", HashOf(a), a).ok());
+  ASSERT_TRUE(service.FlushToDisk("B", HashOf(b), b).ok());
+  ASSERT_TRUE(service.FlushToDisk("C", HashOf(c), c).ok());
+  EXPECT_FALSE(service.HasLocal("A", HashOf(a)));
+  EXPECT_TRUE(service.HasLocal("B", HashOf(b)));
+  EXPECT_TRUE(service.HasLocal("C", HashOf(c)));
+  EXPECT_EQ(FilesIn(service.disk_dir()), 2u);
+}
+
+TEST_F(StorageServiceTest, EntryLargerThanDiskBudgetLeavesNoFile) {
+  auto service = MakeService(1 << 20, 500);
+  Bytes big(1000, 'x');
+  ASSERT_TRUE(service.FlushToDisk("big", HashOf(big), big).ok());
+  EXPECT_FALSE(service.HasLocal("big", HashOf(big)));
+  EXPECT_EQ(FilesIn(service.disk_dir()), 0u);
 }
 
 TEST_F(StorageServiceTest, ContentAddressingDistinguishesVersions) {
