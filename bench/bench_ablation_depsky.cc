@@ -76,7 +76,7 @@ void Run() {
           cloud->costs().StoredBytes(cloud->provider_name() + ":u");
       stored += bytes;
       // Count clouds holding a value object (not just metadata).
-      auto listed = cloud->List({cloud->provider_name() + ":u"}, "du/f/v");
+      auto listed = cloud->List({cloud->provider_name() + ":u"}, "du/f/o");
       if (listed.ok() && !listed->empty()) {
         ++clouds_used;
       }

@@ -430,7 +430,7 @@ void RunStripeRepairDrill(const Options& options, BenchJsonWriter* json) {
     }
     Status dropped = clouds[victim]->Delete(
         {clouds[victim]->provider_name() + ":bench"},
-        DepSkyClient::StripeValueKey("big", version.version, u));
+        DepSkyClient::StripeValueKey("big", version, u));
     if (!dropped.ok()) {
       fatal("wipe", dropped);
     }

@@ -67,10 +67,10 @@ class ObjectStore {
   // future with zero charge (the caller was already charged by the inline
   // call), so every existing implementation keeps working unchanged.
   // Implementations that are safe to call from multiple threads
-  // (SimulatedCloud) override these to dispatch on the shared executor: the
-  // call returns immediately, the returned future carries the producer's
-  // modelled charge, and several requests genuinely overlap — the substrate
-  // of DepSky's quorum fan-out and the non-blocking close pipeline.
+  // (SimulatedCloud) override these: the call returns immediately, the
+  // returned future carries the producer's modelled charge, and several
+  // requests genuinely overlap — the substrate of DepSky's quorum fan-out
+  // and the non-blocking close pipeline.
 
   virtual Future<Status> PutAsync(const CloudCredentials& creds,
                                   const std::string& key,

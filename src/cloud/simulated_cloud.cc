@@ -10,66 +10,138 @@ SimulatedCloud::SimulatedCloud(CloudProfile profile, Environment* env,
       env_(env),
       rng_(seed),
       faults_(seed ^ 0x9e3779b9ULL),
-      costs_(profile_.prices) {}
+      costs_(profile_.prices),
+      timers_(env) {}
 
 SimulatedCloud::~SimulatedCloud() { async_ops_.AwaitIdle(); }
 
 Future<Status> SimulatedCloud::PutAsync(const CloudCredentials& creds,
                                         const std::string& key,
                                         std::shared_ptr<const Bytes> data) {
-  return SubmitTracked(&async_ops_,
-                       [this, creds, key, data = std::move(data)]() mutable {
-                         return Put(creds, key, std::move(data));
-                       });
+  auto pending = StartPending<Status>();
+  VirtualDuration latency = SampleLatency(profile_.write_latency, data->size());
+  AfterRoundTrip(latency, [this, pending, creds, key, data = std::move(data)](
+                              VirtualDuration charged) mutable {
+    pending.Finish(ApplyPut(creds, key, std::move(data)), charged);
+  });
+  return pending.promise.future();
 }
 
 Future<Result<Bytes>> SimulatedCloud::GetAsync(const CloudCredentials& creds,
                                                const std::string& key) {
-  return SubmitTracked(&async_ops_,
-                       [this, creds, key] { return Get(creds, key); });
+  auto pending = StartPending<Result<Bytes>>();
+  VirtualDuration latency = SampleLatency(GetRoundTrip(), 0);
+  AfterRoundTrip(latency, [this, pending, creds,
+                           key](VirtualDuration charged) {
+    Result<std::shared_ptr<const Bytes>> stored = ApplyGet(creds, key);
+    if (!stored.ok()) {
+      pending.Finish(stored.status(), charged);
+      return;
+    }
+    // Transfer time for the payload, then the response.
+    LatencyModel transfer;
+    transfer.bytes_per_second = profile_.read_latency.bytes_per_second;
+    VirtualDuration sent = SampleLatency(transfer, (*stored)->size());
+    After(sent, [this, pending, stored = *std::move(stored), charged, sent] {
+      pending.Finish(Respond(*stored), charged + sent);
+    });
+  });
+  return pending.promise.future();
 }
 
 Future<Status> SimulatedCloud::DeleteAsync(const CloudCredentials& creds,
                                            const std::string& key) {
-  return SubmitTracked(&async_ops_,
-                       [this, creds, key] { return Delete(creds, key); });
+  auto pending = StartPending<Status>();
+  AfterRoundTrip(SampleLatency(profile_.control_latency, 0),
+                 [this, pending, creds, key](VirtualDuration charged) {
+                   pending.Finish(ApplyDelete(creds, key), charged);
+                 });
+  return pending.promise.future();
 }
 
 Future<Result<std::vector<ObjectInfo>>> SimulatedCloud::ListAsync(
     const CloudCredentials& creds, const std::string& prefix) {
-  return SubmitTracked(&async_ops_,
-                       [this, creds, prefix] { return List(creds, prefix); });
+  auto pending = StartPending<Result<std::vector<ObjectInfo>>>();
+  AfterRoundTrip(SampleLatency(profile_.control_latency, 0),
+                 [this, pending, creds, prefix](VirtualDuration charged) {
+                   pending.Finish(ApplyList(creds, prefix), charged);
+                 });
+  return pending.promise.future();
 }
 
 Future<Status> SimulatedCloud::SetAclAsync(const CloudCredentials& creds,
                                            const std::string& key,
                                            const CanonicalId& grantee,
                                            ObjectPermissions permissions) {
-  return SubmitTracked(&async_ops_, [this, creds, key, grantee, permissions] {
-    return SetAcl(creds, key, grantee, permissions);
+  auto pending = StartPending<Status>();
+  AfterRoundTrip(SampleLatency(profile_.control_latency, 0),
+                 [this, pending, creds, key, grantee,
+                  permissions](VirtualDuration charged) {
+                   pending.Finish(ApplySetAcl(creds, key, grantee, permissions),
+                                  charged);
+                 });
+  return pending.promise.future();
+}
+
+void SimulatedCloud::After(VirtualDuration delay, std::function<void()> step) {
+  if (env_->instant()) {
+    // No timers fire in an instant environment: advance the logical clock
+    // on the worker (not on the issuing thread, which must not be charged).
+    DefaultExecutor().Post([env = env_, delay, step = std::move(step)] {
+      env->Sleep(delay);
+      step();
+    });
+    return;
+  }
+  timers_.Schedule(env_->Now() + delay, [step = std::move(step)]() mutable {
+    DefaultExecutor().Post(std::move(step));
   });
 }
 
-void SimulatedCloud::SleepFor(const LatencyModel& model, size_t bytes) {
-  VirtualDuration d;
-  {
-    std::lock_guard<std::mutex> lock(rng_mu_);
-    d = model.Sample(rng_, bytes);
-  }
-  env_->Sleep(d);
+void SimulatedCloud::AfterRoundTrip(
+    VirtualDuration latency, std::function<void(VirtualDuration)> apply) {
+  // The degradation is read once the round trip is over, as the blocking
+  // calls read it after their first sleep.
+  After(latency, [this, latency, apply = std::move(apply)]() mutable {
+    VirtualDuration extra = faults_.latency_degradation();
+    if (extra <= 0) {
+      apply(latency);
+      return;
+    }
+    After(extra, [apply = std::move(apply), charged = latency + extra] {
+      apply(charged);
+    });
+  });
 }
 
-Status SimulatedCloud::CheckAvailable() {
-  // A degraded provider answers slowly before it answers at all; the extra
-  // delay applies even to operations that then fail.
+VirtualDuration SimulatedCloud::SampleLatency(const LatencyModel& model,
+                                              size_t bytes) {
+  std::lock_guard<std::mutex> lock(rng_mu_);
+  return model.Sample(rng_, bytes);
+}
+
+void SimulatedCloud::SleepFor(const LatencyModel& model, size_t bytes) {
+  env_->Sleep(SampleLatency(model, bytes));
+}
+
+void SimulatedCloud::SleepDegradation() {
   VirtualDuration extra = faults_.latency_degradation();
   if (extra > 0) {
     env_->Sleep(extra);
   }
+}
+
+Status SimulatedCloud::FailIfDown() {
   if (faults_.ShouldFailOperation()) {
     return UnavailableError(profile_.name + " unavailable");
   }
   return OkStatus();
+}
+
+LatencyModel SimulatedCloud::GetRoundTrip() const {
+  // RTT happens before we know the size; transfer charged on actual bytes.
+  return LatencyModel::Fixed(profile_.read_latency.base +
+                             profile_.read_latency.jitter / 2);
 }
 
 const SimulatedCloud::Version* SimulatedCloud::VisibleVersion(
@@ -91,7 +163,14 @@ Status SimulatedCloud::Put(const CloudCredentials& creds,
                            const std::string& key,
                            std::shared_ptr<const Bytes> data) {
   SleepFor(profile_.write_latency, data->size());
-  RETURN_IF_ERROR(CheckAvailable());
+  SleepDegradation();
+  return ApplyPut(creds, key, std::move(data));
+}
+
+Status SimulatedCloud::ApplyPut(const CloudCredentials& creds,
+                                const std::string& key,
+                                std::shared_ptr<const Bytes> data) {
+  RETURN_IF_ERROR(FailIfDown());
 
   VirtualDuration window = profile_.consistency_window_base;
   {
@@ -138,37 +217,39 @@ Status SimulatedCloud::Put(const CloudCredentials& creds,
 
 Result<Bytes> SimulatedCloud::Get(const CloudCredentials& creds,
                                   const std::string& key) {
-  // RTT happens before we know the size; transfer charged on actual bytes.
-  SleepFor(LatencyModel::Fixed(profile_.read_latency.base +
-                               profile_.read_latency.jitter / 2),
-           0);
-  RETURN_IF_ERROR(CheckAvailable());
-
-  std::shared_ptr<const Bytes> stored;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = objects_.find(key);
-    if (it == objects_.end()) {
-      return NotFoundError(key);
-    }
-    if (!it->second.acl.AllowsRead(creds.canonical_id)) {
-      return PermissionDeniedError("no read permission on " + key);
-    }
-    const Version* version = VisibleVersion(it->second, env_->Now());
-    if (version == nullptr) {
-      return NotFoundError(key + " (not yet visible)");
-    }
-    stored = version->data;
-    costs_.RecordGet(creds.canonical_id, stored->size());
-  }
-  // The response copy happens outside the lock: readers share the stored
-  // buffer, so a large GET no longer serializes every other request.
-  Bytes data = *stored;
+  SleepFor(GetRoundTrip(), 0);
+  SleepDegradation();
+  ASSIGN_OR_RETURN(std::shared_ptr<const Bytes> stored, ApplyGet(creds, key));
   // Transfer time for the payload.
   LatencyModel transfer;
   transfer.bytes_per_second = profile_.read_latency.bytes_per_second;
-  SleepFor(transfer, data.size());
+  SleepFor(transfer, stored->size());
+  return Respond(*stored);
+}
 
+Result<std::shared_ptr<const Bytes>> SimulatedCloud::ApplyGet(
+    const CloudCredentials& creds, const std::string& key) {
+  RETURN_IF_ERROR(FailIfDown());
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = objects_.find(key);
+  if (it == objects_.end()) {
+    return NotFoundError(key);
+  }
+  if (!it->second.acl.AllowsRead(creds.canonical_id)) {
+    return PermissionDeniedError("no read permission on " + key);
+  }
+  const Version* version = VisibleVersion(it->second, env_->Now());
+  if (version == nullptr) {
+    return NotFoundError(key + " (not yet visible)");
+  }
+  costs_.RecordGet(creds.canonical_id, version->data->size());
+  return version->data;
+}
+
+Bytes SimulatedCloud::Respond(const Bytes& stored) {
+  // The response copy happens outside the lock: readers share the stored
+  // buffer, so a large GET never serializes every other request.
+  Bytes data = stored;
   if (faults_.ShouldCorruptRead()) {
     faults_.CorruptPayload(ByteSpan(data));
   }
@@ -178,8 +259,13 @@ Result<Bytes> SimulatedCloud::Get(const CloudCredentials& creds,
 Status SimulatedCloud::Delete(const CloudCredentials& creds,
                               const std::string& key) {
   SleepFor(profile_.control_latency, 0);
-  RETURN_IF_ERROR(CheckAvailable());
+  SleepDegradation();
+  return ApplyDelete(creds, key);
+}
 
+Status SimulatedCloud::ApplyDelete(const CloudCredentials& creds,
+                                   const std::string& key) {
+  RETURN_IF_ERROR(FailIfDown());
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(key);
   if (it == objects_.end()) {
@@ -199,8 +285,13 @@ Status SimulatedCloud::Delete(const CloudCredentials& creds,
 Result<std::vector<ObjectInfo>> SimulatedCloud::List(
     const CloudCredentials& creds, const std::string& prefix) {
   SleepFor(profile_.control_latency, 0);
-  RETURN_IF_ERROR(CheckAvailable());
+  SleepDegradation();
+  return ApplyList(creds, prefix);
+}
 
+Result<std::vector<ObjectInfo>> SimulatedCloud::ApplyList(
+    const CloudCredentials& creds, const std::string& prefix) {
+  RETURN_IF_ERROR(FailIfDown());
   std::lock_guard<std::mutex> lock(mu_);
   costs_.RecordList(creds.canonical_id);
   std::vector<ObjectInfo> out;
@@ -226,8 +317,15 @@ Status SimulatedCloud::SetAcl(const CloudCredentials& creds,
                               const CanonicalId& grantee,
                               ObjectPermissions permissions) {
   SleepFor(profile_.control_latency, 0);
-  RETURN_IF_ERROR(CheckAvailable());
+  SleepDegradation();
+  return ApplySetAcl(creds, key, grantee, permissions);
+}
 
+Status SimulatedCloud::ApplySetAcl(const CloudCredentials& creds,
+                                   const std::string& key,
+                                   const CanonicalId& grantee,
+                                   ObjectPermissions permissions) {
+  RETURN_IF_ERROR(FailIfDown());
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(key);
   if (it == objects_.end()) {
@@ -247,7 +345,8 @@ Status SimulatedCloud::SetAcl(const CloudCredentials& creds,
 Result<ObjectAcl> SimulatedCloud::GetAcl(const CloudCredentials& creds,
                                          const std::string& key) {
   SleepFor(profile_.control_latency, 0);
-  RETURN_IF_ERROR(CheckAvailable());
+  SleepDegradation();
+  RETURN_IF_ERROR(FailIfDown());
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(key);

@@ -16,6 +16,7 @@
 #include "src/cloud/object_store.h"
 #include "src/common/executor.h"
 #include "src/common/rng.h"
+#include "src/common/timer_queue.h"
 #include "src/sim/environment.h"
 #include "src/sim/fault.h"
 #include "src/sim/latency.h"
@@ -62,9 +63,12 @@ class SimulatedCloud : public ObjectStore {
 
   const std::string& provider_name() const override { return profile_.name; }
 
-  // True-overlap async API: requests dispatch on the shared executor and the
-  // returned future carries the request's modelled charge. All state is
-  // internally locked, so any number of requests may be in flight at once.
+  // True-overlap async API: the returned future carries the request's
+  // modelled charge, and all state is internally locked, so any number of
+  // requests may be in flight at once. A request holds no thread while its
+  // modelled latency passes: the cloud's timer queue wakes it, and only the
+  // steps that touch the store (and the future's continuations) run on the
+  // shared executor.
   Future<Status> PutAsync(const CloudCredentials& creds, const std::string& key,
                           std::shared_ptr<const Bytes> data) override;
   Future<Result<Bytes>> GetAsync(const CloudCredentials& creds,
@@ -103,10 +107,58 @@ class SimulatedCloud : public ObjectStore {
     VirtualTime created = 0;
   };
 
+  // An asynchronous request in flight: fulfilled once, then released from
+  // the tracker (after its continuations ran, as SubmitTracked does).
+  template <typename T>
+  struct Pending {
+    Promise<T> promise;
+    InFlightTracker* tracker;
+    void Finish(T value, VirtualDuration charge) const {
+      promise.Set(std::move(value), charge);
+      tracker->Done();
+    }
+  };
+  template <typename T>
+  Pending<T> StartPending() {
+    async_ops_.Add();
+    return Pending<T>{Promise<T>(), &async_ops_};
+  }
+
   // Returns the newest version visible at `now`, or nullptr.
   const Version* VisibleVersion(const Object& object, VirtualTime now) const;
+  VirtualDuration SampleLatency(const LatencyModel& model, size_t bytes);
   void SleepFor(const LatencyModel& model, size_t bytes);
-  Status CheckAvailable();
+  // A degraded provider answers slowly before it answers at all; the extra
+  // delay applies even to operations that then fail.
+  void SleepDegradation();
+  Status FailIfDown();
+  // Runs `step` on the shared executor once `delay` of virtual time has
+  // passed, holding no thread meanwhile (in an instant environment, whose
+  // timers never fire, the worker advances the logical clock instead).
+  void After(VirtualDuration delay, std::function<void()> step);
+  // The asynchronous request shape shared by every operation: `latency`,
+  // then the provider's degradation delay, then `apply` against the store,
+  // called with the modelled time charged so far.
+  void AfterRoundTrip(VirtualDuration latency,
+                      std::function<void(VirtualDuration)> apply);
+
+  // The store-side effect of each operation once its request arrives (the
+  // availability check included), without the modelled delays.
+  Status ApplyPut(const CloudCredentials& creds, const std::string& key,
+                  std::shared_ptr<const Bytes> data);
+  Result<std::shared_ptr<const Bytes>> ApplyGet(const CloudCredentials& creds,
+                                                const std::string& key);
+  Status ApplyDelete(const CloudCredentials& creds, const std::string& key);
+  Result<std::vector<ObjectInfo>> ApplyList(const CloudCredentials& creds,
+                                            const std::string& prefix);
+  Status ApplySetAcl(const CloudCredentials& creds, const std::string& key,
+                     const CanonicalId& grantee,
+                     ObjectPermissions permissions);
+  // The GET response: a copy of the stored buffer, corrupted when the
+  // provider is set to corrupt reads.
+  Bytes Respond(const Bytes& stored);
+  // The GET round trip, before the payload's transfer time.
+  LatencyModel GetRoundTrip() const;
 
   CloudProfile profile_;
   Environment* env_;
@@ -119,6 +171,7 @@ class SimulatedCloud : public ObjectStore {
   uint64_t create_seq_ = 0;  // monotonic creation stamp for LIST ordering
 
   InFlightTracker async_ops_;
+  VirtualTimerQueue timers_;
 };
 
 }  // namespace scfs

@@ -7,7 +7,9 @@
 // running inside a background upload fans out shard PUTs to the same
 // executor) can never starve them, at the cost of the thread count tracking
 // the high-water mark of concurrency (fine for a simulation; idle workers
-// park and are reused).
+// park and are reused). A SimulatedCloud request waits on its cloud's timer
+// queue, not on a worker, so only blocked callers and running steps count
+// towards that mark, not the cloud requests in flight.
 //
 // Submit() wraps the task with Environment thread-charge bookkeeping: the
 // task's modelled charge is recorded on the returned future, so a waiter is

@@ -1,7 +1,8 @@
 // VirtualTimerQueue: fires callbacks at virtual-clock deadlines from one
 // shared background thread. This is what gives the DepSky data plane
-// request deadlines and hedge timers without a watchdog thread per request —
-// hundreds of in-flight cloud requests share a single sleeper.
+// request deadlines and hedge timers without a watchdog thread per request,
+// and what completes a simulated cloud's requests without a sleeping thread
+// per request — hundreds of in-flight cloud requests share a single sleeper.
 //
 // In an *instant* environment there is no driver that advances real time to
 // a deadline (Sleep() just bumps a logical counter), so timers never fire:
@@ -43,8 +44,12 @@ class VirtualTimerQueue {
     }
     std::lock_guard<std::mutex> lock(mu_);
     uint64_t id = ++next_id_;
-    timers_.emplace(std::make_pair(when, id), std::move(fn));
-    cv_.notify_one();
+    auto it = timers_.emplace(std::make_pair(when, id), std::move(fn)).first;
+    // The thread sleeps until the earliest deadline (or runs a callback and
+    // then re-reads the map), so only a new earliest timer needs a wakeup.
+    if (it == timers_.begin()) {
+      cv_.notify_one();
+    }
     return id;
   }
 

@@ -41,9 +41,9 @@
 //     read retried through the ordered path instead of silently going
 //     backwards in time.
 //   * Fallback cooldown — a failed fast round (divergence, stale quorum or
-//     timeout) optionally suppresses the fast path for
-//     `fast_read_fallback_cooldown`, so a persistent silent+lying replica
-//     pair costs one fast_read_timeout per window instead of per read.
+//     timeout) suppresses the fast path for `fast_read_fallback_cooldown`
+//     (5 s by default), so a persistent silent+lying replica pair costs one
+//     fast_read_timeout per window instead of per read.
 //
 // Leader failure is handled by a client-timeout-driven view change (as in
 // BFT-SMaRt's synchronization phase, simplified). View-change votes carry
@@ -119,11 +119,11 @@ struct SmrConfig {
   // quorum or timeout), bypass the fast path entirely for this window and
   // go straight to the ordered path. While a fault persists (the classic
   // one-silent-plus-one-lying replica pair), reads then cost one
-  // fast_read_timeout per window instead of one per read. 0 (default)
-  // disables the cooldown; the CoC deployment enables it. Bypasses are
-  // counted in SmrCounters::fast_path_cooldown_bypasses (and as
-  // fallbacks, since the read is served by the ordered path).
-  VirtualDuration fast_read_fallback_cooldown = 0;
+  // fast_read_timeout per window instead of one per read. 0 disables the
+  // cooldown (every read tries the fast path). Bypasses are counted in
+  // SmrCounters::fast_path_cooldown_bypasses (and as fallbacks, since the
+  // read is served by the ordered path).
+  VirtualDuration fast_read_fallback_cooldown = 5 * kSecond;
   // Accumulation delay for leader batching: a batch smaller than max_batch
   // is held until its oldest request has waited this long, trading a bounded
   // latency increase for a higher batch factor at moderate load. 0 (default)

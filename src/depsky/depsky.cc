@@ -1,6 +1,7 @@
 #include "src/depsky/depsky.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <deque>
 #include <numeric>
 
@@ -139,6 +140,108 @@ bool ResponsiveStatus(const Status& s) {
          s.code() == ErrorCode::kAlreadyExists;
 }
 
+// Every value object of one version: one per stripe unit, or the single
+// monolithic object.
+std::vector<std::string> VersionValueKeys(const std::string& unit,
+                                          const DepSkyVersion& version) {
+  std::vector<std::string> keys;
+  if (version.striped()) {
+    for (size_t u = 0; u < version.stripe_units.size(); ++u) {
+      keys.push_back(DepSkyClient::StripeValueKey(unit, version, u));
+    }
+  } else {
+    keys.push_back(DepSkyClient::ValueKey(unit, version));
+  }
+  return keys;
+}
+
+}  // namespace
+
+// Authentic metadata copies collected by a read's quorum predicate. The
+// predicate runs serialized under the combinator's lock and never after the
+// trigger, so this state needs no further synchronization.
+struct DepSkyClient::MetadataReplies {
+  std::vector<std::optional<DepSkyMetadata>> entries;
+  unsigned authentic = 0;
+  unsigned answered = 0;  // clouds that answered at all (NOT_FOUND included)
+};
+
+// The metadata one write appends to, settled once from the write's
+// overlapped metadata read by whichever of the write's threads needs it
+// first: the write itself, or the first stripe unit to reach its ACLs.
+class DepSkyClient::WriteBase {
+ public:
+  WriteBase(DepSkyClient* client, PendingMetadataRead read,
+            const std::vector<DepSkyGrant>* merge_grants)
+      : client_(client), read_(std::move(read)), merge_grants_(merge_grants) {}
+
+  // The unit's history — or, on NOT_FOUND, a fresh record owned by this
+  // client — with the write's grants merged in; or the read's error. The
+  // first call waits for the read and is charged what it took beyond
+  // `overlapped`; later calls return the same outcome at no charge.
+  Result<std::shared_ptr<const DepSkyMetadata>> Get(
+      VirtualDuration overlapped) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!settled_.has_value()) {
+      settled_ = Settle(overlapped);
+    }
+    return *settled_;
+  }
+
+ private:
+  Result<std::shared_ptr<const DepSkyMetadata>> Settle(
+      VirtualDuration overlapped) {
+    auto read = client_->SettleMetadataRead(std::move(read_), overlapped);
+    DepSkyMetadata md;
+    if (read.ok()) {
+      md = std::move(read->md);
+    } else if (read.status().code() == ErrorCode::kNotFound) {
+      const DepSkyConfig& config = client_->config_;
+      md.n = config.n();
+      md.k = config.k();
+      md.mode = config.mode;
+      for (const auto& cloud : client_->clouds_) {
+        md.owner_ids.push_back(cloud.creds.canonical_id);
+      }
+    } else {
+      return read.status();
+    }
+    if (merge_grants_ != nullptr) {
+      for (const auto& grant : *merge_grants_) {
+        auto it = std::find_if(md.grants.begin(), md.grants.end(),
+                               [&](const DepSkyGrant& g) {
+                                 return g.cloud_ids == grant.cloud_ids;
+                               });
+        if (it != md.grants.end()) {
+          *it = grant;
+        } else if (grant.read || grant.write) {
+          md.grants.push_back(grant);
+        }
+      }
+    }
+    return std::make_shared<const DepSkyMetadata>(std::move(md));
+  }
+
+  DepSkyClient* client_;
+  PendingMetadataRead read_;
+  const std::vector<DepSkyGrant>* merge_grants_;
+  std::mutex mu_;
+  std::optional<Result<std::shared_ptr<const DepSkyMetadata>>> settled_;
+};
+
+namespace {
+
+// Salt of a client's object ids: the seed, the client's creation order in
+// the process and every canonical id it writes as.
+uint64_t ObjectIdSalt(uint64_t seed, const std::vector<DepSkyCloud>& clouds) {
+  static std::atomic<uint64_t> clients_created{0};
+  uint64_t salt = MixSeed(seed, clients_created.fetch_add(1));
+  for (const auto& cloud : clouds) {
+    salt = MixSeed(salt, std::hash<std::string>{}(cloud.creds.canonical_id));
+  }
+  return salt;
+}
+
 }  // namespace
 
 DepSkyClient::DepSkyClient(Environment* env, std::vector<DepSkyCloud> clouds,
@@ -147,6 +250,7 @@ DepSkyClient::DepSkyClient(Environment* env, std::vector<DepSkyCloud> clouds,
       clouds_(std::move(clouds)),
       config_(config),
       rng_(seed),
+      object_id_salt_(ObjectIdSalt(seed, clouds_)),
       health_(static_cast<unsigned>(clouds_.size()), config.health),
       timers_(env) {}
 
@@ -207,15 +311,18 @@ std::string DepSkyClient::MetadataKey(const std::string& unit) {
   return "du/" + unit + "/md";
 }
 
-std::string DepSkyClient::ValueKey(const std::string& unit, uint64_t version) {
-  return "du/" + unit + "/v" + std::to_string(version);
+std::string DepSkyClient::ValueKey(const std::string& unit,
+                                   const DepSkyVersion& version) {
+  char id[17];
+  std::snprintf(id, sizeof(id), "%016llx",
+                static_cast<unsigned long long>(version.object_id));
+  return "du/" + unit + "/o" + id;
 }
 
 std::string DepSkyClient::StripeValueKey(const std::string& unit,
-                                         uint64_t version,
+                                         const DepSkyVersion& version,
                                          uint64_t stripe_index) {
-  return "du/" + unit + "/v" + std::to_string(version) + "/u" +
-         std::to_string(stripe_index);
+  return ValueKey(unit, version) + "/u" + std::to_string(stripe_index);
 }
 
 Bytes DepSkyClient::RandomBytesLocked(size_t size) {
@@ -230,11 +337,16 @@ Result<DepSkyMetadata> DepSkyClient::ReadMetadata(const std::string& unit) {
 
 Result<DepSkyClient::MetadataRead> DepSkyClient::ReadMetadata(
     const std::string& unit, const std::string& anchor) {
+  return SettleMetadataRead(LaunchMetadataRead(unit, anchor), 0);
+}
+
+DepSkyClient::PendingMetadataRead DepSkyClient::LaunchMetadataRead(
+    const std::string& unit, const std::string& anchor) {
   const std::string key = MetadataKey(unit);
-  // Fan the GET out to every cloud through the async API, but return as soon
-  // as the read is settled — the protocol only needs n-f replies, and
-  // waiting for the slowest cloud is exactly the latency the paper's quorum
-  // design avoids.
+  // Fan the GET out to every cloud through the async API; the settle step
+  // waits only until the read is settled — the protocol only needs n-f
+  // replies, and waiting for the slowest cloud is exactly the latency the
+  // paper's quorum design avoids.
   std::vector<Future<Result<Bytes>>> futures;
   futures.reserve(clouds_.size());
   for (unsigned i = 0; i < clouds_.size(); ++i) {
@@ -243,42 +355,48 @@ Result<DepSkyClient::MetadataRead> DepSkyClient::ReadMetadata(
   // The predicate authenticates each reply once, keeps the decoded copy, and
   // says whether this reply settles the read: the (n-f)-th authentic copy,
   // or, for an anchored read, the first authentic copy that lists the
-  // anchor. It runs serialized under the combinator's lock and never after
-  // the trigger, so the shared state needs no further synchronization.
-  struct Decoded {
-    std::vector<std::optional<DepSkyMetadata>> entries;
-    unsigned authentic = 0;
-  };
-  auto decoded = std::make_shared<Decoded>();
-  decoded->entries.resize(clouds_.size());
+  // anchor.
+  auto replies = std::make_shared<MetadataReplies>();
+  replies->entries.resize(clouds_.size());
   const Bytes auth_key = config_.auth_key;
   const unsigned quorum = config_.quorum();
-  (void)WhenQuorum<Result<Bytes>>(
+  auto settled = WhenQuorum<Result<Bytes>>(
       std::move(futures), 1,
-      [decoded, auth_key, anchor, quorum](size_t i, const Result<Bytes>& raw) {
+      [replies, auth_key, anchor, quorum](size_t i, const Result<Bytes>& raw) {
         if (!raw.ok()) {
+          replies->answered += ResponsiveStatus(raw.status()) ? 1 : 0;
           return false;
         }
+        ++replies->answered;
         auto md = DepSkyMetadata::Decode(*raw, auth_key);
         if (!md.ok()) {
           return false;  // corrupted/forged copy: skip
         }
         const bool lists_anchor =
             !anchor.empty() && md->FindByHash(anchor) != nullptr;
-        decoded->entries[i] = std::move(*md);
-        ++decoded->authentic;
-        return lists_anchor || decoded->authentic >= quorum;
-      })
-      .Join();
+        replies->entries[i] = std::move(*md);
+        ++replies->authentic;
+        return lists_anchor || replies->authentic >= quorum;
+      });
+  return PendingMetadataRead{unit, anchor, std::move(replies),
+                             std::move(settled)};
+}
+
+Result<DepSkyClient::MetadataRead> DepSkyClient::SettleMetadataRead(
+    PendingMetadataRead pending, VirtualDuration overlapped) {
+  pending.settled.Wait();
+  Environment::AddThreadCharge(
+      std::max<VirtualDuration>(0, pending.settled.charge() - overlapped));
 
   // Keep the highest *authenticated* version view among the replies —
   // among those listing the anchor, if any does. Byzantine clouds cannot
   // forge the HMAC; at worst they serve an old copy, which loses the
   // max-version vote as long as one honest fresh copy is in the quorum, and
   // an old copy that still lists the anchor names immutable content.
+  const std::string& anchor = pending.anchor;
   std::optional<DepSkyMetadata>* best = nullptr;
   std::pair<bool, uint64_t> best_rank;
-  for (auto& entry : decoded->entries) {
+  for (auto& entry : pending.replies->entries) {
     if (!entry.has_value()) {
       continue;
     }
@@ -290,10 +408,20 @@ Result<DepSkyClient::MetadataRead> DepSkyClient::ReadMetadata(
       best_rank = rank;
     }
   }
-  if (best == nullptr) {
-    return NotFoundError("no metadata for " + unit);
+  // Unless a copy listing the anchor settled it, a read that fewer than n-f
+  // clouds answered proves nothing — neither the latest version nor that
+  // the unit does not exist. A write must not number itself (or start a
+  // fresh history) from it.
+  const unsigned quorum = config_.quorum();
+  if ((best == nullptr || !best_rank.first) &&
+      pending.replies->answered < quorum) {
+    return UnavailableError("metadata read quorum not reached for " +
+                            pending.unit);
   }
-  return MetadataRead{std::move(**best), decoded->authentic < quorum};
+  if (best == nullptr) {
+    return NotFoundError("no metadata for " + pending.unit);
+  }
+  return MetadataRead{std::move(**best), pending.replies->authentic < quorum};
 }
 
 Status DepSkyClient::PushMetadata(const std::string& unit,
@@ -367,38 +495,13 @@ void DepSkyClient::ApplyAclsToObject(const DepSkyMetadata& md, unsigned cloud,
 Result<uint64_t> DepSkyClient::WriteVersion(
     const std::string& unit, const std::string& content_hash,
     ConstByteSpan data, const std::vector<DepSkyGrant>* merge_grants) {
-  // Step 0: learn the current version history (creates it on first write).
-  DepSkyMetadata md;
-  auto existing = ReadMetadata(unit);
-  if (existing.ok()) {
-    md = std::move(*existing);
-  } else if (existing.status().code() == ErrorCode::kNotFound) {
-    md.n = config_.n();
-    md.k = config_.k();
-    md.mode = config_.mode;
-    md.owner_ids.resize(clouds_.size());
-    for (unsigned i = 0; i < clouds_.size(); ++i) {
-      md.owner_ids[i] = clouds_[i].creds.canonical_id;
-    }
-  } else {
-    return existing.status();
-  }
-  if (merge_grants != nullptr) {
-    for (const auto& grant : *merge_grants) {
-      auto it = std::find_if(md.grants.begin(), md.grants.end(),
-                             [&](const DepSkyGrant& g) {
-                               return g.cloud_ids == grant.cloud_ids;
-                             });
-      if (it != md.grants.end()) {
-        *it = grant;
-      } else if (grant.read || grant.write) {
-        md.grants.push_back(grant);
-      }
-    }
-  }
-
+  // Steps 1-2: start reading the version history, and name the objects by a
+  // fresh id. The read settles once the shards are encoded and PUT: the
+  // version number, history, owner ids and grants depend on it, the shards
+  // do not.
+  WriteBase base(this, LaunchMetadataRead(unit, std::string()), merge_grants);
   DepSkyVersion version;
-  version.version = md.NextVersionNumber();
+  version.object_id = MixSeed(object_id_salt_, objects_named_.fetch_add(1));
   version.content_hash = content_hash;
   version.size = data.size();
 
@@ -407,10 +510,10 @@ Result<uint64_t> DepSkyClient::WriteVersion(
   if (config_.mode == DepSkyMode::kSecretSharing &&
       config_.stripe_threshold > 0 &&
       data.size() > config_.stripe_threshold) {
-    return WriteStripedVersion(unit, std::move(md), std::move(version), data);
+    return WriteStripedVersion(unit, &base, std::move(version), data);
   }
 
-  // Steps 1-3 (Figure 6): key generation, encryption, erasure coding and
+  // Steps 3-5 (Figure 6): key generation, encryption, erasure coding and
   // secret sharing. The whole stage is zero-copy: the plaintext is encrypted
   // straight into the arena's framed data region (the systematic shards alias
   // that frame), parity is derived in place, and every later consumer —
@@ -462,25 +565,34 @@ Result<uint64_t> DepSkyClient::WriteVersion(
     version.shard_hashes[i] = Sha256::Hash(objects[i]);
   }
 
-  // Step 4: store shard_i + share_i at cloud i (preferred wave + fallback).
-  auto placed = PlaceObjects(md, ValueKey(unit, version.version),
+  // Step 6: store shard_i + share_i at cloud i (preferred wave + fallback).
+  auto placed = PlaceObjects(&base, ValueKey(unit, version),
                              std::move(objects), encode_object);
   if (arena) {
     arena_pool_.Release(std::move(*arena));
   }
-  if (!placed.ok()) {
-    return UnavailableError("depsky write quorum not reached for " + unit);
-  }
+  RETURN_IF_ERROR(placed.status());
   version.cloud_shard = *std::move(placed);
 
-  // Step 5: publish the version in the metadata object.
+  // Step 7: publish the version in the metadata object.
+  return PublishVersion(unit, &base, std::move(version));
+}
+
+Result<uint64_t> DepSkyClient::PublishVersion(const std::string& unit,
+                                              WriteBase* base,
+                                              DepSkyVersion version) {
+  // Settled by now (placing the objects needed it), so this charges nothing.
+  ASSIGN_OR_RETURN(std::shared_ptr<const DepSkyMetadata> settled,
+                   base->Get(0));
+  DepSkyMetadata md = *settled;
+  version.version = md.NextVersionNumber();
   md.versions.push_back(std::move(version));
   RETURN_IF_ERROR(PushMetadata(unit, md));
   return md.versions.back().version;
 }
 
 Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
-    const DepSkyMetadata& md, const std::string& value_key,
+    WriteBase* base, const std::string& value_key,
     std::vector<Bytes> objects,
     const std::function<Bytes(unsigned)>& encode_object) {
   // Preferred quorums: use the first n-f *healthy* clouds — the cost-ordered
@@ -514,22 +626,23 @@ Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
         cloud, value_key,
         std::make_shared<const Bytes>(std::move(objects[cloud]))));
   }
-  QuorumResult<Status> acks =
-      WhenQuorum<Status>(futures, quorum,
-                         [](size_t, const Status& s) { return s.ok(); })
-          .Get();
+  Future<QuorumResult<Status>> wave = WhenQuorum<Status>(
+      futures, quorum, [](size_t, const Status& s) { return s.ok(); });
+  QuorumResult<Status> acks = wave.Get();
+  // The ACLs need the owner ids and grants: settle the write's metadata
+  // read, which ran alongside the wave and is charged only beyond it. A
+  // failed read fails the write; nothing has been published.
+  ASSIGN_OR_RETURN(std::shared_ptr<const DepSkyMetadata> md_shared,
+                   base->Get(wave.charge()));
+  const DepSkyMetadata& md = *md_shared;
   unsigned successes = 0;
   std::vector<unsigned> failed_shards;
-  std::shared_ptr<const DepSkyMetadata> md_shared;
   std::vector<Future<Status>> acl_futures;
   for (size_t i = 0; i < preferred.size(); ++i) {
     unsigned cloud = preferred[i];
     if (!acks.results[i].has_value()) {
       // Still in flight past the quorum: not recorded as a holder, but its
       // object (if the PUT lands) still gets the grants.
-      if (!md_shared) {
-        md_shared = std::make_shared<const DepSkyMetadata>(md);
-      }
       ApplyAclsWhenWritten(futures[i], cloud, md_shared, value_key);
       continue;
     }
@@ -565,7 +678,7 @@ Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
 }
 
 Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
-    const DepSkyMetadata& md, const std::string& value_key,
+    WriteBase* base, const std::string& value_key,
     ConstByteSpan plaintext, const Bytes& key, const Bytes& nonce,
     const std::vector<SecretShare>& shares, uint32_t counter) {
   // Same zero-copy pipeline as a monolithic write, at unit granularity: the
@@ -590,7 +703,8 @@ Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
     objects[i] = encode_object(i);
     stripe.shard_hashes[i] = Sha256::Hash(objects[i]);
   }
-  auto placed = PlaceObjects(md, value_key, std::move(objects), encode_object);
+  auto placed =
+      PlaceObjects(base, value_key, std::move(objects), encode_object);
   arena_pool_.Release(std::move(arena));
   RETURN_IF_ERROR(placed.status());
   stripe.cloud_shard = *std::move(placed);
@@ -598,7 +712,7 @@ Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
 }
 
 Result<uint64_t> DepSkyClient::WriteStripedVersion(const std::string& unit,
-                                                   DepSkyMetadata md,
+                                                   WriteBase* base,
                                                    DepSkyVersion version,
                                                    ConstByteSpan data) {
   const size_t unit_size = config_.stripe_unit();
@@ -620,8 +734,10 @@ Result<uint64_t> DepSkyClient::WriteStripedVersion(const std::string& unit,
 
   // Bounded fan-out: a FIFO window of stripe_window() unit pipelines on the
   // executor (a window of one runs inline — a serial pipeline gains nothing
-  // from an executor hop). Every launched task is drained before returning
-  // (error paths included), so the by-reference captures below stay valid.
+  // from an executor hop). The first window starts while the metadata read
+  // is in flight; the first unit to reach its ACLs settles it. Every
+  // launched task is drained before returning (error paths included), so
+  // the by-reference captures below stay valid.
   const unsigned depth = config_.stripe_window();
   Status first_error = OkStatus();
   std::deque<std::pair<size_t, Future<Result<DepSkyStripeUnit>>>> window;
@@ -643,10 +759,10 @@ Result<uint64_t> DepSkyClient::WriteStripedVersion(const std::string& unit,
     const size_t length = std::min(unit_size, data.size() - begin);
     const ConstByteSpan slice(data.data() + begin, length);
     const uint32_t counter = static_cast<uint32_t>(begin / 64);
-    std::string value_key = StripeValueKey(unit, version.version, u);
+    std::string value_key = StripeValueKey(unit, version, u);
     if (depth <= 1) {
       Result<DepSkyStripeUnit> placed = WriteStripeUnit(
-          md, value_key, slice, key, version.nonce, shares, counter);
+          base, value_key, slice, key, version.nonce, shares, counter);
       if (placed.ok()) {
         version.stripe_units[u] = *std::move(placed);
       } else {
@@ -655,10 +771,10 @@ Result<uint64_t> DepSkyClient::WriteStripedVersion(const std::string& unit,
       continue;
     }
     window.emplace_back(
-        u, SubmitTracked(&async_ops_, [this, &md, &key, &version, &shares,
+        u, SubmitTracked(&async_ops_, [this, base, &key, &version, &shares,
                                        slice, counter,
                                        value_key = std::move(value_key)]() {
-          return WriteStripeUnit(md, value_key, slice, key, version.nonce,
+          return WriteStripeUnit(base, value_key, slice, key, version.nonce,
                                  shares, counter);
         }));
   }
@@ -666,10 +782,7 @@ Result<uint64_t> DepSkyClient::WriteStripedVersion(const std::string& unit,
     drain_front();
   }
   RETURN_IF_ERROR(first_error);
-
-  md.versions.push_back(std::move(version));
-  RETURN_IF_ERROR(PushMetadata(unit, md));
-  return md.versions.back().version;
+  return PublishVersion(unit, base, std::move(version));
 }
 
 // Shared state of one in-flight shard fetch. Collectors (completion
@@ -853,7 +966,7 @@ Result<Bytes> DepSkyClient::FetchVersion(const std::string& unit,
   }
   const unsigned k = (md.mode == DepSkyMode::kSecretSharing) ? md.k : 1;
   ASSIGN_OR_RETURN(FetchedShards fetched,
-                   FetchShards(unit, ValueKey(unit, version.version), k,
+                   FetchShards(unit, ValueKey(unit, version), k,
                                version.cloud_shard, version.shard_hashes));
 
   Bytes plaintext;
@@ -887,7 +1000,7 @@ Status DepSkyClient::FetchStripeUnit(const std::string& unit,
                                      bool verify_unit_hash) {
   const DepSkyStripeUnit& stripe = version.stripe_units[stripe_index];
   auto fetched_or = FetchShards(
-      unit, StripeValueKey(unit, version.version, stripe_index), md.k,
+      unit, StripeValueKey(unit, version, stripe_index), md.k,
       stripe.cloud_shard, stripe.shard_hashes);
   RETURN_IF_ERROR(fetched_or.status());
   FetchedShards& fetched = *fetched_or;
@@ -1267,13 +1380,13 @@ Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
     report.versions_checked++;
     if (version.striped()) {
       for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-        ScrubObjectSet(md, StripeValueKey(unit, version.version, u),
+        ScrubObjectSet(md, StripeValueKey(unit, version, u),
                        version.stripe_units[u].shard_hashes,
                        &version.stripe_units[u].cloud_shard, &report,
                        &metadata_dirty);
       }
     } else {
-      ScrubObjectSet(md, ValueKey(unit, version.version),
+      ScrubObjectSet(md, ValueKey(unit, version),
                      version.shard_hashes, &version.cloud_shard, &report,
                      &metadata_dirty);
     }
@@ -1284,25 +1397,18 @@ Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
   return report;
 }
 
-Status DepSkyClient::DeleteVersion(const std::string& unit, uint64_t version) {
+Status DepSkyClient::DeleteVersion(const std::string& unit,
+                                   const std::string& content_hash) {
   ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
   auto it = std::find_if(md.versions.begin(), md.versions.end(),
                          [&](const DepSkyVersion& v) {
-                           return v.version == version;
+                           return v.content_hash == content_hash;
                          });
   if (it == md.versions.end()) {
-    return NotFoundError("version not in metadata");
+    return NotFoundError("version " + content_hash + " not in metadata");
   }
-  // Collect the value keys before erasing: a striped version owns one object
-  // per stripe unit instead of a single monolithic object.
-  std::vector<std::string> value_keys;
-  if (it->striped()) {
-    for (size_t u = 0; u < it->stripe_units.size(); ++u) {
-      value_keys.push_back(StripeValueKey(unit, version, u));
-    }
-  } else {
-    value_keys.push_back(ValueKey(unit, version));
-  }
+  // Collect the value keys before erasing the record that names them.
+  const std::vector<std::string> value_keys = VersionValueKeys(unit, *it);
   md.versions.erase(it);
   RETURN_IF_ERROR(PushMetadata(unit, md));
 
@@ -1319,29 +1425,25 @@ Status DepSkyClient::DeleteVersion(const std::string& unit, uint64_t version) {
 }
 
 Status DepSkyClient::DeleteUnit(const std::string& unit) {
-  auto md = ReadMetadata(unit);
-  if (md.ok()) {
-    // Delete value objects for every version first (one per stripe unit for
-    // striped versions, one monolithic object otherwise).
-    std::vector<std::string> value_keys;
-    for (const auto& v : md->versions) {
-      if (v.striped()) {
-        for (size_t u = 0; u < v.stripe_units.size(); ++u) {
-          value_keys.push_back(StripeValueKey(unit, v.version, u));
-        }
-      } else {
-        value_keys.push_back(ValueKey(unit, v.version));
-      }
-    }
-    for (const auto& value_key : value_keys) {
-      for (unsigned i = 0; i < clouds_.size(); ++i) {
-        (void)clouds_[i].store->Delete(clouds_[i].creds, value_key);
-      }
-    }
-  }
-  const std::string md_key = MetadataKey(unit);
+  // List the unit's prefix instead of trusting the metadata: a write that
+  // stored its shards but failed before publishing them left objects no
+  // version record names, and fresh object names mean no later write ever
+  // overwrites them. The prefix also covers the metadata object itself.
+  const std::string prefix = "du/" + unit + "/";
+  std::vector<Future<Result<std::vector<ObjectInfo>>>> listings;
+  listings.reserve(clouds_.size());
   for (unsigned i = 0; i < clouds_.size(); ++i) {
-    (void)clouds_[i].store->Delete(clouds_[i].creds, md_key);
+    listings.push_back(clouds_[i].store->ListAsync(clouds_[i].creds, prefix));
+  }
+  const std::vector<Result<std::vector<ObjectInfo>>> listed =
+      WhenAll<Result<std::vector<ObjectInfo>>>(std::move(listings)).Get();
+  for (unsigned i = 0; i < clouds_.size(); ++i) {
+    if (!listed[i].ok()) {
+      continue;  // best effort, like the deletes below
+    }
+    for (const auto& object : *listed[i]) {
+      (void)clouds_[i].store->Delete(clouds_[i].creds, object.key);
+    }
   }
   return OkStatus();
 }
@@ -1370,15 +1472,7 @@ Status DepSkyClient::SetGrant(const std::string& unit,
   perms.read = grant.read;
   perms.write = grant.write;
   for (const auto& version : md.versions) {
-    std::vector<std::string> value_keys;
-    if (version.striped()) {
-      for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-        value_keys.push_back(StripeValueKey(unit, version.version, u));
-      }
-    } else {
-      value_keys.push_back(ValueKey(unit, version.version));
-    }
-    for (const auto& value_key : value_keys) {
+    for (const auto& value_key : VersionValueKeys(unit, version)) {
       for (unsigned i = 0; i < clouds_.size(); ++i) {
         if (i < grant.cloud_ids.size() && !grant.cloud_ids[i].empty()) {
           (void)clouds_[i].store->SetAcl(clouds_[i].creds, value_key,

@@ -3,13 +3,20 @@
 // anchoring.
 //
 // A data unit is a versioned object spread over n = 3f+1 clouds. A write:
-//   1. generates a fresh random key K, encrypts the file with it,
-//   2. erasure-codes the ciphertext into n shards (any k = f+1 recover it),
-//   3. secret-shares K so each cloud gets one share (f+1 shares recover K),
-//   4. stores shard_i + share_i in cloud i — with preferred quorums only the
+//   1. launches the read of the unit's metadata from every cloud, and does
+//      not wait for it yet,
+//   2. draws a fresh random object id that names the version's objects,
+//   3. generates a fresh random key K, encrypts the file with it,
+//   4. erasure-codes the ciphertext into n shards (any k = f+1 recover it),
+//   5. secret-shares K so each cloud gets one share (f+1 shares recover K),
+//   6. stores shard_i + share_i in cloud i — with preferred quorums only the
 //      cheapest n-f clouds are used unless one fails,
-//   5. appends the version to the authenticated metadata object replicated in
-//      every cloud.
+//   7. once n-f clouds have acknowledged the shards and the metadata read
+//      has settled, applies the unit's ACLs to the stored objects and
+//      appends the version, numbered after the highest one read, to the
+//      authenticated metadata object replicated in every cloud.
+// A write therefore waits for max(metadata read, shard PUT wave) plus the
+// metadata PUT, not for the sum of the three rounds.
 // A read asks every cloud for the metadata. A read of the latest version
 // waits for n-f authenticated copies and keeps the highest version. A read
 // by hash (the version the consistency anchor names) settles on the first
@@ -127,8 +134,12 @@ struct DepSkyScrubReport {
 
 class DepSkyClient {
  public:
+  // `seed` roots the client's keys and nonces. Object ids do not depend on
+  // it alone: they also mix in the client's per-cloud canonical ids and its
+  // creation order in the process, so two clients built with one seed
+  // never name an object alike.
   DepSkyClient(Environment* env, std::vector<DepSkyCloud> clouds,
-               DepSkyConfig config, uint64_t seed = 99);
+               DepSkyConfig config, uint64_t seed);
   // Waits for ACL continuations still riding behind straggler PUTs.
   ~DepSkyClient();
 
@@ -180,9 +191,16 @@ class DepSkyClient {
   // authenticated copies.
   Result<DepSkyMetadata> ReadMetadata(const std::string& unit);
 
-  // Garbage collection: drops one version (objects + metadata entry), or the
-  // whole unit.
-  Status DeleteVersion(const std::string& unit, uint64_t version);
+  // Garbage collection. DeleteVersion drops the oldest version with the
+  // given content hash (its objects and its metadata entry) after one
+  // metadata read; NOT_FOUND if no version has that hash. DeleteUnit lists
+  // du/<unit>/ on every cloud and deletes everything under it that the
+  // caller may read: the metadata, every version's objects, and the orphans
+  // of the caller's own writes that stored shards but failed before
+  // publishing them. A grantee's failed write never got the owner's ACLs,
+  // so its orphans are listed (and deleted) only by the grantee.
+  Status DeleteVersion(const std::string& unit,
+                       const std::string& content_hash);
   Status DeleteUnit(const std::string& unit);
 
   // Sharing: grants `grant.cloud_ids[i]` access at cloud i to all current and
@@ -208,15 +226,21 @@ class DepSkyClient {
   uint64_t arena_pool_hits() const { return arena_pool_.hits(); }
   uint64_t arena_pool_misses() const { return arena_pool_.misses(); }
 
-  // Deterministic cloud key naming for a unit's metadata and value objects
-  // (exposed so tests and inspection tooling can address stored objects).
+  // Cloud key naming for a unit's metadata and value objects (exposed so
+  // tests and inspection tooling can address stored objects). Value objects
+  // are named by the version record's object id: du/<unit>/o<id> and, for
+  // stripe units, du/<unit>/o<id>/u<i>.
   static std::string MetadataKey(const std::string& unit);
-  static std::string ValueKey(const std::string& unit, uint64_t version);
-  static std::string StripeValueKey(const std::string& unit, uint64_t version,
+  static std::string ValueKey(const std::string& unit,
+                              const DepSkyVersion& version);
+  static std::string StripeValueKey(const std::string& unit,
+                                    const DepSkyVersion& version,
                                     uint64_t stripe_index);
 
  private:
   struct ShardFetchState;
+  struct MetadataReplies;
+  class WriteBase;
 
   // Shards + key shares collected by one quorum shard fetch.
   struct FetchedShards {
@@ -231,11 +255,29 @@ class DepSkyClient {
     bool early = false;
   };
 
-  // The one metadata read path. Every cloud is asked; the read settles on
-  // the (n-f)-th authenticated copy or — when `anchor` (a content hash) is
-  // non-empty — on the first authenticated copy listing it. Of the copies in
-  // hand it keeps the highest version, preferring copies that list the
-  // anchor. NOT_FOUND when no authenticated copy answered.
+  // A metadata read in flight: every cloud has been asked, and the quorum
+  // predicate collects the authentic copies into `replies` as they arrive.
+  struct PendingMetadataRead {
+    std::string unit;
+    std::string anchor;
+    std::shared_ptr<MetadataReplies> replies;
+    Future<QuorumResult<Result<Bytes>>> settled;
+  };
+
+  // The one metadata read path, in two steps. The launch asks every cloud
+  // and returns at once; the read settles on the (n-f)-th authenticated copy
+  // or — when `anchor` (a content hash) is non-empty — on the first
+  // authenticated copy listing it. The settle step waits for that, and of
+  // the copies in hand keeps the highest version, preferring copies that
+  // list the anchor; NOT_FOUND when no authenticated copy answered. It
+  // charges the calling thread only the part of the read's modelled time
+  // beyond `overlapped`, the time the thread was charged while the read was
+  // in flight: a read overlapped with a PUT wave costs max(read, wave).
+  PendingMetadataRead LaunchMetadataRead(const std::string& unit,
+                                         const std::string& anchor);
+  Result<MetadataRead> SettleMetadataRead(PendingMetadataRead pending,
+                                          VirtualDuration overlapped);
+  // Launch and settle back to back.
   Result<MetadataRead> ReadMetadata(const std::string& unit,
                                     const std::string& anchor);
 
@@ -262,12 +304,14 @@ class DepSkyClient {
                              const DepSkyVersion& version);
 
   // Places one object set (shard i + share i per cloud) under `value_key`:
-  // health-ordered preferred wave fanned out to the write quorum, ACLs on the
-  // acknowledged copies, then a fallback wave routing failed shards to spare
-  // clouds (re-encoding via `encode_object`). Returns the cloud→shard map,
-  // or UNAVAILABLE if no write quorum was reached.
+  // health-ordered preferred wave fanned out to the write quorum, then — once
+  // `base` has settled the write's metadata — ACLs on the acknowledged
+  // copies and a fallback wave routing failed shards to spare clouds
+  // (re-encoding via `encode_object`). Returns the cloud→shard map, the
+  // metadata read's error if it failed, or UNAVAILABLE if no write quorum
+  // was reached.
   Result<std::vector<int32_t>> PlaceObjects(
-      const DepSkyMetadata& md, const std::string& value_key,
+      WriteBase* base, const std::string& value_key,
       std::vector<Bytes> objects,
       const std::function<Bytes(unsigned)>& encode_object);
 
@@ -279,17 +323,23 @@ class DepSkyClient {
                                     const std::vector<int32_t>& cloud_shard,
                                     const std::vector<Bytes>& shard_hashes);
 
+  // Appends `version` (its cloud placement filled in) to the write's
+  // metadata under the next version number and pushes it.
+  Result<uint64_t> PublishVersion(const std::string& unit, WriteBase* base,
+                                  DepSkyVersion version);
+
   // Striped write: cuts `data` into stripe units and pipelines their
   // independent encode+PUT through the executor with at most
-  // config_.stripe_inflight units in flight. `version` arrives with
-  // version/content_hash/size filled in; publishes the stripe manifest.
+  // config_.stripe_inflight units in flight; the first window starts while
+  // the write's metadata read is still in flight. `version` arrives with
+  // object_id/content_hash/size filled in; publishes the stripe manifest.
   Result<uint64_t> WriteStripedVersion(const std::string& unit,
-                                       DepSkyMetadata md,
+                                       WriteBase* base,
                                        DepSkyVersion version,
                                        ConstByteSpan data);
   // One unit of a striped write: pooled arena, encrypt at the unit's
   // keystream offset, parity, hash, place.
-  Result<DepSkyStripeUnit> WriteStripeUnit(const DepSkyMetadata& md,
+  Result<DepSkyStripeUnit> WriteStripeUnit(WriteBase* base,
                                            const std::string& value_key,
                                            ConstByteSpan plaintext,
                                            const Bytes& key,
@@ -358,6 +408,11 @@ class DepSkyClient {
   DepSkyConfig config_;
   std::mutex rng_mu_;
   Rng rng_;
+  // Object ids are MixSeed(object_id_salt_, n) for n = 0, 1, 2, ...: one
+  // client never repeats an id (MixSeed is a bijection in its second word
+  // under a fixed first), and clients differ in their salts.
+  uint64_t object_id_salt_;
+  std::atomic<uint64_t> objects_named_{0};
   CloudHealthTracker health_;
   VirtualTimerQueue timers_;
   std::atomic<uint64_t> retries_{0};

@@ -23,6 +23,7 @@ Bytes EncodeBody(const DepSkyMetadata& md) {
   AppendU32(&out, static_cast<uint32_t>(md.versions.size()));
   for (const auto& v : md.versions) {
     AppendU64(&out, v.version);
+    AppendU64(&out, v.object_id);
     AppendString(&out, v.content_hash);
     AppendU64(&out, v.size);
     AppendBytes(&out, v.nonce);
@@ -121,7 +122,8 @@ Result<DepSkyMetadata> DepSkyMetadata::Decode(const Bytes& data,
   for (auto& v : md.versions) {
     uint32_t shard_count = 0;
     uint32_t cloud_count = 0;
-    if (!reader.ReadU64(&v.version) || !reader.ReadString(&v.content_hash) ||
+    if (!reader.ReadU64(&v.version) || !reader.ReadU64(&v.object_id) ||
+        !reader.ReadString(&v.content_hash) ||
         !reader.ReadU64(&v.size) || !reader.ReadBytes(&v.nonce) ||
         !reader.ReadU32(&shard_count)) {
       return CorruptionError("bad depsky version record");

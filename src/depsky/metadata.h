@@ -2,10 +2,11 @@
 //
 // Each data unit (one SCFS file) has a metadata object replicated in every
 // cloud. It records the version history — for each version: the SCFS content
-// hash (the consistency-anchor hash), the cipher nonce, the per-shard SHA-256
-// hashes used to detect corrupted clouds, and which cloud holds which erasure
-// shard (preferred quorums leave one cloud empty). The whole record carries
-// an HMAC-SHA256 authenticator so a byzantine cloud cannot forge versions
+// hash (the consistency-anchor hash), the random id that names the version's
+// value objects, the cipher nonce, the per-shard SHA-256 hashes used to
+// detect corrupted clouds, and which cloud holds which erasure shard
+// (preferred quorums leave one cloud empty). The whole record carries an
+// HMAC-SHA256 authenticator so a byzantine cloud cannot forge versions
 // (substitution for DepSky's RSA signatures; same verify-on-read path).
 
 #ifndef SCFS_DEPSKY_METADATA_H_
@@ -38,6 +39,12 @@ struct DepSkyStripeUnit {
 
 struct DepSkyVersion {
   uint64_t version = 0;
+  // Names the version's value objects (du/<unit>/o<id>, stripe units
+  // du/<unit>/o<id>/u<i>). Chosen by the writer before it knows the version
+  // number, from a per-client counter mixed with a per-client salt, so two
+  // writers that pick the same number never share a name, and no name is
+  // ever reused. Covered by the metadata HMAC.
+  uint64_t object_id = 0;
   std::string content_hash;          // hex SHA-1 of the plaintext (CA hash)
   uint64_t size = 0;                 // plaintext size
   Bytes nonce;                       // cipher nonce (CA mode)

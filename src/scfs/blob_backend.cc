@@ -173,13 +173,7 @@ Result<std::vector<BlobVersionInfo>> DepSkyBackend::ListVersions(
 
 Status DepSkyBackend::DeleteVersionByHash(const std::string& id,
                                           const std::string& content_hash) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, client_->ReadMetadata(id));
-  for (const auto& version : md.versions) {
-    if (version.content_hash == content_hash) {
-      return client_->DeleteVersion(id, version.version);
-    }
-  }
-  return NotFoundError("version not found");
+  return client_->DeleteVersion(id, content_hash);
 }
 
 Status DepSkyBackend::DeleteUnit(const std::string& id) {

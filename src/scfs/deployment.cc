@@ -1,5 +1,7 @@
 #include "src/scfs/deployment.h"
 
+#include "src/common/rng.h"
+
 namespace scfs {
 
 namespace {
@@ -68,10 +70,6 @@ std::unique_ptr<Deployment> Deployment::Create(Environment* env,
     // SmrConfig).
     config.client_timeout = 20 * kSecond;
     config.order_timeout = 8 * kSecond;
-    // Fallback cooldown (off in SmrConfig's default): a deployment's read
-    // path must not pay one fast_read_timeout per read while a fault
-    // persists — one per window is the contract.
-    config.fast_read_fallback_cooldown = 5 * kSecond;
     if (options.coord_max_batch > 0) {
       config.max_batch = options.coord_max_batch;
     }
@@ -198,9 +196,12 @@ Result<std::unique_ptr<ScfsFileSystem>> Deployment::Mount(
       set.push_back(DepSkyCloud{clouds_[i].get(),
                                 CloudCredentials{options.user_cloud_ids[i]}});
     }
+    // One random stream per mount, not per user: two agents of one user
+    // must never draw the same file keys or value-object ids.
     auto client = std::make_shared<DepSkyClient>(
         env_, std::move(set), config,
-        options_.seed ^ std::hash<std::string>{}(user));
+        MixSeed(options_.seed ^ std::hash<std::string>{}(user),
+                depsky_clients_.size()));
     depsky_clients_.push_back(client);
     auto owned = std::make_unique<DepSkyBackend>(std::move(client));
     backend = owned.get();

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/cloud/cost_meter.h"
 #include "src/cloud/providers.h"
 #include "src/cloud/simulated_cloud.h"
 #include "src/common/bytes.h"
+#include "src/common/executor.h"
+#include "src/common/future.h"
 
 namespace scfs {
 namespace {
@@ -223,6 +228,70 @@ TEST(CloudLatencyTest, ScaledEnvironmentChargesLatency) {
   VirtualTime t0 = env->Now();
   cloud.Put(Alice(), "k", ToBytes("v"));
   EXPECT_GE(env->Now() - t0, 200 * kMillisecond);
+}
+
+// An asynchronous request is charged exactly the modelled time a blocking
+// call would sleep: round trip, degradation delay and, for a GET, the
+// payload's transfer time.
+TEST(CloudLatencyTest, AsyncRequestsChargeTheirModelledLatency) {
+  auto env = Environment::Scaled(1e-4);
+  CloudProfile p = FastProfile();
+  p.write_latency = LatencyModel::Fixed(200 * kMillisecond);
+  p.read_latency = LatencyModel::WideArea(100 * kMillisecond, 0, 1.0);
+  p.control_latency = LatencyModel::Fixed(30 * kMillisecond);
+  SimulatedCloud cloud(p, env.get(), 4);
+  cloud.faults().SetLatencyDegradation(50 * kMillisecond);
+  const Bytes data(128 * 1024, 9);  // 125 ms at 1 MB/s
+
+  VirtualTime t0 = env->Now();
+  Future<Status> put = cloud.PutAsync(Alice(), "k", data);
+  ASSERT_TRUE(put.Get().ok());
+  EXPECT_EQ(put.charge(), 250 * kMillisecond);
+  EXPECT_GE(env->Now() - t0, 250 * kMillisecond);
+
+  Future<Result<Bytes>> get = cloud.GetAsync(Alice(), "k");
+  ASSERT_TRUE(get.Get().ok());
+  EXPECT_EQ(*get.Get(), data);
+  EXPECT_EQ(get.charge(), 275 * kMillisecond);
+
+  Future<Result<std::vector<ObjectInfo>>> list = cloud.ListAsync(Alice(), "");
+  ASSERT_TRUE(list.Get().ok());
+  EXPECT_EQ(list.Get()->size(), 1u);
+  EXPECT_EQ(list.charge(), 80 * kMillisecond);
+  Future<Status> acl =
+      cloud.SetAclAsync(Alice(), "k", "bob", ObjectPermissions::ReadOnly());
+  ASSERT_TRUE(acl.Get().ok());
+  EXPECT_EQ(acl.charge(), 80 * kMillisecond);
+
+  // A request that fails still paid the round trip and the degradation.
+  cloud.faults().SetUnavailable(true);
+  Future<Status> del = cloud.DeleteAsync(Alice(), "k");
+  EXPECT_EQ(del.Get().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(del.charge(), 80 * kMillisecond);
+  cloud.Quiesce();
+}
+
+// In a scaled environment an in-flight request holds no executor thread: it
+// waits on the cloud's timer queue, and a worker runs only its store step.
+// One sleeping worker per request would spawn a thread for each of these.
+TEST(CloudLatencyTest, AsyncRequestsHoldNoThreadWhileInFlight) {
+  auto env = Environment::Scaled(1e-2);
+  CloudProfile p = FastProfile();
+  p.write_latency = LatencyModel{5 * kSecond, kSecond, 0.0};
+  SimulatedCloud cloud(p, env.get(), 5);
+  const size_t threads_before = DefaultExecutor().thread_count();
+  constexpr int kRequests = 64;
+  std::vector<Future<Status>> puts;
+  for (int i = 0; i < kRequests; ++i) {
+    puts.push_back(cloud.PutAsync(Alice(), "k" + std::to_string(i),
+                                  ToBytes("v")));
+  }
+  env->Sleep(kSecond);  // every request is still in flight
+  EXPECT_LT(DefaultExecutor().thread_count() - threads_before, 4u);
+  for (const auto& status : WhenAll<Status>(puts).Get()) {
+    EXPECT_TRUE(status.ok());
+  }
+  cloud.Quiesce();
 }
 
 TEST(ProvidersTest, AllProfilesDistinctAndPriced) {

@@ -785,6 +785,8 @@ TEST(SmrClusterTest, FastReadFallsBackOnByzantineDivergence) {
   auto env = Environment::Scaled(1e-3);
   SmrConfig config = FastSmrConfig(true);
   config.fast_read_timeout = 200 * kMillisecond;
+  // Every read must try (and fail) its own fast round: no cooldown.
+  config.fast_read_fallback_cooldown = 0;
   ReplicatedCoordination coord(env.get(), config);
   ASSERT_TRUE(coord.Write("alice", "k", ToBytes("v")).ok());
   // One replica silent, one lying: the fast path can never assemble 2f+1

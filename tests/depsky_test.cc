@@ -1,7 +1,8 @@
 // Tests for the DepSky cloud-of-clouds protocols: metadata authentication,
 // write/read quorums, read-by-hash, confidentiality (no single cloud holds
 // the plaintext), corruption/outage/byzantine tolerance, preferred quorums,
-// version GC and cross-account sharing grants.
+// version GC, cross-account sharing grants, and the overlapped write's
+// fresh object names.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
 #include "src/depsky/depsky.h"
+#include "src/scfs/blob_backend.h"
 
 namespace scfs {
 namespace {
@@ -269,7 +271,7 @@ TEST_F(DepSkyTest, PreferredQuorumLeavesOneCloudEmpty) {
   // extra block ... the fourth cloud is not used".
   unsigned clouds_with_value = 0;
   for (auto& cloud : clouds_) {
-    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/v");
+    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/o");
     ASSERT_TRUE(listed.ok());
     clouds_with_value += listed->empty() ? 0 : 1;
   }
@@ -282,7 +284,7 @@ TEST_F(DepSkyTest, WithoutPreferredQuorumsAllCloudsUsed) {
   Bytes data(1000, 5);
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
   for (auto& cloud : clouds_) {
-    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/v");
+    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/o");
     ASSERT_TRUE(listed.ok());
     EXPECT_EQ(listed->size(), 1u);
   }
@@ -394,7 +396,7 @@ TEST_F(DepSkyTest, DeleteVersionReclaimsSpace) {
   Bytes v2(1000, 2);
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
-  ASSERT_TRUE(client.DeleteVersion("f", 1).ok());
+  ASSERT_TRUE(client.DeleteVersion("f", ContentHash(v1)).ok());
 
   auto md = client.ReadMetadata("f");
   ASSERT_TRUE(md.ok());
@@ -546,11 +548,14 @@ TEST_F(DepSkyTest, BelowThresholdWritesAreByteIdenticalToUnstripedClient) {
   auto md = striped.ReadMetadata("a");
   ASSERT_TRUE(md.ok());
   EXPECT_FALSE(md->versions.back().striped());
+  auto plain_md = plain.ReadMetadata("b");
+  ASSERT_TRUE(plain_md.ok());
 
   for (unsigned i = 0; i < kClouds; ++i) {
-    auto from_striped =
-        clouds_[i]->PeekLatest(DepSkyClient::ValueKey("a", 1));
-    auto from_plain = clouds_[i]->PeekLatest(DepSkyClient::ValueKey("b", 1));
+    auto from_striped = clouds_[i]->PeekLatest(
+        DepSkyClient::ValueKey("a", md->versions.back()));
+    auto from_plain = clouds_[i]->PeekLatest(
+        DepSkyClient::ValueKey("b", plain_md->versions.back()));
     ASSERT_EQ(from_striped.ok(), from_plain.ok()) << "cloud " << i;
     if (from_striped.ok()) {
       EXPECT_EQ(*from_striped, *from_plain) << "cloud " << i;
@@ -624,7 +629,7 @@ TEST_F(DepSkyTest, StripedUnitsSurviveIndependentShardLoss) {
     const unsigned victim = holders[u % holders.size()];
     ASSERT_TRUE(clouds_[victim]
                     ->Delete({clouds_[victim]->provider_name() + ":alice"},
-                             DepSkyClient::StripeValueKey("f", v.version, u))
+                             DepSkyClient::StripeValueKey("f", v, u))
                     .ok());
   }
   EXPECT_EQ(*client.ReadByHash("f", hash), data);
@@ -668,7 +673,7 @@ TEST_F(DepSkyTest, ScrubRebuildsLostStripeShardsByteIdentically) {
       }
     }
     const unsigned victim = holders[u % holders.size()];
-    const std::string key = DepSkyClient::StripeValueKey("f", v.version, u);
+    const std::string key = DepSkyClient::StripeValueKey("f", v, u);
     ASSERT_TRUE(clouds_[victim]
                     ->Delete({clouds_[victim]->provider_name() + ":alice"}, key)
                     .ok());
@@ -724,7 +729,7 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
   // update the metadata map.
   ASSERT_TRUE(clouds_[holder]
                   ->Delete({clouds_[holder]->provider_name() + ":alice"},
-                           DepSkyClient::ValueKey("f", v.version))
+                           DepSkyClient::ValueKey("f", v))
                   .ok());
   clouds_[holder]->faults().SetUnavailable(true);
 
@@ -745,6 +750,385 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
   // Readable with the dead cloud still dead.
   EXPECT_EQ(*client.ReadByHash("f", hash), data);
   clouds_[holder]->faults().SetUnavailable(false);
+}
+
+// ---------------------------------------------------------------------------
+// Overlapped writes: fresh object names, the metadata read settling after
+// the shard PUT wave, and orphan reclamation.
+// ---------------------------------------------------------------------------
+
+// Forwards to a SimulatedCloud, but answers every GET of a metadata object
+// with UNAVAILABLE while `blind` is set: the unit's metadata cannot be read
+// from this cloud, while its value objects can still be written.
+class MetadataBlindStore : public ObjectStore {
+ public:
+  explicit MetadataBlindStore(SimulatedCloud* cloud) : cloud_(cloud) {}
+
+  bool blind = false;
+
+  Status Put(const CloudCredentials& creds, const std::string& key,
+             std::shared_ptr<const Bytes> data) override {
+    return cloud_->Put(creds, key, std::move(data));
+  }
+  Result<Bytes> Get(const CloudCredentials& creds,
+                    const std::string& key) override {
+    const bool metadata =
+        key.size() >= 3 && key.compare(key.size() - 3, 3, "/md") == 0;
+    if (blind && metadata) {
+      return UnavailableError("metadata unreadable at " + provider_name());
+    }
+    return cloud_->Get(creds, key);
+  }
+  Status Delete(const CloudCredentials& creds,
+                const std::string& key) override {
+    return cloud_->Delete(creds, key);
+  }
+  Result<std::vector<ObjectInfo>> List(const CloudCredentials& creds,
+                                       const std::string& prefix) override {
+    return cloud_->List(creds, prefix);
+  }
+  Status SetAcl(const CloudCredentials& creds, const std::string& key,
+                const CanonicalId& grantee,
+                ObjectPermissions permissions) override {
+    return cloud_->SetAcl(creds, key, grantee, permissions);
+  }
+  Result<ObjectAcl> GetAcl(const CloudCredentials& creds,
+                           const std::string& key) override {
+    return cloud_->GetAcl(creds, key);
+  }
+  const std::string& provider_name() const override {
+    return cloud_->provider_name();
+  }
+
+ private:
+  SimulatedCloud* cloud_;
+};
+
+class DepSkyBlindMetadataTest : public DepSkyTest {
+ protected:
+  DepSkyBlindMetadataTest() {
+    for (auto& cloud : clouds_) {
+      stores_.push_back(std::make_unique<MetadataBlindStore>(cloud.get()));
+    }
+  }
+
+  DepSkyClient MakeBlindableClient() {
+    DepSkyConfig config;
+    config.f = 1;
+    config.auth_key = ToBytes("deployment-auth-key");
+    std::vector<DepSkyCloud> set;
+    for (auto& store : stores_) {
+      set.push_back(DepSkyCloud{store.get(),
+                                {store->provider_name() + ":alice"}});
+    }
+    return DepSkyClient(env_.get(), std::move(set), config, 99);
+  }
+
+  // Objects stored under du/<unit>/ on each cloud.
+  std::vector<std::vector<std::string>> ListUnit(const std::string& unit) {
+    std::vector<std::vector<std::string>> keys;
+    for (auto& cloud : clouds_) {
+      cloud->Quiesce();
+      auto listed =
+          cloud->List({cloud->provider_name() + ":alice"}, "du/" + unit + "/");
+      EXPECT_TRUE(listed.ok());
+      keys.emplace_back();
+      for (const auto& info : *listed) {
+        keys.back().push_back(info.key);
+      }
+    }
+    return keys;
+  }
+
+  std::vector<std::unique_ptr<MetadataBlindStore>> stores_;
+};
+
+// The metadata read runs alongside the shard PUT wave; if it cannot reach
+// n-f clouds the write fails with its status, after the shards were stored,
+// and publishes nothing.
+TEST_F(DepSkyBlindMetadataTest, UnreadableMetadataQuorumFailsTheWrite) {
+  auto client = MakeBlindableClient();
+  Bytes v1 = ToBytes("published");
+  Bytes v2 = ToBytes("never published");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+
+  stores_[0]->blind = true;
+  stores_[1]->blind = true;
+  auto failed = client.WriteVersion("f", ContentHash(v2), v2);
+  EXPECT_EQ(failed.status().code(), ErrorCode::kUnavailable);
+  stores_[0]->blind = false;
+  stores_[1]->blind = false;
+
+  // No metadata copy lists the failed version, and the history is intact.
+  for (auto& cloud : clouds_) {
+    cloud->Quiesce();
+    auto raw = cloud->PeekLatest(DepSkyClient::MetadataKey("f"));
+    ASSERT_TRUE(raw.ok());
+    auto md = DepSkyMetadata::Decode(*raw, ToBytes("deployment-auth-key"));
+    ASSERT_TRUE(md.ok());
+    EXPECT_EQ(md->FindByHash(ContentHash(v2)), nullptr);
+    ASSERT_EQ(md->versions.size(), 1u);
+  }
+  EXPECT_EQ(*client.ReadLatest("f"), v1);
+  // The next write numbers itself after the published history.
+  auto next = client.WriteVersion("f", ContentHash(v2), v2);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 2u);
+  EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
+}
+
+// The read side of the same rule: with two of four clouds unable to serve
+// the metadata, no read may claim a latest version or that a hash is
+// absent, but a copy that lists the anchored hash still settles a read by
+// hash.
+TEST_F(DepSkyBlindMetadataTest, UnreadableMetadataQuorumFailsUnanchoredReads) {
+  auto client = MakeBlindableClient();
+  Bytes v1 = ToBytes("anchored content");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+
+  stores_[0]->blind = true;
+  stores_[1]->blind = true;
+  EXPECT_EQ(client.ReadLatest("f").status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(client.ReadMetadata("f").status().code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ(client.ReadByHash("f", ContentHash(ToBytes("unknown")))
+                .status()
+                .code(),
+            ErrorCode::kUnavailable);
+
+  auto anchored = client.ReadByHash("f", ContentHash(v1));
+  ASSERT_TRUE(anchored.ok()) << anchored.status().ToString();
+  EXPECT_EQ(*anchored, v1);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+}
+
+// The failed write above leaves its shards behind under a name no version
+// record holds. DeleteUnit lists the unit's prefix, so it reclaims them too.
+TEST_F(DepSkyBlindMetadataTest, DeleteUnitReclaimsOrphansOfFailedWrites) {
+  auto client = MakeBlindableClient();
+  Bytes v1 = ToBytes("published");
+  Bytes v2 = ToBytes("orphaned");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  stores_[0]->blind = true;
+  stores_[1]->blind = true;
+  ASSERT_FALSE(client.WriteVersion("f", ContentHash(v2), v2).ok());
+  stores_[0]->blind = false;
+  stores_[1]->blind = false;
+
+  // Metadata + one published object + one orphan on each shard holder.
+  auto md = client.ReadMetadata("f");
+  ASSERT_TRUE(md.ok());
+  const std::string published = DepSkyClient::ValueKey("f", md->versions[0]);
+  size_t orphans = 0;
+  for (const auto& keys : ListUnit("f")) {
+    for (const auto& key : keys) {
+      orphans += (key != published && key != DepSkyClient::MetadataKey("f"));
+    }
+  }
+  EXPECT_EQ(orphans, 3u);
+
+  ASSERT_TRUE(client.DeleteUnit("f").ok());
+  for (const auto& keys : ListUnit("f")) {
+    EXPECT_TRUE(keys.empty());
+  }
+}
+
+// Two writers that both read the metadata before the other's version is
+// visible pick the same version number. Their objects carry different
+// names, so neither overwrites the other's shards, and the second version
+// reads back as soon as one cloud shows its metadata — inside the clouds'
+// consistency window, when an overwritten object would still serve the
+// first writer's bytes and fail its hash check.
+TEST_F(DepSkyTest, SameVersionNumberWritersKeepSeparateObjects) {
+  // Clouds 0-2 (the preferred quorum) make overwrites visible after 5 s;
+  // cloud 3 at once.
+  std::vector<std::unique_ptr<SimulatedCloud>> windowed;
+  std::vector<std::unique_ptr<MetadataBlindStore>> stores;
+  for (unsigned i = 0; i < kClouds; ++i) {
+    CloudProfile profile;
+    profile.name = "w" + std::to_string(i);
+    profile.consistency_window_base = i < 3 ? 5 * kSecond : 0;
+    windowed.push_back(
+        std::make_unique<SimulatedCloud>(profile, env_.get(), 70 + i));
+    stores.push_back(std::make_unique<MetadataBlindStore>(windowed[i].get()));
+  }
+  // Two clients of one user built with one seed, as two agents of a user
+  // may be: only the object-id salt keeps their names apart.
+  auto make = [&] {
+    DepSkyConfig config;
+    config.f = 1;
+    config.auth_key = ToBytes("deployment-auth-key");
+    std::vector<DepSkyCloud> set;
+    for (auto& store : stores) {
+      set.push_back(DepSkyCloud{store.get(), {"w:alice"}});
+    }
+    return std::make_unique<DepSkyClient>(env_.get(), std::move(set), config,
+                                          1);
+  };
+  auto first = make();
+  auto second = make();
+
+  Bytes v1 = ToBytes("v1");
+  Bytes a = ToBytes("first writer");
+  Bytes b = ToBytes("second writer");
+  ASSERT_TRUE(first->WriteVersion("f", ContentHash(v1), v1).ok());
+  env_->Sleep(6 * kSecond);
+  // The first writer's version 2 reaches clouds 0-2 only; its metadata there
+  // stays invisible for the window.
+  windowed[3]->faults().SetUnavailable(true);
+  auto va = first->WriteVersion("f", ContentHash(a), a);
+  windowed[3]->faults().SetUnavailable(false);
+  ASSERT_TRUE(va.ok());
+  EXPECT_EQ(*va, 2u);
+  windowed[0]->Quiesce();
+  auto a_md = DepSkyMetadata::Decode(
+      *windowed[0]->PeekLatest(DepSkyClient::MetadataKey("f")),
+      ToBytes("deployment-auth-key"));
+  ASSERT_TRUE(a_md.ok());
+  const DepSkyVersion a_record = *a_md->FindByHash(ContentHash(a));
+
+  // Every visible copy still says version 1: the second writer also picks 2.
+  auto vb = second->WriteVersion("f", ContentHash(b), b);
+  ASSERT_TRUE(vb.ok());
+  EXPECT_EQ(*vb, 2u);
+
+  // Only cloud 3's copy, which shows the second writer's metadata at once,
+  // is readable: the anchored read accepts it and fetches the shards from
+  // clouds 0-2, which still hide every overwrite.
+  for (unsigned c = 0; c < 3; ++c) {
+    stores[c]->blind = true;
+  }
+  auto read = second->ReadByHash("f", ContentHash(b));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, b);
+  EXPECT_EQ(second->anchored_read_fallbacks(), 0u);
+  for (unsigned c = 0; c < 3; ++c) {
+    stores[c]->blind = false;
+  }
+
+  // After the window the first writer's objects are still its own.
+  env_->Sleep(6 * kSecond);
+  for (unsigned c = 0; c < kClouds; ++c) {
+    windowed[c]->Quiesce();
+    if (a_record.cloud_shard[c] < 0) {
+      continue;
+    }
+    auto stored =
+        windowed[c]->PeekLatest(DepSkyClient::ValueKey("f", a_record));
+    ASSERT_TRUE(stored.ok()) << "cloud " << c;
+    EXPECT_EQ(Sha256::Hash(*stored),
+              a_record.shard_hashes[a_record.cloud_shard[c]])
+        << "cloud " << c;
+  }
+}
+
+TEST_F(DepSkyTest, ValueObjectsAreNamedByTheRecordedObjectId) {
+  auto client = MakeClient("alice");
+  Bytes v1 = ToBytes("one");
+  Bytes v2 = ToBytes("two");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
+  auto md = client.ReadMetadata("f");
+  ASSERT_TRUE(md.ok());
+  ASSERT_EQ(md->versions.size(), 2u);
+  EXPECT_NE(md->versions[0].object_id, md->versions[1].object_id);
+  for (const auto& v : md->versions) {
+    const std::string key = DepSkyClient::ValueKey("f", v);
+    EXPECT_EQ(key.rfind("du/f/o", 0), 0u) << key;
+    unsigned holders = 0;
+    for (unsigned c = 0; c < kClouds; ++c) {
+      holders += clouds_[c]->PeekLatest(key).ok() ? 1 : 0;
+    }
+    EXPECT_EQ(holders, 3u) << key;
+  }
+  // The id is authenticated: changing it breaks the HMAC.
+  DepSkyMetadata tampered = *md;
+  Bytes good = tampered.Encode(ToBytes("deployment-auth-key"));
+  tampered.versions[0].object_id ^= 1;
+  Bytes bad = tampered.Encode(ToBytes("deployment-auth-key"));
+  ASSERT_EQ(good.size(), bad.size());
+  // Splice the old authenticator onto the new body.
+  Bytes spliced(bad.begin(), bad.end() - 32);
+  spliced.insert(spliced.end(), good.end() - 32, good.end());
+  EXPECT_EQ(DepSkyMetadata::Decode(spliced, ToBytes("deployment-auth-key"))
+                .status()
+                .code(),
+            ErrorCode::kCorruption);
+}
+
+// The owner's ids come from the metadata read, which settles after the
+// grantee's shard PUT wave: every acknowledged object must still carry the
+// owner's ACL.
+TEST_F(DepSkyTest, GranteeWriteLeavesEveryObjectReadableByOwner) {
+  auto alice = MakeClient("alice");
+  auto bob = MakeClient("bob");
+  Bytes data = ToBytes("shared");
+  ASSERT_TRUE(alice.WriteVersion("doc", ContentHash(data), data).ok());
+  DepSkyGrant grant;
+  for (auto& cloud : clouds_) {
+    grant.cloud_ids.push_back(cloud->provider_name() + ":bob");
+  }
+  grant.read = true;
+  grant.write = true;
+  ASSERT_TRUE(alice.SetGrant("doc", grant).ok());
+
+  Bytes update = ToBytes("bob's update");
+  ASSERT_TRUE(bob.WriteVersion("doc", ContentHash(update), update).ok());
+  auto md = alice.ReadMetadata("doc");
+  ASSERT_TRUE(md.ok());
+  const DepSkyVersion* written = md->FindByHash(ContentHash(update));
+  ASSERT_NE(written, nullptr);
+  unsigned readable = 0;
+  for (unsigned c = 0; c < kClouds; ++c) {
+    if (written->cloud_shard[c] < 0) {
+      continue;
+    }
+    clouds_[c]->Quiesce();
+    auto object = clouds_[c]->Get({clouds_[c]->provider_name() + ":alice"},
+                                  DepSkyClient::ValueKey("doc", *written));
+    ASSERT_TRUE(object.ok()) << "cloud " << c << ": "
+                             << object.status().ToString();
+    ++readable;
+  }
+  EXPECT_EQ(readable, 3u);
+  EXPECT_EQ(*alice.ReadByHash("doc", ContentHash(update)), update);
+}
+
+// Garbage collection of one version reads the metadata once: one GET per
+// cloud, not two rounds (the backend no longer looks the version up first).
+TEST_F(DepSkyTest, DeleteVersionByHashReadsMetadataOnce) {
+  DepSkyConfig config;
+  config.f = 1;
+  config.auth_key = ToBytes("deployment-auth-key");
+  std::vector<DepSkyCloud> set;
+  for (auto& cloud : clouds_) {
+    set.push_back(DepSkyCloud{cloud.get(),
+                              {cloud->provider_name() + ":alice"}});
+  }
+  DepSkyBackend backend(
+      std::make_shared<DepSkyClient>(env_.get(), std::move(set), config, 5));
+  Bytes v1 = ToBytes("old");
+  Bytes v2 = ToBytes("new");
+  ASSERT_TRUE(backend.WriteVersion("f", ContentHash(v1), v1, {}).ok());
+  ASSERT_TRUE(backend.WriteVersion("f", ContentHash(v2), v2, {}).ok());
+
+  auto gets = [&] {
+    uint64_t total = 0;
+    for (auto& cloud : clouds_) {
+      cloud->Quiesce();
+      total += cloud->costs().GrandTotals().gets;
+    }
+    return total;
+  };
+  const uint64_t before = gets();
+  ASSERT_TRUE(backend.DeleteVersionByHash("f", ContentHash(v1)).ok());
+  EXPECT_EQ(gets() - before, kClouds);
+  EXPECT_EQ(backend.DeleteVersionByHash("f", ContentHash(v1)).code(),
+            ErrorCode::kNotFound);
+  auto versions = backend.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 1u);
+  EXPECT_EQ(versions->front().content_hash, ContentHash(v2));
 }
 
 }  // namespace

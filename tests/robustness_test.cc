@@ -109,9 +109,11 @@ TEST_P(DepSkyFaultMarginTest, ReadsSurviveExactlyFCorruptClouds) {
 TEST_P(DepSkyFaultMarginTest, ReadsSurvivePoisonedKeyShareAtFClouds) {
   auto client = MakeClient();
   Bytes data(9000, 8);
-  auto version = client.WriteVersion("f", ContentHash(data), data);
-  ASSERT_TRUE(version.ok());
-  const std::string value_key = DepSkyClient::ValueKey("f", *version);
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
+  auto md = client.ReadMetadata("f");
+  ASSERT_TRUE(md.ok());
+  const std::string value_key =
+      DepSkyClient::ValueKey("f", md->versions.back());
   for (unsigned i = 0; i < f(); ++i) {
     CloudCredentials creds{clouds_[i]->provider_name() + ":alice"};
     auto object = clouds_[i]->Get(creds, value_key);
@@ -382,7 +384,8 @@ TEST_F(DepSkyTimerTest, EarlyCopyNamingDeletedObjectsFallsBackToQuorum) {
   auto v3 = client.WriteVersion("f", ContentHash(a), a);
   ASSERT_TRUE(v3.ok());
   ASSERT_EQ(*v3, 3u);
-  ASSERT_TRUE(client.DeleteVersion("f", 1).ok());
+  // Drops the oldest version with a's hash: version 1.
+  ASSERT_TRUE(client.DeleteVersion("f", ContentHash(a)).ok());
   env_->Sleep(kSecond);
   // The fastest cloud replays it, and a brown-out on the others keeps its
   // copy first: the early accept picks version 1, whose objects are gone;
@@ -426,6 +429,68 @@ TEST_F(DepSkyTimerTest, AnchoredReadOfInvisibleVersionIsNotFoundAtQuorum) {
     clouds_[1]->faults().SetLatencyDegradation(0);
     // Destruction waits for the straggler's in-flight ops.
   }
+}
+
+// ---------------------------------------------------------------------------
+// Overlapped writes: the metadata read runs alongside the shard PUT wave, so
+// a write waits for the slower of the two, then the metadata PUT.
+// ---------------------------------------------------------------------------
+
+TEST_F(DepSkyTimerTest, WriteChargesSlowerOfMetadataReadAndPutWave) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes v1(9000, 1);
+  Bytes v2(9000, 2);
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  env_->Sleep(kSecond);  // the straggling metadata PUT lands
+
+  Environment::ResetThreadCharged();
+  const VirtualTime before = env_->Now();
+  auto written = client.WriteVersion("f", ContentHash(v2), v2);
+  const VirtualDuration charged = Environment::ThreadCharged();
+  const VirtualDuration elapsed = env_->Now() - before;
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(*written, 2u);
+  // Metadata read: the third authentic copy, cloud 0 (600 ms). Shard PUT
+  // wave: the preferred quorum, clouds 0-2, ends with cloud 1 (800 ms).
+  // Metadata PUT: the third ack, cloud 0 (600 ms). Overlapped:
+  // max(600, 800) + 600 = 1400 ms; the serial rounds would take 2000 ms.
+  EXPECT_GE(charged, 1400 * kMillisecond);
+  EXPECT_LT(charged, 1550 * kMillisecond);
+  EXPECT_LT(elapsed, 1800 * kMillisecond);
+  EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
+}
+
+TEST_F(DepSkyTimerTest, WriteChargesMetadataReadWhenItIsTheSlowerPart) {
+  UseLatencies({100 * kMillisecond, 200 * kMillisecond, 300 * kMillisecond,
+                1000 * kMillisecond});
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes v1(9000, 1);
+  Bytes v2(9000, 2);
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  env_->Sleep(2 * kSecond);
+  // Cloud 0's metadata copy comes back corrupted, so the read needs the
+  // slow cloud 3's copy as its third authentic one.
+  clouds_[0]->faults().SetCorruptAllReads(true);
+
+  Environment::ResetThreadCharged();
+  const VirtualTime before = env_->Now();
+  auto written = client.WriteVersion("f", ContentHash(v2), v2);
+  const VirtualDuration charged = Environment::ThreadCharged();
+  const VirtualDuration elapsed = env_->Now() - before;
+  clouds_[0]->faults().SetCorruptAllReads(false);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(*written, 2u);
+  // Metadata read 1000 ms (cloud 3), shard PUT wave 300 ms (clouds 0-2),
+  // metadata PUT 300 ms (third ack): max(1000, 300) + 300 = 1300 ms against
+  // a serial 1600 ms.
+  EXPECT_GE(charged, 1300 * kMillisecond);
+  EXPECT_LT(charged, 1450 * kMillisecond);
+  EXPECT_LT(elapsed, 1500 * kMillisecond);
 }
 
 // ---------------------------------------------------------------------------
@@ -638,7 +703,7 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
     ASSERT_TRUE(
         clouds[victim]
             ->Delete({clouds[victim]->provider_name() + ":alice"},
-                     DepSkyClient::StripeValueKey("f", version.version, u))
+                     DepSkyClient::StripeValueKey("f", version, u))
             .ok());
   }
   auto schedule = ParseFaultSchedule(
