@@ -15,16 +15,13 @@
 //   4. recovery   a replica lags far beyond the executed-batch window while
 //                 crashed, restarts, and rejoins via snapshot state
 //                 transfer; reports the rejoin latency
-//   5. accum      ordered workload swept over the leader's batch
-//                 accumulation delay (0 / half / one replica one-way):
-//                 batch factor vs added write latency
-//   6. partition  the partitioned coordination plane: a mixed workload
+//   5. partition  the partitioned coordination plane: a mixed workload
 //                 (writes + getattr-style fast reads + lock pairs) from 32
 //                 clients x 8 concurrent streams, swept over 1/2/4/8 SMR
 //                 partitions with a capacity-bound per-partition pipeline;
 //                 reports per-partition and aggregate ordered throughput
-//   7. lease      grant/serve/revoke amortization of the lease plane
-//   8. split      the elastic coordination plane: a skewed closed-loop
+//   6. lease      grant/serve/revoke amortization of the lease plane
+//   7. split      the elastic coordination plane: a skewed closed-loop
 //                 workload concentrates 2/3 of traffic on partition 0 of a
 //                 2-active + 1-spare deployment with the load-aware split
 //                 controller on; the bench measures aggregate ops/s before
@@ -748,37 +745,6 @@ void RunAll(const Options& options) {
   json.Add("coord_rejoin_snapshot_installs",
            static_cast<double>(rejoin.counters.snapshots_installed), "count");
 
-  // Batch accumulation delay sweep (ROADMAP question): hold partial batches
-  // for 0 / 0.5 / 1 replica one-way delays and report batch factor vs
-  // added write latency under the 32-client ordered workload.
-  PrintHeader("Coordination plane: batch accumulation delay sweep");
-  const VirtualDuration one_way = FromMillis(9);  // replica link mean
-  const struct {
-    const char* name;
-    const char* key;
-    VirtualDuration delay;
-  } sweep[] = {
-      {"delay 0 (time-less)", "coord_accum0", 0},
-      {"delay 0.5 one-way", "coord_accum_half", one_way / 2},
-      {"delay 1 one-way", "coord_accum_one", one_way},
-  };
-  PrintRow({"config", "batch factor", "ops/s", "mean ms"}, widths);
-  for (const auto& point : sweep) {
-    SmrConfig config = MakeConfig(false);
-    config.batch_accumulation_delay = point.delay;
-    Throughput result =
-        RunOrderedConfig(env.get(), config, kClients, ordered_ops);
-    PrintRow({point.name, FormatSeconds(result.batch_factor()),
-              std::to_string(static_cast<int>(result.ops_per_s)),
-              FormatSeconds(result.mean_latency_ms)},
-             widths);
-    json.Add(std::string(point.key) + "_batch", result.batch_factor(),
-             "reqs/instance");
-    json.Add(std::string(point.key) + "_ops", result.ops_per_s, "ops/s");
-    json.Add(std::string(point.key) + "_latency_ms", result.mean_latency_ms,
-             "ms");
-  }
-
   PrintHeader("Coordination plane: lease grant/serve/revoke");
   LeaseBench lease =
       RunLeaseBench(env.get(), kClients, options.quick ? 4 : 16);
@@ -908,11 +874,10 @@ void RunAll(const Options& options) {
       "workload sits in between. Avg batch %.1f reqs/instance; %llu fast\n"
       "reads, %llu fallbacks. The recovery scenario must converge with >=1\n"
       "snapshot install; its rejoin latency is at most one failure-detector\n"
-      "timeout plus a snapshot round. The accumulation sweep trades\n"
-      "batch factor against mean write latency; the verdict is recorded in\n"
-      "ROADMAP.md. The partition sweep must show aggregate ordered\n"
-      "throughput scaling with the partition count at fixed offered load\n"
-      "(>=3x at 4 partitions; CI fails if 4 partitions regress below 1).\n"
+      "timeout plus a snapshot round. The partition sweep must show\n"
+      "aggregate ordered throughput scaling with the partition count at\n"
+      "fixed offered load (>=3x at 4 partitions; CI fails if 4 partitions\n"
+      "regress below 1).\n"
       "The elastic demo must fire exactly the automatic split, recover\n"
       ">=0.8x of the statically balanced 3-partition plane and lose or\n"
       "duplicate zero keys (all gated by tools/check_bench_coord.py).\n",

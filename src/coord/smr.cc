@@ -564,29 +564,7 @@ Result<CoordReply> SmrCluster::Execute(const CoordCommand& command) {
 void SmrCluster::ReplicaLoop(unsigned index) {
   Replica& r = *replicas_[index];
   for (;;) {
-    // The leader's wake-up must not overshoot a pending batch's
-    // accumulation deadline, or a held partial batch would wait a full
-    // order timeout instead of the configured delay.
-    VirtualDuration wait = config_.order_timeout;
-    if (config_.enable_batching && config_.batch_accumulation_delay > 0) {
-      std::lock_guard<std::mutex> lock(r.mu);
-      if (IsLeader(r, index)) {
-        VirtualTime oldest = -1;
-        for (const auto& [id, pending] : r.pending) {
-          if (!pending.ordered &&
-              (oldest < 0 || pending.first_seen < oldest)) {
-            oldest = pending.first_seen;
-          }
-        }
-        if (oldest >= 0) {
-          VirtualTime due = oldest + config_.batch_accumulation_delay;
-          wait = std::min<VirtualDuration>(
-              wait, std::max<VirtualDuration>(due - env_->Now(),
-                                              kMillisecond));
-        }
-      }
-    }
-    auto msg = r.inbox.PopFor(wait);
+    auto msg = r.inbox.PopFor(config_.order_timeout);
     if (shutdown_.load()) {
       return;
     }
@@ -1066,9 +1044,6 @@ void SmrCluster::LeaderMaybePropose(unsigned index, Replica& r,
                                  ? std::max(1u, config_.max_batch)
                                  : 1u;
   const unsigned max_inflight = std::max(1u, config_.max_inflight_instances);
-  const VirtualDuration accumulation =
-      config_.enable_batching ? config_.batch_accumulation_delay : 0;
-  const VirtualTime now = env_->Now();
   // One persistent scan position across batches: each pending entry is
   // visited once per call, not once per batch formed.
   auto scan = r.pending.begin();
@@ -1080,23 +1055,13 @@ void SmrCluster::LeaderMaybePropose(unsigned index, Replica& r,
     }
     // Gather the next batch in request-id order.
     std::vector<std::map<uint64_t, PendingRequest>::iterator> chosen;
-    VirtualTime oldest = now;
     for (; scan != r.pending.end() && chosen.size() < max_batch; ++scan) {
       if (scan->second.ordered) {
         continue;
       }
-      oldest = std::min(oldest, scan->second.first_seen);
       chosen.push_back(scan);
     }
     if (chosen.empty()) {
-      return;
-    }
-    // Accumulation: hold a partial batch until its oldest request has
-    // waited the configured delay, so requests arriving within the window
-    // ride one instance. The replica loop's wake hint and the
-    // failure-detector pass guarantee a timely flush once it falls due.
-    if (accumulation > 0 && chosen.size() < max_batch &&
-        now - oldest < accumulation) {
       return;
     }
     std::vector<SmrBatchEntry> batch;
@@ -1372,10 +1337,6 @@ void SmrCluster::CheckOrderingTimeout(unsigned index, Replica& r) {
         }
         ++it;
       }
-      // Flush accumulation-due batches: with a batch_accumulation_delay a
-      // partial batch may have been held at arrival time; this pass (and
-      // the replica loop's wake hint) proposes it once the delay elapses.
-      LeaderMaybePropose(index, r, &reproposals);
     }
   }
   for (const auto& proposal : reproposals) {

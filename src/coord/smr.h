@@ -124,11 +124,6 @@ struct SmrConfig {
   // SmrCounters::fast_path_cooldown_bypasses (and as fallbacks, since the
   // read is served by the ordered path).
   VirtualDuration fast_read_fallback_cooldown = 5 * kSecond;
-  // Accumulation delay for leader batching: a batch smaller than max_batch
-  // is held until its oldest request has waited this long, trading a bounded
-  // latency increase for a higher batch factor at moderate load. 0 (default)
-  // proposes immediately from whatever is queued (the time-less policy).
-  VirtualDuration batch_accumulation_delay = 0;
 
   // Executed-payload retention (the certificates that catch up a lagging
   // replica without a snapshot). A replica lagging further than this behind

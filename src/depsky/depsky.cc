@@ -42,12 +42,14 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
   RobustCall(RobustContext ctx, unsigned cloud,
              std::function<Future<T>()> issue,
              std::function<bool(const T&)> responsive,
-             std::function<T()> timeout_value)
+             std::function<T()> timeout_value,
+             std::function<void()> on_first_failure = nullptr)
       : ctx_(ctx),
         cloud_(cloud),
         issue_(std::move(issue)),
         responsive_(std::move(responsive)),
-        timeout_value_(std::move(timeout_value)) {}
+        timeout_value_(std::move(timeout_value)),
+        on_first_failure_(std::move(on_first_failure)) {}
 
   Future<T> Start() {
     first_start_ = ctx_.env->Now();
@@ -96,6 +98,9 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
       return;
     }
     ctx_.health->RecordFailure(cloud_, now);
+    if (attempt == 0 && on_first_failure_) {
+      on_first_failure_();
+    }
     int max_attempts = std::max(1, ctx_.config->max_attempts);
     if (attempt + 1 < max_attempts) {
       ctx_.retries->fetch_add(1);
@@ -128,6 +133,7 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
   std::function<Future<T>()> issue_;
   std::function<bool(const T&)> responsive_;
   std::function<T()> timeout_value_;
+  std::function<void()> on_first_failure_;
   VirtualTime first_start_ = 0;
   Promise<T> promise_;
 };
@@ -164,6 +170,7 @@ struct DepSkyClient::MetadataReplies {
   std::vector<std::optional<DepSkyMetadata>> entries;
   unsigned authentic = 0;
   unsigned answered = 0;  // clouds that answered at all (NOT_FOUND included)
+  unsigned foreign = 0;   // authentic copies of another n, k or mode
 };
 
 // The metadata one write appends to, settled once from the write's
@@ -277,8 +284,9 @@ Future<Status> DepSkyClient::RobustPut(unsigned cloud, const std::string& key,
   return call->Start();
 }
 
-Future<Result<Bytes>> DepSkyClient::RobustGet(unsigned cloud,
-                                              const std::string& key) {
+Future<Result<Bytes>> DepSkyClient::RobustGet(
+    unsigned cloud, const std::string& key,
+    std::function<void()> on_first_failure) {
   RobustContext ctx{env_,     &timers_, &health_,  &config_,           &rng_mu_,
                     &rng_,    &async_ops_, &retries_, &deadline_expiries_};
   auto call = std::make_shared<RobustCall<Result<Bytes>>>(
@@ -289,7 +297,8 @@ Future<Result<Bytes>> DepSkyClient::RobustGet(unsigned cloud,
       [](const Result<Bytes>& r) { return ResponsiveStatus(r.status()) || r.ok(); },
       [key]() -> Result<Bytes> {
         return TimeoutError("deadline expired: GET " + key);
-      });
+      },
+      std::move(on_first_failure));
   return call->Start();
 }
 
@@ -360,9 +369,13 @@ DepSkyClient::PendingMetadataRead DepSkyClient::LaunchMetadataRead(
   replies->entries.resize(clouds_.size());
   const Bytes auth_key = config_.auth_key;
   const unsigned quorum = config_.quorum();
+  const unsigned n = config_.n();
+  const unsigned k = config_.k();
+  const DepSkyMode mode = config_.mode;
   auto settled = WhenQuorum<Result<Bytes>>(
       std::move(futures), 1,
-      [replies, auth_key, anchor, quorum](size_t i, const Result<Bytes>& raw) {
+      [replies, auth_key, anchor, quorum, n, k, mode](
+          size_t i, const Result<Bytes>& raw) {
         if (!raw.ok()) {
           replies->answered += ResponsiveStatus(raw.status()) ? 1 : 0;
           return false;
@@ -371,6 +384,13 @@ DepSkyClient::PendingMetadataRead DepSkyClient::LaunchMetadataRead(
         auto md = DepSkyMetadata::Decode(*raw, auth_key);
         if (!md.ok()) {
           return false;  // corrupted/forged copy: skip
+        }
+        if (md->n != n || md->k != k || md->mode != mode) {
+          // Written under another f or mode. Fetch and scrub code with this
+          // client's n, k and mode (the record carries neither), so the
+          // copy is unusable here.
+          ++replies->foreign;
+          return false;
         }
         const bool lists_anchor =
             !anchor.empty() && md->FindByHash(anchor) != nullptr;
@@ -419,6 +439,12 @@ Result<DepSkyClient::MetadataRead> DepSkyClient::SettleMetadataRead(
                             pending.unit);
   }
   if (best == nullptr) {
+    if (pending.replies->foreign > 0) {
+      // Not "no metadata": a write must not start a fresh history over it.
+      return FailedPreconditionError("metadata of " + pending.unit +
+                                     " was written under another n, k or "
+                                     "mode");
+    }
     return NotFoundError("no metadata for " + pending.unit);
   }
   return MetadataRead{std::move(**best), pending.replies->authentic < quorum};
@@ -492,7 +518,7 @@ void DepSkyClient::ApplyAclsToObject(const DepSkyMetadata& md, unsigned cloud,
   WhenAll<Status>(std::move(futures)).Join();  // best effort, charge the wait
 }
 
-Result<uint64_t> DepSkyClient::WriteVersion(
+Result<DepSkyVersion> DepSkyClient::WriteVersion(
     const std::string& unit, const std::string& content_hash,
     ConstByteSpan data, const std::vector<DepSkyGrant>* merge_grants) {
   // Steps 1-2: start reading the version history, and name the objects by a
@@ -578,9 +604,9 @@ Result<uint64_t> DepSkyClient::WriteVersion(
   return PublishVersion(unit, &base, std::move(version));
 }
 
-Result<uint64_t> DepSkyClient::PublishVersion(const std::string& unit,
-                                              WriteBase* base,
-                                              DepSkyVersion version) {
+Result<DepSkyVersion> DepSkyClient::PublishVersion(const std::string& unit,
+                                                   WriteBase* base,
+                                                   DepSkyVersion version) {
   // Settled by now (placing the objects needed it), so this charges nothing.
   ASSIGN_OR_RETURN(std::shared_ptr<const DepSkyMetadata> settled,
                    base->Get(0));
@@ -588,7 +614,7 @@ Result<uint64_t> DepSkyClient::PublishVersion(const std::string& unit,
   version.version = md.NextVersionNumber();
   md.versions.push_back(std::move(version));
   RETURN_IF_ERROR(PushMetadata(unit, md));
-  return md.versions.back().version;
+  return std::move(md.versions.back());
 }
 
 Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
@@ -711,10 +737,9 @@ Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
   return stripe;
 }
 
-Result<uint64_t> DepSkyClient::WriteStripedVersion(const std::string& unit,
-                                                   WriteBase* base,
-                                                   DepSkyVersion version,
-                                                   ConstByteSpan data) {
+Result<DepSkyVersion> DepSkyClient::WriteStripedVersion(
+    const std::string& unit, WriteBase* base, DepSkyVersion version,
+    ConstByteSpan data) {
   const size_t unit_size = config_.stripe_unit();
   const size_t unit_count = (data.size() + unit_size - 1) / unit_size;
   version.stripe_unit_size = unit_size;
@@ -808,69 +833,83 @@ struct DepSkyClient::ShardFetchState {
 };
 
 void DepSkyClient::LaunchShardGet(
-    const std::shared_ptr<ShardFetchState>& state) {
-  unsigned cloud = 0;
+    const std::shared_ptr<ShardFetchState>& state, unsigned count) {
+  // Every holder of the batch is claimed before any GET is issued: a reply
+  // that arrives while the batch is still being issued must count the whole
+  // batch as outstanding, or it would launch a holder beyond it.
+  std::vector<unsigned> claimed;
   {
     std::lock_guard<std::mutex> lock(state->mu);
-    if (state->done || state->next >= state->holders.size()) {
-      return;
+    while (claimed.size() < count && !state->done &&
+           state->next < state->holders.size()) {
+      claimed.push_back(state->holders[state->next++]);
+      state->outstanding++;
     }
-    cloud = state->holders[state->next++];
-    state->outstanding++;
   }
-  RobustGet(cloud, state->value_key)
-      .OnReady([this, state, cloud](const Result<Bytes>& raw,
-                                    VirtualDuration) {
-        bool fetch_more = false;
-        std::optional<Status> completion;
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->outstanding--;
-          if (state->done) {
-            return;  // straggler past the trigger
-          }
-          bool valid_shard = false;
-          if (raw.ok()) {
-            auto object = DepSkyValueObject::Decode(*raw);
-            if (object.ok() && cloud < state->cloud_shard.size() &&
-                state->cloud_shard[cloud] >= 0) {
-              unsigned shard_index =
-                  static_cast<unsigned>(state->cloud_shard[cloud]);
-              if (shard_index < state->shard_hashes.size() &&
-                  Sha256::Hash(*raw) == state->shard_hashes[shard_index]) {
-                // Hash-valid over the full stored object: corrupted shards,
-                // poisoned key shares and byzantine swaps never get here.
-                if (!state->shards[shard_index].has_value()) {
-                  state->shards[shard_index] = std::move(object->shard);
-                  if (object->share_index != 0) {
-                    state->shares.push_back(SecretShare{
-                        object->share_index, object->share_data});
+  for (unsigned cloud : claimed) {
+    // A holder that fails an attempt is replaced at once by the next holder,
+    // while its own retry still runs: failing over costs one round trip to
+    // the failed cloud, not its retry backoff and a second round trip.
+    auto replaced = std::make_shared<std::atomic<bool>>(false);
+    RobustGet(cloud, state->value_key,
+              [this, state, replaced] {
+                replaced->store(true);
+                LaunchShardGet(state);
+              })
+        .OnReady([this, state, cloud, replaced](const Result<Bytes>& raw,
+                                                VirtualDuration) {
+          bool fetch_more = false;
+          std::optional<Status> completion;
+          {
+            std::lock_guard<std::mutex> lock(state->mu);
+            state->outstanding--;
+            if (state->done) {
+              return;  // straggler past the trigger
+            }
+            bool valid_shard = false;
+            if (raw.ok()) {
+              auto object = DepSkyValueObject::Decode(*raw);
+              if (object.ok() && cloud < state->cloud_shard.size() &&
+                  state->cloud_shard[cloud] >= 0) {
+                unsigned shard_index =
+                    static_cast<unsigned>(state->cloud_shard[cloud]);
+                if (shard_index < state->shard_hashes.size() &&
+                    Sha256::Hash(*raw) == state->shard_hashes[shard_index]) {
+                  // Hash-valid over the full stored object: corrupted shards,
+                  // poisoned key shares and byzantine swaps never get here.
+                  if (!state->shards[shard_index].has_value()) {
+                    state->shards[shard_index] = std::move(object->shard);
+                    if (object->share_index != 0) {
+                      state->shares.push_back(SecretShare{
+                          object->share_index, object->share_data});
+                    }
+                    state->valid++;
                   }
-                  state->valid++;
+                  valid_shard = true;
                 }
-                valid_shard = true;
               }
             }
+            if (state->valid >= state->k) {
+              state->done = true;
+              completion = OkStatus();
+            } else if (state->outstanding == 0 &&
+                       state->next >= state->holders.size()) {
+              state->done = true;
+              completion = UnavailableError(
+                  "could not fetch enough valid shards for " + state->unit);
+            } else if ((!valid_shard && !replaced->load()) ||
+                       state->outstanding == 0) {
+              fetch_more = true;  // failure-triggered: try the next holder now
+            }
           }
-          if (state->valid >= state->k) {
-            state->done = true;
-            completion = OkStatus();
-          } else if (state->outstanding == 0 &&
-                     state->next >= state->holders.size()) {
-            state->done = true;
-            completion = UnavailableError(
-                "could not fetch enough valid shards for " + state->unit);
-          } else if (!valid_shard || state->outstanding == 0) {
-            fetch_more = true;  // failure-triggered: try the next holder now
+          if (completion.has_value()) {
+            state->done_promise.Set(*completion,
+                                    env_->Now() - state->started);
+          } else if (fetch_more) {
+            LaunchShardGet(state);
           }
-        }
-        if (completion.has_value()) {
-          state->done_promise.Set(*completion,
-                                  env_->Now() - state->started);
-        } else if (fetch_more) {
-          LaunchShardGet(state);
-        }
-      });
+        });
+  }
 }
 
 void DepSkyClient::ArmHedgeTimer(
@@ -939,9 +978,7 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
   // unlaunched holder immediately; the hedge timer additionally launches
   // the (f+2)-th holder after an adaptive delay, so one quietly slow cloud
   // does not put its full straggler latency on the read path.
-  for (unsigned i = 0; i < k; ++i) {
-    LaunchShardGet(state);
-  }
+  LaunchShardGet(state, k);
   ArmHedgeTimer(state);
 
   Status fetched = state->done_promise.future().Get();
@@ -959,23 +996,24 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
 }
 
 Result<Bytes> DepSkyClient::FetchVersion(const std::string& unit,
-                                         const DepSkyMetadata& md,
                                          const DepSkyVersion& version) {
-  if (version.striped() && md.mode == DepSkyMode::kSecretSharing) {
-    return FetchStripedVersion(unit, md, version);
+  const bool secret_sharing = config_.mode == DepSkyMode::kSecretSharing;
+  if (version.striped() && secret_sharing) {
+    return FetchStripedVersion(unit, version);
   }
-  const unsigned k = (md.mode == DepSkyMode::kSecretSharing) ? md.k : 1;
+  const unsigned k = secret_sharing ? config_.k() : 1;
   ASSIGN_OR_RETURN(FetchedShards fetched,
                    FetchShards(unit, ValueKey(unit, version), k,
                                version.cloud_shard, version.shard_hashes));
 
   Bytes plaintext;
-  if (md.mode == DepSkyMode::kSecretSharing) {
+  if (secret_sharing) {
     // Reassemble into one buffer, then decrypt it in place: the ciphertext
     // buffer becomes the plaintext without a second allocation or pass.
-    ErasureCodec codec(md.n, md.k);
+    ErasureCodec codec(config_.n(), config_.k());
     ASSIGN_OR_RETURN(plaintext, codec.Decode(fetched.shards));
-    ASSIGN_OR_RETURN(Bytes key, SecretSharing::Combine(fetched.shares, md.k));
+    ASSIGN_OR_RETURN(Bytes key,
+                     SecretSharing::Combine(fetched.shares, config_.k()));
     ChaCha20::CryptInPlace(key, version.nonce, 0, ByteSpan(plaintext));
   } else {
     for (auto& shard : fetched.shards) {
@@ -994,20 +1032,21 @@ Result<Bytes> DepSkyClient::FetchVersion(const std::string& unit,
 }
 
 Status DepSkyClient::FetchStripeUnit(const std::string& unit,
-                                     const DepSkyMetadata& md,
                                      const DepSkyVersion& version,
                                      size_t stripe_index, ByteSpan out,
                                      bool verify_unit_hash) {
+  const unsigned n = config_.n();
+  const unsigned k = config_.k();
   const DepSkyStripeUnit& stripe = version.stripe_units[stripe_index];
   auto fetched_or = FetchShards(
-      unit, StripeValueKey(unit, version, stripe_index), md.k,
+      unit, StripeValueKey(unit, version, stripe_index), k,
       stripe.cloud_shard, stripe.shard_hashes);
   RETURN_IF_ERROR(fetched_or.status());
   FetchedShards& fetched = *fetched_or;
 
   // Decode into a pooled arena frame, then decrypt straight into the
   // caller's slice — the decrypt pass is also the move out of the arena.
-  ErasureCodec codec(md.n, md.k);
+  ErasureCodec codec(n, k);
   const size_t shard_size = codec.ShardSize(out.size());
   std::vector<std::optional<ConstByteSpan>> views(fetched.shards.size());
   for (size_t i = 0; i < fetched.shards.size(); ++i) {
@@ -1015,8 +1054,8 @@ Status DepSkyClient::FetchStripeUnit(const std::string& unit,
       views[i] = ConstByteSpan(*fetched.shards[i]);
     }
   }
-  ShardArena arena = arena_pool_.Acquire(md.n, md.k, shard_size, out.size());
-  ReedSolomon rs(md.n, md.k);
+  ShardArena arena = arena_pool_.Acquire(n, k, shard_size, out.size());
+  ReedSolomon rs(n, k);
   Status decoded = rs.DecodeInto(views, shard_size,
                                  arena.mutable_data_region());
   if (!decoded.ok()) {
@@ -1032,7 +1071,7 @@ Status DepSkyClient::FetchStripeUnit(const std::string& unit,
     return CorruptionError("stripe unit frame mismatch for " + unit);
   }
 
-  auto key = SecretSharing::Combine(fetched.shares, md.k);
+  auto key = SecretSharing::Combine(fetched.shares, k);
   if (!key.ok()) {
     arena_pool_.Release(std::move(arena));
     return key.status();
@@ -1050,7 +1089,6 @@ Status DepSkyClient::FetchStripeUnit(const std::string& unit,
 }
 
 Result<Bytes> DepSkyClient::FetchStripedVersion(const std::string& unit,
-                                                const DepSkyMetadata& md,
                                                 const DepSkyVersion& version) {
   const size_t unit_size = version.stripe_unit_size;
   const size_t unit_count = version.stripe_units.size();
@@ -1083,7 +1121,7 @@ Result<Bytes> DepSkyClient::FetchStripedVersion(const std::string& unit,
     // The whole-file consistency-anchor hash is checked below; per-unit
     // hashes are for range reads that never see the whole file.
     if (depth <= 1) {
-      Status s = FetchStripeUnit(unit, md, version, u, slice,
+      Status s = FetchStripeUnit(unit, version, u, slice,
                                  /*verify_unit_hash=*/false);
       if (!s.ok()) {
         first_error = s;
@@ -1091,8 +1129,8 @@ Result<Bytes> DepSkyClient::FetchStripedVersion(const std::string& unit,
       continue;
     }
     window.push_back(
-        SubmitTracked(&async_ops_, [this, &unit, &md, &version, u, slice]() {
-          return FetchStripeUnit(unit, md, version, u, slice,
+        SubmitTracked(&async_ops_, [this, &unit, &version, u, slice]() {
+          return FetchStripeUnit(unit, version, u, slice,
                                  /*verify_unit_hash=*/false);
         }));
   }
@@ -1109,14 +1147,13 @@ Result<Bytes> DepSkyClient::FetchStripedVersion(const std::string& unit,
 
 Result<Bytes> DepSkyClient::ReadAnchored(
     const std::string& unit, const std::string& content_hash,
-    const std::function<Result<Bytes>(const DepSkyMetadata&,
-                                      const DepSkyVersion&)>& fetch) {
+    const std::function<Result<Bytes>(const DepSkyVersion&)>& fetch) {
   ASSIGN_OR_RETURN(MetadataRead read, ReadMetadata(unit, content_hash));
   const DepSkyVersion* version = read.md.FindByHash(content_hash);
   if (version == nullptr) {
     return NotFoundError("version " + content_hash + " not visible yet");
   }
-  Result<Bytes> data = fetch(read.md, *version);
+  Result<Bytes> data = fetch(*version);
   if (data.ok() || !read.early) {
     return data;
   }
@@ -1130,21 +1167,44 @@ Result<Bytes> DepSkyClient::ReadAnchored(
   if (version == nullptr) {
     return NotFoundError("version " + content_hash + " not visible yet");
   }
-  return fetch(md, *version);
+  return fetch(*version);
+}
+
+Result<Bytes> DepSkyClient::ReadVersion(const std::string& unit,
+                                        const DepSkyVersion& record) {
+  Result<Bytes> data = FetchVersion(unit, record);
+  if (data.ok()) {
+    return data;
+  }
+  // The record could not deliver its version: its objects were
+  // garbage-collected, a scrub relocation left its holder map stale, or it
+  // is not the record the clouds hold at all. The content hash is still
+  // the anchor: locate the version by the metadata, once.
+  anchored_read_fallbacks_.fetch_add(1);
+  return ReadByHash(unit, record.content_hash);
+}
+
+Result<Bytes> DepSkyClient::ReadVersion(const std::string& unit,
+                                        const std::string& content_hash,
+                                        const Bytes& encoded_record) {
+  Result<DepSkyVersion> record = DepSkyVersion::Decode(encoded_record);
+  if (record.ok() && record->content_hash == content_hash) {
+    return ReadVersion(unit, *record);
+  }
+  anchored_read_fallbacks_.fetch_add(1);
+  return ReadByHash(unit, content_hash);
 }
 
 Result<Bytes> DepSkyClient::ReadAt(const std::string& unit,
                                    const std::string& content_hash,
                                    uint64_t offset, size_t length) {
   return ReadAnchored(unit, content_hash,
-                      [&](const DepSkyMetadata& md,
-                          const DepSkyVersion& version) {
-                        return ReadRange(unit, md, version, offset, length);
+                      [&](const DepSkyVersion& version) {
+                        return ReadRange(unit, version, offset, length);
                       });
 }
 
 Result<Bytes> DepSkyClient::ReadRange(const std::string& unit,
-                                      const DepSkyMetadata& md,
                                       const DepSkyVersion& version,
                                       uint64_t offset, size_t length) {
   if (offset >= version.size || length == 0) {
@@ -1152,8 +1212,8 @@ Result<Bytes> DepSkyClient::ReadRange(const std::string& unit,
   }
   length = std::min<uint64_t>(length, version.size - offset);
 
-  if (!version.striped() || md.mode != DepSkyMode::kSecretSharing) {
-    ASSIGN_OR_RETURN(Bytes all, FetchVersion(unit, md, version));
+  if (!version.striped() || config_.mode != DepSkyMode::kSecretSharing) {
+    ASSIGN_OR_RETURN(Bytes all, FetchVersion(unit, version));
     return Bytes(all.begin() + offset, all.begin() + offset + length);
   }
 
@@ -1175,13 +1235,13 @@ Result<Bytes> DepSkyClient::ReadRange(const std::string& unit,
       first_error = s;
     }
   };
-  auto fetch_unit = [this, &unit, &md, &version, unit_size, offset, length,
+  auto fetch_unit = [this, &unit, &version, unit_size, offset, length,
                      &out](size_t u) -> Status {
     const size_t begin = u * unit_size;
     const size_t unit_length =
         std::min<size_t>(unit_size, version.size - begin);
     Bytes buffer(unit_length);
-    RETURN_IF_ERROR(FetchStripeUnit(unit, md, version, u, ByteSpan(buffer),
+    RETURN_IF_ERROR(FetchStripeUnit(unit, version, u, ByteSpan(buffer),
                                     /*verify_unit_hash=*/true));
     // Copy the overlap into the caller's range (disjoint per unit).
     const size_t copy_begin = std::max<size_t>(offset, begin);
@@ -1215,11 +1275,9 @@ Result<Bytes> DepSkyClient::ReadRange(const std::string& unit,
 
 Result<Bytes> DepSkyClient::ReadByHash(const std::string& unit,
                                        const std::string& content_hash) {
-  return ReadAnchored(unit, content_hash,
-                      [&](const DepSkyMetadata& md,
-                          const DepSkyVersion& version) {
-                        return FetchVersion(unit, md, version);
-                      });
+  return ReadAnchored(unit, content_hash, [&](const DepSkyVersion& version) {
+    return FetchVersion(unit, version);
+  });
 }
 
 Result<Bytes> DepSkyClient::ReadLatest(const std::string& unit) {
@@ -1228,7 +1286,7 @@ Result<Bytes> DepSkyClient::ReadLatest(const std::string& unit) {
   if (version == nullptr) {
     return NotFoundError("no versions of " + unit);
   }
-  return FetchVersion(unit, md, *version);
+  return FetchVersion(unit, *version);
 }
 
 void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
@@ -1285,7 +1343,9 @@ void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
   // the split polynomial at any lost share's x-coordinate — so the rebuilt
   // stored object is byte-identical to the original and must re-hash to the
   // recorded value before anything is uploaded.
-  std::vector<std::optional<ConstByteSpan>> views(md.n);
+  const unsigned n = config_.n();
+  const unsigned k = config_.k();
+  std::vector<std::optional<ConstByteSpan>> views(n);
   std::vector<SecretShare> shares;
   unsigned valid_count = 0;
   for (unsigned cloud = 0; cloud < clouds_.size(); ++cloud) {
@@ -1302,14 +1362,14 @@ void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
     }
     ++valid_count;
   }
-  if (valid_count < md.k || md.mode != DepSkyMode::kSecretSharing) {
+  if (valid_count < k || config_.mode != DepSkyMode::kSecretSharing) {
     report->repair_failures += bad_holders.size();
     report->fully_redundant = false;
     return;
   }
 
-  ShardArena arena = arena_pool_.Acquire(md.n, md.k, shard_size, 0);
-  ReedSolomon rs(md.n, md.k);
+  ShardArena arena = arena_pool_.Acquire(n, k, shard_size, 0);
+  ReedSolomon rs(n, k);
   Status decoded =
       rs.DecodeInto(views, shard_size, arena.mutable_data_region());
   if (decoded.ok()) {
@@ -1318,14 +1378,14 @@ void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
 
   for (unsigned cloud : bad_holders) {
     const unsigned shard = static_cast<unsigned>((*cloud_shard)[cloud]);
-    if (!decoded.ok() || shard >= md.n || shard >= shard_hashes.size()) {
+    if (!decoded.ok() || shard >= n || shard >= shard_hashes.size()) {
       report->repair_failures++;
       report->fully_redundant = false;
       continue;
     }
     // Share for shard s has x-coordinate s+1 (Split's convention).
     auto share =
-        SecretSharing::RecoverShare(shares, md.k, static_cast<uint8_t>(shard + 1));
+        SecretSharing::RecoverShare(shares, k, static_cast<uint8_t>(shard + 1));
     if (!share.ok()) {
       report->repair_failures++;
       report->fully_redundant = false;

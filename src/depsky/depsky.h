@@ -16,15 +16,21 @@
 //      appends the version, numbered after the highest one read, to the
 //      authenticated metadata object replicated in every cloud.
 // A write therefore waits for max(metadata read, shard PUT wave) plus the
-// metadata PUT, not for the sum of the three rounds.
-// A read asks every cloud for the metadata. A read of the latest version
-// waits for n-f authenticated copies and keeps the highest version. A read
-// by hash (the version the consistency anchor names) settles on the first
-// authenticated copy that lists that hash. Either read then fetches k valid
-// shards from the fastest healthy holders (hash-checked, so corrupted or
-// byzantine clouds are detected and skipped). If the shards named by an
-// early-accepted copy cannot be fetched, the read re-reads the metadata once
-// at the full quorum.
+// metadata PUT, not for the sum of the three rounds. It returns the version
+// record it published, which the caller may anchor next to the hash.
+// Reads come in three forms, all ending in the same fetch of k valid shards
+// from the fastest healthy holders (hash-checked, so corrupted or byzantine
+// clouds are detected and skipped), and a check of the plaintext against the
+// content hash:
+//   - ReadVersion (the record the consistency anchor carries): no metadata
+//     round at all; the read waits for the k-th fastest holder only. If the
+//     record cannot deliver, it falls back once to ReadByHash.
+//   - ReadByHash (the hash alone): asks every cloud for the metadata and
+//     settles on the first authenticated copy that lists the hash. If the
+//     shards that copy names cannot be fetched, it re-reads the metadata
+//     once at the full quorum.
+//   - ReadLatest: waits for n-f authenticated metadata copies and keeps the
+//     highest version.
 //
 // No single cloud ever holds the plaintext or the whole key: confidentiality,
 // integrity and availability survive f arbitrary cloud faults.
@@ -144,24 +150,42 @@ class DepSkyClient {
   ~DepSkyClient();
 
   // Stores a new version. `content_hash` is the hex consistency-anchor hash
-  // of `data` (computed by the caller; verified on read). Returns the new
-  // version number. If `merge_grants` is non-null, those grants are folded
+  // of `data` (computed by the caller; verified on read). Returns the version
+  // record, its number filled in, once the metadata listing it has reached a
+  // write quorum. If `merge_grants` is non-null, those grants are folded
   // into the unit metadata in the same metadata push (no extra round trip).
   //
   // `data` is a borrowed view: the payload is encrypted straight into the
   // erasure-coding arena (secret-sharing mode) or serialized straight into
   // the per-cloud wire objects (replication mode) — the client never makes
   // its own copy of the plaintext.
-  Result<uint64_t> WriteVersion(
+  Result<DepSkyVersion> WriteVersion(
       const std::string& unit, const std::string& content_hash,
       ConstByteSpan data,
       const std::vector<DepSkyGrant>* merge_grants = nullptr);
 
-  // Reads the version with the given content hash; NOT_FOUND if no (visible)
-  // metadata lists it — the consistency-anchor read loop retries. The hash
-  // is the anchor: the metadata read settles on the first authenticated copy
-  // listing it (or on n-f authenticated copies, none listing it), and falls
-  // back to one full-quorum re-read if that copy's shards cannot be fetched.
+  // Reads the version `record` describes (one WriteVersion returned) with
+  // no metadata GET: k shard GETs from its fastest holders, decoded with
+  // this client's n, k and mode. If they cannot produce the version, falls
+  // back once to ReadByHash(unit, record.content_hash), counted in
+  // anchored_read_fallbacks(); its NOT_FOUND still means "not visible yet".
+  Result<Bytes> ReadVersion(const std::string& unit,
+                            const DepSkyVersion& record);
+  // Same, from an encoded record anchored next to `content_hash` (a
+  // BlobBackend locator). A record that does not decode, or that describes
+  // another content hash, cannot deliver the anchored version: it takes the
+  // same one counted fallback to ReadByHash(unit, content_hash).
+  Result<Bytes> ReadVersion(const std::string& unit,
+                            const std::string& content_hash,
+                            const Bytes& encoded_record);
+
+  // Reads the version with the given content hash when no record is at
+  // hand; NOT_FOUND if no (visible) metadata lists it — the
+  // consistency-anchor read loop retries. The hash is the anchor: the
+  // metadata read settles on the first authenticated copy listing it (or on
+  // n-f authenticated copies, none listing it), fetches the record it names
+  // as ReadVersion does, and falls back to one full-quorum re-read if that
+  // copy's shards cannot be fetched.
   Result<Bytes> ReadByHash(const std::string& unit,
                            const std::string& content_hash);
 
@@ -217,8 +241,9 @@ class DepSkyClient {
   uint64_t retries() const { return retries_.load(); }
   uint64_t deadline_expiries() const { return deadline_expiries_.load(); }
   uint64_t hedged_reads() const { return hedged_reads_.load(); }
-  // Reads by hash whose early-accepted metadata copy could not deliver the
-  // version and that re-read the metadata at the full quorum.
+  // Reads that fell back: record reads whose record could not deliver the
+  // version, and reads by hash whose early-accepted metadata copy could not
+  // and that re-read the metadata at the full quorum.
   uint64_t anchored_read_fallbacks() const {
     return anchored_read_fallbacks_.load();
   }
@@ -285,11 +310,10 @@ class DepSkyClient {
   // and one full-quorum re-read + fetch if an early-accepted copy fails.
   Result<Bytes> ReadAnchored(
       const std::string& unit, const std::string& content_hash,
-      const std::function<Result<Bytes>(const DepSkyMetadata&,
-                                        const DepSkyVersion&)>& fetch);
+      const std::function<Result<Bytes>(const DepSkyVersion&)>& fetch);
   // ReadAt's fetch: the stripe units overlapping the range, or the whole
   // version sliced.
-  Result<Bytes> ReadRange(const std::string& unit, const DepSkyMetadata& md,
+  Result<Bytes> ReadRange(const std::string& unit,
                           const DepSkyVersion& version, uint64_t offset,
                           size_t length);
 
@@ -298,9 +322,9 @@ class DepSkyClient {
   // stragglers keep running inside their stores.
   Status PushMetadata(const std::string& unit, const DepSkyMetadata& md);
 
-  // Fetches and reassembles one version.
+  // Fetches and reassembles one version from its record alone: the one
+  // fetch of every read path. No fallback.
   Result<Bytes> FetchVersion(const std::string& unit,
-                             const DepSkyMetadata& md,
                              const DepSkyVersion& version);
 
   // Places one object set (shard i + share i per cloud) under `value_key`:
@@ -324,19 +348,20 @@ class DepSkyClient {
                                     const std::vector<Bytes>& shard_hashes);
 
   // Appends `version` (its cloud placement filled in) to the write's
-  // metadata under the next version number and pushes it.
-  Result<uint64_t> PublishVersion(const std::string& unit, WriteBase* base,
-                                  DepSkyVersion version);
+  // metadata under the next version number and pushes it; returns the
+  // record as published.
+  Result<DepSkyVersion> PublishVersion(const std::string& unit,
+                                       WriteBase* base, DepSkyVersion version);
 
   // Striped write: cuts `data` into stripe units and pipelines their
   // independent encode+PUT through the executor with at most
   // config_.stripe_inflight units in flight; the first window starts while
   // the write's metadata read is still in flight. `version` arrives with
   // object_id/content_hash/size filled in; publishes the stripe manifest.
-  Result<uint64_t> WriteStripedVersion(const std::string& unit,
-                                       WriteBase* base,
-                                       DepSkyVersion version,
-                                       ConstByteSpan data);
+  Result<DepSkyVersion> WriteStripedVersion(const std::string& unit,
+                                            WriteBase* base,
+                                            DepSkyVersion version,
+                                            ConstByteSpan data);
   // One unit of a striped write: pooled arena, encrypt at the unit's
   // keystream offset, parity, hash, place.
   Result<DepSkyStripeUnit> WriteStripeUnit(WriteBase* base,
@@ -349,15 +374,14 @@ class DepSkyClient {
 
   // Striped read: pipelines unit fetch+decode+decrypt into one buffer.
   Result<Bytes> FetchStripedVersion(const std::string& unit,
-                                    const DepSkyMetadata& md,
                                     const DepSkyVersion& version);
   // Fetches one stripe unit's plaintext into `out` (sized to the unit).
   // When `verify_unit_hash` is set the decrypted unit is checked against the
   // manifest's per-unit SHA-256 (range reads can't rely on the whole-file
   // consistency-anchor hash).
-  Status FetchStripeUnit(const std::string& unit, const DepSkyMetadata& md,
-                         const DepSkyVersion& version, size_t stripe_index,
-                         ByteSpan out, bool verify_unit_hash);
+  Status FetchStripeUnit(const std::string& unit, const DepSkyVersion& version,
+                         size_t stripe_index, ByteSpan out,
+                         bool verify_unit_hash);
 
   // Scrub of one object set: probes recorded holders, rebuilds lost or
   // corrupt objects byte-identically (erasure re-encode + Lagrange share
@@ -393,14 +417,19 @@ class DepSkyClient {
   // (or restarts) the underlying async request; `responsive` decides
   // whether a completed value counts as the cloud answering (NOT_FOUND is a
   // perfectly healthy answer); `timeout_value` synthesizes the value for a
-  // deadline expiry. Defined in depsky.cc.
+  // deadline expiry; `on_first_failure`, if set, runs when the first
+  // attempt fails, before any retry. Defined in depsky.cc.
   Future<Status> RobustPut(unsigned cloud, const std::string& key,
                            std::shared_ptr<const Bytes> data);
-  Future<Result<Bytes>> RobustGet(unsigned cloud, const std::string& key);
+  Future<Result<Bytes>> RobustGet(
+      unsigned cloud, const std::string& key,
+      std::function<void()> on_first_failure = nullptr);
 
-  // Launches the next unlaunched holder of a shard fetch (failure-triggered
-  // or hedged), and arms the hedge timer chain.
-  void LaunchShardGet(const std::shared_ptr<ShardFetchState>& state);
+  // Launches the next `count` unlaunched holders of a shard fetch (the
+  // first wave, or one failure-triggered or hedged holder), and arms the
+  // hedge timer chain.
+  void LaunchShardGet(const std::shared_ptr<ShardFetchState>& state,
+                      unsigned count = 1);
   void ArmHedgeTimer(const std::shared_ptr<ShardFetchState>& state);
 
   Environment* env_;

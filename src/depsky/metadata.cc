@@ -6,10 +6,56 @@ namespace scfs {
 
 namespace {
 
-// Tag of the trailing stripe-manifest section. The section is appended only
-// when some version is striped, so metadata without striped versions encodes
-// (and authenticates) byte-identically to the pre-stripe format.
-constexpr uint32_t kStripeSectionMagic = 0x53545250;  // "STRP"
+void AppendHashes(Bytes* out, const std::vector<Bytes>& hashes) {
+  AppendU32(out, static_cast<uint32_t>(hashes.size()));
+  for (const auto& h : hashes) {
+    AppendBytes(out, h);
+  }
+}
+
+void AppendCloudMap(Bytes* out, const std::vector<int32_t>& cloud_shard) {
+  AppendU32(out, static_cast<uint32_t>(cloud_shard.size()));
+  for (int32_t s : cloud_shard) {
+    AppendU32(out, static_cast<uint32_t>(s));
+  }
+}
+
+// A count followed by that many entries of at least four bytes each; a
+// count the remaining input cannot hold is rejected before anything is
+// allocated for it.
+bool ReadCount(ByteReader* reader, uint32_t* count) {
+  return reader->ReadU32(count) && *count <= reader->remaining() / 4;
+}
+
+bool ReadHashes(ByteReader* reader, std::vector<Bytes>* hashes) {
+  uint32_t count = 0;
+  if (!ReadCount(reader, &count)) {
+    return false;
+  }
+  hashes->resize(count);
+  for (auto& h : *hashes) {
+    if (!reader->ReadBytes(&h)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ReadCloudMap(ByteReader* reader, std::vector<int32_t>* cloud_shard) {
+  uint32_t count = 0;
+  if (!ReadCount(reader, &count)) {
+    return false;
+  }
+  cloud_shard->resize(count);
+  for (auto& s : *cloud_shard) {
+    uint32_t raw = 0;
+    if (!reader->ReadU32(&raw)) {
+      return false;
+    }
+    s = static_cast<int32_t>(raw);
+  }
+  return true;
+}
 
 Bytes EncodeBody(const DepSkyMetadata& md) {
   Bytes out;
@@ -22,19 +68,7 @@ Bytes EncodeBody(const DepSkyMetadata& md) {
   }
   AppendU32(&out, static_cast<uint32_t>(md.versions.size()));
   for (const auto& v : md.versions) {
-    AppendU64(&out, v.version);
-    AppendU64(&out, v.object_id);
-    AppendString(&out, v.content_hash);
-    AppendU64(&out, v.size);
-    AppendBytes(&out, v.nonce);
-    AppendU32(&out, static_cast<uint32_t>(v.shard_hashes.size()));
-    for (const auto& h : v.shard_hashes) {
-      AppendBytes(&out, h);
-    }
-    AppendU32(&out, static_cast<uint32_t>(v.cloud_shard.size()));
-    for (int32_t s : v.cloud_shard) {
-      AppendU32(&out, static_cast<uint32_t>(s));
-    }
+    v.EncodeTo(&out);
   }
   AppendU32(&out, static_cast<uint32_t>(md.grants.size()));
   for (const auto& g : md.grants) {
@@ -44,39 +78,65 @@ Bytes EncodeBody(const DepSkyMetadata& md) {
     }
     out.push_back(static_cast<uint8_t>((g.read ? 1 : 0) | (g.write ? 2 : 0)));
   }
-  uint32_t striped_count = 0;
-  for (const auto& v : md.versions) {
-    if (v.striped()) {
-      ++striped_count;
-    }
-  }
-  if (striped_count > 0) {
-    AppendU32(&out, kStripeSectionMagic);
-    AppendU32(&out, striped_count);
-    for (size_t i = 0; i < md.versions.size(); ++i) {
-      const auto& v = md.versions[i];
-      if (!v.striped()) {
-        continue;
-      }
-      AppendU32(&out, static_cast<uint32_t>(i));
-      AppendU64(&out, v.stripe_unit_size);
-      AppendU32(&out, static_cast<uint32_t>(v.stripe_units.size()));
-      for (const auto& u : v.stripe_units) {
-        AppendBytes(&out, u.content_hash);
-        AppendU32(&out, static_cast<uint32_t>(u.shard_hashes.size()));
-        for (const auto& h : u.shard_hashes) {
-          AppendBytes(&out, h);
-        }
-        AppendU32(&out, static_cast<uint32_t>(u.cloud_shard.size()));
-        for (int32_t s : u.cloud_shard) {
-          AppendU32(&out, static_cast<uint32_t>(s));
-        }
-      }
-    }
-  }
   return out;
 }
 }  // namespace
+
+void DepSkyVersion::EncodeTo(Bytes* out) const {
+  AppendU64(out, version);
+  AppendU64(out, object_id);
+  AppendString(out, content_hash);
+  AppendU64(out, size);
+  AppendBytes(out, nonce);
+  AppendHashes(out, shard_hashes);
+  AppendCloudMap(out, cloud_shard);
+  // The stripe manifest, inline: 0 and no units for a monolithic version.
+  AppendU64(out, stripe_unit_size);
+  AppendU32(out, static_cast<uint32_t>(stripe_units.size()));
+  for (const auto& u : stripe_units) {
+    AppendBytes(out, u.content_hash);
+    AppendHashes(out, u.shard_hashes);
+    AppendCloudMap(out, u.cloud_shard);
+  }
+}
+
+bool DepSkyVersion::DecodeFrom(ByteReader* reader, DepSkyVersion* out) {
+  uint32_t unit_count = 0;
+  if (!reader->ReadU64(&out->version) || !reader->ReadU64(&out->object_id) ||
+      !reader->ReadString(&out->content_hash) || !reader->ReadU64(&out->size) ||
+      !reader->ReadBytes(&out->nonce) ||
+      !ReadHashes(reader, &out->shard_hashes) ||
+      !ReadCloudMap(reader, &out->cloud_shard) ||
+      !reader->ReadU64(&out->stripe_unit_size) ||
+      !ReadCount(reader, &unit_count) ||
+      (unit_count > 0) != (out->stripe_unit_size != 0)) {
+    return false;
+  }
+  out->stripe_units.resize(unit_count);
+  for (auto& u : out->stripe_units) {
+    if (!reader->ReadBytes(&u.content_hash) ||
+        !ReadHashes(reader, &u.shard_hashes) ||
+        !ReadCloudMap(reader, &u.cloud_shard)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Bytes DepSkyVersion::Encode() const {
+  Bytes out;
+  EncodeTo(&out);
+  return out;
+}
+
+Result<DepSkyVersion> DepSkyVersion::Decode(const Bytes& data) {
+  DepSkyVersion version;
+  ByteReader reader(data);
+  if (!DecodeFrom(&reader, &version) || !reader.AtEnd()) {
+    return CorruptionError("bad depsky version record");
+  }
+  return version;
+}
 
 Bytes DepSkyMetadata::Encode(const Bytes& auth_key) const {
   Bytes body = EncodeBody(*this);
@@ -115,35 +175,13 @@ Result<DepSkyMetadata> DepSkyMetadata::Decode(const Bytes& data,
       return CorruptionError("bad depsky owner id");
     }
   }
-  if (!reader.ReadU32(&version_count)) {
+  if (!ReadCount(&reader, &version_count)) {
     return CorruptionError("bad depsky metadata header");
   }
   md.versions.resize(version_count);
   for (auto& v : md.versions) {
-    uint32_t shard_count = 0;
-    uint32_t cloud_count = 0;
-    if (!reader.ReadU64(&v.version) || !reader.ReadU64(&v.object_id) ||
-        !reader.ReadString(&v.content_hash) ||
-        !reader.ReadU64(&v.size) || !reader.ReadBytes(&v.nonce) ||
-        !reader.ReadU32(&shard_count)) {
+    if (!DepSkyVersion::DecodeFrom(&reader, &v)) {
       return CorruptionError("bad depsky version record");
-    }
-    v.shard_hashes.resize(shard_count);
-    for (auto& h : v.shard_hashes) {
-      if (!reader.ReadBytes(&h)) {
-        return CorruptionError("bad depsky shard hash");
-      }
-    }
-    if (!reader.ReadU32(&cloud_count)) {
-      return CorruptionError("bad depsky cloud map");
-    }
-    v.cloud_shard.resize(cloud_count);
-    for (auto& s : v.cloud_shard) {
-      uint32_t raw = 0;
-      if (!reader.ReadU32(&raw)) {
-        return CorruptionError("bad depsky cloud map entry");
-      }
-      s = static_cast<int32_t>(raw);
     }
   }
   uint32_t grant_count = 0;
@@ -169,54 +207,8 @@ Result<DepSkyMetadata> DepSkyMetadata::Decode(const Bytes& data,
     g.read = (perms & 1) != 0;
     g.write = (perms & 2) != 0;
   }
-  // Trailing stripe-manifest section; absent in pre-stripe encodings and for
-  // metadata whose versions are all monolithic.
   if (!reader.AtEnd()) {
-    uint32_t magic = 0;
-    uint32_t striped_count = 0;
-    if (!reader.ReadU32(&magic) || magic != kStripeSectionMagic ||
-        !reader.ReadU32(&striped_count)) {
-      return CorruptionError("bad depsky stripe section");
-    }
-    for (uint32_t s = 0; s < striped_count; ++s) {
-      uint32_t version_index = 0;
-      if (!reader.ReadU32(&version_index) ||
-          version_index >= md.versions.size()) {
-        return CorruptionError("bad depsky stripe version index");
-      }
-      auto& v = md.versions[version_index];
-      uint32_t unit_count = 0;
-      if (!reader.ReadU64(&v.stripe_unit_size) || v.stripe_unit_size == 0 ||
-          !reader.ReadU32(&unit_count)) {
-        return CorruptionError("bad depsky stripe manifest");
-      }
-      v.stripe_units.resize(unit_count);
-      for (auto& u : v.stripe_units) {
-        uint32_t shard_count = 0;
-        uint32_t cloud_count = 0;
-        if (!reader.ReadBytes(&u.content_hash) ||
-            !reader.ReadU32(&shard_count)) {
-          return CorruptionError("bad depsky stripe unit");
-        }
-        u.shard_hashes.resize(shard_count);
-        for (auto& h : u.shard_hashes) {
-          if (!reader.ReadBytes(&h)) {
-            return CorruptionError("bad depsky stripe shard hash");
-          }
-        }
-        if (!reader.ReadU32(&cloud_count)) {
-          return CorruptionError("bad depsky stripe cloud map");
-        }
-        u.cloud_shard.resize(cloud_count);
-        for (auto& c : u.cloud_shard) {
-          uint32_t raw = 0;
-          if (!reader.ReadU32(&raw)) {
-            return CorruptionError("bad depsky stripe cloud entry");
-          }
-          c = static_cast<int32_t>(raw);
-        }
-      }
-    }
+    return CorruptionError("trailing bytes in depsky metadata");
   }
   return md;
 }

@@ -8,6 +8,11 @@
 // (preferred quorums leave one cloud empty). The whole record carries an
 // HMAC-SHA256 authenticator so a byzantine cloud cannot forge versions
 // (substitution for DepSky's RSA signatures; same verify-on-read path).
+//
+// One version's entry — the DepSkyVersion record — is everything a reader
+// needs to fetch that version from the clouds. SCFS publishes it next to the
+// content hash in the file's coordination entry, so an anchored read goes
+// straight to the shard holders (DepSkyClient::ReadVersion).
 
 #ifndef SCFS_DEPSKY_METADATA_H_
 #define SCFS_DEPSKY_METADATA_H_
@@ -37,6 +42,11 @@ struct DepSkyStripeUnit {
   std::vector<int32_t> cloud_shard;  // cloud i holds shard cloud_shard[i]
 };
 
+// The version record: what the metadata object lists per version, and what
+// WriteVersion returns to be published in the consistency anchor. Every
+// field is checked on use — value objects against their SHA-256 here, the
+// plaintext against the SHA-1 content hash — so a stale or wrong record can
+// fail a read, never make it return other bytes.
 struct DepSkyVersion {
   uint64_t version = 0;
   // Names the version's value objects (du/<unit>/o<id>, stripe units
@@ -54,15 +64,27 @@ struct DepSkyVersion {
   std::vector<Bytes> shard_hashes;
   std::vector<int32_t> cloud_shard;  // cloud i holds shard cloud_shard[i], -1 if none
 
-  // Stripe manifest: 0 / empty for a monolithic version (shard_hashes +
-  // cloud_shard above describe the single object). For a striped version the
-  // per-object records live in stripe_units and the two vectors above stay
-  // empty. One version number and one metadata record cover all units, so
-  // locking and consistency-anchor semantics are unchanged.
+  // Stripe manifest, carried inline: 0 / empty for a monolithic version
+  // (shard_hashes + cloud_shard above describe the single object). For a
+  // striped version the per-object records live in stripe_units and the two
+  // vectors above stay empty. One version number and one record cover all
+  // units, so locking and consistency-anchor semantics are unchanged.
   uint64_t stripe_unit_size = 0;
   std::vector<DepSkyStripeUnit> stripe_units;
 
   bool striped() const { return stripe_unit_size != 0; }
+
+  // The record codec, shared by the metadata object (one record per
+  // version) and the coordination entry of an SCFS file (the record of the
+  // anchored version, see DESIGN.md "Record-carrying reads"). It carries no
+  // authenticator of its own: whoever stores it vouches for it — the
+  // metadata HMAC, or the BFT coordination service. It carries no secret
+  // either: the key shares live in the value objects.
+  void EncodeTo(Bytes* out) const;
+  static bool DecodeFrom(ByteReader* reader, DepSkyVersion* out);
+  Bytes Encode() const;
+  // CORRUPTION unless `data` is exactly one record.
+  static Result<DepSkyVersion> Decode(const Bytes& data);
 };
 
 struct DepSkyGrant {
@@ -73,6 +95,9 @@ struct DepSkyGrant {
 };
 
 struct DepSkyMetadata {
+  // The coding the unit was written with. Readers code with their own
+  // config (the record carries neither), so they never use a copy whose
+  // n, k or mode differ from it.
   uint32_t n = 4;
   uint32_t k = 2;
   DepSkyMode mode = DepSkyMode::kSecretSharing;

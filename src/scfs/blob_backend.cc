@@ -8,7 +8,7 @@ namespace scfs {
 // Default async adapters
 // ---------------------------------------------------------------------------
 
-Future<Status> BlobBackend::WriteVersionAsync(
+Future<Result<Bytes>> BlobBackend::WriteVersionAsync(
     const std::string& id, const std::string& content_hash, Bytes data,
     const std::vector<BackendGrant>& grants) {
   return SubmitTracked(
@@ -18,28 +18,18 @@ Future<Status> BlobBackend::WriteVersionAsync(
 }
 
 Future<Result<Bytes>> BlobBackend::ReadByHashAsync(
-    const std::string& id, const std::string& content_hash) {
-  return SubmitTracked(&async_ops_, [this, id, content_hash] {
-    return ReadByHash(id, content_hash);
+    const std::string& id, const std::string& content_hash,
+    const Bytes& locator) {
+  return SubmitTracked(&async_ops_, [this, id, content_hash, locator] {
+    return ReadByHash(id, content_hash, locator);
   });
-}
-
-Result<Bytes> BlobBackend::ReadAt(const std::string& id,
-                                  const std::string& content_hash,
-                                  uint64_t offset, size_t length) {
-  ASSIGN_OR_RETURN(Bytes all, ReadByHash(id, content_hash));
-  if (offset >= all.size() || length == 0) {
-    return Bytes{};
-  }
-  length = std::min<uint64_t>(length, all.size() - offset);
-  return Bytes(all.begin() + offset, all.begin() + offset + length);
 }
 
 // ---------------------------------------------------------------------------
 // SingleCloudBackend (SCFS-AWS)
 // ---------------------------------------------------------------------------
 
-Status SingleCloudBackend::WriteVersion(
+Result<Bytes> SingleCloudBackend::WriteVersion(
     const std::string& id, const std::string& content_hash, ConstByteSpan data,
     const std::vector<BackendGrant>& grants) {
   const std::string key = VersionKey(id, content_hash);
@@ -55,11 +45,12 @@ Status SingleCloudBackend::WriteVersion(
     perms.write = grant.write;
     (void)store_->SetAcl(creds_, key, grant.cloud_ids[0], perms);
   }
-  return OkStatus();
+  return Bytes{};  // the key id|hash locates the version
 }
 
 Result<Bytes> SingleCloudBackend::ReadByHash(const std::string& id,
-                                             const std::string& content_hash) {
+                                             const std::string& content_hash,
+                                             const Bytes& /*locator*/) {
   return store_->Get(creds_, VersionKey(id, content_hash));
 }
 
@@ -68,7 +59,7 @@ Result<Bytes> SingleCloudBackend::ReadLatest(const std::string& id) {
   if (versions.empty()) {
     return NotFoundError("no versions of " + id);
   }
-  return ReadByHash(id, versions.back().content_hash);
+  return ReadByHash(id, versions.back().content_hash, Bytes{});
 }
 
 Result<std::vector<BlobVersionInfo>> SingleCloudBackend::ListVersions(
@@ -135,25 +126,27 @@ DepSkyGrant ToDepSkyGrant(const BackendGrant& grant) {
 }
 }  // namespace
 
-Status DepSkyBackend::WriteVersion(const std::string& id,
-                                   const std::string& content_hash,
-                                   ConstByteSpan data,
-                                   const std::vector<BackendGrant>& grants) {
+Result<Bytes> DepSkyBackend::WriteVersion(
+    const std::string& id, const std::string& content_hash, ConstByteSpan data,
+    const std::vector<BackendGrant>& grants) {
   std::vector<DepSkyGrant> merged;
   merged.reserve(grants.size());
   for (const auto& grant : grants) {
     merged.push_back(ToDepSkyGrant(grant));
   }
-  ASSIGN_OR_RETURN(uint64_t version,
+  ASSIGN_OR_RETURN(DepSkyVersion record,
                    client_->WriteVersion(id, content_hash, data,
                                          merged.empty() ? nullptr : &merged));
-  (void)version;
-  return OkStatus();
+  return record.Encode();
 }
 
 Result<Bytes> DepSkyBackend::ReadByHash(const std::string& id,
-                                        const std::string& content_hash) {
-  return client_->ReadByHash(id, content_hash);
+                                        const std::string& content_hash,
+                                        const Bytes& locator) {
+  if (locator.empty()) {
+    return client_->ReadByHash(id, content_hash);
+  }
+  return client_->ReadVersion(id, content_hash, locator);
 }
 
 Result<Bytes> DepSkyBackend::ReadLatest(const std::string& id) {
@@ -183,14 +176,6 @@ Status DepSkyBackend::DeleteUnit(const std::string& id) {
 Status DepSkyBackend::SetGrant(const std::string& id,
                                const BackendGrant& grant) {
   return client_->SetGrant(id, ToDepSkyGrant(grant));
-}
-
-Result<Bytes> DepSkyBackend::ReadAt(const std::string& id,
-                                    const std::string& content_hash,
-                                    uint64_t offset, size_t length) {
-  // Striped versions fetch only the overlapping stripe units; monolithic
-  // versions fall back to fetch-and-slice inside the client.
-  return client_->ReadAt(id, content_hash, offset, length);
 }
 
 Result<DepSkyScrubReport> DepSkyBackend::ScrubUnit(const std::string& id) {

@@ -46,26 +46,28 @@ class BlobBackend {
   // (hex SHA-1 of `data`), applying `grants` to the created objects. `data`
   // is a borrowed view, valid only for the duration of the call; the backend
   // copies it exactly where the wire format demands ownership.
-  virtual Status WriteVersion(const std::string& id,
-                              const std::string& content_hash,
-                              ConstByteSpan data,
-                              const std::vector<BackendGrant>& grants) = 0;
+  //
+  // Returns the version's locator: opaque bytes the caller anchors next to
+  // the hash and hands back to ReadByHash — the encoded DepSky version
+  // record for DepSkyBackend (its reads then skip the metadata round),
+  // empty for SingleCloudBackend (the key id|hash is all it needs). Like
+  // the hash, a locator is only as trustworthy as the store that anchors
+  // it; a wrong one can fail a read, never change the bytes it returns.
+  virtual Result<Bytes> WriteVersion(
+      const std::string& id, const std::string& content_hash,
+      ConstByteSpan data, const std::vector<BackendGrant>& grants) = 0;
 
-  // Reads the version with the given hash; NOT_FOUND while the version is not
-  // yet visible (the consistency-anchor read loop retries).
+  // Reads the version with the given hash, starting from the locator
+  // WriteVersion returned for it (empty: locate the version by the hash
+  // alone); NOT_FOUND while the version is not yet visible (the
+  // consistency-anchor read loop retries).
   virtual Result<Bytes> ReadByHash(const std::string& id,
-                                   const std::string& content_hash) = 0;
+                                   const std::string& content_hash,
+                                   const Bytes& locator) = 0;
 
   // Reads the newest visible version (used only by private name spaces and
   // the non-sharing mode, which have no consistency anchor).
   virtual Result<Bytes> ReadLatest(const std::string& id) = 0;
-
-  // Range read of a version. The default fetches the whole version and
-  // slices; backends with a striped data plane (DepSkyBackend) fetch only the
-  // stripe units overlapping the range. Reads past EOF are clamped.
-  virtual Result<Bytes> ReadAt(const std::string& id,
-                               const std::string& content_hash,
-                               uint64_t offset, size_t length);
 
   // Probes and repairs the stored redundancy of one unit (see
   // DepSkyClient::ScrubUnit). Backends without background repair return a
@@ -110,11 +112,12 @@ class BlobBackend {
   // Takes the data by value: the asynchronous task must own the bytes it
   // uploads after the caller returns (callers that already hold an owning
   // buffer move it in; no extra copy happens).
-  virtual Future<Status> WriteVersionAsync(
+  virtual Future<Result<Bytes>> WriteVersionAsync(
       const std::string& id, const std::string& content_hash, Bytes data,
       const std::vector<BackendGrant>& grants);
   virtual Future<Result<Bytes>> ReadByHashAsync(const std::string& id,
-                                                const std::string& content_hash);
+                                                const std::string& content_hash,
+                                                const Bytes& locator);
 
  protected:
   InFlightTracker async_ops_;
@@ -128,11 +131,13 @@ class SingleCloudBackend : public BlobBackend {
       : store_(store), creds_(std::move(creds)) {}
   ~SingleCloudBackend() override { async_ops_.AwaitIdle(); }
 
-  Status WriteVersion(const std::string& id, const std::string& content_hash,
-                      ConstByteSpan data,
-                      const std::vector<BackendGrant>& grants) override;
+  Result<Bytes> WriteVersion(const std::string& id,
+                             const std::string& content_hash,
+                             ConstByteSpan data,
+                             const std::vector<BackendGrant>& grants) override;
   Result<Bytes> ReadByHash(const std::string& id,
-                           const std::string& content_hash) override;
+                           const std::string& content_hash,
+                           const Bytes& locator) override;
   Result<Bytes> ReadLatest(const std::string& id) override;
   Result<std::vector<BlobVersionInfo>> ListVersions(
       const std::string& id) override;
@@ -161,11 +166,17 @@ class DepSkyBackend : public BlobBackend {
       : client_(std::move(client)) {}
   ~DepSkyBackend() override { async_ops_.AwaitIdle(); }
 
-  Status WriteVersion(const std::string& id, const std::string& content_hash,
-                      ConstByteSpan data,
-                      const std::vector<BackendGrant>& grants) override;
+  // The locator is the encoded DepSkyVersion record.
+  Result<Bytes> WriteVersion(const std::string& id,
+                             const std::string& content_hash,
+                             ConstByteSpan data,
+                             const std::vector<BackendGrant>& grants) override;
+  // With a locator: DepSkyClient::ReadVersion, no metadata round (a locator
+  // that does not decode, or names another hash, costs one counted
+  // fallback to the hash). Without: DepSkyClient::ReadByHash.
   Result<Bytes> ReadByHash(const std::string& id,
-                           const std::string& content_hash) override;
+                           const std::string& content_hash,
+                           const Bytes& locator) override;
   Result<Bytes> ReadLatest(const std::string& id) override;
   Result<std::vector<BlobVersionInfo>> ListVersions(
       const std::string& id) override;
@@ -173,8 +184,6 @@ class DepSkyBackend : public BlobBackend {
                              const std::string& content_hash) override;
   Status DeleteUnit(const std::string& id) override;
   Status SetGrant(const std::string& id, const BackendGrant& grant) override;
-  Result<Bytes> ReadAt(const std::string& id, const std::string& content_hash,
-                       uint64_t offset, size_t length) override;
   Result<DepSkyScrubReport> ScrubUnit(const std::string& id) override;
   int durability_level() const override { return 3; }
   unsigned cloud_count() const override { return client_->cloud_count(); }

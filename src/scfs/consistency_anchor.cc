@@ -9,9 +9,11 @@ std::string AnchoredStorage::AnchorHash(ConstByteSpan value) {
 }
 
 Status AnchoredStorage::Write(const std::string& id, ConstByteSpan value) {
-  // w1: hash; w2: store the data under id|h; w3: anchor the hash.
+  // w1: hash; w2: store the data under id|h; w3: anchor the hash. Only the
+  // hash: this is Figure 3 as published, so the backend's locator is
+  // dropped and reads locate the version by the hash alone.
   const std::string hash = AnchorHash(value);
-  RETURN_IF_ERROR(storage_->WriteVersion(id, hash, value, {}));
+  RETURN_IF_ERROR(storage_->WriteVersion(id, hash, value, {}).status());
   return anchor_->Write(client_, "anchor:" + id, ToBytes(hash));
 }
 
@@ -20,7 +22,7 @@ Result<Bytes> AnchoredStorage::ReadWithHash(const std::string& id,
   // r2: loop until the version becomes visible in the eventually-consistent
   // store; r3: integrity check against the anchored hash.
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    auto value = storage_->ReadByHash(id, hash);
+    auto value = storage_->ReadByHash(id, hash, Bytes{});
     if (value.ok()) {
       if (AnchorHash(*value) != hash) {
         return CorruptionError("anchored hash mismatch for " + id);
@@ -53,7 +55,7 @@ Future<Status> AnchoredStorage::WriteAsync(const std::string& id,
   DefaultExecutor().Post([this, id, owned, done] {
     Environment::ResetThreadCharged();
     const std::string hash = AnchorHash(*owned);
-    Status stored = storage_->WriteVersion(id, hash, *owned, {});
+    Status stored = storage_->WriteVersion(id, hash, *owned, {}).status();
     if (!stored.ok()) {
       VirtualDuration charge = Environment::ThreadCharged();
       done.Set(std::move(stored), charge);

@@ -236,9 +236,11 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
     open_file.dirty = open_file.metadata.size > 0;
     open_file.metadata.size = 0;
     open_file.metadata.content_hash.clear();
+    open_file.metadata.locator.clear();
   } else {
     auto data = storage_->Fetch(open_file.metadata.object_id,
-                                open_file.metadata.content_hash);
+                                open_file.metadata.content_hash,
+                                open_file.metadata.locator);
     if (!data.ok()) {
       return fail(data.status());
     }
@@ -390,6 +392,7 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
   const std::string hash =
       data->empty() ? "" : HexEncode(Sha1::Hash(*data));
   md.content_hash = hash;
+  md.locator.clear();  // set from the upload, before the entry is published
   md.size = data->size();
   md.version++;
   std::vector<BackendGrant> grants = BuildGrants(md);
@@ -443,7 +446,7 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
     // the file lock — a failed write must not leave the file locked. The
     // stage's charge reaches the foreground waiter through the future, so
     // it is excluded from the uploader's background accounting.
-    auto task = [this, md, data, hash, grants, path, written] {
+    auto task = [this, md, data, hash, grants, path, written]() mutable {
       // Extend the file lock's lease up front: the renewal's coordination
       // round overlaps the cloud push instead of risking a mid-push expiry.
       // Joined before Release (renew/unlock on the same path must not race).
@@ -454,10 +457,12 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
         return status;
       };
       if (!hash.empty()) {
-        Status s = storage_->Push(md.object_id, hash, *data, grants);
-        if (!s.ok()) {
-          return fail(s);
+        Result<Bytes> locator =
+            storage_->Push(md.object_id, hash, *data, grants);
+        if (!locator.ok()) {
+          return fail(locator.status());
         }
+        md.locator = *std::move(locator);
       }
       Status s = metadata_->Put(md);
       if (!s.ok()) {
@@ -497,7 +502,7 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
             : level1_tail.future();
     chain_end = uploader_->EnqueueAfterReserved(
         stage2_gate, [this, md, data, hash, grants, path, private_entry,
-                      level1_status] {
+                      level1_status]() mutable {
           if (!level1_status->ok()) {
             // Level 1 failed: nothing was published; just release the lock
             // so a failed write doesn't leave the file locked.
@@ -508,14 +513,18 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
           // joined before Release.
           Future<Status> lease = locks_->RenewAsync(path);
           if (!hash.empty()) {
-            Status s = storage_->backend().WriteVersion(md.object_id, hash,
-                                                        *data, grants);
-            if (!s.ok()) {
+            Result<Bytes> locator = storage_->backend().WriteVersion(
+                md.object_id, hash, *data, grants);
+            if (locator.ok()) {
+              md.locator = *std::move(locator);
+            } else {
               SCFS_LOG(Warning) << "background upload failed: "
-                                << s.ToString();
+                                << locator.status().ToString();
             }
           }
           if (private_entry) {
+            // Stage 1 put the entry in the PNS without a locator.
+            metadata_->SetPnsLocator(path, hash, md.locator);
             Status s = metadata_->FlushPns();
             if (!s.ok()) {
               SCFS_LOG(Warning) << "background pns flush failed: "

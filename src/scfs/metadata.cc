@@ -39,6 +39,7 @@ Bytes FileMetadata::Encode() const {
   AppendString(&out, owner);
   AppendString(&out, object_id);
   AppendString(&out, content_hash);
+  AppendBytes(&out, locator);
   AppendU64(&out, version);
   AppendU32(&out, static_cast<uint32_t>(acl.size()));
   for (const auto& [user, bits] : acl) {
@@ -59,7 +60,8 @@ Result<FileMetadata> FileMetadata::Decode(const Bytes& data) {
       !reader.ReadU64(&md.size) || !reader.ReadU64(&mtime) ||
       !reader.ReadU64(&ctime) || !reader.ReadString(&md.owner) ||
       !reader.ReadString(&md.object_id) ||
-      !reader.ReadString(&md.content_hash) || !reader.ReadU64(&md.version) ||
+      !reader.ReadString(&md.content_hash) || !reader.ReadBytes(&md.locator) ||
+      !reader.ReadU64(&md.version) ||
       !reader.ReadU32(&acl_count)) {
     return CorruptionError("bad file metadata");
   }
@@ -129,6 +131,23 @@ std::string UserRegistryKey(const std::string& user) { return "user:" + user; }
 std::string TombstoneKey(const std::string& user,
                          const std::string& object_id) {
   return "t:" + user + ":" + object_id;
+}
+
+Bytes EncodePnsAnchor(const PnsAnchor& anchor) {
+  Bytes out;
+  AppendString(&out, anchor.hash);
+  AppendBytes(&out, anchor.locator);
+  return out;
+}
+
+Result<PnsAnchor> DecodePnsAnchor(const Bytes& data) {
+  ByteReader reader(data);
+  PnsAnchor anchor;
+  if (!reader.ReadString(&anchor.hash) || !reader.ReadBytes(&anchor.locator) ||
+      !reader.AtEnd()) {
+    return CorruptionError("bad pns anchor");
+  }
+  return anchor;
 }
 
 std::string RenameIntentKey(const std::string& from_path) {

@@ -4,7 +4,9 @@
 // type, parent (implicit in the hierarchical path key), object metadata
 // (size, dates, owner, ACLs), the opaque identifier of the data unit in the
 // storage backend, and the collision-resistant hash of the current content —
-// the last two being exactly the (id, hash) pair of the consistency anchor.
+// the last two being exactly the (id, hash) pair of the consistency anchor —
+// plus the storage backend's locator of that content (for the
+// cloud-of-clouds, its DepSky version record).
 
 #ifndef SCFS_SCFS_METADATA_H_
 #define SCFS_SCFS_METADATA_H_
@@ -28,6 +30,10 @@ struct FileMetadata {
   std::string owner;        // SCFS user name
   std::string object_id;    // data unit id in the storage backend (files)
   std::string content_hash; // hex SHA-1 of current content ("" = empty file)
+  // BlobBackend locator of the content_hash version, published with it;
+  // empty for an empty file, a single-cloud backend, or an entry whose
+  // upload has not completed (reads then locate the version by hash).
+  Bytes locator;
   uint64_t version = 0;     // bumps on every completed close-with-update
   // user -> permission bits (1 = read, 2 = write). The owner is implicit.
   std::map<std::string, uint8_t> acl;
@@ -61,6 +67,15 @@ std::string LockKey(const std::string& path);               // "lk:<path>"
 std::string PnsTupleKey(const std::string& user);           // "pns:<user>"
 std::string UserRegistryKey(const std::string& user);       // "user:<user>"
 std::string TombstoneKey(const std::string& user, const std::string& object_id);
+
+// The value of the "pns:<user>" tuple: the anchor of the PNS object, its
+// content hash and locator.
+struct PnsAnchor {
+  std::string hash;
+  Bytes locator;
+};
+Bytes EncodePnsAnchor(const PnsAnchor& anchor);
+Result<PnsAnchor> DecodePnsAnchor(const Bytes& data);
 
 // Cross-partition rename records (see DESIGN.md "Partitioned
 // coordination"). Both prefixes are co-location prefixes for the

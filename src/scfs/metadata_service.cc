@@ -228,7 +228,7 @@ Status MetadataService::Mount() {
   }
   // Lock the PNS against a second session logged in as the same user, then
   // fetch the PNS object from the cloud (paper §2.7).
-  std::string pns_hash;
+  PnsAnchor anchor;
   if (coord_ != nullptr) {
     ASSIGN_OR_RETURN(CoordLock lock,
                      coord_->TryLock(options_.session,
@@ -237,15 +237,15 @@ Status MetadataService::Mount() {
     pns_lock_token_ = lock.token;
     auto tuple = coord_->Read(user_, PnsTupleKey(user_));
     if (tuple.ok()) {
-      pns_hash = ToString(tuple->value);
+      ASSIGN_OR_RETURN(anchor, DecodePnsAnchor(tuple->value));
     } else if (tuple.status().code() != ErrorCode::kNotFound) {
       return tuple.status();
     }
   }
 
   Result<Bytes> blob = NotFoundError("no pns yet");
-  if (!pns_hash.empty()) {
-    blob = storage_->Fetch(PnsObjectId(), pns_hash);
+  if (!anchor.hash.empty()) {
+    blob = storage_->Fetch(PnsObjectId(), anchor.hash, anchor.locator);
   } else if (options_.non_sharing) {
     // Non-sharing mode has no coordination service to anchor the PNS hash;
     // read the newest visible PNS object directly (S3QL-style).
@@ -297,17 +297,20 @@ Status MetadataService::FlushPns() {
                                      LockKey(PnsTupleKey(user_)),
                                      pns_lock_token_, kPnsLockLease);
   }
-  Status pushed = storage_->Push(PnsObjectId(), hash, encoded, {});
+  Result<Bytes> pushed = storage_->Push(PnsObjectId(), hash, encoded, {});
   if (!pushed.ok()) {
     if (renewed.valid()) {
       renewed.Join();
     }
-    return pushed;
+    return pushed.status();
   }
   if (coord_ != nullptr) {
     // The tuple write is anchored after the push; only the renewal overlaps.
     Status written =
-        coord_->WriteAsync(user_, PnsTupleKey(user_), ToBytes(hash)).Get();
+        coord_
+            ->WriteAsync(user_, PnsTupleKey(user_),
+                         EncodePnsAnchor(PnsAnchor{hash, *std::move(pushed)}))
+            .Get();
     renewed.Join();
     RETURN_IF_ERROR(written);
   }
@@ -876,6 +879,17 @@ void MetadataService::CacheLocally(const FileMetadata& metadata) {
   std::lock_guard<std::mutex> lock(mu_);
   cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
   local_overrides_[metadata.path] = metadata;
+}
+
+void MetadataService::SetPnsLocator(const std::string& path,
+                                    const std::string& content_hash,
+                                    const Bytes& locator) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pns_.entries.find(path);
+  if (it == pns_.entries.end() || it->second.content_hash != content_hash) {
+    return;  // a later close (or an unlink) already replaced this version
+  }
+  it->second.locator = locator;
 }
 
 std::vector<FileMetadata> MetadataService::PnsEntries() {

@@ -96,6 +96,12 @@ class MetadataService {
   // Drops expired cache entries; exposed so tests can force expiration.
   void InvalidateCache(const std::string& path);
 
+  // Records the locator of a private entry's uploaded version, if the PNS
+  // entry still holds `content_hash` (non-blocking closes publish the PNS
+  // entry before the upload that yields the locator completes).
+  void SetPnsLocator(const std::string& path, const std::string& content_hash,
+                     const Bytes& locator);
+
   // Snapshot of all PNS entries (garbage collector input).
   std::vector<FileMetadata> PnsEntries();
 

@@ -76,6 +76,9 @@ void StorageService::SpillToDisk(const std::string& key, Bytes&& data) {
 
 void StorageService::WriteToDisk(const std::string& id,
                                  const std::string& hash, ConstByteSpan data) {
+  if (data.size() > disk_index_.budget()) {
+    return;  // the index would refuse it: write no file at all
+  }
   std::ofstream out(DiskPath(id, hash), std::ios::binary | std::ios::trunc);
   if (!out) {
     SCFS_LOG(Warning) << "disk cache write failed for " << id;
@@ -84,12 +87,7 @@ void StorageService::WriteToDisk(const std::string& id,
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
   out.close();
-  if (!disk_index_.Put(CacheKey(id, hash), data.size())) {
-    // Larger than the whole disk budget: the index refused it, so the file
-    // must not linger untracked.
-    std::error_code ec;
-    std::filesystem::remove(DiskPath(id, hash), ec);
-  }
+  disk_index_.Put(CacheKey(id, hash), data.size());
 }
 
 Result<Bytes> StorageService::ReadFromDisk(const std::string& id,
@@ -131,7 +129,8 @@ Status StorageService::FlushToDisk(const std::string& id,
 }
 
 Result<Bytes> StorageService::Fetch(const std::string& id,
-                                    const std::string& hash) {
+                                    const std::string& hash,
+                                    const Bytes& locator) {
   if (hash.empty()) {
     return Bytes{};  // a never-written file is empty
   }
@@ -155,7 +154,7 @@ Result<Bytes> StorageService::Fetch(const std::string& id,
   // Consistency-anchor read loop (Figure 3, r2): keep asking the eventually
   // consistent backend until the anchored version becomes visible.
   for (int attempt = 0; attempt < options_.max_read_retries; ++attempt) {
-    auto data = backend_->ReadByHash(id, hash);
+    auto data = backend_->ReadByHash(id, hash, locator);
     if (data.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       ++cloud_reads_;
@@ -178,9 +177,9 @@ Result<Bytes> StorageService::Fetch(const std::string& id,
                       " never became visible");
 }
 
-Status StorageService::Push(const std::string& id, const std::string& hash,
-                            ConstByteSpan data,
-                            const std::vector<BackendGrant>& grants) {
+Result<Bytes> StorageService::Push(const std::string& id,
+                                   const std::string& hash, ConstByteSpan data,
+                                   const std::vector<BackendGrant>& grants) {
   // Local disk first (cheap), then the cloud. A completed Push gives
   // durability level 2 (single cloud) or 3 (cloud-of-clouds).
   RETURN_IF_ERROR(FlushToDisk(id, hash, data));
@@ -191,9 +190,9 @@ Status StorageService::Push(const std::string& id, const std::string& hash,
   return backend_->WriteVersion(id, hash, data, grants);
 }
 
-Future<Status> StorageService::PushAsync(const std::string& id,
-                                         const std::string& hash, Bytes data,
-                                         std::vector<BackendGrant> grants) {
+Future<Result<Bytes>> StorageService::PushAsync(
+    const std::string& id, const std::string& hash, Bytes data,
+    std::vector<BackendGrant> grants) {
   return SubmitTracked(
       &async_ops_,
       [this, id, hash, data = std::move(data), grants = std::move(grants)] {
@@ -202,9 +201,11 @@ Future<Status> StorageService::PushAsync(const std::string& id,
 }
 
 Future<Result<Bytes>> StorageService::PrefetchAsync(const std::string& id,
-                                                    const std::string& hash) {
-  return SubmitTracked(&async_ops_,
-                       [this, id, hash] { return Fetch(id, hash); });
+                                                    const std::string& hash,
+                                                    const Bytes& locator) {
+  return SubmitTracked(&async_ops_, [this, id, hash, locator] {
+    return Fetch(id, hash, locator);
+  });
 }
 
 }  // namespace scfs

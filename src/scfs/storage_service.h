@@ -10,6 +10,11 @@
 // against the metadata service is a key comparison: a cached entry with the
 // anchored hash *is* the current version. Reads resolve locally whenever the
 // hash matches; writes always go to the cloud (uploads are free).
+//
+// A push returns the backend's locator for the version (BlobBackend::
+// WriteVersion), which the caller anchors next to the hash; a fetch that
+// misses both caches hands it back to the backend, so a cloud-of-clouds
+// read goes straight to the shard holders.
 
 #ifndef SCFS_SCFS_STORAGE_SERVICE_H_
 #define SCFS_SCFS_STORAGE_SERVICE_H_
@@ -49,8 +54,11 @@ class StorageService {
   ~StorageService();
 
   // Fetches the version `hash` of `id`: memory -> disk -> cloud (with the
-  // consistency-anchor read loop). The result is cached at both levels.
-  Result<Bytes> Fetch(const std::string& id, const std::string& hash);
+  // consistency-anchor read loop, starting from the anchored `locator`;
+  // empty locates the version by the hash alone). The result is cached at
+  // both levels.
+  Result<Bytes> Fetch(const std::string& id, const std::string& hash,
+                      const Bytes& locator);
 
   // True if the version is available locally (memory or disk) — the paper's
   // "local file version compared with the metadata service" check reduces to
@@ -65,20 +73,24 @@ class StorageService {
                      ConstByteSpan data);
 
   // Synchronously pushes to local disk AND the cloud backend (close in
-  // blocking mode — durability level 2/3). `data` is a borrowed view; the
-  // only copy made here is the one the memory cache keeps.
-  Status Push(const std::string& id, const std::string& hash,
-              ConstByteSpan data, const std::vector<BackendGrant>& grants);
+  // blocking mode — durability level 2/3) and returns the version's
+  // locator. `data` is a borrowed view; the only copy made here is the one
+  // the memory cache keeps.
+  Result<Bytes> Push(const std::string& id, const std::string& hash,
+                     ConstByteSpan data,
+                     const std::vector<BackendGrant>& grants);
 
   // Asynchronous variants, dispatched on the shared executor. The service
   // is internally locked, so any number may be in flight; the destructor
   // waits for stragglers. PushAsync completes at durability level 2/3;
   // PrefetchAsync warms both cache levels ahead of an open (and returns the
   // data, so it doubles as an async Fetch).
-  Future<Status> PushAsync(const std::string& id, const std::string& hash,
-                           Bytes data, std::vector<BackendGrant> grants);
+  Future<Result<Bytes>> PushAsync(const std::string& id,
+                                  const std::string& hash, Bytes data,
+                                  std::vector<BackendGrant> grants);
   Future<Result<Bytes>> PrefetchAsync(const std::string& id,
-                                      const std::string& hash);
+                                      const std::string& hash,
+                                      const Bytes& locator);
 
   BlobBackend& backend() { return *backend_; }
   const std::filesystem::path& disk_dir() const { return disk_dir_; }

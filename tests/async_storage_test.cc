@@ -135,11 +135,11 @@ TEST(StorageServiceAsyncTest, PushAsyncThenPrefetchAsyncRoundTrip) {
 
   Bytes data = ToBytes("async payload");
   const std::string hash = "h1";
-  Future<Status> push = storage.PushAsync("obj", hash, data, {});
+  Future<Result<Bytes>> push = storage.PushAsync("obj", hash, data, {});
   ASSERT_TRUE(push.Get().ok());
   EXPECT_TRUE(storage.HasLocal("obj", hash));
 
-  auto fetched = storage.PrefetchAsync("obj", hash).Get();
+  auto fetched = storage.PrefetchAsync("obj", hash, *push.Get()).Get();
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(*fetched, data);
 }
@@ -152,7 +152,7 @@ TEST(StorageServiceAsyncTest, BackendAsyncAdaptersRoundTrip) {
 
   Bytes data = ToBytes("backend async");
   ASSERT_TRUE(backend.WriteVersionAsync("unit", "h2", data, {}).Get().ok());
-  auto read = backend.ReadByHashAsync("unit", "h2").Get();
+  auto read = backend.ReadByHashAsync("unit", "h2", Bytes{}).Get();
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);
 }
@@ -165,7 +165,7 @@ TEST(StorageServiceAsyncTest, ManyConcurrentPushesAllLand) {
   StorageServiceOptions options;
   StorageService storage(env.get(), &backend, options);
 
-  std::vector<Future<Status>> pushes;
+  std::vector<Future<Result<Bytes>>> pushes;
   for (int i = 0; i < 32; ++i) {
     pushes.push_back(storage.PushAsync("obj" + std::to_string(i),
                                        "h" + std::to_string(i),
@@ -175,7 +175,8 @@ TEST(StorageServiceAsyncTest, ManyConcurrentPushesAllLand) {
     EXPECT_TRUE(push.Get().ok());
   }
   for (int i = 0; i < 32; ++i) {
-    auto read = storage.Fetch("obj" + std::to_string(i), "h" + std::to_string(i));
+    auto read = storage.Fetch("obj" + std::to_string(i),
+                              "h" + std::to_string(i), Bytes{});
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(ToString(*read), "d" + std::to_string(i));
   }

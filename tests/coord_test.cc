@@ -1377,45 +1377,6 @@ TEST(PartitionedCoordinationTest, StateDigestCombinesDeterministically) {
   EXPECT_NE(da2, da);  // and state-sensitive
 }
 
-TEST(SmrClusterTest, AccumulationDelayAmortizesAndStaysExactlyOnce) {
-  auto env = Environment::Scaled(1e-3);
-  SmrConfig config = FastSmrConfig(true);
-  config.max_batch = 16;
-  config.batch_accumulation_delay = 20 * kMillisecond;
-  ReplicatedCoordination coord(env.get(), config);
-  constexpr int kThreads = 4;
-  constexpr int kOps = 5;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kOps; ++i) {
-        std::string key = "a" + std::to_string(t) + "i" + std::to_string(i);
-        if (!coord.Write("c" + std::to_string(t), key, ToBytes("v")).ok()) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
-  SmrCounters counters = coord.cluster().counters();
-  EXPECT_EQ(counters.ordered_commands, kThreads * kOps);
-  // The delay accumulated the concurrent arrivals: strictly fewer
-  // instances than requests.
-  EXPECT_LT(counters.proposed_instances, counters.proposed_requests);
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kOps; ++i) {
-      std::string key = "a" + std::to_string(t) + "i" + std::to_string(i);
-      auto entry = coord.Read("c" + std::to_string(t), key);
-      ASSERT_TRUE(entry.ok()) << key;
-      EXPECT_EQ(entry->version, 1u) << key;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Elastic repartitioning: versioned route map, lazy client updates, live
 // range migration with crash-recovery replay, scatter-gather dedupe, and

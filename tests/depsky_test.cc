@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/cloud/simulated_cloud.h"
@@ -112,8 +113,8 @@ TEST_F(DepSkyTest, MetadataStripeManifestRoundTrip) {
   DepSkyMetadata md;
   md.n = 4;
   md.k = 2;
-  // Version 1 monolithic, version 2 striped: the stripe section must carry
-  // only the striped version and leave the monolithic one untouched.
+  // Version 1 monolithic, version 2 striped: the striped version carries
+  // its manifest, and the monolithic one decodes without one.
   DepSkyVersion mono;
   mono.version = 1;
   mono.content_hash = "aaaa";
@@ -154,31 +155,92 @@ TEST_F(DepSkyTest, MetadataStripeManifestRoundTrip) {
             (std::vector<int32_t>{3, 2, 1, -1}));
 }
 
-TEST_F(DepSkyTest, MetadataWithoutStripesEncodesWithoutStripeSection) {
-  // Monolithic-only metadata must serialize byte-identically to the
-  // pre-stripe format: the trailing section is appended only when some
-  // version is striped, so the encoding of a non-striped record ends right
-  // after the grants.
+// A monolithic and a striped record, every field set.
+std::vector<DepSkyVersion> SampleRecords() {
+  DepSkyVersion mono;
+  mono.version = 7;
+  mono.object_id = 0x0123456789abcdefULL;
+  mono.content_hash = "aaaa";
+  mono.size = 10;
+  mono.nonce = Bytes(12, 3);
+  mono.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
+  mono.cloud_shard = {0, 1, 2, -1};
+  DepSkyVersion striped;
+  striped.version = 8;
+  striped.object_id = 42;
+  striped.content_hash = "bbbb";
+  striped.size = 9 * 1024;
+  striped.nonce = Bytes(12, 7);
+  striped.stripe_unit_size = 4096;
+  for (int u = 0; u < 3; ++u) {
+    DepSkyStripeUnit unit;
+    unit.content_hash = Bytes(32, static_cast<uint8_t>(0x10 + u));
+    unit.shard_hashes = {Bytes(32, 5), Bytes(32, 6), Bytes(32, 7),
+                         Bytes(32, 8)};
+    unit.cloud_shard = {-1, u, 2, 1};
+    striped.stripe_units.push_back(unit);
+  }
+  return {mono, striped};
+}
+
+void ExpectSameRecord(const DepSkyVersion& got, const DepSkyVersion& want) {
+  EXPECT_EQ(got.version, want.version);
+  EXPECT_EQ(got.object_id, want.object_id);
+  EXPECT_EQ(got.content_hash, want.content_hash);
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.nonce, want.nonce);
+  EXPECT_EQ(got.shard_hashes, want.shard_hashes);
+  EXPECT_EQ(got.cloud_shard, want.cloud_shard);
+  EXPECT_EQ(got.stripe_unit_size, want.stripe_unit_size);
+  ASSERT_EQ(got.stripe_units.size(), want.stripe_units.size());
+  for (size_t u = 0; u < want.stripe_units.size(); ++u) {
+    EXPECT_EQ(got.stripe_units[u].content_hash,
+              want.stripe_units[u].content_hash);
+    EXPECT_EQ(got.stripe_units[u].shard_hashes,
+              want.stripe_units[u].shard_hashes);
+    EXPECT_EQ(got.stripe_units[u].cloud_shard,
+              want.stripe_units[u].cloud_shard);
+  }
+}
+
+TEST_F(DepSkyTest, VersionRecordRoundTrip) {
+  for (const DepSkyVersion& record : SampleRecords()) {
+    const Bytes encoded = record.Encode();
+    auto decoded = DepSkyVersion::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectSameRecord(*decoded, record);
+    // Exactly one record: truncated or trailing bytes are rejected.
+    EXPECT_EQ(DepSkyVersion::Decode(Bytes(encoded.begin(), encoded.end() - 1))
+                  .status()
+                  .code(),
+              ErrorCode::kCorruption);
+    Bytes longer = encoded;
+    longer.push_back(0);
+    EXPECT_EQ(DepSkyVersion::Decode(longer).status().code(),
+              ErrorCode::kCorruption);
+  }
+}
+
+TEST_F(DepSkyTest, MetadataEncodesEachVersionWithTheRecordCodec) {
   DepSkyMetadata md;
-  md.n = 4;
-  md.k = 2;
-  DepSkyVersion v;
-  v.version = 1;
-  v.content_hash = "aaaa";
-  v.shard_hashes = {Bytes(32, 1)};
-  v.cloud_shard = {0};
-  md.versions.push_back(v);
+  md.owner_ids = {"a", "b", "c", "d"};
+  md.versions = SampleRecords();
   Bytes key = ToBytes("k");
-  Bytes plain = md.Encode(key);
-
-  md.versions[0].stripe_unit_size = 1024;
-  md.versions[0].stripe_units.resize(2);
-  Bytes with_stripes = md.Encode(key);
-  EXPECT_GT(with_stripes.size(), plain.size());
-
-  md.versions[0].stripe_unit_size = 0;
-  md.versions[0].stripe_units.clear();
-  EXPECT_EQ(md.Encode(key), plain);
+  const Bytes encoded = md.Encode(key);
+  // The metadata body embeds each record's encoding as is, the stripe
+  // manifest included.
+  for (const DepSkyVersion& record : md.versions) {
+    const Bytes bytes = record.Encode();
+    EXPECT_NE(std::search(encoded.begin(), encoded.end(), bytes.begin(),
+                          bytes.end()),
+              encoded.end());
+  }
+  auto decoded = DepSkyMetadata::Decode(encoded, key);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->versions.size(), md.versions.size());
+  for (size_t i = 0; i < md.versions.size(); ++i) {
+    ExpectSameRecord(decoded->versions[i], md.versions[i]);
+  }
 }
 
 TEST_F(DepSkyTest, MetadataAuthenticatorRejectsTampering) {
@@ -200,7 +262,9 @@ TEST_F(DepSkyTest, WriteReadRoundTrip) {
   Bytes data = rng.RandomBytes(10000);
   auto version = client.WriteVersion("file1", ContentHash(data), data);
   ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 1u);
+  EXPECT_EQ(version->version, 1u);
+  EXPECT_EQ(version->content_hash, ContentHash(data));
+  EXPECT_EQ(*client.ReadVersion("file1", *version), data);
 
   auto read = client.ReadByHash("file1", ContentHash(data));
   ASSERT_TRUE(read.ok());
@@ -752,6 +816,89 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
   clouds_[holder]->faults().SetUnavailable(false);
 }
 
+// Nothing refreshes a published record after a scrub relocation. Two
+// relocations leave the record with one valid holder: the first moves a
+// shard to the spare cloud, the second moves another onto the first
+// relocation's source, which the record still lists for its old shard.
+// Every record read then pays one fallback, and still returns the bytes.
+TEST_F(DepSkyTest, RecordFallsBackAfterScrubRelocations) {
+  auto client = MakeClient("alice");
+  Bytes data = Rng(24).RandomBytes(5000);
+  const std::string hash = ContentHash(data);
+  auto record = client.WriteVersion("f", hash, data);
+  ASSERT_TRUE(record.ok());
+  std::vector<unsigned> holders;
+  for (unsigned c = 0; c < kClouds; ++c) {
+    if (record->cloud_shard[c] >= 0) {
+      holders.push_back(c);
+    }
+  }
+  ASSERT_EQ(holders.size(), 3u);
+
+  auto creds = [&](unsigned c) {
+    return CloudCredentials{clouds_[c]->provider_name() + ":alice"};
+  };
+  auto relocate = [&](unsigned holder) {
+    ASSERT_TRUE(clouds_[holder]
+                    ->Delete(creds(holder),
+                             DepSkyClient::ValueKey("f", *record))
+                    .ok());
+    clouds_[holder]->faults().SetUnavailable(true);
+    auto report = client.ScrubUnit("f");
+    clouds_[holder]->faults().SetUnavailable(false);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->objects_relocated, 1u);
+    // The holder missed the scrub's metadata PUT; give it the new copy, as
+    // the unit's next metadata write would.
+    const std::string key = DepSkyClient::MetadataKey("f");
+    auto fresh = clouds_[holders[2]]->Get(creds(holders[2]), key);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(clouds_[holder]->Put(creds(holder), key, *fresh).ok());
+  };
+  relocate(holders[0]);
+  relocate(holders[1]);
+  auto md = client.ReadMetadata("f");
+  ASSERT_TRUE(md.ok());
+  EXPECT_EQ(md->versions.back().cloud_shard[holders[0]],
+            record->cloud_shard[holders[1]]);
+
+  EXPECT_EQ(*client.ReadVersion("f", *record), data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 1u);
+  EXPECT_EQ(*client.ReadVersion("f", *record), data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 2u);
+  // The metadata's current holder map reads without one.
+  EXPECT_EQ(*client.ReadByHash("f", hash), data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 2u);
+}
+
+// Fetch and scrub code with the client's own n, k and mode, so a metadata
+// copy written under another mode is skipped, not decoded with the wrong
+// coding: the reader can neither read nor extend the unit.
+TEST_F(DepSkyTest, MetadataOfAnotherModeIsSkipped) {
+  auto writer = MakeClient("alice", DepSkyMode::kReplication);
+  Bytes data = ToBytes("replicated");
+  const std::string hash = ContentHash(data);
+  auto record = writer.WriteVersion("f", hash, data);
+  ASSERT_TRUE(record.ok());
+
+  auto reader = MakeClient("alice");
+  EXPECT_EQ(reader.ReadByHash("f", hash).status().code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(reader.ReadLatest("f").status().code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(reader.ReadVersion("f", *record).status().code(),
+            ErrorCode::kFailedPrecondition);
+  // Not "no metadata": the write must not start a fresh history over it.
+  Bytes other = ToBytes("erasure-coded");
+  EXPECT_EQ(reader.WriteVersion("f", ContentHash(other), other)
+                .status()
+                .code(),
+            ErrorCode::kFailedPrecondition);
+  auto read = writer.ReadByHash("f", hash);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+}
+
 // ---------------------------------------------------------------------------
 // Overlapped writes: fresh object names, the metadata read settling after
 // the shard PUT wave, and orphan reclamation.
@@ -873,7 +1020,7 @@ TEST_F(DepSkyBlindMetadataTest, UnreadableMetadataQuorumFailsTheWrite) {
   // The next write numbers itself after the published history.
   auto next = client.WriteVersion("f", ContentHash(v2), v2);
   ASSERT_TRUE(next.ok());
-  EXPECT_EQ(*next, 2u);
+  EXPECT_EQ(next->version, 2u);
   EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
 }
 
@@ -979,7 +1126,7 @@ TEST_F(DepSkyTest, SameVersionNumberWritersKeepSeparateObjects) {
   auto va = first->WriteVersion("f", ContentHash(a), a);
   windowed[3]->faults().SetUnavailable(false);
   ASSERT_TRUE(va.ok());
-  EXPECT_EQ(*va, 2u);
+  EXPECT_EQ(va->version, 2u);
   windowed[0]->Quiesce();
   auto a_md = DepSkyMetadata::Decode(
       *windowed[0]->PeekLatest(DepSkyClient::MetadataKey("f")),
@@ -990,7 +1137,7 @@ TEST_F(DepSkyTest, SameVersionNumberWritersKeepSeparateObjects) {
   // Every visible copy still says version 1: the second writer also picks 2.
   auto vb = second->WriteVersion("f", ContentHash(b), b);
   ASSERT_TRUE(vb.ok());
-  EXPECT_EQ(*vb, 2u);
+  EXPECT_EQ(vb->version, 2u);
 
   // Only cloud 3's copy, which shows the second writer's metadata at once,
   // is readable: the anchored read accepts it and fetches the shards from
@@ -1129,6 +1276,41 @@ TEST_F(DepSkyTest, DeleteVersionByHashReadsMetadataOnce) {
   ASSERT_TRUE(versions.ok());
   ASSERT_EQ(versions->size(), 1u);
   EXPECT_EQ(versions->front().content_hash, ContentHash(v2));
+}
+
+// A locator DepSkyBackend cannot use — truncated, or the record of another
+// version — costs one counted fallback to the hash, not a failed read.
+TEST_F(DepSkyTest, UnusableLocatorFallsBackToTheHash) {
+  DepSkyConfig config;
+  config.f = 1;
+  config.auth_key = ToBytes("deployment-auth-key");
+  std::vector<DepSkyCloud> set;
+  for (auto& cloud : clouds_) {
+    set.push_back(DepSkyCloud{cloud.get(),
+                              {cloud->provider_name() + ":alice"}});
+  }
+  auto client =
+      std::make_shared<DepSkyClient>(env_.get(), std::move(set), config, 6);
+  DepSkyBackend backend(client);
+  Bytes a = ToBytes("contents a");
+  Bytes b = ToBytes("contents b");
+  auto locator_a = backend.WriteVersion("f", ContentHash(a), a, {});
+  auto locator_b = backend.WriteVersion("f", ContentHash(b), b, {});
+  ASSERT_TRUE(locator_a.ok());
+  ASSERT_TRUE(locator_b.ok());
+  EXPECT_EQ(*backend.ReadByHash("f", ContentHash(a), *locator_a), a);
+  EXPECT_EQ(client->anchored_read_fallbacks(), 0u);
+
+  const Bytes truncated(locator_a->begin(), locator_a->end() - 1);
+  auto read = backend.ReadByHash("f", ContentHash(a), truncated);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, a);
+  EXPECT_EQ(client->anchored_read_fallbacks(), 1u);
+
+  read = backend.ReadByHash("f", ContentHash(a), *locator_b);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, a);
+  EXPECT_EQ(client->anchored_read_fallbacks(), 2u);
 }
 
 }  // namespace

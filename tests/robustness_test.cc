@@ -187,6 +187,15 @@ class DepSkyTimerTest : public ::testing::Test {
     }
   }
 
+  // 1 virtual second = 200 ms, for a test whose bound sits 100-200 ms
+  // above the modelled wait: a fetch is charged its virtual elapsed time,
+  // and at the default scale a loaded host's scheduling delays alone can
+  // cross such a bound (call before UseLatencies).
+  void UseSlowClock() {
+    clouds_.clear();
+    env_ = Environment::Scaled(0.2);
+  }
+
   CloudCredentials Creds(unsigned cloud) const {
     return {clouds_[cloud]->provider_name() + ":alice"};
   }
@@ -383,7 +392,7 @@ TEST_F(DepSkyTimerTest, EarlyCopyNamingDeletedObjectsFallsBackToQuorum) {
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(b), b).ok());
   auto v3 = client.WriteVersion("f", ContentHash(a), a);
   ASSERT_TRUE(v3.ok());
-  ASSERT_EQ(*v3, 3u);
+  ASSERT_EQ(v3->version, 3u);
   // Drops the oldest version with a's hash: version 1.
   ASSERT_TRUE(client.DeleteVersion("f", ContentHash(a)).ok());
   env_->Sleep(kSecond);
@@ -432,6 +441,116 @@ TEST_F(DepSkyTimerTest, AnchoredReadOfInvisibleVersionIsNotFoundAtQuorum) {
 }
 
 // ---------------------------------------------------------------------------
+// Record reads: with the version record WriteVersion returned, ReadVersion
+// skips the metadata round and fetches the shards from the fastest holders.
+// ---------------------------------------------------------------------------
+
+TEST_F(DepSkyTimerTest, RecordReadWaitsForFastestHoldersOnly) {
+  UseSlowClock();
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes data(9000, 3);
+  auto record = client.WriteVersion("f", ContentHash(data), data);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  env_->Sleep(kSecond);  // the straggling metadata PUT lands
+  const uint64_t gets_before[] = {Gets(0), Gets(1), Gets(2), Gets(3)};
+
+  Environment::ResetThreadCharged();
+  auto read = client.ReadVersion("f", *record);
+  const VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  // The shards come from the two fastest holders, clouds 2 (100 ms) and 0
+  // (600 ms): 600 ms, where AnchoredReadWaitsForFastestCopyAndFastestHolders
+  // first waits 100 ms for cloud 2's metadata copy (700 ms).
+  EXPECT_GE(charged, 600 * kMillisecond);
+  EXPECT_LT(charged, 700 * kMillisecond);
+  // No metadata GET: one shard GET each at clouds 2 and 0, nothing else.
+  EXPECT_EQ(Gets(0) - gets_before[0], 1u);
+  EXPECT_EQ(Gets(1) - gets_before[1], 0u);
+  EXPECT_EQ(Gets(2) - gets_before[2], 1u);
+  EXPECT_EQ(Gets(3) - gets_before[3], 0u);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+  EXPECT_EQ(client.hedged_reads(), 0u);
+}
+
+TEST_F(DepSkyTimerTest, RecordNamingDeletedObjectsFallsBackOnce) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes a = ToBytes("contents a");
+  Bytes b = ToBytes("contents b");
+  auto v1 = client.WriteVersion("f", ContentHash(a), a);
+  ASSERT_TRUE(v1.ok());
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(b), b).ok());
+  auto v3 = client.WriteVersion("f", ContentHash(a), a);
+  ASSERT_TRUE(v3.ok());
+  ASSERT_EQ(v3->version, 3u);
+  // Drops the oldest version with a's hash: version 1, the record's.
+  ASSERT_TRUE(client.DeleteVersion("f", ContentHash(a)).ok());
+  env_->Sleep(kSecond);
+
+  // Version 1's objects are gone: the record cannot deliver, and the read
+  // locates a's hash through the metadata instead, which lists version 3.
+  auto read = client.ReadVersion("f", *v1);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, a);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 1u);
+}
+
+TEST_F(DepSkyTimerTest, RecordReadRoutesAroundBitFlippingHolder) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  Bytes data(9000, 5);
+  auto record = client.WriteVersion("f", ContentHash(data), data);
+  ASSERT_TRUE(record.ok());
+  env_->Sleep(kSecond);
+
+  // The fastest holder's shard fails its recorded hash; the next holder
+  // (cloud 1) replaces it within the same fetch.
+  clouds_[2]->faults().SetCorruptAllReads(true);
+  auto read = client.ReadVersion("f", *record);
+  clouds_[2]->faults().SetCorruptAllReads(false);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+}
+
+TEST_F(DepSkyTimerTest, DownHolderIsReplacedAfterItsFirstFailedAttempt) {
+  UseSlowClock();
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  config.max_attempts = 2;
+  auto client = MakeClient(config);
+  Bytes data(9000, 6);
+  auto record = client.WriteVersion("f", ContentHash(data), data);
+  ASSERT_TRUE(record.ok());
+  env_->Sleep(kSecond);
+
+  // Cloud 0, one of the two fastest holders, is down: its GET fails after
+  // its 600 ms round trip, and cloud 1 (800 ms) takes its place at once:
+  // 1400 ms. Waiting for cloud 0's retry first would take one more round
+  // trip plus the backoff, past 2000 ms.
+  clouds_[0]->faults().SetUnavailable(true);
+  Environment::ResetThreadCharged();
+  auto read = client.ReadVersion("f", *record);
+  const VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  EXPECT_GE(charged, 1400 * kMillisecond);
+  EXPECT_LT(charged, 1600 * kMillisecond);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+  env_->Sleep(2 * kSecond);  // cloud 0's retry settles
+  clouds_[0]->faults().SetUnavailable(false);
+}
+
+// ---------------------------------------------------------------------------
 // Overlapped writes: the metadata read runs alongside the shard PUT wave, so
 // a write waits for the slower of the two, then the metadata PUT.
 // ---------------------------------------------------------------------------
@@ -452,7 +571,7 @@ TEST_F(DepSkyTimerTest, WriteChargesSlowerOfMetadataReadAndPutWave) {
   const VirtualDuration charged = Environment::ThreadCharged();
   const VirtualDuration elapsed = env_->Now() - before;
   ASSERT_TRUE(written.ok()) << written.status().ToString();
-  EXPECT_EQ(*written, 2u);
+  EXPECT_EQ(written->version, 2u);
   // Metadata read: the third authentic copy, cloud 0 (600 ms). Shard PUT
   // wave: the preferred quorum, clouds 0-2, ends with cloud 1 (800 ms).
   // Metadata PUT: the third ack, cloud 0 (600 ms). Overlapped:
@@ -484,7 +603,7 @@ TEST_F(DepSkyTimerTest, WriteChargesMetadataReadWhenItIsTheSlowerPart) {
   const VirtualDuration elapsed = env_->Now() - before;
   clouds_[0]->faults().SetCorruptAllReads(false);
   ASSERT_TRUE(written.ok()) << written.status().ToString();
-  EXPECT_EQ(*written, 2u);
+  EXPECT_EQ(written->version, 2u);
   // Metadata read 1000 ms (cloud 3), shard PUT wave 300 ms (clouds 0-2),
   // metadata PUT 300 ms (third ack): max(1000, 300) + 300 = 1300 ms against
   // a serial 1600 ms.
@@ -678,7 +797,8 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
 
   Bytes data = Rng(31).RandomBytes(8 * 1024);
   const std::string hash = HexEncode(Sha1::Hash(data));
-  ASSERT_TRUE(backend.WriteVersion("f", hash, data, {}).ok());
+  auto locator = backend.WriteVersion("f", hash, data, {});
+  ASSERT_TRUE(locator.ok());
 
   auto md = client->ReadMetadata("f");
   ASSERT_TRUE(md.ok());
@@ -716,18 +836,25 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
   ChaosRunner runner(env.get(), *schedule, std::move(targets));
   ASSERT_TRUE(runner.Start().ok());
 
-  // Clients read throughout the outage: the quorum protocol masks the lost
-  // cloud, so not a single client operation may fail.
+  // Clients read throughout the outage, both record-less (metadata round
+  // first) and through the written record: the quorum protocol masks the
+  // lost cloud, so not a single client operation may fail on either path.
   int client_errors = 0;
+  int record_errors = 0;
   while (env->Now() < runner.origin() + schedule->horizon()) {
-    auto read = backend.ReadByHash("f", hash);
+    auto read = backend.ReadByHash("f", hash, Bytes{});
     if (!read.ok() || *read != data) {
       ++client_errors;
+    }
+    auto record_read = backend.ReadByHash("f", hash, *locator);
+    if (!record_read.ok() || *record_read != data) {
+      ++record_errors;
     }
     env->Sleep(20 * kMillisecond);
   }
   runner.Join();
   EXPECT_EQ(client_errors, 0);
+  EXPECT_EQ(record_errors, 0);
 
   // The outage is over but redundancy is still degraded (objects lost). One
   // background scrub pass restores it — in place where the provider accepts
@@ -747,7 +874,9 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
   ASSERT_TRUE(verify.ok());
   EXPECT_EQ(verify->objects_missing, 0u);
   EXPECT_TRUE(verify->fully_redundant);
-  EXPECT_EQ(*backend.ReadByHash("f", hash), data);
+  EXPECT_EQ(*backend.ReadByHash("f", hash, Bytes{}), data);
+  // The record taken before the scrub still reads, relocations or not.
+  EXPECT_EQ(*backend.ReadByHash("f", hash, *locator), data);
 }
 
 // ---------------------------------------------------------------------------

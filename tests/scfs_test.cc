@@ -509,9 +509,141 @@ class ScfsCocTest : public ::testing::Test {
     deployment_ = Deployment::Create(env_.get(), options);
   }
 
+  std::unique_ptr<ScfsFileSystem> MountAgent(ScfsOptions options = {}) {
+    auto fs = deployment_->Mount("alice", options);
+    EXPECT_TRUE(fs.ok()) << fs.status().ToString();
+    return std::move(*fs);
+  }
+
+  // The entry of `path` as the coordination service holds it.
+  FileMetadata Published(const std::string& path) {
+    auto entry = deployment_->coord()->Read("alice", MetadataKey(path));
+    EXPECT_TRUE(entry.ok()) << entry.status().ToString();
+    auto md = FileMetadata::Decode(entry->value);
+    EXPECT_TRUE(md.ok());
+    return *md;
+  }
+
+  uint64_t CloudGets() {
+    uint64_t gets = 0;
+    for (unsigned i = 0; i < deployment_->cloud_count(); ++i) {
+      deployment_->cloud(i)->Quiesce();
+      gets += deployment_->cloud(i)->costs().GrandTotals().gets;
+    }
+    return gets;
+  }
+
+  // The DepSky client of the most recent mount.
+  const DepSkyClient& LastClient() {
+    return *deployment_->depsky_clients().back();
+  }
+
   std::unique_ptr<Environment> env_;
   std::unique_ptr<Deployment> deployment_;
 };
+
+TEST_F(ScfsCocTest, OpenReadsTheAnchoredRecordWithoutDepSkyMetadata) {
+  auto writer = MountAgent();
+  Bytes data(5000, 4);
+  ASSERT_TRUE(writer->WriteFile("/f", data).ok());
+  const FileMetadata md = Published("/f");
+  auto record = DepSkyVersion::Decode(md.locator);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(record->content_hash, md.content_hash);
+
+  // Remove the file's DepSky metadata from every cloud: no cloud can serve
+  // a GET of it any more, so a read that needed one would fail.
+  for (unsigned i = 0; i < deployment_->cloud_count(); ++i) {
+    SimulatedCloud* cloud = deployment_->cloud(i);
+    cloud->Quiesce();
+    ASSERT_TRUE(cloud
+                    ->Delete({cloud->provider_name() + ":alice"},
+                             DepSkyClient::MetadataKey(md.object_id))
+                    .ok());
+  }
+  auto reader = MountAgent();
+  const uint64_t gets_before = CloudGets();
+  auto read = reader->ReadFile("/f");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  // k = 2 shard GETs, no metadata round and no fallback.
+  EXPECT_EQ(CloudGets() - gets_before, 2u);
+  EXPECT_EQ(LastClient().anchored_read_fallbacks(), 0u);
+}
+
+TEST_F(ScfsCocTest, TruncatingOpenPublishesAnEmptyLocator) {
+  auto fs = MountAgent();
+  ASSERT_TRUE(fs->WriteFile("/f", ToBytes("old content")).ok());
+  ASSERT_FALSE(Published("/f").locator.empty());
+
+  auto fh = fs->Open("/f", kOpenWrite | kOpenTruncate);
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(fs->Close(*fh).ok());
+  const FileMetadata emptied = Published("/f");
+  EXPECT_TRUE(emptied.content_hash.empty());
+  EXPECT_TRUE(emptied.locator.empty());
+  EXPECT_TRUE(MountAgent()->ReadFile("/f")->empty());
+
+  // The next close publishes the new version's record with its hash.
+  ASSERT_TRUE(fs->WriteFile("/f", ToBytes("new")).ok());
+  const FileMetadata rewritten = Published("/f");
+  auto record = DepSkyVersion::Decode(rewritten.locator);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->content_hash, rewritten.content_hash);
+  EXPECT_EQ(ToString(*MountAgent()->ReadFile("/f")), "new");
+}
+
+TEST_F(ScfsCocTest, RenameKeepsTheLocator) {
+  auto fs = MountAgent();
+  ASSERT_TRUE(fs->Mkdir("/d").ok());
+  ASSERT_TRUE(fs->WriteFile("/d/f", ToBytes("moved")).ok());
+  const Bytes locator = Published("/d/f").locator;
+  ASSERT_FALSE(locator.empty());
+  ASSERT_TRUE(fs->Rename("/d", "/e").ok());
+  EXPECT_EQ(Published("/e/f").locator, locator);
+  auto fresh = MountAgent();
+  EXPECT_EQ(ToString(*fresh->ReadFile("/e/f")), "moved");
+  EXPECT_EQ(LastClient().anchored_read_fallbacks(), 0u);
+}
+
+TEST_F(ScfsCocTest, PnsFilesReadBackAfterRemount) {
+  for (ScfsMode mode : {ScfsMode::kBlocking, ScfsMode::kNonBlocking}) {
+    SCOPED_TRACE(mode == ScfsMode::kBlocking ? "blocking" : "non-blocking");
+    const std::string path =
+        mode == ScfsMode::kBlocking ? "/blocking" : "/non-blocking";
+    const Bytes data = ToBytes("private " + path);
+    ScfsOptions options;
+    options.mode = mode;
+    options.use_pns = true;
+    {
+      auto fs = MountAgent(options);
+      ASSERT_TRUE(fs->WriteFile(path, data).ok());
+      ASSERT_TRUE(fs->Unmount().ok());
+    }
+    // Both the PNS object and the file inside it are anchored with their
+    // records.
+    auto tuple = deployment_->coord()->Read("alice", PnsTupleKey("alice"));
+    ASSERT_TRUE(tuple.ok());
+    auto anchor = DecodePnsAnchor(tuple->value);
+    ASSERT_TRUE(anchor.ok());
+    EXPECT_FALSE(anchor->locator.empty());
+
+    auto fs = MountAgent(options);
+    bool listed = false;
+    for (const FileMetadata& md : fs->metadata_service().PnsEntries()) {
+      if (md.path == path) {
+        listed = true;
+        EXPECT_FALSE(md.locator.empty());
+      }
+    }
+    EXPECT_TRUE(listed);
+    auto read = fs->ReadFile(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, data);
+    EXPECT_EQ(LastClient().anchored_read_fallbacks(), 0u);
+    ASSERT_TRUE(fs->Unmount().ok());
+  }
+}
 
 TEST_F(ScfsCocTest, SurvivesSingleCloudOutage) {
   ScfsOptions options;

@@ -41,7 +41,7 @@ TEST_F(StorageServiceTest, PushThenFetchIsMemoryHit) {
   auto service = MakeService(1 << 20, 10 << 20);
   Bytes data = ToBytes("cached content");
   ASSERT_TRUE(service.Push("obj", HashOf(data), data, {}).ok());
-  auto fetched = service.Fetch("obj", HashOf(data));
+  auto fetched = service.Fetch("obj", HashOf(data), Bytes{});
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(*fetched, data);
   EXPECT_EQ(service.memory_hits(), 1u);
@@ -54,7 +54,7 @@ TEST_F(StorageServiceTest, PushIsDurableInCloud) {
   ASSERT_TRUE(service.Push("obj", HashOf(data), data, {}).ok());
   // A different service instance (fresh caches) reads it from the cloud.
   auto other = MakeService(1 << 20, 10 << 20);
-  auto fetched = other.Fetch("obj", HashOf(data));
+  auto fetched = other.Fetch("obj", HashOf(data), Bytes{});
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(*fetched, data);
   EXPECT_EQ(other.cloud_reads(), 1u);
@@ -70,7 +70,7 @@ TEST_F(StorageServiceTest, MemoryEvictionSpillsToDisk) {
   service.PutMemory("B", HashOf(b), b);
   service.PutMemory("C", HashOf(c), c);  // evicts A to disk
   EXPECT_TRUE(service.HasLocal("A", HashOf(a)));
-  auto fetched = service.Fetch("A", HashOf(a));
+  auto fetched = service.Fetch("A", HashOf(a), Bytes{});
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(*fetched, a);
   EXPECT_GE(service.disk_hits(), 1u);
@@ -115,15 +115,15 @@ TEST_F(StorageServiceTest, ContentAddressingDistinguishesVersions) {
   Bytes v2 = ToBytes("version 2!");
   ASSERT_TRUE(service.Push("obj", HashOf(v1), v1, {}).ok());
   ASSERT_TRUE(service.Push("obj", HashOf(v2), v2, {}).ok());
-  EXPECT_EQ(*service.Fetch("obj", HashOf(v1)), v1);
-  EXPECT_EQ(*service.Fetch("obj", HashOf(v2)), v2);
+  EXPECT_EQ(*service.Fetch("obj", HashOf(v1), Bytes{}), v1);
+  EXPECT_EQ(*service.Fetch("obj", HashOf(v2), Bytes{}), v2);
   // A hash we never stored is not served from any cache.
   EXPECT_FALSE(service.HasLocal("obj", HashOf(ToBytes("version 3"))));
 }
 
 TEST_F(StorageServiceTest, EmptyHashMeansEmptyFile) {
   auto service = MakeService(1 << 20, 10 << 20);
-  auto fetched = service.Fetch("whatever", "");
+  auto fetched = service.Fetch("whatever", "", Bytes{});
   ASSERT_TRUE(fetched.ok());
   EXPECT_TRUE(fetched->empty());
 }
@@ -146,13 +146,13 @@ TEST_F(StorageServiceTest, ReadLoopWaitsOutConsistencyWindow) {
   Bytes data = ToBytes("late");
   std::string hash = HashOf(data);
   // Write directly after a delay marker: first Fetch attempts will miss.
-  auto miss = service.Fetch("obj", hash);
+  auto miss = service.Fetch("obj", hash, Bytes{});
   EXPECT_FALSE(miss.ok());  // never written: exhausts retries
   EXPECT_EQ(miss.status().code(), ErrorCode::kTimeout);
   EXPECT_GE(service.read_retries(), 1u);
 
   ASSERT_TRUE(backend.WriteVersion("obj", hash, data, {}).ok());
-  auto hit = service.Fetch("obj", hash);
+  auto hit = service.Fetch("obj", hash, Bytes{});
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(*hit, data);
 }
@@ -163,7 +163,7 @@ TEST_F(StorageServiceTest, FlushToDiskGivesLevel1Durability) {
   ASSERT_TRUE(service.FlushToDisk("obj", HashOf(data), data).ok());
   EXPECT_TRUE(service.HasLocal("obj", HashOf(data)));
   // Not pushed to the cloud by fsync.
-  EXPECT_EQ(backend_.ReadByHash("obj", HashOf(data)).status().code(),
+  EXPECT_EQ(backend_.ReadByHash("obj", HashOf(data), Bytes{}).status().code(),
             ErrorCode::kNotFound);
 }
 
@@ -172,7 +172,7 @@ TEST_F(StorageServiceTest, CorruptCloudReadSurfacesAsError) {
   Bytes data(4096, 7);
   ASSERT_TRUE(backend_.WriteVersion("obj", HashOf(data), data, {}).ok());
   cloud_.faults().SetCorruptAllReads(true);
-  auto fetched = service.Fetch("obj", HashOf(data));
+  auto fetched = service.Fetch("obj", HashOf(data), Bytes{});
   // The single-cloud backend has no redundancy: the fetch returns corrupted
   // bytes; SCFS's open path detects this via the anchor-hash check. Verify
   // the bytes indeed mismatch the hash so that check would fire.
@@ -186,8 +186,8 @@ TEST_F(StorageServiceTest, CountersTrackHitClasses) {
   auto service = MakeService(1 << 20, 10 << 20);
   Bytes data = ToBytes("counted");
   ASSERT_TRUE(backend_.WriteVersion("obj", HashOf(data), data, {}).ok());
-  ASSERT_TRUE(service.Fetch("obj", HashOf(data)).ok());  // cloud
-  ASSERT_TRUE(service.Fetch("obj", HashOf(data)).ok());  // memory
+  ASSERT_TRUE(service.Fetch("obj", HashOf(data), Bytes{}).ok());  // cloud
+  ASSERT_TRUE(service.Fetch("obj", HashOf(data), Bytes{}).ok());  // memory
   EXPECT_EQ(service.cloud_reads(), 1u);
   EXPECT_EQ(service.memory_hits(), 1u);
 }
