@@ -412,8 +412,8 @@ void Run(const Options& options) {
   {
     // End-to-end through the real DepSkyClient (robust calls, quorums, ACLs,
     // metadata) against zero-latency in-memory clouds, so the measurement is
-    // the data plane's CPU work: monolithic single-object path vs the striped
-    // parallel-unit pipeline on the same file.
+    // the data plane's CPU work: the file as one unit ("mono") vs 4 MB units
+    // through the parallel window, on the same file.
     const size_t large_size = options.quick ? (32u << 20) : (256u << 20);
     auto env = Environment::Instant();
     std::vector<std::unique_ptr<SimulatedCloud>> clouds;
@@ -423,12 +423,11 @@ void Run(const Options& options) {
       clouds.push_back(
           std::make_unique<SimulatedCloud>(profile, env.get(), 70 + i));
     }
-    auto make_client = [&](size_t threshold) {
+    auto make_client = [&](size_t unit_size) {
       DepSkyConfig config;
       config.f = 1;
       config.auth_key = ToBytes("bench-auth-key");
-      config.stripe_threshold = threshold;  // 0 disables striping
-      config.stripe_unit_size = 4u << 20;
+      config.stripe_unit_size = unit_size;
       config.stripe_inflight = 0;  // auto: window = host core count
       std::vector<DepSkyCloud> set;
       for (auto& cloud : clouds) {
@@ -451,7 +450,7 @@ void Run(const Options& options) {
 
     double put_mono = 0, get_mono = 0;
     {
-      auto mono = make_client(0);
+      auto mono = make_client(large_size);  // one unit: the whole file
       put_mono = TimeOnceMbps(large_size, [&] {
         check(mono->WriteVersion("mono", hash, data).status());
       });

@@ -356,7 +356,6 @@ void RunStripeRepairDrill(const Options& options, BenchJsonWriter* json) {
   DepSkyConfig config;
   config.f = 1;
   config.auth_key = ToBytes("bench-auth-key");
-  config.stripe_threshold = unit_size;
   config.stripe_unit_size = unit_size;
   DepSkyClient client(env.get(), std::move(set), config, 4242);
 
@@ -430,7 +429,7 @@ void RunStripeRepairDrill(const Options& options, BenchJsonWriter* json) {
     }
     Status dropped = clouds[victim]->Delete(
         {clouds[victim]->provider_name() + ":bench"},
-        DepSkyClient::StripeValueKey("big", version, u));
+        DepSkyClient::ValueKey("big", version, u));
     if (!dropped.ok()) {
       fatal("wipe", dropped);
     }

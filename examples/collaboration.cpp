@@ -59,8 +59,9 @@ int main() {
 
   env->Sleep(kSecond);
   auto merged = alice->ReadFile("/paper.tex");
-  std::printf("alice now sees %zu bytes:\n%s", merged->size(),
-              ToString(*merged).c_str());
+  std::printf("alice now sees %s", merged.ok()
+                                      ? ToString(*merged).c_str()
+                                      : merged.status().ToString().c_str());
 
   // Revocation: bob loses access everywhere at once.
   alice->SetFacl("/paper.tex", "bob", false, false);
@@ -70,9 +71,11 @@ int main() {
               bob_after.ok() ? "?! REVOCATION BUG"
                              : bob_after.status().ToString().c_str());
 
+  const bool ok = !eve_read.ok() && !alice_attempt.ok() && alice_reader.ok() &&
+                  merged.ok() && *merged == edited && !bob_after.ok();
   alice->Unmount();
   bob->Unmount();
   eve->Unmount();
-  std::printf("collaboration OK\n");
-  return 0;
+  std::printf(ok ? "collaboration OK\n" : "collaboration FAILED\n");
+  return ok ? 0 : 1;
 }

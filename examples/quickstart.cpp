@@ -36,6 +36,10 @@ int main() {
   fs->WriteFile("/docs/plan.txt", ToBytes("v4: ship the reproduction"));
 
   auto content = fs->ReadFile("/docs/plan.txt");
+  if (!content.ok() || ToString(*content) != "v4: ship the reproduction") {
+    std::printf("quickstart FAILED: plan.txt did not read back\n");
+    return 1;
+  }
   std::printf("plan.txt: %s\n", ToString(*content).c_str());
   (void)env;
 

@@ -99,10 +99,10 @@ class ShardArena {
   size_t payload_size_ = 0;
 };
 
-// Thread-safe recycler of ShardArena buffers. A monolithic 256 MB PUT
-// allocates (and page-faults in) a fresh 512 MB zeroed arena every call; the
-// striped write path instead cycles `stripe_inflight` pooled arenas of one
-// unit each, so steady-state encode touches only cache-warm memory. Acquire
+// Thread-safe recycler of ShardArena buffers. Encoding a 256 MB file in one
+// piece allocates (and page-faults in) a fresh 512 MB zeroed arena every
+// call; DepSky's unit pipeline instead cycles a window of pooled arenas of
+// one unit each, so steady-state encode touches only cache-warm memory. Acquire
 // reshapes a retired buffer to the requested geometry; only the framing
 // padding is re-zeroed (by the pool-aware PrepareArena), since payload and
 // parity are fully overwritten by the producer and EncodeParity.

@@ -1,6 +1,6 @@
 // Future<T>/Promise<T>: the completion primitive behind SCFS's asynchronous
-// storage pipeline (ObjectStore::*Async, BlobBackend::*Async,
-// StorageService::PushAsync, BackgroundUploader, fsapi CloseAsync).
+// storage pipeline (ObjectStore::*Async, DepSky's quorum waits,
+// BackgroundUploader, fsapi CloseAsync).
 //
 // The design integrates with Environment's thread-charge accounting: a
 // producer records, together with the value, the modelled virtual time it

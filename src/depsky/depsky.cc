@@ -146,17 +146,12 @@ bool ResponsiveStatus(const Status& s) {
          s.code() == ErrorCode::kAlreadyExists;
 }
 
-// Every value object of one version: one per stripe unit, or the single
-// monolithic object.
+// Every value object of one version: one per unit.
 std::vector<std::string> VersionValueKeys(const std::string& unit,
                                           const DepSkyVersion& version) {
   std::vector<std::string> keys;
-  if (version.striped()) {
-    for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-      keys.push_back(DepSkyClient::StripeValueKey(unit, version, u));
-    }
-  } else {
-    keys.push_back(DepSkyClient::ValueKey(unit, version));
+  for (size_t u = 0; u < version.stripe_units.size(); ++u) {
+    keys.push_back(DepSkyClient::ValueKey(unit, version, u));
   }
   return keys;
 }
@@ -321,17 +316,12 @@ std::string DepSkyClient::MetadataKey(const std::string& unit) {
 }
 
 std::string DepSkyClient::ValueKey(const std::string& unit,
-                                   const DepSkyVersion& version) {
+                                   const DepSkyVersion& version,
+                                   size_t index) {
   char id[17];
   std::snprintf(id, sizeof(id), "%016llx",
                 static_cast<unsigned long long>(version.object_id));
-  return "du/" + unit + "/o" + id;
-}
-
-std::string DepSkyClient::StripeValueKey(const std::string& unit,
-                                         const DepSkyVersion& version,
-                                         uint64_t stripe_index) {
-  return ValueKey(unit, version) + "/u" + std::to_string(stripe_index);
+  return "du/" + unit + "/o" + id + "/u" + std::to_string(index);
 }
 
 Bytes DepSkyClient::RandomBytesLocked(size_t size) {
@@ -530,31 +520,18 @@ Result<DepSkyVersion> DepSkyClient::WriteVersion(
   version.object_id = MixSeed(object_id_salt_, objects_named_.fetch_add(1));
   version.content_hash = content_hash;
   version.size = data.size();
+  const size_t unit_size = config_.stripe_unit();
+  version.stripe_unit_size = unit_size;
+  version.stripe_units.resize(DepSkyVersion::UnitCount(data.size(), unit_size));
 
-  // Large secret-sharing writes take the striped data plane: independent
-  // per-unit pipelines instead of one file-sized arena and quorum round.
-  if (config_.mode == DepSkyMode::kSecretSharing &&
-      config_.stripe_threshold > 0 &&
-      data.size() > config_.stripe_threshold) {
-    return WriteStripedVersion(unit, &base, std::move(version), data);
-  }
-
-  // Steps 3-5 (Figure 6): key generation, encryption, erasure coding and
-  // secret sharing. The whole stage is zero-copy: the plaintext is encrypted
-  // straight into the arena's framed data region (the systematic shards alias
-  // that frame), parity is derived in place, and every later consumer —
-  // shard hashing and wire-object serialization — reads arena views. In
-  // replication mode the "shards" are views of the caller's plaintext.
-  std::optional<ShardArena> arena;
+  // Step 3 (Figure 6), once for the whole file: one key, nonce and
+  // secret-sharing split. Share i rides every unit's shard i, and each unit
+  // encrypts at its byte offset in the file-wide keystream.
+  Bytes key;
   std::vector<SecretShare> shares;
-  const unsigned shard_count = static_cast<unsigned>(clouds_.size());
   if (config_.mode == DepSkyMode::kSecretSharing) {
-    Bytes key = RandomBytesLocked(ChaCha20::kKeySize);
+    key = RandomBytesLocked(ChaCha20::kKeySize);
     version.nonce = RandomBytesLocked(ChaCha20::kNonceSize);
-    ErasureCodec codec(config_.n(), config_.k());
-    arena = codec.PrepareArena(data.size(), &arena_pool_);
-    ChaCha20::CryptInto(key, version.nonce, 0, data, arena->payload());
-    codec.ComputeParity(&*arena);
     Result<std::vector<SecretShare>> split = [&]() {
       std::lock_guard<std::mutex> lock(rng_mu_);
       return SecretSharing::Split(key, config_.n(), config_.k(), rng_);
@@ -562,46 +539,55 @@ Result<DepSkyVersion> DepSkyClient::WriteVersion(
     RETURN_IF_ERROR(split.status());
     shares = std::move(*split);
   }
-  auto shard_view = [&](unsigned i) -> ConstByteSpan {
-    return arena ? arena->shard(i) : data;  // full replicas without the arena
-  };
 
-  auto encode_object = [&](unsigned shard_index) -> Bytes {
-    // The shard bytes move from the arena (or the caller's plaintext) to the
-    // wire buffer in this one serialization copy.
-    if (config_.mode == DepSkyMode::kSecretSharing) {
-      return DepSkyValueObject::EncodeParts(shard_view(shard_index),
-                                            shares[shard_index].index,
-                                            shares[shard_index].data);
-    }
-    return DepSkyValueObject::EncodeParts(shard_view(shard_index), 0, {});
-  };
+  // Step 4 per unit. The first window starts while the metadata read is in
+  // flight; the first unit to reach its ACLs settles it.
+  RETURN_IF_ERROR(ForEachUnit(
+      0, version.stripe_units.size(), [&](size_t u) -> Status {
+        const size_t begin = u * unit_size;
+        ASSIGN_OR_RETURN(
+            version.stripe_units[u],
+            WriteStripeUnit(&base, ValueKey(unit, version, u),
+                            data.subspan(begin, unit_size), key,
+                            version.nonce, shares,
+                            static_cast<uint32_t>(begin / 64)));
+        return OkStatus();
+      }));
 
-  // The metadata authenticates the complete stored object — shard AND key
-  // share AND framing — not just the shard bytes. A faulty cloud must not be
-  // able to slip a poisoned key share past the hash check by leaving the
-  // shard untouched (a corrupted share silently wrecks key reconstruction,
-  // which only surfaces as a content-hash mismatch after decrypt). The
-  // object for shard i is deterministic — share i always rides with shard i,
-  // fallback writes included — so the per-shard-index hash is well-defined.
-  std::vector<Bytes> objects(shard_count);
-  version.shard_hashes.resize(shard_count);
-  for (unsigned i = 0; i < shard_count; ++i) {
-    objects[i] = encode_object(i);
-    version.shard_hashes[i] = Sha256::Hash(objects[i]);
-  }
-
-  // Step 6: store shard_i + share_i at cloud i (preferred wave + fallback).
-  auto placed = PlaceObjects(&base, ValueKey(unit, version),
-                             std::move(objects), encode_object);
-  if (arena) {
-    arena_pool_.Release(std::move(*arena));
-  }
-  RETURN_IF_ERROR(placed.status());
-  version.cloud_shard = *std::move(placed);
-
-  // Step 7: publish the version in the metadata object.
+  // Step 5: publish the version in the metadata object.
   return PublishVersion(unit, &base, std::move(version));
+}
+
+Status DepSkyClient::ForEachUnit(
+    size_t begin, size_t end, const std::function<Status(size_t)>& body) {
+  const unsigned depth = config_.stripe_window();
+  Status first_error = OkStatus();
+  if (end - begin <= 1 || depth <= 1) {
+    // Serial: an executor hop would only add a context switch.
+    for (size_t i = begin; i < end && first_error.ok(); ++i) {
+      first_error = body(i);
+    }
+    return first_error;
+  }
+  std::deque<Future<Status>> window;
+  auto drain_front = [&]() {
+    Status s = window.front().Get();
+    window.pop_front();
+    if (!s.ok() && first_error.ok()) {
+      first_error = s;
+    }
+  };
+  for (size_t i = begin; i < end && first_error.ok(); ++i) {
+    while (window.size() >= depth) {
+      drain_front();
+    }
+    window.push_back(
+        SubmitTracked(&async_ops_, [&body, i]() { return body(i); }));
+  }
+  while (!window.empty()) {
+    drain_front();
+  }
+  return first_error;
 }
 
 Result<DepSkyVersion> DepSkyClient::PublishVersion(const std::string& unit,
@@ -707,22 +693,37 @@ Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
     WriteBase* base, const std::string& value_key,
     ConstByteSpan plaintext, const Bytes& key, const Bytes& nonce,
     const std::vector<SecretShare>& shares, uint32_t counter) {
-  // Same zero-copy pipeline as a monolithic write, at unit granularity: the
-  // pooled arena keeps a stripe window's buffers cache-warm instead of
-  // faulting in a fresh file-sized allocation.
-  ErasureCodec codec(config_.n(), config_.k());
-  ShardArena arena = codec.PrepareArena(plaintext.size(), &arena_pool_);
-  ChaCha20::CryptInto(key, nonce, counter, plaintext, arena.payload());
-  codec.ComputeParity(&arena);
+  // Zero-copy: the plaintext is encrypted straight into the pooled arena's
+  // framed data region (the systematic shards alias that frame), parity is
+  // derived in place, and shard hashing and wire-object serialization read
+  // arena views. The pool keeps a window's buffers cache-warm. In
+  // replication mode every object wraps the caller's plaintext.
+  std::optional<ShardArena> arena;
+  if (config_.mode == DepSkyMode::kSecretSharing) {
+    ErasureCodec codec(config_.n(), config_.k());
+    arena = codec.PrepareArena(plaintext.size(), &arena_pool_);
+    ChaCha20::CryptInto(key, nonce, counter, plaintext, arena->payload());
+    codec.ComputeParity(&*arena);
+  }
 
   DepSkyStripeUnit stripe;
   stripe.content_hash = Sha256::Hash(plaintext);
-  const unsigned shard_count = static_cast<unsigned>(clouds_.size());
   auto encode_object = [&](unsigned shard_index) -> Bytes {
-    return DepSkyValueObject::EncodeParts(arena.shard(shard_index),
+    // The shard bytes move from the arena (or the caller's plaintext) to the
+    // wire buffer in this one serialization copy.
+    if (!arena) {
+      return DepSkyValueObject::EncodeParts(plaintext, 0, {});
+    }
+    return DepSkyValueObject::EncodeParts(arena->shard(shard_index),
                                           shares[shard_index].index,
                                           shares[shard_index].data);
   };
+  // The recorded hash covers the complete stored object — shard AND key
+  // share AND framing — so a faulty cloud cannot slip a poisoned key share
+  // past the check by leaving the shard untouched. Share i always rides
+  // with shard i, fallback writes included, so the hash per shard index is
+  // well-defined.
+  const unsigned shard_count = static_cast<unsigned>(clouds_.size());
   std::vector<Bytes> objects(shard_count);
   stripe.shard_hashes.resize(shard_count);
   for (unsigned i = 0; i < shard_count; ++i) {
@@ -731,83 +732,12 @@ Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
   }
   auto placed =
       PlaceObjects(base, value_key, std::move(objects), encode_object);
-  arena_pool_.Release(std::move(arena));
+  if (arena) {
+    arena_pool_.Release(std::move(*arena));
+  }
   RETURN_IF_ERROR(placed.status());
   stripe.cloud_shard = *std::move(placed);
   return stripe;
-}
-
-Result<DepSkyVersion> DepSkyClient::WriteStripedVersion(
-    const std::string& unit, WriteBase* base, DepSkyVersion version,
-    ConstByteSpan data) {
-  const size_t unit_size = config_.stripe_unit();
-  const size_t unit_count = (data.size() + unit_size - 1) / unit_size;
-  version.stripe_unit_size = unit_size;
-  version.stripe_units.resize(unit_count);
-
-  // One key, nonce and secret-sharing split for the whole file: share i rides
-  // every unit's shard i, and each unit encrypts at its byte offset in the
-  // file-wide keystream — the ciphertext equals a monolithic encryption.
-  Bytes key = RandomBytesLocked(ChaCha20::kKeySize);
-  version.nonce = RandomBytesLocked(ChaCha20::kNonceSize);
-  Result<std::vector<SecretShare>> split = [&]() {
-    std::lock_guard<std::mutex> lock(rng_mu_);
-    return SecretSharing::Split(key, config_.n(), config_.k(), rng_);
-  }();
-  RETURN_IF_ERROR(split.status());
-  const std::vector<SecretShare> shares = std::move(*split);
-
-  // Bounded fan-out: a FIFO window of stripe_window() unit pipelines on the
-  // executor (a window of one runs inline — a serial pipeline gains nothing
-  // from an executor hop). The first window starts while the metadata read
-  // is in flight; the first unit to reach its ACLs settles it. Every
-  // launched task is drained before returning (error paths included), so
-  // the by-reference captures below stay valid.
-  const unsigned depth = config_.stripe_window();
-  Status first_error = OkStatus();
-  std::deque<std::pair<size_t, Future<Result<DepSkyStripeUnit>>>> window;
-  auto drain_front = [&]() {
-    auto [index, future] = std::move(window.front());
-    window.pop_front();
-    Result<DepSkyStripeUnit> placed = future.Get();
-    if (placed.ok()) {
-      version.stripe_units[index] = *std::move(placed);
-    } else if (first_error.ok()) {
-      first_error = placed.status();
-    }
-  };
-  for (size_t u = 0; u < unit_count && first_error.ok(); ++u) {
-    while (window.size() >= depth) {
-      drain_front();
-    }
-    const size_t begin = u * unit_size;
-    const size_t length = std::min(unit_size, data.size() - begin);
-    const ConstByteSpan slice(data.data() + begin, length);
-    const uint32_t counter = static_cast<uint32_t>(begin / 64);
-    std::string value_key = StripeValueKey(unit, version, u);
-    if (depth <= 1) {
-      Result<DepSkyStripeUnit> placed = WriteStripeUnit(
-          base, value_key, slice, key, version.nonce, shares, counter);
-      if (placed.ok()) {
-        version.stripe_units[u] = *std::move(placed);
-      } else {
-        first_error = placed.status();
-      }
-      continue;
-    }
-    window.emplace_back(
-        u, SubmitTracked(&async_ops_, [this, base, &key, &version, &shares,
-                                       slice, counter,
-                                       value_key = std::move(value_key)]() {
-          return WriteStripeUnit(base, value_key, slice, key, version.nonce,
-                                 shares, counter);
-        }));
-  }
-  while (!window.empty()) {
-    drain_front();
-  }
-  RETURN_IF_ERROR(first_error);
-  return PublishVersion(unit, base, std::move(version));
 }
 
 // Shared state of one in-flight shard fetch. Collectors (completion
@@ -945,8 +875,8 @@ void DepSkyClient::ArmHedgeTimer(
 
 Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
     const std::string& unit, const std::string& value_key, unsigned k,
-    const std::vector<int32_t>& cloud_shard,
-    const std::vector<Bytes>& shard_hashes) {
+    const DepSkyStripeUnit& stripe) {
+  const std::vector<int32_t>& cloud_shard = stripe.cloud_shard;
   // Clouds that hold a shard of this object, in cost order.
   std::vector<unsigned> holders;
   for (unsigned i = 0; i < clouds_.size(); ++i) {
@@ -969,7 +899,7 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
   // Copies, not references: a straggler's collector may run after this
   // frame (and the caller's metadata) are gone.
   state->cloud_shard = cloud_shard;
-  state->shard_hashes = shard_hashes;
+  state->shard_hashes = stripe.shard_hashes;
   state->started = env_->Now();
   state->shards.resize(clouds_.size());
 
@@ -997,34 +927,18 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
 
 Result<Bytes> DepSkyClient::FetchVersion(const std::string& unit,
                                          const DepSkyVersion& version) {
-  const bool secret_sharing = config_.mode == DepSkyMode::kSecretSharing;
-  if (version.striped() && secret_sharing) {
-    return FetchStripedVersion(unit, version);
-  }
-  const unsigned k = secret_sharing ? config_.k() : 1;
-  ASSIGN_OR_RETURN(FetchedShards fetched,
-                   FetchShards(unit, ValueKey(unit, version), k,
-                               version.cloud_shard, version.shard_hashes));
-
-  Bytes plaintext;
-  if (secret_sharing) {
-    // Reassemble into one buffer, then decrypt it in place: the ciphertext
-    // buffer becomes the plaintext without a second allocation or pass.
-    ErasureCodec codec(config_.n(), config_.k());
-    ASSIGN_OR_RETURN(plaintext, codec.Decode(fetched.shards));
-    ASSIGN_OR_RETURN(Bytes key,
-                     SecretSharing::Combine(fetched.shares, config_.k()));
-    ChaCha20::CryptInPlace(key, version.nonce, 0, ByteSpan(plaintext));
-  } else {
-    for (auto& shard : fetched.shards) {
-      if (shard.has_value()) {
-        plaintext = std::move(*shard);
-        break;
-      }
-    }
-  }
-
-  // Final integrity check: the consistency-anchor hash must match.
+  // Each unit decodes into its disjoint slice of one buffer. The whole-file
+  // consistency-anchor hash is checked below; per-unit hashes are for range
+  // reads that never see the whole file.
+  Bytes plaintext(version.size);
+  const size_t unit_size = version.stripe_unit_size;
+  RETURN_IF_ERROR(ForEachUnit(
+      0, version.stripe_units.size(), [&](size_t u) {
+        return FetchStripeUnit(unit, version, u,
+                               ByteSpan(plaintext).subspan(u * unit_size,
+                                                           unit_size),
+                               /*verify_unit_hash=*/false);
+      }));
   if (HexEncode(Sha1::Hash(plaintext)) != version.content_hash) {
     return CorruptionError("content hash mismatch for " + unit);
   }
@@ -1035,114 +949,66 @@ Status DepSkyClient::FetchStripeUnit(const std::string& unit,
                                      const DepSkyVersion& version,
                                      size_t stripe_index, ByteSpan out,
                                      bool verify_unit_hash) {
-  const unsigned n = config_.n();
-  const unsigned k = config_.k();
   const DepSkyStripeUnit& stripe = version.stripe_units[stripe_index];
-  auto fetched_or = FetchShards(
-      unit, StripeValueKey(unit, version, stripe_index), k,
-      stripe.cloud_shard, stripe.shard_hashes);
-  RETURN_IF_ERROR(fetched_or.status());
-  FetchedShards& fetched = *fetched_or;
+  const bool secret_sharing = config_.mode == DepSkyMode::kSecretSharing;
+  const unsigned n = config_.n();
+  const unsigned k = secret_sharing ? config_.k() : 1;
+  ASSIGN_OR_RETURN(
+      FetchedShards fetched,
+      FetchShards(unit, ValueKey(unit, version, stripe_index), k, stripe));
 
-  // Decode into a pooled arena frame, then decrypt straight into the
-  // caller's slice — the decrypt pass is also the move out of the arena.
-  ErasureCodec codec(n, k);
-  const size_t shard_size = codec.ShardSize(out.size());
-  std::vector<std::optional<ConstByteSpan>> views(fetched.shards.size());
-  for (size_t i = 0; i < fetched.shards.size(); ++i) {
-    if (fetched.shards[i].has_value()) {
-      views[i] = ConstByteSpan(*fetched.shards[i]);
+  if (!secret_sharing) {
+    // Any hash-valid replica is the unit's plaintext.
+    for (const auto& replica : fetched.shards) {
+      if (replica.has_value()) {
+        if (replica->size() != out.size()) {
+          return CorruptionError("replica size mismatch for " + unit);
+        }
+        std::copy(replica->begin(), replica->end(), out.begin());
+        break;
+      }
     }
-  }
-  ShardArena arena = arena_pool_.Acquire(n, k, shard_size, out.size());
-  ReedSolomon rs(n, k);
-  Status decoded = rs.DecodeInto(views, shard_size,
-                                 arena.mutable_data_region());
-  if (!decoded.ok()) {
+  } else {
+    // Decode into a pooled arena frame, then decrypt straight into the
+    // caller's slice — the decrypt pass is also the move out of the arena.
+    ErasureCodec codec(n, k);
+    const size_t shard_size = codec.ShardSize(out.size());
+    std::vector<std::optional<ConstByteSpan>> views(fetched.shards.size());
+    for (size_t i = 0; i < fetched.shards.size(); ++i) {
+      if (fetched.shards[i].has_value()) {
+        views[i] = ConstByteSpan(*fetched.shards[i]);
+      }
+    }
+    ShardArena arena = arena_pool_.Acquire(n, k, shard_size, out.size());
+    ReedSolomon rs(n, k);
+    Status decoded =
+        rs.DecodeInto(views, shard_size, arena.mutable_data_region());
+    // The frame header must restate the unit length (hash-valid shards
+    // guarantee it; a mismatch means the record and objects disagree).
+    ByteReader header(arena.data_region());
+    uint64_t framed_size = 0;
+    if (decoded.ok() &&
+        (!header.ReadU64(&framed_size) || framed_size != out.size())) {
+      decoded = CorruptionError("unit frame mismatch for " + unit);
+    }
+    if (decoded.ok()) {
+      Result<Bytes> key = SecretSharing::Combine(fetched.shares, k);
+      if (key.ok()) {
+        const uint32_t counter = static_cast<uint32_t>(
+            stripe_index * version.stripe_unit_size / 64);
+        ChaCha20::CryptInto(*key, version.nonce, counter,
+                            ConstByteSpan(arena.payload()), out);
+      }
+      decoded = key.status();
+    }
     arena_pool_.Release(std::move(arena));
-    return decoded;
+    RETURN_IF_ERROR(decoded);
   }
-  // The frame header must restate the unit length (hash-valid shards
-  // guarantee it; a mismatch means the manifest and objects disagree).
-  ByteReader header(arena.data_region());
-  uint64_t framed_size = 0;
-  if (!header.ReadU64(&framed_size) || framed_size != out.size()) {
-    arena_pool_.Release(std::move(arena));
-    return CorruptionError("stripe unit frame mismatch for " + unit);
-  }
-
-  auto key = SecretSharing::Combine(fetched.shares, k);
-  if (!key.ok()) {
-    arena_pool_.Release(std::move(arena));
-    return key.status();
-  }
-  const uint32_t counter = static_cast<uint32_t>(
-      stripe_index * version.stripe_unit_size / 64);
-  ChaCha20::CryptInto(*key, version.nonce, counter,
-                      ConstByteSpan(arena.payload()), out);
-  arena_pool_.Release(std::move(arena));
 
   if (verify_unit_hash && Sha256::Hash(out) != stripe.content_hash) {
-    return CorruptionError("stripe unit hash mismatch for " + unit);
+    return CorruptionError("unit hash mismatch for " + unit);
   }
   return OkStatus();
-}
-
-Result<Bytes> DepSkyClient::FetchStripedVersion(const std::string& unit,
-                                                const DepSkyVersion& version) {
-  const size_t unit_size = version.stripe_unit_size;
-  const size_t unit_count = version.stripe_units.size();
-  if (unit_count * unit_size < version.size) {
-    return CorruptionError("stripe manifest shorter than version size");
-  }
-  Bytes plaintext(version.size);
-
-  // Pipelined unit fetch+decode+decrypt: each unit writes its disjoint slice
-  // of the output, at most stripe_window() units in flight (a window of one
-  // runs inline). All launched tasks are drained before returning, so the
-  // reference captures are safe.
-  const unsigned depth = config_.stripe_window();
-  Status first_error = OkStatus();
-  std::deque<Future<Status>> window;
-  auto drain_front = [&]() {
-    Status s = window.front().Get();
-    window.pop_front();
-    if (!s.ok() && first_error.ok()) {
-      first_error = s;
-    }
-  };
-  for (size_t u = 0; u < unit_count && first_error.ok(); ++u) {
-    while (window.size() >= depth) {
-      drain_front();
-    }
-    const size_t begin = u * unit_size;
-    const size_t length = std::min(unit_size, plaintext.size() - begin);
-    const ByteSpan slice(plaintext.data() + begin, length);
-    // The whole-file consistency-anchor hash is checked below; per-unit
-    // hashes are for range reads that never see the whole file.
-    if (depth <= 1) {
-      Status s = FetchStripeUnit(unit, version, u, slice,
-                                 /*verify_unit_hash=*/false);
-      if (!s.ok()) {
-        first_error = s;
-      }
-      continue;
-    }
-    window.push_back(
-        SubmitTracked(&async_ops_, [this, &unit, &version, u, slice]() {
-          return FetchStripeUnit(unit, version, u, slice,
-                                 /*verify_unit_hash=*/false);
-        }));
-  }
-  while (!window.empty()) {
-    drain_front();
-  }
-  RETURN_IF_ERROR(first_error);
-
-  if (HexEncode(Sha1::Hash(plaintext)) != version.content_hash) {
-    return CorruptionError("content hash mismatch for " + unit);
-  }
-  return plaintext;
 }
 
 Result<Bytes> DepSkyClient::ReadAnchored(
@@ -1212,64 +1078,27 @@ Result<Bytes> DepSkyClient::ReadRange(const std::string& unit,
   }
   length = std::min<uint64_t>(length, version.size - offset);
 
-  if (!version.striped() || config_.mode != DepSkyMode::kSecretSharing) {
-    ASSIGN_OR_RETURN(Bytes all, FetchVersion(unit, version));
-    return Bytes(all.begin() + offset, all.begin() + offset + length);
-  }
-
-  // Fetch only the stripe units overlapping [offset, offset+length). Each
-  // unit is decoded and decrypted in full (its recorded plaintext hash
-  // covers the whole unit), then the overlap is copied out.
+  // Fetch only the units overlapping [offset, offset+length). Each unit is
+  // decoded and decrypted in full (its recorded plaintext hash covers the
+  // whole unit), then the overlap is copied out.
   const size_t unit_size = version.stripe_unit_size;
-  const size_t first_unit = offset / unit_size;
-  const size_t last_unit = (offset + length - 1) / unit_size;
   Bytes out(length);
-
-  const unsigned depth = config_.stripe_window();
-  Status first_error = OkStatus();
-  std::deque<Future<Status>> window;
-  auto drain_front = [&]() {
-    Status s = window.front().Get();
-    window.pop_front();
-    if (!s.ok() && first_error.ok()) {
-      first_error = s;
-    }
-  };
-  auto fetch_unit = [this, &unit, &version, unit_size, offset, length,
-                     &out](size_t u) -> Status {
-    const size_t begin = u * unit_size;
-    const size_t unit_length =
-        std::min<size_t>(unit_size, version.size - begin);
-    Bytes buffer(unit_length);
-    RETURN_IF_ERROR(FetchStripeUnit(unit, version, u, ByteSpan(buffer),
-                                    /*verify_unit_hash=*/true));
-    // Copy the overlap into the caller's range (disjoint per unit).
-    const size_t copy_begin = std::max<size_t>(offset, begin);
-    const size_t copy_end =
-        std::min<size_t>(offset + length, begin + unit_length);
-    std::copy(buffer.begin() + (copy_begin - begin),
-              buffer.begin() + (copy_end - begin),
-              out.begin() + (copy_begin - offset));
-    return OkStatus();
-  };
-  for (size_t u = first_unit; u <= last_unit && first_error.ok(); ++u) {
-    while (window.size() >= depth) {
-      drain_front();
-    }
-    if (depth <= 1) {
-      Status s = fetch_unit(u);
-      if (!s.ok()) {
-        first_error = s;
-      }
-      continue;
-    }
-    window.push_back(
-        SubmitTracked(&async_ops_, [fetch_unit, u]() { return fetch_unit(u); }));
-  }
-  while (!window.empty()) {
-    drain_front();
-  }
-  RETURN_IF_ERROR(first_error);
+  RETURN_IF_ERROR(ForEachUnit(
+      offset / unit_size, (offset + length - 1) / unit_size + 1,
+      [&](size_t u) -> Status {
+        const size_t begin = u * unit_size;
+        Bytes buffer(std::min<size_t>(unit_size, version.size - begin));
+        RETURN_IF_ERROR(FetchStripeUnit(unit, version, u, ByteSpan(buffer),
+                                        /*verify_unit_hash=*/true));
+        // Copy the overlap into the caller's range (disjoint per unit).
+        const size_t copy_begin = std::max<size_t>(offset, begin);
+        const size_t copy_end =
+            std::min<size_t>(offset + length, begin + buffer.size());
+        std::copy(buffer.begin() + (copy_begin - begin),
+                  buffer.begin() + (copy_end - begin),
+                  out.begin() + (copy_begin - offset));
+        return OkStatus();
+      }));
   return out;
 }
 
@@ -1289,16 +1118,17 @@ Result<Bytes> DepSkyClient::ReadLatest(const std::string& unit) {
   return FetchVersion(unit, *version);
 }
 
-void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
-                                  const std::string& value_key,
-                                  const std::vector<Bytes>& shard_hashes,
-                                  std::vector<int32_t>* cloud_shard,
-                                  DepSkyScrubReport* report,
-                                  bool* metadata_dirty) {
+void DepSkyClient::ScrubStripeUnit(const DepSkyMetadata& md,
+                                   const std::string& value_key,
+                                   DepSkyStripeUnit* stripe,
+                                   DepSkyScrubReport* report,
+                                   bool* metadata_dirty) {
+  const std::vector<Bytes>& shard_hashes = stripe->shard_hashes;
+  std::vector<int32_t>& cloud_shard = stripe->cloud_shard;
   // Probe every recorded holder in parallel through the robust GET path.
   std::vector<unsigned> holders;
   for (unsigned i = 0; i < clouds_.size(); ++i) {
-    if (i < cloud_shard->size() && (*cloud_shard)[i] >= 0) {
+    if (i < cloud_shard.size() && cloud_shard[i] >= 0) {
       holders.push_back(i);
     }
   }
@@ -1316,7 +1146,7 @@ void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
   size_t shard_size = 0;
   for (size_t h = 0; h < holders.size(); ++h) {
     const unsigned cloud = holders[h];
-    const unsigned shard = static_cast<unsigned>((*cloud_shard)[cloud]);
+    const unsigned shard = static_cast<unsigned>(cloud_shard[cloud]);
     report->objects_checked++;
     Result<Bytes> raw = probes[h].Get();
     bool valid = false;
@@ -1352,7 +1182,7 @@ void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
     if (!objects[cloud].has_value()) {
       continue;
     }
-    const unsigned shard = static_cast<unsigned>((*cloud_shard)[cloud]);
+    const unsigned shard = static_cast<unsigned>(cloud_shard[cloud]);
     if (shard < views.size()) {
       views[shard] = ConstByteSpan(objects[cloud]->shard);
     }
@@ -1377,7 +1207,7 @@ void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
   }
 
   for (unsigned cloud : bad_holders) {
-    const unsigned shard = static_cast<unsigned>((*cloud_shard)[cloud]);
+    const unsigned shard = static_cast<unsigned>(cloud_shard[cloud]);
     if (!decoded.ok() || shard >= n || shard >= shard_hashes.size()) {
       report->repair_failures++;
       report->fully_redundant = false;
@@ -1410,14 +1240,14 @@ void DepSkyClient::ScrubObjectSet(const DepSkyMetadata& md,
     // this object, and flip the map so the caller pushes it once.
     bool relocated = false;
     for (unsigned target = 0; target < clouds_.size(); ++target) {
-      if (target < cloud_shard->size() && (*cloud_shard)[target] >= 0) {
+      if (target < cloud_shard.size() && cloud_shard[target] >= 0) {
         continue;
       }
       Status moved = RobustPut(target, value_key, object_bytes).Get();
       if (moved.ok()) {
         ApplyAclsToObject(md, target, value_key);
-        (*cloud_shard)[cloud] = -1;
-        (*cloud_shard)[target] = static_cast<int32_t>(shard);
+        cloud_shard[cloud] = -1;
+        cloud_shard[target] = static_cast<int32_t>(shard);
         *metadata_dirty = true;
         report->objects_relocated++;
         relocated = true;
@@ -1438,17 +1268,9 @@ Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
   bool metadata_dirty = false;
   for (auto& version : md.versions) {
     report.versions_checked++;
-    if (version.striped()) {
-      for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-        ScrubObjectSet(md, StripeValueKey(unit, version, u),
-                       version.stripe_units[u].shard_hashes,
-                       &version.stripe_units[u].cloud_shard, &report,
-                       &metadata_dirty);
-      }
-    } else {
-      ScrubObjectSet(md, ValueKey(unit, version),
-                     version.shard_hashes, &version.cloud_shard, &report,
-                     &metadata_dirty);
+    for (size_t u = 0; u < version.stripe_units.size(); ++u) {
+      ScrubStripeUnit(md, ValueKey(unit, version, u),
+                      &version.stripe_units[u], &report, &metadata_dirty);
     }
   }
   if (metadata_dirty) {

@@ -2,26 +2,32 @@
 // and [15]), extended with SCFS's read-by-hash operation for consistency
 // anchoring.
 //
-// A data unit is a versioned object spread over n = 3f+1 clouds. A write:
+// A data unit is a versioned object spread over n = 3f+1 clouds. A version
+// is a list of units: the file cut into stripe_unit()-sized slices, at
+// least one, so a small file is a one-unit version. A write:
 //   1. launches the read of the unit's metadata from every cloud, and does
 //      not wait for it yet,
 //   2. draws a fresh random object id that names the version's objects,
-//   3. generates a fresh random key K, encrypts the file with it,
-//   4. erasure-codes the ciphertext into n shards (any k = f+1 recover it),
-//   5. secret-shares K so each cloud gets one share (f+1 shares recover K),
-//   6. stores shard_i + share_i in cloud i — with preferred quorums only the
-//      cheapest n-f clouds are used unless one fails,
-//   7. once n-f clouds have acknowledged the shards and the metadata read
-//      has settled, applies the unit's ACLs to the stored objects and
-//      appends the version, numbered after the highest one read, to the
-//      authenticated metadata object replicated in every cloud.
-// A write therefore waits for max(metadata read, shard PUT wave) plus the
-// metadata PUT, not for the sum of the three rounds. It returns the version
-// record it published, which the caller may anchor next to the hash.
+//   3. generates a fresh random key K and secret-shares it so each cloud
+//      gets one share (f+1 shares recover K),
+//   4. per unit: encrypts the slice with K at its offset in the file's
+//      keystream, erasure-codes the ciphertext into n shards (any k = f+1
+//      recover it) and stores shard_i + share_i in cloud i — with preferred
+//      quorums only the cheapest n-f clouds are used unless one fails,
+//   5. once n-f clouds have acknowledged every unit's shards and the
+//      metadata read has settled, applies the unit's ACLs to the stored
+//      objects and appends the version, numbered after the highest one
+//      read, to the authenticated metadata object replicated in every cloud.
+// Units run through a bounded window on the executor; a one-unit version
+// runs on the caller's thread. A write therefore waits for max(metadata
+// read, shard PUT wave) plus the metadata PUT, not for the sum of the
+// three rounds. It returns the version record it published, which the
+// caller may anchor next to the hash. Replication mode (DepSky-A) runs the
+// same unit steps with no key: each cloud stores the unit's plaintext.
 // Reads come in three forms, all ending in the same fetch of k valid shards
-// from the fastest healthy holders (hash-checked, so corrupted or byzantine
-// clouds are detected and skipped), and a check of the plaintext against the
-// content hash:
+// per unit from the fastest healthy holders (hash-checked, so corrupted or
+// byzantine clouds are detected and skipped), and a check of the plaintext
+// against the content hash:
 //   - ReadVersion (the record the consistency anchor carries): no metadata
 //     round at all; the read waits for the k-th fastest holder only. If the
 //     record cannot deliver, it falls back once to ReadByHash.
@@ -88,15 +94,13 @@ struct DepSkyConfig {
   // Circuit-breaker / EWMA configuration for the per-cloud health tracker.
   HealthOptions health;
 
-  // --- Striped large-file data plane (DESIGN.md "Striped data plane") ---
-  // Secret-sharing writes strictly larger than stripe_threshold bytes are cut
-  // into stripe_unit() sized units, each its own independent
-  // encrypt→erasure-encode→quorum-PUT, fanned out with bounded depth. One
-  // version number, one metadata record and one key/nonce cover all units.
-  // 0 disables striping (everything takes the monolithic path).
-  size_t stripe_threshold = 4 * 1024 * 1024;
+  // --- Units (DESIGN.md "Units") ---
+  // Every write is cut into stripe_unit() sized units, each its own
+  // encrypt→erasure-encode→quorum-PUT, fanned out with bounded depth; a
+  // file no larger than one unit is one unit. One version number, one
+  // metadata record and one key/nonce cover all units.
   size_t stripe_unit_size = 4 * 1024 * 1024;
-  // Units in flight per write/read: peak client memory for a striped
+  // Units in flight per write/read: peak client memory for a multi-unit
   // transfer is O(stripe_window() × stripe_unit()), not O(file). 0 = auto:
   // match the host's core count (capped at 8) — depth beyond the cores only
   // buys context switches when the pipeline is CPU-bound, while a
@@ -107,8 +111,8 @@ struct DepSkyConfig {
   unsigned k() const { return f + 1; }
   unsigned quorum() const { return n() - f; }
   // Unit size rounded up to the cipher block (64 bytes) so each unit's
-  // keystream counter offset (unit byte offset / 64) addresses the same
-  // file-wide stream a monolithic encryption would produce.
+  // keystream counter offset (unit byte offset / 64) addresses one
+  // file-wide stream.
   size_t stripe_unit() const {
     const size_t base =
         stripe_unit_size == 0 ? 4 * 1024 * 1024 : stripe_unit_size;
@@ -155,7 +159,7 @@ class DepSkyClient {
   // write quorum. If `merge_grants` is non-null, those grants are folded
   // into the unit metadata in the same metadata push (no extra round trip).
   //
-  // `data` is a borrowed view: the payload is encrypted straight into the
+  // `data` is a borrowed view: each unit is encrypted straight into its
   // erasure-coding arena (secret-sharing mode) or serialized straight into
   // the per-cloud wire objects (replication mode) — the client never makes
   // its own copy of the plaintext.
@@ -165,10 +169,11 @@ class DepSkyClient {
       const std::vector<DepSkyGrant>* merge_grants = nullptr);
 
   // Reads the version `record` describes (one WriteVersion returned) with
-  // no metadata GET: k shard GETs from its fastest holders, decoded with
-  // this client's n, k and mode. If they cannot produce the version, falls
-  // back once to ReadByHash(unit, record.content_hash), counted in
-  // anchored_read_fallbacks(); its NOT_FOUND still means "not visible yet".
+  // no metadata GET: per unit, k shard GETs from its fastest holders,
+  // decoded with this client's n, k and mode. If they cannot produce the
+  // version, falls back once to ReadByHash(unit, record.content_hash),
+  // counted in anchored_read_fallbacks(); its NOT_FOUND still means "not
+  // visible yet".
   Result<Bytes> ReadVersion(const std::string& unit,
                             const DepSkyVersion& record);
   // Same, from an encoded record anchored next to `content_hash` (a
@@ -192,16 +197,15 @@ class DepSkyClient {
   // Reads the highest authenticated version.
   Result<Bytes> ReadLatest(const std::string& unit);
 
-  // Range read of the version with the given content hash: for a striped
-  // version only the stripe units overlapping [offset, offset+length) are
-  // fetched (each verified against its recorded plaintext hash); monolithic
-  // versions fall back to a full fetch and slice. Reads past EOF are clamped.
-  // Reads the metadata exactly like ReadByHash.
+  // Range read of the version with the given content hash: only the units
+  // overlapping [offset, offset+length) are fetched, each verified against
+  // its recorded plaintext hash. Reads past EOF are clamped. Reads the
+  // metadata exactly like ReadByHash.
   Result<Bytes> ReadAt(const std::string& unit, const std::string& content_hash,
                        uint64_t offset, size_t length);
 
-  // Scrub & repair: probes every recorded holder of every version (stripe
-  // units included), and rebuilds missing or corrupt stored objects from k
+  // Scrub & repair: probes every recorded holder of every unit of every
+  // version, and rebuilds missing or corrupt stored objects from k
   // surviving shards — re-deriving parity with the erasure code and the lost
   // key share by Lagrange interpolation, so the repaired object is
   // byte-identical to the original (same recorded hash, no metadata change).
@@ -247,20 +251,17 @@ class DepSkyClient {
   uint64_t anchored_read_fallbacks() const {
     return anchored_read_fallbacks_.load();
   }
-  // Arena recycling across stripe units and sequential writes.
+  // Arena recycling across units and sequential writes.
   uint64_t arena_pool_hits() const { return arena_pool_.hits(); }
   uint64_t arena_pool_misses() const { return arena_pool_.misses(); }
 
   // Cloud key naming for a unit's metadata and value objects (exposed so
-  // tests and inspection tooling can address stored objects). Value objects
-  // are named by the version record's object id: du/<unit>/o<id> and, for
-  // stripe units, du/<unit>/o<id>/u<i>.
+  // tests and inspection tooling can address stored objects). Unit i's
+  // value objects are named by the version record's object id:
+  // du/<unit>/o<id>/u<i>.
   static std::string MetadataKey(const std::string& unit);
   static std::string ValueKey(const std::string& unit,
-                              const DepSkyVersion& version);
-  static std::string StripeValueKey(const std::string& unit,
-                                    const DepSkyVersion& version,
-                                    uint64_t stripe_index);
+                              const DepSkyVersion& version, size_t index);
 
  private:
   struct ShardFetchState;
@@ -311,8 +312,7 @@ class DepSkyClient {
   Result<Bytes> ReadAnchored(
       const std::string& unit, const std::string& content_hash,
       const std::function<Result<Bytes>(const DepSkyVersion&)>& fetch);
-  // ReadAt's fetch: the stripe units overlapping the range, or the whole
-  // version sliced.
+  // ReadAt's fetch: the units overlapping the range.
   Result<Bytes> ReadRange(const std::string& unit,
                           const DepSkyVersion& version, uint64_t offset,
                           size_t length);
@@ -322,8 +322,9 @@ class DepSkyClient {
   // stragglers keep running inside their stores.
   Status PushMetadata(const std::string& unit, const DepSkyMetadata& md);
 
-  // Fetches and reassembles one version from its record alone: the one
-  // fetch of every read path. No fallback.
+  // Fetches and reassembles one version from its record alone, unit by
+  // unit, and checks it against the content hash: the one fetch of every
+  // read path. No fallback.
   Result<Bytes> FetchVersion(const std::string& unit,
                              const DepSkyVersion& version);
 
@@ -339,13 +340,12 @@ class DepSkyClient {
       std::vector<Bytes> objects,
       const std::function<Bytes(unsigned)>& encode_object);
 
-  // Quorum-fetches k hash-valid stored objects of one value key (monolithic
-  // version or single stripe unit) through the hedged/breaker read path,
-  // launching the holders with the lowest EWMA latency first.
+  // Quorum-fetches k hash-valid stored objects of one unit through the
+  // hedged/breaker read path, launching the holders with the lowest EWMA
+  // latency first.
   Result<FetchedShards> FetchShards(const std::string& unit,
                                     const std::string& value_key, unsigned k,
-                                    const std::vector<int32_t>& cloud_shard,
-                                    const std::vector<Bytes>& shard_hashes);
+                                    const DepSkyStripeUnit& stripe);
 
   // Appends `version` (its cloud placement filled in) to the write's
   // metadata under the next version number and pushes it; returns the
@@ -353,17 +353,17 @@ class DepSkyClient {
   Result<DepSkyVersion> PublishVersion(const std::string& unit,
                                        WriteBase* base, DepSkyVersion version);
 
-  // Striped write: cuts `data` into stripe units and pipelines their
-  // independent encode+PUT through the executor with at most
-  // config_.stripe_inflight units in flight; the first window starts while
-  // the write's metadata read is still in flight. `version` arrives with
-  // object_id/content_hash/size filled in; publishes the stripe manifest.
-  Result<DepSkyVersion> WriteStripedVersion(const std::string& unit,
-                                            WriteBase* base,
-                                            DepSkyVersion version,
-                                            ConstByteSpan data);
-  // One unit of a striped write: pooled arena, encrypt at the unit's
-  // keystream offset, parity, hash, place.
+  // Runs body(i) for every i in [begin, end), at most stripe_window() calls
+  // in flight on the executor, and returns the first error; it launches no
+  // further call once it has seen one fail. One call, or a window of one,
+  // runs inline on the caller's thread. Every launched call is drained
+  // before returning, so `body` may capture the caller's frame by reference.
+  Status ForEachUnit(size_t begin, size_t end,
+                     const std::function<Status(size_t)>& body);
+
+  // One unit of a write: pooled arena, encrypt at the unit's keystream
+  // offset, parity, hash, place. In replication mode every object is the
+  // plaintext itself (no key, nonce or shares).
   Result<DepSkyStripeUnit> WriteStripeUnit(WriteBase* base,
                                            const std::string& value_key,
                                            ConstByteSpan plaintext,
@@ -372,25 +372,21 @@ class DepSkyClient {
                                            const std::vector<SecretShare>& shares,
                                            uint32_t counter);
 
-  // Striped read: pipelines unit fetch+decode+decrypt into one buffer.
-  Result<Bytes> FetchStripedVersion(const std::string& unit,
-                                    const DepSkyVersion& version);
-  // Fetches one stripe unit's plaintext into `out` (sized to the unit).
-  // When `verify_unit_hash` is set the decrypted unit is checked against the
-  // manifest's per-unit SHA-256 (range reads can't rely on the whole-file
-  // consistency-anchor hash).
+  // Fetches one unit's plaintext into `out` (sized to the unit). When
+  // `verify_unit_hash` is set the unit is checked against its recorded
+  // SHA-256 (range reads can't rely on the whole-file consistency-anchor
+  // hash).
   Status FetchStripeUnit(const std::string& unit, const DepSkyVersion& version,
                          size_t stripe_index, ByteSpan out,
                          bool verify_unit_hash);
 
-  // Scrub of one object set: probes recorded holders, rebuilds lost or
-  // corrupt objects byte-identically (erasure re-encode + Lagrange share
-  // recovery), re-uploads in place or relocates to an unused cloud (flips
-  // *metadata_dirty so the caller pushes the updated map once).
-  void ScrubObjectSet(const DepSkyMetadata& md, const std::string& value_key,
-                      const std::vector<Bytes>& shard_hashes,
-                      std::vector<int32_t>* cloud_shard,
-                      DepSkyScrubReport* report, bool* metadata_dirty);
+  // Scrub of one unit: probes recorded holders, rebuilds lost or corrupt
+  // objects byte-identically (erasure re-encode + Lagrange share recovery),
+  // re-uploads in place or relocates to an unused cloud (updates the unit's
+  // cloud map and flips *metadata_dirty so the caller pushes it once).
+  void ScrubStripeUnit(const DepSkyMetadata& md, const std::string& value_key,
+                       DepSkyStripeUnit* stripe, DepSkyScrubReport* report,
+                       bool* metadata_dirty);
 
   // Applies all grants (+ owner) to one object at one cloud, waiting for
   // the ACL round trips.
@@ -448,8 +444,8 @@ class DepSkyClient {
   std::atomic<uint64_t> deadline_expiries_{0};
   std::atomic<uint64_t> hedged_reads_{0};
   std::atomic<uint64_t> anchored_read_fallbacks_{0};
-  // Recycled across stripe units and sequential writes; sized to keep a full
-  // stripe window's arenas warm.
+  // Recycled across units and sequential writes; sized to keep a full
+  // window's arenas warm.
   ArenaPool arena_pool_;
   InFlightTracker async_ops_;
 };

@@ -88,9 +88,6 @@ void DepSkyVersion::EncodeTo(Bytes* out) const {
   AppendString(out, content_hash);
   AppendU64(out, size);
   AppendBytes(out, nonce);
-  AppendHashes(out, shard_hashes);
-  AppendCloudMap(out, cloud_shard);
-  // The stripe manifest, inline: 0 and no units for a monolithic version.
   AppendU64(out, stripe_unit_size);
   AppendU32(out, static_cast<uint32_t>(stripe_units.size()));
   for (const auto& u : stripe_units) {
@@ -105,11 +102,10 @@ bool DepSkyVersion::DecodeFrom(ByteReader* reader, DepSkyVersion* out) {
   if (!reader->ReadU64(&out->version) || !reader->ReadU64(&out->object_id) ||
       !reader->ReadString(&out->content_hash) || !reader->ReadU64(&out->size) ||
       !reader->ReadBytes(&out->nonce) ||
-      !ReadHashes(reader, &out->shard_hashes) ||
-      !ReadCloudMap(reader, &out->cloud_shard) ||
       !reader->ReadU64(&out->stripe_unit_size) ||
+      out->stripe_unit_size == 0 || out->stripe_unit_size % 64 != 0 ||
       !ReadCount(reader, &unit_count) ||
-      (unit_count > 0) != (out->stripe_unit_size != 0)) {
+      unit_count != UnitCount(out->size, out->stripe_unit_size)) {
     return false;
   }
   out->stripe_units.resize(unit_count);

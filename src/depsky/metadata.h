@@ -3,9 +3,11 @@
 // Each data unit (one SCFS file) has a metadata object replicated in every
 // cloud. It records the version history — for each version: the SCFS content
 // hash (the consistency-anchor hash), the random id that names the version's
-// value objects, the cipher nonce, the per-shard SHA-256 hashes used to
-// detect corrupted clouds, and which cloud holds which erasure shard
-// (preferred quorums leave one cloud empty). The whole record carries an
+// value objects, the cipher nonce and the version's units. A version is cut
+// into fixed-size units (a file no larger than one unit is one unit); each
+// unit records the per-object SHA-256 hashes used to detect corrupted
+// clouds, which cloud holds which erasure shard (preferred quorums leave one
+// cloud empty) and the SHA-256 of its plaintext. The whole record carries an
 // HMAC-SHA256 authenticator so a byzantine cloud cannot forge versions
 // (substitution for DepSky's RSA signatures; same verify-on-read path).
 //
@@ -30,16 +32,17 @@ enum class DepSkyMode : uint8_t {
   kSecretSharing = 1,  // DepSky-CA: encrypt + erasure-code + secret-share key
 };
 
-// One unit of a striped version (see DESIGN.md "Striped data plane"): the
-// file is cut into fixed-size units, each independently erasure-coded and
-// quorum-written, all sharing the version's key, nonce and key shares. The
-// unit records what a monolithic version records per object — per-shard
-// object hashes and the cloud→shard map — plus the SHA-256 of the unit's
-// plaintext so range reads verify without the whole file.
+// One unit of a version (see DESIGN.md "Units"): a slice of the file,
+// erasure-coded and quorum-written on its own, sharing the version's key,
+// nonce and key shares. Its SHA-256 lets a range read verify the unit
+// without the whole file.
 struct DepSkyStripeUnit {
-  Bytes content_hash;                // SHA-256 of the unit's plaintext
-  std::vector<Bytes> shard_hashes;   // per shard index, same coverage as below
-  std::vector<int32_t> cloud_shard;  // cloud i holds shard cloud_shard[i]
+  Bytes content_hash;  // SHA-256 of the unit's plaintext
+  // SHA-256 of the complete stored object (shard + key share + framing) per
+  // shard index — covers the share, so a faulty cloud cannot poison key
+  // reconstruction while leaving the shard bytes intact.
+  std::vector<Bytes> shard_hashes;
+  std::vector<int32_t> cloud_shard;  // cloud i holds shard cloud_shard[i], -1 if none
 };
 
 // The version record: what the metadata object lists per version, and what
@@ -49,41 +52,39 @@ struct DepSkyStripeUnit {
 // fail a read, never make it return other bytes.
 struct DepSkyVersion {
   uint64_t version = 0;
-  // Names the version's value objects (du/<unit>/o<id>, stripe units
-  // du/<unit>/o<id>/u<i>). Chosen by the writer before it knows the version
-  // number, from a per-client counter mixed with a per-client salt, so two
-  // writers that pick the same number never share a name, and no name is
-  // ever reused. Covered by the metadata HMAC.
+  // Names the version's value objects (du/<unit>/o<id>/u<i>, one per unit).
+  // Chosen by the writer before it knows the version number, from a
+  // per-client counter mixed with a per-client salt, so two writers that
+  // pick the same number never share a name, and no name is ever reused.
+  // Covered by the metadata HMAC.
   uint64_t object_id = 0;
   std::string content_hash;          // hex SHA-1 of the plaintext (CA hash)
   uint64_t size = 0;                 // plaintext size
   Bytes nonce;                       // cipher nonce (CA mode)
-  // SHA-256 of the complete stored object (shard + key share + framing) per
-  // shard index — covers the share, so a faulty cloud cannot poison key
-  // reconstruction while leaving the shard bytes intact.
-  std::vector<Bytes> shard_hashes;
-  std::vector<int32_t> cloud_shard;  // cloud i holds shard cloud_shard[i], -1 if none
-
-  // Stripe manifest, carried inline: 0 / empty for a monolithic version
-  // (shard_hashes + cloud_shard above describe the single object). For a
-  // striped version the per-object records live in stripe_units and the two
-  // vectors above stay empty. One version number and one record cover all
-  // units, so locking and consistency-anchor semantics are unchanged.
+  // The units: UnitCount(size, stripe_unit_size) of them, unit i holding
+  // plaintext bytes [i * stripe_unit_size, (i + 1) * stripe_unit_size). An
+  // empty file is one unit of 0 bytes. One version number and one record
+  // cover all units.
   uint64_t stripe_unit_size = 0;
   std::vector<DepSkyStripeUnit> stripe_units;
 
-  bool striped() const { return stripe_unit_size != 0; }
+  // max(1, ceil(size / unit_size)); unit_size must be non-zero.
+  static uint64_t UnitCount(uint64_t size, uint64_t unit_size) {
+    return size == 0 ? 1 : size / unit_size + (size % unit_size != 0);
+  }
 
   // The record codec, shared by the metadata object (one record per
   // version) and the coordination entry of an SCFS file (the record of the
   // anchored version, see DESIGN.md "Record-carrying reads"). It carries no
   // authenticator of its own: whoever stores it vouches for it — the
   // metadata HMAC, or the BFT coordination service. It carries no secret
-  // either: the key shares live in the value objects.
+  // either: the key shares live in the value objects. Decoding rejects a
+  // record whose unit size is 0 or not a multiple of 64 bytes, or whose
+  // unit count does not match its size, so readers never check either.
   void EncodeTo(Bytes* out) const;
   static bool DecodeFrom(ByteReader* reader, DepSkyVersion* out);
   Bytes Encode() const;
-  // CORRUPTION unless `data` is exactly one record.
+  // CORRUPTION unless `data` is exactly one valid record.
   static Result<DepSkyVersion> Decode(const Bytes& data);
 };
 

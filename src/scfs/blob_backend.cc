@@ -5,27 +5,6 @@
 namespace scfs {
 
 // ---------------------------------------------------------------------------
-// Default async adapters
-// ---------------------------------------------------------------------------
-
-Future<Result<Bytes>> BlobBackend::WriteVersionAsync(
-    const std::string& id, const std::string& content_hash, Bytes data,
-    const std::vector<BackendGrant>& grants) {
-  return SubmitTracked(
-      &async_ops_, [this, id, content_hash, data = std::move(data), grants] {
-        return WriteVersion(id, content_hash, data, grants);
-      });
-}
-
-Future<Result<Bytes>> BlobBackend::ReadByHashAsync(
-    const std::string& id, const std::string& content_hash,
-    const Bytes& locator) {
-  return SubmitTracked(&async_ops_, [this, id, content_hash, locator] {
-    return ReadByHash(id, content_hash, locator);
-  });
-}
-
-// ---------------------------------------------------------------------------
 // SingleCloudBackend (SCFS-AWS)
 // ---------------------------------------------------------------------------
 

@@ -18,8 +18,6 @@
 
 #include "src/cloud/object_store.h"
 #include "src/common/bytes.h"
-#include "src/common/executor.h"
-#include "src/common/future.h"
 #include "src/common/status.h"
 #include "src/depsky/depsky.h"
 
@@ -95,32 +93,6 @@ class BlobBackend {
 
   // Number of clouds (for building BackendGrant::cloud_ids).
   virtual unsigned cloud_count() const = 0;
-
-  // -- Asynchronous variants ------------------------------------------------
-  //
-  // The default adapters dispatch the blocking virtual on the shared
-  // executor (both provided backends are internally locked, so concurrent
-  // calls are safe); the returned future carries the producer's modelled
-  // charge. Inside DepSkyBackend the call itself fans out shard PUTs and
-  // quorum metadata reads through the async ObjectStore API, so a single
-  // WriteVersionAsync overlaps across clouds *and* with the caller.
-  //
-  // Concrete backends must call async_ops_.AwaitIdle() first thing in their
-  // destructor: the base subobject (and this tracker) is destroyed after the
-  // derived members an in-flight task may still be using.
-
-  // Takes the data by value: the asynchronous task must own the bytes it
-  // uploads after the caller returns (callers that already hold an owning
-  // buffer move it in; no extra copy happens).
-  virtual Future<Result<Bytes>> WriteVersionAsync(
-      const std::string& id, const std::string& content_hash, Bytes data,
-      const std::vector<BackendGrant>& grants);
-  virtual Future<Result<Bytes>> ReadByHashAsync(const std::string& id,
-                                                const std::string& content_hash,
-                                                const Bytes& locator);
-
- protected:
-  InFlightTracker async_ops_;
 };
 
 // ---------------------------------------------------------------------------
@@ -129,7 +101,6 @@ class SingleCloudBackend : public BlobBackend {
  public:
   SingleCloudBackend(ObjectStore* store, CloudCredentials creds)
       : store_(store), creds_(std::move(creds)) {}
-  ~SingleCloudBackend() override { async_ops_.AwaitIdle(); }
 
   Result<Bytes> WriteVersion(const std::string& id,
                              const std::string& content_hash,
@@ -164,7 +135,6 @@ class DepSkyBackend : public BlobBackend {
  public:
   explicit DepSkyBackend(std::shared_ptr<DepSkyClient> client)
       : client_(std::move(client)) {}
-  ~DepSkyBackend() override { async_ops_.AwaitIdle(); }
 
   // The locator is the encoded DepSkyVersion record.
   Result<Bytes> WriteVersion(const std::string& id,

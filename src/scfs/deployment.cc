@@ -182,15 +182,6 @@ Result<std::unique_ptr<ScfsFileSystem>> Deployment::Mount(
     config.mode = DepSkyMode::kSecretSharing;
     config.preferred_quorums = true;
     config.auth_key = DeploymentAuthKey();
-    if (options_.stripe_threshold != 0) {
-      config.stripe_threshold = options_.stripe_threshold;
-    }
-    if (options_.stripe_unit_size != 0) {
-      config.stripe_unit_size = options_.stripe_unit_size;
-    }
-    if (options_.stripe_inflight != 0) {
-      config.stripe_inflight = options_.stripe_inflight;
-    }
     std::vector<DepSkyCloud> set;
     for (unsigned i = 0; i < clouds_.size(); ++i) {
       set.push_back(DepSkyCloud{clouds_[i].get(),

@@ -75,13 +75,6 @@ struct DeploymentOptions {
   VirtualDuration coord_split_window = 2 * kSecond;
   double coord_split_min_total_ops_s = 1.0;
   double coord_merge_cold_share = 0.0;
-  // Striped large-file data plane (kCoc only, see OPERATIONS.md): writes
-  // larger than stripe_threshold are cut into stripe_unit_size units with at
-  // most stripe_inflight units in flight. 0 keeps the DepSkyConfig defaults;
-  // stripe_threshold = SIZE_MAX effectively disables striping.
-  size_t stripe_threshold = 0;
-  size_t stripe_unit_size = 0;
-  unsigned stripe_inflight = 0;
   // Lease-delegated metadata caching (DESIGN.md "Lease-delegated caching",
   // OPERATIONS.md knobs). lease_ttl > 0 wraps the coordination service in
   // LeasedCoordination and hands every mounted agent read leases on

@@ -1,5 +1,5 @@
-// BackgroundScrubber: client-transparent redundancy repair for the striped
-// data plane (DESIGN.md "Striped data plane", repair protocol).
+// BackgroundScrubber: client-transparent redundancy repair for DepSky's
+// units (DESIGN.md "Units", repair protocol).
 //
 // A cloud outage or data-loss event leaves stored objects missing or corrupt
 // while reads keep succeeding off the surviving quorum — redundancy has

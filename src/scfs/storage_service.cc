@@ -51,7 +51,6 @@ StorageService::StorageService(Environment* env, BlobBackend* backend,
 }
 
 StorageService::~StorageService() {
-  async_ops_.AwaitIdle();
   if (owns_disk_dir_) {
     std::error_code ec;
     std::filesystem::remove_all(disk_dir_, ec);
@@ -188,24 +187,6 @@ Result<Bytes> StorageService::Push(const std::string& id,
     memory_.Put(CacheKey(id, hash), CopyToBytes(data));
   }
   return backend_->WriteVersion(id, hash, data, grants);
-}
-
-Future<Result<Bytes>> StorageService::PushAsync(
-    const std::string& id, const std::string& hash, Bytes data,
-    std::vector<BackendGrant> grants) {
-  return SubmitTracked(
-      &async_ops_,
-      [this, id, hash, data = std::move(data), grants = std::move(grants)] {
-        return Push(id, hash, data, grants);
-      });
-}
-
-Future<Result<Bytes>> StorageService::PrefetchAsync(const std::string& id,
-                                                    const std::string& hash,
-                                                    const Bytes& locator) {
-  return SubmitTracked(&async_ops_, [this, id, hash, locator] {
-    return Fetch(id, hash, locator);
-  });
 }
 
 }  // namespace scfs

@@ -24,8 +24,6 @@
 #include <string>
 
 #include "src/common/backoff.h"
-#include "src/common/executor.h"
-#include "src/common/future.h"
 #include "src/common/lru_cache.h"
 #include "src/common/rng.h"
 #include "src/scfs/blob_backend.h"
@@ -80,18 +78,6 @@ class StorageService {
                      ConstByteSpan data,
                      const std::vector<BackendGrant>& grants);
 
-  // Asynchronous variants, dispatched on the shared executor. The service
-  // is internally locked, so any number may be in flight; the destructor
-  // waits for stragglers. PushAsync completes at durability level 2/3;
-  // PrefetchAsync warms both cache levels ahead of an open (and returns the
-  // data, so it doubles as an async Fetch).
-  Future<Result<Bytes>> PushAsync(const std::string& id,
-                                  const std::string& hash, Bytes data,
-                                  std::vector<BackendGrant> grants);
-  Future<Result<Bytes>> PrefetchAsync(const std::string& id,
-                                      const std::string& hash,
-                                      const Bytes& locator);
-
   BlobBackend& backend() { return *backend_; }
   const std::filesystem::path& disk_dir() const { return disk_dir_; }
 
@@ -128,8 +114,6 @@ class StorageService {
   uint64_t cloud_reads_ = 0;
   uint64_t read_retries_ = 0;
   Rng retry_rng_{0x5cf5u};  // jitter only; fixed seed keeps runs replayable
-
-  InFlightTracker async_ops_;
 };
 
 }  // namespace scfs

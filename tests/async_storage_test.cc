@@ -1,9 +1,9 @@
 // Tests for the asynchronous storage pipeline across the stack:
-// SimulatedCloud's overlapping ObjectStore API, the BlobBackend /
-// StorageService async adapters, the rebuilt BackgroundUploader pipeline,
-// fsapi CloseAsync/SyncBarrier, and a concurrency stress test asserting that
-// DrainBackground() preserves the upload -> metadata -> unlock order of the
-// non-blocking mode under many in-flight closes.
+// SimulatedCloud's overlapping ObjectStore API, the rebuilt
+// BackgroundUploader pipeline, fsapi CloseAsync/SyncBarrier, and a
+// concurrency stress test asserting that DrainBackground() preserves the
+// upload -> metadata -> unlock order of the non-blocking mode under many
+// in-flight closes.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +17,7 @@
 #include "src/common/executor.h"
 #include "src/common/future.h"
 #include "src/scfs/background.h"
-#include "src/scfs/blob_backend.h"
 #include "src/scfs/deployment.h"
-#include "src/scfs/storage_service.h"
 
 namespace scfs {
 namespace {
@@ -119,67 +117,6 @@ TEST(ObjectStoreAsyncTest, ListAndDeleteAsyncOverlapControlRoundTrips) {
   auto after = cloud.ListAsync(User(), "p/").Get();
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->empty());
-}
-
-// ---------------------------------------------------------------------------
-// StorageService / BlobBackend async adapters
-// ---------------------------------------------------------------------------
-
-TEST(StorageServiceAsyncTest, PushAsyncThenPrefetchAsyncRoundTrip) {
-  auto env = Environment::Instant();
-  CloudProfile profile;
-  SimulatedCloud cloud(profile, env.get(), 3);
-  SingleCloudBackend backend(&cloud, User());
-  StorageServiceOptions options;
-  StorageService storage(env.get(), &backend, options);
-
-  Bytes data = ToBytes("async payload");
-  const std::string hash = "h1";
-  Future<Result<Bytes>> push = storage.PushAsync("obj", hash, data, {});
-  ASSERT_TRUE(push.Get().ok());
-  EXPECT_TRUE(storage.HasLocal("obj", hash));
-
-  auto fetched = storage.PrefetchAsync("obj", hash, *push.Get()).Get();
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(*fetched, data);
-}
-
-TEST(StorageServiceAsyncTest, BackendAsyncAdaptersRoundTrip) {
-  auto env = Environment::Instant();
-  CloudProfile profile;
-  SimulatedCloud cloud(profile, env.get(), 3);
-  SingleCloudBackend backend(&cloud, User());
-
-  Bytes data = ToBytes("backend async");
-  ASSERT_TRUE(backend.WriteVersionAsync("unit", "h2", data, {}).Get().ok());
-  auto read = backend.ReadByHashAsync("unit", "h2", Bytes{}).Get();
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, data);
-}
-
-TEST(StorageServiceAsyncTest, ManyConcurrentPushesAllLand) {
-  auto env = Environment::Instant();
-  CloudProfile profile;
-  SimulatedCloud cloud(profile, env.get(), 3);
-  SingleCloudBackend backend(&cloud, User());
-  StorageServiceOptions options;
-  StorageService storage(env.get(), &backend, options);
-
-  std::vector<Future<Result<Bytes>>> pushes;
-  for (int i = 0; i < 32; ++i) {
-    pushes.push_back(storage.PushAsync("obj" + std::to_string(i),
-                                       "h" + std::to_string(i),
-                                       ToBytes("d" + std::to_string(i)), {}));
-  }
-  for (auto& push : pushes) {
-    EXPECT_TRUE(push.Get().ok());
-  }
-  for (int i = 0; i < 32; ++i) {
-    auto read = storage.Fetch("obj" + std::to_string(i),
-                              "h" + std::to_string(i), Bytes{});
-    ASSERT_TRUE(read.ok());
-    EXPECT_EQ(ToString(*read), "d" + std::to_string(i));
-  }
 }
 
 // ---------------------------------------------------------------------------

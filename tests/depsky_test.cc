@@ -53,18 +53,16 @@ class DepSkyTest : public ::testing::Test {
     return DepSkyClient(env_.get(), std::move(set), config, 1234);
   }
 
-  // Client with a small stripe geometry so striping tests stay fast; a
-  // threshold of 0 disables striping entirely.
+  // Client with 1 KB units and a window of four, so multi-unit tests stay
+  // fast.
   DepSkyClient MakeStripedClient(const std::string& user,
-                                 size_t threshold = 1024,
-                                 size_t unit_size = 1024,
-                                 unsigned inflight = 4) {
+                                 DepSkyMode mode = DepSkyMode::kSecretSharing) {
     DepSkyConfig config;
     config.f = 1;
+    config.mode = mode;
     config.auth_key = ToBytes("deployment-auth-key");
-    config.stripe_threshold = threshold;
-    config.stripe_unit_size = unit_size;
-    config.stripe_inflight = inflight;
+    config.stripe_unit_size = 1024;
+    config.stripe_inflight = 4;
     std::vector<DepSkyCloud> set;
     for (auto& cloud : clouds_) {
       set.push_back(DepSkyCloud{cloud.get(),
@@ -88,8 +86,11 @@ TEST_F(DepSkyTest, MetadataEncodeDecodeRoundTrip) {
   v.content_hash = "abcd";
   v.size = 100;
   v.nonce = Bytes(12, 9);
-  v.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
-  v.cloud_shard = {0, 1, 2, -1};
+  v.stripe_unit_size = 4096;
+  DepSkyStripeUnit unit;
+  unit.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
+  unit.cloud_shard = {0, 1, 2, -1};
+  v.stripe_units.push_back(unit);
   md.versions.push_back(v);
   DepSkyGrant grant;
   grant.cloud_ids = {"u0", "u1", "u2", "u3"};
@@ -103,7 +104,8 @@ TEST_F(DepSkyTest, MetadataEncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->owner_ids[2], "c");
   ASSERT_EQ(decoded->versions.size(), 1u);
   EXPECT_EQ(decoded->versions[0].version, 3u);
-  EXPECT_EQ(decoded->versions[0].cloud_shard[3], -1);
+  ASSERT_EQ(decoded->versions[0].stripe_units.size(), 1u);
+  EXPECT_EQ(decoded->versions[0].stripe_units[0].cloud_shard[3], -1);
   ASSERT_EQ(decoded->grants.size(), 1u);
   EXPECT_TRUE(decoded->grants[0].read);
   EXPECT_FALSE(decoded->grants[0].write);
@@ -113,15 +115,17 @@ TEST_F(DepSkyTest, MetadataStripeManifestRoundTrip) {
   DepSkyMetadata md;
   md.n = 4;
   md.k = 2;
-  // Version 1 monolithic, version 2 striped: the striped version carries
-  // its manifest, and the monolithic one decodes without one.
-  DepSkyVersion mono;
-  mono.version = 1;
-  mono.content_hash = "aaaa";
-  mono.size = 10;
-  mono.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
-  mono.cloud_shard = {0, 1, 2, 3};
-  md.versions.push_back(mono);
+  // Version 1 is one unit, version 2 three: each carries its own units.
+  DepSkyVersion small;
+  small.version = 1;
+  small.content_hash = "aaaa";
+  small.size = 10;
+  small.stripe_unit_size = 4 * 1024 * 1024;
+  DepSkyStripeUnit only;
+  only.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
+  only.cloud_shard = {0, 1, 2, 3};
+  small.stripe_units.push_back(only);
+  md.versions.push_back(small);
   DepSkyVersion striped;
   striped.version = 2;
   striped.content_hash = "bbbb";
@@ -142,10 +146,10 @@ TEST_F(DepSkyTest, MetadataStripeManifestRoundTrip) {
   auto decoded = DepSkyMetadata::Decode(md.Encode(key), key);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->versions.size(), 2u);
-  EXPECT_FALSE(decoded->versions[0].striped());
-  EXPECT_TRUE(decoded->versions[0].stripe_units.empty());
+  ASSERT_EQ(decoded->versions[0].stripe_units.size(), 1u);
+  EXPECT_EQ(decoded->versions[0].stripe_units[0].cloud_shard,
+            (std::vector<int32_t>{0, 1, 2, 3}));
   const auto& v = decoded->versions[1];
-  ASSERT_TRUE(v.striped());
   EXPECT_EQ(v.stripe_unit_size, 4u * 1024 * 1024);
   ASSERT_EQ(v.stripe_units.size(), 3u);
   EXPECT_EQ(v.stripe_units[1].content_hash, Bytes(32, 0x11));
@@ -155,16 +159,20 @@ TEST_F(DepSkyTest, MetadataStripeManifestRoundTrip) {
             (std::vector<int32_t>{3, 2, 1, -1}));
 }
 
-// A monolithic and a striped record, every field set.
+// A one-unit and a three-unit record, every field set.
 std::vector<DepSkyVersion> SampleRecords() {
-  DepSkyVersion mono;
-  mono.version = 7;
-  mono.object_id = 0x0123456789abcdefULL;
-  mono.content_hash = "aaaa";
-  mono.size = 10;
-  mono.nonce = Bytes(12, 3);
-  mono.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
-  mono.cloud_shard = {0, 1, 2, -1};
+  DepSkyVersion small;
+  small.version = 7;
+  small.object_id = 0x0123456789abcdefULL;
+  small.content_hash = "aaaa";
+  small.size = 10;
+  small.nonce = Bytes(12, 3);
+  small.stripe_unit_size = 4096;
+  DepSkyStripeUnit only;
+  only.content_hash = Bytes(32, 0x0f);
+  only.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
+  only.cloud_shard = {0, 1, 2, -1};
+  small.stripe_units.push_back(only);
   DepSkyVersion striped;
   striped.version = 8;
   striped.object_id = 42;
@@ -180,7 +188,7 @@ std::vector<DepSkyVersion> SampleRecords() {
     unit.cloud_shard = {-1, u, 2, 1};
     striped.stripe_units.push_back(unit);
   }
-  return {mono, striped};
+  return {small, striped};
 }
 
 void ExpectSameRecord(const DepSkyVersion& got, const DepSkyVersion& want) {
@@ -189,8 +197,6 @@ void ExpectSameRecord(const DepSkyVersion& got, const DepSkyVersion& want) {
   EXPECT_EQ(got.content_hash, want.content_hash);
   EXPECT_EQ(got.size, want.size);
   EXPECT_EQ(got.nonce, want.nonce);
-  EXPECT_EQ(got.shard_hashes, want.shard_hashes);
-  EXPECT_EQ(got.cloud_shard, want.cloud_shard);
   EXPECT_EQ(got.stripe_unit_size, want.stripe_unit_size);
   ASSERT_EQ(got.stripe_units.size(), want.stripe_units.size());
   for (size_t u = 0; u < want.stripe_units.size(); ++u) {
@@ -572,7 +578,7 @@ TEST_F(DepSkyTest, EventualConsistencyNotFoundUntilVisible) {
 }
 
 // ---------------------------------------------------------------------------
-// Striped large-file data plane
+// Units: every version is a list of units, at least one
 // ---------------------------------------------------------------------------
 
 TEST_F(DepSkyTest, StripedWriteReadRoundTrip) {
@@ -584,12 +590,8 @@ TEST_F(DepSkyTest, StripedWriteReadRoundTrip) {
   ASSERT_TRUE(md.ok());
   ASSERT_EQ(md->versions.size(), 1u);
   const DepSkyVersion& v = md->versions.back();
-  EXPECT_TRUE(v.striped());
   EXPECT_EQ(v.stripe_unit_size, 1024u);
   ASSERT_EQ(v.stripe_units.size(), 11u);
-  // Per-object records live in the stripe units, not the version.
-  EXPECT_TRUE(v.shard_hashes.empty());
-  EXPECT_TRUE(v.cloud_shard.empty());
   for (const auto& su : v.stripe_units) {
     EXPECT_EQ(su.shard_hashes.size(), kClouds);
     EXPECT_EQ(su.cloud_shard.size(), kClouds);
@@ -599,32 +601,151 @@ TEST_F(DepSkyTest, StripedWriteReadRoundTrip) {
   EXPECT_EQ(*client.ReadLatest("f"), data);
 }
 
-TEST_F(DepSkyTest, BelowThresholdWritesAreByteIdenticalToUnstripedClient) {
-  // Same seed, same data, one client with striping enabled and one with it
-  // disabled: a below-threshold write must produce byte-identical stored
-  // objects — the feature must not perturb the existing single-object path.
-  auto striped = MakeStripedClient("alice", /*threshold=*/1024);
-  auto plain = MakeStripedClient("alice", /*threshold=*/0);
-  Bytes data = Rng(5).RandomBytes(1000);  // exactly at/below the threshold
-  ASSERT_TRUE(striped.WriteVersion("a", ContentHash(data), data).ok());
-  ASSERT_TRUE(plain.WriteVersion("b", ContentHash(data), data).ok());
+// A file no larger than one unit is one unit, and an empty file is one unit
+// of 0 bytes (SCFS writes empty files, e.g. fresh logs): it is stored,
+// read, range-read and scrubbed like any other unit.
+TEST_F(DepSkyTest, EmptyFileIsOneUnitOfZeroBytes) {
+  for (DepSkyMode mode : {DepSkyMode::kSecretSharing,
+                          DepSkyMode::kReplication}) {
+    auto client = MakeStripedClient("alice", mode);
+    const std::string unit = mode == DepSkyMode::kReplication ? "a" : "ca";
+    const Bytes empty;
+    const std::string hash = ContentHash(empty);
+    auto record = client.WriteVersion(unit, hash, empty);
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    EXPECT_EQ(record->size, 0u);
+    ASSERT_EQ(record->stripe_units.size(), 1u);
+    EXPECT_EQ(record->stripe_units[0].content_hash, Sha256::Hash(empty));
+    unsigned holders = 0;
+    for (unsigned c = 0; c < kClouds; ++c) {
+      if (record->stripe_units[0].cloud_shard[c] >= 0) {
+        ++holders;
+        EXPECT_TRUE(
+            clouds_[c]->PeekLatest(DepSkyClient::ValueKey(unit, *record, 0))
+                .ok());
+      }
+    }
+    EXPECT_EQ(holders, 3u);
 
-  auto md = striped.ReadMetadata("a");
-  ASSERT_TRUE(md.ok());
-  EXPECT_FALSE(md->versions.back().striped());
-  auto plain_md = plain.ReadMetadata("b");
-  ASSERT_TRUE(plain_md.ok());
+    auto decoded = DepSkyVersion::Decode(record->Encode());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    auto read = client.ReadVersion(unit, *decoded);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_TRUE(read->empty());
+    auto by_hash = client.ReadByHash(unit, hash);
+    ASSERT_TRUE(by_hash.ok()) << by_hash.status().ToString();
+    EXPECT_TRUE(by_hash->empty());
+    auto latest = client.ReadLatest(unit);
+    ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+    EXPECT_TRUE(latest->empty());
+    auto range = client.ReadAt(unit, hash, 0, 10);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    EXPECT_TRUE(range->empty());
+    EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+    auto report = client.ScrubUnit(unit);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->objects_checked, 3u);
+    EXPECT_EQ(report->objects_missing, 0u);
+  }
+}
 
-  for (unsigned i = 0; i < kClouds; ++i) {
-    auto from_striped = clouds_[i]->PeekLatest(
-        DepSkyClient::ValueKey("a", md->versions.back()));
-    auto from_plain = clouds_[i]->PeekLatest(
-        DepSkyClient::ValueKey("b", plain_md->versions.back()));
-    ASSERT_EQ(from_striped.ok(), from_plain.ok()) << "cloud " << i;
-    if (from_striped.ok()) {
-      EXPECT_EQ(*from_striped, *from_plain) << "cloud " << i;
+// DepSky-A runs the same unit path: a file larger than one unit is cut into
+// units, and each cloud stores every unit's plaintext in full.
+TEST_F(DepSkyTest, ReplicationModeCutsLargeFilesIntoUnits) {
+  auto client = MakeStripedClient("alice", DepSkyMode::kReplication);
+  Bytes data = Rng(78).RandomBytes(3 * 1024 + 500);
+  const std::string hash = ContentHash(data);
+  auto record = client.WriteVersion("f", hash, data);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_TRUE(record->nonce.empty());
+  ASSERT_EQ(record->stripe_units.size(), 4u);
+  for (size_t u = 0; u < record->stripe_units.size(); ++u) {
+    const Bytes slice(data.begin() + u * 1024,
+                      data.begin() + std::min<size_t>((u + 1) * 1024,
+                                                      data.size()));
+    const DepSkyStripeUnit& su = record->stripe_units[u];
+    EXPECT_EQ(su.content_hash, Sha256::Hash(slice));
+    for (unsigned c = 0; c < kClouds; ++c) {
+      if (su.cloud_shard[c] < 0) {
+        continue;
+      }
+      auto stored =
+          clouds_[c]->PeekLatest(DepSkyClient::ValueKey("f", *record, u));
+      ASSERT_TRUE(stored.ok());
+      auto object = DepSkyValueObject::Decode(*stored);
+      ASSERT_TRUE(object.ok());
+      EXPECT_EQ(object->shard, slice) << "unit " << u << " cloud " << c;
+      EXPECT_EQ(object->share_index, 0u);
     }
   }
+  EXPECT_EQ(*client.ReadVersion("f", *record), data);
+  EXPECT_EQ(*client.ReadByHash("f", hash), data);
+  EXPECT_EQ(*client.ReadAt("f", hash, 1000, 1100),
+            Bytes(data.begin() + 1000, data.begin() + 2100));
+  clouds_[0]->faults().SetUnavailable(true);
+  EXPECT_EQ(*client.ReadLatest("f"), data);
+  clouds_[0]->faults().SetUnavailable(false);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+}
+
+// A record's unit count follows from its size and unit size, and decoding
+// rejects any other count: readers index units and size the output by the
+// record, which may come from any writer.
+TEST_F(DepSkyTest, RecordWithWrongUnitCountIsCorrupt) {
+  auto client = MakeStripedClient("alice");
+  Bytes data = Rng(79).RandomBytes(2 * 1024 + 10);
+  const std::string hash = ContentHash(data);
+  auto record = client.WriteVersion("f", hash, data);
+  ASSERT_TRUE(record.ok());
+  ASSERT_EQ(record->stripe_units.size(), 3u);
+  ASSERT_TRUE(DepSkyVersion::Decode(record->Encode()).ok());
+
+  DepSkyVersion too_few = *record;
+  too_few.stripe_units.pop_back();
+  DepSkyVersion too_many = *record;
+  too_many.stripe_units.push_back(record->stripe_units.back());
+  DepSkyVersion no_unit_size = *record;
+  no_unit_size.stripe_unit_size = 0;
+  // Three units, as 2058 bytes of 1000-byte units need, but no unit may
+  // split a 64-byte keystream block.
+  DepSkyVersion odd_unit_size = *record;
+  odd_unit_size.stripe_unit_size = 1000;
+  DepSkyVersion empty_without_unit = *record;
+  empty_without_unit.size = 0;
+  empty_without_unit.stripe_units.clear();
+  for (const DepSkyVersion* bad : {&too_few, &too_many, &no_unit_size,
+                                   &odd_unit_size, &empty_without_unit}) {
+    const Bytes encoded = bad->Encode();
+    EXPECT_EQ(DepSkyVersion::Decode(encoded).status().code(),
+              ErrorCode::kCorruption);
+    // As a locator: one counted fallback to the hash, and the right bytes.
+    const uint64_t fallbacks = client.anchored_read_fallbacks();
+    auto read = client.ReadVersion("f", hash, encoded);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, data);
+    EXPECT_EQ(client.anchored_read_fallbacks(), fallbacks + 1);
+  }
+
+  // Inside authentic metadata the record fails the copy's decode too: a
+  // range read past the last listed unit gets an error, not a unit the
+  // record does not have.
+  auto md = client.ReadMetadata("f");
+  ASSERT_TRUE(md.ok());
+  md->versions.back() = too_few;
+  const Bytes forged = md->Encode(ToBytes("deployment-auth-key"));
+  EXPECT_EQ(DepSkyMetadata::Decode(forged, ToBytes("deployment-auth-key"))
+                .status()
+                .code(),
+            ErrorCode::kCorruption);
+  for (auto& cloud : clouds_) {
+    ASSERT_TRUE(cloud
+                    ->Put({cloud->provider_name() + ":alice"},
+                          DepSkyClient::MetadataKey("f"), forged)
+                    .ok());
+  }
+  auto range = client.ReadAt("f", hash, 2 * 1024, 10);
+  EXPECT_FALSE(range.ok());
+  EXPECT_FALSE(client.ReadByHash("f", hash).ok());
 }
 
 TEST_F(DepSkyTest, StripedReadAtBoundaries) {
@@ -658,7 +779,7 @@ TEST_F(DepSkyTest, StripedReadAtBoundaries) {
   EXPECT_TRUE(client.ReadAt("f", hash, 0, 0)->empty());
 }
 
-TEST_F(DepSkyTest, ReadAtOnMonolithicVersionSlices) {
+TEST_F(DepSkyTest, ReadAtOnOneUnitVersionSlices) {
   auto client = MakeClient("alice");
   Bytes data = Rng(11).RandomBytes(5000);
   const std::string hash = ContentHash(data);
@@ -680,7 +801,7 @@ TEST_F(DepSkyTest, StripedUnitsSurviveIndependentShardLoss) {
   auto md = client.ReadMetadata("f");
   ASSERT_TRUE(md.ok());
   const DepSkyVersion& v = md->versions.back();
-  ASSERT_TRUE(v.striped());
+  ASSERT_EQ(v.stripe_units.size(), 8u);
   for (size_t u = 0; u < v.stripe_units.size(); ++u) {
     // Rotate which holder loses its object from unit to unit.
     std::vector<unsigned> holders;
@@ -693,7 +814,7 @@ TEST_F(DepSkyTest, StripedUnitsSurviveIndependentShardLoss) {
     const unsigned victim = holders[u % holders.size()];
     ASSERT_TRUE(clouds_[victim]
                     ->Delete({clouds_[victim]->provider_name() + ":alice"},
-                             DepSkyClient::StripeValueKey("f", v, u))
+                             DepSkyClient::ValueKey("f", v, u))
                     .ok());
   }
   EXPECT_EQ(*client.ReadByHash("f", hash), data);
@@ -725,7 +846,7 @@ TEST_F(DepSkyTest, ScrubRebuildsLostStripeShardsByteIdentically) {
   auto md = client.ReadMetadata("f");
   ASSERT_TRUE(md.ok());
   const DepSkyVersion v = md->versions.back();
-  ASSERT_TRUE(v.striped());
+  ASSERT_EQ(v.stripe_units.size(), 6u);
 
   // Lose one stored object per unit (rotating holders), then scrub.
   std::vector<std::pair<unsigned, std::string>> lost;  // (cloud, key)
@@ -737,7 +858,7 @@ TEST_F(DepSkyTest, ScrubRebuildsLostStripeShardsByteIdentically) {
       }
     }
     const unsigned victim = holders[u % holders.size()];
-    const std::string key = DepSkyClient::StripeValueKey("f", v, u);
+    const std::string key = DepSkyClient::ValueKey("f", v, u);
     ASSERT_TRUE(clouds_[victim]
                     ->Delete({clouds_[victim]->provider_name() + ":alice"}, key)
                     .ok());
@@ -776,11 +897,13 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
   auto md = client.ReadMetadata("f");
   ASSERT_TRUE(md.ok());
   const DepSkyVersion v = md->versions.back();
+  ASSERT_EQ(v.stripe_units.size(), 1u);
+  const std::vector<int32_t>& cloud_shard = v.stripe_units[0].cloud_shard;
   // Preferred quorums leave one cloud without a shard — the relocation target.
   int spare = -1;
   unsigned holder = 0;
   for (unsigned c = 0; c < kClouds; ++c) {
-    if (v.cloud_shard[c] < 0) {
+    if (cloud_shard[c] < 0) {
       spare = static_cast<int>(c);
     } else {
       holder = c;
@@ -793,7 +916,7 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
   // update the metadata map.
   ASSERT_TRUE(clouds_[holder]
                   ->Delete({clouds_[holder]->provider_name() + ":alice"},
-                           DepSkyClient::ValueKey("f", v))
+                           DepSkyClient::ValueKey("f", v, 0))
                   .ok());
   clouds_[holder]->faults().SetUnavailable(true);
 
@@ -806,10 +929,10 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
 
   auto after = client.ReadMetadata("f");
   ASSERT_TRUE(after.ok());
-  const DepSkyVersion& moved = after->versions.back();
+  const DepSkyStripeUnit& moved = after->versions.back().stripe_units[0];
   EXPECT_EQ(moved.cloud_shard[holder], -1);
   EXPECT_EQ(moved.cloud_shard[static_cast<unsigned>(spare)],
-            v.cloud_shard[holder]);
+            cloud_shard[holder]);
 
   // Readable with the dead cloud still dead.
   EXPECT_EQ(*client.ReadByHash("f", hash), data);
@@ -827,9 +950,11 @@ TEST_F(DepSkyTest, RecordFallsBackAfterScrubRelocations) {
   const std::string hash = ContentHash(data);
   auto record = client.WriteVersion("f", hash, data);
   ASSERT_TRUE(record.ok());
+  ASSERT_EQ(record->stripe_units.size(), 1u);
+  const std::vector<int32_t>& cloud_shard = record->stripe_units[0].cloud_shard;
   std::vector<unsigned> holders;
   for (unsigned c = 0; c < kClouds; ++c) {
-    if (record->cloud_shard[c] >= 0) {
+    if (cloud_shard[c] >= 0) {
       holders.push_back(c);
     }
   }
@@ -841,7 +966,7 @@ TEST_F(DepSkyTest, RecordFallsBackAfterScrubRelocations) {
   auto relocate = [&](unsigned holder) {
     ASSERT_TRUE(clouds_[holder]
                     ->Delete(creds(holder),
-                             DepSkyClient::ValueKey("f", *record))
+                             DepSkyClient::ValueKey("f", *record, 0))
                     .ok());
     clouds_[holder]->faults().SetUnavailable(true);
     auto report = client.ScrubUnit("f");
@@ -859,8 +984,8 @@ TEST_F(DepSkyTest, RecordFallsBackAfterScrubRelocations) {
   relocate(holders[1]);
   auto md = client.ReadMetadata("f");
   ASSERT_TRUE(md.ok());
-  EXPECT_EQ(md->versions.back().cloud_shard[holders[0]],
-            record->cloud_shard[holders[1]]);
+  EXPECT_EQ(md->versions.back().stripe_units[0].cloud_shard[holders[0]],
+            cloud_shard[holders[1]]);
 
   EXPECT_EQ(*client.ReadVersion("f", *record), data);
   EXPECT_EQ(client.anchored_read_fallbacks(), 1u);
@@ -1065,7 +1190,8 @@ TEST_F(DepSkyBlindMetadataTest, DeleteUnitReclaimsOrphansOfFailedWrites) {
   // Metadata + one published object + one orphan on each shard holder.
   auto md = client.ReadMetadata("f");
   ASSERT_TRUE(md.ok());
-  const std::string published = DepSkyClient::ValueKey("f", md->versions[0]);
+  const std::string published =
+      DepSkyClient::ValueKey("f", md->versions[0], 0);
   size_t orphans = 0;
   for (const auto& keys : ListUnit("f")) {
     for (const auto& key : keys) {
@@ -1133,6 +1259,8 @@ TEST_F(DepSkyTest, SameVersionNumberWritersKeepSeparateObjects) {
       ToBytes("deployment-auth-key"));
   ASSERT_TRUE(a_md.ok());
   const DepSkyVersion a_record = *a_md->FindByHash(ContentHash(a));
+  ASSERT_EQ(a_record.stripe_units.size(), 1u);
+  const DepSkyStripeUnit& a_unit = a_record.stripe_units[0];
 
   // Every visible copy still says version 1: the second writer also picks 2.
   auto vb = second->WriteVersion("f", ContentHash(b), b);
@@ -1157,14 +1285,14 @@ TEST_F(DepSkyTest, SameVersionNumberWritersKeepSeparateObjects) {
   env_->Sleep(6 * kSecond);
   for (unsigned c = 0; c < kClouds; ++c) {
     windowed[c]->Quiesce();
-    if (a_record.cloud_shard[c] < 0) {
+    if (a_unit.cloud_shard[c] < 0) {
       continue;
     }
     auto stored =
-        windowed[c]->PeekLatest(DepSkyClient::ValueKey("f", a_record));
+        windowed[c]->PeekLatest(DepSkyClient::ValueKey("f", a_record, 0));
     ASSERT_TRUE(stored.ok()) << "cloud " << c;
     EXPECT_EQ(Sha256::Hash(*stored),
-              a_record.shard_hashes[a_record.cloud_shard[c]])
+              a_unit.shard_hashes[a_unit.cloud_shard[c]])
         << "cloud " << c;
   }
 }
@@ -1180,8 +1308,9 @@ TEST_F(DepSkyTest, ValueObjectsAreNamedByTheRecordedObjectId) {
   ASSERT_EQ(md->versions.size(), 2u);
   EXPECT_NE(md->versions[0].object_id, md->versions[1].object_id);
   for (const auto& v : md->versions) {
-    const std::string key = DepSkyClient::ValueKey("f", v);
+    const std::string key = DepSkyClient::ValueKey("f", v, 0);
     EXPECT_EQ(key.rfind("du/f/o", 0), 0u) << key;
+    EXPECT_EQ(key.substr(key.size() - 3), "/u0") << key;
     unsigned holders = 0;
     for (unsigned c = 0; c < kClouds; ++c) {
       holders += clouds_[c]->PeekLatest(key).ok() ? 1 : 0;
@@ -1225,14 +1354,15 @@ TEST_F(DepSkyTest, GranteeWriteLeavesEveryObjectReadableByOwner) {
   ASSERT_TRUE(md.ok());
   const DepSkyVersion* written = md->FindByHash(ContentHash(update));
   ASSERT_NE(written, nullptr);
+  ASSERT_EQ(written->stripe_units.size(), 1u);
   unsigned readable = 0;
   for (unsigned c = 0; c < kClouds; ++c) {
-    if (written->cloud_shard[c] < 0) {
+    if (written->stripe_units[0].cloud_shard[c] < 0) {
       continue;
     }
     clouds_[c]->Quiesce();
     auto object = clouds_[c]->Get({clouds_[c]->provider_name() + ":alice"},
-                                  DepSkyClient::ValueKey("doc", *written));
+                                  DepSkyClient::ValueKey("doc", *written, 0));
     ASSERT_TRUE(object.ok()) << "cloud " << c << ": "
                              << object.status().ToString();
     ++readable;

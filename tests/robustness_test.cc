@@ -113,7 +113,7 @@ TEST_P(DepSkyFaultMarginTest, ReadsSurvivePoisonedKeyShareAtFClouds) {
   auto md = client.ReadMetadata("f");
   ASSERT_TRUE(md.ok());
   const std::string value_key =
-      DepSkyClient::ValueKey("f", md->versions.back());
+      DepSkyClient::ValueKey("f", md->versions.back(), 0);
   for (unsigned i = 0; i < f(); ++i) {
     CloudCredentials creds{clouds_[i]->provider_name() + ":alice"};
     auto object = clouds_[i]->Get(creds, value_key);
@@ -328,7 +328,7 @@ TEST_F(DepSkyTimerTest, InauthenticFastestCopyNeverSettlesAnchoredRead) {
   auto md = client.ReadMetadata("f");
   ASSERT_TRUE(md.ok()) << md.status().ToString();
   DepSkyMetadata forged = *md;
-  forged.versions.back().cloud_shard.assign(4, -1);
+  forged.versions.back().stripe_units[0].cloud_shard.assign(4, -1);
   ASSERT_TRUE(clouds_[2]
                   ->Put(Creds(2), DepSkyClient::MetadataKey("f"),
                         forged.Encode(ToBytes("not-the-deployment-key")))
@@ -583,6 +583,7 @@ TEST_F(DepSkyTimerTest, WriteChargesSlowerOfMetadataReadAndPutWave) {
 }
 
 TEST_F(DepSkyTimerTest, WriteChargesMetadataReadWhenItIsTheSlowerPart) {
+  UseSlowClock();
   UseLatencies({100 * kMillisecond, 200 * kMillisecond, 300 * kMillisecond,
                 1000 * kMillisecond});
   DepSkyConfig config;
@@ -776,7 +777,6 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
   DepSkyConfig config;
   config.f = 1;
   config.auth_key = ToBytes("deployment-auth-key");
-  config.stripe_threshold = 1024;
   config.stripe_unit_size = 1024;
   config.stripe_inflight = 4;
   std::vector<DepSkyCloud> set;
@@ -803,7 +803,7 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
   auto md = client->ReadMetadata("f");
   ASSERT_TRUE(md.ok());
   const DepSkyVersion version = md->versions.back();
-  ASSERT_TRUE(version.striped());
+  ASSERT_EQ(version.stripe_units.size(), 8u);
 
   // Pick a cloud that holds a shard of every unit, fail it with a chaos
   // campaign, and model permanent data loss: its stored objects for this
@@ -823,7 +823,7 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
     ASSERT_TRUE(
         clouds[victim]
             ->Delete({clouds[victim]->provider_name() + ":alice"},
-                     DepSkyClient::StripeValueKey("f", version, u))
+                     DepSkyClient::ValueKey("f", version, u))
             .ok());
   }
   auto schedule = ParseFaultSchedule(
