@@ -123,22 +123,19 @@ Status ClientFleet::SetupPartitionSkewFileset() {
   for (unsigned p = 0; p < spec_.fileset_files % partitions; ++p) {
     ++quota[p];
   }
-  // Generate candidate names until every partition group is full, keeping
-  // only names whose metadata key AND lock key land on the same partition —
-  // the open-for-write lock round and the publish round of an append then
-  // hit one partition, making "hot partition" load attribution exact.
+  // Generate candidate names until every partition group is full. A file's
+  // lock key routes with its metadata key (PartitionRoutingKey), so the
+  // open-for-write lock round and the publish round of an append hit one
+  // partition, making "hot partition" load attribution exact.
   std::vector<std::vector<std::string>> groups(partitions);
   uint64_t candidate = 0;
-  // Acceptance rate is 1/partitions per candidate; this cap is ~1000x the
-  // expected need, so hitting it means the router is broken, not unlucky.
+  // This cap is ~1000x the expected need, so hitting it means the router is
+  // broken, not unlucky.
   const uint64_t cap = (spec_.fileset_files + 64) * partitions * 1000;
   size_t filled = 0;
   while (filled < spec_.fileset_files && candidate < cap) {
     std::string name = "/scn/files/s" + std::to_string(candidate++);
     const unsigned meta_part = coord->PartitionOf(MetadataKey(name));
-    if (coord->PartitionOf(LockKey(name)) != meta_part) {
-      continue;
-    }
     if (groups[meta_part].size() >= quota[meta_part]) {
       continue;
     }

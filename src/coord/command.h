@@ -20,11 +20,13 @@ namespace scfs {
 enum class CoordOp : uint8_t {
   kWrite = 1,            // upsert key (creates with caller as owner)
   kConditionalCreate,    // fails with ALREADY_EXISTS
-  kCompareAndSwap,       // write iff version matches `a`
+  kCompareAndSwap,       // write iff version matches `a` (0: iff absent)
   kRead,                 // value + version
   kReadPrefix,           // all entries with key prefix
   kRemove,
-  kTryLock,              // key=lock name, a=lease duration (virtual us)
+  kTryLock,              // key=lock name, a=lease duration (virtual us),
+                         // aux=entry to read in the same slot (optional),
+                         // value=principal it is read as (default: client)
   kRenewLock,            // a=new lease duration, b=token
   kUnlock,               // b=token
   kRenamePrefix,         // key=old prefix, aux=new prefix (trigger extension)

@@ -73,15 +73,24 @@ Status CoordinationService::Remove(const std::string& client,
 
 Result<CoordLock> CoordinationService::TryLock(const std::string& client,
                                                const std::string& name,
-                                               VirtualDuration lease) {
+                                               VirtualDuration lease,
+                                               const std::string& read_key,
+                                               const std::string& reader) {
   CoordCommand cmd;
   cmd.op = CoordOp::kTryLock;
   cmd.client = client;
   cmd.key = name;
+  cmd.aux = read_key;
+  cmd.value = ToBytes(reader);
   cmd.a = static_cast<uint64_t>(lease);
   ASSIGN_OR_RETURN(CoordReply reply, Submit(cmd));
   RETURN_IF_ERROR(reply.ToStatus("coord lock " + name));
-  return CoordLock{reply.a};
+  CoordLock lock{reply.a, std::nullopt};
+  if (!reply.entries.empty()) {
+    lock.entry = CoordEntry{std::move(reply.entries[0].value),
+                            reply.entries[0].version};
+  }
+  return lock;
 }
 
 Status CoordinationService::RenewLock(const std::string& client,
@@ -289,6 +298,9 @@ std::string PartitionRoutingKey(const std::string& key) {
     if (key.compare(0, 3, prefix) == 0) {
       return key.substr(3);
     }
+  }
+  if (key.compare(0, 3, "lk:") == 0) {
+    return "m:" + key.substr(3) + "/";
   }
   return key;
 }

@@ -7,6 +7,7 @@
 #ifndef SCFS_COORD_COORDINATION_SERVICE_H_
 #define SCFS_COORD_COORDINATION_SERVICE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,9 @@ struct CoordEntry {
 
 struct CoordLock {
   uint64_t token = 0;
+  // The entry a lock-and-read asked for, read in the lock's ordered slot;
+  // nullopt if it does not exist (or none was asked for).
+  std::optional<CoordEntry> entry;
 };
 
 // The result of an ordered lease grant (see DESIGN.md "Lease-delegated
@@ -80,7 +84,10 @@ class CoordinationService {
   Status ConditionalCreate(const std::string& client, const std::string& key,
                            const Bytes& value);
   // Returns the new version on success; kConflict if `expected_version`
-  // does not match.
+  // does not match. Expected version 0 means "no entry": the call creates
+  // the entry iff it is still absent. A key's versions never repeat within
+  // one tuple space: an entry created after a removal starts above the
+  // removed one's version.
   Result<uint64_t> CompareAndSwap(const std::string& client,
                                   const std::string& key, const Bytes& value,
                                   uint64_t expected_version);
@@ -88,9 +95,16 @@ class CoordinationService {
   Result<std::vector<CoordEntryView>> ReadPrefix(const std::string& client,
                                                  const std::string& prefix);
   Status Remove(const std::string& client, const std::string& key);
-  // Ephemeral lock with a lease; kBusy if held by another client.
+  // Ephemeral lock with a lease; kBusy if held by another client. With a
+  // non-empty `read_key` the same ordered command also reads that entry
+  // (CoordLock::entry) as `reader` (default: `client`); a reader that may
+  // not read it gets kPermissionDenied and no lock. The entry must live on
+  // the lock's partition: PartitionRoutingKey co-locates "lk:<path>" with
+  // "m:<path>/".
   Result<CoordLock> TryLock(const std::string& client, const std::string& name,
-                            VirtualDuration lease);
+                            VirtualDuration lease,
+                            const std::string& read_key = "",
+                            const std::string& reader = "");
   Status RenewLock(const std::string& client, const std::string& name,
                    uint64_t token, VirtualDuration lease);
   Status Unlock(const std::string& client, const std::string& name,
@@ -145,7 +159,10 @@ class CoordinationService {
 // route as if the prefix were absent, so an auxiliary record lands on the
 // partition of the key range it describes: the intent record shares the
 // source subtree's partition ("prepare on the source partition"), the
-// commit marker the destination's.
+// commit marker the destination's. A file lock "lk:<path>" routes as the
+// file's metadata entry "m:<path>/", so one ordered command can take the
+// lock and read the entry (TryLock's `read_key`), and an elastic split,
+// which moves whole hash ranges, keeps the two on one partition.
 std::string PartitionRoutingKey(const std::string& key);
 
 }  // namespace scfs

@@ -16,7 +16,7 @@ namespace {
 // Raw FNV-1a needs the avalanche finalizer below: its low k bits are an
 // affine function (over GF(2)) of the input bits — the xor is linear and
 // the prime multiply is carry-free mod small 2^k — so for key families
-// sharing a suffix, like "m:<path>/" vs "lk:<path>" of the same path,
+// sharing a suffix, like one path's keys under two prefixes,
 // hash agreement mod a power-of-two partition count is *constant* across
 // all paths (always or never co-located) instead of 1/N. The SplitMix64
 // finalizer mixes high bits into low, restoring per-key independence. The

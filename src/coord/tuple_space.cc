@@ -66,6 +66,7 @@ Bytes TupleSpace::Snapshot() const {
     AppendU64(&out, static_cast<uint64_t>(lease.expires_at));
     AppendStringSet(&out, lease.holders);
   }
+  AppendU64(&out, version_floor_);
   return out;
 }
 
@@ -125,7 +126,8 @@ bool TupleSpace::Restore(ConstByteSpan snapshot) {
     lease.expires_at = static_cast<VirtualTime>(expires_at);
     leases.emplace(std::move(prefix), std::move(lease));
   }
-  if (!reader.AtEnd()) {
+  uint64_t version_floor = 0;
+  if (!reader.ReadU64(&version_floor) || !reader.AtEnd()) {
     return false;
   }
   entries_ = std::move(entries);
@@ -134,6 +136,7 @@ bool TupleSpace::Restore(ConstByteSpan snapshot) {
   next_token_ = next_token;
   next_lease_epoch_ = next_lease_epoch;
   stored_bytes_ = stored_bytes;
+  version_floor_ = version_floor;
   return true;
 }
 
@@ -324,12 +327,12 @@ CoordReply TupleSpace::Write(const CoordCommand& cmd) {
   if (it == entries_.end()) {
     Entry entry;
     entry.value = cmd.value;
-    entry.version = 1;
+    entry.version = version_floor_ + 1;
     entry.acl.owner = cmd.client;
     stored_bytes_ += cmd.key.size() + cmd.value.size();
-    entries_.emplace(cmd.key, std::move(entry));
     CoordReply reply;
-    reply.a = 1;
+    reply.a = entry.version;
+    entries_.emplace(cmd.key, std::move(entry));
     return reply;
   }
   Entry& entry = it->second;
@@ -355,7 +358,8 @@ CoordReply TupleSpace::ConditionalCreate(const CoordCommand& cmd) {
 CoordReply TupleSpace::CompareAndSwap(const CoordCommand& cmd) {
   auto it = entries_.find(cmd.key);
   if (it == entries_.end()) {
-    return ErrorReply(ErrorCode::kNotFound);
+    // Expected version 0 names "no entry": create iff still absent.
+    return cmd.a == 0 ? Write(cmd) : ErrorReply(ErrorCode::kNotFound);
   }
   Entry& entry = it->second;
   if (!entry.acl.AllowsWrite(cmd.client)) {
@@ -412,17 +416,32 @@ CoordReply TupleSpace::Remove(const CoordCommand& cmd) {
     return ErrorReply(ErrorCode::kPermissionDenied);
   }
   stored_bytes_ -= it->first.size() + it->second.value.size();
+  version_floor_ = std::max(version_floor_, it->second.version);
   entries_.erase(it);
   return CoordReply{};
 }
 
 CoordReply TupleSpace::TryLock(VirtualTime now, const CoordCommand& cmd) {
+  // Lock-and-read: `aux` names an entry to read in the lock's own ordered
+  // slot, as the principal `value` names (the lock owner is a session of
+  // that user). A caller that may not read it does not get the lock either.
+  auto entry = cmd.aux.empty() ? entries_.end() : entries_.find(cmd.aux);
+  if (entry != entries_.end() &&
+      !entry->second.acl.AllowsRead(
+          cmd.value.empty() ? cmd.client : ToString(cmd.value))) {
+    return ErrorReply(ErrorCode::kPermissionDenied);
+  }
+  CoordReply reply;
+  if (entry != entries_.end()) {
+    reply.entries.push_back(
+        CoordEntryView{entry->first, entry->second.value,
+                       entry->second.version});
+  }
   auto it = locks_.find(cmd.key);
   if (it != locks_.end()) {
     if (it->second.owner == cmd.client) {
       // Re-entrant: refresh the lease, return the same token.
       it->second.expires_at = now + static_cast<VirtualDuration>(cmd.a);
-      CoordReply reply;
       reply.a = it->second.token;
       return reply;
     }
@@ -433,7 +452,6 @@ CoordReply TupleSpace::TryLock(VirtualTime now, const CoordCommand& cmd) {
   lock.token = next_token_++;
   lock.expires_at = now + static_cast<VirtualDuration>(cmd.a);
   locks_.emplace(cmd.key, lock);
-  CoordReply reply;
   reply.a = lock.token;
   return reply;
 }
@@ -470,6 +488,7 @@ CoordReply TupleSpace::RenamePrefix(const CoordCommand& cmd) {
       return ErrorReply(ErrorCode::kPermissionDenied);
     }
     std::string new_key = new_prefix + it->first.substr(old_prefix.size());
+    version_floor_ = std::max(version_floor_, it->second.version);
     moved.emplace_back(std::move(new_key), std::move(it->second));
     it = entries_.erase(it);
   }
@@ -483,6 +502,11 @@ CoordReply TupleSpace::RenamePrefix(const CoordCommand& cmd) {
     stored_bytes_ -= old_prefix.size() +
                      (key.size() - new_prefix.size());  // old key size
     entry.version++;
+    auto replaced = entries_.find(key);
+    if (replaced != entries_.end()) {
+      // Above the replaced entry's version too (see version_floor_).
+      entry.version = std::max(entry.version, replaced->second.version + 1);
+    }
     entries_[key] = std::move(entry);
   }
   return reply;
@@ -545,7 +569,9 @@ CoordReply TupleSpace::ImportEntry(const CoordCommand& cmd) {
   if (!imported.acl.AllowsWrite(cmd.client)) {
     return ErrorReply(ErrorCode::kPermissionDenied);
   }
-  imported.version++;
+  // Above the version of any entry removed here, too (version_floor_),
+  // which a replay finds unchanged.
+  imported.version = std::max(imported.version, version_floor_) + 1;
   const uint64_t new_version = imported.version;
   auto it = entries_.find(cmd.key);
   if (it != entries_.end()) {

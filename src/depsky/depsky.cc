@@ -166,6 +166,19 @@ struct DepSkyClient::MetadataReplies {
   unsigned authentic = 0;
   unsigned answered = 0;  // clouds that answered at all (NOT_FOUND included)
   unsigned foreign = 0;   // authentic copies of another n, k or mode
+
+  // Authentic copies listing the version named `object_id`.
+  unsigned Listing(uint64_t object_id) const {
+    return static_cast<unsigned>(std::count_if(
+        entries.begin(), entries.end(),
+        [&](const std::optional<DepSkyMetadata>& entry) {
+          return entry.has_value() &&
+                 std::any_of(entry->versions.begin(), entry->versions.end(),
+                             [&](const DepSkyVersion& v) {
+                               return v.object_id == object_id;
+                             });
+        }));
+  }
 };
 
 // The metadata one write appends to, settled once from the write's
@@ -174,8 +187,16 @@ struct DepSkyClient::MetadataReplies {
 class DepSkyClient::WriteBase {
  public:
   WriteBase(DepSkyClient* client, PendingMetadataRead read,
-            const std::vector<DepSkyGrant>* merge_grants)
-      : client_(client), read_(std::move(read)), merge_grants_(merge_grants) {}
+            const std::vector<DepSkyGrant>* merge_grants,
+            const DepSkyVersion* predecessor)
+      : client_(client),
+        read_(std::move(read)),
+        merge_grants_(merge_grants),
+        predecessor_(predecessor) {
+    if (merge_grants != nullptr) {
+      caller_acls_.grants = *merge_grants;
+    }
+  }
 
   // The unit's history — or, on NOT_FOUND, a fresh record owned by this
   // client — with the write's grants merged in; or the read's error. The
@@ -190,9 +211,30 @@ class DepSkyClient::WriteBase {
     return *settled_;
   }
 
+  // The ACLs a write applies before it returns: the caller's grants only,
+  // known without the metadata.
+  const DepSkyMetadata& caller_acls() const { return caller_acls_; }
+  // The ACLs the write-behind applies: the owner ids and the stored grants
+  // the caller's grants do not replace. Valid once Get succeeded.
+  std::shared_ptr<const DepSkyMetadata> behind_acls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return behind_acls_;
+  }
+  // How many of the authentic copies the read settled on list the
+  // predecessor. Valid once Get returned.
+  unsigned predecessor_copies() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return predecessor_copies_;
+  }
+
  private:
   Result<std::shared_ptr<const DepSkyMetadata>> Settle(
       VirtualDuration overlapped) {
+    // Counted before the settle moves the chosen copy out.
+    read_.settled.Wait();
+    if (predecessor_ != nullptr) {
+      predecessor_copies_ = read_.replies->Listing(predecessor_->object_id);
+    }
     auto read = client_->SettleMetadataRead(std::move(read_), overlapped);
     DepSkyMetadata md;
     if (read.ok()) {
@@ -208,6 +250,20 @@ class DepSkyClient::WriteBase {
     } else {
       return read.status();
     }
+    auto behind = std::make_shared<DepSkyMetadata>();
+    behind->owner_ids = md.owner_ids;
+    for (const auto& grant : md.grants) {
+      const bool replaced =
+          merge_grants_ != nullptr &&
+          std::any_of(merge_grants_->begin(), merge_grants_->end(),
+                      [&](const DepSkyGrant& g) {
+                        return g.cloud_ids == grant.cloud_ids;
+                      });
+      if (!replaced) {
+        behind->grants.push_back(grant);
+      }
+    }
+    behind_acls_ = std::move(behind);
     if (merge_grants_ != nullptr) {
       for (const auto& grant : *merge_grants_) {
         auto it = std::find_if(md.grants.begin(), md.grants.end(),
@@ -225,10 +281,14 @@ class DepSkyClient::WriteBase {
   }
 
   DepSkyClient* client_;
-  PendingMetadataRead read_;
+  PendingMetadataRead read_;  // moved out by the settle
   const std::vector<DepSkyGrant>* merge_grants_;
-  std::mutex mu_;
+  const DepSkyVersion* predecessor_;
+  unsigned predecessor_copies_ = 0;
+  DepSkyMetadata caller_acls_;
+  mutable std::mutex mu_;
   std::optional<Result<std::shared_ptr<const DepSkyMetadata>>> settled_;
+  std::shared_ptr<const DepSkyMetadata> behind_acls_;
 };
 
 namespace {
@@ -442,6 +502,11 @@ Result<DepSkyClient::MetadataRead> DepSkyClient::SettleMetadataRead(
 
 Status DepSkyClient::PushMetadata(const std::string& unit,
                                   const DepSkyMetadata& md) {
+  return SettleMetadataPush(unit, md, LaunchMetadataPush(unit, md));
+}
+
+std::vector<Future<Status>> DepSkyClient::LaunchMetadataPush(
+    const std::string& unit, const DepSkyMetadata& md) {
   const std::string key = MetadataKey(unit);
   auto encoded = std::make_shared<const Bytes>(md.Encode(config_.auth_key));
   std::vector<Future<Status>> futures;
@@ -449,6 +514,13 @@ Status DepSkyClient::PushMetadata(const std::string& unit,
   for (unsigned i = 0; i < clouds_.size(); ++i) {
     futures.push_back(RobustPut(i, key, encoded));
   }
+  return futures;
+}
+
+Status DepSkyClient::SettleMetadataPush(
+    const std::string& unit, const DepSkyMetadata& md,
+    const std::vector<Future<Status>>& futures) {
+  const std::string key = MetadataKey(unit);
   // Return at the write quorum; stragglers finish inside their stores. ACLs
   // for the acknowledged copies are applied (in parallel) before returning;
   // a straggler's ACLs ride behind its PUT as a continuation so the slow
@@ -511,11 +583,41 @@ void DepSkyClient::ApplyAclsToObject(const DepSkyMetadata& md, unsigned cloud,
 Result<DepSkyVersion> DepSkyClient::WriteVersion(
     const std::string& unit, const std::string& content_hash,
     ConstByteSpan data, const std::vector<DepSkyGrant>* merge_grants) {
+  ASSIGN_OR_RETURN(DepSkyWrite write,
+                   StartWrite(unit, content_hash, data, merge_grants));
+  RETURN_IF_ERROR(write.finish().Get());
+  return std::move(write.record);
+}
+
+VirtualDuration DepSkyClient::RequestBudget() const {
+  // Every attempt may run to its deadline, and each retry first waits at
+  // most the uncapped-jitter backoff delay.
+  BackoffPolicy longest = config_.retry_backoff;
+  longest.jitter = 0;
+  Rng unused(0);
+  const int attempts = std::max(1, config_.max_attempts);
+  VirtualDuration budget = 0;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    budget += config_.request_deadline;
+    if (attempt + 1 < attempts) {
+      budget += longest.Delay(attempt, unused);
+    }
+  }
+  return budget;
+}
+
+Result<DepSkyWrite> DepSkyClient::StartWrite(
+    const std::string& unit, const std::string& content_hash,
+    ConstByteSpan data, const std::vector<DepSkyGrant>* merge_grants,
+    const DepSkyVersion* predecessor) {
+  const VirtualTime started = env_->Now();
   // Steps 1-2: start reading the version history, and name the objects by a
   // fresh id. The read settles once the shards are encoded and PUT: the
   // version number, history, owner ids and grants depend on it, the shards
-  // do not.
-  WriteBase base(this, LaunchMetadataRead(unit, std::string()), merge_grants);
+  // do not. Its copies listing the predecessor are counted for the
+  // write-behind.
+  WriteBase base(this, LaunchMetadataRead(unit, std::string()), merge_grants,
+                 predecessor);
   DepSkyVersion version;
   version.object_id = MixSeed(object_id_salt_, objects_named_.fetch_add(1));
   version.content_hash = content_hash;
@@ -554,8 +656,102 @@ Result<DepSkyVersion> DepSkyClient::WriteVersion(
         return OkStatus();
       }));
 
-  // Step 5: publish the version in the metadata object.
-  return PublishVersion(unit, &base, std::move(version));
+  // Step 5: number the version after the highest one read and after the
+  // predecessor (whose metadata may not have landed yet), and hand the
+  // metadata to the write-behind.
+  ASSIGN_OR_RETURN(std::shared_ptr<const DepSkyMetadata> md, base.Get(0));
+  version.version = md->NextVersionNumber();
+  std::optional<DepSkyVersion> pred;
+  if (predecessor != nullptr) {
+    pred = *predecessor;
+    version.version = std::max(version.version, pred->version + 1);
+  }
+  DepSkyWrite write;
+  write.record = version;
+  write.finish = [this, unit, md, acls = base.behind_acls(),
+                  listed = base.predecessor_copies(), pred = std::move(pred),
+                  version = std::move(version), started]() {
+    return FinishWrite(unit, *md, *acls, listed, pred, version, started);
+  };
+  return write;
+}
+
+Future<Status> DepSkyClient::FinishWrite(
+    const std::string& unit, const DepSkyMetadata& md,
+    const DepSkyMetadata& acls, unsigned listed,
+    const std::optional<DepSkyVersion>& pred, const DepSkyVersion& version,
+    VirtualTime started) {
+  // The straggler invariant: the predecessor's metadata PUT must be on n-f
+  // clouds before this one is launched, so at most f clouds can end up
+  // with the older history on top. Its requests were all launched before
+  // this write started (see StartWrite), so RequestBudget() after that
+  // none of them can still land.
+  if (pred.has_value()) {
+    AwaitListed(unit, listed, pred->object_id, started + RequestBudget());
+  }
+  // History ∪ predecessor ∪ this version, in version order.
+  auto merged = std::make_shared<DepSkyMetadata>(md);
+  if (pred.has_value() &&
+      std::none_of(merged->versions.begin(), merged->versions.end(),
+                   [&](const DepSkyVersion& v) {
+                     return v.object_id == pred->object_id;
+                   })) {
+    auto at = std::upper_bound(merged->versions.begin(),
+                               merged->versions.end(), pred->version,
+                               [](uint64_t number, const DepSkyVersion& v) {
+                                 return number < v.version;
+                               });
+    merged->versions.insert(at, *pred);
+  }
+  merged->versions.push_back(version);
+  // Launched before returning, so before the caller lets the next writer
+  // start: the PUT, and alongside it the ACLs the metadata adds, on every
+  // acknowledged object.
+  std::vector<Future<Status>> puts = LaunchMetadataPush(unit, *merged);
+  std::vector<Future<Status>> acl_futures;
+  for (size_t u = 0; u < version.stripe_units.size(); ++u) {
+    const std::vector<int32_t>& cloud_shard =
+        version.stripe_units[u].cloud_shard;
+    for (unsigned cloud = 0; cloud < cloud_shard.size(); ++cloud) {
+      if (cloud_shard[cloud] >= 0) {
+        CollectAclFutures(acls, cloud, ValueKey(unit, version, u),
+                          &acl_futures);
+      }
+    }
+  }
+  return SubmitTracked(&async_ops_, [this, unit, merged, puts, acl_futures]() {
+    Status pushed = SettleMetadataPush(unit, *merged, puts);
+    WhenAll<Status>(acl_futures).Join();  // max-of-clouds
+    return pushed;
+  });
+}
+
+void DepSkyClient::AwaitListed(const std::string& unit, unsigned listed,
+                               uint64_t object_id, VirtualTime deadline) {
+  const unsigned quorum = config_.quorum();
+  if (listed >= quorum) {
+    return;  // steady state: the write's own read saw it
+  }
+  predecessor_rereads_.fetch_add(1);
+  for (int attempt = 0;; ++attempt) {
+    PendingMetadataRead reread = LaunchMetadataRead(unit, std::string());
+    reread.settled.Wait();
+    Environment::AddThreadCharge(reread.settled.charge());
+    if (reread.replies->Listing(object_id) >= quorum) {
+      return;
+    }
+    const VirtualTime now = env_->Now();
+    if (now >= deadline) {
+      predecessor_budget_waits_.fetch_add(1);
+      return;
+    }
+    VirtualDuration delay;
+    {
+      std::lock_guard<std::mutex> lock(rng_mu_);
+      delay = config_.retry_backoff.Delay(attempt, rng_);
+    }
+    env_->Sleep(delay > 0 ? std::min(delay, deadline - now) : deadline - now);
+  }
 }
 
 Status DepSkyClient::ForEachUnit(
@@ -588,19 +784,6 @@ Status DepSkyClient::ForEachUnit(
     drain_front();
   }
   return first_error;
-}
-
-Result<DepSkyVersion> DepSkyClient::PublishVersion(const std::string& unit,
-                                                   WriteBase* base,
-                                                   DepSkyVersion version) {
-  // Settled by now (placing the objects needed it), so this charges nothing.
-  ASSIGN_OR_RETURN(std::shared_ptr<const DepSkyMetadata> settled,
-                   base->Get(0));
-  DepSkyMetadata md = *settled;
-  version.version = md.NextVersionNumber();
-  md.versions.push_back(std::move(version));
-  RETURN_IF_ERROR(PushMetadata(unit, md));
-  return std::move(md.versions.back());
 }
 
 Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
@@ -641,12 +824,14 @@ Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
   Future<QuorumResult<Status>> wave = WhenQuorum<Status>(
       futures, quorum, [](size_t, const Status& s) { return s.ok(); });
   QuorumResult<Status> acks = wave.Get();
-  // The ACLs need the owner ids and grants: settle the write's metadata
+  // The version number needs the history: settle the write's metadata
   // read, which ran alongside the wave and is charged only beyond it. A
-  // failed read fails the write; nothing has been published.
+  // failed read fails the write; nothing has been published. Only the
+  // caller's grants are applied before the write returns; the ACLs the
+  // metadata adds ride the write-behind.
   ASSIGN_OR_RETURN(std::shared_ptr<const DepSkyMetadata> md_shared,
                    base->Get(wave.charge()));
-  const DepSkyMetadata& md = *md_shared;
+  const DepSkyMetadata& acls = base->caller_acls();
   unsigned successes = 0;
   std::vector<unsigned> failed_shards;
   std::vector<Future<Status>> acl_futures;
@@ -654,13 +839,13 @@ Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
     unsigned cloud = preferred[i];
     if (!acks.results[i].has_value()) {
       // Still in flight past the quorum: not recorded as a holder, but its
-      // object (if the PUT lands) still gets the grants.
+      // object (if the PUT lands) still gets every grant.
       ApplyAclsWhenWritten(futures[i], cloud, md_shared, value_key);
       continue;
     }
     if (acks.results[i]->ok()) {
       cloud_shard[cloud] = static_cast<int32_t>(cloud);
-      CollectAclFutures(md, cloud, value_key, &acl_futures);
+      CollectAclFutures(acls, cloud, value_key, &acl_futures);
       ++successes;
     } else {
       failed_shards.push_back(cloud);
@@ -677,7 +862,7 @@ Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
                          std::make_shared<const Bytes>(encode_object(shard)))
                    .Get();
     if (s.ok()) {
-      ApplyAclsToObject(md, spare, value_key);
+      ApplyAclsToObject(acls, spare, value_key);
       cloud_shard[spare] = static_cast<int32_t>(shard);
       failed_shards.pop_back();
       ++successes;
@@ -927,43 +1112,82 @@ Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
 
 Result<Bytes> DepSkyClient::FetchVersion(const std::string& unit,
                                          const DepSkyVersion& version) {
-  // Each unit decodes into its disjoint slice of one buffer. The whole-file
-  // consistency-anchor hash is checked below; per-unit hashes are for range
-  // reads that never see the whole file.
-  Bytes plaintext(version.size);
+  // Each unit decodes into its disjoint slice of one buffer. The buffer is
+  // sized only once a unit's shards have bounded the record's claims: a
+  // full unit bounds the unit size, and so the file to the units the record
+  // lists; the only unit of a one-unit version bounds the size itself. The
+  // last unit of a longer version, if it comes in first, decodes aside.
+  // The whole-file consistency-anchor hash is checked below; per-unit
+  // hashes are for range reads that never see the whole file.
+  const size_t count = version.stripe_units.size();
   const size_t unit_size = version.stripe_unit_size;
-  RETURN_IF_ERROR(ForEachUnit(
-      0, version.stripe_units.size(), [&](size_t u) {
-        return FetchStripeUnit(unit, version, u,
-                               ByteSpan(plaintext).subspan(u * unit_size,
-                                                           unit_size),
-                               /*verify_unit_hash=*/false);
-      }));
+  std::mutex mu;
+  Bytes plaintext;
+  bool sized = false;
+  Bytes last_unit;
+  RETURN_IF_ERROR(ForEachUnit(0, count, [&](size_t u) {
+    return FetchStripeUnit(
+        unit, version, u,
+        [&](size_t length) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (!sized && (count == 1 || u + 1 < count)) {
+            plaintext.resize(version.size);
+            sized = true;
+          }
+          if (!sized) {
+            last_unit.resize(length);
+            return ByteSpan(last_unit);
+          }
+          return ByteSpan(plaintext).subspan(u * unit_size, length);
+        },
+        /*verify_unit_hash=*/false);
+  }));
+  std::copy(last_unit.begin(), last_unit.end(),
+            plaintext.begin() + (count - 1) * unit_size);
   if (HexEncode(Sha1::Hash(plaintext)) != version.content_hash) {
     return CorruptionError("content hash mismatch for " + unit);
   }
   return plaintext;
 }
 
-Status DepSkyClient::FetchStripeUnit(const std::string& unit,
-                                     const DepSkyVersion& version,
-                                     size_t stripe_index, ByteSpan out,
-                                     bool verify_unit_hash) {
+Status DepSkyClient::FetchStripeUnit(
+    const std::string& unit, const DepSkyVersion& version,
+    size_t stripe_index, const std::function<ByteSpan(size_t)>& out_for,
+    bool verify_unit_hash) {
   const DepSkyStripeUnit& stripe = version.stripe_units[stripe_index];
+  const size_t length = static_cast<size_t>(std::min<uint64_t>(
+      version.stripe_unit_size,
+      version.size - stripe_index * version.stripe_unit_size));
   const bool secret_sharing = config_.mode == DepSkyMode::kSecretSharing;
   const unsigned n = config_.n();
   const unsigned k = secret_sharing ? config_.k() : 1;
   ASSIGN_OR_RETURN(
       FetchedShards fetched,
       FetchShards(unit, ValueKey(unit, version, stripe_index), k, stripe));
+  // Hash-valid shards are what the writer stored, so they bound the unit:
+  // a record claiming another length is corrupt, and nothing is sized by
+  // its claim before this check.
+  size_t shard_size = 0;
+  for (const auto& shard : fetched.shards) {
+    if (shard.has_value()) {
+      shard_size = shard->size();
+      break;
+    }
+  }
+  ErasureCodec codec(n, k);
+  const bool bounded = secret_sharing
+                           ? length <= k * shard_size &&
+                                 codec.ShardSize(length) == shard_size
+                           : length == shard_size;
+  if (!bounded) {
+    return CorruptionError("unit size does not match its shards for " + unit);
+  }
+  ByteSpan out = out_for(length);
 
   if (!secret_sharing) {
     // Any hash-valid replica is the unit's plaintext.
     for (const auto& replica : fetched.shards) {
       if (replica.has_value()) {
-        if (replica->size() != out.size()) {
-          return CorruptionError("replica size mismatch for " + unit);
-        }
         std::copy(replica->begin(), replica->end(), out.begin());
         break;
       }
@@ -971,8 +1195,6 @@ Status DepSkyClient::FetchStripeUnit(const std::string& unit,
   } else {
     // Decode into a pooled arena frame, then decrypt straight into the
     // caller's slice — the decrypt pass is also the move out of the arena.
-    ErasureCodec codec(n, k);
-    const size_t shard_size = codec.ShardSize(out.size());
     std::vector<std::optional<ConstByteSpan>> views(fetched.shards.size());
     for (size_t i = 0; i < fetched.shards.size(); ++i) {
       if (fetched.shards[i].has_value()) {
@@ -1080,25 +1302,33 @@ Result<Bytes> DepSkyClient::ReadRange(const std::string& unit,
 
   // Fetch only the units overlapping [offset, offset+length). Each unit is
   // decoded and decrypted in full (its recorded plaintext hash covers the
-  // whole unit), then the overlap is copied out.
+  // whole unit) into a buffer its shards have sized, then the overlaps are
+  // copied out in order: nothing is sized by the record's claims alone.
   const size_t unit_size = version.stripe_unit_size;
-  Bytes out(length);
-  RETURN_IF_ERROR(ForEachUnit(
-      offset / unit_size, (offset + length - 1) / unit_size + 1,
-      [&](size_t u) -> Status {
-        const size_t begin = u * unit_size;
-        Bytes buffer(std::min<size_t>(unit_size, version.size - begin));
-        RETURN_IF_ERROR(FetchStripeUnit(unit, version, u, ByteSpan(buffer),
-                                        /*verify_unit_hash=*/true));
-        // Copy the overlap into the caller's range (disjoint per unit).
-        const size_t copy_begin = std::max<size_t>(offset, begin);
-        const size_t copy_end =
-            std::min<size_t>(offset + length, begin + buffer.size());
-        std::copy(buffer.begin() + (copy_begin - begin),
-                  buffer.begin() + (copy_end - begin),
-                  out.begin() + (copy_begin - offset));
-        return OkStatus();
-      }));
+  const size_t first = offset / unit_size;
+  const size_t end = (offset + length - 1) / unit_size + 1;
+  std::vector<Bytes> units(end - first);
+  RETURN_IF_ERROR(ForEachUnit(first, end, [&](size_t u) {
+    Bytes& buffer = units[u - first];
+    return FetchStripeUnit(
+        unit, version, u,
+        [&buffer](size_t unit_length) {
+          buffer.resize(unit_length);
+          return ByteSpan(buffer);
+        },
+        /*verify_unit_hash=*/true);
+  }));
+  Bytes out;
+  out.reserve(length);
+  for (size_t u = first; u < end; ++u) {
+    const Bytes& buffer = units[u - first];
+    const size_t begin = u * unit_size;
+    const size_t copy_begin = std::max<size_t>(offset, begin);
+    const size_t copy_end =
+        std::min<size_t>(offset + length, begin + buffer.size());
+    out.insert(out.end(), buffer.begin() + (copy_begin - begin),
+               buffer.begin() + (copy_end - begin));
+  }
   return out;
 }
 

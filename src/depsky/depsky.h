@@ -15,15 +15,22 @@
 //      recover it) and stores shard_i + share_i in cloud i — with preferred
 //      quorums only the cheapest n-f clouds are used unless one fails,
 //   5. once n-f clouds have acknowledged every unit's shards and the
-//      metadata read has settled, applies the unit's ACLs to the stored
-//      objects and appends the version, numbered after the highest one
-//      read, to the authenticated metadata object replicated in every cloud.
+//      metadata read has settled, applies the caller's grants to the
+//      stored objects and numbers the version after the highest one read
+//      (and after the caller's predecessor record, if any),
+//   6. behind the write (StartWrite returns before it, and its caller
+//      starts it with DepSkyWrite::finish): once n-f copies list the
+//      caller's predecessor version, appends the version to the
+//      authenticated metadata object replicated in every cloud, and applies
+//      the ACLs the metadata adds (owner ids, stored grants) alongside.
 // Units run through a bounded window on the executor; a one-unit version
-// runs on the caller's thread. A write therefore waits for max(metadata
-// read, shard PUT wave) plus the metadata PUT, not for the sum of the
-// three rounds. It returns the version record it published, which the
-// caller may anchor next to the hash. Replication mode (DepSky-A) runs the
-// same unit steps with no key: each cloud stores the unit's plaintext.
+// runs on the caller's thread. StartWrite returns the numbered version
+// record after max(metadata read, shard PUT wave); the caller may anchor
+// the record next to the hash at once, because record reads need no
+// metadata (DESIGN.md "Write-behind metadata"), and then call finish.
+// WriteVersion does both: max(read, wave) plus the metadata PUT.
+// Replication mode (DepSky-A) runs the same unit steps with no key: each
+// cloud stores the unit's plaintext.
 // Reads come in three forms, all ending in the same fetch of k valid shards
 // per unit from the fastest healthy holders (hash-checked, so corrupted or
 // byzantine clouds are detected and skipped), and a check of the plaintext
@@ -128,6 +135,21 @@ struct DepSkyConfig {
   }
 };
 
+// A write acknowledged at the shard quorum (DepSkyClient::StartWrite).
+struct DepSkyWrite {
+  // The version record, numbered; every unit's shards are on a write
+  // quorum.
+  DepSkyVersion record;
+  // Starts the write-behind: call it once, after the record is anchored,
+  // or never (a write whose anchor failed must not be listed). It returns
+  // once the metadata PUT requests are launched — first waiting, if the
+  // write's metadata read did not show n-f copies listing the predecessor,
+  // until they do or until the predecessor's requests can no longer land
+  // (re-reading the metadata meanwhile) — with the future of the PUT's
+  // write quorum and of the metadata-derived ACLs.
+  std::function<Future<Status>()> finish;
+};
+
 // Outcome of one scrub pass over a data unit (see ScrubUnit): how many stored
 // objects were probed, found missing/corrupt, rebuilt in place, moved to a
 // substitute cloud, or left unrepaired.
@@ -154,15 +176,36 @@ class DepSkyClient {
   ~DepSkyClient();
 
   // Stores a new version. `content_hash` is the hex consistency-anchor hash
-  // of `data` (computed by the caller; verified on read). Returns the version
-  // record, its number filled in, once the metadata listing it has reached a
-  // write quorum. If `merge_grants` is non-null, those grants are folded
-  // into the unit metadata in the same metadata push (no extra round trip).
+  // of `data` (computed by the caller; verified on read). Returns once
+  // every unit's shards are on a write quorum and the metadata read has
+  // settled: the version record, its number filled in, and the step that
+  // writes the metadata listing it (DepSkyWrite::finish). If
+  // `merge_grants` is non-null, they are applied to the objects before the
+  // call returns and folded into the unit metadata.
+  //
+  // `predecessor` is the record of the version this one replaces, as the
+  // caller's consistency anchor holds it (SCFS: the locator read under the
+  // file lock). The version is numbered after it too, and the metadata
+  // lists it even if its own metadata PUT never landed. The straggler
+  // invariant — at most f clouds end up with a history older than the
+  // newest anchored version — needs two things of the caller: the
+  // predecessor's finish returned before this call started (SCFS: before
+  // the file lock was released), and this write's finish is called before
+  // its successor starts. Its wait for the predecessor then ends at the
+  // latest RequestBudget() after this call started: by then every request
+  // the predecessor's finish launched has settled.
   //
   // `data` is a borrowed view: each unit is encrypted straight into its
   // erasure-coding arena (secret-sharing mode) or serialized straight into
   // the per-cloud wire objects (replication mode) — the client never makes
   // its own copy of the plaintext.
+  Result<DepSkyWrite> StartWrite(
+      const std::string& unit, const std::string& content_hash,
+      ConstByteSpan data,
+      const std::vector<DepSkyGrant>* merge_grants = nullptr,
+      const DepSkyVersion* predecessor = nullptr);
+  // StartWrite, then its finish, waited to its end: returns the version
+  // record once the metadata listing it is on a write quorum.
   Result<DepSkyVersion> WriteVersion(
       const std::string& unit, const std::string& content_hash,
       ConstByteSpan data,
@@ -238,6 +281,9 @@ class DepSkyClient {
 
   unsigned cloud_count() const { return static_cast<unsigned>(clouds_.size()); }
   const DepSkyConfig& config() const { return config_; }
+  // The longest one robust cloud request can take: every attempt to its
+  // deadline plus the longest backoff before each retry.
+  VirtualDuration RequestBudget() const;
 
   // Self-healing telemetry: the per-cloud breaker/EWMA state and the
   // counters the fault benches report.
@@ -250,6 +296,14 @@ class DepSkyClient {
   // and that re-read the metadata at the full quorum.
   uint64_t anchored_read_fallbacks() const {
     return anchored_read_fallbacks_.load();
+  }
+  // Write-behinds whose write's metadata read did not show n-f copies
+  // listing the predecessor, so that they re-read the metadata; and those
+  // of them that never saw it and waited out the predecessor's request
+  // budget before listing it themselves.
+  uint64_t predecessor_rereads() const { return predecessor_rereads_.load(); }
+  uint64_t predecessor_budget_waits() const {
+    return predecessor_budget_waits_.load();
   }
   // Arena recycling across units and sequential writes.
   uint64_t arena_pool_hits() const { return arena_pool_.hits(); }
@@ -319,8 +373,14 @@ class DepSkyClient {
 
   // Writes the given metadata to every cloud through the async ObjectStore
   // API, returning as soon as a write quorum (n-f) has acknowledged; the
-  // stragglers keep running inside their stores.
+  // stragglers keep running inside their stores. In two steps, like the
+  // read: the launch sends every PUT and returns at once; the settle waits
+  // for the quorum and applies the metadata object's ACLs.
   Status PushMetadata(const std::string& unit, const DepSkyMetadata& md);
+  std::vector<Future<Status>> LaunchMetadataPush(const std::string& unit,
+                                                 const DepSkyMetadata& md);
+  Status SettleMetadataPush(const std::string& unit, const DepSkyMetadata& md,
+                            const std::vector<Future<Status>>& puts);
 
   // Fetches and reassembles one version from its record alone, unit by
   // unit, and checks it against the content hash: the one fetch of every
@@ -330,11 +390,11 @@ class DepSkyClient {
 
   // Places one object set (shard i + share i per cloud) under `value_key`:
   // health-ordered preferred wave fanned out to the write quorum, then — once
-  // `base` has settled the write's metadata — ACLs on the acknowledged
-  // copies and a fallback wave routing failed shards to spare clouds
-  // (re-encoding via `encode_object`). Returns the cloud→shard map, the
-  // metadata read's error if it failed, or UNAVAILABLE if no write quorum
-  // was reached.
+  // `base` has settled the write's metadata — the caller's grants on the
+  // acknowledged copies and a fallback wave routing failed shards to spare
+  // clouds (re-encoding via `encode_object`). Returns the cloud→shard map,
+  // the metadata read's error if it failed, or UNAVAILABLE if no write
+  // quorum was reached.
   Result<std::vector<int32_t>> PlaceObjects(
       WriteBase* base, const std::string& value_key,
       std::vector<Bytes> objects,
@@ -347,11 +407,23 @@ class DepSkyClient {
                                     const std::string& value_key, unsigned k,
                                     const DepSkyStripeUnit& stripe);
 
-  // Appends `version` (its cloud placement filled in) to the write's
-  // metadata under the next version number and pushes it; returns the
-  // record as published.
-  Result<DepSkyVersion> PublishVersion(const std::string& unit,
-                                       WriteBase* base, DepSkyVersion version);
+  // A write's step 6 (DepSkyWrite::finish): waits for `pred`'s listing
+  // (AwaitListed: `listed` copies in the write's metadata read, until
+  // RequestBudget() after `started`), launches the PUT of `md` with `pred`
+  // (if missing) and `version` appended and the `acls` on the version's
+  // acknowledged objects, and returns the future of both.
+  Future<Status> FinishWrite(const std::string& unit,
+                             const DepSkyMetadata& md,
+                             const DepSkyMetadata& acls, unsigned listed,
+                             const std::optional<DepSkyVersion>& pred,
+                             const DepSkyVersion& version,
+                             VirtualTime started);
+  // Returns once n-f authentic copies list the version named `object_id` —
+  // `listed` did in the write's metadata read, or else those of fresh
+  // metadata reads, backing off between them — or once `deadline` has
+  // passed.
+  void AwaitListed(const std::string& unit, unsigned listed,
+                   uint64_t object_id, VirtualTime deadline);
 
   // Runs body(i) for every i in [begin, end), at most stripe_window() calls
   // in flight on the executor, and returns the first error; it launches no
@@ -372,12 +444,14 @@ class DepSkyClient {
                                            const std::vector<SecretShare>& shares,
                                            uint32_t counter);
 
-  // Fetches one unit's plaintext into `out` (sized to the unit). When
-  // `verify_unit_hash` is set the unit is checked against its recorded
-  // SHA-256 (range reads can't rely on the whole-file consistency-anchor
-  // hash).
+  // Fetches one unit's plaintext into `out_for(length)`, which is called
+  // with the unit's length once its fetched shards confirm it (CORRUPTION
+  // if they do not). When `verify_unit_hash` is set the unit is checked
+  // against its recorded SHA-256 (range reads can't rely on the whole-file
+  // consistency-anchor hash).
   Status FetchStripeUnit(const std::string& unit, const DepSkyVersion& version,
-                         size_t stripe_index, ByteSpan out,
+                         size_t stripe_index,
+                         const std::function<ByteSpan(size_t)>& out_for,
                          bool verify_unit_hash);
 
   // Scrub of one unit: probes recorded holders, rebuilds lost or corrupt
@@ -444,6 +518,8 @@ class DepSkyClient {
   std::atomic<uint64_t> deadline_expiries_{0};
   std::atomic<uint64_t> hedged_reads_{0};
   std::atomic<uint64_t> anchored_read_fallbacks_{0};
+  std::atomic<uint64_t> predecessor_rereads_{0};
+  std::atomic<uint64_t> predecessor_budget_waits_{0};
   // Recycled across units and sequential writes; sized to keep a full
   // window's arenas warm.
   ArenaPool arena_pool_;

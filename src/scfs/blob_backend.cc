@@ -4,13 +4,22 @@
 
 namespace scfs {
 
+Result<Bytes> BlobBackend::WriteVersion(
+    const std::string& id, const std::string& content_hash, ConstByteSpan data,
+    const std::vector<BackendGrant>& grants) {
+  ASSIGN_OR_RETURN(StartedVersion started,
+                   StartVersion(id, content_hash, data, grants, Bytes{}));
+  RETURN_IF_ERROR(started.finish().Get());
+  return std::move(started.locator);
+}
+
 // ---------------------------------------------------------------------------
 // SingleCloudBackend (SCFS-AWS)
 // ---------------------------------------------------------------------------
 
-Result<Bytes> SingleCloudBackend::WriteVersion(
+Result<StartedVersion> SingleCloudBackend::StartVersion(
     const std::string& id, const std::string& content_hash, ConstByteSpan data,
-    const std::vector<BackendGrant>& grants) {
+    const std::vector<BackendGrant>& grants, const Bytes& /*predecessor*/) {
   const std::string key = VersionKey(id, content_hash);
   // The store takes ownership of what it keeps; this is the single
   // materialization on the single-cloud write path.
@@ -24,7 +33,9 @@ Result<Bytes> SingleCloudBackend::WriteVersion(
     perms.write = grant.write;
     (void)store_->SetAcl(creds_, key, grant.cloud_ids[0], perms);
   }
-  return Bytes{};  // the key id|hash locates the version
+  // The key id|hash locates the version.
+  return StartedVersion{Bytes{},
+                        [] { return Future<Status>::Ready(OkStatus()); }};
 }
 
 Result<Bytes> SingleCloudBackend::ReadByHash(const std::string& id,
@@ -105,18 +116,23 @@ DepSkyGrant ToDepSkyGrant(const BackendGrant& grant) {
 }
 }  // namespace
 
-Result<Bytes> DepSkyBackend::WriteVersion(
+Result<StartedVersion> DepSkyBackend::StartVersion(
     const std::string& id, const std::string& content_hash, ConstByteSpan data,
-    const std::vector<BackendGrant>& grants) {
+    const std::vector<BackendGrant>& grants, const Bytes& predecessor) {
   std::vector<DepSkyGrant> merged;
   merged.reserve(grants.size());
   for (const auto& grant : grants) {
     merged.push_back(ToDepSkyGrant(grant));
   }
-  ASSIGN_OR_RETURN(DepSkyVersion record,
-                   client_->WriteVersion(id, content_hash, data,
-                                         merged.empty() ? nullptr : &merged));
-  return record.Encode();
+  // No predecessor, or one that does not decode: the write numbers and
+  // lists versions from the metadata alone.
+  Result<DepSkyVersion> pred = DepSkyVersion::Decode(predecessor);
+  ASSIGN_OR_RETURN(
+      DepSkyWrite write,
+      client_->StartWrite(id, content_hash, data,
+                          merged.empty() ? nullptr : &merged,
+                          pred.ok() ? &*pred : nullptr));
+  return StartedVersion{write.record.Encode(), std::move(write.finish)};
 }
 
 Result<Bytes> DepSkyBackend::ReadByHash(const std::string& id,

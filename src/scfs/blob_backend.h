@@ -17,7 +17,10 @@
 #include <vector>
 
 #include "src/cloud/object_store.h"
+#include <functional>
+
 #include "src/common/bytes.h"
+#include "src/common/future.h"
 #include "src/common/status.h"
 #include "src/depsky/depsky.h"
 
@@ -29,6 +32,19 @@ struct BackendGrant {
   std::vector<CanonicalId> cloud_ids;
   bool read = false;
   bool write = false;
+};
+
+// A version stored up to the backend's data quorum (StartVersion).
+struct StartedVersion {
+  // Opaque bytes the caller anchors next to the hash (see StartVersion).
+  Bytes locator;
+  // Starts the rest of the write — for DepSkyBackend its metadata
+  // (DepSkyWrite::finish); nothing for a backend with none. Call it once
+  // the locator is anchored, and before the next writer of the id can
+  // start (SCFS: before the unlock); never if the anchor failed. Recovery
+  // tools that list versions rather than follow the anchor (ListVersions,
+  // ReadLatest) see the version once the future it returns completes OK.
+  std::function<Future<Status>()> finish;
 };
 
 struct BlobVersionInfo {
@@ -45,15 +61,24 @@ class BlobBackend {
   // is a borrowed view, valid only for the duration of the call; the backend
   // copies it exactly where the wire format demands ownership.
   //
-  // Returns the version's locator: opaque bytes the caller anchors next to
-  // the hash and hands back to ReadByHash — the encoded DepSky version
-  // record for DepSkyBackend (its reads then skip the metadata round),
-  // empty for SingleCloudBackend (the key id|hash is all it needs). Like
-  // the hash, a locator is only as trustworthy as the store that anchors
-  // it; a wrong one can fail a read, never change the bytes it returns.
-  virtual Result<Bytes> WriteVersion(
+  // Returns once the version is readable through its locator: opaque bytes
+  // the caller anchors next to the hash and hands back to ReadByHash — the
+  // encoded DepSky version record for DepSkyBackend (its reads then skip
+  // the metadata round), empty for SingleCloudBackend (the key id|hash is
+  // all it needs). Like the hash, a locator is only as trustworthy as the
+  // store that anchors it; a wrong one can fail a read, never change the
+  // bytes it returns. `predecessor` is the locator of the version this one
+  // replaces (empty if none or unknown).
+  virtual Result<StartedVersion> StartVersion(
       const std::string& id, const std::string& content_hash,
-      ConstByteSpan data, const std::vector<BackendGrant>& grants) = 0;
+      ConstByteSpan data, const std::vector<BackendGrant>& grants,
+      const Bytes& predecessor) = 0;
+  // StartVersion with no predecessor, then its finish, waited to its end;
+  // returns the locator.
+  Result<Bytes> WriteVersion(const std::string& id,
+                             const std::string& content_hash,
+                             ConstByteSpan data,
+                             const std::vector<BackendGrant>& grants);
 
   // Reads the version with the given hash, starting from the locator
   // WriteVersion returned for it (empty: locate the version by the hash
@@ -102,10 +127,11 @@ class SingleCloudBackend : public BlobBackend {
   SingleCloudBackend(ObjectStore* store, CloudCredentials creds)
       : store_(store), creds_(std::move(creds)) {}
 
-  Result<Bytes> WriteVersion(const std::string& id,
-                             const std::string& content_hash,
-                             ConstByteSpan data,
-                             const std::vector<BackendGrant>& grants) override;
+  // The whole write happens before it returns; finish has nothing to do.
+  Result<StartedVersion> StartVersion(
+      const std::string& id, const std::string& content_hash,
+      ConstByteSpan data, const std::vector<BackendGrant>& grants,
+      const Bytes& predecessor) override;
   Result<Bytes> ReadByHash(const std::string& id,
                            const std::string& content_hash,
                            const Bytes& locator) override;
@@ -136,11 +162,14 @@ class DepSkyBackend : public BlobBackend {
   explicit DepSkyBackend(std::shared_ptr<DepSkyClient> client)
       : client_(std::move(client)) {}
 
-  // The locator is the encoded DepSkyVersion record.
-  Result<Bytes> WriteVersion(const std::string& id,
-                             const std::string& content_hash,
-                             ConstByteSpan data,
-                             const std::vector<BackendGrant>& grants) override;
+  // DepSkyClient::StartWrite: the locator is the encoded DepSkyVersion
+  // record, the predecessor the same encoding (one that does not decode is
+  // ignored), and finish DepSkyWrite::finish, the write-behind of the
+  // metadata.
+  Result<StartedVersion> StartVersion(
+      const std::string& id, const std::string& content_hash,
+      ConstByteSpan data, const std::vector<BackendGrant>& grants,
+      const Bytes& predecessor) override;
   // With a locator: DepSkyClient::ReadVersion, no metadata round (a locator
   // that does not decode, or names another hash, costs one counted
   // fallback to the hash). Without: DepSkyClient::ReadByHash.

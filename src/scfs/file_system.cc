@@ -60,14 +60,16 @@ ScfsFileSystem::ScfsFileSystem(Environment* env, CoordinationService* coord,
   metadata_ = std::make_unique<MetadataService>(env_, coord_, storage_.get(),
                                                 options_.user, md_options);
   LockServiceOptions lock_options = options_.locks;
+  lock_options.reader = options_.user;
   if (options_.leases != nullptr && options_.lease_ttl > 0) {
     lock_options.leases = options_.leases;
     lock_options.linger = true;
   }
-  // Write-credit pins are only valid while the lock is held; tear them down
-  // the moment the hold ends for real (before a contender can acquire).
+  // Write-credit pins and publish bases are only valid while the lock is
+  // held; tear them down the moment the hold ends for real (before a
+  // contender can acquire).
   lock_options.on_release = [this](const std::string& path) {
-    metadata_->UnpinOwned(path);
+    metadata_->ForgetLock(path);
   };
   locks_ = std::make_unique<LockService>(env_, coord_, session, lock_options);
   uploader_ = std::make_unique<BackgroundUploader>();
@@ -161,11 +163,16 @@ Status ScfsFileSystem::CheckParentDirectory(const std::string& path) {
   return OkStatus();
 }
 
-Result<FileMetadata> ScfsFileSystem::ResolveForOpen(const std::string& path,
-                                                    uint32_t flags,
-                                                    bool* created) {
+Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
+    const std::string& path, uint32_t flags,
+    const LockService::LockedRead* locked, bool* created) {
   *created = false;
-  auto existing = metadata_->Get(path);
+  // A lock taken with a coordination round read the entry at the lock's
+  // position in the total order: a cached entry could predate another
+  // agent's acknowledged close.
+  auto existing = locked != nullptr && locked->fresh
+                      ? metadata_->OpenLocked(path, locked->entry)
+                      : metadata_->Get(path);
   if (existing.ok()) {
     return existing;
   }
@@ -198,12 +205,14 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
   // file before anything else so a losing racer fails fast with BUSY.
   // (Creation also takes the lock: the created entry is immediately
   // write-opened.)
+  LockService::LockedRead locked;
   if (write_mode) {
-    RETURN_IF_ERROR(locks_->Acquire(normalized));
+    RETURN_IF_ERROR(locks_->Acquire(normalized, &locked));
   }
 
   bool created = false;
-  auto metadata = ResolveForOpen(normalized, flags, &created);
+  auto metadata = ResolveForOpen(normalized, flags,
+                                 write_mode ? &locked : nullptr, &created);
   if (!metadata.ok()) {
     if (write_mode) {
       (void)locks_->Release(normalized);
@@ -231,6 +240,7 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
   // cached copy matches the anchored hash, from the cloud otherwise.
   OpenFile open_file;
   open_file.metadata = std::move(*metadata);
+  open_file.predecessor = open_file.metadata.locator;
   open_file.write_mode = write_mode;
   if ((flags & kOpenTruncate) != 0) {
     open_file.dirty = open_file.metadata.size > 0;
@@ -388,6 +398,7 @@ Result<std::vector<CanonicalId>> ScfsFileSystem::LookupUserCloudIds(
 // future pipeline.
 Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
   FileMetadata md = std::move(file.metadata);
+  const Bytes predecessor = std::move(file.predecessor);
   auto data = std::make_shared<const Bytes>(std::move(file.data));
   const std::string hash =
       data->empty() ? "" : HexEncode(Sha1::Hash(*data));
@@ -410,7 +421,7 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
   // slot while blocking for another's, and the pending count covers the
   // chain from the first enqueue, so a concurrent Unlink's barrier cannot
   // slip between the stages.
-  uploader_->Reserve(options_.mode == ScfsMode::kBlocking ? 1 : 2);
+  uploader_->Reserve(2);
 
   // Per-file ordering: a close of a re-opened file must apply its path-keyed
   // metadata updates only after the previous close of the same path (the
@@ -441,39 +452,58 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
   Future<Status> chain_end;  // completion of the whole chain
 
   if (options_.mode == ScfsMode::kBlocking) {
-    // Level 2/3 before the future completes: data to disk + cloud, metadata
-    // to the coordination service, then unlock. A failed push still releases
-    // the file lock — a failed write must not leave the file locked. The
-    // stage's charge reaches the foreground waiter through the future, so
-    // it is excluded from the uploader's background accounting.
-    auto task = [this, md, data, hash, grants, path, written]() mutable {
-      // Extend the file lock's lease up front: the renewal's coordination
-      // round overlaps the cloud push instead of risking a mid-push expiry.
-      // Joined before Release (renew/unlock on the same path must not race).
+    // Level 2/3 before the future completes: data to disk and a cloud write
+    // quorum, the entry published (a compare-and-swap on the version the
+    // open's lock read), then unlock. DepSky's cloud metadata is written
+    // behind the close: started once the publish succeeded and before the
+    // unlock, so the next writer's wait for it is bounded (DESIGN.md
+    // "Write-behind metadata"); the chain's last stage waits for it
+    // (`behind`). A failed push still releases the file lock — a failed
+    // write must not leave the file locked. The task's charge reaches the
+    // foreground waiter through the future, so it is excluded from the
+    // uploader's background accounting.
+    Promise<Status> behind;
+    auto task = [this, md, data, hash, grants, path, written, predecessor,
+                 behind]() mutable {
+      // Renew the file lock's lease if it runs short: the renewal's
+      // coordination round overlaps the cloud push instead of risking a
+      // mid-push expiry. Joined before Release (renew/unlock on the same
+      // path must not race).
       Future<Status> lease = locks_->RenewAsync(path);
-      auto fail = [&](Status status) {
+      Future<Status> metadata_written = Future<Status>::Ready(OkStatus());
+      auto unlock = [&]() {
         lease.Join();
-        (void)locks_->Release(path);
-        return status;
+        Status released = locks_->Release(path);
+        metadata_written.OnReady(
+            [behind](const Status& status, VirtualDuration charge) {
+              behind.Set(status, charge);
+            });
+        return released;
       };
+      std::function<Future<Status>()> finish;
       if (!hash.empty()) {
-        Result<Bytes> locator =
-            storage_->Push(md.object_id, hash, *data, grants);
-        if (!locator.ok()) {
-          return fail(locator.status());
+        Result<StartedVersion> started = storage_->StartPush(
+            md.object_id, hash, *data, grants, predecessor);
+        if (!started.ok()) {
+          (void)unlock();
+          return started.status();
         }
-        md.locator = *std::move(locator);
+        md.locator = std::move(started->locator);
+        finish = std::move(started->finish);
       }
       Status s = metadata_->Put(md);
       if (!s.ok()) {
-        return fail(s);
+        (void)unlock();
+        return s;
+      }
+      if (finish) {
+        metadata_written = finish();
       }
       // Write credit: while this agent holds the lock (the release below may
       // linger it), nobody else can publish, so our own publish stays the
       // newest — serve reads of it locally until the lock lease bound.
       metadata_->PinOwned(md, locks_->HeldUntil(path));
-      lease.Join();
-      s = locks_->Release(path);
+      s = unlock();
       MaybeTriggerGc(written);
       return s;
     };
@@ -482,7 +512,11 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
                                                    /*account_charge=*/false)
                  : uploader_->EnqueueReserved(std::move(task),
                                               /*account_charge=*/false);
-    chain_end = result;
+    // Background work: charged to the uploader, not to the close.
+    chain_end = uploader_->EnqueueAfterReserved(
+        behind.future(), [written_behind = behind.future()] {
+          return written_behind.Get();
+        });
   } else {
     // Non-blocking / non-sharing. Stage 1 — durability level 1 plus the
     // local visibility updates, which happen only once the flush succeeded
@@ -502,7 +536,7 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
             : level1_tail.future();
     chain_end = uploader_->EnqueueAfterReserved(
         stage2_gate, [this, md, data, hash, grants, path, private_entry,
-                      level1_status]() mutable {
+                      level1_status, predecessor]() mutable {
           if (!level1_status->ok()) {
             // Level 1 failed: nothing was published; just release the lock
             // so a failed write doesn't leave the file locked.
@@ -512,26 +546,29 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
           // Lease renewal overlaps the cloud upload (see blocking mode);
           // joined before Release.
           Future<Status> lease = locks_->RenewAsync(path);
+          std::function<Future<Status>()> finish;
           if (!hash.empty()) {
-            Result<Bytes> locator = storage_->backend().WriteVersion(
-                md.object_id, hash, *data, grants);
-            if (locator.ok()) {
-              md.locator = *std::move(locator);
+            Result<StartedVersion> started = storage_->backend().StartVersion(
+                md.object_id, hash, *data, grants, predecessor);
+            if (started.ok()) {
+              md.locator = std::move(started->locator);
+              finish = std::move(started->finish);
             } else {
               SCFS_LOG(Warning) << "background upload failed: "
-                                << locator.status().ToString();
+                                << started.status().ToString();
             }
           }
+          Status s;
           if (private_entry) {
             // Stage 1 put the entry in the PNS without a locator.
             metadata_->SetPnsLocator(path, hash, md.locator);
-            Status s = metadata_->FlushPns();
+            s = metadata_->FlushPns();
             if (!s.ok()) {
               SCFS_LOG(Warning) << "background pns flush failed: "
                                 << s.ToString();
             }
           } else {
-            Status s = metadata_->Put(md);
+            s = metadata_->Put(md);
             if (!s.ok()) {
               SCFS_LOG(Warning) << "background metadata update failed: "
                                 << s.ToString();
@@ -542,8 +579,19 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
               metadata_->PinOwned(md, locks_->HeldUntil(path));
             }
           }
+          // DepSky's cloud metadata: started before the unlock (see
+          // blocking mode), landing after it, still inside this close's
+          // chain.
+          Future<Status> metadata_written =
+              s.ok() && finish ? finish() : Future<Status>::Ready(OkStatus());
           lease.Join();
-          return locks_->Release(path);
+          Status released = locks_->Release(path);
+          Status written_behind = metadata_written.Get();
+          if (!written_behind.ok()) {
+            SCFS_LOG(Warning) << "background metadata write failed: "
+                              << written_behind.ToString();
+          }
+          return released;
         });
 
     // Stage 1, ordered on the previous close's stage 1 only: the path-keyed
@@ -785,6 +833,9 @@ Status ScfsFileSystem::SetFacl(const std::string& path, const std::string& user,
     return NotSupportedError("sharing disabled in non-sharing mode");
   }
   const std::string normalized = NormalizePath(path);
+  // The backend grant rewrites the file's cloud metadata: this agent's
+  // pending write-behind of it must land first.
+  WaitForCloseChains(normalized);
   ASSIGN_OR_RETURN(FileMetadata md, metadata_->Get(normalized));
   if (md.owner != options_.user) {
     return PermissionDeniedError("only the owner may change ACLs");
@@ -857,6 +908,9 @@ Status ScfsFileSystem::GcCollectFile(const FileMetadata& metadata) {
   if (metadata.type != FileType::kFile || metadata.object_id.empty()) {
     return OkStatus();
   }
+  // Listing and deleting versions rewrite the file's cloud metadata: this
+  // agent's pending write-behind of it must land first.
+  WaitForCloseChains(metadata.path);
   ASSIGN_OR_RETURN(std::vector<BlobVersionInfo> versions,
                    backend_->ListVersions(metadata.object_id));
   if (versions.size() <= options_.gc.versions_to_keep) {

@@ -4,7 +4,8 @@
 //
 // Modes of operation (paper §3.1, Table 2):
 //   kBlocking     close() returns after data reaches the cloud(s) and the
-//                 metadata/lock updates complete (durability level 2/3).
+//                 metadata/lock updates complete (durability level 2/3);
+//                 DepSky's cloud metadata is written behind the close.
 //   kNonBlocking  close() returns once the file is durable on the local disk;
 //                 upload, metadata update and unlock run in background, in
 //                 that order, so mutual exclusion is preserved.
@@ -87,7 +88,8 @@ class ScfsFileSystem : public FileSystem {
   // Close() is CloseAsync().Get().
   Future<Status> CloseAsync(FileHandle handle) override;
   // Waits until every close issued so far is fully synchronized (uploads
-  // done, metadata published, locks released).
+  // done, metadata published, locks released, DepSky's cloud metadata
+  // written).
   Status SyncBarrier() override;
   Status Mkdir(const std::string& path) override;
   Status Rmdir(const std::string& path) override;
@@ -116,6 +118,9 @@ class ScfsFileSystem : public FileSystem {
  private:
   struct OpenFile {
     FileMetadata metadata;
+    // Locator of the version the open resolved (kept through a truncating
+    // open): the predecessor of the version this handle's close writes.
+    Bytes predecessor;
     Bytes data;
     bool write_mode = false;
     bool dirty = false;
@@ -127,7 +132,10 @@ class ScfsFileSystem : public FileSystem {
   };
 
   std::string NewObjectId();
+  // `locked`: what the open's write lock read, or null for a read-only
+  // open. A freshly taken lock resolves from the entry it read.
   Result<FileMetadata> ResolveForOpen(const std::string& path, uint32_t flags,
+                                      const LockService::LockedRead* locked,
                                       bool* created);
   Status CheckParentDirectory(const std::string& path);
   std::vector<BackendGrant> BuildGrants(const FileMetadata& metadata);
@@ -169,8 +177,9 @@ class ScfsFileSystem : public FileSystem {
   // `level1` (local flush + local metadata — the next close's stage 1 waits
   // only for this, a disk flush, never the previous cloud upload) and
   // `publish` (upload + coordination metadata + unlock — gates the next
-  // stage 2). Entries are pruned when the chain completes; the generation
-  // counter guards against pruning a newer chain that reused the path.
+  // stage 2, and the DepSky metadata written behind the close). Entries
+  // are pruned when the chain completes; the generation counter guards
+  // against pruning a newer chain that reused the path.
   struct CloseChainTails {
     uint64_t gen = 0;
     Future<Status> level1;

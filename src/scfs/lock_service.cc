@@ -2,7 +2,10 @@
 
 namespace scfs {
 
-Status LockService::Acquire(const std::string& path) {
+Status LockService::Acquire(const std::string& path, LockedRead* read) {
+  if (read != nullptr) {
+    *read = LockedRead{};
+  }
   if (coord_ == nullptr) {
     return OkStatus();
   }
@@ -38,12 +41,13 @@ Status LockService::Acquire(const std::string& path) {
     if (!need_renew) {
       return OkStatus();
     }
+    const VirtualTime asked = env_->Now();
     Status renewed = coord_->RenewLock(user_, key, token, options_.lease);
     if (renewed.ok()) {
       std::lock_guard<std::mutex> guard(mu_);
       auto it = held_.find(path);
       if (it != held_.end()) {
-        it->second.expires_at = env_->Now() + options_.lease;
+        it->second.expires_at = asked + options_.lease;
       }
       return OkStatus();
     }
@@ -66,13 +70,18 @@ Status LockService::Acquire(const std::string& path) {
       return renewed;
     }
   }
-  auto lock = coord_->TryLock(user_, key, options_.lease);
+  const std::string read_key = read != nullptr ? MetadataKey(path) : "";
+  VirtualTime asked = env_->Now();
+  auto lock =
+      coord_->TryLock(user_, key, options_.lease, read_key, options_.reader);
   if (!lock.ok() && lock.status().code() == ErrorCode::kBusy &&
       LingerEnabled()) {
     // The holder may be another mount in this deployment lingering on the
     // lock; ask it to release for real and retry once.
     if (options_.leases->RequestLockRelease(key)) {
-      lock = coord_->TryLock(user_, key, options_.lease);
+      asked = env_->Now();
+      lock = coord_->TryLock(user_, key, options_.lease, read_key,
+                             options_.reader);
     }
   }
   if (!lock.ok()) {
@@ -90,6 +99,10 @@ Status LockService::Acquire(const std::string& path) {
     }
     return lock.status();
   }
+  if (read != nullptr) {
+    read->fresh = true;
+    read->entry = std::move(lock->entry);
+  }
   std::lock_guard<std::mutex> guard(mu_);
   Held& held = held_[path];
   held.token = lock->token;
@@ -97,7 +110,7 @@ Status LockService::Acquire(const std::string& path) {
     held.refcount++;
   }
   held.lingering = false;
-  held.expires_at = env_->Now() + options_.lease;
+  held.expires_at = asked + options_.lease;
   return OkStatus();
 }
 
@@ -182,21 +195,21 @@ Future<Status> LockService::RenewAsync(const std::string& path) {
       return Future<Status>::Ready(NotFoundError("lock not held: " + path));
     }
     token = it->second.token;
-    if (LingerEnabled() &&
-        it->second.expires_at >= env_->Now() + options_.lease / 2) {
+    if (it->second.expires_at >= env_->Now() + options_.lease / 2) {
       // Renew-on-demand: more than half the lease remains, skip the round.
       return Future<Status>::Ready(OkStatus());
     }
   }
   Promise<Status> promise;
+  const VirtualTime asked = env_->Now();
   coord_->RenewLockAsync(user_, LockKey(path), token, options_.lease)
-      .OnReady([this, promise, path](const Status& status,
-                                     VirtualDuration charge) {
+      .OnReady([this, promise, path, asked](const Status& status,
+                                            VirtualDuration charge) {
         if (status.ok()) {
           std::lock_guard<std::mutex> guard(mu_);
           auto it = held_.find(path);
           if (it != held_.end()) {
-            it->second.expires_at = env_->Now() + options_.lease;
+            it->second.expires_at = asked + options_.lease;
           }
         }
         promise.Set(status, charge);

@@ -5,11 +5,18 @@
 // read-write conflicts are handled by the consistency anchor and whole-file
 // upload/download, which guarantee the newest closed version is read.
 //
+// Lock-and-read: a write lock taken with a coordination round reads the
+// file's metadata entry in the same ordered command (CoordinationService::
+// TryLock's read_key), so the writer opens the version current at the lock's
+// position in the total order — never a cached one — without a second round.
+//
+// Renew-on-demand: a held lock is renewed only once less than half its lease
+// remains; with the default 120 s lease a close never pays a renewal round.
+//
 // Write-credit delegation (DESIGN.md "Lease-delegated caching"): with a
 // LeaseManager wired in and linger enabled, the last local release keeps the
 // coordination lock "lingering" instead of unlocking — the next Acquire of
-// the same path reclaims it with ZERO coordination messages, and renewal
-// rounds are issued only when less than half the lease remains. A contender
+// the same path reclaims it with ZERO coordination messages. A contender
 // in the same deployment that finds the lock busy asks the manager to have
 // the lingering holder release for real; a crashed holder's linger simply
 // expires with the server-side lease (the 120 s backstop).
@@ -20,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "src/common/future.h"
@@ -35,6 +43,9 @@ struct LockServiceOptions {
   // Non-null manager + linger=true enable write-credit delegation.
   LeaseManager* leases = nullptr;
   bool linger = false;
+  // The principal the lock-and-read reads the metadata entry as — the
+  // agent's user; locks themselves are owned by the agent's session.
+  std::string reader;
   // Fired (outside the service's mutex) whenever this agent stops holding a
   // path's coordination lock for real — an unlock round, a lingering lock
   // handed to a contender, or a failed reacquisition. Anything whose
@@ -51,11 +62,21 @@ class LockService {
               LockServiceOptions options = {})
       : env_(env), coord_(coord), user_(std::move(user)), options_(options) {}
 
+  // What Acquire read of the file's metadata entry ("m:<path>/").
+  struct LockedRead {
+    // True when Acquire took the lock with a coordination round; `entry` is
+    // then the entry at the lock's ordered position (nullopt: no entry). A
+    // re-entrant or lingering reclaim reads nothing: no other client can
+    // have published since this agent took the lock.
+    bool fresh = false;
+    std::optional<CoordEntry> entry;
+  };
+
   // BUSY if another client holds the file. Re-entrant within this agent:
   // acquisitions are refcounted (the non-blocking mode may re-open a file
   // whose previous close is still uploading; the lock must survive until the
-  // last release).
-  Status Acquire(const std::string& path);
+  // last release). A non-null `read` asks for the lock-and-read.
+  Status Acquire(const std::string& path, LockedRead* read = nullptr);
   Status Release(const std::string& path);
   // Extends the lease of a lock held by this service.
   Status Renew(const std::string& path);
@@ -64,7 +85,7 @@ class LockService {
   // must not lose its file lock mid-chain). Renewing commutes with
   // everything except releasing the same path — join the future before
   // Release. A renewal that loses that race fails benignly (kNotFound).
-  // With more than half the lease remaining this is a ready no-op round
+  // With more than half the lease remaining this is a ready no-op
   // (renew-on-demand).
   Future<Status> RenewAsync(const std::string& path);
   bool Holds(const std::string& path);
@@ -85,8 +106,9 @@ class LockService {
   struct Held {
     uint64_t token = 0;
     int refcount = 0;
-    // Conservative client-side view of the server lease (set from the same
-    // virtual clock the state machine expires with).
+    // Conservative client-side view of the server lease: counted from
+    // before the round that took or renewed it, on the same virtual clock
+    // the state machine expires with.
     VirtualTime expires_at = 0;
     bool lingering = false;
   };

@@ -446,8 +446,7 @@ Status MetadataService::Put(const FileMetadata& metadata) {
     return OkStatus();
   }
 
-  RETURN_IF_ERROR(
-      coord_->Write(user_, MetadataKey(metadata.path), metadata.Encode()));
+  RETURN_IF_ERROR(WriteShared(metadata));
   std::lock_guard<std::mutex> lock(mu_);
   cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
   // The coordination service is now at least as fresh as any pending local
@@ -474,11 +473,72 @@ Status MetadataService::Create(const FileMetadata& metadata) {
     return OkStatus();
   }
 
-  RETURN_IF_ERROR(coord_->ConditionalCreate(user_, MetadataKey(metadata.path),
-                                            metadata.Encode()));
+  bool locked = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = locked_versions_.find(metadata.path);
+    locked = it != locked_versions_.end() && it->second == 0;
+  }
+  if (locked) {
+    // Created under this agent's write lock: the create is the first
+    // publish on the "no entry" base the lock read.
+    Status created = WriteShared(metadata);
+    if (created.code() == ErrorCode::kConflict) {
+      return AlreadyExistsError(metadata.path);
+    }
+    RETURN_IF_ERROR(created);
+  } else {
+    RETURN_IF_ERROR(coord_->ConditionalCreate(
+        user_, MetadataKey(metadata.path), metadata.Encode()));
+  }
   std::lock_guard<std::mutex> lock(mu_);
   cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
   return OkStatus();
+}
+
+Status MetadataService::WriteShared(const FileMetadata& metadata) {
+  std::optional<uint64_t> base;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = locked_versions_.find(metadata.path);
+    if (it != locked_versions_.end()) {
+      base = it->second;
+    }
+  }
+  const std::string key = MetadataKey(metadata.path);
+  if (!base.has_value()) {
+    return coord_->Write(user_, key, metadata.Encode());
+  }
+  ASSIGN_OR_RETURN(uint64_t version, coord_->CompareAndSwap(
+                                         user_, key, metadata.Encode(), *base));
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = locked_versions_.find(metadata.path);
+  if (it != locked_versions_.end() && it->second == *base) {
+    it->second = version;
+  }
+  return OkStatus();
+}
+
+Result<FileMetadata> MetadataService::OpenLocked(
+    const std::string& path, const std::optional<CoordEntry>& entry) {
+  std::lock_guard<std::mutex> lock(mu_);
+  locked_versions_[path] = entry.has_value() ? entry->version : 0;
+  // The entry read under the lock outranks whatever this agent still
+  // remembers of the path: an override left by a failed background publish
+  // never became visible.
+  local_overrides_.erase(path);
+  if (entry.has_value()) {
+    ASSIGN_OR_RETURN(FileMetadata md, FileMetadata::Decode(entry->value));
+    md.path = path;  // the key is authoritative (rename triggers move keys)
+    cache_[path] = CachedEntry{md, env_->Now()};
+    return md;
+  }
+  cache_.erase(path);
+  auto pns_it = pns_.entries.find(path);
+  if (pns_it != pns_.entries.end()) {
+    return pns_it->second;
+  }
+  return NotFoundError(path);
 }
 
 Status MetadataService::Remove(const std::string& path) {
@@ -496,7 +556,13 @@ Status MetadataService::Remove(const std::string& path) {
   if (coord_ == nullptr) {
     return NotFoundError(path);
   }
-  return coord_->Remove(user_, MetadataKey(path));
+  RETURN_IF_ERROR(coord_->Remove(user_, MetadataKey(path)));
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = locked_versions_.find(path);
+  if (it != locked_versions_.end()) {
+    it->second = 0;
+  }
+  return OkStatus();
 }
 
 Result<std::vector<FileMetadata>> MetadataService::ListDir(
@@ -586,11 +652,18 @@ Status MetadataService::RenameSubtree(const std::string& from,
       pns_.entries[new_path] = std::move(md);
     }
     cache_.clear();
-    // A rename moves whole subtrees under other keys; pinned copies of the
-    // old paths must not survive it.
+    // A rename moves whole subtrees under other keys, versions and all;
+    // pinned copies and publish bases of the paths must not survive it.
     for (auto it = pinned_.begin(); it != pinned_.end();) {
       if (PathIsWithin(it->first, from) || PathIsWithin(it->first, to)) {
         it = pinned_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    for (auto it = locked_versions_.begin(); it != locked_versions_.end();) {
+      if (PathIsWithin(it->first, from) || PathIsWithin(it->first, to)) {
+        it = locked_versions_.erase(it);
       } else {
         ++it;
       }
@@ -820,8 +893,7 @@ Status MetadataService::PromoteToShared(const FileMetadata& metadata) {
     std::lock_guard<std::mutex> lock(mu_);
     pns_.entries.erase(metadata.path);
   }
-  RETURN_IF_ERROR(
-      coord_->Write(user_, MetadataKey(metadata.path), metadata.Encode()));
+  RETURN_IF_ERROR(WriteShared(metadata));
   std::lock_guard<std::mutex> lock(mu_);
   cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
   return OkStatus();
@@ -831,7 +903,7 @@ Status MetadataService::DemoteToPrivate(const FileMetadata& metadata) {
   if (!options_.use_pns || coord_ == nullptr) {
     return Put(metadata);
   }
-  RETURN_IF_ERROR(coord_->Remove(user_, MetadataKey(metadata.path)));
+  RETURN_IF_ERROR(Remove(metadata.path));
   std::lock_guard<std::mutex> lock(mu_);
   pns_.entries[metadata.path] = metadata;
   cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
@@ -863,9 +935,10 @@ void MetadataService::PinOwned(const FileMetadata& metadata,
   pinned_[metadata.path] = PinnedEntry{metadata, valid_until};
 }
 
-void MetadataService::UnpinOwned(const std::string& path) {
+void MetadataService::ForgetLock(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   pinned_.erase(path);
+  locked_versions_.erase(path);
 }
 
 bool MetadataService::IsPrivateEntry(const FileMetadata& metadata) {

@@ -69,6 +69,10 @@ class MetadataService {
   Status Unmount();
 
   Result<FileMetadata> Get(const std::string& path);
+  // Publishes an entry. While this agent holds the path's write lock, a
+  // shared entry is published by compare-and-swap on the entry version read
+  // under the lock (see OpenLocked): kConflict if another writer published
+  // since (its lock expired, or a split moved the entry).
   Status Put(const FileMetadata& metadata);
   Status Create(const FileMetadata& metadata);  // fails if the path exists
   Status Remove(const std::string& path);
@@ -120,16 +124,26 @@ class MetadataService {
   // coordination update completes).
   void CacheLocally(const FileMetadata& metadata);
 
+  // Lock-and-read (DESIGN.md "Write-behind metadata"): opens a path this
+  // agent just write-locked with a coordination round from the entry that
+  // round read at the lock's ordered position (nullopt: no shared entry;
+  // the path may still be a private PNS entry), never from the TTL cache.
+  // Records the entry's version as the base of the path's publishes, each
+  // of which advances it, until ForgetLock.
+  Result<FileMetadata> OpenLocked(const std::string& path,
+                                  const std::optional<CoordEntry>& entry);
+
   // Write-credit serving (DESIGN.md "Lease-delegated caching"): while this
   // agent holds the path's write lock — including a lingering hold — no
   // other client can commit a write, so the agent's own last published
   // metadata is the newest and reads of it need no coordination round.
   // `valid_until` is the lock's conservative lease bound (LockService::
   // HeldUntil, same virtual clock the server expires with); past it the pin
-  // stops serving. The lock service's on_release hook must call UnpinOwned
-  // the moment the hold ends for real.
+  // stops serving.
   void PinOwned(const FileMetadata& metadata, VirtualTime valid_until);
-  void UnpinOwned(const std::string& path);
+  // Drops the pin and the publish base of `path`. The lock service's
+  // on_release hook must call it the moment the hold ends for real.
+  void ForgetLock(const std::string& path);
 
   bool using_pns() const { return options_.use_pns || options_.non_sharing; }
   const std::string& user() const { return user_; }
@@ -161,6 +175,9 @@ class MetadataService {
 
   bool InPns(const std::string& path);
   Result<FileMetadata> GetFromCoord(const std::string& path);
+  // Writes a shared entry: a compare-and-swap on the path's publish base
+  // when it has one, else an unconditional write.
+  Status WriteShared(const FileMetadata& metadata);
   std::string PnsObjectId() const { return "pns-" + user_; }
 
   bool LeasesEnabled() const {
@@ -225,12 +242,15 @@ class MetadataService {
   // until the background coordination update completes, unlike the TTL cache.
   std::map<std::string, FileMetadata> local_overrides_;
   // Write-credit pins (PinOwned): published-while-locked entries, served
-  // locally until the lock's conservative lease bound or UnpinOwned.
+  // locally until the lock's conservative lease bound or ForgetLock.
   struct PinnedEntry {
     FileMetadata metadata;
     VirtualTime valid_until = 0;
   };
   std::map<std::string, PinnedEntry> pinned_;
+  // Publish bases (OpenLocked): path -> coordination version of its entry
+  // as of this agent's last lock-and-read or publish; 0 = no entry.
+  std::map<std::string, uint64_t> locked_versions_;
   PrivateNameSpace pns_;
   bool pns_loaded_ = false;
   uint64_t pns_lock_token_ = 0;

@@ -176,17 +176,26 @@ Result<Bytes> StorageService::Fetch(const std::string& id,
                       " never became visible");
 }
 
-Result<Bytes> StorageService::Push(const std::string& id,
-                                   const std::string& hash, ConstByteSpan data,
-                                   const std::vector<BackendGrant>& grants) {
-  // Local disk first (cheap), then the cloud. A completed Push gives
+Result<StartedVersion> StorageService::StartPush(
+    const std::string& id, const std::string& hash, ConstByteSpan data,
+    const std::vector<BackendGrant>& grants, const Bytes& predecessor) {
+  // Local disk first (cheap), then the cloud. A started push gives
   // durability level 2 (single cloud) or 3 (cloud-of-clouds).
   RETURN_IF_ERROR(FlushToDisk(id, hash, data));
   {
     std::lock_guard<std::mutex> lock(mu_);
     memory_.Put(CacheKey(id, hash), CopyToBytes(data));
   }
-  return backend_->WriteVersion(id, hash, data, grants);
+  return backend_->StartVersion(id, hash, data, grants, predecessor);
+}
+
+Result<Bytes> StorageService::Push(const std::string& id,
+                                   const std::string& hash, ConstByteSpan data,
+                                   const std::vector<BackendGrant>& grants) {
+  ASSIGN_OR_RETURN(StartedVersion started,
+                   StartPush(id, hash, data, grants, Bytes{}));
+  RETURN_IF_ERROR(started.finish().Get());
+  return std::move(started.locator);
 }
 
 }  // namespace scfs

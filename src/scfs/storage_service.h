@@ -70,10 +70,17 @@ class StorageService {
   Status FlushToDisk(const std::string& id, const std::string& hash,
                      ConstByteSpan data);
 
-  // Synchronously pushes to local disk AND the cloud backend (close in
-  // blocking mode — durability level 2/3) and returns the version's
-  // locator. `data` is a borrowed view; the only copy made here is the one
-  // the memory cache keeps.
+  // Pushes to local disk, then starts the cloud backend's write
+  // (BlobBackend::StartVersion, with `predecessor`) and returns once the
+  // data is on the cloud(s) — close in blocking mode, durability level
+  // 2/3; the caller runs the returned finish. `data` is a borrowed view; the only copy made
+  // here is the one the memory cache keeps.
+  Result<StartedVersion> StartPush(const std::string& id,
+                                   const std::string& hash, ConstByteSpan data,
+                                   const std::vector<BackendGrant>& grants,
+                                   const Bytes& predecessor);
+  // StartPush with no predecessor, then its finish, waited to its end;
+  // returns the version's locator.
   Result<Bytes> Push(const std::string& id, const std::string& hash,
                      ConstByteSpan data,
                      const std::vector<BackendGrant>& grants);

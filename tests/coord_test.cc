@@ -191,6 +191,74 @@ TEST(TupleSpaceTest, LockExclusionAndToken) {
                   .ok());
 }
 
+TEST(TupleSpaceTest, LockAndReadReturnsTheEntryOfItsSlot) {
+  TupleSpace space;
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v1")));
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v2")));
+  CoordCommand lock = Cmd(CoordOp::kTryLock, "alice@s1", "lk:/f", {}, kSecond);
+  lock.aux = "m:/f/";
+  lock.value = ToBytes("alice");  // read as the user, lock as the session
+  auto taken = space.Apply(10, lock);
+  ASSERT_TRUE(taken.ok());
+  ASSERT_EQ(taken.entries.size(), 1u);
+  EXPECT_EQ(ToString(taken.entries[0].value), "v2");
+  EXPECT_EQ(taken.entries[0].version, 2u);
+  // An absent entry reads as none; the lock is still taken.
+  lock.key = "lk:/g";
+  lock.aux = "m:/g/";
+  taken = space.Apply(10, lock);
+  ASSERT_TRUE(taken.ok());
+  EXPECT_TRUE(taken.entries.empty());
+  // A reader the entry's ACL refuses gets neither the entry nor the lock.
+  lock = Cmd(CoordOp::kTryLock, "bob@s2", "lk:/h", {}, kSecond);
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/h/", ToBytes("x")));
+  lock.aux = "m:/h/";
+  lock.value = ToBytes("bob");
+  EXPECT_EQ(space.Apply(20, lock).code, ErrorCode::kPermissionDenied);
+  EXPECT_TRUE(space.Apply(30, Cmd(CoordOp::kTryLock, "carol", "lk:/h", {},
+                                  kSecond))
+                  .ok());
+}
+
+TEST(TupleSpaceTest, CompareAndSwapOnVersionZeroCreatesIffAbsent) {
+  TupleSpace space;
+  auto created =
+      space.Apply(0, Cmd(CoordOp::kCompareAndSwap, "a", "k", ToBytes("v"), 0));
+  ASSERT_TRUE(created.ok());
+  EXPECT_EQ(created.a, 1u);
+  EXPECT_EQ(
+      space.Apply(0, Cmd(CoordOp::kCompareAndSwap, "a", "k", ToBytes("w"), 0))
+          .code,
+      ErrorCode::kConflict);
+  EXPECT_EQ(ToString(space.Apply(0, Cmd(CoordOp::kRead, "a", "k")).value),
+            "v");
+}
+
+// A writer holding version 2 of "k" must not overwrite a "k" that was
+// removed and created again, however often the new one was written.
+TEST(TupleSpaceTest, RecreatedEntryNeverRepeatsARemovedVersion) {
+  TupleSpace space;
+  ASSERT_TRUE(space.Apply(0, Cmd(CoordOp::kWrite, "a", "k", ToBytes("v1"))).ok());
+  ASSERT_TRUE(space.Apply(0, Cmd(CoordOp::kWrite, "a", "k", ToBytes("v2"))).ok());
+  ASSERT_TRUE(space.Apply(0, Cmd(CoordOp::kRemove, "a", "k")).ok());
+  auto recreated = space.Apply(0, Cmd(CoordOp::kWrite, "a", "k", ToBytes("n1")));
+  ASSERT_TRUE(recreated.ok());
+  EXPECT_EQ(recreated.a, 3u);
+  EXPECT_EQ(space.Apply(0, Cmd(CoordOp::kCompareAndSwap, "a", "k",
+                               ToBytes("stale"), 2))
+                .code,
+            ErrorCode::kConflict);
+  EXPECT_EQ(ToString(space.Apply(0, Cmd(CoordOp::kRead, "a", "k")).value),
+            "n1");
+  // The floor survives a snapshot: a restored replica numbers alike.
+  ASSERT_TRUE(space.Apply(0, Cmd(CoordOp::kRemove, "a", "k")).ok());
+  TupleSpace restored;
+  ASSERT_TRUE(restored.Restore(space.Snapshot()));
+  EXPECT_EQ(restored.Apply(0, Cmd(CoordOp::kWrite, "a", "k", ToBytes("x"))).a,
+            space.Apply(0, Cmd(CoordOp::kWrite, "a", "k", ToBytes("x"))).a);
+  EXPECT_EQ(restored.StateDigest(), space.StateDigest());
+}
+
 TEST(TupleSpaceTest, LockLeaseExpiresEphemeral) {
   // Paper §2.5.1: lock entries are ephemeral so a crashed client's lock
   // disappears automatically.
@@ -498,7 +566,11 @@ TEST(LocalCoordinationTest, StateDigestTracksState) {
   Bytes after_write = coord.StateDigest();
   EXPECT_NE(after_write, empty_digest);
   ASSERT_TRUE(coord.Remove("alice", "k").ok());
-  EXPECT_EQ(coord.StateDigest(), empty_digest);
+  // The space remembers the removed entry's version (a "k" created again
+  // starts above it), so it is back to neither earlier state.
+  Bytes after_remove = coord.StateDigest();
+  EXPECT_NE(after_remove, empty_digest);
+  EXPECT_NE(after_remove, after_write);
 }
 
 TEST(LocalCoordinationTest, UnavailabilityInjected) {
@@ -1464,6 +1536,41 @@ TEST(ElasticPartitionTest, ManualSplitMovesRangeExactlyOnce) {
     EXPECT_LT((*listed)[i - 1].key, (*listed)[i].key);
   }
   ExpectNoMigrationRecords(&coord);
+}
+
+TEST(PartitionedCoordinationTest, FileLockRoutesWithItsMetadataEntry) {
+  EXPECT_EQ(PartitionRoutingKey("lk:/a/b"), "m:/a/b/");
+  auto env = Environment::Scaled(1e-3);
+  PartitionedCoordination coord(env.get(), ElasticConfig(2, 1));
+  std::vector<std::string> paths;
+  std::set<unsigned> used;
+  for (int i = 0; i < 1000; ++i) {
+    paths.push_back("/dir" + std::to_string(i % 7) + "/f" + std::to_string(i));
+    const std::string& path = paths.back();
+    EXPECT_EQ(coord.PartitionOf("lk:" + path),
+              coord.PartitionOf("m:" + path + "/"))
+        << path;
+    used.insert(coord.PartitionOf("lk:" + path));
+  }
+  EXPECT_EQ(used.size(), 2u);  // the pairs still spread over the partitions
+  // One split moves whole hash ranges, so every pair moves together: the
+  // lock-and-read of a migrated path still finds its entry.
+  const std::string migrated = *std::find_if(
+      paths.begin(), paths.end(),
+      [](const std::string& path) { return InFirstSplitRange("lk:" + path); });
+  ASSERT_TRUE(coord.Write("alice", "m:" + migrated + "/", ToBytes("v")).ok());
+  ASSERT_TRUE(coord.SplitPartition(0).ok());
+  for (const std::string& path : paths) {
+    EXPECT_EQ(coord.PartitionOf("lk:" + path),
+              coord.PartitionOf("m:" + path + "/"))
+        << path;
+  }
+  EXPECT_EQ(coord.PartitionOf("lk:" + migrated), 2u);
+  auto lock = coord.TryLock("alice", "lk:" + migrated, 120 * kSecond,
+                            "m:" + migrated + "/");
+  ASSERT_TRUE(lock.ok()) << lock.status().ToString();
+  ASSERT_TRUE(lock->entry.has_value());
+  EXPECT_EQ(ToString(lock->entry->value), "v");
 }
 
 TEST(ElasticPartitionTest, MisroutedCommandRetriesWithFreshMap) {

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 
 #include "src/cloud/simulated_cloud.h"
 #include "src/common/rng.h"
@@ -18,6 +21,11 @@
 
 namespace scfs {
 namespace {
+
+// The largest single allocation made while `track_allocations` is set (see
+// the replaced operator new at the end of this file).
+std::atomic<bool> track_allocations{false};
+std::atomic<size_t> largest_allocation{0};
 
 std::string ContentHash(const Bytes& data) {
   return HexEncode(Sha1::Hash(data));
@@ -748,6 +756,40 @@ TEST_F(DepSkyTest, RecordWithWrongUnitCountIsCorrupt) {
   EXPECT_FALSE(client.ReadByHash("f", hash).ok());
 }
 
+TEST_F(DepSkyTest, RecordClaimingAHugeSizeIsCorruptWithoutAllocatingIt) {
+  auto client = MakeClient("alice");
+  Bytes data = Rng(80).RandomBytes(3000);
+  const std::string hash = ContentHash(data);
+  auto record = client.WriteVersion("f", hash, data);
+  ASSERT_TRUE(record.ok());
+  // One unit of 2^50 bytes decodes as valid; its shards hold 3000 bytes.
+  DepSkyVersion huge = *record;
+  huge.size = uint64_t{1} << 50;
+  huge.stripe_unit_size = huge.size;
+  ASSERT_TRUE(DepSkyVersion::Decode(huge.Encode()).ok());
+  auto md = client.ReadMetadata("f");
+  ASSERT_TRUE(md.ok());
+  md->versions.back() = huge;
+  const Bytes forged = md->Encode(ToBytes("deployment-auth-key"));
+  for (auto& cloud : clouds_) {
+    ASSERT_TRUE(cloud
+                    ->Put({cloud->provider_name() + ":alice"},
+                          DepSkyClient::MetadataKey("f"), forged)
+                    .ok());
+  }
+
+  largest_allocation = 0;
+  track_allocations = true;
+  auto whole = client.ReadLatest("f");
+  auto range = client.ReadAt("f", hash, 0, size_t{1} << 40);
+  track_allocations = false;
+  EXPECT_EQ(whole.status().code(), ErrorCode::kCorruption);
+  EXPECT_EQ(range.status().code(), ErrorCode::kCorruption);
+  // Nothing near the claim was allocated: the largest buffer is of the
+  // order of the fetched shards and metadata copies.
+  EXPECT_LT(largest_allocation.load(), size_t{1} << 20);
+}
+
 TEST_F(DepSkyTest, StripedReadAtBoundaries) {
   auto client = MakeStripedClient("alice");
   const size_t kUnit = 1024;
@@ -1371,6 +1413,90 @@ TEST_F(DepSkyTest, GranteeWriteLeavesEveryObjectReadableByOwner) {
   EXPECT_EQ(*alice.ReadByHash("doc", ContentHash(update)), update);
 }
 
+// ---------------------------------------------------------------------------
+// Write-behind metadata: StartWrite returns at the shard quorum, and the
+// metadata PUT follows.
+// ---------------------------------------------------------------------------
+
+TEST_F(DepSkyTest, UnpublishedWriteNeverWritesItsMetadata) {
+  auto client = MakeClient("alice");
+  Bytes v1 = ToBytes("published");
+  Bytes v2 = ToBytes("lost its publish");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  // The caller's anchor fails, so it never calls finish.
+  auto write = client.StartWrite("f", ContentHash(v2), v2);
+  ASSERT_TRUE(write.ok()) << write.status().ToString();
+  EXPECT_EQ(write->record.version, 2u);
+  // The shards are stored: the record reads before any metadata lists it.
+  EXPECT_EQ(*client.ReadVersion("f", write->record), v2);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+  auto md = client.ReadMetadata("f");
+  ASSERT_TRUE(md.ok());
+  ASSERT_EQ(md->versions.size(), 1u);
+  EXPECT_EQ(md->versions[0].content_hash, ContentHash(v1));
+}
+
+TEST_F(DepSkyTest, DroppedPredecessorMetadataIsListedByTheNextWriter) {
+  auto first = MakeClient("alice");
+  auto second = MakeClient("alice");  // another agent of the same user
+  Bytes v1 = ToBytes("first writer");
+  Bytes v2 = ToBytes("second writer");
+  // The first writer published v1's record but crashed before its finish:
+  // no cloud lists v1.
+  auto w1 = first.StartWrite("f", ContentHash(v1), v1);
+  ASSERT_TRUE(w1.ok());
+
+  // The next writer, handed v1's record as its predecessor, numbers after
+  // it and lists it, once v1's requests could no longer land.
+  const VirtualTime started = env_->Now();
+  auto w2 = second.StartWrite("f", ContentHash(v2), v2, nullptr, &w1->record);
+  ASSERT_TRUE(w2.ok()) << w2.status().ToString();
+  EXPECT_EQ(w2->record.version, w1->record.version + 1);
+  ASSERT_TRUE(w2->finish().Get().ok());
+  EXPECT_GE(env_->Now(), started + second.RequestBudget());
+  EXPECT_EQ(second.predecessor_rereads(), 1u);
+  EXPECT_EQ(second.predecessor_budget_waits(), 1u);
+  auto md = second.ReadMetadata("f");
+  ASSERT_TRUE(md.ok());
+  ASSERT_EQ(md->versions.size(), 2u);
+  EXPECT_EQ(md->versions[0].content_hash, ContentHash(v1));
+  EXPECT_EQ(md->versions[1].content_hash, ContentHash(v2));
+
+  auto reader = MakeClient("alice");
+  EXPECT_EQ(*reader.ReadVersion("f", w1->record), v1);
+  EXPECT_EQ(reader.anchored_read_fallbacks(), 0u);
+  EXPECT_EQ(*reader.ReadByHash("f", ContentHash(v1)), v1);
+}
+
+TEST_F(DepSkyTest, GranteeReadsACrossUserWriteBeforeItsMetadata) {
+  auto alice = MakeClient("alice");
+  auto bob = MakeClient("bob");
+  Bytes data = ToBytes("alice's version");
+  ASSERT_TRUE(alice.WriteVersion("doc", ContentHash(data), data).ok());
+  DepSkyGrant to_bob;
+  DepSkyGrant to_alice;
+  for (auto& cloud : clouds_) {
+    to_bob.cloud_ids.push_back(cloud->provider_name() + ":bob");
+    to_alice.cloud_ids.push_back(cloud->provider_name() + ":alice");
+  }
+  to_bob.read = to_bob.write = true;
+  to_alice.read = to_alice.write = true;
+  ASSERT_TRUE(alice.SetGrant("doc", to_bob).ok());
+
+  // Bob writes with the owner among its grants, as an SCFS agent does; its
+  // metadata is held back, yet alice reads the new version at once.
+  Bytes update = ToBytes("bob's update");
+  const std::vector<DepSkyGrant> grants = {to_alice};
+  auto write = bob.StartWrite("doc", ContentHash(update), update, &grants);
+  ASSERT_TRUE(write.ok()) << write.status().ToString();
+  auto read = alice.ReadVersion("doc", write->record);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, update);
+  EXPECT_EQ(alice.anchored_read_fallbacks(), 0u);
+  ASSERT_TRUE(write->finish().Get().ok());
+  EXPECT_EQ(*alice.ReadLatest("doc"), update);
+}
+
 // Garbage collection of one version reads the metadata once: one GET per
 // cloud, not two rounds (the backend no longer looks the version up first).
 TEST_F(DepSkyTest, DeleteVersionByHashReadsMetadataOnce) {
@@ -1445,3 +1571,44 @@ TEST_F(DepSkyTest, UnusableLocatorFallsBackToTheHash) {
 
 }  // namespace
 }  // namespace scfs
+
+// Records the largest request while scfs::track_allocations is set. Every
+// unaligned allocation and deallocation function of this test binary is
+// replaced, so each pair meets in malloc and free.
+namespace {
+
+void* TrackedAllocate(size_t size) noexcept {
+  if (scfs::track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = scfs::largest_allocation.load(std::memory_order_relaxed);
+    while (size > seen && !scfs::largest_allocation.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* TrackedAllocateOrThrow(size_t size) {
+  if (void* p = TrackedAllocate(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(size_t size) { return TrackedAllocateOrThrow(size); }
+void* operator new[](size_t size) { return TrackedAllocateOrThrow(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return TrackedAllocate(size);
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return TrackedAllocate(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 
@@ -14,6 +15,7 @@
 #include "src/cloud/simulated_cloud.h"
 #include "src/common/backoff.h"
 #include "src/crypto/sha1.h"
+#include "src/coord/local_coordination.h"
 #include "src/depsky/depsky.h"
 #include "src/scfs/background.h"
 #include "src/scfs/blob_backend.h"
@@ -611,6 +613,165 @@ TEST_F(DepSkyTimerTest, WriteChargesMetadataReadWhenItIsTheSlowerPart) {
   EXPECT_GE(charged, 1300 * kMillisecond);
   EXPECT_LT(charged, 1450 * kMillisecond);
   EXPECT_LT(elapsed, 1500 * kMillisecond);
+}
+
+// A blocking close waits for the shard quorum and the publish, not for
+// DepSky's metadata PUT, which is written behind it.
+TEST_F(DepSkyTimerTest, CloseIsChargedShardQuorumPublishAndUnlock) {
+  UseSlowClock();
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.f = 1;
+  config.auth_key = ToBytes("deployment-auth-key");
+  config.request_deadline = 60 * kSecond;
+  std::vector<DepSkyCloud> set;
+  std::vector<CanonicalId> ids;
+  for (auto& cloud : clouds_) {
+    ids.push_back(cloud->provider_name() + ":alice");
+    set.push_back(DepSkyCloud{cloud.get(), {ids.back()}});
+  }
+  DepSkyBackend backend(
+      std::make_shared<DepSkyClient>(env_.get(), std::move(set), config, 7));
+  // 50 ms each way: every coordination round takes 100 ms.
+  LocalCoordination coord(env_.get(), LatencyModel::Fixed(50 * kMillisecond));
+  ScfsOptions options;
+  options.user = "alice";
+  options.user_cloud_ids = ids;
+  ScfsFileSystem fs(env_.get(), &coord, &backend, options);
+  ASSERT_TRUE(fs.Mount().ok());
+  ASSERT_TRUE(fs.WriteFile("/f", Bytes(9000, 1)).ok());
+  ASSERT_TRUE(fs.SyncBarrier().ok());
+  env_->Sleep(kSecond);  // the straggling metadata PUT lands
+
+  auto fh = fs.Open("/f", kOpenWrite | kOpenTruncate);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  ASSERT_TRUE(fs.Write(*fh, 0, Bytes(9000, 2)).ok());
+  Environment::ResetThreadCharged();
+  Status closed = fs.Close(*fh);
+  const VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(closed.ok()) << closed.ToString();
+  // Disk 5 ms; metadata read (cloud 0, the third authentic copy: 600 ms)
+  // overlapped with the shard wave (cloud 1: 800 ms); publish 100 ms;
+  // unlock 100 ms: 1005 ms. The metadata PUT (600 ms) is not in it.
+  EXPECT_GE(charged, 1005 * kMillisecond);
+  EXPECT_LT(charged, 1150 * kMillisecond);
+  EXPECT_EQ(*fs.ReadFile("/f"), Bytes(9000, 2));
+  ASSERT_TRUE(fs.Unmount().ok());
+}
+
+// How many clouds hold a metadata copy of `unit` listing every one of
+// `hashes` (after every request in flight has landed).
+unsigned CloudsListingAll(
+    const std::vector<std::unique_ptr<SimulatedCloud>>& clouds,
+    const std::string& unit, const std::vector<std::string>& hashes) {
+  unsigned listing = 0;
+  for (auto& cloud : clouds) {
+    cloud->Quiesce();
+    auto raw = cloud->Get({cloud->provider_name() + ":alice"},
+                          DepSkyClient::MetadataKey(unit));
+    if (!raw.ok()) {
+      continue;
+    }
+    auto md = DepSkyMetadata::Decode(*raw, ToBytes("deployment-auth-key"));
+    listing += md.ok() && std::all_of(hashes.begin(), hashes.end(),
+                                      [&](const std::string& hash) {
+                                        return md->FindByHash(hash) != nullptr;
+                                      });
+  }
+  return listing;
+}
+
+// The chain v0 -> v1 -> v2, each written by another client. v0's writer
+// crashed before its finish, so v1's finish waits out v0's request budget.
+// v2's writer starts the moment v1's finish returns (as the lock handoff
+// allows), while v1's metadata PUT is still in flight: v2 waits for that
+// PUT, not for a budget, and all three versions end up listed on n-f
+// clouds.
+TEST_F(DepSkyTimerTest, HeldUpPredecessorStaysListedWithItsSuccessor) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.request_deadline = kSecond;
+  auto c0 = MakeClient(config);
+  auto c1 = MakeClient(config);
+  auto c2 = MakeClient(config);
+  const Bytes d0 = ToBytes("v0"), d1 = ToBytes("v1"), d2 = ToBytes("v2");
+  auto w0 = c0.StartWrite("f", ContentHash(d0), d0);
+  ASSERT_TRUE(w0.ok()) << w0.status().ToString();
+
+  const VirtualTime started1 = env_->Now();
+  auto w1 = c1.StartWrite("f", ContentHash(d1), d1, nullptr, &w0->record);
+  ASSERT_TRUE(w1.ok()) << w1.status().ToString();
+  Future<Status> metadata1 = w1->finish();
+  EXPECT_GE(env_->Now(), started1 + c1.RequestBudget());
+  EXPECT_EQ(c1.predecessor_budget_waits(), 1u);
+
+  const VirtualTime started2 = env_->Now();
+  auto w2 = c2.StartWrite("f", ContentHash(d2), d2, nullptr, &w1->record);
+  ASSERT_TRUE(w2.ok()) << w2.status().ToString();
+  Future<Status> metadata2 = w2->finish();
+  EXPECT_LT(env_->Now(), started2 + c2.RequestBudget());
+  EXPECT_EQ(c2.predecessor_budget_waits(), 0u);
+  ASSERT_TRUE(metadata1.Get().ok());
+  ASSERT_TRUE(metadata2.Get().ok());
+
+  EXPECT_GE(CloudsListingAll(clouds_, "f",
+                             {ContentHash(d0), ContentHash(d1),
+                              ContentHash(d2)}),
+            3u);
+}
+
+// A cross-agent handoff whose next writer does not read first: it opens
+// with truncate and closes at once, so its metadata read may run before the
+// first close's metadata PUT has landed. That costs it at most a re-read,
+// never the request budget, and both versions end up listed on n-f clouds.
+TEST_F(DepSkyTimerTest, TruncatingHandoffWaitsForThePutNotTheBudget) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.f = 1;
+  config.auth_key = ToBytes("deployment-auth-key");
+  std::vector<DepSkyCloud> set;
+  std::vector<CanonicalId> ids;
+  for (auto& cloud : clouds_) {
+    ids.push_back(cloud->provider_name() + ":alice");
+    set.push_back(DepSkyCloud{cloud.get(), {ids.back()}});
+  }
+  auto first_client =
+      std::make_shared<DepSkyClient>(env_.get(), set, config, 7);
+  auto second_client =
+      std::make_shared<DepSkyClient>(env_.get(), set, config, 8);
+  DepSkyBackend first_backend(first_client);
+  DepSkyBackend second_backend(second_client);
+  LocalCoordination coord(env_.get(), LatencyModel::Fixed(50 * kMillisecond));
+  ScfsOptions options;
+  options.user = "alice";
+  options.user_cloud_ids = ids;
+  ScfsFileSystem first(env_.get(), &coord, &first_backend, options);
+  ScfsFileSystem second(env_.get(), &coord, &second_backend, options);
+  ASSERT_TRUE(first.Mount().ok());
+  ASSERT_TRUE(second.Mount().ok());
+
+  ASSERT_TRUE(first.WriteFile("/f", Bytes(9000, 1)).ok());
+  auto fh = second.Open("/f", kOpenWrite | kOpenTruncate);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  ASSERT_TRUE(second.Write(*fh, 0, Bytes(9000, 2)).ok());
+  const VirtualTime closing = env_->Now();
+  ASSERT_TRUE(second.Close(*fh).ok());
+  EXPECT_LT(env_->Now(), closing + second_client->RequestBudget());
+  ASSERT_TRUE(first.SyncBarrier().ok());
+  ASSERT_TRUE(second.SyncBarrier().ok());
+  EXPECT_LE(second_client->predecessor_rereads(), 1u);
+  EXPECT_EQ(second_client->predecessor_budget_waits(), 0u);
+
+  auto entry = coord.Read("alice", MetadataKey("/f"));
+  ASSERT_TRUE(entry.ok());
+  auto md = FileMetadata::Decode(entry->value);
+  ASSERT_TRUE(md.ok());
+  EXPECT_GE(CloudsListingAll(clouds_, md->object_id,
+                             {ContentHash(Bytes(9000, 1)),
+                              ContentHash(Bytes(9000, 2))}),
+            3u);
+  ASSERT_TRUE(first.Unmount().ok());
+  ASSERT_TRUE(second.Unmount().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/crypto/sha1.h"
 #include "src/scfs/consistency_anchor.h"
 #include "src/scfs/deployment.h"
 
@@ -440,6 +443,8 @@ TEST_P(ScfsTest, GarbageCollectorTrimsOldVersions) {
   }
   auto stat = (*fs)->Stat("/f");
   ASSERT_TRUE(stat.ok());
+  // The last close's cloud metadata is written behind it.
+  ASSERT_TRUE((*fs)->SyncBarrier().ok());
 
   // Find the object id through the metadata service.
   auto md = (*fs)->metadata_service().Get("/f");
@@ -486,6 +491,67 @@ TEST_P(ScfsTest, MemoryCacheServesRepeatedReads) {
   // Always-write/avoid-reading: all these reads resolve locally.
   EXPECT_EQ(fs->storage_service().cloud_reads(), cloud_reads_before);
   EXPECT_GE(fs->storage_service().memory_hits(), 10u);
+}
+
+// Appends `record` to `path`: open for writing, write at the end of what the
+// open read, close.
+Status Append(FileSystem* fs, const std::string& path,
+              const std::string& record) {
+  ASSIGN_OR_RETURN(FileHandle handle, fs->Open(path, kOpenWrite));
+  Result<Bytes> current = fs->Read(handle, 0, 1 << 20);
+  Status written = current.status();
+  if (written.ok()) {
+    written = fs->Write(handle, current->size(), ToBytes(record));
+  }
+  Status closed = fs->Close(handle);
+  return written.ok() ? closed : written;
+}
+
+// Two agents of one user. The second caches the file's entry (a long TTL
+// makes the window certain), the first appends, then the second appends
+// too: its open must see the first append, which its cache does not hold.
+// An open that trusted the cache would publish "AC" over the acknowledged
+// "AB".
+void ExpectNoLostAppend(Deployment* deployment, ScfsMode mode) {
+  ScfsOptions options;
+  options.mode = mode;
+  options.metadata_cache_ttl = 600 * kSecond;
+  auto first = deployment->Mount("alice", options);
+  auto second = deployment->Mount("alice", options);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_TRUE((*first)->WriteFile("/f", ToBytes("A")).ok());
+  ASSERT_TRUE((*first)->SyncBarrier().ok());
+  ASSERT_EQ(ToString(*(*second)->ReadFile("/f")), "A");
+
+  ASSERT_TRUE(Append(first->get(), "/f", "B").ok());
+  ASSERT_TRUE((*first)->SyncBarrier().ok());
+  ASSERT_TRUE(Append(second->get(), "/f", "C").ok());
+  ASSERT_TRUE((*second)->SyncBarrier().ok());
+
+  auto fresh = deployment->Mount("alice", ScfsOptions{});
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(ToString(*(*fresh)->ReadFile("/f")), "ABC");
+}
+
+TEST_P(ScfsTest, WriterOpensTheVersionCurrentAtItsLock) {
+  ExpectNoLostAppend(deployment_.get(), ScfsMode::kBlocking);
+}
+
+TEST_P(ScfsTest, NonBlockingWriterOpensTheVersionCurrentAtItsLock) {
+  ExpectNoLostAppend(deployment_.get(), ScfsMode::kNonBlocking);
+}
+
+TEST_P(ScfsTest, FreshWriteLockReadsTheEntryInItsOwnRound) {
+  auto writer = MountAgent("alice");
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("v1")).ok());
+  auto other = MountAgent("alice");
+  const uint64_t reads = other->metadata_service().coord_reads();
+  auto fh = other->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  // The lock round carried the entry: no metadata read of its own.
+  EXPECT_EQ(other->metadata_service().coord_reads(), reads);
+  EXPECT_EQ(ToString(*other->Read(*fh, 0, 100)), "v1");
+  ASSERT_TRUE(other->Close(*fh).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ScfsTest,
@@ -551,8 +617,10 @@ TEST_F(ScfsCocTest, OpenReadsTheAnchoredRecordWithoutDepSkyMetadata) {
   ASSERT_TRUE(record.ok()) << record.status().ToString();
   EXPECT_EQ(record->content_hash, md.content_hash);
 
-  // Remove the file's DepSky metadata from every cloud: no cloud can serve
-  // a GET of it any more, so a read that needed one would fail.
+  // Remove the file's DepSky metadata, once written behind the close, from
+  // every cloud: no cloud can serve a GET of it any more, so a read that
+  // needed one would fail.
+  ASSERT_TRUE(writer->SyncBarrier().ok());
   for (unsigned i = 0; i < deployment_->cloud_count(); ++i) {
     SimulatedCloud* cloud = deployment_->cloud(i);
     cloud->Quiesce();
@@ -569,6 +637,78 @@ TEST_F(ScfsCocTest, OpenReadsTheAnchoredRecordWithoutDepSkyMetadata) {
   // k = 2 shard GETs, no metadata round and no fallback.
   EXPECT_EQ(CloudGets() - gets_before, 2u);
   EXPECT_EQ(LastClient().anchored_read_fallbacks(), 0u);
+}
+
+// The hashes of every version the unit's metadata copy at `cloud` lists.
+std::vector<std::string> ListedHashes(Deployment* deployment, unsigned cloud,
+                                      const std::string& unit) {
+  SimulatedCloud* store = deployment->cloud(cloud);
+  store->Quiesce();
+  auto raw = store->Get({store->provider_name() + ":alice"},
+                        DepSkyClient::MetadataKey(unit));
+  std::vector<std::string> hashes;
+  if (!raw.ok()) {
+    return hashes;
+  }
+  auto md = DepSkyMetadata::Decode(*raw, deployment->depsky_clients()
+                                             .front()
+                                             ->config()
+                                             .auth_key);
+  EXPECT_TRUE(md.ok()) << md.status().ToString();
+  for (const auto& version : md->versions) {
+    hashes.push_back(version.content_hash);
+  }
+  return hashes;
+}
+
+std::string HashOf(const std::string& text) {
+  return HexEncode(Sha1::Hash(ToBytes(text)));
+}
+
+TEST_F(ScfsCocTest, CloseWhoseLockExpiredConflictsAndWritesNoMetadata) {
+  auto late = MountAgent();
+  auto other = MountAgent();
+  ASSERT_TRUE(late->WriteFile("/f", ToBytes("base")).ok());
+  auto fh = late->Open("/f", kOpenWrite | kOpenTruncate);
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(late->Write(*fh, 0, ToBytes("late")).ok());
+  // The lock's 120 s lease runs out mid-write, and another agent takes the
+  // lock and publishes.
+  env_->Sleep(200 * kSecond);
+  ASSERT_TRUE(other->WriteFile("/f", ToBytes("other")).ok());
+
+  EXPECT_EQ(late->Close(*fh).code(), ErrorCode::kConflict);
+  ASSERT_TRUE(late->SyncBarrier().ok());
+  ASSERT_TRUE(other->SyncBarrier().ok());
+  EXPECT_EQ(ToString(*MountAgent()->ReadFile("/f")), "other");
+  // The late version's shards were stored, but its metadata never was.
+  const std::string unit = Published("/f").object_id;
+  for (unsigned cloud = 0; cloud < deployment_->cloud_count(); ++cloud) {
+    std::vector<std::string> listed =
+        ListedHashes(deployment_.get(), cloud, unit);
+    EXPECT_EQ(std::count(listed.begin(), listed.end(), HashOf("late")), 0)
+        << "cloud " << cloud;
+  }
+}
+
+TEST_F(ScfsCocTest, HandoffListsBothVersionsOnAWriteQuorum) {
+  auto first = MountAgent();
+  auto second = MountAgent();
+  ASSERT_TRUE(first->WriteFile("/f", ToBytes("one")).ok());
+  // No barrier: the second writer may lock the file while the first's
+  // metadata is still being written behind its close.
+  ASSERT_TRUE(second->WriteFile("/f", ToBytes("two")).ok());
+  ASSERT_TRUE(first->SyncBarrier().ok());
+  ASSERT_TRUE(second->SyncBarrier().ok());
+  const std::string unit = Published("/f").object_id;
+  unsigned both = 0;
+  for (unsigned cloud = 0; cloud < deployment_->cloud_count(); ++cloud) {
+    std::vector<std::string> listed =
+        ListedHashes(deployment_.get(), cloud, unit);
+    both += std::count(listed.begin(), listed.end(), HashOf("one")) == 1 &&
+            std::count(listed.begin(), listed.end(), HashOf("two")) == 1;
+  }
+  EXPECT_GE(both, 3u);
 }
 
 TEST_F(ScfsCocTest, TruncatingOpenPublishesAnEmptyLocator) {
@@ -780,6 +920,18 @@ TEST(ScfsPartitionedTest, CocDeploymentWithPartitionedCoordination) {
   ASSERT_TRUE((*fs)->Rename("/docs", "/papers").ok());
   EXPECT_EQ(ToString(*(*fs)->ReadFile("/papers/b.txt")), "beta");
   EXPECT_FALSE((*fs)->ReadFile("/docs/b.txt").ok());
+}
+
+TEST(ScfsPartitionedTest, WriterOpensTheVersionCurrentAtItsLock) {
+  auto env = Environment::Scaled(1e-3);
+  DeploymentOptions options;
+  options.backend = ScfsBackendKind::kCoc;
+  options.coord_partitions = 4;
+  auto deployment = Deployment::Create(env.get(), options);
+  // The lock and the entry it reads share a partition.
+  EXPECT_EQ(deployment->coord()->PartitionOf(LockKey("/f")),
+            deployment->coord()->PartitionOf(MetadataKey("/f")));
+  ExpectNoLostAppend(deployment.get(), ScfsMode::kBlocking);
 }
 
 }  // namespace
