@@ -23,7 +23,10 @@ enum class CoordOp : uint8_t {
   kCompareAndSwap,       // write iff version matches `a` (0: iff absent)
   kRead,                 // value + version
   kReadPrefix,           // all entries with key prefix
-  kRemove,
+  kRemove,               // reply: the removed value + version; guards (both
+                         // optional): a=expected version (kConflict),
+                         // aux=lock no one but principal `value` (default:
+                         // client) may hold (kBusy)
   kTryLock,              // key=lock name, a=lease duration (virtual us),
                          // aux=entry to read in the same slot (optional),
                          // value=principal it is read as (default: client)

@@ -71,6 +71,22 @@ Status CoordinationService::Remove(const std::string& client,
   return reply.ToStatus("coord remove " + key);
 }
 
+Result<CoordEntry> CoordinationService::RemoveGuarded(
+    const std::string& client, const std::string& key,
+    uint64_t expected_version, const std::string& lock,
+    const std::string& lock_owner) {
+  CoordCommand cmd;
+  cmd.op = CoordOp::kRemove;
+  cmd.client = client;
+  cmd.key = key;
+  cmd.aux = lock;
+  cmd.value = ToBytes(lock_owner);
+  cmd.a = expected_version;
+  ASSIGN_OR_RETURN(CoordReply reply, Submit(cmd));
+  RETURN_IF_ERROR(reply.ToStatus("coord remove " + key));
+  return CoordEntry{std::move(reply.value), reply.a};
+}
+
 Result<CoordLock> CoordinationService::TryLock(const std::string& client,
                                                const std::string& name,
                                                VirtualDuration lease,

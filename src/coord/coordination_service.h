@@ -86,8 +86,8 @@ class CoordinationService {
   // Returns the new version on success; kConflict if `expected_version`
   // does not match. Expected version 0 means "no entry": the call creates
   // the entry iff it is still absent. A key's versions never repeat within
-  // one tuple space: an entry created after a removal starts above the
-  // removed one's version.
+  // one tuple space: an entry created, or renamed onto the key, after a
+  // removal starts above the removed one's version.
   Result<uint64_t> CompareAndSwap(const std::string& client,
                                   const std::string& key, const Bytes& value,
                                   uint64_t expected_version);
@@ -95,6 +95,17 @@ class CoordinationService {
   Result<std::vector<CoordEntryView>> ReadPrefix(const std::string& client,
                                                  const std::string& prefix);
   Status Remove(const std::string& client, const std::string& key);
+  // A remove guarded in its own ordered slot; returns the removed entry.
+  // kConflict unless the entry is at `expected_version` (0: any version);
+  // kBusy while `lock` (empty: no lock guard) is held, unexpired, by any
+  // principal but `lock_owner` (default: `client`). The lock must live on
+  // the entry's partition: PartitionRoutingKey co-locates "lk:<path>" with
+  // "m:<path>/". Covering leases are revoked in the same slot.
+  Result<CoordEntry> RemoveGuarded(const std::string& client,
+                                   const std::string& key,
+                                   uint64_t expected_version,
+                                   const std::string& lock = "",
+                                   const std::string& lock_owner = "");
   // Ephemeral lock with a lease; kBusy if held by another client. With a
   // non-empty `read_key` the same ordered command also reads that entry
   // (CoordLock::entry) as `reader` (default: `client`); a reader that may
@@ -161,8 +172,9 @@ class CoordinationService {
 // source subtree's partition ("prepare on the source partition"), the
 // commit marker the destination's. A file lock "lk:<path>" routes as the
 // file's metadata entry "m:<path>/", so one ordered command can take the
-// lock and read the entry (TryLock's `read_key`), and an elastic split,
-// which moves whole hash ranges, keeps the two on one partition.
+// lock and read the entry (TryLock's `read_key`) or remove the entry unless
+// another session holds the lock (RemoveGuarded's `lock`), and an elastic
+// split, which moves whole hash ranges, keeps the two on one partition.
 std::string PartitionRoutingKey(const std::string& key);
 
 }  // namespace scfs

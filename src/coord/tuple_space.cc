@@ -415,10 +415,28 @@ CoordReply TupleSpace::Remove(const CoordCommand& cmd) {
   if (!it->second.acl.AllowsWrite(cmd.client)) {
     return ErrorReply(ErrorCode::kPermissionDenied);
   }
-  stored_bytes_ -= it->first.size() + it->second.value.size();
+  // Guards, checked in the remove's own ordered slot: `aux` names a lock
+  // that no principal but `value` (default: client) may hold — Apply has
+  // already expired the lapsed ones — and a nonzero `a` is the version the
+  // caller read.
+  if (!cmd.aux.empty()) {
+    auto lock = locks_.find(cmd.aux);
+    if (lock != locks_.end() &&
+        lock->second.owner !=
+            (cmd.value.empty() ? cmd.client : ToString(cmd.value))) {
+      return ErrorReply(ErrorCode::kBusy);
+    }
+  }
+  if (cmd.a != 0 && it->second.version != cmd.a) {
+    return ErrorReply(ErrorCode::kConflict);
+  }
+  CoordReply reply;
+  reply.value = std::move(it->second.value);
+  reply.a = it->second.version;
+  stored_bytes_ -= it->first.size() + reply.value.size();
   version_floor_ = std::max(version_floor_, it->second.version);
   entries_.erase(it);
-  return CoordReply{};
+  return reply;
 }
 
 CoordReply TupleSpace::TryLock(VirtualTime now, const CoordCommand& cmd) {
@@ -501,10 +519,12 @@ CoordReply TupleSpace::RenamePrefix(const CoordCommand& cmd) {
     stored_bytes_ += key.size();
     stored_bytes_ -= old_prefix.size() +
                      (key.size() - new_prefix.size());  // old key size
-    entry.version++;
+    // Above every version removed or renamed away here, the moved entries'
+    // own included, and above the replaced entry's (see version_floor_): a
+    // renamed-in entry never repeats a version its new key had.
+    entry.version = version_floor_ + 1;
     auto replaced = entries_.find(key);
     if (replaced != entries_.end()) {
-      // Above the replaced entry's version too (see version_floor_).
       entry.version = std::max(entry.version, replaced->second.version + 1);
     }
     entries_[key] = std::move(entry);

@@ -145,11 +145,12 @@ class TupleSpace {
   uint64_t next_token_ = 1;
   uint64_t next_lease_epoch_ = 1;
   uint64_t stored_bytes_ = 0;
-  // The highest version of any entry removed or renamed away. A created
-  // entry starts above it, so a key removed and created again never
-  // repeats a version, and a compare-and-swap on a version of the removed
-  // entry cannot match the new one. Per space: an entry removed before a
-  // split moved its key elsewhere does not raise the new partition's floor.
+  // The highest version of any entry removed or renamed away. A created or
+  // renamed-in entry starts above it, so a key removed and created again
+  // never repeats a version, and a compare-and-swap (or a guarded remove) on
+  // a version of the removed entry cannot match the new one. Per space: an
+  // entry removed before a split moved its key elsewhere does not raise the
+  // new partition's floor.
   uint64_t version_floor_ = 0;
 };
 

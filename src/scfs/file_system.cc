@@ -33,6 +33,22 @@ Result<std::vector<CanonicalId>> DecodeCloudIds(const Bytes& data) {
   }
   return ids;
 }
+
+// Unlink removes files, and only for a user who may write them.
+Status CheckUnlinkable(const std::string& path, const FileMetadata& md,
+                       const std::string& user) {
+  if (md.type == FileType::kDirectory) {
+    return IsDirectoryError(path);
+  }
+  if (!md.AllowsWrite(user)) {
+    return PermissionDeniedError(path);
+  }
+  return OkStatus();
+}
+
+// Re-reads after a guarded remove's kConflict: each one means another agent
+// changed the entry between this agent's read and its remove.
+constexpr int kUnlinkConflictRetries = 3;
 }  // namespace
 
 ScfsFileSystem::ScfsFileSystem(Environment* env, CoordinationService* coord,
@@ -715,39 +731,75 @@ Status ScfsFileSystem::Unlink(const std::string& path) {
   // the uploader.)
   WaitForCloseChains(normalized);
   ASSIGN_OR_RETURN(FileMetadata md, metadata_->Get(normalized));
-  if (md.type == FileType::kDirectory) {
-    return IsDirectoryError(normalized);
-  }
-  if (!md.AllowsWrite(options_.user)) {
-    return PermissionDeniedError(normalized);
-  }
-  // Take the file's write lock: removal is a write, and it must exclude a
-  // concurrent writer on another mount — that writer's in-flight publish
-  // (and its write-credit pin, valid while it holds the lock) would
-  // otherwise resurrect the file after the unlink acks.
+  RETURN_IF_ERROR(CheckUnlinkable(normalized, md, options_.user));
   const bool shared_entry = !metadata_->IsPrivateEntry(md);
+  FileMetadata removed;
   if (shared_entry) {
-    RETURN_IF_ERROR(locks_->Acquire(normalized));
+    ASSIGN_OR_RETURN(removed, UnlinkShared(normalized, std::move(md)));
+  } else {
+    RETURN_IF_ERROR(metadata_->Remove(normalized));
+    removed = std::move(md);
   }
-  Status removed = metadata_->Remove(normalized);
-  metadata_->InvalidateCache(normalized);
-  if (shared_entry) {
-    Status released = locks_->Release(normalized);
-    if (removed.ok() && !released.ok()) {
-      removed = released;
-    }
-  }
-  RETURN_IF_ERROR(removed);
   {
     std::lock_guard<std::mutex> lock(fs_mu_);
     StopOpenFileStats(normalized);
   }
-  if (!md.object_id.empty() && !md.content_hash.empty()) {
+  if (!removed.object_id.empty() && !removed.content_hash.empty()) {
     // Versions stay in the cloud until the garbage collector reclaims them
-    // (multi-versioning: removed files can be recovered until then).
-    (void)metadata_->AddTombstone(md.object_id);
+    // (multi-versioning: removed files can be recovered until then). A
+    // shared file's tombstone is a coordination round, written behind the
+    // ack; SyncBarrier and DrainBackground wait for it. Its charge is no
+    // close's publish, so the uploader does not account it.
+    if (shared_entry) {
+      Future<Status> written = uploader_->Enqueue(
+          [this, object_id = removed.object_id] {
+            return metadata_->AddTombstone(object_id);
+          },
+          /*account_charge=*/false);
+      std::lock_guard<std::mutex> lock(fs_mu_);
+      pending_tombstones_.erase(
+          std::remove_if(pending_tombstones_.begin(), pending_tombstones_.end(),
+                         [](const Future<Status>& f) { return f.ready(); }),
+          pending_tombstones_.end());
+      pending_tombstones_.push_back(std::move(written));
+    } else {
+      (void)metadata_->AddTombstone(removed.object_id);
+    }
   }
   return OkStatus();
+}
+
+Result<FileMetadata> ScfsFileSystem::UnlinkShared(const std::string& path,
+                                                  FileMetadata md) {
+  // One ordered command removes the entry iff it is still the version the
+  // checks ran on and no other session holds the file's write lock — the
+  // exclusion a lock -> remove -> unlock sequence gave, in one round.
+  bool asked_release = false;
+  int conflicts = 0;
+  while (true) {
+    if (md.entry_version == 0) {
+      // A copy whose entry version this agent never learned cannot guard
+      // the remove: read the entry.
+      ASSIGN_OR_RETURN(md, metadata_->ReadShared(path));
+      RETURN_IF_ERROR(CheckUnlinkable(path, md, options_.user));
+    }
+    Result<FileMetadata> removed =
+        metadata_->RemoveShared(path, md.entry_version);
+    if (removed.ok()) {
+      return removed;
+    }
+    const ErrorCode code = removed.status().code();
+    if (code == ErrorCode::kBusy && !asked_release &&
+        locks_->RequestRelease(path)) {
+      // Another mount lingered on the lock and has released it.
+      asked_release = true;
+      continue;
+    }
+    if (code != ErrorCode::kConflict || ++conflicts > kUnlinkConflictRetries) {
+      return removed.status();
+    }
+    md.entry_version = 0;
+  }
 }
 
 Status ScfsFileSystem::Rename(const std::string& from, const std::string& to) {
@@ -949,8 +1001,17 @@ Status ScfsFileSystem::RunGarbageCollection() {
     (void)GcCollectFile(md);
   }
 
-  // Deleted files: drop entire data units and their tombstones. Each
-  // object's tombstone removal (a coordination round) is fired
+  // Deleted files: drop entire data units and their tombstones. The
+  // tombstones of unlinks acknowledged so far must be listed first.
+  std::vector<Future<Status>> tombstones_written;
+  {
+    std::lock_guard<std::mutex> lock(fs_mu_);
+    tombstones_written = pending_tombstones_;
+  }
+  for (const auto& written : tombstones_written) {
+    written.Wait();
+  }
+  // Each object's tombstone removal (a coordination round) is fired
   // asynchronously so it overlaps the next object's cloud deletes —
   // per-object order (delete before tombstone removal) is preserved,
   // different objects are independent. The fan-out is joined in bounded

@@ -138,6 +138,9 @@ class ScfsFileSystem : public FileSystem {
                                       const LockService::LockedRead* locked,
                                       bool* created);
   Status CheckParentDirectory(const std::string& path);
+  // Unlink of a shared entry, starting from the copy `md` (DESIGN.md
+  // "One-round unlink"). Returns the removed entry.
+  Result<FileMetadata> UnlinkShared(const std::string& path, FileMetadata md);
   std::vector<BackendGrant> BuildGrants(const FileMetadata& metadata);
   Result<std::vector<CanonicalId>> LookupUserCloudIds(const std::string& user);
   Future<Status> SynchronizeOnCloseAsync(OpenFile&& file);
@@ -187,6 +190,9 @@ class ScfsFileSystem : public FileSystem {
   };
   std::map<std::string, CloseChainTails> close_chains_;
   uint64_t close_chain_gen_ = 0;
+  // Tombstone writes of shared unlinks, queued behind their acks; a garbage
+  // collection pass waits for them. Completed ones are pruned on insert.
+  std::vector<Future<Status>> pending_tombstones_;
 
   std::atomic<uint64_t> bytes_written_since_gc_{0};
   bool mounted_ = false;

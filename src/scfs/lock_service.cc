@@ -74,15 +74,13 @@ Status LockService::Acquire(const std::string& path, LockedRead* read) {
   VirtualTime asked = env_->Now();
   auto lock =
       coord_->TryLock(user_, key, options_.lease, read_key, options_.reader);
+  // The holder may be another mount in this deployment lingering on the
+  // lock; ask it to release for real and retry once.
   if (!lock.ok() && lock.status().code() == ErrorCode::kBusy &&
-      LingerEnabled()) {
-    // The holder may be another mount in this deployment lingering on the
-    // lock; ask it to release for real and retry once.
-    if (options_.leases->RequestLockRelease(key)) {
-      asked = env_->Now();
-      lock = coord_->TryLock(user_, key, options_.lease, read_key,
-                             options_.reader);
-    }
+      RequestRelease(path)) {
+    asked = env_->Now();
+    lock = coord_->TryLock(user_, key, options_.lease, read_key,
+                           options_.reader);
   }
   if (!lock.ok()) {
     bool dropped = false;
@@ -215,6 +213,10 @@ Future<Status> LockService::RenewAsync(const std::string& path) {
         promise.Set(status, charge);
       });
   return promise.future();
+}
+
+bool LockService::RequestRelease(const std::string& path) {
+  return LingerEnabled() && options_.leases->RequestLockRelease(LockKey(path));
 }
 
 bool LockService::Holds(const std::string& path) {

@@ -89,6 +89,10 @@ class LockService {
   // (renew-on-demand).
   Future<Status> RenewAsync(const std::string& path);
   bool Holds(const std::string& path);
+  // Write-credit delegation: asks the mount in this deployment that lingers
+  // on the path's lock, if any, to release it for real. True if the lock is
+  // now free of that holder; always false without linger.
+  bool RequestRelease(const std::string& path);
   // Conservative client-side bound on how long this agent's hold on the
   // path's lock (including a lingering one) is guaranteed by the server
   // lease. 0 when the lock is not held. The write-credit metadata pin

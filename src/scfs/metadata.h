@@ -37,6 +37,10 @@ struct FileMetadata {
   uint64_t version = 0;     // bumps on every completed close-with-update
   // user -> permission bits (1 = read, 2 = write). The owner is implicit.
   std::map<std::string, uint8_t> acl;
+  // Not encoded: the version of the coordination entry this copy was read
+  // at or published as, which a guarded remove names; 0 when unknown (a
+  // private entry, a pending local override, an unconditional write).
+  uint64_t entry_version = 0;
 
   bool AllowsRead(const std::string& user) const;
   bool AllowsWrite(const std::string& user) const;

@@ -205,10 +205,11 @@ Status MetadataService::AcquireLeaseFor(const std::string& prefix) {
       entry_path.pop_back();
     }
     md->path = entry_path;
+    md->entry_version = entry.version;
     lease.entries.emplace(std::move(entry_path), std::move(*md));
   }
   leases_[prefix] = std::move(lease);
-  ++lease_grants_;
+  lease_grants_.fetch_add(1, std::memory_order_relaxed);
   options_.leases->RecordGrant();
   return OkStatus();
 }
@@ -326,10 +327,23 @@ Result<FileMetadata> MetadataService::GetFromCoord(const std::string& path) {
   if (coord_ == nullptr) {
     return NotFoundError(path);
   }
-  ASSIGN_OR_RETURN(CoordEntry entry, coord_->Read(user_, MetadataKey(path)));
-  ++coord_reads_;
-  ASSIGN_OR_RETURN(FileMetadata md, FileMetadata::Decode(entry.value));
+  Result<CoordEntry> entry = coord_->Read(user_, MetadataKey(path));
+  // A NOT_FOUND or PERMISSION_DENIED answer cost the round too.
+  if (entry.ok() || entry.status().code() == ErrorCode::kNotFound ||
+      entry.status().code() == ErrorCode::kPermissionDenied) {
+    coord_reads_.fetch_add(1, std::memory_order_relaxed);
+  }
+  RETURN_IF_ERROR(entry.status());
+  ASSIGN_OR_RETURN(FileMetadata md, FileMetadata::Decode(entry->value));
   md.path = path;  // the key is authoritative (rename triggers move keys)
+  md.entry_version = entry->version;
+  return md;
+}
+
+Result<FileMetadata> MetadataService::ReadShared(const std::string& path) {
+  ASSIGN_OR_RETURN(FileMetadata md, GetFromCoord(path));
+  std::lock_guard<std::mutex> lock(mu_);
+  cache_[path] = CachedEntry{md, env_->Now()};
   return md;
 }
 
@@ -351,7 +365,7 @@ Result<FileMetadata> MetadataService::Get(const std::string& path) {
     auto pinned_it = pinned_.find(path);
     if (pinned_it != pinned_.end()) {
       if (env_->Now() < pinned_it->second.valid_until) {
-        ++pinned_hits_;
+        pinned_hits_.fetch_add(1, std::memory_order_relaxed);
         if (options_.leases != nullptr) {
           options_.leases->RecordLocalHit();
         }
@@ -365,7 +379,7 @@ Result<FileMetadata> MetadataService::Get(const std::string& path) {
     // absent from it is authoritatively absent from the coordination
     // service (negative caching; it may still be private in the PNS).
     if (LeasedPrefix* lease = FindCoveringLease(mkey)) {
-      ++lease_hits_;
+      lease_hits_.fetch_add(1, std::memory_order_relaxed);
       options_.leases->RecordLocalHit();
       auto entry_it = lease->entries.find(path);
       if (entry_it != lease->entries.end()) {
@@ -381,7 +395,7 @@ Result<FileMetadata> MetadataService::Get(const std::string& path) {
     auto it = cache_.find(path);
     if (it != cache_.end()) {
       if (env_->Now() - it->second.fetched_at <= options_.cache_ttl) {
-        ++cache_hits_;
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
         return it->second.metadata;
       }
       cache_.erase(it);
@@ -415,10 +429,7 @@ Result<FileMetadata> MetadataService::Get(const std::string& path) {
     }
   }
   // 6. Coordination service (the anchored path).
-  ASSIGN_OR_RETURN(FileMetadata md, GetFromCoord(path));
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_[path] = CachedEntry{md, env_->Now()};
-  return md;
+  return ReadShared(path);
 }
 
 Status MetadataService::Put(const FileMetadata& metadata) {
@@ -446,9 +457,9 @@ Status MetadataService::Put(const FileMetadata& metadata) {
     return OkStatus();
   }
 
-  RETURN_IF_ERROR(WriteShared(metadata));
+  ASSIGN_OR_RETURN(uint64_t version, WriteShared(metadata));
   std::lock_guard<std::mutex> lock(mu_);
-  cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
+  CacheWithVersion(metadata, version);
   // The coordination service is now at least as fresh as any pending local
   // override this Put was published for.
   auto override_it = local_overrides_.find(metadata.path);
@@ -479,24 +490,33 @@ Status MetadataService::Create(const FileMetadata& metadata) {
     auto it = locked_versions_.find(metadata.path);
     locked = it != locked_versions_.end() && it->second == 0;
   }
+  uint64_t version = 0;
   if (locked) {
     // Created under this agent's write lock: the create is the first
     // publish on the "no entry" base the lock read.
-    Status created = WriteShared(metadata);
-    if (created.code() == ErrorCode::kConflict) {
+    Result<uint64_t> created = WriteShared(metadata);
+    if (created.status().code() == ErrorCode::kConflict) {
       return AlreadyExistsError(metadata.path);
     }
-    RETURN_IF_ERROR(created);
+    RETURN_IF_ERROR(created.status());
+    version = *created;
   } else {
     RETURN_IF_ERROR(coord_->ConditionalCreate(
         user_, MetadataKey(metadata.path), metadata.Encode()));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
+  CacheWithVersion(metadata, version);
   return OkStatus();
 }
 
-Status MetadataService::WriteShared(const FileMetadata& metadata) {
+void MetadataService::CacheWithVersion(const FileMetadata& metadata,
+                                     uint64_t version) {
+  CachedEntry& cached = cache_[metadata.path];
+  cached = CachedEntry{metadata, env_->Now()};
+  cached.metadata.entry_version = version;
+}
+
+Result<uint64_t> MetadataService::WriteShared(const FileMetadata& metadata) {
   std::optional<uint64_t> base;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -507,7 +527,8 @@ Status MetadataService::WriteShared(const FileMetadata& metadata) {
   }
   const std::string key = MetadataKey(metadata.path);
   if (!base.has_value()) {
-    return coord_->Write(user_, key, metadata.Encode());
+    RETURN_IF_ERROR(coord_->Write(user_, key, metadata.Encode()));
+    return 0;
   }
   ASSIGN_OR_RETURN(uint64_t version, coord_->CompareAndSwap(
                                          user_, key, metadata.Encode(), *base));
@@ -516,7 +537,7 @@ Status MetadataService::WriteShared(const FileMetadata& metadata) {
   if (it != locked_versions_.end() && it->second == *base) {
     it->second = version;
   }
-  return OkStatus();
+  return version;
 }
 
 Result<FileMetadata> MetadataService::OpenLocked(
@@ -530,6 +551,7 @@ Result<FileMetadata> MetadataService::OpenLocked(
   if (entry.has_value()) {
     ASSIGN_OR_RETURN(FileMetadata md, FileMetadata::Decode(entry->value));
     md.path = path;  // the key is authoritative (rename triggers move keys)
+    md.entry_version = entry->version;
     cache_[path] = CachedEntry{md, env_->Now()};
     return md;
   }
@@ -565,6 +587,35 @@ Status MetadataService::Remove(const std::string& path) {
   return OkStatus();
 }
 
+Result<FileMetadata> MetadataService::RemoveShared(const std::string& path,
+                                                   uint64_t version) {
+  if (coord_ == nullptr) {
+    return NotFoundError(path);
+  }
+  Result<CoordEntry> removed =
+      coord_->RemoveGuarded(user_, MetadataKey(path), version, LockKey(path),
+                            options_.session);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!removed.ok()) {
+    if (removed.status().code() == ErrorCode::kConflict ||
+        removed.status().code() == ErrorCode::kNotFound) {
+      cache_.erase(path);  // the copy the caller checked is stale
+    }
+    return removed.status();
+  }
+  cache_.erase(path);
+  local_overrides_.erase(path);
+  pinned_.erase(path);
+  auto it = locked_versions_.find(path);
+  if (it != locked_versions_.end()) {
+    it->second = 0;
+  }
+  ASSIGN_OR_RETURN(FileMetadata md, FileMetadata::Decode(removed->value));
+  md.path = path;
+  md.entry_version = removed->version;
+  return md;
+}
+
 Result<std::vector<FileMetadata>> MetadataService::ListDir(
     const std::string& path) {
   std::vector<FileMetadata> out;
@@ -586,7 +637,7 @@ Result<std::vector<FileMetadata>> MetadataService::ListDir(
       if (lease_it != leases_.end() &&
           env_->Now() < lease_it->second.expires_at) {
         lease_it->second.last_used = env_->Now();
-        ++lease_hits_;
+        lease_hits_.fetch_add(1, std::memory_order_relaxed);
         options_.leases->RecordLocalHit();
         for (const auto& [entry_path, md] : lease_it->second.entries) {
           if (ParentPath(entry_path) == path && entry_path != path) {
@@ -893,9 +944,9 @@ Status MetadataService::PromoteToShared(const FileMetadata& metadata) {
     std::lock_guard<std::mutex> lock(mu_);
     pns_.entries.erase(metadata.path);
   }
-  RETURN_IF_ERROR(WriteShared(metadata));
+  ASSIGN_OR_RETURN(uint64_t version, WriteShared(metadata));
   std::lock_guard<std::mutex> lock(mu_);
-  cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
+  CacheWithVersion(metadata, version);
   return OkStatus();
 }
 
@@ -932,7 +983,11 @@ void MetadataService::PinOwned(const FileMetadata& metadata,
     return;  // lock not actually held (e.g. non-sharing mode)
   }
   std::lock_guard<std::mutex> lock(mu_);
-  pinned_[metadata.path] = PinnedEntry{metadata, valid_until};
+  PinnedEntry& pin = pinned_[metadata.path];
+  pin = PinnedEntry{metadata, valid_until};
+  auto base = locked_versions_.find(metadata.path);
+  pin.metadata.entry_version =
+      base != locked_versions_.end() ? base->second : 0;
 }
 
 void MetadataService::ForgetLock(const std::string& path) {
@@ -950,8 +1005,11 @@ bool MetadataService::IsPrivateEntry(const FileMetadata& metadata) {
 
 void MetadataService::CacheLocally(const FileMetadata& metadata) {
   std::lock_guard<std::mutex> lock(mu_);
-  cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
-  local_overrides_[metadata.path] = metadata;
+  // Not published yet: the entry version it will get is unknown.
+  CacheWithVersion(metadata, 0);
+  FileMetadata& pending = local_overrides_[metadata.path];
+  pending = metadata;
+  pending.entry_version = 0;
 }
 
 void MetadataService::SetPnsLocator(const std::string& path,

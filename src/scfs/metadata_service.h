@@ -14,6 +14,7 @@
 #ifndef SCFS_SCFS_METADATA_SERVICE_H_
 #define SCFS_SCFS_METADATA_SERVICE_H_
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -68,7 +69,12 @@ class MetadataService {
   Status Mount();
   Status Unmount();
 
+  // A copy of a shared entry carries the entry version it was read at
+  // (FileMetadata::entry_version) when this agent knows it.
   Result<FileMetadata> Get(const std::string& path);
+  // Reads a shared entry from the coordination service, bypassing every
+  // local copy, and refreshes the cache with it.
+  Result<FileMetadata> ReadShared(const std::string& path);
   // Publishes an entry. While this agent holds the path's write lock, a
   // shared entry is published by compare-and-swap on the entry version read
   // under the lock (see OpenLocked): kConflict if another writer published
@@ -76,6 +82,12 @@ class MetadataService {
   Status Put(const FileMetadata& metadata);
   Status Create(const FileMetadata& metadata);  // fails if the path exists
   Status Remove(const std::string& path);
+  // Removes a shared entry in one ordered command guarded by `version` (the
+  // entry version the caller checked; 0: any) and by the path's write lock,
+  // which no session but this agent's may hold. Returns the removed entry;
+  // kConflict if the entry moved past `version`, kBusy if another session
+  // holds the lock.
+  Result<FileMetadata> RemoveShared(const std::string& path, uint64_t version);
   Result<std::vector<FileMetadata>> ListDir(const std::string& path);
   Status RenameSubtree(const std::string& from, const std::string& to);
 
@@ -148,12 +160,23 @@ class MetadataService {
   bool using_pns() const { return options_.use_pns || options_.non_sharing; }
   const std::string& user() const { return user_; }
 
-  // Experiment counters.
-  uint64_t coord_reads() const { return coord_reads_; }
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t lease_hits() const { return lease_hits_; }
-  uint64_t lease_grants() const { return lease_grants_; }
-  uint64_t pinned_hits() const { return pinned_hits_; }
+  // Experiment counters. coord_reads counts every metadata read the
+  // coordination service answered, a NOT_FOUND included.
+  uint64_t coord_reads() const {
+    return coord_reads_.load(std::memory_order_relaxed);
+  }
+  uint64_t cache_hits() const {
+    return cache_hits_.load(std::memory_order_relaxed);
+  }
+  uint64_t lease_hits() const {
+    return lease_hits_.load(std::memory_order_relaxed);
+  }
+  uint64_t lease_grants() const {
+    return lease_grants_.load(std::memory_order_relaxed);
+  }
+  uint64_t pinned_hits() const {
+    return pinned_hits_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct CachedEntry {
@@ -176,8 +199,12 @@ class MetadataService {
   bool InPns(const std::string& path);
   Result<FileMetadata> GetFromCoord(const std::string& path);
   // Writes a shared entry: a compare-and-swap on the path's publish base
-  // when it has one, else an unconditional write.
-  Status WriteShared(const FileMetadata& metadata);
+  // when it has one, else an unconditional write. Returns the published
+  // entry version (0 after an unconditional write, which does not learn it).
+  Result<uint64_t> WriteShared(const FileMetadata& metadata);
+  // Caches a copy of `metadata` whose entry version is `version` (0:
+  // unknown). Requires mu_.
+  void CacheWithVersion(const FileMetadata& metadata, uint64_t version);
   std::string PnsObjectId() const { return "pns-" + user_; }
 
   bool LeasesEnabled() const {
@@ -287,11 +314,11 @@ class MetadataService {
   std::deque<std::pair<uint64_t, std::string>> lease_revocation_log_;
   uint64_t lease_holder_id_ = 0;
 
-  uint64_t coord_reads_ = 0;
-  uint64_t cache_hits_ = 0;
-  uint64_t lease_hits_ = 0;
-  uint64_t lease_grants_ = 0;
-  uint64_t pinned_hits_ = 0;
+  std::atomic<uint64_t> coord_reads_{0};
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> lease_hits_{0};
+  std::atomic<uint64_t> lease_grants_{0};
+  std::atomic<uint64_t> pinned_hits_{0};
 };
 
 }  // namespace scfs

@@ -130,6 +130,95 @@ TEST(TupleSpaceTest, RemoveAndNotFound) {
             ErrorCode::kNotFound);
 }
 
+// A remove guarded by the version its caller read: a mismatch removes
+// nothing; the reply of a removal carries the removed entry.
+TEST(TupleSpaceTest, GuardedRemoveConflictsOnAnotherVersion) {
+  TupleSpace space;
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v1")));
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v2")));
+  EXPECT_EQ(space.Apply(0, Cmd(CoordOp::kRemove, "alice", "m:/f/", {}, 1)).code,
+            ErrorCode::kConflict);
+  EXPECT_EQ(
+      ToString(space.Apply(0, Cmd(CoordOp::kRead, "alice", "m:/f/")).value),
+      "v2");
+  auto removed = space.Apply(0, Cmd(CoordOp::kRemove, "alice", "m:/f/", {}, 2));
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(ToString(removed.value), "v2");
+  EXPECT_EQ(removed.a, 2u);
+  EXPECT_EQ(space.entry_count(), 0u);
+}
+
+// The lock guard: the file lock `aux` names may be held by no principal but
+// the one in `value` (the remover's session), checked in the remove's slot.
+TEST(TupleSpaceTest, GuardedRemoveIsBusyWhileAnotherSessionHoldsTheLock) {
+  TupleSpace space;
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v")));
+  ASSERT_TRUE(
+      space.Apply(0, Cmd(CoordOp::kTryLock, "alice@s2", "lk:/f", {}, kSecond))
+          .ok());
+  CoordCommand remove = Cmd(CoordOp::kRemove, "alice", "m:/f/", {}, 1, 0,
+                            "lk:/f");
+  remove.value = ToBytes("alice@s1");
+  EXPECT_EQ(space.Apply(10, remove).code, ErrorCode::kBusy);
+  EXPECT_EQ(space.entry_count(), 1u);
+  // The lock holder's own session removes.
+  remove.value = ToBytes("alice@s2");
+  auto removed = space.Apply(20, remove);
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(ToString(removed.value), "v");
+  EXPECT_EQ(space.lock_count(), 1u);  // the remove leaves the lock alone
+
+  // An expired lock guards nothing.
+  auto written =
+      space.Apply(30, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("w")));
+  remove.a = written.a;
+  remove.value = ToBytes("alice@s1");
+  EXPECT_TRUE(space.Apply(2 * kSecond, remove).ok());
+  EXPECT_EQ(space.entry_count(), 0u);
+}
+
+TEST(TupleSpaceTest, UnguardedRemoveIgnoresVersionsAndLocks) {
+  TupleSpace space;
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v1")));
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v2")));
+  ASSERT_TRUE(
+      space.Apply(0, Cmd(CoordOp::kTryLock, "alice@s2", "lk:/f", {}, kSecond))
+          .ok());
+  auto removed = space.Apply(10, Cmd(CoordOp::kRemove, "alice", "m:/f/"));
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(ToString(removed.value), "v2");
+  // The guards do not widen access: a principal that may not write the
+  // entry is refused before either guard is looked at.
+  space.Apply(20, Cmd(CoordOp::kWrite, "alice", "m:/g/", ToBytes("x")));
+  EXPECT_EQ(space.Apply(30, Cmd(CoordOp::kRemove, "bob", "m:/g/", {}, 1)).code,
+            ErrorCode::kPermissionDenied);
+}
+
+TEST(TupleSpaceTest, GuardedRemoveRevokesCoveringLeasesInItsSlot) {
+  TupleSpace space;
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/d/f/", ToBytes("v")));
+  ASSERT_TRUE(space
+                  .Apply(0, Cmd(CoordOp::kLeaseAcquire, "alice", "m:/d/", {},
+                                kSecond, 0, "s3"))
+                  .ok());
+  ASSERT_TRUE(
+      space.Apply(0, Cmd(CoordOp::kTryLock, "alice@s2", "lk:/d/f", {}, 100))
+          .ok());
+  CoordCommand remove = Cmd(CoordOp::kRemove, "alice", "m:/d/f/", {}, 1, 0,
+                            "lk:/d/f");
+  remove.value = ToBytes("alice@s1");
+  // A refused remove changes nothing, so it revokes nothing.
+  auto busy = space.Apply(10, remove);
+  EXPECT_EQ(busy.code, ErrorCode::kBusy);
+  EXPECT_TRUE(busy.revoked.empty());
+  EXPECT_EQ(space.lease_count(), 1u);
+  auto removed = space.Apply(200, remove);  // the lock has expired
+  ASSERT_TRUE(removed.ok());
+  ASSERT_EQ(removed.revoked.size(), 1u);
+  EXPECT_EQ(removed.revoked[0].prefix, "m:/d/");
+  EXPECT_EQ(space.lease_count(), 0u);
+}
+
 TEST(TupleSpaceTest, ReadPrefix) {
   TupleSpace space;
   space.Apply(0, Cmd(CoordOp::kWrite, "a", "/m/a", ToBytes("1")));
@@ -257,6 +346,30 @@ TEST(TupleSpaceTest, RecreatedEntryNeverRepeatsARemovedVersion) {
   EXPECT_EQ(restored.Apply(0, Cmd(CoordOp::kWrite, "a", "k", ToBytes("x"))).a,
             space.Apply(0, Cmd(CoordOp::kWrite, "a", "k", ToBytes("x"))).a);
   EXPECT_EQ(restored.StateDigest(), space.StateDigest());
+}
+
+// The same for an entry renamed onto a key that had a removed entry: a
+// copy of the removed entry must not match the renamed-in one.
+TEST(TupleSpaceTest, RenamedInEntryNeverRepeatsARemovedVersion) {
+  TupleSpace space;
+  ASSERT_TRUE(
+      space.Apply(0, Cmd(CoordOp::kWrite, "a", "m:/q/", ToBytes("q"))).ok());
+  for (const char* value : {"p1", "p2", "p3"}) {
+    ASSERT_TRUE(space.Apply(0, Cmd(CoordOp::kWrite, "a", "m:/p/",
+                                   ToBytes(value)))
+                    .ok());
+  }
+  ASSERT_TRUE(space.Apply(0, Cmd(CoordOp::kRemove, "a", "m:/p/")).ok());
+  ASSERT_TRUE(space
+                  .Apply(0, Cmd(CoordOp::kRenamePrefix, "a", "m:/q/", {}, 0, 0,
+                                "m:/p/"))
+                  .ok());
+  auto renamed = space.Apply(0, Cmd(CoordOp::kRead, "a", "m:/p/"));
+  ASSERT_TRUE(renamed.ok());
+  EXPECT_EQ(ToString(renamed.value), "q");
+  EXPECT_GT(renamed.a, 3u);
+  EXPECT_EQ(space.Apply(0, Cmd(CoordOp::kRemove, "a", "m:/p/", {}, 2)).code,
+            ErrorCode::kConflict);
 }
 
 TEST(TupleSpaceTest, LockLeaseExpiresEphemeral) {
@@ -1571,6 +1684,62 @@ TEST(PartitionedCoordinationTest, FileLockRoutesWithItsMetadataEntry) {
   ASSERT_TRUE(lock.ok()) << lock.status().ToString();
   ASSERT_TRUE(lock->entry.has_value());
   EXPECT_EQ(ToString(lock->entry->value), "v");
+}
+
+// The guarded unlink over an elastic split: the entry and the lock of a
+// path move to the new partition together, so a lock taken there guards the
+// remove, and the import's version bump turns a version read before the
+// split into a conflict. A lock taken before the split stays on the source
+// partition (locks do not migrate, ROADMAP item 9) and guards nothing.
+TEST(PartitionedCoordinationTest, GuardedRemoveAcrossASplit) {
+  auto env = Environment::Scaled(1e-3);
+  PartitionedCoordination coord(env.get(), ElasticConfig(2, 1));
+  std::vector<std::string> migrated;
+  for (int i = 0; migrated.size() < 2; ++i) {
+    const std::string path = "/dir/f" + std::to_string(i);
+    if (InFirstSplitRange("lk:" + path)) {
+      migrated.push_back(path);
+    }
+  }
+  const std::string path = migrated[0];
+  const std::string stranded = migrated[1];
+  const std::string key = "m:" + path + "/";
+  ASSERT_TRUE(coord.Write("alice", key, ToBytes("v")).ok());
+  ASSERT_TRUE(coord.Write("alice", "m:" + stranded + "/", ToBytes("s")).ok());
+  const uint64_t before_split = coord.Read("alice", key)->version;
+  auto stale_lock = coord.TryLock("alice@s2", "lk:" + stranded, 120 * kSecond);
+  ASSERT_TRUE(stale_lock.ok());
+  ASSERT_TRUE(coord.SplitPartition(0).ok());
+  ASSERT_EQ(coord.PartitionOf(key), 2u);
+
+  EXPECT_EQ(coord.RemoveGuarded("alice", key, before_split, "lk:" + path,
+                                "alice@s1")
+                .status()
+                .code(),
+            ErrorCode::kConflict);
+  const uint64_t current = coord.Read("alice", key)->version;
+  EXPECT_GT(current, before_split);
+  auto lock = coord.TryLock("alice@s2", "lk:" + path, 120 * kSecond);
+  ASSERT_TRUE(lock.ok());
+  EXPECT_EQ(
+      coord.RemoveGuarded("alice", key, current, "lk:" + path, "alice@s1")
+          .status()
+          .code(),
+      ErrorCode::kBusy);
+  ASSERT_TRUE(coord.Unlock("alice@s2", "lk:" + path, lock->token).ok());
+  auto removed =
+      coord.RemoveGuarded("alice", key, current, "lk:" + path, "alice@s1");
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(ToString(removed->value), "v");
+  EXPECT_EQ(coord.Read("alice", key).status().code(), ErrorCode::kNotFound);
+
+  // The documented gap: the pre-split lock does not guard its entry.
+  const std::string stranded_key = "m:" + stranded + "/";
+  EXPECT_TRUE(coord
+                  .RemoveGuarded("alice", stranded_key,
+                                 coord.Read("alice", stranded_key)->version,
+                                 "lk:" + stranded, "alice@s1")
+                  .ok());
 }
 
 TEST(ElasticPartitionTest, MisroutedCommandRetriesWithFreshMap) {

@@ -182,6 +182,22 @@ TEST_F(LeaseTest, ContenderClaimsLingeringLock) {
   EXPECT_EQ(ToString(*read), "from b");
 }
 
+TEST_F(LeaseTest, UnlinkClaimsAnotherMountsLingeringLock) {
+  auto a = MountAgent("alice");
+  auto b = MountAgent("alice");
+  ASSERT_TRUE(a->WriteFile("/f", ToBytes("from a")).ok());
+  // a's lock on /f lingers after its close: b's guarded remove finds it
+  // held, the broker has a release it, and b's retry removes the file.
+  const uint64_t handoffs =
+      deployment_->lease_manager()->counters().linger_handoffs;
+  ASSERT_TRUE(b->Unlink("/f").ok());
+  EXPECT_EQ(deployment_->lease_manager()->counters().linger_handoffs,
+            handoffs + 1);
+  EXPECT_EQ(a->lock_service().HeldUntil("/f"), 0);
+  EXPECT_EQ(MountAgent("alice")->Stat("/f").status().code(),
+            ErrorCode::kNotFound);
+}
+
 TEST_F(LeaseTest, ListDirServedFromLease) {
   auto fs = MountAgent("alice");
   ASSERT_TRUE(fs->Mkdir("/d").ok());

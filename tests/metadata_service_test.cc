@@ -144,6 +144,48 @@ TEST_F(MetadataServiceTest, ZeroTtlAlwaysReadsCoordination) {
   EXPECT_EQ(service.coord_reads(), reads0 + 2);
 }
 
+// A read that finds no entry is a coordination round like any other.
+TEST_F(MetadataServiceTest, MissingPathCountsOneCoordinationRead) {
+  auto service = MakeService({});
+  ASSERT_TRUE(service.Mount().ok());
+  const uint64_t reads0 = service.coord_reads();
+  EXPECT_EQ(service.Get("/missing").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(service.coord_reads(), reads0 + 1);
+}
+
+// Copies read from the coordination service carry their entry version; a
+// remove guarded by an older one conflicts and drops the stale copy.
+TEST_F(MetadataServiceTest, RemoveSharedIsGuardedByTheEntryVersion) {
+  MetadataServiceOptions options;
+  options.session = "alice@s1";
+  auto service = MakeService(options);
+  ASSERT_TRUE(service.Mount().ok());
+  ASSERT_TRUE(service.Put(SampleMetadata("/f")).ok());
+  service.InvalidateCache("/f");
+  auto first = service.Get("/f");
+  ASSERT_TRUE(first.ok());
+  EXPECT_GT(first->entry_version, 0u);
+  ASSERT_TRUE(coord_.Write("alice", MetadataKey("/f"),
+                           SampleMetadata("/f").Encode())
+                  .ok());
+  EXPECT_EQ(service.RemoveShared("/f", first->entry_version).status().code(),
+            ErrorCode::kConflict);
+  auto current = service.Get("/f");  // the stale copy is gone: a fresh read
+  ASSERT_TRUE(current.ok());
+  EXPECT_GT(current->entry_version, first->entry_version);
+  // Another session's lock on the file refuses the remove.
+  auto lock = coord_.TryLock("alice@s2", LockKey("/f"), 10 * kSecond);
+  ASSERT_TRUE(lock.ok());
+  EXPECT_EQ(service.RemoveShared("/f", current->entry_version).status().code(),
+            ErrorCode::kBusy);
+  ASSERT_TRUE(coord_.Unlock("alice@s2", LockKey("/f"), lock->token).ok());
+  auto removed = service.RemoveShared("/f", current->entry_version);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(removed->object_id, "alice-xyz");
+  EXPECT_EQ(removed->entry_version, current->entry_version);
+  EXPECT_EQ(service.Get("/f").status().code(), ErrorCode::kNotFound);
+}
+
 TEST_F(MetadataServiceTest, LocalOverrideSurvivesTtlUntilPublished) {
   MetadataServiceOptions options;
   options.cache_ttl = kMillisecond;

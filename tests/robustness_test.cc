@@ -558,6 +558,7 @@ TEST_F(DepSkyTimerTest, DownHolderIsReplacedAfterItsFirstFailedAttempt) {
 // ---------------------------------------------------------------------------
 
 TEST_F(DepSkyTimerTest, WriteChargesSlowerOfMetadataReadAndPutWave) {
+  UseSlowClock();
   UseLatencies(Spread());
   DepSkyConfig config;
   config.request_deadline = 60 * kSecond;

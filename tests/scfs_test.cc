@@ -533,6 +533,132 @@ void ExpectNoLostAppend(Deployment* deployment, ScfsMode mode) {
   EXPECT_EQ(ToString(*(*fresh)->ReadFile("/f")), "ABC");
 }
 
+std::unique_ptr<ScfsFileSystem> MountAlice(Deployment* deployment,
+                                           ScfsOptions options = {}) {
+  auto fs = deployment->Mount("alice", options);
+  EXPECT_TRUE(fs.ok()) << fs.status().ToString();
+  return fs.ok() ? std::move(*fs) : nullptr;
+}
+
+// An unlink checks the file lock in its own ordered slot: while another
+// agent holds the write lock it fails with kBusy and the file survives.
+void ExpectUnlinkBusyWhileAnotherAgentWrites(Deployment* deployment) {
+  auto writer = MountAlice(deployment);
+  auto remover = MountAlice(deployment);
+  ASSERT_TRUE(writer && remover);
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("kept")).ok());
+  auto fh = writer->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  EXPECT_EQ(remover->Unlink("/f").code(), ErrorCode::kBusy);
+  ASSERT_TRUE(writer->Write(*fh, 4, ToBytes("+")).ok());
+  ASSERT_TRUE(writer->Close(*fh).ok());
+  ASSERT_TRUE(writer->SyncBarrier().ok());
+  EXPECT_EQ(ToString(*MountAlice(deployment)->ReadFile("/f")), "kept+");
+  // Once the lock is free the unlink goes through, although the entry it
+  // read before has moved on (one conflict, one re-read).
+  ASSERT_TRUE(remover->Unlink("/f").ok());
+  EXPECT_EQ(MountAlice(deployment)->Stat("/f").status().code(),
+            ErrorCode::kNotFound);
+}
+
+// A writer whose lock lease ran out does not stop an unlink, and its later
+// close cannot bring the file back: its publish is a compare-and-swap on
+// the version it read under the lock.
+void ExpectExpiredWriterCannotResurrect(Deployment* deployment,
+                                        Environment* env) {
+  ScfsOptions short_lease;
+  short_lease.locks.lease = 10 * kSecond;
+  auto late = MountAlice(deployment, short_lease);
+  auto remover = MountAlice(deployment);
+  ASSERT_TRUE(late && remover);
+  ASSERT_TRUE(late->WriteFile("/f", ToBytes("base")).ok());
+  auto fh = late->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  ASSERT_TRUE(late->Write(*fh, 4, ToBytes("+late")).ok());
+  env->Sleep(20 * kSecond);  // past the lock's lease
+  ASSERT_TRUE(remover->Unlink("/f").ok());
+  const Status closed = late->Close(*fh);
+  EXPECT_TRUE(closed.code() == ErrorCode::kConflict ||
+              closed.code() == ErrorCode::kNotFound)
+      << closed.ToString();
+  ASSERT_TRUE(late->SyncBarrier().ok());
+  EXPECT_EQ(MountAlice(deployment)->Stat("/f").status().code(),
+            ErrorCode::kNotFound);
+}
+
+// An unlink that starts from a cached entry another agent has since
+// replaced conflicts, re-reads the entry once and removes it, and its
+// tombstone names the removed entry's data unit.
+void ExpectStaleUnlinkRetries(Deployment* deployment) {
+  ScfsOptions long_cache;
+  long_cache.metadata_cache_ttl = 600 * kSecond;
+  auto writer = MountAlice(deployment);
+  auto remover = MountAlice(deployment, long_cache);
+  ASSERT_TRUE(writer && remover);
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("v1")).ok());
+  ASSERT_TRUE(remover->Stat("/f").ok());  // caches the first version
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("v2, longer")).ok());
+  ASSERT_TRUE(writer->SyncBarrier().ok());
+  auto published = writer->metadata_service().Get("/f");
+  ASSERT_TRUE(published.ok());
+  const uint64_t reads = remover->metadata_service().coord_reads();
+  ASSERT_TRUE(remover->Unlink("/f").ok());
+  EXPECT_EQ(remover->metadata_service().coord_reads(), reads + 1);
+  EXPECT_EQ(MountAlice(deployment)->Stat("/f").status().code(),
+            ErrorCode::kNotFound);
+  ASSERT_TRUE(remover->SyncBarrier().ok());
+  auto tombstones = remover->metadata_service().ListTombstones();
+  ASSERT_TRUE(tombstones.ok());
+  EXPECT_EQ(std::count(tombstones->begin(), tombstones->end(),
+                       published->object_id),
+            1);
+}
+
+// The tombstone is written behind the unlink's ack; a sync barrier waits
+// for it, and the garbage collector then reclaims every version.
+void ExpectGcReclaimsUnlinkedVersions(Deployment* deployment) {
+  ScfsOptions options;
+  options.gc.enabled = false;
+  auto fs = MountAlice(deployment, options);
+  ASSERT_TRUE(fs);
+  ASSERT_TRUE(fs->WriteFile("/g", ToBytes("first")).ok());
+  ASSERT_TRUE(fs->WriteFile("/g", ToBytes("second")).ok());
+  auto md = fs->metadata_service().Get("/g");
+  ASSERT_TRUE(md.ok());
+  ASSERT_TRUE(fs->Unlink("/g").ok());
+  ASSERT_TRUE(fs->SyncBarrier().ok());
+  auto tombstones = fs->metadata_service().ListTombstones();
+  ASSERT_TRUE(tombstones.ok());
+  EXPECT_EQ(std::count(tombstones->begin(), tombstones->end(), md->object_id),
+            1);
+  auto versions = fs->storage_service().backend().ListVersions(md->object_id);
+  ASSERT_TRUE(versions.ok());
+  EXPECT_EQ(versions->size(), 2u);
+  ASSERT_TRUE(fs->RunGarbageCollection().ok());
+  versions = fs->storage_service().backend().ListVersions(md->object_id);
+  EXPECT_TRUE(!versions.ok() || versions->empty());
+  tombstones = fs->metadata_service().ListTombstones();
+  ASSERT_TRUE(tombstones.ok());
+  EXPECT_EQ(std::count(tombstones->begin(), tombstones->end(), md->object_id),
+            0);
+}
+
+TEST_P(ScfsTest, UnlinkIsBusyWhileAnotherAgentHoldsTheWriteLock) {
+  ExpectUnlinkBusyWhileAnotherAgentWrites(deployment_.get());
+}
+
+TEST_P(ScfsTest, WriterWhoseLockExpiredCannotResurrectAnUnlinkedFile) {
+  ExpectExpiredWriterCannotResurrect(deployment_.get(), env_.get());
+}
+
+TEST_P(ScfsTest, UnlinkFromAStaleCachedEntryRetriesOnConflict) {
+  ExpectStaleUnlinkRetries(deployment_.get());
+}
+
+TEST_P(ScfsTest, SyncBarrierThenGcReclaimsAnUnlinkedFile) {
+  ExpectGcReclaimsUnlinkedVersions(deployment_.get());
+}
+
 TEST_P(ScfsTest, WriterOpensTheVersionCurrentAtItsLock) {
   ExpectNoLostAppend(deployment_.get(), ScfsMode::kBlocking);
 }
@@ -932,6 +1058,94 @@ TEST(ScfsPartitionedTest, WriterOpensTheVersionCurrentAtItsLock) {
   EXPECT_EQ(deployment->coord()->PartitionOf(LockKey("/f")),
             deployment->coord()->PartitionOf(MetadataKey("/f")));
   ExpectNoLostAppend(deployment.get(), ScfsMode::kBlocking);
+}
+
+// Ordered commands and fast reads the coordination plane has executed.
+SmrCounters CoordCounters(Deployment* deployment) {
+  return deployment->partitioned_coord() != nullptr
+             ? deployment->partitioned_coord()->counters()
+             : deployment->replicated_coord()->cluster().counters();
+}
+
+// An unlink is one ordered command: the guarded remove. A cold agent reads
+// the entry first (a fast read); an agent that knows the entry's version
+// from its own publish does not. A file with content adds its tombstone,
+// written behind the ack.
+void ExpectOneOrderedCommandPerUnlink(Deployment* deployment) {
+  ScfsOptions long_cache;
+  long_cache.metadata_cache_ttl = 600 * kSecond;
+  auto writer = MountAlice(deployment, long_cache);
+  auto remover = MountAlice(deployment);
+  ASSERT_TRUE(writer && remover);
+  ASSERT_TRUE(writer->WriteFile("/empty", {}).ok());
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("data")).ok());
+  ASSERT_TRUE(writer->SyncBarrier().ok());
+
+  SmrCounters before = CoordCounters(deployment);
+  ASSERT_TRUE(remover->Unlink("/empty").ok());
+  SmrCounters delta = CoordCounters(deployment);
+  delta -= before;
+  // A fast read that fell back to ordering counts as both.
+  EXPECT_EQ(delta.ordered_commands - delta.fast_path_fallbacks, 1u);
+  EXPECT_EQ(delta.fast_path_reads + delta.fast_path_fallbacks, 1u);
+
+  before = CoordCounters(deployment);
+  ASSERT_TRUE(writer->Unlink("/f").ok());
+  ASSERT_TRUE(writer->SyncBarrier().ok());
+  delta = CoordCounters(deployment);
+  delta -= before;
+  EXPECT_EQ(delta.ordered_commands, 2u);  // the remove and the tombstone
+  EXPECT_EQ(delta.fast_path_reads + delta.fast_path_fallbacks, 0u);
+}
+
+// A CoC deployment whose coordination is replicated (one partition) or
+// partitioned, in scaled time. One virtual second is 10 real ms: ten times
+// the margin of the 1e-3 scale above against scheduling delays on a loaded
+// host, which virtual-time deadlines would otherwise count.
+struct ScaledCoc {
+  explicit ScaledCoc(unsigned partitions) : env(Environment::Scaled(1e-2)) {
+    DeploymentOptions options;
+    options.backend = ScfsBackendKind::kCoc;
+    options.coord_partitions = partitions;
+    deployment = Deployment::Create(env.get(), options);
+  }
+
+  std::unique_ptr<Environment> env;
+  std::unique_ptr<Deployment> deployment;
+};
+
+TEST(ScfsReplicatedTest, UnlinkIsOneOrderedCommand) {
+  ScaledCoc coc(1);
+  ASSERT_NE(coc.deployment->replicated_coord(), nullptr);
+  ExpectOneOrderedCommandPerUnlink(coc.deployment.get());
+}
+
+TEST(ScfsPartitionedTest, UnlinkIsOneOrderedCommand) {
+  ScaledCoc coc(4);
+  // The guarded remove reads the lock on the entry's partition.
+  EXPECT_EQ(coc.deployment->coord()->PartitionOf(LockKey("/f")),
+            coc.deployment->coord()->PartitionOf(MetadataKey("/f")));
+  ExpectOneOrderedCommandPerUnlink(coc.deployment.get());
+}
+
+TEST(ScfsPartitionedTest, UnlinkIsBusyWhileAnotherAgentHoldsTheWriteLock) {
+  ScaledCoc coc(4);
+  ExpectUnlinkBusyWhileAnotherAgentWrites(coc.deployment.get());
+}
+
+TEST(ScfsPartitionedTest, WriterWhoseLockExpiredCannotResurrectAnUnlinkedFile) {
+  ScaledCoc coc(4);
+  ExpectExpiredWriterCannotResurrect(coc.deployment.get(), coc.env.get());
+}
+
+TEST(ScfsPartitionedTest, UnlinkFromAStaleCachedEntryRetriesOnConflict) {
+  ScaledCoc coc(4);
+  ExpectStaleUnlinkRetries(coc.deployment.get());
+}
+
+TEST(ScfsPartitionedTest, SyncBarrierThenGcReclaimsAnUnlinkedFile) {
+  ScaledCoc coc(4);
+  ExpectGcReclaimsUnlinkedVersions(coc.deployment.get());
 }
 
 }  // namespace
