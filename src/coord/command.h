@@ -20,7 +20,10 @@ namespace scfs {
 enum class CoordOp : uint8_t {
   kWrite = 1,            // upsert key (creates with caller as owner)
   kConditionalCreate,    // fails with ALREADY_EXISTS
-  kCompareAndSwap,       // write iff version matches `a` (0: iff absent)
+  kCompareAndSwap,       // write iff version matches `a` (0: iff absent);
+                         // aux=lock to release in the same slot, b=its
+                         // token (optional; released whatever the swap's
+                         // outcome: publish-and-release)
   kRead,                 // value + version
   kReadPrefix,           // all entries with key prefix
   kRemove,               // reply: the removed value + version; guards (both

@@ -27,13 +27,18 @@ Status CoordinationService::ConditionalCreate(const std::string& client,
 
 Result<uint64_t> CoordinationService::CompareAndSwap(
     const std::string& client, const std::string& key, const Bytes& value,
-    uint64_t expected_version) {
+    uint64_t expected_version,
+    const std::optional<CoordLockRelease>& release) {
   CoordCommand cmd;
   cmd.op = CoordOp::kCompareAndSwap;
   cmd.client = client;
   cmd.key = key;
   cmd.value = value;
   cmd.a = expected_version;
+  if (release.has_value()) {
+    cmd.aux = release->name;
+    cmd.b = release->token;
+  }
   ASSIGN_OR_RETURN(CoordReply reply, Submit(cmd));
   RETURN_IF_ERROR(reply.ToStatus("coord cas " + key));
   return reply.a;

@@ -29,6 +29,13 @@ struct CoordLock {
   std::optional<CoordEntry> entry;
 };
 
+// A lock a publish releases in its own ordered slot (publish-and-release,
+// DESIGN.md): the lock's name and the token its holder got.
+struct CoordLockRelease {
+  std::string name;
+  uint64_t token = 0;
+};
+
 // The result of an ordered lease grant (see DESIGN.md "Lease-delegated
 // caching"): the holder may serve `entries` — a snapshot of everything under
 // the leased prefix it is allowed to read — locally until `expires_at`
@@ -87,10 +94,19 @@ class CoordinationService {
   // does not match. Expected version 0 means "no entry": the call creates
   // the entry iff it is still absent. A key's versions never repeat within
   // one tuple space: an entry created, or renamed onto the key, after a
-  // removal starts above the removed one's version.
-  Result<uint64_t> CompareAndSwap(const std::string& client,
-                                  const std::string& key, const Bytes& value,
-                                  uint64_t expected_version);
+  // removal starts above the removed one's version. Covering leases are
+  // revoked when the swap succeeds.
+  //
+  // Publish-and-release: the same ordered slot also releases `release`, if
+  // set, when its token matches, whatever the swap's outcome — any reply
+  // means the lock is released, and only a failed submission (kUnavailable,
+  // no reply) leaves it unknown. The lock must live on the entry's
+  // partition: PartitionRoutingKey co-locates "lk:<path>" with
+  // "m:<path>/".
+  Result<uint64_t> CompareAndSwap(
+      const std::string& client, const std::string& key, const Bytes& value,
+      uint64_t expected_version,
+      const std::optional<CoordLockRelease>& release = std::nullopt);
   Result<CoordEntry> Read(const std::string& client, const std::string& key);
   Result<std::vector<CoordEntryView>> ReadPrefix(const std::string& client,
                                                  const std::string& prefix);
@@ -173,7 +189,8 @@ class CoordinationService {
 // commit marker the destination's. A file lock "lk:<path>" routes as the
 // file's metadata entry "m:<path>/", so one ordered command can take the
 // lock and read the entry (TryLock's `read_key`) or remove the entry unless
-// another session holds the lock (RemoveGuarded's `lock`), and an elastic
+// another session holds the lock (RemoveGuarded's `lock`), or publish the
+// entry and release the lock (CompareAndSwap's `release`), and an elastic
 // split, which moves whole hash ranges, keeps the two on one partition.
 std::string PartitionRoutingKey(const std::string& key);
 

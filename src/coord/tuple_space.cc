@@ -163,6 +163,10 @@ CoordReply TupleSpace::Apply(VirtualTime now, const CoordCommand& command) {
     case CoordOp::kCompareAndSwap: {
       CoordReply reply = CompareAndSwap(command);
       if (reply.ok()) RevokeCoveringLeases(command.key, &reply);
+      // Publish-and-release: the lock in `aux` is released in the swap's
+      // own slot if `b` is its token, whatever the swap's outcome — a close
+      // whose publish fails unlocks too.
+      if (!command.aux.empty()) ReleaseLock(command.aux, command.b);
       return reply;
     }
     case CoordOp::kRead:
@@ -484,12 +488,17 @@ CoordReply TupleSpace::RenewLock(VirtualTime now, const CoordCommand& cmd) {
 }
 
 CoordReply TupleSpace::Unlock(const CoordCommand& cmd) {
-  auto it = locks_.find(cmd.key);
-  if (it == locks_.end() || it->second.token != cmd.b) {
-    return ErrorReply(ErrorCode::kNotFound);
+  return ReleaseLock(cmd.key, cmd.b) ? CoordReply{}
+                                     : ErrorReply(ErrorCode::kNotFound);
+}
+
+bool TupleSpace::ReleaseLock(const std::string& name, uint64_t token) {
+  auto it = locks_.find(name);
+  if (it == locks_.end() || it->second.token != token) {
+    return false;
   }
   locks_.erase(it);
-  return CoordReply{};
+  return true;
 }
 
 CoordReply TupleSpace::RenamePrefix(const CoordCommand& cmd) {

@@ -126,6 +126,9 @@ class TupleSpace {
   CoordReply TryLock(VirtualTime now, const CoordCommand& cmd);
   CoordReply RenewLock(VirtualTime now, const CoordCommand& cmd);
   CoordReply Unlock(const CoordCommand& cmd);
+  // Releases lock `name` if `token` is its token; false if it is not held
+  // with that token (expired, released, or re-taken by someone else).
+  bool ReleaseLock(const std::string& name, uint64_t token);
   CoordReply RenamePrefix(const CoordCommand& cmd);
   CoordReply SetEntryAcl(const CoordCommand& cmd);
   CoordReply ExportPrefix(const CoordCommand& cmd) const;

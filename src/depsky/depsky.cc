@@ -332,7 +332,19 @@ Future<Status> DepSkyClient::RobustPut(unsigned cloud, const std::string& key,
   auto call = std::make_shared<RobustCall<Status>>(
       ctx, cloud,
       [this, cloud, key, data = std::move(data)]() {
-        return clouds_[cloud].store->PutAsync(clouds_[cloud].creds, key, data);
+        {
+          std::lock_guard<std::mutex> lock(puts_in_flight_->mu);
+          puts_in_flight_->keys.insert(key);
+        }
+        Future<Status> put =
+            clouds_[cloud].store->PutAsync(clouds_[cloud].creds, key, data);
+        put.OnReady([puts = puts_in_flight_, key](const Status&,
+                                                  VirtualDuration) {
+          std::lock_guard<std::mutex> lock(puts->mu);
+          puts->keys.erase(puts->keys.find(key));
+          puts->cv.notify_all();
+        });
+        return put;
       },
       [](const Status& s) { return ResponsiveStatus(s); },
       [key]() { return TimeoutError("deadline expired: PUT " + key); });
@@ -585,7 +597,7 @@ Result<DepSkyVersion> DepSkyClient::WriteVersion(
     ConstByteSpan data, const std::vector<DepSkyGrant>* merge_grants) {
   ASSIGN_OR_RETURN(DepSkyWrite write,
                    StartWrite(unit, content_hash, data, merge_grants));
-  RETURN_IF_ERROR(write.finish().Get());
+  RETURN_IF_ERROR(write.finish(std::nullopt).Get());
   return std::move(write.record);
 }
 
@@ -604,6 +616,10 @@ VirtualDuration DepSkyClient::RequestBudget() const {
     }
   }
   return budget;
+}
+
+VirtualDuration DepSkyClient::HandoffBound() const {
+  return config_.request_deadline;
 }
 
 Result<DepSkyWrite> DepSkyClient::StartWrite(
@@ -666,28 +682,40 @@ Result<DepSkyWrite> DepSkyClient::StartWrite(
     pred = *predecessor;
     version.version = std::max(version.version, pred->version + 1);
   }
+  // The straggler invariant: the predecessor's metadata PUT must be on n-f
+  // clouds before this one is launched, so at most f clouds can end up
+  // with the older history on top. Its finish launched all of its
+  // requests at most HandoffBound() after this write started (the handoff
+  // contract, depsky.h), so a RequestBudget() after that none of them can
+  // still land.
+  if (pred.has_value()) {
+    AwaitListed(unit, base.predecessor_copies(), pred->object_id,
+                started + RequestBudget() + HandoffBound());
+  }
   DepSkyWrite write;
   write.record = version;
   write.finish = [this, unit, md, acls = base.behind_acls(),
-                  listed = base.predecessor_copies(), pred = std::move(pred),
-                  version = std::move(version), started]() {
-    return FinishWrite(unit, *md, *acls, listed, pred, version, started);
+                  pred = std::move(pred), version = std::move(version)](
+                     std::optional<VirtualTime> handed_off) {
+    return FinishWrite(unit, *md, *acls, pred, version, handed_off);
   };
   return write;
 }
 
 Future<Status> DepSkyClient::FinishWrite(
     const std::string& unit, const DepSkyMetadata& md,
-    const DepSkyMetadata& acls, unsigned listed,
-    const std::optional<DepSkyVersion>& pred, const DepSkyVersion& version,
-    VirtualTime started) {
-  // The straggler invariant: the predecessor's metadata PUT must be on n-f
-  // clouds before this one is launched, so at most f clouds can end up
-  // with the older history on top. Its requests were all launched before
-  // this write started (see StartWrite), so RequestBudget() after that
-  // none of them can still land.
-  if (pred.has_value()) {
-    AwaitListed(unit, listed, pred->object_id, started + RequestBudget());
+    const DepSkyMetadata& acls, const std::optional<DepSkyVersion>& pred,
+    const DepSkyVersion& version, std::optional<VirtualTime> handed_off) {
+  // The successor's listing wait counts on this launch coming at most
+  // HandoffBound() after the handoff, hence after its start. Later, its
+  // own PUT may already be out: launch nothing, and leave the listing to
+  // the successor's merge, as for a writer that crashed before its finish.
+  if (handed_off.has_value() && HandoffBound() > 0 &&
+      env_->Now() - *handed_off > HandoffBound()) {
+    late_handoffs_.fetch_add(1);
+    return Future<Status>::Ready(
+        TimeoutError("handoff of " + unit + " acknowledged too late to list "
+                     "its version; the next write lists it"));
   }
   // History ∪ predecessor ∪ this version, in version order.
   auto merged = std::make_shared<DepSkyMetadata>(md);
@@ -704,9 +732,8 @@ Future<Status> DepSkyClient::FinishWrite(
     merged->versions.insert(at, *pred);
   }
   merged->versions.push_back(version);
-  // Launched before returning, so before the caller lets the next writer
-  // start: the PUT, and alongside it the ACLs the metadata adds, on every
-  // acknowledged object.
+  // Launched before returning: the PUT, and alongside it the ACLs the
+  // metadata adds, on every acknowledged object.
   std::vector<Future<Status>> puts = LaunchMetadataPush(unit, *merged);
   std::vector<Future<Status>> acl_futures;
   for (size_t u = 0; u < version.stripe_units.size(); ++u) {
@@ -1542,6 +1569,17 @@ Status DepSkyClient::DeleteUnit(const std::string& unit) {
   // version record names, and fresh object names mean no later write ever
   // overwrites them. The prefix also covers the metadata object itself.
   const std::string prefix = "du/" + unit + "/";
+  // This client's PUTs under the prefix that are still in flight would
+  // land after the listing: a write returns at its quorum, before the last
+  // clouds' requests. Wait for them to land first.
+  {
+    std::unique_lock<std::mutex> lock(puts_in_flight_->mu);
+    puts_in_flight_->cv.wait(lock, [&] {
+      auto it = puts_in_flight_->keys.lower_bound(prefix);
+      return it == puts_in_flight_->keys.end() ||
+             it->compare(0, prefix.size(), prefix) != 0;
+    });
+  }
   std::vector<Future<Result<std::vector<ObjectInfo>>>> listings;
   listings.reserve(clouds_.size());
   for (unsigned i = 0; i < clouds_.size(); ++i) {

@@ -18,11 +18,11 @@
 //      metadata read has settled, applies the caller's grants to the
 //      stored objects and numbers the version after the highest one read
 //      (and after the caller's predecessor record, if any),
-//   6. behind the write (StartWrite returns before it, and its caller
-//      starts it with DepSkyWrite::finish): once n-f copies list the
-//      caller's predecessor version, appends the version to the
-//      authenticated metadata object replicated in every cloud, and applies
-//      the ACLs the metadata adds (owner ids, stored grants) alongside.
+//   6. behind the write (StartWrite returns before it, once n-f copies
+//      list the caller's predecessor version, and its caller starts it with
+//      DepSkyWrite::finish): appends the version to the authenticated
+//      metadata object replicated in every cloud, and applies the ACLs the
+//      metadata adds (owner ids, stored grants) alongside.
 // Units run through a bounded window on the executor; a one-unit version
 // runs on the caller's thread. StartWrite returns the numbered version
 // record after max(metadata read, shard PUT wave); the caller may anchor
@@ -52,10 +52,12 @@
 #define SCFS_DEPSKY_DEPSKY_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,12 +144,14 @@ struct DepSkyWrite {
   DepSkyVersion record;
   // Starts the write-behind: call it once, after the record is anchored,
   // or never (a write whose anchor failed must not be listed). It returns
-  // once the metadata PUT requests are launched — first waiting, if the
-  // write's metadata read did not show n-f copies listing the predecessor,
-  // until they do or until the predecessor's requests can no longer land
-  // (re-reading the metadata meanwhile) — with the future of the PUT's
-  // write quorum and of the metadata-derived ACLs.
-  std::function<Future<Status>()> finish;
+  // once the metadata PUT requests are launched, with the future of the
+  // PUT's write quorum and of the metadata-derived ACLs. `handed_off` is
+  // when the caller sent the command that lets the next writer start
+  // (SCFS: the publish that releases the file lock); nullopt if no next
+  // writer can start yet. Past HandoffBound() after it, nothing is
+  // launched (the future fails with kTimeout, late_handoffs()): the next
+  // writer lists the version instead, as it would a crashed writer's.
+  std::function<Future<Status>(std::optional<VirtualTime> handed_off)> finish;
 };
 
 // Outcome of one scrub pass over a data unit (see ScrubUnit): how many stored
@@ -177,9 +181,10 @@ class DepSkyClient {
 
   // Stores a new version. `content_hash` is the hex consistency-anchor hash
   // of `data` (computed by the caller; verified on read). Returns once
-  // every unit's shards are on a write quorum and the metadata read has
-  // settled: the version record, its number filled in, and the step that
-  // writes the metadata listing it (DepSkyWrite::finish). If
+  // every unit's shards are on a write quorum, the metadata read has
+  // settled and n-f copies list the predecessor (below): the version
+  // record, its number filled in, and the step that writes the metadata
+  // listing it (DepSkyWrite::finish). If
   // `merge_grants` is non-null, they are applied to the objects before the
   // call returns and folded into the unit metadata.
   //
@@ -188,12 +193,15 @@ class DepSkyClient {
   // file lock). The version is numbered after it too, and the metadata
   // lists it even if its own metadata PUT never landed. The straggler
   // invariant — at most f clouds end up with a history older than the
-  // newest anchored version — needs two things of the caller: the
-  // predecessor's finish returned before this call started (SCFS: before
-  // the file lock was released), and this write's finish is called before
-  // its successor starts. Its wait for the predecessor then ends at the
-  // latest RequestBudget() after this call started: by then every request
-  // the predecessor's finish launched has settled.
+  // newest anchored version — needs two things of the caller: this call
+  // started after the predecessor's handoff (SCFS: the file lock's
+  // release), and this write's finish gets the time of its own handoff.
+  // The predecessor's finish then launched every request it launched at
+  // most HandoffBound() after this call started, so the wait for its
+  // listing (if the write's own read did not show n-f copies listing it,
+  // re-reading the metadata meanwhile) ends at the latest RequestBudget()
+  // + HandoffBound() after this call started: by then none of those
+  // requests can still land.
   //
   // `data` is a borrowed view: each unit is encrypted straight into its
   // erasure-coding arena (secret-sharing mode) or serialized straight into
@@ -269,7 +277,11 @@ class DepSkyClient {
   // caller may read: the metadata, every version's objects, and the orphans
   // of the caller's own writes that stored shards but failed before
   // publishing them. A grantee's failed write never got the owner's ACLs,
-  // so its orphans are listed (and deleted) only by the grantee.
+  // so its orphans are listed (and deleted) only by the grantee. It first
+  // waits for this client's own PUTs under du/<unit>/ still in flight (the
+  // last clouds' requests of a write that returned at its quorum), which
+  // would otherwise land after the listing; another client's stragglers
+  // are bounded only by their request budget.
   Status DeleteVersion(const std::string& unit,
                        const std::string& content_hash);
   Status DeleteUnit(const std::string& unit);
@@ -284,6 +296,11 @@ class DepSkyClient {
   // The longest one robust cloud request can take: every attempt to its
   // deadline plus the longest backoff before each retry.
   VirtualDuration RequestBudget() const;
+  // H, the longest a writer's handoff may take to be acknowledged for its
+  // finish still to launch the metadata PUT: one request deadline, the
+  // bound one cloud request attempt gets. With deadlines off (0) no finish
+  // is late, and no bound on stragglers holds.
+  VirtualDuration HandoffBound() const;
 
   // Self-healing telemetry: the per-cloud breaker/EWMA state and the
   // counters the fault benches report.
@@ -305,6 +322,9 @@ class DepSkyClient {
   uint64_t predecessor_budget_waits() const {
     return predecessor_budget_waits_.load();
   }
+  // Finishes called more than HandoffBound() after their handoff, which
+  // launched nothing.
+  uint64_t late_handoffs() const { return late_handoffs_.load(); }
   // Arena recycling across units and sequential writes.
   uint64_t arena_pool_hits() const { return arena_pool_.hits(); }
   uint64_t arena_pool_misses() const { return arena_pool_.misses(); }
@@ -407,17 +427,16 @@ class DepSkyClient {
                                     const std::string& value_key, unsigned k,
                                     const DepSkyStripeUnit& stripe);
 
-  // A write's step 6 (DepSkyWrite::finish): waits for `pred`'s listing
-  // (AwaitListed: `listed` copies in the write's metadata read, until
-  // RequestBudget() after `started`), launches the PUT of `md` with `pred`
-  // (if missing) and `version` appended and the `acls` on the version's
+  // A write's step 6 (DepSkyWrite::finish): unless `handed_off` is more
+  // than HandoffBound() ago, launches the PUT of `md` with `pred` (if
+  // missing) and `version` appended and the `acls` on the version's
   // acknowledged objects, and returns the future of both.
   Future<Status> FinishWrite(const std::string& unit,
                              const DepSkyMetadata& md,
-                             const DepSkyMetadata& acls, unsigned listed,
+                             const DepSkyMetadata& acls,
                              const std::optional<DepSkyVersion>& pred,
                              const DepSkyVersion& version,
-                             VirtualTime started);
+                             std::optional<VirtualTime> handed_off);
   // Returns once n-f authentic copies list the version named `object_id` —
   // `listed` did in the write's metadata read, or else those of fresh
   // metadata reads, backing off between them — or once `deadline` has
@@ -520,6 +539,18 @@ class DepSkyClient {
   std::atomic<uint64_t> anchored_read_fallbacks_{0};
   std::atomic<uint64_t> predecessor_rereads_{0};
   std::atomic<uint64_t> predecessor_budget_waits_{0};
+  std::atomic<uint64_t> late_handoffs_{0};
+  // The keys of this client's cloud PUT requests still in flight, every
+  // attempt until its store answers (a request past its deadline
+  // included), so DeleteUnit can wait for them. Shared with the requests'
+  // continuations, which may outlive the client.
+  struct PutsInFlight {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::multiset<std::string> keys;
+  };
+  std::shared_ptr<PutsInFlight> puts_in_flight_ =
+      std::make_shared<PutsInFlight>();
   // Recycled across units and sequential writes; sized to keep a full
   // window's arenas warm.
   ArenaPool arena_pool_;

@@ -9,7 +9,7 @@ Result<Bytes> BlobBackend::WriteVersion(
     const std::vector<BackendGrant>& grants) {
   ASSIGN_OR_RETURN(StartedVersion started,
                    StartVersion(id, content_hash, data, grants, Bytes{}));
-  RETURN_IF_ERROR(started.finish().Get());
+  RETURN_IF_ERROR(started.finish(std::nullopt).Get());
   return std::move(started.locator);
 }
 
@@ -34,8 +34,9 @@ Result<StartedVersion> SingleCloudBackend::StartVersion(
     (void)store_->SetAcl(creds_, key, grant.cloud_ids[0], perms);
   }
   // The key id|hash locates the version.
-  return StartedVersion{Bytes{},
-                        [] { return Future<Status>::Ready(OkStatus()); }};
+  return StartedVersion{Bytes{}, [](std::optional<VirtualTime>) {
+                          return Future<Status>::Ready(OkStatus());
+                        }};
 }
 
 Result<Bytes> SingleCloudBackend::ReadByHash(const std::string& id,

@@ -13,6 +13,7 @@
 #define SCFS_SCFS_BLOB_BACKEND_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,11 +41,13 @@ struct StartedVersion {
   Bytes locator;
   // Starts the rest of the write — for DepSkyBackend its metadata
   // (DepSkyWrite::finish); nothing for a backend with none. Call it once
-  // the locator is anchored, and before the next writer of the id can
-  // start (SCFS: before the unlock); never if the anchor failed. Recovery
-  // tools that list versions rather than follow the anchor (ListVersions,
-  // ReadLatest) see the version once the future it returns completes OK.
-  std::function<Future<Status>()> finish;
+  // the locator is anchored, never if the anchor failed, with the time the
+  // caller handed the id to the next writer (SCFS: sent the publish that
+  // releases the file lock), or nullopt while no next writer can start.
+  // Recovery tools that list versions rather than follow the anchor
+  // (ListVersions, ReadLatest) see the version once the future it returns
+  // completes OK.
+  std::function<Future<Status>(std::optional<VirtualTime> handed_off)> finish;
 };
 
 struct BlobVersionInfo {

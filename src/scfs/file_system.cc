@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/executor.h"
 #include "src/common/logging.h"
 #include "src/common/path.h"
 #include "src/crypto/sha1.h"
@@ -181,7 +182,8 @@ Status ScfsFileSystem::CheckParentDirectory(const std::string& path) {
 
 Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
     const std::string& path, uint32_t flags,
-    const LockService::LockedRead* locked, bool* created) {
+    const LockService::LockedRead* locked, const Status* parent_checked,
+    bool* created) {
   *created = false;
   // A lock taken with a coordination round read the entry at the lock's
   // position in the total order: a cached entry could predate another
@@ -196,7 +198,8 @@ Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
       (flags & kOpenCreate) == 0) {
     return existing.status();
   }
-  RETURN_IF_ERROR(CheckParentDirectory(path));
+  RETURN_IF_ERROR(parent_checked != nullptr ? *parent_checked
+                                            : CheckParentDirectory(path));
   FileMetadata md;
   md.path = path;
   md.type = FileType::kFile;
@@ -220,15 +223,39 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
   // Step (ii) of the open protocol (Figure 4): opening for writing locks the
   // file before anything else so a losing racer fails fast with BUSY.
   // (Creation also takes the lock: the created entry is immediately
-  // write-opened.)
+  // write-opened.) A create that takes the lock with a coordination round
+  // looks its parent directory up during that round; the lookup is used
+  // only if the lock's read finds no entry. (A reclaimed lock costs no
+  // round to overlap with.)
   LockService::LockedRead locked;
+  std::optional<Status> parent_checked;
   if (write_mode) {
-    RETURN_IF_ERROR(locks_->Acquire(normalized, &locked));
+    Future<Status> parent;
+    if ((flags & kOpenCreate) != 0 && coord_ != nullptr &&
+        locks_->HeldUntil(normalized) == 0) {
+      parent = DefaultExecutor().Submit(
+          [this, normalized] { return CheckParentDirectory(normalized); });
+    }
+    const VirtualDuration before = Environment::ThreadCharged();
+    Status acquired = locks_->Acquire(normalized, &locked);
+    if (parent.valid()) {
+      // Charged as WhenAll charges a pair: the longer of the two rounds.
+      const VirtualDuration lock_round = Environment::ThreadCharged() - before;
+      parent.Wait();
+      Environment::AddThreadCharge(
+          std::max<VirtualDuration>(0, parent.charge() - lock_round));
+      parent.OnReady([&parent_checked](const Status& checked,
+                                       VirtualDuration) {
+        parent_checked = checked;  // ready: runs inline, charges nothing
+      });
+    }
+    RETURN_IF_ERROR(acquired);
   }
 
   bool created = false;
-  auto metadata = ResolveForOpen(normalized, flags,
-                                 write_mode ? &locked : nullptr, &created);
+  auto metadata = ResolveForOpen(
+      normalized, flags, write_mode ? &locked : nullptr,
+      parent_checked.has_value() ? &*parent_checked : nullptr, &created);
   if (!metadata.ok()) {
     if (write_mode) {
       (void)locks_->Release(normalized);
@@ -469,58 +496,48 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
 
   if (options_.mode == ScfsMode::kBlocking) {
     // Level 2/3 before the future completes: data to disk and a cloud write
-    // quorum, the entry published (a compare-and-swap on the version the
-    // open's lock read), then unlock. DepSky's cloud metadata is written
-    // behind the close: started once the publish succeeded and before the
-    // unlock, so the next writer's wait for it is bounded (DESIGN.md
-    // "Write-behind metadata"); the chain's last stage waits for it
-    // (`behind`). A failed push still releases the file lock — a failed
-    // write must not leave the file locked. The task's charge reaches the
-    // foreground waiter through the future, so it is excluded from the
-    // uploader's background accounting.
+    // quorum, then the entry published (a compare-and-swap on the version
+    // the open's lock read) in the command that also releases the lock
+    // (DESIGN.md "Publish-and-release"). DepSky's cloud metadata is written
+    // behind the close, started once the publish succeeded; the chain's
+    // last stage waits for it (`behind`). A failed push still releases the
+    // file lock — a failed write must not leave the file locked. The task's
+    // charge reaches the foreground waiter through the future, so it is
+    // excluded from the uploader's background accounting.
     Promise<Status> behind;
     auto task = [this, md, data, hash, grants, path, written, predecessor,
                  behind]() mutable {
       // Renew the file lock's lease if it runs short: the renewal's
       // coordination round overlaps the cloud push instead of risking a
-      // mid-push expiry. Joined before Release (renew/unlock on the same
-      // path must not race).
+      // mid-push expiry. Joined before the release (renew/unlock on the
+      // same path must not race).
       Future<Status> lease = locks_->RenewAsync(path);
       Future<Status> metadata_written = Future<Status>::Ready(OkStatus());
-      auto unlock = [&]() {
-        lease.Join();
-        Status released = locks_->Release(path);
-        metadata_written.OnReady(
-            [behind](const Status& status, VirtualDuration charge) {
-              behind.Set(status, charge);
-            });
-        return released;
-      };
-      std::function<Future<Status>()> finish;
+      Status s = OkStatus();
+      std::function<Future<Status>(std::optional<VirtualTime>)> finish;
       if (!hash.empty()) {
         Result<StartedVersion> started = storage_->StartPush(
             md.object_id, hash, *data, grants, predecessor);
-        if (!started.ok()) {
-          (void)unlock();
-          return started.status();
+        if (started.ok()) {
+          md.locator = std::move(started->locator);
+          finish = std::move(started->finish);
+        } else {
+          s = started.status();
         }
-        md.locator = std::move(started->locator);
-        finish = std::move(started->finish);
       }
-      Status s = metadata_->Put(md);
-      if (!s.ok()) {
-        (void)unlock();
-        return s;
+      lease.Join();
+      if (s.ok()) {
+        s = PublishAndRelease(md, finish, &metadata_written);
+      } else {
+        (void)locks_->Release(path);
       }
-      if (finish) {
-        metadata_written = finish();
+      metadata_written.OnReady(
+          [behind](const Status& status, VirtualDuration charge) {
+            behind.Set(status, charge);
+          });
+      if (s.ok()) {
+        MaybeTriggerGc(written);
       }
-      // Write credit: while this agent holds the lock (the release below may
-      // linger it), nobody else can publish, so our own publish stays the
-      // newest — serve reads of it locally until the lock lease bound.
-      metadata_->PinOwned(md, locks_->HeldUntil(path));
-      s = unlock();
-      MaybeTriggerGc(written);
       return s;
     };
     result = dep_publish.valid()
@@ -560,9 +577,9 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
             return *level1_status;
           }
           // Lease renewal overlaps the cloud upload (see blocking mode);
-          // joined before Release.
+          // joined before the release.
           Future<Status> lease = locks_->RenewAsync(path);
-          std::function<Future<Status>()> finish;
+          std::function<Future<Status>(std::optional<VirtualTime>)> finish;
           if (!hash.empty()) {
             Result<StartedVersion> started = storage_->backend().StartVersion(
                 md.object_id, hash, *data, grants, predecessor);
@@ -574,34 +591,32 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
                                 << started.status().ToString();
             }
           }
-          Status s;
+          Future<Status> metadata_written = Future<Status>::Ready(OkStatus());
+          Status released;
           if (private_entry) {
             // Stage 1 put the entry in the PNS without a locator.
             metadata_->SetPnsLocator(path, hash, md.locator);
-            s = metadata_->FlushPns();
+            Status s = metadata_->FlushPns();
             if (!s.ok()) {
               SCFS_LOG(Warning) << "background pns flush failed: "
                                 << s.ToString();
+            } else if (finish) {
+              // DepSky's cloud metadata: started before the unlock, so the
+              // next writer's wait for it is bounded (DESIGN.md
+              // "Write-behind metadata"), landing after it, still inside
+              // this close's chain.
+              metadata_written = finish(std::nullopt);
             }
+            lease.Join();
+            released = locks_->Release(path);
           } else {
-            s = metadata_->Put(md);
-            if (!s.ok()) {
+            lease.Join();
+            released = PublishAndRelease(md, finish, &metadata_written);
+            if (!released.ok()) {
               SCFS_LOG(Warning) << "background metadata update failed: "
-                                << s.ToString();
-            } else {
-              // Write credit (see blocking mode): the lock — still held
-              // until the release below, lingering after — excludes other
-              // publishers, so our publish stays authoritative.
-              metadata_->PinOwned(md, locks_->HeldUntil(path));
+                                << released.ToString();
             }
           }
-          // DepSky's cloud metadata: started before the unlock (see
-          // blocking mode), landing after it, still inside this close's
-          // chain.
-          Future<Status> metadata_written =
-              s.ok() && finish ? finish() : Future<Status>::Ready(OkStatus());
-          lease.Join();
-          Status released = locks_->Release(path);
           Status written_behind = metadata_written.Get();
           if (!written_behind.ok()) {
             SCFS_LOG(Warning) << "background metadata write failed: "
@@ -661,6 +676,36 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
     }
   });
   return result;
+}
+
+Status ScfsFileSystem::PublishAndRelease(
+    const FileMetadata& md,
+    const std::function<Future<Status>(std::optional<VirtualTime>)>& finish,
+    Future<Status>* written_behind) {
+  return locks_->PublishAndRelease(
+      md.path, [&](const std::optional<CoordLockRelease>& release) {
+        // Handing the lock off with this command lets the next writer start
+        // once its slot has run: the write-behind must launch soon after.
+        std::optional<VirtualTime> handed_off;
+        if (release.has_value()) {
+          handed_off = env_->Now();
+        }
+        Status published = metadata_->Put(md, release);
+        if (!published.ok()) {
+          return published;
+        }
+        if (!release.has_value()) {
+          // Write credit: the lock stays held (a re-entrant reference, or
+          // the release lingers it), so nobody else can publish and our
+          // own publish stays the newest — serve reads of it locally until
+          // the lock lease bound.
+          metadata_->PinOwned(md, locks_->HeldUntil(md.path));
+        }
+        if (finish) {
+          *written_behind = finish(handed_off);
+        }
+        return published;
+      });
 }
 
 Status ScfsFileSystem::Close(FileHandle handle) {

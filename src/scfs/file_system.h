@@ -17,9 +17,11 @@
 #define SCFS_SCFS_FILE_SYSTEM_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -134,8 +136,11 @@ class ScfsFileSystem : public FileSystem {
   std::string NewObjectId();
   // `locked`: what the open's write lock read, or null for a read-only
   // open. A freshly taken lock resolves from the entry it read.
+  // `parent_checked`: the outcome of a create's parent-directory check made
+  // during the lock round, or null to check it here if the path is absent.
   Result<FileMetadata> ResolveForOpen(const std::string& path, uint32_t flags,
                                       const LockService::LockedRead* locked,
+                                      const Status* parent_checked,
                                       bool* created);
   Status CheckParentDirectory(const std::string& path);
   // Unlink of a shared entry, starting from the copy `md` (DESIGN.md
@@ -144,6 +149,17 @@ class ScfsFileSystem : public FileSystem {
   std::vector<BackendGrant> BuildGrants(const FileMetadata& metadata);
   Result<std::vector<CanonicalId>> LookupUserCloudIds(const std::string& user);
   Future<Status> SynchronizeOnCloseAsync(OpenFile&& file);
+  // A close's publish of its shared entry, ending its hold on the file
+  // lock (DESIGN.md "Publish-and-release"): the release rides the publish
+  // when the close drops the last local reference and the lock does not
+  // linger; otherwise the entry is published, pinned while the lock stays
+  // held, and the reference released. Once the publish succeeded, starts
+  // the write-behind (`finish`, if any) into *written_behind. Returns the
+  // publish's status if it failed, else the release's.
+  Status PublishAndRelease(
+      const FileMetadata& md,
+      const std::function<Future<Status>(std::optional<VirtualTime>)>& finish,
+      Future<Status>* written_behind);
   // Blocks until every in-flight close chain publishing at `path` or below
   // it has completed. Namespace operations use this instead of a full
   // Drain(): the resurrection hazard they guard against is path-keyed, so

@@ -15,7 +15,12 @@ Status LockService::Acquire(const std::string& path, LockedRead* read) {
   bool was_lingering = false;
   bool need_renew = false;
   {
-    std::lock_guard<std::mutex> guard(mu_);
+    std::unique_lock<std::mutex> guard(mu_);
+    // A release of this path still in flight: wait it out. The server takes
+    // a TryLock by the lock's own owner as re-entrant, so one ordered
+    // before the releasing command would get back the lock that command
+    // then frees — and its read would miss what a releasing publish wrote.
+    released_.wait(guard, [&] { return releasing_.count(path) == 0; });
     auto it = held_.find(path);
     if (it != held_.end()) {
       was_lingering = it->second.lingering;
@@ -134,6 +139,7 @@ Status LockService::Release(const std::string& path) {
     } else {
       token = it->second.token;
       held_.erase(it);
+      releasing_.insert(path);
     }
   }
   if (LingerEnabled()) {
@@ -145,12 +151,46 @@ Status LockService::Release(const std::string& path) {
   if (options_.on_release) {
     options_.on_release(path);
   }
+  EndRelease(path);
   if (status.code() == ErrorCode::kNotFound) {
     // The ephemeral lease already expired (exactly what leases are for when
     // a client disappears); releasing an expired lock is benign.
     return OkStatus();
   }
   return status;
+}
+
+Status LockService::PublishAndRelease(const std::string& path,
+                                      const Publish& publish) {
+  std::optional<CoordLockRelease> release;
+  if (coord_ != nullptr && !LingerEnabled()) {
+    std::lock_guard<std::mutex> guard(mu_);
+    auto it = held_.find(path);
+    if (it != held_.end() && it->second.refcount == 1) {
+      release = CoordLockRelease{LockKey(path), it->second.token};
+      held_.erase(it);
+      releasing_.insert(path);
+    }
+  }
+  if (!release.has_value()) {
+    Status published = publish(std::nullopt);
+    Status released = Release(path);
+    return published.ok() ? released : published;
+  }
+  Status published = publish(release);
+  if (options_.on_release) {
+    options_.on_release(path);
+  }
+  EndRelease(path);
+  return published;
+}
+
+void LockService::EndRelease(const std::string& path) {
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    releasing_.erase(path);
+  }
+  released_.notify_all();
 }
 
 bool LockService::TryReleaseLingering(const std::string& path) {
@@ -166,6 +206,7 @@ bool LockService::TryReleaseLingering(const std::string& path) {
     }
     token = it->second.token;
     held_.erase(it);
+    releasing_.insert(path);
   }
   // Tear down lock-backed local state BEFORE the contender can acquire: once
   // the unlock commits, the next writer may publish immediately, and a pin
@@ -174,6 +215,7 @@ bool LockService::TryReleaseLingering(const std::string& path) {
     options_.on_release(path);
   }
   Status status = coord_->Unlock(user_, LockKey(path), token);
+  EndRelease(path);
   return status.ok() || status.code() == ErrorCode::kNotFound;
 }
 

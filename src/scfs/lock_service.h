@@ -13,6 +13,15 @@
 // Renew-on-demand: a held lock is renewed only once less than half its lease
 // remains; with the default 120 s lease a close never pays a renewal round.
 //
+// Publish-and-release (DESIGN.md "Publish-and-release"): a close that
+// publishes its entry and drops the path's last local reference, with the
+// linger off, releases the lock in the publish's own ordered slot
+// (PublishAndRelease), so it makes no unlock round. The standalone unlock
+// round (Release) remains for a close that publishes nothing to the
+// coordination service — a clean close, a failed push, a private (PNS)
+// entry — for a close that fails before its publish, and for the release
+// of the last reference after a re-entrant close published.
+//
 // Write-credit delegation (DESIGN.md "Lease-delegated caching"): with a
 // LeaseManager wired in and linger enabled, the last local release keeps the
 // coordination lock "lingering" instead of unlocking — the next Acquire of
@@ -24,10 +33,12 @@
 #ifndef SCFS_SCFS_LOCK_SERVICE_H_
 #define SCFS_SCFS_LOCK_SERVICE_H_
 
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "src/common/future.h"
@@ -47,10 +58,11 @@ struct LockServiceOptions {
   // agent's user; locks themselves are owned by the agent's session.
   std::string reader;
   // Fired (outside the service's mutex) whenever this agent stops holding a
-  // path's coordination lock for real — an unlock round, a lingering lock
-  // handed to a contender, or a failed reacquisition. Anything whose
-  // validity is backed by holding the lock (the metadata service's pinned
-  // own-publish entries) must be torn down here.
+  // path's coordination lock for real — an unlock round, a publish that
+  // released it, a lingering lock handed to a contender, or a failed
+  // reacquisition. Anything whose validity is backed by holding the lock
+  // (the metadata service's pinned own-publish entries) must be torn down
+  // here.
   std::function<void(const std::string& path)> on_release;
 };
 
@@ -75,9 +87,23 @@ class LockService {
   // BUSY if another client holds the file. Re-entrant within this agent:
   // acquisitions are refcounted (the non-blocking mode may re-open a file
   // whose previous close is still uploading; the lock must survive until the
-  // last release). A non-null `read` asks for the lock-and-read.
+  // last release). A non-null `read` asks for the lock-and-read. While this
+  // agent's release of the path is in flight it waits for it, and then
+  // takes the lock afresh.
   Status Acquire(const std::string& path, LockedRead* read = nullptr);
   Status Release(const std::string& path);
+  // The publish a close's release can ride: called with the lock to release
+  // in its own ordered command, or with nullopt while the lock stays held.
+  using Publish =
+      std::function<Status(const std::optional<CoordLockRelease>& release)>;
+  // Ends one local reference to `path`'s lock through `publish`. If it is
+  // the last one and the lock would not linger, the hold ends here:
+  // `publish` gets the lock and must release it — in its slot, or with a
+  // standalone unlock where it cannot (MetadataService::Put) — and
+  // on_release fires once it returns. Otherwise `publish` runs while the
+  // reference is still held and the reference is then released as by
+  // Release. Returns publish's status if it failed, else the release's.
+  Status PublishAndRelease(const std::string& path, const Publish& publish);
   // Extends the lease of a lock held by this service.
   Status Renew(const std::string& path);
   // Asynchronous lease extension: fired at the start of a background upload
@@ -123,6 +149,9 @@ class LockService {
   // The broker-side release of a lingering lock; returns true if the lock
   // was released (or already gone), false if it was reclaimed meanwhile.
   bool TryReleaseLingering(const std::string& path);
+  // Ends a release begun by moving `path` from held_ to releasing_, once
+  // its command has returned and on_release has fired.
+  void EndRelease(const std::string& path);
 
   Environment* env_;
   CoordinationService* coord_;
@@ -130,6 +159,11 @@ class LockService {
   LockServiceOptions options_;
   mutable std::mutex mu_;
   std::map<std::string, Held> held_;
+  // Paths whose hold is ending: the releasing command (an unlock, or a
+  // publish that releases) is in flight or on_release has not fired yet.
+  // An Acquire of such a path waits on `released_`.
+  std::set<std::string> releasing_;
+  std::condition_variable released_;
   uint64_t reclaim_hits_ = 0;
 };
 

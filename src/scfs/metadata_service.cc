@@ -432,7 +432,16 @@ Result<FileMetadata> MetadataService::Get(const std::string& path) {
   return ReadShared(path);
 }
 
-Status MetadataService::Put(const FileMetadata& metadata) {
+Status MetadataService::Put(const FileMetadata& metadata,
+                            const std::optional<CoordLockRelease>& release) {
+  {
+    // A pin serves this agent's previous publish of the path, which this one
+    // supersedes (and a release ends the hold that backs it): drop it before
+    // the command is sent. The caller pins the new copy if the lock stays
+    // held.
+    std::lock_guard<std::mutex> lock(mu_);
+    pinned_.erase(metadata.path);
+  }
   // An entry goes to the PNS iff it is private: already there, or not shared
   // while PNS is enabled. Everything goes there in non-sharing mode.
   const bool in_pns = InPns(metadata.path);
@@ -451,13 +460,19 @@ Status MetadataService::Put(const FileMetadata& metadata) {
   }
 
   if (goes_to_pns) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pns_.entries[metadata.path] = metadata;
-    cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      pns_.entries[metadata.path] = metadata;
+      cache_[metadata.path] = CachedEntry{metadata, env_->Now()};
+    }
+    UnlockUncarried(release);
     return OkStatus();
   }
 
-  ASSIGN_OR_RETURN(uint64_t version, WriteShared(metadata));
+  std::optional<CoordLockRelease> uncarried = release;
+  Result<uint64_t> written = WriteShared(metadata, &uncarried);
+  UnlockUncarried(uncarried);
+  ASSIGN_OR_RETURN(uint64_t version, std::move(written));
   std::lock_guard<std::mutex> lock(mu_);
   CacheWithVersion(metadata, version);
   // The coordination service is now at least as fresh as any pending local
@@ -516,7 +531,8 @@ void MetadataService::CacheWithVersion(const FileMetadata& metadata,
   cached.metadata.entry_version = version;
 }
 
-Result<uint64_t> MetadataService::WriteShared(const FileMetadata& metadata) {
+Result<uint64_t> MetadataService::WriteShared(
+    const FileMetadata& metadata, std::optional<CoordLockRelease>* release) {
   std::optional<uint64_t> base;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -530,14 +546,34 @@ Result<uint64_t> MetadataService::WriteShared(const FileMetadata& metadata) {
     RETURN_IF_ERROR(coord_->Write(user_, key, metadata.Encode()));
     return 0;
   }
-  ASSIGN_OR_RETURN(uint64_t version, coord_->CompareAndSwap(
-                                         user_, key, metadata.Encode(), *base));
+  Result<uint64_t> swapped = coord_->CompareAndSwap(
+      user_, key, metadata.Encode(), *base,
+      release != nullptr ? *release : std::nullopt);
+  if (release != nullptr &&
+      swapped.status().code() != ErrorCode::kUnavailable) {
+    release->reset();  // a reply: the swap's slot ran, and released the lock
+  }
+  ASSIGN_OR_RETURN(uint64_t version, std::move(swapped));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = locked_versions_.find(metadata.path);
   if (it != locked_versions_.end() && it->second == *base) {
     it->second = version;
   }
   return version;
+}
+
+void MetadataService::UnlockUncarried(
+    const std::optional<CoordLockRelease>& release) {
+  if (!release.has_value()) {
+    return;
+  }
+  Status status =
+      coord_->Unlock(options_.session, release->name, release->token);
+  // kNotFound: the lease expired, which released the lock already.
+  if (!status.ok() && status.code() != ErrorCode::kNotFound) {
+    SCFS_LOG(Warning) << "unlock of " << release->name
+                      << " failed; its lease ends it: " << status.ToString();
+  }
 }
 
 Result<FileMetadata> MetadataService::OpenLocked(

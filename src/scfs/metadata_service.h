@@ -79,7 +79,15 @@ class MetadataService {
   // shared entry is published by compare-and-swap on the entry version read
   // under the lock (see OpenLocked): kConflict if another writer published
   // since (its lock expired, or a split moved the entry).
-  Status Put(const FileMetadata& metadata);
+  //
+  // With `release` (LockService::PublishAndRelease), the path's lock ends
+  // here: released in the compare-and-swap's own ordered slot, whatever
+  // the swap's outcome. Where no compare-and-swap carries it (a private
+  // entry, no publish base, a submission that got no reply) a standalone
+  // unlock follows the publish. The status is the publish's. The path's
+  // write-credit pin is dropped before the command is sent.
+  Status Put(const FileMetadata& metadata,
+             const std::optional<CoordLockRelease>& release = std::nullopt);
   Status Create(const FileMetadata& metadata);  // fails if the path exists
   Status Remove(const std::string& path);
   // Removes a shared entry in one ordered command guarded by `version` (the
@@ -201,7 +209,15 @@ class MetadataService {
   // Writes a shared entry: a compare-and-swap on the path's publish base
   // when it has one, else an unconditional write. Returns the published
   // entry version (0 after an unconditional write, which does not learn it).
-  Result<uint64_t> WriteShared(const FileMetadata& metadata);
+  // A non-null `release` rides the compare-and-swap; it is reset once a
+  // reply shows the slot ran, and left set when no command carried it.
+  Result<uint64_t> WriteShared(
+      const FileMetadata& metadata,
+      std::optional<CoordLockRelease>* release = nullptr);
+  // The standalone unlock of a release no command carried (nullopt:
+  // none). A failure is logged, not returned: the publish is what the
+  // close reports, and the lock's lease ends the hold regardless.
+  void UnlockUncarried(const std::optional<CoordLockRelease>& release);
   // Caches a copy of `metadata` whose entry version is `version` (0:
   // unknown). Requires mu_.
   void CacheWithVersion(const FileMetadata& metadata, uint64_t version);

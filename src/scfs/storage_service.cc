@@ -1,5 +1,7 @@
 #include "src/scfs/storage_service.h"
 
+#include <unistd.h>
+
 #include <fstream>
 
 #include "src/common/logging.h"
@@ -39,8 +41,11 @@ StorageService::StorageService(Environment* env, BlobBackend* backend,
                         disk_dir_ / SanitizeForFilename(key), ec);
                   }) {
   if (options_.disk_cache_dir.empty()) {
+    // The process id keeps concurrent processes apart: GlobalRng has a
+    // fixed seed, so every process draws the same sequence, and two of
+    // them would share (and delete) one directory.
     disk_dir_ = std::filesystem::temp_directory_path() /
-                ("scfs-cache-" +
+                ("scfs-cache-" + std::to_string(::getpid()) + "-" +
                  std::to_string(GlobalRng().NextU64() & 0xffffffffULL));
     owns_disk_dir_ = true;
   } else {
@@ -194,7 +199,7 @@ Result<Bytes> StorageService::Push(const std::string& id,
                                    const std::vector<BackendGrant>& grants) {
   ASSIGN_OR_RETURN(StartedVersion started,
                    StartPush(id, hash, data, grants, Bytes{}));
-  RETURN_IF_ERROR(started.finish().Get());
+  RETURN_IF_ERROR(started.finish(std::nullopt).Get());
   return std::move(started.locator);
 }
 

@@ -323,6 +323,128 @@ TEST(TupleSpaceTest, CompareAndSwapOnVersionZeroCreatesIffAbsent) {
             "v");
 }
 
+// Publish-and-release: a compare-and-swap naming a lock (`aux`) and its
+// token (`b`) releases it in the swap's own slot, whatever the swap's
+// outcome, so a contender's lock ordered right after it succeeds.
+TEST(TupleSpaceTest, CompareAndSwapReleasesTheLockInItsSlot) {
+  TupleSpace space;
+  auto written =
+      space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v1")));
+  auto lock = space.Apply(0, Cmd(CoordOp::kTryLock, "alice@s1", "lk:/f", {},
+                                 kSecond));
+  ASSERT_TRUE(lock.ok());
+  CoordCommand publish = Cmd(CoordOp::kCompareAndSwap, "alice", "m:/f/",
+                             ToBytes("v2"), written.a, lock.a, "lk:/f");
+  auto published = space.Apply(10, publish);
+  ASSERT_TRUE(published.ok());
+  EXPECT_EQ(published.a, written.a + 1);
+  EXPECT_EQ(space.lock_count(), 0u);
+  EXPECT_TRUE(space
+                  .Apply(20, Cmd(CoordOp::kTryLock, "alice@s2", "lk:/f", {},
+                                 kSecond))
+                  .ok());
+  EXPECT_EQ(ToString(space.Apply(20, Cmd(CoordOp::kRead, "alice", "m:/f/"))
+                         .value),
+            "v2");
+}
+
+TEST(TupleSpaceTest, FailedCompareAndSwapStillReleasesTheLock) {
+  TupleSpace space;
+  auto written =
+      space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v1")));
+  // kConflict: the entry moved past the version read under the lock.
+  auto lock = space.Apply(0, Cmd(CoordOp::kTryLock, "alice@s1", "lk:/f", {},
+                                 kSecond));
+  ASSERT_TRUE(lock.ok());
+  EXPECT_EQ(space
+                .Apply(10, Cmd(CoordOp::kCompareAndSwap, "alice", "m:/f/",
+                               ToBytes("stale"), written.a + 1, lock.a,
+                               "lk:/f"))
+                .code,
+            ErrorCode::kConflict);
+  EXPECT_EQ(space.lock_count(), 0u);
+  // kNotFound: the entry is gone.
+  lock = space.Apply(20, Cmd(CoordOp::kTryLock, "alice@s1", "lk:/f", {},
+                             kSecond));
+  ASSERT_TRUE(lock.ok());
+  ASSERT_TRUE(space.Apply(20, Cmd(CoordOp::kRemove, "alice", "m:/f/")).ok());
+  EXPECT_EQ(space
+                .Apply(30, Cmd(CoordOp::kCompareAndSwap, "alice", "m:/f/",
+                               ToBytes("late"), written.a, lock.a, "lk:/f"))
+                .code,
+            ErrorCode::kNotFound);
+  EXPECT_EQ(space.lock_count(), 0u);
+  EXPECT_EQ(space.entry_count(), 0u);
+  // Neither outcome keeps a contender out.
+  EXPECT_TRUE(space
+                  .Apply(40, Cmd(CoordOp::kTryLock, "alice@s2", "lk:/f", {},
+                                 kSecond))
+                  .ok());
+}
+
+TEST(TupleSpaceTest, CompareAndSwapLeavesARetakenLockAlone) {
+  TupleSpace space;
+  auto written =
+      space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v1")));
+  auto expired = space.Apply(0, Cmd(CoordOp::kTryLock, "alice@s1", "lk:/f",
+                                    {}, 100));
+  ASSERT_TRUE(expired.ok());
+  // The lease ran out and another session took the lock: the late writer's
+  // token no longer matches, so its publish cannot release it.
+  auto retaken = space.Apply(200, Cmd(CoordOp::kTryLock, "alice@s2", "lk:/f",
+                                      {}, kSecond));
+  ASSERT_TRUE(retaken.ok());
+  ASSERT_NE(retaken.a, expired.a);
+  EXPECT_TRUE(space
+                  .Apply(300, Cmd(CoordOp::kCompareAndSwap, "alice", "m:/f/",
+                                  ToBytes("late"), written.a, expired.a,
+                                  "lk:/f"))
+                  .ok());
+  EXPECT_EQ(space.lock_count(), 1u);
+  EXPECT_EQ(space
+                .Apply(400, Cmd(CoordOp::kTryLock, "alice@s3", "lk:/f", {},
+                                kSecond))
+                .code,
+            ErrorCode::kBusy);
+  EXPECT_TRUE(
+      space.Apply(500, Cmd(CoordOp::kUnlock, "alice@s2", "lk:/f", {}, 0,
+                           retaken.a))
+          .ok());
+}
+
+TEST(TupleSpaceTest, PublishAndReleaseRevokesCoveringLeasesInItsSlot) {
+  TupleSpace space;
+  auto written =
+      space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/d/f/", ToBytes("v1")));
+  ASSERT_TRUE(space
+                  .Apply(0, Cmd(CoordOp::kLeaseAcquire, "alice", "m:/d/", {},
+                                kSecond, 0, "s3"))
+                  .ok());
+  auto lock = space.Apply(0, Cmd(CoordOp::kTryLock, "alice@s1", "lk:/d/f", {},
+                                 kSecond));
+  ASSERT_TRUE(lock.ok());
+  // A failed swap changes no entry, so it revokes nothing — but it still
+  // releases the lock.
+  auto conflict = space.Apply(10, Cmd(CoordOp::kCompareAndSwap, "alice",
+                                      "m:/d/f/", ToBytes("x"), written.a + 5,
+                                      lock.a, "lk:/d/f"));
+  EXPECT_EQ(conflict.code, ErrorCode::kConflict);
+  EXPECT_TRUE(conflict.revoked.empty());
+  EXPECT_EQ(space.lease_count(), 1u);
+  EXPECT_EQ(space.lock_count(), 0u);
+  lock = space.Apply(20, Cmd(CoordOp::kTryLock, "alice@s1", "lk:/d/f", {},
+                             kSecond));
+  ASSERT_TRUE(lock.ok());
+  auto published = space.Apply(30, Cmd(CoordOp::kCompareAndSwap, "alice",
+                                       "m:/d/f/", ToBytes("v2"), written.a,
+                                       lock.a, "lk:/d/f"));
+  ASSERT_TRUE(published.ok());
+  ASSERT_EQ(published.revoked.size(), 1u);
+  EXPECT_EQ(published.revoked[0].prefix, "m:/d/");
+  EXPECT_EQ(space.lease_count(), 0u);
+  EXPECT_EQ(space.lock_count(), 0u);
+}
+
 // A writer holding version 2 of "k" must not overwrite a "k" that was
 // removed and created again, however often the new one was written.
 TEST(TupleSpaceTest, RecreatedEntryNeverRepeatsARemovedVersion) {
@@ -1684,6 +1806,39 @@ TEST(PartitionedCoordinationTest, FileLockRoutesWithItsMetadataEntry) {
   ASSERT_TRUE(lock.ok()) << lock.status().ToString();
   ASSERT_TRUE(lock->entry.has_value());
   EXPECT_EQ(ToString(lock->entry->value), "v");
+}
+
+// Publish-and-release over the partitioned plane: the compare-and-swap is
+// routed by its entry, and PartitionRoutingKey puts the lock it releases on
+// the same partition, so the release lands there — a contender takes the
+// lock at once, and the entry holds the published value.
+TEST(PartitionedCoordinationTest, PublishAndReleaseLandsOnTheEntrysPartition) {
+  auto env = Environment::Scaled(1e-3);
+  PartitionedCoordination coord(env.get(), FastPartitionedConfig(4));
+  std::set<unsigned> used;
+  for (int i = 0; i < 8; ++i) {
+    const std::string path = "/d/f" + std::to_string(i);
+    const std::string key = "m:" + path + "/";
+    const std::string lock_name = "lk:" + path;
+    ASSERT_EQ(coord.PartitionOf(lock_name), coord.PartitionOf(key)) << path;
+    used.insert(coord.PartitionOf(key));
+    ASSERT_TRUE(coord.Write("alice", key, ToBytes("v1")).ok());
+    auto lock =
+        coord.TryLock("alice@s1", lock_name, 120 * kSecond, key, "alice");
+    ASSERT_TRUE(lock.ok()) << lock.status().ToString();
+    ASSERT_TRUE(lock->entry.has_value());
+    auto published = coord.CompareAndSwap(
+        "alice", key, ToBytes("v2"), lock->entry->version,
+        CoordLockRelease{lock_name, lock->token});
+    ASSERT_TRUE(published.ok()) << published.status().ToString();
+    auto contender =
+        coord.TryLock("alice@s2", lock_name, 120 * kSecond, key, "alice");
+    ASSERT_TRUE(contender.ok()) << path << ": " << contender.status().ToString();
+    ASSERT_TRUE(contender->entry.has_value());
+    EXPECT_EQ(ToString(contender->entry->value), "v2");
+    EXPECT_EQ(contender->entry->version, *published);
+  }
+  EXPECT_GT(used.size(), 1u);  // more than one partition took part
 }
 
 // The guarded unlink over an elastic split: the entry and the lock of a

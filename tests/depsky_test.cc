@@ -1452,7 +1452,7 @@ TEST_F(DepSkyTest, DroppedPredecessorMetadataIsListedByTheNextWriter) {
   auto w2 = second.StartWrite("f", ContentHash(v2), v2, nullptr, &w1->record);
   ASSERT_TRUE(w2.ok()) << w2.status().ToString();
   EXPECT_EQ(w2->record.version, w1->record.version + 1);
-  ASSERT_TRUE(w2->finish().Get().ok());
+  ASSERT_TRUE(w2->finish(std::nullopt).Get().ok());
   EXPECT_GE(env_->Now(), started + second.RequestBudget());
   EXPECT_EQ(second.predecessor_rereads(), 1u);
   EXPECT_EQ(second.predecessor_budget_waits(), 1u);
@@ -1493,7 +1493,7 @@ TEST_F(DepSkyTest, GranteeReadsACrossUserWriteBeforeItsMetadata) {
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, update);
   EXPECT_EQ(alice.anchored_read_fallbacks(), 0u);
-  ASSERT_TRUE(write->finish().Get().ok());
+  ASSERT_TRUE(write->finish(std::nullopt).Get().ok());
   EXPECT_EQ(*alice.ReadLatest("doc"), update);
 }
 

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <numeric>
+#include <thread>
 
 #include "src/chaos/campaign.h"
 #include "src/cloud/health.h"
@@ -616,9 +618,10 @@ TEST_F(DepSkyTimerTest, WriteChargesMetadataReadWhenItIsTheSlowerPart) {
   EXPECT_LT(elapsed, 1500 * kMillisecond);
 }
 
-// A blocking close waits for the shard quorum and the publish, not for
-// DepSky's metadata PUT, which is written behind it.
-TEST_F(DepSkyTimerTest, CloseIsChargedShardQuorumPublishAndUnlock) {
+// A blocking close waits for the shard quorum and one coordination round,
+// the publish that also releases the lock — not for an unlock round, nor
+// for DepSky's metadata PUT, which is written behind it.
+TEST_F(DepSkyTimerTest, CloseIsChargedShardQuorumAndOnePublishRound) {
   UseSlowClock();
   UseLatencies(Spread());
   DepSkyConfig config;
@@ -652,11 +655,55 @@ TEST_F(DepSkyTimerTest, CloseIsChargedShardQuorumPublishAndUnlock) {
   const VirtualDuration charged = Environment::ThreadCharged();
   ASSERT_TRUE(closed.ok()) << closed.ToString();
   // Disk 5 ms; metadata read (cloud 0, the third authentic copy: 600 ms)
-  // overlapped with the shard wave (cloud 1: 800 ms); publish 100 ms;
-  // unlock 100 ms: 1005 ms. The metadata PUT (600 ms) is not in it.
-  EXPECT_GE(charged, 1005 * kMillisecond);
-  EXPECT_LT(charged, 1150 * kMillisecond);
+  // overlapped with the shard wave (cloud 1: 800 ms); the publish that
+  // releases the lock, 100 ms: 905 ms. The metadata PUT (600 ms) is not in
+  // it, and neither is an unlock round.
+  EXPECT_GE(charged, 905 * kMillisecond);
+  EXPECT_LT(charged, 1050 * kMillisecond);
   EXPECT_EQ(*fs.ReadFile("/f"), Bytes(9000, 2));
+  ASSERT_TRUE(fs.Unmount().ok());
+}
+
+// A create that takes its lock with a coordination round looks its parent
+// directory up during that round: the open is charged max(lock, lookup)
+// plus the create's placeholder publish, not the three rounds in a row.
+TEST_F(DepSkyTimerTest, CreateLooksItsParentUpDuringTheLockRound) {
+  UseSlowClock();
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.f = 1;
+  config.auth_key = ToBytes("deployment-auth-key");
+  std::vector<DepSkyCloud> set;
+  std::vector<CanonicalId> ids;
+  for (auto& cloud : clouds_) {
+    ids.push_back(cloud->provider_name() + ":alice");
+    set.push_back(DepSkyCloud{cloud.get(), {ids.back()}});
+  }
+  DepSkyBackend backend(
+      std::make_shared<DepSkyClient>(env_.get(), std::move(set), config, 7));
+  // 50 ms each way: every coordination round takes 100 ms.
+  LocalCoordination coord(env_.get(), LatencyModel::Fixed(50 * kMillisecond));
+  ScfsOptions options;
+  options.user = "alice";
+  options.user_cloud_ids = ids;
+  ScfsFileSystem fs(env_.get(), &coord, &backend, options);
+  ASSERT_TRUE(fs.Mount().ok());
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  env_->Sleep(kSecond);  // the directory's cached entry expires
+
+  Environment::ResetThreadCharged();
+  auto fh = fs.Open("/d/f", kOpenWrite | kOpenCreate);
+  const VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  // The lock-and-read (100 ms) alongside the parent's read (100 ms), then
+  // the placeholder publish (100 ms): 200 ms, where the rounds in a row
+  // would take 300 ms.
+  EXPECT_GE(charged, 200 * kMillisecond);
+  EXPECT_LT(charged, 250 * kMillisecond);
+  ASSERT_TRUE(fs.Close(*fh).ok());
+  // A missing parent still fails the create.
+  EXPECT_EQ(fs.Open("/e/f", kOpenWrite | kOpenCreate).status().code(),
+            ErrorCode::kNotFound);
   ASSERT_TRUE(fs.Unmount().ok());
 }
 
@@ -702,14 +749,14 @@ TEST_F(DepSkyTimerTest, HeldUpPredecessorStaysListedWithItsSuccessor) {
   const VirtualTime started1 = env_->Now();
   auto w1 = c1.StartWrite("f", ContentHash(d1), d1, nullptr, &w0->record);
   ASSERT_TRUE(w1.ok()) << w1.status().ToString();
-  Future<Status> metadata1 = w1->finish();
+  Future<Status> metadata1 = w1->finish(std::nullopt);
   EXPECT_GE(env_->Now(), started1 + c1.RequestBudget());
   EXPECT_EQ(c1.predecessor_budget_waits(), 1u);
 
   const VirtualTime started2 = env_->Now();
   auto w2 = c2.StartWrite("f", ContentHash(d2), d2, nullptr, &w1->record);
   ASSERT_TRUE(w2.ok()) << w2.status().ToString();
-  Future<Status> metadata2 = w2->finish();
+  Future<Status> metadata2 = w2->finish(std::nullopt);
   EXPECT_LT(env_->Now(), started2 + c2.RequestBudget());
   EXPECT_EQ(c2.predecessor_budget_waits(), 0u);
   ASSERT_TRUE(metadata1.Get().ok());
@@ -773,6 +820,140 @@ TEST_F(DepSkyTimerTest, TruncatingHandoffWaitsForThePutNotTheBudget) {
             3u);
   ASSERT_TRUE(first.Unmount().ok());
   ASSERT_TRUE(second.Unmount().ok());
+}
+
+// A coordination service whose replies to a publish that releases a lock
+// come back `delay` late: the command's slot runs at once — the next
+// writer can take the lock — but its writer hears of it only later.
+class LateReleaseReplies : public CoordinationService {
+ public:
+  LateReleaseReplies(Environment* env, CoordinationService* inner,
+                     VirtualDuration delay)
+      : env_(env), inner_(inner), delay_(delay) {}
+
+  Result<CoordReply> Submit(const CoordCommand& command) override {
+    Result<CoordReply> reply = inner_->Submit(command);
+    if (command.op == CoordOp::kCompareAndSwap && !command.aux.empty()) {
+      released_.Set(OkStatus());
+      env_->Sleep(delay_);
+    }
+    return reply;
+  }
+
+  // Completes once a release's slot has run.
+  Future<Status> released() const { return released_.future(); }
+
+ private:
+  Environment* env_;
+  CoordinationService* inner_;
+  VirtualDuration delay_;
+  Promise<Status> released_;
+};
+
+// The handoff bound: a writer whose publish-and-release reply arrives more
+// than HandoffBound() after it was sent launches no metadata PUT, because
+// its successor may already have written its own. The successor waits out
+// RequestBudget() + HandoffBound() for the listing, merges the late
+// writer's version itself, and every version ends up listed on n-f clouds.
+// (Had the late writer launched its PUT after the reply, its older history
+// would land on top of the successor's on every cloud.)
+TEST_F(DepSkyTimerTest, LateHandoffReplyLeavesTheListingToTheSuccessor) {
+  UseLatencies(Spread());
+  DepSkyConfig config;
+  config.f = 1;
+  config.auth_key = ToBytes("deployment-auth-key");
+  config.request_deadline = kSecond;
+  std::vector<DepSkyCloud> set;
+  std::vector<CanonicalId> ids;
+  for (auto& cloud : clouds_) {
+    ids.push_back(cloud->provider_name() + ":alice");
+    set.push_back(DepSkyCloud{cloud.get(), {ids.back()}});
+  }
+  auto late_client = std::make_shared<DepSkyClient>(env_.get(), set, config, 7);
+  auto next_client = std::make_shared<DepSkyClient>(env_.get(), set, config, 8);
+  DepSkyBackend late_backend(late_client);
+  DepSkyBackend next_backend(next_client);
+  LocalCoordination coord(env_.get(), LatencyModel::Fixed(50 * kMillisecond));
+  const VirtualDuration delay = next_client->RequestBudget() +
+                                2 * next_client->HandoffBound() + kSecond;
+  LateReleaseReplies late_coord(env_.get(), &coord, delay);
+  ScfsOptions options;
+  options.user = "alice";
+  options.user_cloud_ids = ids;
+  ScfsFileSystem late(env_.get(), &late_coord, &late_backend, options);
+  ScfsFileSystem next(env_.get(), &coord, &next_backend, options);
+  ASSERT_TRUE(late.Mount().ok());
+  ASSERT_TRUE(next.Mount().ok());
+
+  const Bytes v1(9000, 1), v2(9000, 2), v3(9000, 3);
+  ASSERT_TRUE(next.WriteFile("/f", v1).ok());
+  ASSERT_TRUE(next.SyncBarrier().ok());
+  env_->Sleep(kSecond);  // the straggling metadata PUT lands
+
+  auto fh = late.Open("/f", kOpenWrite | kOpenTruncate);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  ASSERT_TRUE(late.Write(*fh, 0, v2).ok());
+  Status late_closed;
+  std::thread closer([&] { late_closed = late.Close(*fh); });
+  const auto patience =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!late_coord.released().ready() &&
+         std::chrono::steady_clock::now() < patience) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!late_coord.released().ready()) {
+    closer.join();
+    FAIL() << "the close sent no publish that releases the lock";
+  }
+
+  // The successor takes the lock at once and writes v3 on top of v2.
+  auto next_fh = next.Open("/f", kOpenWrite);
+  ASSERT_TRUE(next_fh.ok()) << next_fh.status().ToString();
+  EXPECT_EQ(*next.Read(*next_fh, 0, v2.size()), v2);
+  ASSERT_TRUE(next.Write(*next_fh, 0, v3).ok());
+  const VirtualTime closing = env_->Now();
+  ASSERT_TRUE(next.Close(*next_fh).ok());
+  const VirtualDuration bound =
+      next_client->RequestBudget() + next_client->HandoffBound();
+  EXPECT_GE(env_->Now(), closing + bound);
+  EXPECT_LT(env_->Now(), closing + bound + 1500 * kMillisecond);
+  EXPECT_EQ(next_client->predecessor_budget_waits(), 1u);
+
+  closer.join();
+  EXPECT_TRUE(late_closed.ok()) << late_closed.ToString();
+  EXPECT_EQ(late_client->late_handoffs(), 1u);
+  ASSERT_TRUE(late.SyncBarrier().ok());
+  ASSERT_TRUE(next.SyncBarrier().ok());
+  auto entry = coord.Read("alice", MetadataKey("/f"));
+  ASSERT_TRUE(entry.ok());
+  auto md = FileMetadata::Decode(entry->value);
+  ASSERT_TRUE(md.ok());
+  EXPECT_GE(CloudsListingAll(clouds_, md->object_id,
+                             {ContentHash(v1), ContentHash(v2),
+                              ContentHash(v3)}),
+            3u);
+  ASSERT_TRUE(late.Unmount().ok());
+  ASSERT_TRUE(next.Unmount().ok());
+}
+
+// DeleteUnit waits for this client's own PUTs under the unit that are still
+// in flight: a write returns at its quorum, and the slow cloud's metadata
+// PUT would otherwise land after the listing and outlive the delete.
+TEST_F(DepSkyTimerTest, DeleteUnitWaitsForItsOwnStragglingPuts) {
+  UseLatencies({0, 0, 0, 2 * kSecond});
+  DepSkyConfig config;
+  config.request_deadline = 60 * kSecond;
+  auto client = MakeClient(config);
+  const Bytes data(9000, 4);
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
+  ASSERT_TRUE(client.DeleteUnit("f").ok());
+  for (auto& cloud : clouds_) {
+    cloud->Quiesce();
+    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/");
+    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+    EXPECT_TRUE(listed->empty()) << cloud->provider_name() << " keeps "
+                                 << listed->size() << " objects";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,9 +1232,10 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
 
 TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
   // Real SMR timers (view change, resend) need time to flow: Instant() would
-  // fire every client timeout at once. 1000x compression keeps the 8 s
-  // campaign at ~10 ms of wall clock.
-  auto env = Environment::Scaled(1e-3);
+  // fire every client timeout at once. 100x compression keeps the 8 s
+  // campaign at ~80 ms of wall clock, and a host stall of a few real ms
+  // costs phase 1 a few hundred virtual ms, not its whole 4 s margin.
+  auto env = Environment::Scaled(1e-2);
   DeploymentOptions dopts;
   dopts.backend = ScfsBackendKind::kCoc;
   dopts.lease_ttl = 10 * kSecond;  // outlives the campaign horizon

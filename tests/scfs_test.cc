@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 
+#include "src/cloud/simulated_cloud.h"
+#include "src/coord/local_coordination.h"
 #include "src/crypto/sha1.h"
 #include "src/scfs/consistency_anchor.h"
 #include "src/scfs/deployment.h"
@@ -680,6 +685,33 @@ TEST_P(ScfsTest, FreshWriteLockReadsTheEntryInItsOwnRound) {
   ASSERT_TRUE(other->Close(*fh).ok());
 }
 
+// A blocking close releases the file lock in its publish's ordered slot, so
+// a contender that opens for writing right after the close's ack finds the
+// lock free — no kBusy — and opens the version that close published.
+TEST_P(ScfsTest, ContenderLocksRightAfterBlockingCloseAck) {
+  auto a = MountAgent("alice");
+  auto b = MountAgent("alice");
+  ASSERT_TRUE(a->WriteFile("/f", ToBytes("0")).ok());
+  std::string expected = "0";
+  int busy = 0;
+  for (int i = 1; i <= 6; ++i) {
+    ScfsFileSystem* writer = (i % 2 == 0 ? a : b).get();
+    auto fh = writer->Open("/f", kOpenWrite);
+    if (!fh.ok()) {
+      busy += fh.status().code() == ErrorCode::kBusy;
+      ADD_FAILURE() << "open " << i << ": " << fh.status().ToString();
+      continue;
+    }
+    EXPECT_EQ(ToString(*writer->Read(*fh, 0, 100)), expected);
+    const std::string record = std::to_string(i);
+    ASSERT_TRUE(writer->Write(*fh, expected.size(), ToBytes(record)).ok());
+    ASSERT_TRUE(writer->Close(*fh).ok());
+    expected += record;
+  }
+  EXPECT_EQ(busy, 0);
+  EXPECT_EQ(ToString(*MountAgent("alice")->ReadFile("/f")), expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, ScfsTest,
                          ::testing::Values(ScfsBackendKind::kAws,
                                            ScfsBackendKind::kCoc),
@@ -687,6 +719,90 @@ INSTANTIATE_TEST_SUITE_P(Backends, ScfsTest,
                            return i.param == ScfsBackendKind::kAws ? "Aws"
                                                                    : "CoC";
                          });
+
+// A coordination service that holds back the first publish releasing a
+// lock until a TryLock of that lock has run (or a real-time patience has
+// passed), so a reopen can race the publish-and-release's slot.
+class HeldFirstRelease : public CoordinationService {
+ public:
+  explicit HeldFirstRelease(CoordinationService* inner) : inner_(inner) {}
+
+  Result<CoordReply> Submit(const CoordCommand& command) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (command.op == CoordOp::kCompareAndSwap && !command.aux.empty() &&
+        !held_once_) {
+      held_once_ = true;
+      holding_ = true;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::milliseconds(300),
+                   [&] { return contender_ran_; });
+      holding_ = false;
+      lock.unlock();
+      return inner_->Submit(command);
+    }
+    const bool contender = holding_ && command.op == CoordOp::kTryLock;
+    lock.unlock();
+    Result<CoordReply> reply = inner_->Submit(command);
+    if (contender) {
+      lock.lock();
+      contender_ran_ = true;
+      cv_.notify_all();
+    }
+    return reply;
+  }
+
+  // Waits (up to `patience` of real time) until a release is held back.
+  bool AwaitHolding(std::chrono::milliseconds patience) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, patience, [&] { return held_once_; });
+  }
+
+ private:
+  CoordinationService* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_once_ = false;
+  bool holding_ = false;
+  bool contender_ran_ = false;
+};
+
+// A non-blocking close acknowledges at the local disk, and its background
+// publish then releases the lock. A reopen by the same agent while that
+// publish is in flight must wait for it: the server takes the session's
+// TryLock as re-entrant, so a lock-and-read ordered before the publish
+// would open the version before the acknowledged close (and the publish's
+// release would then free the reopened lock).
+TEST(ScfsLockTest, ReopenDuringPublishAndReleaseOpensThePublishedVersion) {
+  auto env = Environment::Instant();
+  CloudProfile profile;
+  SimulatedCloud cloud(profile, env.get(), 1);
+  SingleCloudBackend backend(&cloud, {cloud.provider_name() + ":alice"});
+  LocalCoordination coord(env.get(), LatencyModel::Fixed(0));
+  HeldFirstRelease held(&coord);
+  ScfsOptions options;
+  options.user = "alice";
+  options.mode = ScfsMode::kNonBlocking;
+  options.user_cloud_ids = {cloud.provider_name() + ":alice"};
+  ScfsFileSystem fs(env.get(), &held, &backend, options);
+  ASSERT_TRUE(fs.Mount().ok());
+
+  ASSERT_TRUE(fs.WriteFile("/f", ToBytes("A")).ok());  // acknowledged
+  held.AwaitHolding(std::chrono::seconds(2));
+  auto fh = fs.Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  EXPECT_EQ(ToString(*fs.Read(*fh, 0, 100)), "A");
+  ASSERT_TRUE(fs.Write(*fh, 1, ToBytes("B")).ok());
+  ASSERT_TRUE(fs.Close(*fh).ok());
+  ASSERT_TRUE(fs.SyncBarrier().ok());
+  // The reopened lock was held until its own close released it.
+  EXPECT_TRUE(coord.TryLock("alice@other", LockKey("/f"), kSecond).ok());
+  auto entry = coord.Read("alice", MetadataKey("/f"));
+  ASSERT_TRUE(entry.ok());
+  auto md = FileMetadata::Decode(entry->value);
+  ASSERT_TRUE(md.ok());
+  EXPECT_EQ(md->size, 2u);
+  ASSERT_TRUE(fs.Unmount().ok());
+}
 
 // ---------------------------------------------------------------------------
 // CoC-specific fault tolerance and consistency-anchor behaviour.
@@ -1098,6 +1214,39 @@ void ExpectOneOrderedCommandPerUnlink(Deployment* deployment) {
   EXPECT_EQ(delta.fast_path_reads + delta.fast_path_fallbacks, 0u);
 }
 
+// A blocking close publishes its entry and releases the file lock in one
+// ordered command: a create is the lock round, the create's placeholder
+// publish (Figure 4 creates the entry at open) and the close's publish; an
+// append is the lock round and the publish. No unlock round, no fast read
+// (the root needs no parent lookup).
+void ExpectBlockingCloseIsLockThenOnePublishRound(Deployment* deployment) {
+  auto fs = MountAlice(deployment);
+  auto contender = MountAlice(deployment);
+  ASSERT_TRUE(fs && contender);
+  SmrCounters before = CoordCounters(deployment);
+  ASSERT_TRUE(fs->WriteFile("/f", ToBytes("created")).ok());
+  SmrCounters delta = CoordCounters(deployment);
+  delta -= before;
+  EXPECT_EQ(delta.ordered_commands, 3u);
+  EXPECT_EQ(delta.fast_path_reads + delta.fast_path_fallbacks, 0u);
+
+  before = CoordCounters(deployment);
+  auto fh = fs->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  ASSERT_TRUE(fs->Write(*fh, 7, ToBytes("+")).ok());
+  ASSERT_TRUE(fs->Close(*fh).ok());
+  delta = CoordCounters(deployment);
+  delta -= before;
+  EXPECT_EQ(delta.ordered_commands, 2u);
+  EXPECT_EQ(delta.fast_path_reads + delta.fast_path_fallbacks, 0u);
+
+  // The lock is free the moment the close acks.
+  auto taken = contender->Open("/f", kOpenWrite);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(ToString(*contender->Read(*taken, 0, 100)), "created+");
+  ASSERT_TRUE(contender->Close(*taken).ok());
+}
+
 // A CoC deployment whose coordination is replicated (one partition) or
 // partitioned, in scaled time. One virtual second is 10 real ms: ten times
 // the margin of the 1e-3 scale above against scheduling delays on a loaded
@@ -1146,6 +1295,17 @@ TEST(ScfsPartitionedTest, UnlinkFromAStaleCachedEntryRetriesOnConflict) {
 TEST(ScfsPartitionedTest, SyncBarrierThenGcReclaimsAnUnlinkedFile) {
   ScaledCoc coc(4);
   ExpectGcReclaimsUnlinkedVersions(coc.deployment.get());
+}
+
+TEST(ScfsReplicatedTest, BlockingCloseIsLockThenOnePublishRound) {
+  ScaledCoc coc(1);
+  ASSERT_NE(coc.deployment->replicated_coord(), nullptr);
+  ExpectBlockingCloseIsLockThenOnePublishRound(coc.deployment.get());
+}
+
+TEST(ScfsPartitionedTest, BlockingCloseIsLockThenOnePublishRound) {
+  ScaledCoc coc(4);
+  ExpectBlockingCloseIsLockThenOnePublishRound(coc.deployment.get());
 }
 
 }  // namespace
