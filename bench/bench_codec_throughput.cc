@@ -1,12 +1,17 @@
 // Data-plane CPU throughput: GF(2^8) row kernels, Reed-Solomon encode/decode,
-// ChaCha20, SHA-256, and the end-to-end DepSky PUT/GET payload processing
-// pipelines — each measured against a faithful replica of the seed
-// implementation (byte-at-a-time exp/log GF kernel, per-block cipher state
-// setup, copy-heavy framing) so the speedup is computed inside one binary.
+// ChaCha20, SHA-256, SHA-1, and the end-to-end DepSky PUT/GET payload
+// processing pipelines — each measured against a faithful replica of the
+// seed implementation (byte-at-a-time exp/log GF kernel, per-block cipher
+// state setup, branchy per-round SHA-1 loop, copy-heavy framing) so the
+// speedup is computed inside one binary.
 //
-// Usage: bench_codec_throughput [--quick] [--json PATH]
+// Usage: bench_codec_throughput [--quick] [--json PATH] [--sha1-portable]
 // Emits BENCH_codec.json (override with --json) for the perf trajectory.
+// --sha1-portable pins SHA-1's portable kernel for the sha1_dispatched row,
+// which is what a host without the SHA extensions runs; the gate's SHA-1
+// floors must hold either way.
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -168,6 +173,102 @@ Bytes SeedChaChaCrypt(const Bytes& key, const Bytes& nonce, uint32_t counter,
   return out;
 }
 
+// Seed Sha1: one block at a time, each staged through the 64-byte buffer,
+// and a round loop that picks the round function with a branch per round.
+class SeedSha1 {
+ public:
+  static Bytes Hash(const Bytes& data) {
+    SeedSha1 h;
+    h.Update(data.data(), data.size());
+    uint64_t bit_length = h.total_bytes_ * 8;
+    uint8_t pad = 0x80;
+    h.Update(&pad, 1);
+    uint8_t zero = 0;
+    while (h.buffered_ != 56) {
+      h.Update(&zero, 1);
+    }
+    uint8_t length_bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      length_bytes[i] = static_cast<uint8_t>(bit_length >> (56 - i * 8));
+    }
+    h.Update(length_bytes, 8);
+    Bytes digest(20);
+    for (int i = 0; i < 5; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        digest[i * 4 + j] = static_cast<uint8_t>(h.state_[i] >> (24 - 8 * j));
+      }
+    }
+    return digest;
+  }
+
+ private:
+  static uint32_t Rotl(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
+
+  void Update(const uint8_t* data, size_t size) {
+    total_bytes_ += size;
+    while (size > 0) {
+      size_t take = std::min(size, sizeof(buffer_) - buffered_);
+      std::memcpy(buffer_ + buffered_, data, take);
+      buffered_ += take;
+      data += take;
+      size -= take;
+      if (buffered_ == sizeof(buffer_)) {
+        ProcessBlock(buffer_);
+        buffered_ = 0;
+      }
+    }
+  }
+
+  void ProcessBlock(const uint8_t* block) {
+    uint32_t w[80];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
+             (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(block[i * 4 + 3]);
+    }
+    for (int i = 16; i < 80; ++i) {
+      w[i] = Rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    }
+    uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
+             e = state_[4];
+    for (int i = 0; i < 80; ++i) {
+      uint32_t f;
+      uint32_t k;
+      if (i < 20) {
+        f = (b & c) | ((~b) & d);
+        k = 0x5a827999;
+      } else if (i < 40) {
+        f = b ^ c ^ d;
+        k = 0x6ed9eba1;
+      } else if (i < 60) {
+        f = (b & c) | (b & d) | (c & d);
+        k = 0x8f1bbcdc;
+      } else {
+        f = b ^ c ^ d;
+        k = 0xca62c1d6;
+      }
+      uint32_t temp = Rotl(a, 5) + f + e + k + w[i];
+      e = d;
+      d = c;
+      c = Rotl(b, 30);
+      b = a;
+      a = temp;
+    }
+    state_[0] += a;
+    state_[1] += b;
+    state_[2] += c;
+    state_[3] += d;
+    state_[4] += e;
+  }
+
+  uint32_t state_[5] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476,
+                        0xc3d2e1f0};
+  uint64_t total_bytes_ = 0;
+  uint8_t buffer_[64];
+  size_t buffered_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Pipelines: the CPU-side payload processing of one DepSky-CA write (encrypt
 // -> erasure-encode -> shard hash -> wire framing) and read (decode ->
@@ -246,6 +347,7 @@ Bytes SpanGetPipeline(const PipelineConfig& cfg,
 
 struct Options {
   bool quick = false;
+  bool sha1_portable = false;
   std::string json_path = "BENCH_codec.json";
 };
 
@@ -362,6 +464,30 @@ void Run(const Options& options) {
     json.Add("sha256_portable", portable, "MB/s");
     json.Add("sha256_dispatched", best, "MB/s");
     json.Add("sha256_speedup", best / portable, "x");
+  }
+
+  PrintHeader("SHA-1 (MB/s)");
+  {
+    double seed = MeasureMbps(payload.size(), min_s, [&] {
+      Bytes h = SeedSha1::Hash(payload);
+      (void)h;
+    });
+    Sha1::ForcePortableForTesting(options.sha1_portable);
+    double best = MeasureMbps(payload.size(), min_s, [&] {
+      Bytes h = Sha1::Hash(payload);
+      (void)h;
+    });
+    Sha1::ForcePortableForTesting(false);
+    if (SeedSha1::Hash(payload) != Sha1::Hash(payload)) {
+      std::fprintf(stderr, "SHA-1 kernel disagrees with the seed replica\n");
+      std::abort();  // the bench must stay a trustworthy oracle
+    }
+    std::printf("seed %8.0f MB/s   %s %8.0f MB/s   speedup %.1fx\n", seed,
+                options.sha1_portable ? "portable" : "dispatched", best,
+                best / seed);
+    json.Add("sha1_seed", seed, "MB/s");
+    json.Add("sha1_dispatched", best, "MB/s");
+    json.Add("sha1_speedup", best / seed, "x");
   }
 
   PrintHeader("DepSky-CA PUT payload processing (f=1: RS(4,2), MB/s)");
@@ -511,6 +637,8 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg == "--quick") {
       options.quick = true;
+    } else if (arg == "--sha1-portable") {
+      options.sha1_portable = true;
     } else if (arg == "--json" && i + 1 < argc) {
       options.json_path = argv[++i];
     }

@@ -70,8 +70,11 @@ class FuseSim : public FileSystem {
     return handle;
   }
   Result<Bytes> Read(FileHandle h, uint64_t off, size_t n) override {
-    env_->Sleep(costs_.per_read + Transfer(n, costs_.read_mb_per_s));
-    return inner_->Read(h, off, n);
+    auto data = inner_->Read(h, off, n);
+    // Charge the bytes returned: a read to EOF asks for SIZE_MAX.
+    env_->Sleep(costs_.per_read +
+                Transfer(data.ok() ? data->size() : 0, costs_.read_mb_per_s));
+    return data;
   }
   Status Write(FileHandle h, uint64_t off, const Bytes& data) override {
     env_->Sleep(costs_.per_write +

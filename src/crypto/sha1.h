@@ -1,6 +1,18 @@
-// SHA-1 (FIPS 180-4). SCFS uses SHA-1 as the collision-resistant hash of file
-// contents stored in the consistency anchor (paper §2.5.1). Kept alongside
-// SHA-256, which this reproduction prefers for new integrity checks.
+// SHA-1 (FIPS 180-4). SCFS names every file version by the SHA-1 of its
+// contents, the collision-resistant hash stored in the consistency anchor
+// (paper §2.5.1). SHA-256 is kept alongside for new integrity checks.
+//
+// SHA-1 sits on both ends of the data path: the agent hashes the whole file
+// on every close that publishes a new version, and DepSky's cold read checks
+// the decrypted plaintext against the anchored hash before returning it. So
+// its throughput is a per-op cost on every cold read and every write-back.
+//
+// Same shape as Sha256: bulk input is compressed in multi-block runs straight
+// from the caller's buffer (no staging through the 64-byte block buffer); on
+// x86 CPUs with the SHA extensions the block compression runs on the SHA-NI
+// instructions (sha1rnds4, sha1nexte, sha1msg1, sha1msg2), chosen once on
+// first use through __builtin_cpu_supports, with a portable fallback whose 80
+// rounds are unrolled at compile time.
 
 #ifndef SCFS_CRYPTO_SHA1_H_
 #define SCFS_CRYPTO_SHA1_H_
@@ -26,8 +38,13 @@ class Sha1 {
   static Bytes Hash(ConstByteSpan data);
   static Bytes Hash(std::string_view data);
 
+  // Pins the portable block function (disables SHA-NI) so tests can check
+  // both kernels on one host and benchmarks can measure the fallback. Not
+  // thread-safe; call before hashing starts.
+  static void ForcePortableForTesting(bool force);
+
  private:
-  void ProcessBlock(const uint8_t* block);
+  void ProcessBlocks(const uint8_t* blocks, size_t count);
 
   uint32_t state_[5];
   uint64_t total_bytes_;

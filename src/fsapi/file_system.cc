@@ -1,5 +1,7 @@
 #include "src/fsapi/file_system.h"
 
+#include <cstdint>
+
 namespace scfs {
 
 Future<Status> FileSystem::CloseAsync(FileHandle handle) {
@@ -25,13 +27,10 @@ Status FileSystem::WriteFile(const std::string& path, const Bytes& data) {
 
 Result<Bytes> FileSystem::ReadFile(const std::string& path) {
   ASSIGN_OR_RETURN(FileHandle handle, Open(path, kOpenRead));
-  auto stat = Stat(path);
-  if (!stat.ok()) {
-    // Don't leak the open handle when the stat races a concurrent remove.
-    (void)Close(handle);
-    return stat.status();
-  }
-  auto data = Read(handle, 0, stat->size);
+  // Read the handle to EOF rather than sizing the read with a path Stat: the
+  // path may already name a newer version (or none, after a concurrent
+  // unlink) than the one this handle opened.
+  auto data = Read(handle, 0, SIZE_MAX);
   Status close_status = Close(handle);
   if (!data.ok()) {
     return data.status();

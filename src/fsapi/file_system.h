@@ -118,7 +118,7 @@ class FileSystem {
 
   // Creates/overwrites a whole file: open(create|write|trunc) + write + close.
   Status WriteFile(const std::string& path, const Bytes& data);
-  // Opens, reads everything, closes.
+  // Opens, reads the opened version to EOF, closes.
   Result<Bytes> ReadFile(const std::string& path);
 };
 

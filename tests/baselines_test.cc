@@ -31,6 +31,40 @@ TEST(LocalFsTest, RoundTripAndNamespace) {
   ASSERT_TRUE(fs.Rmdir("/d").ok());
 }
 
+// A file system whose path Stat describes another version than the one an
+// open handle holds: a newer, shorter one (as after the agent's own publishing
+// close, or once a cached stat is stale), or none at all (a concurrent
+// unlink after the open succeeded).
+class DisagreeingStatFs : public LocalFs {
+ public:
+  using LocalFs::LocalFs;
+  Result<FileStat> Stat(const std::string& path) override {
+    if (stat_not_found) {
+      return NotFoundError(path);
+    }
+    auto stat = LocalFs::Stat(path);
+    if (stat.ok()) {
+      stat->size /= 2;
+    }
+    return stat;
+  }
+  bool stat_not_found = false;
+};
+
+TEST(FileSystemTest, ReadFileReadsTheOpenedHandleToEof) {
+  auto env = Environment::Instant();
+  DisagreeingStatFs fs(env.get());
+  ASSERT_TRUE(fs.WriteFile("/f", ToBytes("hello world")).ok());
+  auto read = fs.ReadFile("/f");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(ToString(*read), "hello world");
+
+  fs.stat_not_found = true;
+  read = fs.ReadFile("/f");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(ToString(*read), "hello world");
+}
+
 TEST(LocalFsTest, ChargesDiskOnDirtyCloseOnly) {
   auto env = Environment::Instant();
   LocalFs fs(env.get());

@@ -15,31 +15,51 @@
 namespace scfs {
 namespace {
 
+// Runs `check` on the dispatched SHA-1 kernel (SHA-NI where the host has
+// it) and on the portable one.
+template <typename Check>
+void OnBothSha1Kernels(Check check) {
+  for (bool portable : {false, true}) {
+    SCOPED_TRACE(portable ? "portable" : "dispatched");
+    Sha1::ForcePortableForTesting(portable);
+    check();
+  }
+  Sha1::ForcePortableForTesting(false);
+}
+
 TEST(Sha1Test, EmptyString) {
-  EXPECT_EQ(HexEncode(Sha1::Hash("")),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  OnBothSha1Kernels([] {
+    EXPECT_EQ(HexEncode(Sha1::Hash("")),
+              "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  });
 }
 
 TEST(Sha1Test, Abc) {
-  EXPECT_EQ(HexEncode(Sha1::Hash("abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d");
+  OnBothSha1Kernels([] {
+    EXPECT_EQ(HexEncode(Sha1::Hash("abc")),
+              "a9993e364706816aba3e25717850c26c9cd0d89d");
+  });
 }
 
 TEST(Sha1Test, TwoBlockMessage) {
-  EXPECT_EQ(
-      HexEncode(Sha1::Hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-      "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  OnBothSha1Kernels([] {
+    EXPECT_EQ(HexEncode(Sha1::Hash(
+                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+              "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  });
 }
 
 TEST(Sha1Test, MillionAs) {
-  Sha1 h;
-  Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) {
-    h.Update(chunk);
-  }
-  auto digest = h.Finish();
-  EXPECT_EQ(HexEncode(digest.data(), digest.size()),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  OnBothSha1Kernels([] {
+    Sha1 h;
+    Bytes chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) {
+      h.Update(chunk);
+    }
+    auto digest = h.Finish();
+    EXPECT_EQ(HexEncode(digest.data(), digest.size()),
+              "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  });
 }
 
 TEST(Sha1Test, IncrementalMatchesOneShot) {

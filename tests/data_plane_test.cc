@@ -368,6 +368,42 @@ TEST(Sha256DispatchTest, ChunkedUpdatesMatchOneShot) {
   EXPECT_EQ(Bytes(digest.begin(), digest.end()), Sha256::Hash(data));
 }
 
+TEST(Sha1DispatchTest, HardwarePathMatchesPortable) {
+  Rng rng(44);
+  for (size_t size : {0u, 1u, 55u, 56u, 63u, 64u, 65u, 127u, 128u, 1000u,
+                      100000u}) {
+    Bytes data = rng.RandomBytes(size);
+    Sha1::ForcePortableForTesting(true);
+    Bytes portable = Sha1::Hash(data);
+    Sha1::ForcePortableForTesting(false);
+    Bytes dispatched = Sha1::Hash(data);
+    EXPECT_EQ(portable, dispatched) << size;
+  }
+}
+
+TEST(Sha1DispatchTest, ChunkedUpdatesMatchOneShot) {
+  Rng rng(45);
+  Bytes data = rng.RandomBytes(10000);
+  for (bool portable : {false, true}) {
+    SCOPED_TRACE(portable ? "portable" : "dispatched");
+    Sha1::ForcePortableForTesting(portable);
+    // Growing splits: the first chunks stay inside one block, later ones
+    // top up the buffer and then compress whole blocks from the input.
+    Sha1 chunked;
+    size_t offset = 0;
+    size_t step = 1;
+    while (offset < data.size()) {
+      size_t n = std::min(step, data.size() - offset);
+      chunked.Update(ConstByteSpan(data.data() + offset, n));
+      offset += n;
+      step = step * 2 + 1;
+    }
+    auto digest = chunked.Finish();
+    EXPECT_EQ(Bytes(digest.begin(), digest.end()), Sha1::Hash(data));
+  }
+  Sha1::ForcePortableForTesting(false);
+}
+
 TEST(Sha1SpanTest, SpanOverloadMatchesStringView) {
   Bytes data = ToBytes("consistency anchor hash input");
   EXPECT_EQ(Sha1::Hash(ConstByteSpan(data)),

@@ -362,6 +362,8 @@ TEST_F(DepSkyTest, WithoutPreferredQuorumsAllCloudsUsed) {
   Bytes data(1000, 5);
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
   for (auto& cloud : clouds_) {
+    // The write returns at a quorum; let the last shard PUT land.
+    cloud->Quiesce();
     auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/o");
     ASSERT_TRUE(listed.ok());
     EXPECT_EQ(listed->size(), 1u);

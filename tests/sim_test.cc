@@ -30,8 +30,10 @@ TEST(EnvironmentTest, InstantSleepDoesNotBlock) {
 }
 
 TEST(EnvironmentTest, ScaledModeTracksRealTime) {
-  // 1 virtual second = 0.1 real ms => sleeping 100 virtual ms costs ~10 us.
-  auto env = Environment::Scaled(1e-4);
+  // 1 virtual second = 10 real ms => sleeping 100 virtual ms costs ~1 real
+  // ms, and the upper bound below is 50 real ms: wide enough for a loaded
+  // host's wake-up latency, narrow enough to catch a clock that stalls.
+  auto env = Environment::Scaled(1e-2);
   VirtualTime t0 = env->Now();
   env->Sleep(100 * kMillisecond);
   VirtualTime elapsed = env->Now() - t0;
