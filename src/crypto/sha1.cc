@@ -1,7 +1,5 @@
 #include "src/crypto/sha1.h"
 
-#include <cstring>
-
 #if defined(__x86_64__) || defined(__i386__)
 #define SCFS_SHA1_X86 1
 #include <immintrin.h>
@@ -165,112 +163,20 @@ SCFS_SHA1_NI void ProcessBlocksShaNi(uint32_t state[5], const uint8_t* data,
 
 #endif  // SCFS_SHA1_X86
 
-using BlockFn = void (*)(uint32_t*, const uint8_t*, size_t);
-
-BlockFn PickBlockFn() {
 #ifdef SCFS_SHA1_X86
-  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("ssse3") &&
-      __builtin_cpu_supports("sse4.1")) {
-    return ProcessBlocksShaNi;
-  }
+HashKernel g_kernel(ProcessBlocksPortable, ProcessBlocksShaNi);
+#else
+HashKernel g_kernel(ProcessBlocksPortable, nullptr);
 #endif
-  return ProcessBlocksPortable;
-}
-
-bool g_force_portable = false;
-
-BlockFn CurrentBlockFn() {
-  if (g_force_portable) {
-    return ProcessBlocksPortable;
-  }
-  static const BlockFn fn = PickBlockFn();
-  return fn;
-}
 
 }  // namespace
 
-void Sha1::ForcePortableForTesting(bool force) { g_force_portable = force; }
-
-Sha1::Sha1() : total_bytes_(0), buffered_(0) {
-  state_[0] = 0x67452301;
-  state_[1] = 0xefcdab89;
-  state_[2] = 0x98badcfe;
-  state_[3] = 0x10325476;
-  state_[4] = 0xc3d2e1f0;
+void Sha1::ForcePortableForTesting(bool force) {
+  g_kernel.ForcePortable(force);
 }
 
-void Sha1::ProcessBlocks(const uint8_t* blocks, size_t count) {
-  CurrentBlockFn()(state_, blocks, count);
-}
-
-void Sha1::Update(const uint8_t* data, size_t size) {
-  total_bytes_ += size;
-  // Top up a partially filled block buffer first.
-  if (buffered_ > 0) {
-    size_t take = kBlockSize - buffered_;
-    if (take > size) {
-      take = size;
-    }
-    std::memcpy(buffer_ + buffered_, data, take);
-    buffered_ += take;
-    data += take;
-    size -= take;
-    if (buffered_ == kBlockSize) {
-      ProcessBlocks(buffer_, 1);
-      buffered_ = 0;
-    }
-  }
-  // Bulk: compress whole blocks straight from the caller's buffer.
-  const size_t whole = size / kBlockSize;
-  if (whole > 0) {
-    ProcessBlocks(data, whole);
-    data += whole * kBlockSize;
-    size -= whole * kBlockSize;
-  }
-  if (size > 0) {
-    std::memcpy(buffer_, data, size);
-    buffered_ = size;
-  }
-}
-
-std::array<uint8_t, Sha1::kDigestSize> Sha1::Finish() {
-  uint64_t bit_length = total_bytes_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffered_ != 56) {
-    Update(&zero, 1);
-  }
-  uint8_t length_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<uint8_t>(bit_length >> (56 - i * 8));
-  }
-  // Bypass the length bookkeeping for the final 8 bytes.
-  total_bytes_ -= 8;
-  Update(length_bytes, 8);
-
-  std::array<uint8_t, kDigestSize> digest;
-  for (int i = 0; i < 5; ++i) {
-    digest[i * 4] = static_cast<uint8_t>(state_[i] >> 24);
-    digest[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    digest[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    digest[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
-  }
-  return digest;
-}
-
-Bytes Sha1::Hash(ConstByteSpan data) {
-  Sha1 h;
-  h.Update(data);
-  auto d = h.Finish();
-  return Bytes(d.begin(), d.end());
-}
-
-Bytes Sha1::Hash(std::string_view data) {
-  Sha1 h;
-  h.Update(reinterpret_cast<const uint8_t*>(data.data()), data.size());
-  auto d = h.Finish();
-  return Bytes(d.begin(), d.end());
-}
+Sha1::Sha1()
+    : MdHash(g_kernel, {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476,
+                        0xc3d2e1f0}) {}
 
 }  // namespace scfs

@@ -7,49 +7,28 @@
 // the decrypted plaintext against the anchored hash before returning it. So
 // its throughput is a per-op cost on every cold read and every write-back.
 //
-// Same shape as Sha256: bulk input is compressed in multi-block runs straight
-// from the caller's buffer (no staging through the 64-byte block buffer); on
-// x86 CPUs with the SHA extensions the block compression runs on the SHA-NI
-// instructions (sha1rnds4, sha1nexte, sha1msg1, sha1msg2), chosen once on
-// first use through __builtin_cpu_supports, with a portable fallback whose 80
-// rounds are unrolled at compile time.
+// Buffering, padding and the kernel choice are MdHash's (md_hash.h), shared
+// with Sha256; whole blocks are compressed straight from the caller's
+// buffer. sha1.cc holds the two block functions: on x86 CPUs with the SHA
+// extensions a fully unrolled SHA-NI kernel (sha1rnds4, sha1nexte, sha1msg1,
+// sha1msg2), chosen once through __builtin_cpu_supports; elsewhere a
+// portable one whose 80 rounds are unrolled at compile time.
 
 #ifndef SCFS_CRYPTO_SHA1_H_
 #define SCFS_CRYPTO_SHA1_H_
 
-#include <array>
-#include <cstdint>
-
-#include "src/common/bytes.h"
+#include "src/crypto/md_hash.h"
 
 namespace scfs {
 
-class Sha1 {
+class Sha1 : public MdHash<Sha1, 5> {
  public:
-  static constexpr size_t kDigestSize = 20;
-  static constexpr size_t kBlockSize = 64;
-
   Sha1();
 
-  void Update(const uint8_t* data, size_t size);
-  void Update(ConstByteSpan data) { Update(data.data(), data.size()); }
-  std::array<uint8_t, kDigestSize> Finish();
-
-  static Bytes Hash(ConstByteSpan data);
-  static Bytes Hash(std::string_view data);
-
-  // Pins the portable block function (disables SHA-NI) so tests can check
-  // both kernels on one host and benchmarks can measure the fallback. Not
-  // thread-safe; call before hashing starts.
+  // Pins the portable block function (disables SHA-NI) for hashers built
+  // afterwards, so tests can check both kernels on one host and benchmarks
+  // can measure the fallback. Not thread-safe; call before hashing starts.
   static void ForcePortableForTesting(bool force);
-
- private:
-  void ProcessBlocks(const uint8_t* blocks, size_t count);
-
-  uint32_t state_[5];
-  uint64_t total_bytes_;
-  uint8_t buffer_[kBlockSize];
-  size_t buffered_;
 };
 
 }  // namespace scfs

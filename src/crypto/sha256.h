@@ -1,49 +1,28 @@
 // SHA-256 (FIPS 180-4). Used for DepSky block hashes and as the PRF behind
 // the HMAC authenticators.
 //
-// Bulk input is compressed in multi-block runs straight from the caller's
-// buffer (no staging through the 64-byte block buffer); on x86 CPUs with the
-// SHA extensions the block compression runs on the SHA-NI instructions,
-// selected once at startup with a portable fallback. Shard hashing is a large
-// share of the DepSky PUT pipeline's CPU time, so this kernel matters as much
-// as the GF(2^8) one.
+// Buffering, padding and the kernel choice are MdHash's (md_hash.h), shared
+// with Sha1; whole blocks are compressed straight from the caller's buffer.
+// On x86 CPUs with the SHA extensions the block compression runs on the
+// SHA-NI instructions, selected once at startup with a portable fallback.
+// Shard hashing is a large share of the DepSky PUT pipeline's CPU time, so
+// this kernel matters as much as the GF(2^8) one.
 
 #ifndef SCFS_CRYPTO_SHA256_H_
 #define SCFS_CRYPTO_SHA256_H_
 
-#include <array>
-#include <cstdint>
-
-#include "src/common/bytes.h"
+#include "src/crypto/md_hash.h"
 
 namespace scfs {
 
-class Sha256 {
+class Sha256 : public MdHash<Sha256, 8> {
  public:
-  static constexpr size_t kDigestSize = 32;
-  static constexpr size_t kBlockSize = 64;
-
   Sha256();
 
-  void Update(const uint8_t* data, size_t size);
-  void Update(ConstByteSpan data) { Update(data.data(), data.size()); }
-  std::array<uint8_t, kDigestSize> Finish();
-
-  static Bytes Hash(ConstByteSpan data);
-  static Bytes Hash(std::string_view data);
-
-  // Pins the portable block function (disables SHA-NI) so benchmarks can
-  // measure the hardware path against the seed kernel in one binary. Not
-  // thread-safe; call before hashing starts.
+  // Pins the portable block function (disables SHA-NI) for hashers built
+  // afterwards, so tests can check both kernels on one host and benchmarks
+  // can measure the fallback. Not thread-safe; call before hashing starts.
   static void ForcePortableForTesting(bool force);
-
- private:
-  void ProcessBlocks(const uint8_t* blocks, size_t count);
-
-  uint32_t state_[8];
-  uint64_t total_bytes_;
-  uint8_t buffer_[kBlockSize];
-  size_t buffered_;
 };
 
 }  // namespace scfs

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/crypto/chacha20.h"
@@ -62,6 +64,21 @@ TEST(Sha1Test, MillionAs) {
   });
 }
 
+// Padding edges: 55 bytes is the longest message whose length still fits
+// in its last block, 56 the shortest that needs one more.
+TEST(Sha1Test, PaddingBoundaries) {
+  OnBothSha1Kernels([] {
+    EXPECT_EQ(HexEncode(Sha1::Hash(std::string(55, 'a'))),
+              "c1c8bbdc22796e28c0e15163d20899b65621d65a");
+    EXPECT_EQ(HexEncode(Sha1::Hash(std::string(56, 'a'))),
+              "c2db330f6083854c99d4b5bfb6e8f29f201be699");
+    EXPECT_EQ(HexEncode(Sha1::Hash(std::string(63, 'a'))),
+              "03f09f5b158a7a8cdad920bddc29b81c18a551f5");
+    EXPECT_EQ(HexEncode(Sha1::Hash(std::string(64, 'a'))),
+              "0098ba824b5c16427bd7a1122a5a442a25ec644d");
+  });
+}
+
 TEST(Sha1Test, IncrementalMatchesOneShot) {
   Rng rng(11);
   Bytes data = rng.RandomBytes(10000);
@@ -92,6 +109,21 @@ TEST(Sha256Test, TwoBlockMessage) {
   EXPECT_EQ(
       HexEncode(Sha256::Hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256Test, PaddingBoundaries) {
+  EXPECT_EQ(
+      HexEncode(Sha256::Hash(std::string(55, 'a'))),
+      "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+  EXPECT_EQ(
+      HexEncode(Sha256::Hash(std::string(56, 'a'))),
+      "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+  EXPECT_EQ(
+      HexEncode(Sha256::Hash(std::string(63, 'a'))),
+      "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34");
+  EXPECT_EQ(
+      HexEncode(Sha256::Hash(std::string(64, 'a'))),
+      "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
 }
 
 TEST(Sha256Test, MillionAs) {

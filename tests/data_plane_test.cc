@@ -13,6 +13,7 @@
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/crypto/chacha20.h"
+#include "src/crypto/md_hash.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
 #include "src/math/gf256.h"
@@ -366,6 +367,24 @@ TEST(Sha256DispatchTest, ChunkedUpdatesMatchOneShot) {
   }
   auto digest = chunked.Finish();
   EXPECT_EQ(Bytes(digest.begin(), digest.end()), Sha256::Hash(data));
+}
+
+void FakePortableBlocks(uint32_t*, const uint8_t*, size_t) {}
+void FakeShaNiBlocks(uint32_t*, const uint8_t*, size_t) {}
+
+// The dispatch tests above and below compare two kernels only if pinning
+// the portable one really switches kernels.
+TEST(HashKernelTest, PinningSelectsThePortableKernel) {
+  HashKernel kernel(FakePortableBlocks, FakeShaNiBlocks);
+  EXPECT_EQ(kernel.Get(),
+            CpuHasShaNi() ? &FakeShaNiBlocks : &FakePortableBlocks);
+  kernel.ForcePortable(true);
+  EXPECT_EQ(kernel.Get(), &FakePortableBlocks);
+  kernel.ForcePortable(false);
+  EXPECT_EQ(kernel.Get(),
+            CpuHasShaNi() ? &FakeShaNiBlocks : &FakePortableBlocks);
+  HashKernel portable_only(FakePortableBlocks, nullptr);
+  EXPECT_EQ(portable_only.Get(), &FakePortableBlocks);
 }
 
 TEST(Sha1DispatchTest, HardwarePathMatchesPortable) {
