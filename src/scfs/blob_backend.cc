@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/crypto/sha1.h"
+
 namespace scfs {
 
 Result<Bytes> BlobBackend::WriteVersion(
@@ -42,7 +44,15 @@ Result<StartedVersion> SingleCloudBackend::StartVersion(
 Result<Bytes> SingleCloudBackend::ReadByHash(const std::string& id,
                                              const std::string& content_hash,
                                              const Bytes& /*locator*/) {
-  return store_->Get(creds_, VersionKey(id, content_hash));
+  ASSIGN_OR_RETURN(Bytes data,
+                   store_->Get(creds_, VersionKey(id, content_hash)));
+  // The integrity check against the anchored hash (Figure 3, r3): one cloud
+  // has no redundancy to mask a corrupted read, so it must surface.
+  if (HexEncode(Sha1::Hash(data)) != content_hash) {
+    return CorruptionError("version " + content_hash + " of " + id +
+                           " does not match its hash");
+  }
+  return data;
 }
 
 Result<Bytes> SingleCloudBackend::ReadLatest(const std::string& id) {

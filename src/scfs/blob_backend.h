@@ -86,7 +86,8 @@ class BlobBackend {
   // Reads the version with the given hash, starting from the locator
   // WriteVersion returned for it (empty: locate the version by the hash
   // alone); NOT_FOUND while the version is not yet visible (the
-  // consistency-anchor read loop retries).
+  // consistency-anchor read loop retries). Only bytes whose SHA-1 is
+  // `content_hash` are returned; others are CORRUPTION.
   virtual Result<Bytes> ReadByHash(const std::string& id,
                                    const std::string& content_hash,
                                    const Bytes& locator) = 0;

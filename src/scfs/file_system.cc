@@ -132,6 +132,7 @@ Status ScfsFileSystem::Unmount() {
 void ScfsFileSystem::DrainBackground() {
   uploader_->Drain();
   gc_worker_->Drain();
+  beside_lock_.AwaitIdle();
 }
 
 Status ScfsFileSystem::SyncBarrier() {
@@ -182,8 +183,8 @@ Status ScfsFileSystem::CheckParentDirectory(const std::string& path) {
 
 Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
     const std::string& path, uint32_t flags,
-    const LockService::LockedRead* locked, const Status* parent_checked,
-    bool* created) {
+    const LockService::LockedRead* locked,
+    const std::function<Status()>& check_parent, bool* created) {
   *created = false;
   // A lock taken with a coordination round read the entry at the lock's
   // position in the total order: a cached entry could predate another
@@ -198,8 +199,7 @@ Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
       (flags & kOpenCreate) == 0) {
     return existing.status();
   }
-  RETURN_IF_ERROR(parent_checked != nullptr ? *parent_checked
-                                            : CheckParentDirectory(path));
+  RETURN_IF_ERROR(check_parent());
   FileMetadata md;
   md.path = path;
   md.type = FileType::kFile;
@@ -212,6 +212,38 @@ Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
   return md;
 }
 
+std::optional<FileMetadata> ScfsFileSystem::PrefetchGuess(
+    const std::string& path, uint32_t flags) {
+  if ((flags & kOpenTruncate) != 0) {
+    return std::nullopt;  // the open fetches nothing
+  }
+  std::optional<FileMetadata> guess = metadata_->Peek(path);
+  if (!guess.has_value() || guess->type != FileType::kFile ||
+      guess->content_hash.empty() || !guess->AllowsWrite(options_.user) ||
+      storage_->HasLocal(guess->object_id, guess->content_hash)) {
+    return std::nullopt;
+  }
+  return guess;
+}
+
+namespace {
+// Waits for work an open started beside its lock round, which charged the
+// caller `lock_round`, and charges the rest as WhenAll charges a pair: the
+// longer of the two, not their sum (DESIGN.md "Fetch during the lock
+// round").
+template <typename T>
+T JoinBesideLockRound(const Future<T>& work, VirtualDuration lock_round) {
+  work.Wait();
+  Environment::AddThreadCharge(
+      std::max<VirtualDuration>(0, work.charge() - lock_round));
+  std::optional<T> value;
+  work.OnReady([&value](const T& ready, VirtualDuration) {
+    value = ready;  // ready: runs inline, charges nothing
+  });
+  return std::move(*value);
+}
+}  // namespace
+
 Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
                                         uint32_t flags) {
   const std::string normalized = NormalizePath(path);
@@ -223,39 +255,58 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
   // Step (ii) of the open protocol (Figure 4): opening for writing locks the
   // file before anything else so a losing racer fails fast with BUSY.
   // (Creation also takes the lock: the created entry is immediately
-  // write-opened.) A create that takes the lock with a coordination round
-  // looks its parent directory up during that round; the lookup is used
-  // only if the lock's read finds no entry. (A reclaimed lock costs no
-  // round to overlap with.)
+  // write-opened.) A lock taken with a coordination round runs beside it
+  // the step that would follow it (DESIGN.md "Fetch during the lock round"):
+  // the data of the entry this agent holds for the path, if not local, used
+  // only if the lock's read names the same version; failing that, a
+  // create's parent lookup, used only if the lock's read finds no entry.
+  // Side work the open does not use is left to finish on its own (tracked,
+  // DrainBackground waits for it). A reclaimed lock costs no round to
+  // overlap with.
   LockService::LockedRead locked;
-  std::optional<Status> parent_checked;
+  std::optional<FileMetadata> guess;
+  Future<Result<Bytes>> prefetch;
+  Future<Status> parent;
+  VirtualDuration lock_round = 0;
+  // Set when the open returns: a prefetch still retrying a version no cloud
+  // shows (say, a stale guess whose unit was collected) stops there.
+  std::shared_ptr<std::atomic<bool>> abandoned;
+  struct AbandonOnReturn {
+    const std::shared_ptr<std::atomic<bool>>& flag;
+    ~AbandonOnReturn() {
+      if (flag != nullptr) {
+        flag->store(true);
+      }
+    }
+  } abandon_on_return{abandoned};
   if (write_mode) {
-    Future<Status> parent;
-    if ((flags & kOpenCreate) != 0 && coord_ != nullptr &&
-        locks_->HeldUntil(normalized) == 0) {
-      parent = DefaultExecutor().Submit(
-          [this, normalized] { return CheckParentDirectory(normalized); });
+    if (coord_ != nullptr && locks_->HeldUntil(normalized) == 0) {
+      guess = PrefetchGuess(normalized, flags);
+      if (guess.has_value()) {
+        abandoned = std::make_shared<std::atomic<bool>>(false);
+        prefetch = SubmitTracked(&beside_lock_, [this, guess, abandoned] {
+          return storage_->Fetch(guess->object_id, guess->content_hash,
+                                 guess->locator, abandoned.get());
+        });
+      } else if ((flags & kOpenCreate) != 0) {
+        parent = SubmitTracked(&beside_lock_, [this, normalized] {
+          return CheckParentDirectory(normalized);
+        });
+      }
     }
     const VirtualDuration before = Environment::ThreadCharged();
-    Status acquired = locks_->Acquire(normalized, &locked);
-    if (parent.valid()) {
-      // Charged as WhenAll charges a pair: the longer of the two rounds.
-      const VirtualDuration lock_round = Environment::ThreadCharged() - before;
-      parent.Wait();
-      Environment::AddThreadCharge(
-          std::max<VirtualDuration>(0, parent.charge() - lock_round));
-      parent.OnReady([&parent_checked](const Status& checked,
-                                       VirtualDuration) {
-        parent_checked = checked;  // ready: runs inline, charges nothing
-      });
-    }
-    RETURN_IF_ERROR(acquired);
+    RETURN_IF_ERROR(locks_->Acquire(normalized, &locked));
+    lock_round = Environment::ThreadCharged() - before;
   }
 
   bool created = false;
   auto metadata = ResolveForOpen(
       normalized, flags, write_mode ? &locked : nullptr,
-      parent_checked.has_value() ? &*parent_checked : nullptr, &created);
+      [&] {
+        return parent.valid() ? JoinBesideLockRound(parent, lock_round)
+                              : CheckParentDirectory(normalized);
+      },
+      &created);
   if (!metadata.ok()) {
     if (write_mode) {
       (void)locks_->Release(normalized);
@@ -280,7 +331,10 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
   }
 
   // Step (iii): bring the file data into the memory cache — locally when the
-  // cached copy matches the anchored hash, from the cloud otherwise.
+  // cached copy matches the anchored hash, from the cloud otherwise. Bytes
+  // fetched during the lock round serve only for the version the open
+  // resolved (the same object and SHA-1, which the fetch checked them
+  // against); otherwise, or if that fetch failed, the open fetches here.
   OpenFile open_file;
   open_file.metadata = std::move(*metadata);
   open_file.predecessor = open_file.metadata.locator;
@@ -291,13 +345,21 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
     open_file.metadata.content_hash.clear();
     open_file.metadata.locator.clear();
   } else {
-    auto data = storage_->Fetch(open_file.metadata.object_id,
-                                open_file.metadata.content_hash,
-                                open_file.metadata.locator);
-    if (!data.ok()) {
-      return fail(data.status());
+    std::optional<Result<Bytes>> data;
+    if (prefetch.valid() &&
+        guess->object_id == open_file.metadata.object_id &&
+        guess->content_hash == open_file.metadata.content_hash) {
+      data = JoinBesideLockRound(prefetch, lock_round);
     }
-    open_file.data = std::move(*data);
+    if (!data.has_value() || !data->ok()) {
+      data = storage_->Fetch(open_file.metadata.object_id,
+                             open_file.metadata.content_hash,
+                             open_file.metadata.locator);
+    }
+    if (!data->ok()) {
+      return fail(data->status());
+    }
+    open_file.data = std::move(**data);
   }
 
   open_file.opened_at = env_->Now();
@@ -880,11 +942,14 @@ Result<FileStat> ScfsFileSystem::Stat(const std::string& path) {
     root.owner = options_.user;
     return root;
   }
-  // A just-opened file answers from its own metadata. The metadata cache
-  // counts its TTL from the metadata read, before the open's cloud fetch, so
-  // a stat right after a cold open would pay a coordination read or not
-  // depending on whether the fetch outlasted the TTL. The newest read
-  // handle wins.
+  // A just-opened file answers from its own metadata (DESIGN.md "Stat of a
+  // just-opened file"). The metadata cache counts its TTL from the metadata
+  // read, before the open's cloud fetch, so a stat right after a cold open
+  // would pay a coordination read or not depending on whether the fetch
+  // outlasted the TTL. The newest read handle wins. A write handle never
+  // answers (its metadata carries unpublished changes), although its open
+  // may have fetched beside the lock round (DESIGN.md "Fetch during the
+  // lock round").
   {
     const VirtualTime now = env_->Now();
     std::lock_guard<std::mutex> lock(fs_mu_);

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/executor.h"
 #include "src/common/rng.h"
 #include "src/coord/coordination_service.h"
 #include "src/fsapi/file_system.h"
@@ -136,12 +137,19 @@ class ScfsFileSystem : public FileSystem {
   std::string NewObjectId();
   // `locked`: what the open's write lock read, or null for a read-only
   // open. A freshly taken lock resolves from the entry it read.
-  // `parent_checked`: the outcome of a create's parent-directory check made
-  // during the lock round, or null to check it here if the path is absent.
-  Result<FileMetadata> ResolveForOpen(const std::string& path, uint32_t flags,
-                                      const LockService::LockedRead* locked,
-                                      const Status* parent_checked,
-                                      bool* created);
+  // `check_parent`: checks a create's parent directory, called only if the
+  // path is absent.
+  Result<FileMetadata> ResolveForOpen(
+      const std::string& path, uint32_t flags,
+      const LockService::LockedRead* locked,
+      const std::function<Status()>& check_parent, bool* created);
+  // The entry whose data a write open fetches during its lock round
+  // (DESIGN.md "Fetch during the lock round"): the copy this agent holds for
+  // `path` without a coordination message, if it names a non-empty file the
+  // user may write whose data is not local and the open fetches data at
+  // all; else nullopt.
+  std::optional<FileMetadata> PrefetchGuess(const std::string& path,
+                                            uint32_t flags);
   Status CheckParentDirectory(const std::string& path);
   // Unlink of a shared entry, starting from the copy `md` (DESIGN.md
   // "One-round unlink"). Returns the removed entry.
@@ -212,6 +220,11 @@ class ScfsFileSystem : public FileSystem {
 
   std::atomic<uint64_t> bytes_written_since_gc_{0};
   bool mounted_ = false;
+  // Work opens run beside their lock rounds (a fetch, a parent lookup); an
+  // open that does not use it returns without waiting. Declared last, so
+  // destroyed first: its destructor waits for that work, which touches the
+  // services above.
+  InFlightTracker beside_lock_;
 };
 
 }  // namespace scfs

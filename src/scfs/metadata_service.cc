@@ -347,63 +347,88 @@ Result<FileMetadata> MetadataService::ReadShared(const std::string& path) {
   return md;
 }
 
-Result<FileMetadata> MetadataService::Get(const std::string& path) {
+std::optional<Result<FileMetadata>> MetadataService::FindLocal(
+    const std::string& path, bool count_hits) {
   const std::string mkey = MetadataKey(path);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // 1. This agent's in-flight close updates: authoritative until their
-    // background publish completes, so they outrank the TTL cache — an
-    // older chain's publish refreshes the cache with its (stale) version
-    // while a newer close's override is still pending.
-    auto override_it = local_overrides_.find(path);
-    if (override_it != local_overrides_.end()) {
-      return override_it->second;
-    }
-    // 1b. Write-credit pin: we hold the path's write lock, so our own last
-    // publish is the newest committed version — serve it with zero
-    // coordination messages until the lock's lease bound.
-    auto pinned_it = pinned_.find(path);
-    if (pinned_it != pinned_.end()) {
-      if (env_->Now() < pinned_it->second.valid_until) {
+  // 1. This agent's in-flight close updates: authoritative until their
+  // background publish completes, so they outrank the TTL cache — an older
+  // chain's publish refreshes the cache with its (stale) version while a
+  // newer close's override is still pending.
+  auto override_it = local_overrides_.find(path);
+  if (override_it != local_overrides_.end()) {
+    return override_it->second;
+  }
+  // 1b. Write-credit pin: we hold the path's write lock, so our own last
+  // publish is the newest committed version — serve it with zero
+  // coordination messages until the lock's lease bound.
+  auto pinned_it = pinned_.find(path);
+  if (pinned_it != pinned_.end()) {
+    if (env_->Now() < pinned_it->second.valid_until) {
+      if (count_hits) {
         pinned_hits_.fetch_add(1, std::memory_order_relaxed);
         if (options_.leases != nullptr) {
           options_.leases->RecordLocalHit();
         }
-        return pinned_it->second.metadata;
       }
-      pinned_.erase(pinned_it);
+      return pinned_it->second.metadata;
     }
-    // 2. A live lease covering the path: the grant snapshot is the
-    // coordination service's state as of the grant, kept honest by
-    // revocation notices, so it outranks the TTL cache — and a covered path
-    // absent from it is authoritatively absent from the coordination
-    // service (negative caching; it may still be private in the PNS).
-    if (LeasedPrefix* lease = FindCoveringLease(mkey)) {
+    pinned_.erase(pinned_it);
+  }
+  // 2. A live lease covering the path: the grant snapshot is the
+  // coordination service's state as of the grant, kept honest by revocation
+  // notices, so it outranks the TTL cache — and a covered path absent from
+  // it is authoritatively absent from the coordination service (negative
+  // caching; it may still be private in the PNS).
+  if (LeasedPrefix* lease = FindCoveringLease(mkey)) {
+    if (count_hits) {
       lease_hits_.fetch_add(1, std::memory_order_relaxed);
       options_.leases->RecordLocalHit();
-      auto entry_it = lease->entries.find(path);
-      if (entry_it != lease->entries.end()) {
-        return entry_it->second;
-      }
-      auto pns_it = pns_.entries.find(path);
-      if (pns_it != pns_.entries.end()) {
-        return pns_it->second;
-      }
-      return NotFoundError(path);
     }
-    // 3. Short-term cache.
-    auto it = cache_.find(path);
-    if (it != cache_.end()) {
-      if (env_->Now() - it->second.fetched_at <= options_.cache_ttl) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second.metadata;
-      }
-      cache_.erase(it);
+    auto entry_it = lease->entries.find(path);
+    if (entry_it != lease->entries.end()) {
+      return entry_it->second;
     }
-    // 4. PNS (always authoritative for private files — we hold its lock).
     auto pns_it = pns_.entries.find(path);
     if (pns_it != pns_.entries.end()) {
       return pns_it->second;
+    }
+    return NotFoundError(path);
+  }
+  // 3. Short-term cache.
+  auto it = cache_.find(path);
+  if (it != cache_.end()) {
+    if (env_->Now() - it->second.fetched_at <= options_.cache_ttl) {
+      if (count_hits) {
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return it->second.metadata;
+    }
+    cache_.erase(it);
+  }
+  // 4. PNS (always authoritative for private files — we hold its lock).
+  auto pns_it = pns_.entries.find(path);
+  if (pns_it != pns_.entries.end()) {
+    return pns_it->second;
+  }
+  return std::nullopt;
+}
+
+std::optional<FileMetadata> MetadataService::Peek(const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::optional<Result<FileMetadata>> local = FindLocal(path, false);
+  if (!local.has_value() || !local->ok()) {
+    return std::nullopt;
+  }
+  return std::move(**local);
+}
+
+Result<FileMetadata> MetadataService::Get(const std::string& path) {
+  const std::string mkey = MetadataKey(path);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::optional<Result<FileMetadata>> local = FindLocal(path, true);
+    if (local.has_value()) {
+      return std::move(*local);
     }
   }
   // 5. Acquire a lease on the parent directory: one ordered command whose

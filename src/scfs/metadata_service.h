@@ -72,6 +72,12 @@ class MetadataService {
   // A copy of a shared entry carries the entry version it was read at
   // (FileMetadata::entry_version) when this agent knows it.
   Result<FileMetadata> Get(const std::string& path);
+  // The copy Get would serve without a coordination message (an in-flight
+  // close's override, a write-credit pin, a lease snapshot, the TTL cache or
+  // the PNS), or nullopt if Get would have to ask the coordination service.
+  // Counts no hit: a guess, not a read (DESIGN.md "Fetch during the lock
+  // round").
+  std::optional<FileMetadata> Peek(const std::string& path);
   // Reads a shared entry from the coordination service, bypassing every
   // local copy, and refreshes the cache with it.
   Result<FileMetadata> ReadShared(const std::string& path);
@@ -205,6 +211,11 @@ class MetadataService {
   };
 
   bool InPns(const std::string& path);
+  // Get's local layers, in Get's order: the copy they hold (kNotFound from
+  // a lease's negative caching), or nullopt when only the coordination
+  // service can answer. Requires mu_.
+  std::optional<Result<FileMetadata>> FindLocal(const std::string& path,
+                                                bool count_hits);
   Result<FileMetadata> GetFromCoord(const std::string& path);
   // Writes a shared entry: a compare-and-swap on the path's publish base
   // when it has one, else an unconditional write. Returns the published

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <optional>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -95,19 +96,22 @@ void StorageService::WriteToDisk(const std::string& id,
 }
 
 Result<Bytes> StorageService::ReadFromDisk(const std::string& id,
-                                           const std::string& hash) {
-  if (!disk_index_.Contains(CacheKey(id, hash))) {
-    return NotFoundError("not in disk cache");
-  }
-  std::ifstream in(DiskPath(id, hash), std::ios::binary | std::ios::ate);
+                                           const std::string& hash,
+                                           uint64_t size) {
+  std::ifstream in(DiskPath(id, hash), std::ios::binary);
   if (!in) {
-    disk_index_.Erase(CacheKey(id, hash));
     return NotFoundError("disk cache entry vanished");
   }
-  std::streamsize size = in.tellg();
-  in.seekg(0);
   Bytes data(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(data.data()), size);
+  in.read(reinterpret_cast<char*>(data.data()),
+          static_cast<std::streamsize>(size));
+  // Read without the lock: an eviction may unlink the file, and a flush of
+  // the same version rewrite it, meanwhile. Every byte read is the
+  // version's own (the name is content-addressed), so only a short read is
+  // a miss.
+  if (in.gcount() != static_cast<std::streamsize>(size)) {
+    return NotFoundError("disk cache entry changed under the read");
+  }
   return data;
 }
 
@@ -134,11 +138,16 @@ Status StorageService::FlushToDisk(const std::string& id,
 
 Result<Bytes> StorageService::Fetch(const std::string& id,
                                     const std::string& hash,
-                                    const Bytes& locator) {
+                                    const Bytes& locator,
+                                    const std::atomic<bool>* abandoned) {
   if (hash.empty()) {
     return Bytes{};  // a never-written file is empty
   }
   const std::string key = CacheKey(id, hash);
+  // The caches are probed under the lock; a disk hit's file read and its
+  // latency run outside it, as a flush's do, so the agent's other fetches,
+  // puts and probes do not queue behind the disk.
+  std::optional<uint64_t> on_disk;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto hit = memory_.Get(key);
@@ -146,11 +155,15 @@ Result<Bytes> StorageService::Fetch(const std::string& id,
       ++memory_hits_;
       return std::move(*hit);
     }
-    auto from_disk = ReadFromDisk(id, hash);
+    on_disk = disk_index_.Get(key);
+  }
+  if (on_disk.has_value()) {
+    auto from_disk = ReadFromDisk(id, hash, *on_disk);
     if (from_disk.ok()) {
+      env_->Sleep(options_.disk_read_latency);
+      std::lock_guard<std::mutex> lock(mu_);
       ++disk_hits_;
       memory_.Put(key, *from_disk);
-      env_->Sleep(options_.disk_read_latency);
       return from_disk;
     }
   }
@@ -166,7 +179,8 @@ Result<Bytes> StorageService::Fetch(const std::string& id,
       memory_.Put(key, *data);
       return data;
     }
-    if (data.status().code() != ErrorCode::kNotFound) {
+    if (data.status().code() != ErrorCode::kNotFound ||
+        (abandoned != nullptr && abandoned->load())) {
       return data.status();
     }
     VirtualDuration delay;

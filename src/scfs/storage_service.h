@@ -19,6 +19,7 @@
 #ifndef SCFS_SCFS_STORAGE_SERVICE_H_
 #define SCFS_SCFS_STORAGE_SERVICE_H_
 
+#include <atomic>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -54,9 +55,11 @@ class StorageService {
   // Fetches the version `hash` of `id`: memory -> disk -> cloud (with the
   // consistency-anchor read loop, starting from the anchored `locator`;
   // empty locates the version by the hash alone). The result is cached at
-  // both levels.
+  // both levels. Once `*abandoned` is set, the read loop makes no further
+  // attempt (a prefetch its open no longer needs).
   Result<Bytes> Fetch(const std::string& id, const std::string& hash,
-                      const Bytes& locator);
+                      const Bytes& locator,
+                      const std::atomic<bool>* abandoned = nullptr);
 
   // True if the version is available locally (memory or disk) — the paper's
   // "local file version compared with the metadata service" check reduces to
@@ -102,7 +105,9 @@ class StorageService {
   std::filesystem::path DiskPath(const std::string& id,
                                  const std::string& hash) const;
   void SpillToDisk(const std::string& key, Bytes&& data);
-  Result<Bytes> ReadFromDisk(const std::string& id, const std::string& hash);
+  // Reads the `size` bytes of a disk-cache entry. Needs no lock.
+  Result<Bytes> ReadFromDisk(const std::string& id, const std::string& hash,
+                             uint64_t size);
   void WriteToDisk(const std::string& id, const std::string& hash,
                    ConstByteSpan data);
 

@@ -707,6 +707,52 @@ TEST_F(DepSkyTimerTest, CreateLooksItsParentUpDuringTheLockRound) {
   ASSERT_TRUE(fs.Unmount().ok());
 }
 
+// A write open that takes its lock with a coordination round fetches the
+// data of the entry its agent caches during that round (DESIGN.md "Fetch
+// during the lock round"). The lock's read names the same version, so the
+// open is charged the longer of the lock round and the fetch, not their sum.
+TEST_F(DepSkyTimerTest, WriteOpenFetchesDuringTheLockRound) {
+  UseSlowClock();
+  UseLatencies({300 * kMillisecond, 300 * kMillisecond, 300 * kMillisecond,
+                300 * kMillisecond});
+  DepSkyConfig config;
+  config.f = 1;
+  config.auth_key = ToBytes("deployment-auth-key");
+  std::vector<DepSkyCloud> set;
+  std::vector<CanonicalId> ids;
+  for (auto& cloud : clouds_) {
+    ids.push_back(cloud->provider_name() + ":alice");
+    set.push_back(DepSkyCloud{cloud.get(), {ids.back()}});
+  }
+  DepSkyBackend backend(
+      std::make_shared<DepSkyClient>(env_.get(), std::move(set), config, 7));
+  // 100 ms each way: every coordination round takes 200 ms.
+  LocalCoordination coord(env_.get(), LatencyModel::Fixed(100 * kMillisecond));
+  ScfsOptions options;
+  options.user = "alice";
+  options.user_cloud_ids = ids;
+  ScfsFileSystem writer(env_.get(), &coord, &backend, options);
+  ScfsFileSystem opener(env_.get(), &coord, &backend, options);
+  ASSERT_TRUE(writer.Mount().ok());
+  ASSERT_TRUE(opener.Mount().ok());
+  ASSERT_TRUE(writer.WriteFile("/f", Bytes(9000, 1)).ok());
+  ASSERT_TRUE(writer.SyncBarrier().ok());
+  ASSERT_TRUE(opener.Stat("/f").ok());  // the entry, not the data
+
+  Environment::ResetThreadCharged();
+  auto fh = opener.Open("/f", kOpenWrite);
+  const VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  // The lock-and-read (200 ms) beside the fetch's k shard GETs (300 ms):
+  // 300 ms, where the two in a row take 500 ms.
+  EXPECT_GE(charged, 300 * kMillisecond);
+  EXPECT_LT(charged, 420 * kMillisecond);
+  EXPECT_EQ(*opener.Read(*fh, 0, 9000), Bytes(9000, 1));
+  ASSERT_TRUE(opener.Close(*fh).ok());
+  ASSERT_TRUE(opener.Unmount().ok());
+  ASSERT_TRUE(writer.Unmount().ok());
+}
+
 // How many clouds hold a metadata copy of `unit` listing every one of
 // `hashes` (after every request in flight has landed).
 unsigned CloudsListingAll(

@@ -712,6 +712,80 @@ TEST_P(ScfsTest, ContenderLocksRightAfterBlockingCloseAck) {
   EXPECT_EQ(ToString(*MountAgent("alice")->ReadFile("/f")), expected);
 }
 
+// Fetch during the lock round (DESIGN.md): a write open fetches the data of
+// the entry its agent caches while it takes the lock, and opens that data
+// only if the lock's read names the same version. Each agent below knows
+// the file from a stat alone, so it holds no copy of the data and the open
+// prefetches; its cloud reads count the prefetch and the open's own fetch.
+std::unique_ptr<ScfsFileSystem> MountStatted(Deployment* deployment,
+                                             const std::string& path,
+                                             ScfsOptions options = {}) {
+  options.metadata_cache_ttl = 600 * kSecond;  // the stale entry stays
+  auto fs = MountAlice(deployment, options);
+  EXPECT_TRUE(fs && fs->Stat(path).ok());
+  return fs;
+}
+
+// Another agent's close lands between the stat and the lock: the open
+// returns the version its lock read, never the prefetched one — whether
+// the close changed the content or an unlink and a create gave the path a
+// new data unit.
+TEST_P(ScfsTest, WriteOpenDiscardsAPrefetchOfAStaleEntry) {
+  auto writer = MountAgent("alice");
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("v1")).ok());
+  auto changed = MountStatted(deployment_.get(), "/f");
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("v2, longer")).ok());
+  auto recreated = MountStatted(deployment_.get(), "/f");
+  const std::string old_unit = writer->metadata_service().Get("/f")->object_id;
+  ASSERT_TRUE(writer->Unlink("/f").ok());
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("v3, recreated")).ok());
+  ASSERT_NE(writer->metadata_service().Get("/f")->object_id, old_unit);
+
+  for (auto* fs : {changed.get(), recreated.get()}) {
+    auto fh = fs->Open("/f", kOpenWrite);
+    ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+    EXPECT_EQ(ToString(*fs->Read(*fh, 0, 100)), "v3, recreated");
+    ASSERT_TRUE(fs->Close(*fh).ok());
+    ASSERT_TRUE(fs->SyncBarrier().ok());
+    // The stale version's prefetch, then the open's own fetch.
+    EXPECT_EQ(fs->storage_service().cloud_reads(), 2u);
+  }
+}
+
+// A prefetch that fails does not fail the open: a stale entry's version
+// that every cloud dropped is never waited for, and a failed prefetch of
+// the current version is fetched again.
+TEST_P(ScfsTest, FailedPrefetchDoesNotFailTheOpen) {
+  // In instant time the dropped version's whole retry budget can run
+  // before the open returns and abandons it.
+  ScfsOptions quick_retries;
+  quick_retries.storage.read_backoff = BackoffPolicy::Fixed(kMillisecond);
+  quick_retries.storage.max_read_retries = 3;
+  auto writer = MountAgent("alice");
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("dropped")).ok());
+  auto stale = MountStatted(deployment_.get(), "/f", quick_retries);
+  ASSERT_TRUE(writer->Unlink("/f").ok());
+  ASSERT_TRUE(writer->SyncBarrier().ok());
+  ASSERT_TRUE(writer->RunGarbageCollection().ok());  // gone from every cloud
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("current")).ok());
+  auto fh = stale->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  EXPECT_EQ(ToString(*stale->Read(*fh, 0, 100)), "current");
+  ASSERT_TRUE(stale->Close(*fh).ok());
+  ASSERT_TRUE(stale->Unmount().ok());
+
+  if (GetParam() != ScfsBackendKind::kAws) {
+    return;  // DepSky masks one corrupted read; a single cloud cannot
+  }
+  auto current = MountStatted(deployment_.get(), "/f");
+  deployment_->cloud(0)->faults().CorruptNextReads(1);  // the prefetch's GET
+  fh = current->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  EXPECT_EQ(ToString(*current->Read(*fh, 0, 100)), "current");
+  ASSERT_TRUE(current->Close(*fh).ok());
+  EXPECT_EQ(current->storage_service().cloud_reads(), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, ScfsTest,
                          ::testing::Values(ScfsBackendKind::kAws,
                                            ScfsBackendKind::kCoc),
@@ -1306,6 +1380,74 @@ TEST(ScfsReplicatedTest, BlockingCloseIsLockThenOnePublishRound) {
 TEST(ScfsPartitionedTest, BlockingCloseIsLockThenOnePublishRound) {
   ScaledCoc coc(4);
   ExpectBlockingCloseIsLockThenOnePublishRound(coc.deployment.get());
+}
+
+// A write open that fetches during its lock round sends the messages it
+// sent before: the entry it fetches is the agent's cached copy, so the open
+// is the lock round alone, and the fetch served it.
+void ExpectPrefetchingOpenIsTheLockRoundAlone(Deployment* deployment) {
+  auto writer = MountAlice(deployment);
+  ASSERT_TRUE(writer && writer->WriteFile("/f", ToBytes("v1")).ok());
+  ASSERT_TRUE(writer->SyncBarrier().ok());
+  auto opener = MountStatted(deployment, "/f");
+  SmrCounters before = CoordCounters(deployment);
+  auto fh = opener->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  SmrCounters delta = CoordCounters(deployment);
+  delta -= before;
+  EXPECT_EQ(delta.ordered_commands, 1u);
+  EXPECT_EQ(delta.fast_path_reads + delta.fast_path_fallbacks, 0u);
+  EXPECT_EQ(ToString(*opener->Read(*fh, 0, 100)), "v1");
+  EXPECT_EQ(opener->storage_service().cloud_reads(), 1u);
+  ASSERT_TRUE(opener->Close(*fh).ok());
+}
+
+TEST(ScfsReplicatedTest, PrefetchingOpenIsTheLockRoundAlone) {
+  ScaledCoc coc(1);
+  ASSERT_NE(coc.deployment->replicated_coord(), nullptr);
+  ExpectPrefetchingOpenIsTheLockRoundAlone(coc.deployment.get());
+}
+
+TEST(ScfsPartitionedTest, PrefetchingOpenIsTheLockRoundAlone) {
+  ScaledCoc coc(4);
+  ExpectPrefetchingOpenIsTheLockRoundAlone(coc.deployment.get());
+}
+
+// An open that finds the file locked returns kBusy at once, its prefetch
+// still in flight; unmounting waits for the prefetch, so the agent can be
+// torn down under it (run under ASan and TSan in CI).
+TEST(ScfsReplicatedTest, BusyOpenThenUnmountDrainsItsPrefetch) {
+  ScaledCoc coc(1);
+  auto holder = MountAlice(coc.deployment.get());
+  ASSERT_TRUE(holder && holder->WriteFile("/f", ToBytes("held")).ok());
+  auto busy = MountStatted(coc.deployment.get(), "/f");
+  auto held = holder->Open("/f", kOpenWrite);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(busy->Open("/f", kOpenWrite).status().code(), ErrorCode::kBusy);
+  ASSERT_TRUE(busy->Unmount().ok());
+  EXPECT_EQ(busy->storage_service().cloud_reads(), 1u);
+  busy.reset();
+  ASSERT_TRUE(holder->Close(*held).ok());
+}
+
+// A prefetch of a stale entry whose version every cloud dropped would
+// retry for its whole anchor-read budget (about 100 virtual s); it stops
+// once its open returns, so unmounting does not wait out the budget.
+TEST(ScfsReplicatedTest, AbandonedPrefetchStopsRetrying) {
+  ScaledCoc coc(1);
+  auto writer = MountAlice(coc.deployment.get());
+  ASSERT_TRUE(writer && writer->WriteFile("/f", ToBytes("dropped")).ok());
+  auto stale = MountStatted(coc.deployment.get(), "/f");
+  ASSERT_TRUE(writer->Unlink("/f").ok());
+  ASSERT_TRUE(writer->SyncBarrier().ok());
+  ASSERT_TRUE(writer->RunGarbageCollection().ok());
+  ASSERT_TRUE(writer->WriteFile("/f", ToBytes("current")).ok());
+  auto fh = stale->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  EXPECT_EQ(ToString(*stale->Read(*fh, 0, 100)), "current");
+  ASSERT_TRUE(stale->Close(*fh).ok());
+  ASSERT_TRUE(stale->Unmount().ok());
+  EXPECT_LT(stale->storage_service().read_retries(), 50u);
 }
 
 }  // namespace

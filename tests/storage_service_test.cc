@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 #include "src/cloud/simulated_cloud.h"
 #include "src/crypto/sha1.h"
@@ -173,13 +175,41 @@ TEST_F(StorageServiceTest, CorruptCloudReadSurfacesAsError) {
   ASSERT_TRUE(backend_.WriteVersion("obj", HashOf(data), data, {}).ok());
   cloud_.faults().SetCorruptAllReads(true);
   auto fetched = service.Fetch("obj", HashOf(data), Bytes{});
-  // The single-cloud backend has no redundancy: the fetch returns corrupted
-  // bytes; SCFS's open path detects this via the anchor-hash check. Verify
-  // the bytes indeed mismatch the hash so that check would fire.
-  if (fetched.ok()) {
-    EXPECT_NE(HashOf(*fetched), HashOf(data));
-  }
+  // The single-cloud backend has no redundancy to mask it: the read's check
+  // against the anchored hash fails it, and nothing corrupt is cached.
+  EXPECT_EQ(fetched.status().code(), ErrorCode::kCorruption);
+  EXPECT_FALSE(service.HasLocal("obj", HashOf(data)));
   cloud_.faults().SetCorruptAllReads(false);
+}
+
+// A disk hit reads the file and waits out the disk's latency outside the
+// service's lock, so the agent's other calls do not queue behind it.
+TEST(StorageServiceDiskTest, DiskHitDoesNotBlockPutMemoryOrHasLocal) {
+  auto env = Environment::Scaled(1e-3);
+  SimulatedCloud cloud(CloudProfile{}, env.get(), 1);
+  SingleCloudBackend backend(&cloud, CloudCredentials{"u"});
+  StorageServiceOptions options;
+  options.disk_read_latency = 600 * kSecond;  // 600 real ms
+  StorageService service(env.get(), &backend, options);
+  Bytes on_disk(1000, 'd');
+  Bytes other(1000, 'o');
+  ASSERT_TRUE(service.FlushToDisk("A", HashOf(on_disk), on_disk).ok());
+
+  Result<Bytes> fetched = Bytes{};
+  std::thread reader(
+      [&] { fetched = service.Fetch("A", HashOf(on_disk), Bytes{}); });
+  // Let the reader get into its disk hit.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  service.PutMemory("B", HashOf(other), other);
+  EXPECT_TRUE(service.HasLocal("B", HashOf(other)));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  reader.join();
+  // Behind the disk hit they would wait out the rest of its 600 ms.
+  EXPECT_LT(waited, std::chrono::milliseconds(300));
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  EXPECT_EQ(*fetched, on_disk);
+  EXPECT_EQ(service.disk_hits(), 1u);
 }
 
 TEST_F(StorageServiceTest, CountersTrackHitClasses) {
