@@ -9,23 +9,29 @@
 
 #include <cstdio>
 
+#include "examples/must.h"
 #include "src/scfs/deployment.h"
 
 using namespace scfs;
 
 int main() {
-  auto env = Environment::Scaled(1e-3);
+  // 1 virtual second = 10 real ms: request deadlines stay wide enough that
+  // a loaded host does not expire them.
+  auto env = Environment::Scaled(1e-2);
   auto deployment = Deployment::Create(env.get(), DeploymentOptions{});
 
-  auto alice = *deployment->Mount("alice", ScfsOptions{});
-  auto bob = *deployment->Mount("bob", ScfsOptions{});
-  auto eve = *deployment->Mount("eve", ScfsOptions{});
+  auto alice = Must(deployment->Mount("alice", ScfsOptions{}), "mount alice");
+  auto bob = Must(deployment->Mount("bob", ScfsOptions{}), "mount bob");
+  auto eve = Must(deployment->Mount("eve", ScfsOptions{}), "mount eve");
 
   // Alice writes the first draft and grants Bob read-write access: the agent
   // updates the ACLs of the data objects at every cloud provider AND the
   // metadata tuple in the coordination service (paper section 2.6).
-  alice->WriteFile("/paper.tex", ToBytes("\\title{SCFS}\n% alice's draft\n"));
-  alice->SetFacl("/paper.tex", "bob", /*read=*/true, /*write=*/true);
+  Must(alice->WriteFile("/paper.tex",
+                        ToBytes("\\title{SCFS}\n% alice's draft\n")),
+       "alice's first draft");
+  Must(alice->SetFacl("/paper.tex", "bob", /*read=*/true, /*write=*/true),
+       "grant bob");
   env->Sleep(kSecond);  // let alice's metadata cache TTL lapse
 
   // Eve was never granted anything: both the coordination service and the
@@ -36,7 +42,8 @@ int main() {
                                      : eve_read.status().ToString().c_str());
 
   // Bob opens for writing (takes the lock), edits, closes (publishes).
-  auto bob_handle = *bob->Open("/paper.tex", kOpenRead | kOpenWrite);
+  FileHandle bob_handle =
+      Must(bob->Open("/paper.tex", kOpenRead | kOpenWrite), "bob's open");
 
   // While Bob holds it, Alice's write-open gets BUSY (write-write conflicts
   // are prevented by the lock service; reads are never blocked).
@@ -47,15 +54,17 @@ int main() {
   auto alice_reader = alice->Open("/paper.tex", kOpenRead);
   std::printf("alice opens for read while bob edits: %s\n",
               alice_reader.ok() ? "OK" : "?! read should not block");
-  alice->Close(*alice_reader);
+  if (alice_reader.ok()) {
+    Must(alice->Close(*alice_reader), "alice's close");
+  }
 
-  Bytes draft = *bob->Read(bob_handle, 0, 1 << 20);
-  Bytes edited = draft;
+  Bytes edited = Must(bob->Read(bob_handle, 0, 1 << 20), "bob's read");
   Bytes addition = ToBytes("% bob's related work section\n");
   edited.insert(edited.end(), addition.begin(), addition.end());
-  bob->Truncate(bob_handle, 0);
-  bob->Write(bob_handle, 0, edited);
-  bob->Close(bob_handle);  // consistency-on-close: now visible to alice
+  Must(bob->Truncate(bob_handle, 0), "bob's truncate");
+  Must(bob->Write(bob_handle, 0, edited), "bob's write");
+  // Consistency-on-close: now visible to alice.
+  Must(bob->Close(bob_handle), "bob's close");
 
   env->Sleep(kSecond);
   auto merged = alice->ReadFile("/paper.tex");
@@ -64,7 +73,7 @@ int main() {
                                       : merged.status().ToString().c_str());
 
   // Revocation: bob loses access everywhere at once.
-  alice->SetFacl("/paper.tex", "bob", false, false);
+  Must(alice->SetFacl("/paper.tex", "bob", false, false), "revoke bob");
   env->Sleep(kSecond);
   auto bob_after = bob->ReadFile("/paper.tex");
   std::printf("bob after revocation: %s\n",

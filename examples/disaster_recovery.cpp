@@ -7,20 +7,23 @@
 
 #include <cstdio>
 
+#include "examples/must.h"
 #include "src/scfs/deployment.h"
 
 using namespace scfs;
 
 int main() {
-  auto env = Environment::Scaled(1e-3);
+  // 1 virtual second = 10 real ms: request deadlines stay wide enough that
+  // a loaded host does not expire them.
+  auto env = Environment::Scaled(1e-2);
   auto deployment = Deployment::Create(env.get(), DeploymentOptions{});
 
   Bytes payroll = ToBytes("Q2 payroll: everyone gets a raise");
   {
-    auto fs = *deployment->Mount("corp", ScfsOptions{});
-    fs->Mkdir("/backup");
-    fs->WriteFile("/backup/payroll.db", payroll);
-    fs->Unmount();
+    auto fs = Must(deployment->Mount("corp", ScfsOptions{}), "mount");
+    Must(fs->Mkdir("/backup"), "mkdir /backup");
+    Must(fs->WriteFile("/backup/payroll.db", payroll), "write payroll.db");
+    Must(fs->Unmount(), "unmount");
     // The machine that wrote the data is gone, along with all its caches.
   }
 
@@ -47,7 +50,8 @@ int main() {
       disaster.strike(deployment->cloud(victim));
       // A fresh machine, zero local state: everything must come back from
       // the remaining clouds.
-      auto fs = *deployment->Mount("corp", ScfsOptions{});
+      auto fs = Must(deployment->Mount("corp", ScfsOptions{}),
+                     "mount on a fresh machine");
       auto restored = fs->ReadFile("/backup/payroll.db");
       bool ok = restored.ok() && *restored == payroll;
       all_ok = all_ok && ok;
@@ -65,10 +69,10 @@ int main() {
   bool leaked = false;
   for (unsigned i = 0; i < deployment->cloud_count(); ++i) {
     auto* cloud = deployment->cloud(i);
-    auto objects = cloud->List({cloud->provider_name() + ":corp"}, "");
-    for (const auto& object : *objects) {
-      auto blob = cloud->PeekLatest(object.key);
-      std::string haystack(blob->begin(), blob->end());
+    for (const auto& object :
+         Must(cloud->List({cloud->provider_name() + ":corp"}, ""), "list")) {
+      Bytes blob = Must(cloud->PeekLatest(object.key), "peek");
+      std::string haystack(blob.begin(), blob.end());
       if (haystack.find(needle) != std::string::npos) {
         leaked = true;
       }

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "examples/must.h"
 #include "src/scfs/deployment.h"
 
 using namespace scfs;
@@ -23,39 +24,45 @@ int main() {
   // Laptop session: work normally; closes return at local-disk speed while
   // uploads stream in the background.
   {
-    auto laptop = *deployment->Mount("dana", options);
-    laptop->Mkdir("/photos");
-    laptop->Mkdir("/notes");
+    auto laptop = Must(deployment->Mount("dana", options), "laptop mount");
+    Must(laptop->Mkdir("/photos"), "mkdir /photos");
+    Must(laptop->Mkdir("/notes"), "mkdir /notes");
     for (int i = 0; i < 5; ++i) {
-      laptop->WriteFile("/photos/img" + std::to_string(i) + ".raw",
-                        Bytes(256 * 1024, static_cast<uint8_t>(i)));
+      Must(laptop->WriteFile("/photos/img" + std::to_string(i) + ".raw",
+                             Bytes(256 * 1024, static_cast<uint8_t>(i))),
+           "write photo");
     }
-    laptop->WriteFile("/notes/todo.md", ToBytes("- reproduce SCFS\n"));
-    laptop->Rename("/notes/todo.md", "/notes/done.md");
+    Must(laptop->WriteFile("/notes/todo.md", ToBytes("- reproduce SCFS\n")),
+         "write todo.md");
+    Must(laptop->Rename("/notes/todo.md", "/notes/done.md"), "rename todo.md");
     Environment::ResetThreadCharged();
-    laptop->WriteFile("/notes/diary.md", ToBytes("dear diary, clouds are ok"));
+    Must(laptop->WriteFile("/notes/diary.md",
+                           ToBytes("dear diary, clouds are ok")),
+         "write diary.md");
     std::printf("foreground cost of a save in NS mode: %.0f virtual ms\n",
                 ToSeconds(Environment::ThreadCharged()) * 1000);
-    laptop->Unmount();  // drains uploads, persists the PNS object
+    // Drains uploads, persists the PNS object.
+    Must(laptop->Unmount(), "laptop unmount");
   }
 
   // The laptop is stolen. A new machine mounts with the same accounts: the
   // PNS object and every file come back from the clouds.
-  auto desktop = *deployment->Mount("dana", options);
-  auto entries = desktop->ReadDir("/photos");
-  std::printf("recovered %zu photos on the new machine\n", entries->size());
-  auto diary = desktop->ReadFile("/notes/diary.md");
-  std::printf("diary: %s\n", ToString(*diary).c_str());
+  auto desktop = Must(deployment->Mount("dana", options), "desktop mount");
+  auto entries = Must(desktop->ReadDir("/photos"), "readdir /photos");
+  std::printf("recovered %zu photos on the new machine\n", entries.size());
+  Bytes diary = Must(desktop->ReadFile("/notes/diary.md"), "read diary.md");
+  std::printf("diary: %s\n", ToString(diary).c_str());
   auto renamed = desktop->Stat("/notes/done.md");
   std::printf("renamed note survived: %s\n", renamed.ok() ? "yes" : "no");
 
   // Privacy: nothing in any provider mentions the plaintext.
   auto* cloud = deployment->cloud(0);
-  auto objects = cloud->List({cloud->provider_name() + ":dana"}, "");
+  auto objects =
+      Must(cloud->List({cloud->provider_name() + ":dana"}, ""), "list");
   std::printf("objects at %s: %zu (all encrypted shards)\n",
-              cloud->provider_name().c_str(), objects->size());
+              cloud->provider_name().c_str(), objects.size());
 
-  bool ok = entries->size() == 5 && diary.ok() && renamed.ok();
+  bool ok = entries.size() == 5 && renamed.ok();
   desktop->Unmount();
   std::printf(ok ? "personal sync OK\n" : "personal sync FAILED\n");
   return ok ? 0 : 1;

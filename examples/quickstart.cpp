@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "examples/must.h"
 #include "src/scfs/deployment.h"
 
 using namespace scfs;
@@ -13,7 +14,9 @@ using namespace scfs;
 int main() {
   // A complete installation: four simulated storage clouds behind DepSky and
   // a DepSpace coordination service replicated over four computing clouds.
-  auto env = Environment::Scaled(1e-3);  // 1 virtual second = 1 real ms
+  // 1 virtual second = 10 real ms: request deadlines stay wide enough that
+  // a loaded host does not expire them.
+  auto env = Environment::Scaled(1e-2);
   auto deployment = Deployment::Create(env.get(), DeploymentOptions{});
 
   // Mount an agent for user "alice" in blocking mode: close() returns only
@@ -21,19 +24,15 @@ int main() {
   ScfsOptions options;
   options.mode = ScfsMode::kBlocking;
   options.gc.enabled = false;  // run it manually below
-  auto mounted = deployment->Mount("alice", options);
-  if (!mounted.ok()) {
-    std::printf("mount failed: %s\n", mounted.status().ToString().c_str());
-    return 1;
-  }
-  auto& fs = *mounted;
+  auto fs = Must(deployment->Mount("alice", options), "mount");
 
   // POSIX-like calls, exactly what a FUSE layer would forward.
-  fs->Mkdir("/docs");
-  fs->WriteFile("/docs/plan.txt", ToBytes("v1: world domination"));
-  fs->WriteFile("/docs/plan.txt", ToBytes("v2: incremental world domination"));
-  fs->WriteFile("/docs/plan.txt", ToBytes("v3: domination via documentation"));
-  fs->WriteFile("/docs/plan.txt", ToBytes("v4: ship the reproduction"));
+  Must(fs->Mkdir("/docs"), "mkdir /docs");
+  for (const char* plan :
+       {"v1: world domination", "v2: incremental world domination",
+        "v3: domination via documentation", "v4: ship the reproduction"}) {
+    Must(fs->WriteFile("/docs/plan.txt", ToBytes(plan)), "write plan.txt");
+  }
 
   auto content = fs->ReadFile("/docs/plan.txt");
   if (!content.ok() || ToString(*content) != "v4: ship the reproduction") {
@@ -41,30 +40,30 @@ int main() {
     return 1;
   }
   std::printf("plan.txt: %s\n", ToString(*content).c_str());
-  (void)env;
 
-  auto stat = fs->Stat("/docs/plan.txt");
+  FileStat stat = Must(fs->Stat("/docs/plan.txt"), "stat plan.txt");
   std::printf("size=%llu bytes, version=%llu, owner=%s\n",
-              static_cast<unsigned long long>(stat->size),
-              static_cast<unsigned long long>(stat->version),
-              stat->owner.c_str());
+              static_cast<unsigned long long>(stat.size),
+              static_cast<unsigned long long>(stat.version),
+              stat.owner.c_str());
 
-  auto root_entries = fs->ReadDir("/");
-  for (const auto& entry : *root_entries) {
+  for (const auto& entry : Must(fs->ReadDir("/"), "readdir /")) {
     std::printf("/ contains: %s%s\n", entry.name.c_str(),
                 entry.type == FileType::kDirectory ? "/" : "");
   }
 
   // Multi-versioning: both versions are still in the clouds (error recovery),
   // until the garbage collector trims them.
-  auto md = fs->metadata_service().Get("/docs/plan.txt");
-  auto versions = fs->storage_service().backend().ListVersions(md->object_id);
+  const std::string object_id =
+      Must(fs->metadata_service().Get("/docs/plan.txt"), "metadata lookup")
+          .object_id;
+  auto& backend = fs->storage_service().backend();
   std::printf("versions in the cloud-of-clouds before GC: %zu\n",
-              versions->size());
-  fs->RunGarbageCollection();
-  versions = fs->storage_service().backend().ListVersions(md->object_id);
+              Must(backend.ListVersions(object_id), "list versions").size());
+  Must(fs->RunGarbageCollection(), "garbage collection");
   std::printf("versions after GC (keep last %u): %zu\n",
-              fs->options().gc.versions_to_keep, versions->size());
+              fs->options().gc.versions_to_keep,
+              Must(backend.ListVersions(object_id), "list versions").size());
 
   // What did this cost? (Paper Figure 11 economics, measured.)
   UsageTotals usage = deployment->CloudUsage("alice");

@@ -161,18 +161,6 @@ Result<std::vector<CoordEntryView>> CoordinationService::ExportPrefix(
   return reply.entries;
 }
 
-Status CoordinationService::ImportEntry(const std::string& client,
-                                        const std::string& key,
-                                        const Bytes& payload) {
-  CoordCommand cmd;
-  cmd.op = CoordOp::kImportEntry;
-  cmd.client = client;
-  cmd.key = key;
-  cmd.value = payload;
-  ASSIGN_OR_RETURN(CoordReply reply, Submit(cmd));
-  return reply.ToStatus("coord import " + key);
-}
-
 Result<LeaseGrant> CoordinationService::AcquireLease(const std::string& client,
                                                      const std::string& session,
                                                      const std::string& prefix,
@@ -247,29 +235,6 @@ Future<Status> CoordinationService::WriteAsync(const std::string& client,
   return AsStatus(SubmitAsync(cmd), "coord write " + key);
 }
 
-Future<Result<CoordEntry>> CoordinationService::ReadAsync(
-    const std::string& client, const std::string& key) {
-  CoordCommand cmd;
-  cmd.op = CoordOp::kRead;
-  cmd.client = client;
-  cmd.key = key;
-  Promise<Result<CoordEntry>> promise;
-  SubmitAsync(cmd).OnReady([promise, key](const Result<CoordReply>& reply,
-                                          VirtualDuration charge) {
-    if (!reply.ok()) {
-      promise.Set(reply.status(), charge);
-      return;
-    }
-    Status status = reply->ToStatus("coord read " + key);
-    if (!status.ok()) {
-      promise.Set(status, charge);
-      return;
-    }
-    promise.Set(CoordEntry{reply->value, reply->a}, charge);
-  });
-  return promise.future();
-}
-
 Future<Status> CoordinationService::RemoveAsync(const std::string& client,
                                                 const std::string& key) {
   CoordCommand cmd;
@@ -303,23 +268,7 @@ Future<Status> CoordinationService::UnlockAsync(const std::string& client,
   return AsStatus(SubmitAsync(cmd), "coord unlock " + name);
 }
 
-Future<Status> CoordinationService::ImportEntryAsync(const std::string& client,
-                                                     const std::string& key,
-                                                     const Bytes& payload) {
-  CoordCommand cmd;
-  cmd.op = CoordOp::kImportEntry;
-  cmd.client = client;
-  cmd.key = key;
-  cmd.value = payload;
-  return AsStatus(SubmitAsync(cmd), "coord import " + key);
-}
-
 std::string PartitionRoutingKey(const std::string& key) {
-  for (const char* prefix : {"ri:", "rc:"}) {
-    if (key.compare(0, 3, prefix) == 0) {
-      return key.substr(3);
-    }
-  }
   if (key.compare(0, 3, "lk:") == 0) {
     return "m:" + key.substr(3) + "/";
   }

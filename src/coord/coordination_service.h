@@ -72,18 +72,6 @@ class CoordinationService {
   // digests deterministically (sorted by partition index).
   virtual Bytes StateDigest() { return {}; }
 
-  // Partition topology. A single-server or single-cluster service is one
-  // partition holding every key; PartitionedCoordination overrides these
-  // with its routing map. Callers that perform multi-key operations (the
-  // metadata service's subtree rename) consult partition_count() to decide
-  // between the atomic single-partition path and the cross-partition
-  // intent-record protocol.
-  virtual unsigned partition_count() const { return 1; }
-  virtual unsigned PartitionOf(const std::string& key) const {
-    (void)key;
-    return 0;
-  }
-
   // -- Typed wrappers ------------------------------------------------------
 
   Status Write(const std::string& client, const std::string& key,
@@ -140,15 +128,12 @@ class CoordinationService {
                       const std::string& new_prefix);
   Status GrantEntryAccess(const std::string& owner, const std::string& key,
                           const std::string& grantee, bool read, bool write);
-  // Cross-partition move primitives (see src/coord/partitioned_coordination.h
-  // and the metadata service's intent-record rename). Export returns, for
-  // every entry under `prefix`, an opaque payload preserving value, version
-  // and ACL; Import installs such a payload under a new key, idempotently.
-  // Both are always totally ordered.
+  // The read half of the intent engine's moves (see
+  // src/coord/partitioned_coordination.h): for every entry under `prefix`,
+  // an opaque payload preserving value, version and ACL, which kImportEntry
+  // installs under a new key. Always totally ordered.
   Result<std::vector<CoordEntryView>> ExportPrefix(const std::string& client,
                                                    const std::string& prefix);
-  Status ImportEntry(const std::string& client, const std::string& key,
-                     const Bytes& payload);
   // Lease-delegated caching: acquire (or renew — extend-only) a read lease
   // on a key prefix for `session`, returning the grant snapshot. Both ride
   // the ordered path so grants serialize with mutations.
@@ -168,30 +153,21 @@ class CoordinationService {
 
   Future<Status> WriteAsync(const std::string& client, const std::string& key,
                             const Bytes& value);
-  Future<Result<CoordEntry>> ReadAsync(const std::string& client,
-                                       const std::string& key);
   Future<Status> RemoveAsync(const std::string& client, const std::string& key);
   Future<Status> RenewLockAsync(const std::string& client,
                                 const std::string& name, uint64_t token,
                                 VirtualDuration lease);
   Future<Status> UnlockAsync(const std::string& client, const std::string& name,
                              uint64_t token);
-  Future<Status> ImportEntryAsync(const std::string& client,
-                                  const std::string& key,
-                                  const Bytes& payload);
 };
 
-// The key a partitioned router hashes to place `key`. Keys carrying a
-// co-location prefix — "ri:" (rename intent) or "rc:" (rename commit) —
-// route as if the prefix were absent, so an auxiliary record lands on the
-// partition of the key range it describes: the intent record shares the
-// source subtree's partition ("prepare on the source partition"), the
-// commit marker the destination's. A file lock "lk:<path>" routes as the
-// file's metadata entry "m:<path>/", so one ordered command can take the
-// lock and read the entry (TryLock's `read_key`) or remove the entry unless
-// another session holds the lock (RemoveGuarded's `lock`), or publish the
-// entry and release the lock (CompareAndSwap's `release`), and an elastic
-// split, which moves whole hash ranges, keeps the two on one partition.
+// The key a partitioned router hashes to place `key`: the key itself, except
+// that a file lock "lk:<path>" routes as the file's metadata entry
+// "m:<path>/", so one ordered command can take the lock and read the entry
+// (TryLock's `read_key`) or remove the entry unless another session holds
+// the lock (RemoveGuarded's `lock`), or publish the entry and release the
+// lock (CompareAndSwap's `release`), and an elastic split, which moves
+// whole hash ranges, keeps the two on one partition.
 std::string PartitionRoutingKey(const std::string& key);
 
 }  // namespace scfs

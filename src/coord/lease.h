@@ -122,12 +122,6 @@ class LeasedCoordination : public CoordinationService {
   Result<CoordReply> Submit(const CoordCommand& command) override;
   Future<Result<CoordReply>> SubmitAsync(const CoordCommand& command) override;
   Bytes StateDigest() override { return inner_->StateDigest(); }
-  unsigned partition_count() const override {
-    return inner_->partition_count();
-  }
-  unsigned PartitionOf(const std::string& key) const override {
-    return inner_->PartitionOf(key);
-  }
 
   CoordinationService* inner() { return inner_.get(); }
 

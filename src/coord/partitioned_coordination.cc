@@ -37,7 +37,7 @@ uint64_t Fnv1a64(const std::string& key) {
   return hash;
 }
 
-// Internal migration-record keyspace. Entries under it are owned by the
+// The intent engine's record keyspace. Entries under it are owned by the
 // coordination admin principal, so user ReadPrefix sweeps skip them (ACL
 // filtering) and user traffic can never collide with them.
 constexpr const char kElasticPrefix[] = "__elastic:";
@@ -223,11 +223,7 @@ Result<CoordReply> PartitionedCoordination::Submit(
       return ScatterGather(command);
     case CoordOp::kRenamePrefix:
       if (partitions_.size() > 1) {
-        // A prefix's keys hash across partitions; an in-place rename cannot
-        // be atomic. Callers use the intent-record protocol built on
-        // ExportPrefix/ImportEntry (MetadataService::RenameSubtree).
-        return NotSupportedError(
-            "kRenamePrefix spans partitions; use the intent-record rename");
+        return RenameAcrossPartitions(command);
       }
       break;
     default:
@@ -429,35 +425,41 @@ uint64_t PartitionedCoordination::reply_bytes_out() const {
   return out;
 }
 
-// -- Elastic repartitioning -------------------------------------------------
+// -- The intent engine ------------------------------------------------------
 
-std::string PartitionedCoordination::IntentKey(const MigrationSpec& spec) {
-  return kIntentPrefix + Hex64(spec.begin);
+std::string PartitionedCoordination::IntentKey(const MoveSpec& spec) {
+  // A rename is named by its source prefix, a migration by its range start.
+  return kIntentPrefix +
+         (spec.is_rename() ? "rename:" + spec.from : Hex64(spec.begin));
 }
 
-std::string PartitionedCoordination::CommitKey(const MigrationSpec& spec) {
-  return kCommitPrefix + Hex64(spec.begin);
+std::string PartitionedCoordination::CommitKey(const MoveSpec& spec) {
+  return kCommitPrefix + IntentKey(spec).substr(sizeof(kIntentPrefix) - 1);
 }
 
-Bytes PartitionedCoordination::EncodeSpec(const MigrationSpec& spec) {
+Bytes PartitionedCoordination::EncodeSpec(const MoveSpec& spec) {
   Bytes out;
   AppendU64(&out, spec.begin);
   AppendU64(&out, spec.end);
   AppendU64(&out, spec.src);
   AppendU64(&out, spec.dst);
   AppendU64(&out, spec.merge ? 1 : 0);
+  AppendString(&out, spec.from);
+  AppendString(&out, spec.to);
+  AppendString(&out, spec.principal);
   return out;
 }
 
 bool PartitionedCoordination::DecodeSpec(ConstByteSpan payload,
-                                         MigrationSpec* spec) {
+                                         MoveSpec* spec) {
   ByteReader reader(payload);
   uint64_t src = 0;
   uint64_t dst = 0;
   uint64_t merge = 0;
   if (!reader.ReadU64(&spec->begin) || !reader.ReadU64(&spec->end) ||
       !reader.ReadU64(&src) || !reader.ReadU64(&dst) ||
-      !reader.ReadU64(&merge)) {
+      !reader.ReadU64(&merge) || !reader.ReadString(&spec->from) ||
+      !reader.ReadString(&spec->to) || !reader.ReadString(&spec->principal)) {
     return false;
   }
   spec->src = static_cast<unsigned>(src);
@@ -467,18 +469,23 @@ bool PartitionedCoordination::DecodeSpec(ConstByteSpan payload,
 }
 
 bool PartitionedCoordination::HashInRange(uint64_t hash,
-                                          const MigrationSpec& spec) {
+                                          const MoveSpec& spec) {
   if (spec.end == 0) {
     return hash >= spec.begin;  // range reaches the top of the hash space
   }
   return hash >= spec.begin && hash < spec.end;
 }
 
+bool PartitionedCoordination::SameRange(const MoveSpec& a, const MoveSpec& b) {
+  return a.begin == b.begin && a.end == b.end && a.src == b.src &&
+         a.dst == b.dst;
+}
+
 Result<CoordReply> PartitionedCoordination::AdminExecute(
     unsigned partition, CoordOp op, const std::string& key, Bytes value) {
-  // Migration commands bypass the router on purpose: they address a
+  // The engine's records bypass the router on purpose: they address a
   // specific partition (the source or destination of a move), not "the
-  // owner of key" — mid-migration those disagree by construction.
+  // owner of key", and never migrate.
   CoordCommand cmd;
   cmd.op = op;
   cmd.client = kCoordAdminPrincipal;
@@ -487,42 +494,285 @@ Result<CoordReply> PartitionedCoordination::AdminExecute(
   return partitions_[partition]->Execute(cmd);
 }
 
-Status PartitionedCoordination::BeginMigration(const MigrationSpec& spec) {
-  std::lock_guard<std::mutex> lock(route_mu_);
-  if (migrating_.has_value()) {
-    return BusyError("a range migration is already in flight");
-  }
-  migrating_ = spec;  // write-freezes the range
-  return OkStatus();
+bool PartitionedCoordination::CrashAt(MoveCrashPoint point) {
+  MoveCrashPoint expected = point;
+  return crash_point_.compare_exchange_strong(expected, MoveCrashPoint::kNone);
 }
 
-Result<std::vector<CoordEntryView>> PartitionedCoordination::ExportRange(
-    const MigrationSpec& spec) {
+void PartitionedCoordination::ReleaseFreeze(const MoveSpec& spec) {
+  std::lock_guard<std::mutex> lock(route_mu_);
+  if (migrating_.has_value() && !spec.is_rename() &&
+      SameRange(*migrating_, spec)) {
+    migrating_.reset();  // stalled mutations re-route
+  }
+}
+
+Result<CoordReply> PartitionedCoordination::RenameAcrossPartitions(
+    const CoordCommand& command) {
+  if (command.key.empty()) {
+    return InvalidArgumentError("rename of the empty prefix");
+  }
+  // The prefix's keys hash across partitions, out of reach of one
+  // partition's atomic trigger. The intent sits with the source prefix's
+  // own key, the commit marker with the destination's.
+  MoveSpec spec;
+  spec.from = command.key;
+  spec.to = command.aux;
+  spec.principal = command.client;
+  spec.src = PartitionOf(spec.from);
+  spec.dst = PartitionOf(spec.to);
+  ASSIGN_OR_RETURN(size_t moved, Move(spec, /*resume=*/false));
+  CoordReply reply;
+  reply.a = moved;
+  return reply;
+}
+
+Result<size_t> PartitionedCoordination::Move(const MoveSpec& spec,
+                                             bool resume) {
+  const std::string id = IntentKey(spec);
+  {
+    std::lock_guard<std::mutex> lock(route_mu_);
+    if (running_.count(id) != 0) {
+      return BusyError("move " + id + " is in flight");
+    }
+    if (!spec.is_rename()) {
+      if (migrating_.has_value() && !SameRange(*migrating_, spec)) {
+        return BusyError("a range migration is already in flight");
+      }
+      migrating_ = spec;  // write-freezes the range
+    }
+    running_.insert(id);
+  }
+  // A failure after the intent keeps the records, and a migration's
+  // freeze, for ReplayIntents: what a crashed process leaves behind.
+  Result<size_t> moved = resume ? ResumeMove(spec) : StartMove(spec);
+  std::lock_guard<std::mutex> lock(route_mu_);
+  running_.erase(id);
+  return moved;
+}
+
+Status PartitionedCoordination::PrepareMove(
+    const MoveSpec& spec, const Result<std::vector<CoordEntryView>>& moved) {
+  // The selection runs first, so a refused or (for a rename) empty one
+  // ends a fresh move before anything is written.
+  RETURN_IF_ERROR(moved.status());
+  if (spec.is_rename() && moved->empty()) {
+    return NotFoundError(spec.from);
+  }
+  // The durable intent: from here the move is replayable. A conditional
+  // create, so a crashed move's leftover with the same id shows up as
+  // kAlreadyExists instead of being overwritten.
+  ASSIGN_OR_RETURN(CoordReply created,
+                   AdminExecute(spec.src, CoordOp::kConditionalCreate,
+                                IntentKey(spec), EncodeSpec(spec)));
+  return created.ToStatus("move intent " + IntentKey(spec));
+}
+
+Result<size_t> PartitionedCoordination::StartMove(const MoveSpec& spec) {
+  const VirtualTime started = env_->Now();
+  Result<std::vector<CoordEntryView>> moved = SelectSource(spec);
+  Status prepared = PrepareMove(spec, moved);
+  if (prepared.code() == ErrorCode::kAlreadyExists) {
+    // A crashed move with this id left its intent on this same partition:
+    // roll it forward, then select again, since it may have moved what this
+    // one selected. A record gone by now needs no roll-forward.
+    MoveSpec leftover;
+    auto record = AdminExecute(spec.src, CoordOp::kRead, IntentKey(spec));
+    if (!record.ok()) {
+      prepared = record.status();
+    } else if (record->ok() && !DecodeSpec(record->value, &leftover)) {
+      prepared = CorruptionError("undecodable intent " + IntentKey(spec));
+    } else {
+      prepared = record->ok() ? ResumeMove(leftover).status() : OkStatus();
+      if (prepared.ok() || prepared.code() == ErrorCode::kNotFound) {
+        moved = SelectSource(spec);
+        prepared = PrepareMove(spec, moved);
+      }
+    }
+  }
+  if (!prepared.ok()) {
+    ReleaseFreeze(spec);  // no intent of this move: nothing to replay
+    return prepared;
+  }
+  if (CrashAt(MoveCrashPoint::kAfterPrepare)) {
+    return InternalError("injected crash after prepare");
+  }
+  return FinishMove(spec, *moved, /*committed=*/false, /*live=*/true,
+                    started);
+}
+
+Result<size_t> PartitionedCoordination::ResumeMove(const MoveSpec& spec) {
+  const VirtualTime started = env_->Now();
+  // The move may have finished between the replay's scan and its claim.
+  ASSIGN_OR_RETURN(CoordReply intent,
+                   AdminExecute(spec.src, CoordOp::kRead, IntentKey(spec)));
+  if (!intent.ok()) {
+    ReleaseFreeze(spec);
+    return size_t{0};
+  }
+  // Past the commit marker the imports are done: only the route change and
+  // the retirement remain.
+  ASSIGN_OR_RETURN(CoordReply marker,
+                   AdminExecute(spec.dst, CoordOp::kRead, CommitKey(spec)));
+  const bool committed = marker.ok();
+  ASSIGN_OR_RETURN(std::vector<CoordEntryView> moved, SelectSource(spec));
+  if (spec.is_rename() && moved.empty() && !committed) {
+    // The sources vanished before the commit: nothing is left to move.
+    RETURN_IF_ERROR(RetireRecords(spec));
+    return NotFoundError(spec.from);
+  }
+  return FinishMove(spec, moved, committed, /*live=*/false, started);
+}
+
+Result<size_t> PartitionedCoordination::FinishMove(
+    const MoveSpec& spec, const std::vector<CoordEntryView>& moved,
+    bool committed, bool live, VirtualTime started) {
+  if (!committed) {
+    // Import every selected entry at its destination. Imports are
+    // idempotent (the new version derives from the payload), so a replay
+    // that re-imports lands on identical state.
+    const bool crash = live && CrashAt(MoveCrashPoint::kMidImport);
+    RETURN_IF_ERROR(RunDataCommands(spec, CoordOp::kImportEntry, moved,
+                                    crash ? moved.size() / 2 : moved.size()));
+    if (crash) {
+      return InternalError("injected crash mid-import");
+    }
+    // The commit marker: the point of no return. Before it a replay
+    // re-imports; after it the move is a fact.
+    ASSIGN_OR_RETURN(CoordReply marker,
+                     AdminExecute(spec.dst, CoordOp::kWrite, CommitKey(spec),
+                                  EncodeSpec(spec)));
+    RETURN_IF_ERROR(marker.ToStatus("move commit " + CommitKey(spec)));
+    if (live && CrashAt(MoveCrashPoint::kAfterCommit)) {
+      return InternalError("injected crash after commit");
+    }
+  }
+  if (!spec.is_rename()) {
+    CommitRouteChange(spec, moved);
+  }
+  // Retire the sources, then the commit marker, then (last) the intent. The
+  // intent is the replay trigger, so any crash inside retirement leaves a
+  // replayable state; a re-retire tolerates what an earlier attempt removed.
+  const bool crash = live && CrashAt(MoveCrashPoint::kMidRetire);
+  RETURN_IF_ERROR(RunDataCommands(spec, CoordOp::kRemove, moved,
+                                  crash ? moved.size() / 2 : moved.size()));
+  if (crash) {
+    return InternalError("injected crash mid-retire");
+  }
+  RETURN_IF_ERROR(RetireRecords(spec));
+  if (!spec.is_rename()) {
+    std::lock_guard<std::mutex> lock(route_mu_);
+    if (spec.merge) {
+      ++elastic_.merges;
+    } else {
+      ++elastic_.splits;
+    }
+    elastic_.keys_migrated += moved.size();
+    elastic_.last_migration_us = static_cast<uint64_t>(env_->Now() - started);
+    // The load landscape just changed shape; stale EWMAs would re-trigger
+    // the controller on history.
+    windowed_ops_s_.clear();
+  }
+  return moved.size();
+}
+
+Result<std::vector<CoordEntryView>> PartitionedCoordination::SelectSource(
+    const MoveSpec& spec) {
+  if (spec.is_rename()) {
+    // A scatter export as the renaming principal: it demands write access
+    // to every entry, the trigger's own check, before anything moves.
+    CoordCommand cmd;
+    cmd.op = CoordOp::kExportPrefix;
+    cmd.client = spec.principal;
+    cmd.key = spec.from;
+    ASSIGN_OR_RETURN(CoordReply exported, ScatterGather(cmd));
+    RETURN_IF_ERROR(exported.ToStatus("rename export " + spec.from));
+    return std::move(exported.entries);
+  }
   // One ordered export of the source's full slice, filtered to the moving
   // range. The range is write-frozen, so this snapshot cannot go stale
   // between export and commit.
-  auto exported = AdminExecute(spec.src, CoordOp::kExportPrefix, "");
-  if (!exported.ok()) {
-    return exported.status();
-  }
-  if (!(*exported).ok()) {
-    return (*exported).ToStatus("migration export");
-  }
+  ASSIGN_OR_RETURN(CoordReply exported,
+                   AdminExecute(spec.src, CoordOp::kExportPrefix, ""));
+  RETURN_IF_ERROR(exported.ToStatus("migration export"));
   std::vector<CoordEntryView> moved;
-  for (auto& entry : (*exported).entries) {
+  for (auto& entry : exported.entries) {
     if (StartsWith(entry.key, kElasticPrefix)) {
-      continue;  // migration records themselves never migrate
+      continue;  // the engine's records never migrate
     }
-    if (!HashInRange(PartitionRoutingHash(entry.key), spec)) {
-      continue;
+    if (HashInRange(PartitionRoutingHash(entry.key), spec)) {
+      moved.push_back(std::move(entry));
     }
-    moved.push_back(std::move(entry));
   }
   return moved;
 }
 
+Status PartitionedCoordination::RunDataCommands(
+    const MoveSpec& spec, CoordOp op, const std::vector<CoordEntryView>& entries,
+    size_t count) {
+  std::vector<Future<Result<CoordReply>>> rounds;
+  rounds.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    const CoordEntryView* entry = &entries[i];
+    rounds.push_back(SubmitTracked(&inflight_, [this, &spec, op, entry] {
+      return MoveCommand(spec, op, *entry);
+    }));
+  }
+  for (auto& result : WhenAll(std::move(rounds)).Get()) {
+    if (!result.ok()) {
+      return result.status();
+    }
+    if (!result->ok() &&
+        !(op == CoordOp::kRemove && result->code == ErrorCode::kNotFound)) {
+      return result->ToStatus(op == CoordOp::kRemove ? "move retire"
+                                                     : "move import");
+    }
+  }
+  return OkStatus();
+}
+
+Result<CoordReply> PartitionedCoordination::MoveCommand(
+    const MoveSpec& spec, CoordOp op, const CoordEntryView& entry) {
+  CoordCommand cmd;
+  cmd.op = op;
+  cmd.key = entry.key;
+  if (op == CoordOp::kImportEntry) {
+    cmd.value = entry.value;
+    if (spec.is_rename()) {
+      cmd.key = spec.to + entry.key.substr(spec.from.size());
+    }
+  }
+  // A rename's commands are its principal's own, routed like any other
+  // (stalling on a migrating range) and checked against its ACLs. A
+  // migration addresses its source and destination directly: mid-migration
+  // they disagree with the map by construction.
+  cmd.client = spec.is_rename() ? spec.principal : kCoordAdminPrincipal;
+  Result<CoordReply> reply =
+      spec.is_rename()
+          ? RoutedExecute(cmd)
+          : partitions_[op == CoordOp::kImportEntry ? spec.dst : spec.src]
+                ->Execute(cmd);
+  if (reply.ok() && !reply->revoked.empty() && config_.on_revocation) {
+    config_.on_revocation(reply->revoked);
+  }
+  return reply;
+}
+
+Status PartitionedCoordination::RetireRecords(const MoveSpec& spec) {
+  const std::pair<unsigned, std::string> records[] = {
+      {spec.dst, CommitKey(spec)}, {spec.src, IntentKey(spec)}};
+  for (const auto& [partition, key] : records) {
+    ASSIGN_OR_RETURN(CoordReply removed,
+                     AdminExecute(partition, CoordOp::kRemove, key));
+    if (!removed.ok() && removed.code != ErrorCode::kNotFound) {
+      return removed.ToStatus("move retire " + key);
+    }
+  }
+  return OkStatus();
+}
+
 void PartitionedCoordination::CommitRouteChange(
-    const MigrationSpec& spec, const std::vector<CoordEntryView>& moved) {
+    const MoveSpec& spec, const std::vector<CoordEntryView>& moved) {
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     if (map_->PartitionForHash(spec.begin) != spec.dst) {
@@ -567,173 +817,25 @@ void PartitionedCoordination::CommitRouteChange(
     }
   }
   // Revoke delegated caches covering the moved keys BEFORE lifting the
-  // write freeze: the controller runs below the LeasedCoordination
-  // decorator, so the piggybacked revocation plumbing never saw the
-  // migration — this hook is its replacement. Holders must drop before any
-  // post-commit mutation (which would revoke only on the NEW owner, whose
-  // lease slice the old grant does not live on) can be acknowledged.
-  if (config_.on_migration_commit && !moved.empty()) {
+  // write freeze. Holders must drop before any post-commit mutation (which
+  // would revoke only on the NEW owner, whose lease slice the old grant
+  // does not live on) can be acknowledged.
+  if (config_.on_revocation && !moved.empty()) {
     std::vector<LeaseRevocation> revoked;
     revoked.reserve(moved.size());
     for (const auto& entry : moved) {
       revoked.push_back(LeaseRevocation{entry.key, 0});
     }
-    config_.on_migration_commit(revoked);
+    config_.on_revocation(revoked);
   }
-  std::lock_guard<std::mutex> lock(route_mu_);
-  migrating_.reset();  // lift the write freeze; stalled mutations re-route
-}
-
-Status PartitionedCoordination::RunMigration(const MigrationSpec& spec,
-                                             bool crash_injection,
-                                             bool intent_exists) {
-  auto crash_at = [&](MigrationCrashPoint point) {
-    if (!crash_injection) {
-      return false;
-    }
-    MigrationCrashPoint expected = point;
-    return crash_point_.compare_exchange_strong(expected,
-                                                MigrationCrashPoint::kNone);
-  };
-  const VirtualTime started = env_->Now();
-
-  // Phase 1 — prepare: a durable intent on the source partition. From here
-  // the migration is replayable; the range stays write-frozen until commit.
-  if (!intent_exists) {
-    auto intent = AdminExecute(spec.src, CoordOp::kWrite, IntentKey(spec),
-                               EncodeSpec(spec));
-    if (!intent.ok()) {
-      return intent.status();
-    }
-    if (!(*intent).ok()) {
-      return (*intent).ToStatus("migration intent");
-    }
-  }
-  if (crash_at(MigrationCrashPoint::kAfterIntent)) {
-    return InternalError("injected crash after intent");
-  }
-
-  // A replay may land after the commit marker was written: then the data
-  // already moved and only the map install + retirement remain.
-  bool committed = false;
-  {
-    auto marker = AdminExecute(spec.dst, CoordOp::kRead, CommitKey(spec));
-    if (!marker.ok()) {
-      return marker.status();
-    }
-    committed = (*marker).ok();
-  }
-
-  auto moved = ExportRange(spec);
-  if (!moved.ok()) {
-    return moved.status();
-  }
-
-  if (!committed) {
-    // Phase 2 — copy: import every entry of the frozen range into the
-    // destination. Imports are idempotent (the new version derives from the
-    // payload), so a replay that re-imports lands on identical state.
-    const size_t import_count =
-        crash_at(MigrationCrashPoint::kMidImport)
-            ? moved->size() / 2  // model a controller dying mid-copy
-            : moved->size();
-    std::vector<Future<Result<CoordReply>>> imports;
-    imports.reserve(import_count);
-    for (size_t i = 0; i < import_count; ++i) {
-      const CoordEntryView& entry = (*moved)[i];
-      imports.push_back(SubmitTracked(&inflight_, [this, &spec, &entry] {
-        return AdminExecute(spec.dst, CoordOp::kImportEntry, entry.key,
-                            entry.value);
-      }));
-    }
-    for (auto& result : WhenAll(std::move(imports)).Get()) {
-      if (!result.ok()) {
-        return result.status();
-      }
-      if (!result->ok()) {
-        return result->ToStatus("migration import");
-      }
-    }
-    if (import_count < moved->size()) {
-      return InternalError("injected crash mid-import");
-    }
-
-    // Phase 3 — commit marker on the destination: the migration's point of
-    // no return. Before it a replay re-copies; after it the move is a fact
-    // and only the route change and retirement remain.
-    auto marker = AdminExecute(spec.dst, CoordOp::kWrite, CommitKey(spec),
-                               EncodeSpec(spec));
-    if (!marker.ok()) {
-      return marker.status();
-    }
-    if (!(*marker).ok()) {
-      return (*marker).ToStatus("migration commit");
-    }
-    if (crash_at(MigrationCrashPoint::kAfterCommit)) {
-      return InternalError("injected crash after commit");
-    }
-  }
-
-  // Phase 4 — install the post-migration map (epoch + 1), revoke leases on
-  // the moved keys, lift the write freeze.
-  CommitRouteChange(spec, *moved);
-
-  // Phase 5 — retire: drop the moved entries from the source, then the
-  // commit marker, then (last) the intent. The intent is the replay
-  // trigger, so any crash inside retirement leaves a replayable state; a
-  // re-retire tolerates records a previous attempt already removed.
-  for (const auto& entry : *moved) {
-    auto removed = AdminExecute(spec.src, CoordOp::kRemove, entry.key);
-    if (!removed.ok()) {
-      return removed.status();
-    }
-    if (!(*removed).ok() && (*removed).code != ErrorCode::kNotFound) {
-      return (*removed).ToStatus("migration retire");
-    }
-  }
-  const std::pair<unsigned, std::string> records[] = {
-      {spec.dst, CommitKey(spec)}, {spec.src, IntentKey(spec)}};
-  for (const auto& [partition, key] : records) {
-    auto removed = AdminExecute(partition, CoordOp::kRemove, key);
-    if (!removed.ok()) {
-      return removed.status();
-    }
-    if (!(*removed).ok() && (*removed).code != ErrorCode::kNotFound) {
-      return (*removed).ToStatus("migration retire");
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    if (spec.merge) {
-      ++elastic_.merges;
-    } else {
-      ++elastic_.splits;
-    }
-    elastic_.keys_migrated += moved->size();
-    elastic_.last_migration_us = static_cast<uint64_t>(env_->Now() - started);
-    // The load landscape just changed shape; stale EWMAs would re-trigger
-    // the controller on history.
-    windowed_ops_s_.clear();
-  }
-  return OkStatus();
-}
-
-Status PartitionedCoordination::MigrateRange(const MigrationSpec& spec) {
-  Status begun = BeginMigration(spec);
-  if (!begun.ok()) {
-    return begun;
-  }
-  // On an injected crash the freeze and the durable records stay in place
-  // for ReplayMigrations — exactly what a dead controller leaves behind.
-  return RunMigration(spec, /*crash_injection=*/true, /*intent_exists=*/false);
+  ReleaseFreeze(spec);
 }
 
 Status PartitionedCoordination::SplitPartition(unsigned src) {
   if (src >= partitions_.size()) {
     return InvalidArgumentError("no such partition");
   }
-  MigrationSpec spec;
+  MoveSpec spec;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     if (migrating_.has_value()) {
@@ -787,7 +889,7 @@ Status PartitionedCoordination::SplitPartition(unsigned src) {
     spec.dst = spare;
     spec.merge = false;
   }
-  return MigrateRange(spec);
+  return Move(spec, /*resume=*/false).status();
 }
 
 Status PartitionedCoordination::MergePartitions(unsigned src, unsigned dst) {
@@ -797,7 +899,7 @@ Status PartitionedCoordination::MergePartitions(unsigned src, unsigned dst) {
   // Move src's ranges onto dst one migration at a time (each is its own
   // intent/commit cycle); when the last lands, src is a spare again.
   while (true) {
-    MigrationSpec spec;
+    MoveSpec spec;
     {
       std::lock_guard<std::mutex> lock(route_mu_);
       if (migrating_.has_value()) {
@@ -820,45 +922,35 @@ Status PartitionedCoordination::MergePartitions(unsigned src, unsigned dst) {
         return OkStatus();  // src owns nothing (anymore)
       }
     }
-    Status moved = MigrateRange(spec);
-    if (!moved.ok()) {
-      return moved;
-    }
+    RETURN_IF_ERROR(Move(spec, /*resume=*/false).status());
   }
 }
 
-Status PartitionedCoordination::ReplayMigrations() {
-  // The coordination plane's Mount analog: scan every partition for
-  // outstanding intents and roll each forward. At most one migration is
-  // ever in flight, so at most one intent exists; the scan is still
-  // exhaustive for robustness.
+Status PartitionedCoordination::ReplayIntents() {
+  // Scan every partition for outstanding intents and roll each forward.
+  // Records never migrate, so a move's intent is still on the partition
+  // that prepared it, spares included.
+  Status first = OkStatus();
   for (unsigned p = 0; p < partitions_.size(); ++p) {
-    auto intents = AdminExecute(p, CoordOp::kReadPrefix, kIntentPrefix);
-    if (!intents.ok()) {
-      return intents.status();
-    }
-    if (!(*intents).ok()) {
-      return (*intents).ToStatus("migration replay scan");
-    }
-    for (const auto& record : (*intents).entries) {
-      MigrationSpec spec;
+    ASSIGN_OR_RETURN(CoordReply intents,
+                     AdminExecute(p, CoordOp::kReadPrefix, kIntentPrefix));
+    RETURN_IF_ERROR(intents.ToStatus("intent replay scan"));
+    for (const auto& record : intents.entries) {
+      MoveSpec spec;
       if (!DecodeSpec(record.value, &spec)) {
-        return CorruptionError("undecodable migration intent");
+        return CorruptionError("undecodable intent " + record.key);
       }
-      {
-        // Re-freeze the range (a crashed controller's freeze may or may not
-        // have survived — after a process restart it would not have).
-        std::lock_guard<std::mutex> lock(route_mu_);
-        migrating_ = spec;
+      Status replayed = Move(spec, /*resume=*/true).status();
+      if (replayed.code() == ErrorCode::kBusy ||
+          replayed.code() == ErrorCode::kNotFound) {
+        continue;  // still running here, or nothing was left to move
       }
-      Status replayed = RunMigration(spec, /*crash_injection=*/false,
-                                     /*intent_exists=*/true);
-      if (!replayed.ok()) {
-        return replayed;
+      if (!replayed.ok() && first.ok()) {
+        first = replayed;
       }
     }
   }
-  return OkStatus();
+  return first;
 }
 
 void PartitionedCoordination::ControllerLoop() {

@@ -27,22 +27,21 @@
 //     range's current owner winning — mid-migration an entry legitimately
 //     exists on both the source (until retirement) and the destination
 //     (after import), and the merge must not double-count it.
-//   * Live splitting (DESIGN.md "Elastic partitioning") — a load-aware
-//     controller watches windowed per-partition ops/s EWMAs and, past a
-//     configurable hot-share threshold, splits the hot partition's range
-//     onto a spare cluster by migrating the range through a
-//     crash-recoverable intent-record protocol (prepare-intent →
-//     kExportPrefix/kImportEntry → commit-marker → retire), the same shape
-//     as the cross-partition rename. Mutations aimed into the migrating
-//     range stall until the commit flips the map; leases covering migrated
-//     keys are revoked at commit through the on_migration_commit hook so no
-//     client serves stale delegated state. Cooled partitions merge back
-//     (manually or automatically), returning the spare.
-//   * Cross-partition writes — kRenamePrefix cannot be atomic across
-//     partitions and is rejected with kNotSupported when N > 1; the
-//     metadata service layers a crash-recoverable intent-record protocol
-//     over ExportPrefix/ImportEntry instead (see DESIGN.md "Partitioned
-//     coordination").
+//   * One intent engine (DESIGN.md "The intent engine") — every multi-key
+//     move runs through one crash-recoverable function: select the source
+//     entries, write a durable intent, import them idempotently, write a
+//     commit marker, retire the sources and the records. Two kinds of move
+//     share it. A range migration moves a hash range between partitions
+//     with its keys unchanged: the load-aware controller splits a hot
+//     partition onto a spare past a hot-share threshold, and cooled
+//     partitions merge back. Mutations aimed into the migrating range
+//     stall until the commit flips the map. A rename (kRenamePrefix with
+//     more than one partition) moves every entry under a key prefix, on
+//     whichever partitions they live, to the same suffix under a new
+//     prefix; with one partition it stays the atomic trigger. Lease
+//     revocations of the engine's commands reach holders through the
+//     on_revocation hook before the engine moves on, and ReplayIntents()
+//     rolls every crashed move forward.
 //   * Operations surface — StateDigest() combines the per-partition
 //     order-quorum digests deterministically, sorted by partition index, so
 //     operators can compare partitioned deployments across restarts exactly
@@ -63,6 +62,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,15 +131,15 @@ struct PartitionedCoordinationConfig {
   VirtualDuration migration_stall_timeout = 120 * kSecond;
   VirtualDuration migration_stall_poll = 10 * kMillisecond;
 
-  // Invoked at migration commit, before the route change is visible, with
-  // one revocation per migrated key: the deployment wires this to
-  // LeaseManager::NotifyRevocations so holders of leases covering migrated
-  // prefixes drop them before any client can read the moved entries from
-  // the new owner (the no-stale-delegated-read rule). The controller
-  // executes migration commands directly on the clusters — below the
-  // LeasedCoordination decorator — so the piggybacked revocation plumbing
-  // does not fire for it; this hook is the replacement.
-  std::function<void(const std::vector<LeaseRevocation>&)> on_migration_commit;
+  // The plane's one lease-revocation hook; the deployment wires it to
+  // LeaseManager::NotifyRevocations. The intent engine runs its commands
+  // below the LeasedCoordination decorator, so the piggybacked revocation
+  // plumbing never sees them; instead the engine hands every command's
+  // revocations to this hook before it moves on, and a migration's route
+  // change adds one revocation per migrated key before the freeze lifts
+  // (the no-stale-delegated-read rule). A move's concurrent commands may
+  // call it from several threads at once.
+  std::function<void(const std::vector<LeaseRevocation>&)> on_revocation;
 };
 
 // A timestamped per-partition counter snapshot: the introspection unit the
@@ -179,7 +179,7 @@ struct ElasticCounters {
   uint64_t merges = 0;          // committed range merges
   uint64_t keys_migrated = 0;   // entries moved across partitions
   // Wall (virtual) duration of the most recent committed migration,
-  // prepare through retire, in microseconds of virtual time.
+  // selection through retirement, in microseconds of virtual time.
   uint64_t last_migration_us = 0;
 };
 
@@ -194,26 +194,28 @@ class PartitionedCoordination : public CoordinationService {
   Future<Result<CoordReply>> SubmitAsync(const CoordCommand& command) override;
   Bytes StateDigest() override;
 
-  unsigned partition_count() const override {
+  unsigned partition_count() const {
     return static_cast<unsigned>(partitions_.size());
   }
-  unsigned PartitionOf(const std::string& key) const override;
+  // The partition the authoritative map routes `key` to.
+  unsigned PartitionOf(const std::string& key) const;
 
   // -- Elastic repartitioning ---------------------------------------------
 
   // Splits `src`'s largest owned hash range at its midpoint onto a spare
   // partition (one owning no ranges), migrating the entries through the
-  // intent-record protocol. kBusy while another migration is in flight;
+  // intent engine. kBusy while another migration is in flight;
   // kUnavailable with no spare.
   Status SplitPartition(unsigned src);
   // Migrates every range owned by `src` onto `dst`, leaving `src` a spare.
   Status MergePartitions(unsigned src, unsigned dst);
-  // Crash-recovery replay (the coordination plane's Mount analog): scans
-  // every partition for outstanding migration intents and rolls each
-  // forward — re-import before the commit marker (imports are idempotent),
-  // retire-only after it — to a consistent map with exactly-once entry
-  // migration.
-  Status ReplayMigrations();
+  // Crash-recovery replay (Deployment::Mount runs it): scans every
+  // partition for outstanding intents, migrations and renames alike, and
+  // rolls each forward — re-import before the commit marker (imports are
+  // idempotent), retire-only after it — so every entry moves exactly once.
+  // Skips a move this process is still running. Returns the first failure;
+  // a failed move keeps its intent for the next replay.
+  Status ReplayIntents();
 
   // Authoritative map snapshot / epoch (operations surface).
   RouteMap route_map() const;
@@ -228,14 +230,14 @@ class PartitionedCoordination : public CoordinationService {
   std::vector<double> WindowedOpsPerSecond() const;
   double WindowedHotShare() const;
 
-  // Test hook: abort the next manually-triggered migration at a phase
-  // boundary, modeling a controller crash. The aborted migration leaves its
-  // durable records (and the write freeze) in place for ReplayMigrations.
-  enum class MigrationCrashPoint { kNone, kAfterIntent, kMidImport,
-                                   kAfterCommit };
-  void set_migration_crash_point(MigrationCrashPoint point) {
-    crash_point_ = point;
-  }
+  // Test hook: abort the next move started in this process (a migration
+  // or a rename) at a phase boundary, modeling a crash of the process
+  // running it. The aborted move leaves its durable records (and a
+  // migration's write freeze, unless the route change already lifted it)
+  // in place for ReplayIntents.
+  enum class MoveCrashPoint { kNone, kAfterPrepare, kMidImport, kAfterCommit,
+                              kMidRetire };
+  void set_move_crash_point(MoveCrashPoint point) { crash_point_ = point; }
 
   // Per-partition introspection and fault injection for tests/benchmarks.
   SmrCluster& cluster(unsigned partition) { return *partitions_[partition]; }
@@ -248,15 +250,24 @@ class PartitionedCoordination : public CoordinationService {
   uint64_t reply_bytes_out() const;
 
  private:
-  // A migration in flight: the half-open hash range moving src -> dst. The
-  // merge flag rides the durable intent record so a replay attributes the
-  // recovered migration to the right counter.
-  struct MigrationSpec {
+  // One move, as its durable intent records it. A migration moves the
+  // half-open hash range [begin, end) from partition src to dst with its
+  // keys unchanged; the merge flag attributes it to the right counter. A
+  // rename (non-empty `from`) moves every entry under the key prefix `from`
+  // to the same suffix under `to`, wherever the entries live, and runs its
+  // data commands as `principal`; its src and dst only place its intent
+  // and its commit marker.
+  struct MoveSpec {
     uint64_t begin = 0;
     uint64_t end = 0;  // exclusive; 0 means "up to 2^64"
     unsigned src = 0;
     unsigned dst = 0;
     bool merge = false;
+    std::string from;
+    std::string to;
+    std::string principal;
+
+    bool is_rename() const { return !from.empty(); }
   };
 
   // Single-key commands: route with the submitter's cached map, enforce the
@@ -268,32 +279,69 @@ class PartitionedCoordination : public CoordinationService {
   // The lazily-updated per-principal map cache ("the client's copy").
   std::shared_ptr<const RouteMap> ClientRouteMap(const std::string& client);
 
-  // Executes one command directly on a partition under the admin principal.
+  // Executes one command directly on a partition under the admin principal:
+  // the engine's records and a migration's source export.
   Result<CoordReply> AdminExecute(unsigned partition, CoordOp op,
                                   const std::string& key, Bytes value = {});
-  // Claims the migration slot and freezes the range. kBusy if taken.
-  Status BeginMigration(const MigrationSpec& spec);
-  // Phases prepare → retire; shared by the live path and replay.
-  // `crash_injection` honors crash_point_ (live path only).
-  Status RunMigration(const MigrationSpec& spec, bool crash_injection,
-                      bool intent_exists);
-  // The keys currently on `spec.src` whose hashes fall in the migrating
-  // range (internal records excluded) together with their export payloads.
-  Result<std::vector<CoordEntryView>> ExportRange(const MigrationSpec& spec);
-  // Installs the post-migration map (epoch + 1), clears the freeze and
-  // fires the lease-revocation hook. Idempotent: skipped if the range
-  // already routes to dst (a replay after a crash mid-retire).
-  void CommitRouteChange(const MigrationSpec& spec,
+
+  // -- The intent engine (DESIGN.md "The intent engine") --------------------
+
+  // kRenamePrefix over more than one partition: a move of its prefix.
+  Result<CoordReply> RenameAcrossPartitions(const CoordCommand& command);
+  // Claims the move (and a migration's write freeze), runs it live or
+  // resumes it from its records, then releases the claim. Returns the
+  // number of entries moved. kBusy while this process runs the same move
+  // or another migration holds the freeze.
+  Result<size_t> Move(const MoveSpec& spec, bool resume);
+  // Live: select the sources, prepare the intent, finish.
+  Result<size_t> StartMove(const MoveSpec& spec);
+  // Writes a fresh move's intent once its selection succeeded; a crashed
+  // move's leftover with the same id shows up as kAlreadyExists.
+  Status PrepareMove(const MoveSpec& spec,
+                     const Result<std::vector<CoordEntryView>>& moved);
+  // Replay: check the records, select what is left, finish.
+  Result<size_t> ResumeMove(const MoveSpec& spec);
+  // Import, commit marker, a migration's route change, retire.
+  Result<size_t> FinishMove(const MoveSpec& spec,
+                            const std::vector<CoordEntryView>& moved,
+                            bool committed, bool live, VirtualTime started);
+  // The source entries still in place, with their export payloads: a
+  // migration's slice of src in its range (records excluded), a rename's
+  // scatter export of `from` as its principal.
+  Result<std::vector<CoordEntryView>> SelectSource(const MoveSpec& spec);
+  // Runs `op` (an import or a remove) for the first `count` entries
+  // concurrently: distinct keys commute. A remove tolerates kNotFound.
+  Status RunDataCommands(const MoveSpec& spec, CoordOp op,
+                         const std::vector<CoordEntryView>& entries,
+                         size_t count);
+  // One data command: a migration's on its partition as the admin, a
+  // rename's routed by key as its principal. The reply's revocations reach
+  // the on_revocation hook before it returns.
+  Result<CoordReply> MoveCommand(const MoveSpec& spec, CoordOp op,
+                                 const CoordEntryView& entry);
+  // Removes the commit marker, then the intent (the replay trigger goes
+  // last); a record already gone is fine.
+  Status RetireRecords(const MoveSpec& spec);
+  // Installs the post-migration map (epoch + 1), fires the revocation hook
+  // for the moved keys and lifts the write freeze. Idempotent: the map is
+  // left alone if the range already routes to dst (a replay after a crash
+  // mid-retire).
+  void CommitRouteChange(const MoveSpec& spec,
                          const std::vector<CoordEntryView>& moved);
-  Status MigrateRange(const MigrationSpec& spec);
+  // Lifts the write freeze if `spec` holds it.
+  void ReleaseFreeze(const MoveSpec& spec);
+  // True once, at `point`, if the crash hook is armed for it.
+  bool CrashAt(MoveCrashPoint point);
 
   void ControllerLoop();
 
-  static std::string IntentKey(const MigrationSpec& spec);
-  static std::string CommitKey(const MigrationSpec& spec);
-  static Bytes EncodeSpec(const MigrationSpec& spec);
-  static bool DecodeSpec(ConstByteSpan payload, MigrationSpec* spec);
-  static bool HashInRange(uint64_t hash, const MigrationSpec& spec);
+  static std::string IntentKey(const MoveSpec& spec);
+  static std::string CommitKey(const MoveSpec& spec);
+  static Bytes EncodeSpec(const MoveSpec& spec);
+  static bool DecodeSpec(ConstByteSpan payload, MoveSpec* spec);
+  static bool HashInRange(uint64_t hash, const MoveSpec& spec);
+  // Same migration: range, source and destination.
+  static bool SameRange(const MoveSpec& a, const MoveSpec& b);
 
   Environment* env_;
   PartitionedCoordinationConfig config_;
@@ -303,11 +351,12 @@ class PartitionedCoordination : public CoordinationService {
   std::shared_ptr<const RouteMap> map_;  // authoritative (the servers' map)
   // Per-principal cached snapshots — the lazily-updated "client copies".
   std::map<std::string, std::shared_ptr<const RouteMap>> client_maps_;
-  std::optional<MigrationSpec> migrating_;  // also the write freeze
-  std::vector<double> windowed_ops_s_;      // controller EWMAs, by partition
+  std::optional<MoveSpec> migrating_;  // also the write freeze
+  std::set<std::string> running_;      // intent keys of the moves running here
+  std::vector<double> windowed_ops_s_;  // controller EWMAs, by partition
   ElasticCounters elastic_;
 
-  std::atomic<MigrationCrashPoint> crash_point_{MigrationCrashPoint::kNone};
+  std::atomic<MoveCrashPoint> crash_point_{MoveCrashPoint::kNone};
   std::atomic<bool> controller_stop_{false};
   std::thread controller_;
 

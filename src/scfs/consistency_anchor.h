@@ -19,8 +19,6 @@
 
 #include <string>
 
-#include "src/common/executor.h"
-#include "src/common/future.h"
 #include "src/coord/coordination_service.h"
 #include "src/scfs/blob_backend.h"
 #include "src/sim/environment.h"
@@ -50,16 +48,6 @@ class AnchoredStorage {
   // Figure 3, READ: returns the version whose hash the CA currently anchors.
   Result<Bytes> Read(const std::string& id);
 
-  // Asynchronous variants. The anchored order (SS before CA on write, CA
-  // before SS on read) is preserved inside the chain; what the futures buy
-  // is the caller's ability to overlap whole anchored operations with other
-  // storage work. The write's CA publish rides the coordination service's
-  // SubmitAsync, so the SS->CA handoff never parks an executor worker on a
-  // coordination round. `value` is copied into the chain (the caller's
-  // buffer may die before the SS write runs).
-  Future<Status> WriteAsync(const std::string& id, ConstByteSpan value);
-  Future<Result<Bytes>> ReadAsync(const std::string& id);
-
   // Computes the anchor hash of a value (hex SHA-1, as in SCFS).
   static std::string AnchorHash(ConstByteSpan value);
 
@@ -73,8 +61,6 @@ class AnchoredStorage {
   std::string client_;
   BlobBackend* storage_;
   AnchorOptions options_;
-  // Last member: destroyed first, waiting out in-flight async chains.
-  InFlightTracker inflight_;
 };
 
 }  // namespace scfs

@@ -1,5 +1,6 @@
 #include "src/scfs/deployment.h"
 
+#include "src/common/logging.h"
 #include "src/common/rng.h"
 
 namespace scfs {
@@ -90,12 +91,11 @@ std::unique_ptr<Deployment> Deployment::Create(Environment* env,
       pconfig.split_window = options.coord_split_window;
       pconfig.split_min_total_ops_s = options.coord_split_min_total_ops_s;
       pconfig.merge_cold_share = options.coord_merge_cold_share;
-      // A committed migration revokes delegated caches on the moved keys
-      // through the deployment's lease manager: the controller executes
-      // below the LeasedCoordination decorator, so the piggybacked
-      // revocation path never sees the migration's mutations.
+      // The plane's intent engine (migrations and renames) executes below
+      // the LeasedCoordination decorator, so the piggybacked revocation
+      // path never sees its mutations: it revokes through this hook.
       LeaseManager* leases = &deployment->lease_manager_;
-      pconfig.on_migration_commit =
+      pconfig.on_revocation =
           [leases](const std::vector<LeaseRevocation>& revoked) {
             leases->NotifyRevocations(revoked);
           };
@@ -199,6 +199,16 @@ Result<std::unique_ptr<ScfsFileSystem>> Deployment::Mount(
     backends_.push_back(std::move(owned));
   }
 
+  if (partitioned_coord_ != nullptr) {
+    // Finish any move a crashed process left behind before serving
+    // metadata: a half-moved subtree must converge to the rename's
+    // destination. A move that fails again keeps its intent for the next
+    // mount; per-key operations stay correct meanwhile.
+    Status replayed = partitioned_coord_->ReplayIntents();
+    if (!replayed.ok()) {
+      SCFS_LOG(Warning) << "intent replay at mount: " << replayed.ToString();
+    }
+  }
   auto fs = std::make_unique<ScfsFileSystem>(env_, coord_.get(), backend,
                                              std::move(options));
   RETURN_IF_ERROR(fs->Mount());

@@ -37,9 +37,9 @@ struct DeploymentOptions {
   // Coordination-plane partitions (kCoc only). 1 constructs the single
   // SmrCluster exactly as before — byte-identical behavior to the
   // unsharded deployment; N > 1 shards the tuple keys over N independent
-  // SMR clusters behind PartitionedCoordination (metadata renames then use
-  // the cross-partition intent-record protocol). Ignored for kAws and
-  // zero-latency deployments, which run a single local server.
+  // SMR clusters behind PartitionedCoordination (metadata renames then run
+  // through its intent engine). Ignored for kAws and zero-latency
+  // deployments, which run a single local server.
   unsigned coord_partitions = 1;
   // Ordering-pipeline bounds for the (replicated/partitioned) coordination
   // plane; 0 keeps the SmrConfig defaults. Real BFT deployments cap both

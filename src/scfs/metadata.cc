@@ -150,29 +150,4 @@ Result<PnsAnchor> DecodePnsAnchor(const Bytes& data) {
   return anchor;
 }
 
-std::string RenameIntentKey(const std::string& from_path) {
-  return kRenameIntentPrefix + MetadataKey(from_path);
-}
-
-std::string RenameCommitKey(const std::string& to_path) {
-  return kRenameCommitPrefix + MetadataKey(to_path);
-}
-
-Bytes EncodeRenameIntent(const std::string& from, const std::string& to) {
-  Bytes out;
-  AppendString(&out, from);
-  AppendString(&out, to);
-  return out;
-}
-
-Result<RenameIntent> DecodeRenameIntent(const Bytes& data) {
-  ByteReader reader(data);
-  RenameIntent intent;
-  if (!reader.ReadString(&intent.from) || !reader.ReadString(&intent.to) ||
-      !reader.AtEnd()) {
-    return CorruptionError("bad rename intent");
-  }
-  return intent;
-}
-
 }  // namespace scfs

@@ -81,24 +81,6 @@ struct PnsAnchor {
 Bytes EncodePnsAnchor(const PnsAnchor& anchor);
 Result<PnsAnchor> DecodePnsAnchor(const Bytes& data);
 
-// Cross-partition rename records (see DESIGN.md "Partitioned
-// coordination"). Both prefixes are co-location prefixes for the
-// partitioned router (PartitionRoutingKey): the intent record lives on the
-// partition of the source subtree ("prepare on the source partition"), the
-// commit marker on the destination's.
-inline constexpr char kRenameIntentPrefix[] = "ri:";
-inline constexpr char kRenameCommitPrefix[] = "rc:";
-std::string RenameIntentKey(const std::string& from_path);  // "ri:m:<from>/"
-std::string RenameCommitKey(const std::string& to_path);    // "rc:m:<to>/"
-// The record value: the (from, to) paths, so any session of the user can
-// replay a crashed rename from the record alone.
-Bytes EncodeRenameIntent(const std::string& from, const std::string& to);
-struct RenameIntent {
-  std::string from;
-  std::string to;
-};
-Result<RenameIntent> DecodeRenameIntent(const Bytes& data);
-
 }  // namespace scfs
 
 #endif  // SCFS_SCFS_METADATA_H_

@@ -218,12 +218,6 @@ Status MetadataService::Mount() {
   if (options_.session.empty()) {
     options_.session = user_;
   }
-  if (UsesPartitionedCoord()) {
-    // Finish any cross-partition rename a crashed session left behind
-    // before serving metadata: a half-moved subtree must converge to the
-    // rename's destination, not stay split across partitions.
-    RETURN_IF_ERROR(ReplayRenameIntents());
-  }
   if (!using_pns()) {
     return OkStatus();
   }
@@ -782,17 +776,11 @@ Status MetadataService::RenameSubtree(const std::string& from,
     }
   }
   if (coord_ != nullptr && !options_.non_sharing) {
-    Status s;
-    if (coord_->partition_count() > 1) {
-      // The subtree's tuples hash across partitions, out of reach of the
-      // single-partition trigger: run the intent-record protocol.
-      s = CrossPartitionRename(from, to);
-    } else {
-      // One atomic server-side trigger (the DepSpace extension the paper
-      // added for rename): "m:<from>/" covers the entry itself and every
-      // descendant.
-      s = coord_->RenamePrefix(user_, "m:" + from + "/", "m:" + to + "/");
-    }
+    // One server-side trigger (the DepSpace extension the paper added for
+    // rename): "m:<from>/" covers the entry itself and every descendant. A
+    // partitioned plane runs it through its intent engine.
+    Status s =
+        coord_->RenamePrefix(user_, MetadataKey(from), MetadataKey(to));
     if (s.ok()) {
       renamed_any = true;
     } else if (s.code() != ErrorCode::kNotFound) {
@@ -800,154 +788,6 @@ Status MetadataService::RenameSubtree(const std::string& from,
     }
   }
   return renamed_any ? OkStatus() : NotFoundError(from);
-}
-
-Status MetadataService::CrossPartitionRename(const std::string& from,
-                                             const std::string& to) {
-  const std::string intent_key = RenameIntentKey(from);
-  const Bytes intent = EncodeRenameIntent(from, to);
-  // Prepare: the intent record, durably ordered on the source subtree's
-  // partition. ConditionalCreate makes a concurrent rename of the same
-  // subtree (or a crashed one's leftover) visible as kAlreadyExists.
-  Status created = coord_->ConditionalCreate(user_, intent_key, intent);
-  if (created.code() == ErrorCode::kAlreadyExists) {
-    // A crashed rename of this same source is outstanding: finish it, then
-    // claim the key for ours.
-    ASSIGN_OR_RETURN(CoordEntry stale, coord_->Read(user_, intent_key));
-    auto decoded = DecodeRenameIntent(stale.value);
-    if (decoded.ok()) {
-      Status replay = ExecuteRenameIntent(decoded->from, decoded->to);
-      if (!replay.ok() && replay.code() != ErrorCode::kNotFound) {
-        return replay;
-      }
-    }
-    RETURN_IF_ERROR(coord_->Remove(user_, intent_key));
-    created = coord_->ConditionalCreate(user_, intent_key, intent);
-  }
-  RETURN_IF_ERROR(created);
-  bool mutated = false;
-  Status moved = ExecuteRenameIntent(from, to, &mutated);
-  if (moved.ok() || moved.code() == ErrorCode::kNotFound ||
-      (!mutated && moved.code() == ErrorCode::kPermissionDenied)) {
-    // Done, nothing to move, or refused before anything moved (the
-    // export's permission check runs ahead of all imports): the prepare
-    // record is dead either way. A failure after the first import — even
-    // a permission one, e.g. an unwritable pre-existing destination entry
-    // — keeps the record so Mount can replay (or an operator can fix the
-    // ACL and remount); dropping it would strand a half-moved subtree.
-    (void)coord_->Remove(user_, intent_key);
-  }
-  return moved;
-}
-
-Status MetadataService::ExecuteRenameIntent(const std::string& from,
-                                            const std::string& to,
-                                            bool* mutated) {
-  const std::string src_prefix = MetadataKey(from);
-  const std::string dst_prefix = MetadataKey(to);
-  const std::string commit_key = RenameCommitKey(to);
-
-  // Phase detection. Only a commit marker recording THIS rename's
-  // (from, to) proves our imports completed; a leftover marker from a
-  // crashed rename of a *different* source into the same destination must
-  // not make us skip our import phase (we would delete sources that were
-  // never installed). Such a foreign marker is resolved first: finish the
-  // crashed rename it records — its marker proves its own imports are
-  // done, so that is just its remaining deletes — and retire its records.
-  bool committed = false;
-  auto marker = coord_->Read(user_, commit_key);
-  if (marker.ok()) {
-    auto recorded = DecodeRenameIntent(marker->value);
-    if (recorded.ok() && recorded->from == from && recorded->to == to) {
-      committed = true;
-    } else if (recorded.ok()) {
-      RETURN_IF_ERROR(ExecuteRenameIntent(recorded->from, recorded->to));
-      (void)coord_->Remove(user_, RenameIntentKey(recorded->from));
-    } else {
-      (void)coord_->Remove(user_, commit_key);  // unreplayable garbage
-    }
-  }
-
-  // The source entries still in place — on a replay, the not-yet-retired
-  // remainder. Export checks write permission on every entry (the same
-  // demand RenamePrefix makes) before anything moves.
-  ASSIGN_OR_RETURN(std::vector<CoordEntryView> exported,
-                   coord_->ExportPrefix(user_, src_prefix));
-  if (exported.empty() && !committed) {
-    return NotFoundError(from);
-  }
-  if (!committed) {
-    // Import: install every entry at its destination key, each routed to
-    // its own partition. ImportEntry derives the new version from the
-    // exported payload, so a replayed import rewrites identical state —
-    // crashing between any two of these and re-running is harmless. The
-    // imports commute (distinct keys): fan out and join.
-    if (mutated != nullptr) {
-      *mutated = true;
-    }
-    std::vector<Future<Status>> imports;
-    imports.reserve(exported.size());
-    for (const auto& entry : exported) {
-      std::string new_key = dst_prefix + entry.key.substr(src_prefix.size());
-      imports.push_back(
-          coord_->ImportEntryAsync(user_, std::move(new_key), entry.value));
-    }
-    for (const Status& s : WhenAll(std::move(imports)).Get()) {
-      RETURN_IF_ERROR(s);
-    }
-    // Commit: the marker on the destination's partition. From here the
-    // move is decided; a crash leaves only source-side deletes.
-    Status mark = coord_->ConditionalCreate(user_, commit_key,
-                                            EncodeRenameIntent(from, to));
-    if (!mark.ok() && mark.code() != ErrorCode::kAlreadyExists) {
-      return mark;
-    }
-  }
-  // Retire the source keys (kNotFound = a replay finding work already
-  // done), then the commit marker; the caller retires the intent record.
-  if (mutated != nullptr) {
-    *mutated = true;
-  }
-  std::vector<Future<Status>> removals;
-  removals.reserve(exported.size());
-  for (const auto& entry : exported) {
-    removals.push_back(coord_->RemoveAsync(user_, entry.key));
-  }
-  for (const Status& s : WhenAll(std::move(removals)).Get()) {
-    if (!s.ok() && s.code() != ErrorCode::kNotFound) {
-      return s;
-    }
-  }
-  Status unmark = coord_->Remove(user_, commit_key);
-  if (!unmark.ok() && unmark.code() != ErrorCode::kNotFound) {
-    return unmark;
-  }
-  return OkStatus();
-}
-
-Status MetadataService::ReplayRenameIntents() {
-  ASSIGN_OR_RETURN(std::vector<CoordEntryView> intents,
-                   coord_->ReadPrefix(user_, kRenameIntentPrefix));
-  for (const auto& record : intents) {
-    auto intent = DecodeRenameIntent(record.value);
-    if (!intent.ok()) {
-      // Unreplayable garbage; keeping it would wedge every future rename
-      // of the same source.
-      (void)coord_->Remove(user_, record.key);
-      continue;
-    }
-    Status replayed = ExecuteRenameIntent(intent->from, intent->to);
-    if (replayed.ok() || replayed.code() == ErrorCode::kNotFound) {
-      (void)coord_->Remove(user_, record.key);
-    } else {
-      // Leave the intent for the next mount rather than failing this one:
-      // the half-moved subtree is still replayable, and per-key operations
-      // remain correct meanwhile.
-      SCFS_LOG(Warning) << "rename intent replay " << intent->from << " -> "
-                        << intent->to << " failed: " << replayed.message();
-    }
-  }
-  return OkStatus();
 }
 
 Status MetadataService::AddTombstone(const std::string& object_id) {

@@ -251,36 +251,6 @@ class MetadataService {
   // LeaseManager revocation sink (runs before the revoking mutation acks).
   void OnLeaseRevoked(const std::string& prefix);
 
-  // Cross-partition rename (partitioned coordination plane). A subtree's
-  // metadata tuples hash across partitions, so the atomic single-partition
-  // rename trigger cannot move them; instead the move commits through
-  // durable records in the coordination service itself:
-  //
-  //   1. prepare  — intent record (from, to) on the SOURCE subtree's
-  //                 partition; any session of the user can replay from it.
-  //   2. import   — every exported source entry (value+version+ACL) is
-  //                 installed at its destination key, idempotently.
-  //   3. commit   — marker on the DESTINATION's partition: the move is
-  //                 decided; only source-side deletes remain.
-  //   4. retire   — delete source keys, the commit marker, the intent.
-  //
-  // A crash at any point leaves a replayable state: before the commit
-  // marker every source entry is still exported and re-imported (imports
-  // are idempotent); after it, only the remaining deletes run. Mount()
-  // replays this user's outstanding intents.
-  Status CrossPartitionRename(const std::string& from, const std::string& to);
-  // Phases 2-4 (everything after the prepare record): shared by the fresh
-  // rename and crash-recovery replay. kNotFound = nothing to move. When
-  // `mutated` is non-null it is set once the protocol has issued any
-  // mutating command — a failure before that point left nothing to replay.
-  Status ExecuteRenameIntent(const std::string& from, const std::string& to,
-                             bool* mutated = nullptr);
-  Status ReplayRenameIntents();
-  bool UsesPartitionedCoord() const {
-    return coord_ != nullptr && !options_.non_sharing &&
-           coord_->partition_count() > 1;
-  }
-
   Environment* env_;
   CoordinationService* coord_;
   StorageService* storage_;

@@ -1638,23 +1638,6 @@ TEST(PartitionedCoordinationTest, RoutesKeysAcrossIndependentPartitions) {
   ASSERT_TRUE(coord.Unlock("alice", "L", lock->token).ok());
 }
 
-TEST(PartitionedCoordinationTest, RenamePrefixRejectedAcrossPartitions) {
-  auto env = Environment::Scaled(1e-3);
-  PartitionedCoordination coord(env.get(), FastPartitionedConfig(2));
-  ASSERT_TRUE(coord.Write("alice", "m:/d/x", ToBytes("v")).ok());
-  EXPECT_EQ(coord.RenamePrefix("alice", "m:/d", "m:/e").code(),
-            ErrorCode::kNotSupported);
-}
-
-TEST(PartitionedCoordinationTest, CoLocationPrefixesRouteWithTheirSuffix) {
-  auto env = Environment::Scaled(1e-3);
-  PartitionedCoordination coord(env.get(), FastPartitionedConfig(8));
-  for (const std::string key : {"m:/a/dir/", "m:/b/other/"}) {
-    EXPECT_EQ(coord.PartitionOf("ri:" + key), coord.PartitionOf(key));
-    EXPECT_EQ(coord.PartitionOf("rc:" + key), coord.PartitionOf(key));
-  }
-}
-
 TEST(PartitionedCoordinationTest, StateDigestCombinesDeterministically) {
   auto env = Environment::Scaled(1e-3);
   auto drive = [&](PartitionedCoordination& coord) {
@@ -1723,10 +1706,10 @@ std::vector<std::string> SeedElasticKeys(PartitionedCoordination* coord,
   return keys;
 }
 
-// No durable migration record may survive a completed (or replayed)
-// migration. Read as the admin principal: the records are invisible to
-// ordinary clients by ACL.
-void ExpectNoMigrationRecords(PartitionedCoordination* coord) {
+// No intent-engine record may survive a completed (or replayed) move. Read
+// as the admin principal: the records are invisible to ordinary clients by
+// ACL.
+void ExpectNoEngineRecords(PartitionedCoordination* coord) {
   CoordCommand scan;
   scan.op = CoordOp::kReadPrefix;
   scan.client = kCoordAdminPrincipal;
@@ -1734,6 +1717,61 @@ void ExpectNoMigrationRecords(PartitionedCoordination* coord) {
   auto records = coord->Submit(scan);
   ASSERT_TRUE(records.ok());
   EXPECT_TRUE(records->entries.empty());
+}
+
+// kRenamePrefix across partitions runs through the intent engine: the
+// prefix's entries move wherever they live. A selection that is empty or
+// refused (the export demands write access, like the trigger) ends the move
+// before anything is written.
+TEST(PartitionedCoordinationTest, RenamePrefixMovesAcrossPartitions) {
+  auto env = Environment::Scaled(1e-3);
+  PartitionedCoordination coord(env.get(), FastPartitionedConfig(4));
+  std::set<unsigned> used;
+  for (int i = 0; i < 8; ++i) {
+    const std::string key = "m:/d/" + std::to_string(i) + "/";
+    ASSERT_TRUE(coord.Write("alice", key, ToBytes("v")).ok());
+    used.insert(coord.PartitionOf(key));
+  }
+  ASSERT_GT(used.size(), 1u);
+  EXPECT_EQ(coord.RenamePrefix("eve", "m:/d/", "m:/e/").code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_EQ(coord.RenamePrefix("alice", "m:/none/", "m:/e/").code(),
+            ErrorCode::kNotFound);
+  ExpectNoEngineRecords(&coord);
+  ASSERT_TRUE(coord.RenamePrefix("alice", "m:/d/", "m:/e/").ok());
+  EXPECT_TRUE(coord.ReadPrefix("alice", "m:/d/")->empty());
+  auto moved = coord.ReadPrefix("alice", "m:/e/");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->size(), 8u);
+  ExpectNoEngineRecords(&coord);
+}
+
+// A rename whose source prefix still holds a crashed rename's intent rolls
+// that rename forward first (its records share the move's id), then selects
+// again: here the crashed rename already took every entry.
+TEST(PartitionedCoordinationTest, RenameRollsForwardACrashedRenameOfItsSource) {
+  auto env = Environment::Scaled(1e-3);
+  PartitionedCoordination coord(env.get(), FastPartitionedConfig(4));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        coord.Write("alice", "m:/a/" + std::to_string(i) + "/", ToBytes("v"))
+            .ok());
+  }
+  coord.set_move_crash_point(
+      PartitionedCoordination::MoveCrashPoint::kMidImport);
+  EXPECT_EQ(coord.RenamePrefix("alice", "m:/a/", "m:/b/").code(),
+            ErrorCode::kInternal);
+  EXPECT_EQ(coord.RenamePrefix("alice", "m:/a/", "m:/c/").code(),
+            ErrorCode::kNotFound);
+  auto moved = coord.ReadPrefix("alice", "m:/b/");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->size(), 8u);
+  for (const auto& entry : *moved) {
+    EXPECT_EQ(entry.version, 2u) << entry.key;
+  }
+  EXPECT_TRUE(coord.ReadPrefix("alice", "m:/a/")->empty());
+  EXPECT_TRUE(coord.ReadPrefix("alice", "m:/c/")->empty());
+  ExpectNoEngineRecords(&coord);
 }
 
 TEST(ElasticPartitionTest, ManualSplitMovesRangeExactlyOnce) {
@@ -1776,7 +1814,7 @@ TEST(ElasticPartitionTest, ManualSplitMovesRangeExactlyOnce) {
   for (size_t i = 1; i < listed->size(); ++i) {
     EXPECT_LT((*listed)[i - 1].key, (*listed)[i].key);
   }
-  ExpectNoMigrationRecords(&coord);
+  ExpectNoEngineRecords(&coord);
 }
 
 TEST(PartitionedCoordinationTest, FileLockRoutesWithItsMetadataEntry) {
@@ -1990,14 +2028,14 @@ TEST(ElasticPartitionTest, MergeReturnsRangesToDst) {
   auto listed = coord.ReadPrefix("alice", "ek:");
   ASSERT_TRUE(listed.ok());
   EXPECT_EQ(listed->size(), keys.size());
-  ExpectNoMigrationRecords(&coord);
+  ExpectNoEngineRecords(&coord);
 }
 
 TEST(ElasticPartitionTest, LeaseHookFiresAtSplitCommit) {
   auto env = Environment::Scaled(1e-3);
   PartitionedCoordinationConfig config = ElasticConfig(2, 1);
   std::vector<std::string> revoked;
-  config.on_migration_commit =
+  config.on_revocation =
       [&revoked](const std::vector<LeaseRevocation>& batch) {
         for (const auto& r : batch) {
           revoked.push_back(r.prefix);
@@ -2018,75 +2056,143 @@ TEST(ElasticPartitionTest, LeaseHookFiresAtSplitCommit) {
   EXPECT_FALSE(revoked.empty());
 }
 
-class ElasticCrashTest : public ::testing::Test {
+// One crash-point matrix for the intent engine: {rename, split} x {after
+// prepare, mid-import, after commit, mid-retire}. Each row kills the move at
+// its phase boundary, replays, and checks that the plane converged: every
+// moved entry bumped its version exactly once, kept its value and its ACL,
+// left no copy at its source, and no engine record survives.
+enum class MoveKind { kSplit, kRename };
+using MoveCrashPoint = PartitionedCoordination::MoveCrashPoint;
+
+class MoveCrashTest : public ::testing::TestWithParam<
+                          std::tuple<MoveKind, MoveCrashPoint>> {
  protected:
-  ElasticCrashTest() : env_(Environment::Scaled(1e-3)) {
+  MoveCrashTest() : env_(Environment::Scaled(1e-3)) {
     PartitionedCoordinationConfig config = ElasticConfig(2, 1);
-    // Crash tests probe the frozen state; a short stall budget keeps the
-    // "mutation stalls behind a wedged migration" probe fast.
+    // The freeze probe waits out the stall budget; keep it short.
     config.migration_stall_timeout = 300 * kMillisecond;
     coord_ = std::make_unique<PartitionedCoordination>(env_.get(), config);
-    keys_ = SeedElasticKeys(coord_.get(), 24);
-    for (const std::string& key : keys_) {
-      (InFirstSplitRange(key) ? &moved_ : &stayed_)->push_back(key);
-    }
   }
 
-  // Crash the controller at `point` during a split of partition 0, then
-  // replay — the coordination plane's Mount analog — and verify the plane
-  // converged to the post-split state with exactly-once entry migration.
-  void CrashThenReplay(PartitionedCoordination::MigrationCrashPoint point) {
-    ASSERT_FALSE(moved_.empty());
-    ASSERT_FALSE(stayed_.empty());
-    coord_->set_migration_crash_point(point);
-    EXPECT_FALSE(coord_->SplitPartition(0).ok());
-
-    // The migrating range is write-frozen while the migration is wedged:
-    // a mutation into it stalls and times out; one outside sails through.
-    EXPECT_EQ(coord_->Write("alice", moved_.front(), ToBytes("x"))
-                  .code(),
-              ErrorCode::kUnavailable);
-    EXPECT_GE(coord_->elastic_counters().migration_stalls, 1u);
-    ASSERT_TRUE(coord_->Write("alice", stayed_.front(), ToBytes("y")).ok());
-
-    ASSERT_TRUE(coord_->ReplayMigrations().ok());
-    EXPECT_EQ(coord_->route_epoch(), 2u);
-    EXPECT_EQ(coord_->active_partition_count(), 3u);
-    EXPECT_EQ(coord_->elastic_counters().splits, 1u);
-    for (const std::string& key : moved_) {
-      EXPECT_EQ(coord_->PartitionOf(key), 2u);
-      auto entry = coord_->Read("alice", key);
-      ASSERT_TRUE(entry.ok()) << key;
-      // Exactly-once: one import bump (1 -> 2) no matter how many times
-      // the replay re-imported the entry.
-      EXPECT_EQ(entry->version, 2u) << key;
+  // A key outside the seeded set whose hash is (or is not) in the range
+  // SplitPartition(0) moves.
+  static std::string ProbeKey(bool in_split_range) {
+    for (int i = 0;; ++i) {
+      std::string key = "probe:" + std::to_string(i);
+      if (InFirstSplitRange(key) == in_split_range) {
+        return key;
+      }
     }
-    for (const std::string& key : stayed_) {
-      ASSERT_TRUE(coord_->Read("alice", key).ok()) << key;
-    }
-    // The plane is fully live again: mutations into the moved range work.
-    ASSERT_TRUE(coord_->Write("alice", moved_.front(), ToBytes("z")).ok());
-    ExpectNoMigrationRecords(coord_.get());
   }
 
   std::unique_ptr<Environment> env_;
   std::unique_ptr<PartitionedCoordination> coord_;
-  std::vector<std::string> keys_;
-  std::vector<std::string> moved_;
-  std::vector<std::string> stayed_;
 };
 
-TEST_F(ElasticCrashTest, ReplayAfterIntentCrash) {
-  CrashThenReplay(PartitionedCoordination::MigrationCrashPoint::kAfterIntent);
+TEST_P(MoveCrashTest, ReplayConvergesExactlyOnce) {
+  const auto [kind, point] = GetParam();
+  const bool rename = kind == MoveKind::kRename;
+  // 24 entries under one prefix, every third readable by bob.
+  std::vector<std::string> suffixes;
+  std::set<unsigned> partitions;
+  size_t in_range = 0;
+  for (int i = 0; i < 24; ++i) {
+    suffixes.push_back(std::to_string(i));
+    const std::string key = "mv:/d/" + suffixes.back();
+    ASSERT_TRUE(coord_->Write("alice", key, ToBytes("v" + suffixes.back()))
+                    .ok());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(coord_->GrantEntryAccess("alice", key, "bob", true, false)
+                      .ok());
+    }
+    partitions.insert(coord_->PartitionOf(key));
+    in_range += InFirstSplitRange(key) ? 1 : 0;
+  }
+  // Both kinds really move entries between partitions.
+  ASSERT_EQ(partitions.size(), 2u);
+  ASSERT_GT(in_range, 0u);
+  ASSERT_LT(in_range, suffixes.size());
+
+  coord_->set_move_crash_point(point);
+  const Status crashed = rename
+                             ? coord_->RenamePrefix("alice", "mv:/d/", "mv:/e/")
+                             : coord_->SplitPartition(0);
+  EXPECT_EQ(crashed.code(), ErrorCode::kInternal);
+  // The crash left its replay handle.
+  CoordCommand scan;
+  scan.op = CoordOp::kReadPrefix;
+  scan.client = kCoordAdminPrincipal;
+  scan.key = "__elastic:intent:";
+  auto intents = coord_->Submit(scan);
+  ASSERT_TRUE(intents.ok());
+  EXPECT_EQ(intents->entries.size(), 1u);
+  if (!rename && point == MoveCrashPoint::kMidRetire) {
+    // The route change came before the crash: the range is live again.
+    EXPECT_EQ(coord_->route_epoch(), 2u);
+  } else if (!rename) {
+    // The migrating range stays write-frozen while the migration is
+    // wedged: a mutation into it stalls and times out; one outside sails
+    // through.
+    EXPECT_EQ(coord_->Write("alice", ProbeKey(true), ToBytes("x")).code(),
+              ErrorCode::kUnavailable);
+    EXPECT_GE(coord_->elastic_counters().migration_stalls, 1u);
+    ASSERT_TRUE(coord_->Write("alice", ProbeKey(false), ToBytes("y")).ok());
+  }
+
+  ASSERT_TRUE(coord_->ReplayIntents().ok());
+  for (size_t i = 0; i < suffixes.size(); ++i) {
+    const std::string source = "mv:/d/" + suffixes[i];
+    const bool moves = rename || InFirstSplitRange(source);
+    const std::string key = rename ? "mv:/e/" + suffixes[i] : source;
+    auto entry = coord_->Read("alice", key);
+    ASSERT_TRUE(entry.ok()) << key;
+    EXPECT_EQ(ToString(entry->value), "v" + suffixes[i]) << key;
+    // Exactly once: one import bump (1 -> 2) however often the replay
+    // re-imported the entry.
+    EXPECT_EQ(entry->version, moves ? 2u : 1u) << key;
+    EXPECT_EQ(coord_->Read("bob", key).ok(), i % 3 == 0) << key;
+    if (!rename && moves) {
+      EXPECT_EQ(coord_->PartitionOf(key), 2u) << key;
+      CoordCommand read;
+      read.op = CoordOp::kRead;
+      read.client = kCoordAdminPrincipal;
+      read.key = key;
+      auto source_copy = coord_->cluster(0).Execute(read);
+      ASSERT_TRUE(source_copy.ok());
+      EXPECT_EQ(source_copy->code, ErrorCode::kNotFound) << key;
+    }
+  }
+  if (rename) {
+    auto leftovers = coord_->ReadPrefix("alice", "mv:/d/");
+    ASSERT_TRUE(leftovers.ok());
+    EXPECT_TRUE(leftovers->empty());
+  } else {
+    EXPECT_EQ(coord_->route_epoch(), 2u);
+    EXPECT_EQ(coord_->active_partition_count(), 3u);
+    EXPECT_EQ(coord_->elastic_counters().splits, 1u);
+    // The plane is fully live again: mutations into the moved range work.
+    ASSERT_TRUE(coord_->Write("alice", ProbeKey(true), ToBytes("z")).ok());
+  }
+  ExpectNoEngineRecords(coord_.get());
 }
 
-TEST_F(ElasticCrashTest, ReplayAfterPartialImportCrash) {
-  CrashThenReplay(PartitionedCoordination::MigrationCrashPoint::kMidImport);
+std::string MoveCrashRowName(
+    const ::testing::TestParamInfo<MoveCrashTest::ParamType>& info) {
+  static const char* const kPoints[] = {"None", "AfterPrepare", "MidImport",
+                                        "AfterCommit", "MidRetire"};
+  return std::string(std::get<0>(info.param) == MoveKind::kRename ? "Rename"
+                                                                  : "Split") +
+         kPoints[static_cast<int>(std::get<1>(info.param))];
 }
 
-TEST_F(ElasticCrashTest, ReplayAfterCommitCrash) {
-  CrashThenReplay(PartitionedCoordination::MigrationCrashPoint::kAfterCommit);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Rows, MoveCrashTest,
+    ::testing::Combine(::testing::Values(MoveKind::kSplit, MoveKind::kRename),
+                       ::testing::Values(MoveCrashPoint::kAfterPrepare,
+                                         MoveCrashPoint::kMidImport,
+                                         MoveCrashPoint::kAfterCommit,
+                                         MoveCrashPoint::kMidRetire)),
+    MoveCrashRowName);
 
 TEST(ElasticPartitionTest, HotShareIsWindowedNotCumulative) {
   // 1000 historical ops on partition 0, then a window in which only

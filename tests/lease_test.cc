@@ -280,5 +280,56 @@ TEST(LeasePartitionedTest, GrantServeRevokeAcrossPartitions) {
   EXPECT_EQ(after->size, 6u);
 }
 
+// A rename over the partitioned plane runs through its intent engine, below
+// the lease decorator: the engine hands each import's and remove's
+// revocations to the plane's hook before it moves on. So once RenameSubtree
+// returns, a holder of a lease on the source or the destination directory
+// never serves its pre-rename snapshot.
+TEST(LeasePartitionedTest, RenameRevokesSourceAndDestinationLeases) {
+  auto env = Environment::Scaled(1e-2);
+  DeploymentOptions options;
+  options.backend = ScfsBackendKind::kCoc;
+  options.coord_partitions = 4;
+  // Outlives the test: only a revocation can end the holder's leases.
+  options.lease_ttl = 600 * kSecond;
+  auto deployment = Deployment::Create(env.get(), options);
+
+  auto writer_mount = deployment->Mount("alice", ScfsOptions{});
+  ASSERT_TRUE(writer_mount.ok()) << writer_mount.status().ToString();
+  // The holder keeps no TTL cache, so every read it serves locally comes
+  // from a lease.
+  ScfsOptions holder_options;
+  holder_options.metadata_cache_ttl = 0;
+  auto holder_mount = deployment->Mount("alice", holder_options);
+  ASSERT_TRUE(holder_mount.ok()) << holder_mount.status().ToString();
+  auto& writer = **writer_mount;
+  auto& holder = **holder_mount;
+
+  ASSERT_TRUE(writer.Mkdir("/src").ok());
+  ASSERT_TRUE(writer.Mkdir("/dst").ok());
+  ASSERT_TRUE(writer.WriteFile("/src/f", ToBytes("data")).ok());
+  env->Sleep(kSecond);
+  // Leases on both directories, each answering a second read locally.
+  ASSERT_TRUE(holder.Stat("/src/f").ok());
+  EXPECT_EQ(holder.Stat("/dst/f").status().code(), ErrorCode::kNotFound);
+  const uint64_t hits = holder.metadata_service().lease_hits();
+  ASSERT_TRUE(holder.Stat("/src/f").ok());
+  EXPECT_EQ(holder.Stat("/dst/f").status().code(), ErrorCode::kNotFound);
+  ASSERT_EQ(holder.metadata_service().lease_hits(), hits + 2);
+
+  ASSERT_TRUE(writer.Rename("/src/f", "/dst/f").ok());
+  EXPECT_EQ(holder.Stat("/src/f").status().code(), ErrorCode::kNotFound);
+  auto moved = holder.Stat("/dst/f");
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(moved->size, 4u);
+  auto src_listing = holder.ReadDir("/src");
+  ASSERT_TRUE(src_listing.ok());
+  EXPECT_TRUE(src_listing->empty());
+  auto dst_listing = holder.ReadDir("/dst");
+  ASSERT_TRUE(dst_listing.ok());
+  ASSERT_EQ(dst_listing->size(), 1u);
+  EXPECT_EQ(dst_listing->front().name, "f");
+}
+
 }  // namespace
 }  // namespace scfs

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -309,9 +310,10 @@ TEST_F(MetadataServiceTest, RenameSubtreeMovesEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-partition rename over the partitioned coordination plane: the
-// intent-record protocol, its crash-recovery replay, and leader failure in
-// the middle of a move.
+// Rename over the partitioned coordination plane: the plane's intent engine
+// moves the subtree, and its replay (ReplayIntents, which Deployment::Mount
+// runs) finishes a crashed move. The crash-point matrix itself lives in
+// coord_test.cc (MoveCrashTest).
 // ---------------------------------------------------------------------------
 
 class PartitionedRenameTest : public ::testing::Test {
@@ -341,15 +343,20 @@ class PartitionedRenameTest : public ::testing::Test {
     return MetadataService(env_.get(), &coord_, storage_.get(), user, {});
   }
 
-  // No intent or commit record may survive a completed (or replayed) move.
-  void ExpectNoRenameRecords() {
-    auto intents = coord_.ReadPrefix("alice", kRenameIntentPrefix);
-    ASSERT_TRUE(intents.ok());
-    EXPECT_TRUE(intents->empty());
-    auto commits = coord_.ReadPrefix("alice", kRenameCommitPrefix);
-    ASSERT_TRUE(commits.ok());
-    EXPECT_TRUE(commits->empty());
+  // The engine's records under `prefix`, read as the admin principal (they
+  // are invisible to users).
+  size_t EngineRecords(const std::string& prefix = "__elastic:") {
+    CoordCommand scan;
+    scan.op = CoordOp::kReadPrefix;
+    scan.client = kCoordAdminPrincipal;
+    scan.key = prefix;
+    auto records = coord_.Submit(scan);
+    EXPECT_TRUE(records.ok());
+    return records.ok() ? records->entries.size() : 0;
   }
+
+  // No intent or commit record may survive a completed (or replayed) move.
+  void ExpectNoRenameRecords() { EXPECT_EQ(EngineRecords(), 0u); }
 
   std::unique_ptr<Environment> env_;
   SimulatedCloud cloud_;
@@ -393,105 +400,6 @@ TEST_F(PartitionedRenameTest, CrossPartitionRenameMovesSubtreeExactlyOnce) {
   ExpectNoRenameRecords();
 }
 
-TEST_F(PartitionedRenameTest, MountReplaysIntentAfterClientCrash) {
-  // A client that crashed right after the prepare record: nothing moved
-  // yet. Mounting a fresh session must finish the rename from the record.
-  {
-    auto service = MakeService();
-    ASSERT_TRUE(service.Mount().ok());
-    ASSERT_TRUE(service.Put(SampleMetadata("/a")).ok());
-    ASSERT_TRUE(service.Put(SampleMetadata("/a/f")).ok());
-    ASSERT_TRUE(coord_
-                    .ConditionalCreate("alice", RenameIntentKey("/a"),
-                                       EncodeRenameIntent("/a", "/b"))
-                    .ok());
-  }
-  auto service = MakeService();
-  ASSERT_TRUE(service.Mount().ok());
-  EXPECT_TRUE(service.Get("/b/f").ok());
-  EXPECT_FALSE(service.Get("/a/f").ok());
-  auto moved = coord_.Read("alice", MetadataKey("/b/f"));
-  ASSERT_TRUE(moved.ok());
-  EXPECT_EQ(moved->version, 2u);
-  ExpectNoRenameRecords();
-}
-
-TEST_F(PartitionedRenameTest, MountReplaysCrashMidImportWithoutDuplicates) {
-  // Crash mid-import: the intent exists and one entry was already imported
-  // at the destination. Replay re-imports everything — idempotently, so
-  // the half-imported entry keeps its exactly-once version — and finishes.
-  {
-    auto service = MakeService();
-    ASSERT_TRUE(service.Mount().ok());
-    ASSERT_TRUE(service.Put(SampleMetadata("/c")).ok());
-    ASSERT_TRUE(service.Put(SampleMetadata("/c/f1")).ok());
-    ASSERT_TRUE(service.Put(SampleMetadata("/c/f2")).ok());
-    ASSERT_TRUE(coord_
-                    .ConditionalCreate("alice", RenameIntentKey("/c"),
-                                       EncodeRenameIntent("/c", "/cd"))
-                    .ok());
-    auto exported = coord_.ExportPrefix("alice", MetadataKey("/c"));
-    ASSERT_TRUE(exported.ok());
-    ASSERT_FALSE(exported->empty());
-    const auto& first = exported->front();
-    std::string new_key =
-        MetadataKey("/cd") + first.key.substr(MetadataKey("/c").size());
-    ASSERT_TRUE(coord_.ImportEntry("alice", new_key, first.value).ok());
-  }
-  auto service = MakeService();
-  ASSERT_TRUE(service.Mount().ok());
-  for (const char* path : {"/cd", "/cd/f1", "/cd/f2"}) {
-    auto entry = coord_.Read("alice", MetadataKey(path));
-    ASSERT_TRUE(entry.ok()) << path;
-    EXPECT_EQ(entry->version, 2u) << path;  // imported exactly once
-  }
-  auto leftovers = coord_.ReadPrefix("alice", MetadataKey("/c"));
-  ASSERT_TRUE(leftovers.ok());
-  EXPECT_TRUE(leftovers->empty());
-  ExpectNoRenameRecords();
-}
-
-TEST_F(PartitionedRenameTest, MountReplaysCrashAfterCommitMidDeletes) {
-  // Crash after the commit marker with one source key already deleted:
-  // replay must only finish the deletes (the marker proves the imports
-  // completed) and retire both records.
-  {
-    auto service = MakeService();
-    ASSERT_TRUE(service.Mount().ok());
-    ASSERT_TRUE(service.Put(SampleMetadata("/g")).ok());
-    ASSERT_TRUE(service.Put(SampleMetadata("/g/f1")).ok());
-    ASSERT_TRUE(service.Put(SampleMetadata("/g/f2")).ok());
-    ASSERT_TRUE(coord_
-                    .ConditionalCreate("alice", RenameIntentKey("/g"),
-                                       EncodeRenameIntent("/g", "/h"))
-                    .ok());
-    auto exported = coord_.ExportPrefix("alice", MetadataKey("/g"));
-    ASSERT_TRUE(exported.ok());
-    ASSERT_EQ(exported->size(), 3u);
-    for (const auto& entry : *exported) {
-      std::string new_key =
-          MetadataKey("/h") + entry.key.substr(MetadataKey("/g").size());
-      ASSERT_TRUE(coord_.ImportEntry("alice", new_key, entry.value).ok());
-    }
-    ASSERT_TRUE(coord_
-                    .ConditionalCreate("alice", RenameCommitKey("/h"),
-                                       EncodeRenameIntent("/g", "/h"))
-                    .ok());
-    ASSERT_TRUE(coord_.Remove("alice", exported->front().key).ok());
-  }
-  auto service = MakeService();
-  ASSERT_TRUE(service.Mount().ok());
-  for (const char* path : {"/h", "/h/f1", "/h/f2"}) {
-    auto entry = coord_.Read("alice", MetadataKey(path));
-    ASSERT_TRUE(entry.ok()) << path;
-    EXPECT_EQ(entry->version, 2u) << path;
-  }
-  auto leftovers = coord_.ReadPrefix("alice", MetadataKey("/g"));
-  ASSERT_TRUE(leftovers.ok());
-  EXPECT_TRUE(leftovers->empty());
-  ExpectNoRenameRecords();
-}
-
 TEST_F(PartitionedRenameTest, ForeignCommitMarkerDoesNotSkipImports) {
   auto service = MakeService();
   ASSERT_TRUE(service.Mount().ok());
@@ -499,27 +407,19 @@ TEST_F(PartitionedRenameTest, ForeignCommitMarkerDoesNotSkipImports) {
   // commit marker, but never ran its deletes or retired its records:
   ASSERT_TRUE(service.Put(SampleMetadata("/old")).ok());
   ASSERT_TRUE(service.Put(SampleMetadata("/old/f")).ok());
-  ASSERT_TRUE(coord_
-                  .ConditionalCreate("alice", RenameIntentKey("/old"),
-                                     EncodeRenameIntent("/old", "/dst"))
-                  .ok());
-  auto exported = coord_.ExportPrefix("alice", MetadataKey("/old"));
-  ASSERT_TRUE(exported.ok());
-  for (const auto& entry : *exported) {
-    std::string new_key =
-        MetadataKey("/dst") + entry.key.substr(MetadataKey("/old").size());
-    ASSERT_TRUE(coord_.ImportEntry("alice", new_key, entry.value).ok());
-  }
-  ASSERT_TRUE(coord_
-                  .ConditionalCreate("alice", RenameCommitKey("/dst"),
-                                     EncodeRenameIntent("/old", "/dst"))
-                  .ok());
+  coord_.set_move_crash_point(
+      PartitionedCoordination::MoveCrashPoint::kAfterCommit);
+  EXPECT_EQ(service.RenameSubtree("/old", "/dst").code(),
+            ErrorCode::kInternal);
+  ASSERT_EQ(EngineRecords("__elastic:commit:"), 1u);
   // A live rename of a DIFFERENT source into the same destination must not
   // mistake that marker for its own commit: /src's entries have to be
   // imported, not silently deleted as "already committed".
   ASSERT_TRUE(service.Put(SampleMetadata("/src")).ok());
   ASSERT_TRUE(service.Put(SampleMetadata("/src/g")).ok());
   ASSERT_TRUE(service.RenameSubtree("/src", "/dst").ok());
+  // The crashed rename is finished by the next replay.
+  ASSERT_TRUE(coord_.ReplayIntents().ok());
   for (const char* path : {"/dst/f", "/dst/g"}) {
     auto entry = coord_.Read("alice", MetadataKey(path));
     ASSERT_TRUE(entry.ok()) << path;
@@ -542,13 +442,13 @@ TEST_F(PartitionedRenameTest, MidImportPermissionFailureKeepsIntentForReplay) {
       coord_.Write("mallory", MetadataKey("/pd/x"), ToBytes("theirs")).ok());
   Status denied = service.RenameSubtree("/ps", "/pd");
   EXPECT_EQ(denied.code(), ErrorCode::kPermissionDenied);
-  // The prepare record must survive a failure that may have moved part of
-  // the subtree — it is the only replay handle.
-  EXPECT_TRUE(coord_.Read("alice", RenameIntentKey("/ps")).ok());
-  // Once the conflict is cleared, a remount replays and completes.
+  // The intent must survive a failure that may have moved part of the
+  // subtree — it is the only replay handle.
+  EXPECT_EQ(EngineRecords("__elastic:intent:"), 1u);
+  // Once the conflict is cleared, a replay (as at the next mount)
+  // completes the move.
   ASSERT_TRUE(coord_.Remove("mallory", MetadataKey("/pd/x")).ok());
-  auto fresh = MakeService();
-  ASSERT_TRUE(fresh.Mount().ok());
+  ASSERT_TRUE(coord_.ReplayIntents().ok());
   for (const char* path : {"/pd", "/pd/x"}) {
     EXPECT_TRUE(coord_.Read("alice", MetadataKey(path)).ok()) << path;
   }
@@ -564,17 +464,24 @@ TEST_F(PartitionedRenameTest, RenameSurvivesPartitionLeaderCrashMidCommit) {
     ASSERT_TRUE(
         service.Put(SampleMetadata("/dir/f" + std::to_string(i))).ok());
   }
-  // Crash the destination partition's view-0 leader while the rename is in
-  // flight: its in-flight imports/commit must survive the view change, and
-  // the client's retransmissions must not double-apply any of them.
-  const unsigned dst_partition = coord_.PartitionOf(RenameCommitKey("/moved"));
-  Status rename_status;
-  std::thread renamer(
-      [&] { rename_status = service.RenameSubtree("/dir", "/moved"); });
-  env_->Sleep(10 * kMillisecond);
+  // Crash the view-0 leader of the partition that holds the rename's
+  // commit marker (the destination prefix's own partition) as the rename
+  // starts: its imports, commit marker and retirement there must survive
+  // the view change, and the client's retransmissions must not double-apply
+  // any of them. Crashing first makes sure the rename meets the dead leader;
+  // a crash after its last command there would leave nothing to observe.
+  const unsigned dst_partition = coord_.PartitionOf(MetadataKey("/moved"));
   coord_.cluster(dst_partition).CrashReplica(0);
-  renamer.join();
+  const Status rename_status = service.RenameSubtree("/dir", "/moved");
   ASSERT_TRUE(rename_status.ok()) << rename_status.ToString();
+  // The replies that completed the rename came from the new view; wait (in
+  // real time) until a replica reports it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (coord_.cluster(dst_partition).current_view() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(coord_.cluster(dst_partition).current_view(), 1u);
   for (int i = 0; i < 6; ++i) {
     auto entry =

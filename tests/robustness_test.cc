@@ -287,6 +287,7 @@ TEST_F(DepSkyTimerTest, DeadlineExpiryCountsAndRecovers) {
 // ---------------------------------------------------------------------------
 
 TEST_F(DepSkyTimerTest, AnchoredReadWaitsForFastestCopyAndFastestHolders) {
+  UseSlowClock();
   UseLatencies(Spread());
   DepSkyConfig config;
   config.request_deadline = 60 * kSecond;

@@ -1152,37 +1152,6 @@ TEST_F(ScfsCocTest, AnchoredStorageAlgorithm) {
   EXPECT_EQ(*anchored.Read("obj"), v2);
 }
 
-TEST_F(ScfsCocTest, AnchoredStorageAsyncPipeline) {
-  // The async variants preserve the anchored order (SS write before CA
-  // publish, CA read before SS fetch) while letting callers overlap whole
-  // anchored operations: fan out writes to distinct ids, then read them all
-  // back through futures.
-  SingleCloudBackend backend(deployment_->cloud(0),
-                             CloudCredentials{"amazon-s3:alice"});
-  AnchorOptions anchor_options;
-  anchor_options.retry_delay = 10 * kMillisecond;
-  AnchoredStorage anchored(env_.get(), deployment_->coord(), "alice",
-                           &backend, anchor_options);
-  constexpr int kObjects = 6;
-  std::vector<Future<Status>> writes;
-  for (int i = 0; i < kObjects; ++i) {
-    Bytes value = ToBytes("async v" + std::to_string(i));
-    writes.push_back(anchored.WriteAsync("obj" + std::to_string(i), value));
-  }
-  for (auto& write : writes) {
-    EXPECT_TRUE(write.Get().ok());
-  }
-  std::vector<Future<Result<Bytes>>> reads;
-  for (int i = 0; i < kObjects; ++i) {
-    reads.push_back(anchored.ReadAsync("obj" + std::to_string(i)));
-  }
-  for (int i = 0; i < kObjects; ++i) {
-    Result<Bytes> value = reads[i].Get();
-    ASSERT_TRUE(value.ok()) << value.status().ToString();
-    EXPECT_EQ(ToString(*value), "async v" + std::to_string(i));
-  }
-}
-
 TEST_F(ScfsCocTest, AnchoredReadLoopsUntilVisible) {
   // Non-zero consistency window: the anchor hash is immediately current, but
   // the data appears only later; Read must spin, not return stale data.
@@ -1220,7 +1189,7 @@ TEST(ScfsPartitionedTest, CocDeploymentWithPartitionedCoordination) {
   options.coord_partitions = 4;
   auto deployment = Deployment::Create(env.get(), options);
   ASSERT_NE(deployment->partitioned_coord(), nullptr);
-  EXPECT_EQ(deployment->coord()->partition_count(), 4u);
+  EXPECT_EQ(deployment->partitioned_coord()->partition_count(), 4u);
 
   auto fs = deployment->Mount("alice", ScfsOptions{});
   ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -1232,7 +1201,7 @@ TEST(ScfsPartitionedTest, CocDeploymentWithPartitionedCoordination) {
   auto listed = (*fs)->ReadDir("/docs");
   ASSERT_TRUE(listed.ok());
   EXPECT_EQ(listed->size(), 2u);
-  // Rename rides the cross-partition intent-record protocol.
+  // Rename rides the plane's intent engine.
   ASSERT_TRUE((*fs)->Rename("/docs", "/papers").ok());
   EXPECT_EQ(ToString(*(*fs)->ReadFile("/papers/b.txt")), "beta");
   EXPECT_FALSE((*fs)->ReadFile("/docs/b.txt").ok());
@@ -1245,8 +1214,9 @@ TEST(ScfsPartitionedTest, WriterOpensTheVersionCurrentAtItsLock) {
   options.coord_partitions = 4;
   auto deployment = Deployment::Create(env.get(), options);
   // The lock and the entry it reads share a partition.
-  EXPECT_EQ(deployment->coord()->PartitionOf(LockKey("/f")),
-            deployment->coord()->PartitionOf(MetadataKey("/f")));
+  PartitionedCoordination* coord = deployment->partitioned_coord();
+  EXPECT_EQ(coord->PartitionOf(LockKey("/f")),
+            coord->PartitionOf(MetadataKey("/f")));
   ExpectNoLostAppend(deployment.get(), ScfsMode::kBlocking);
 }
 
@@ -1346,8 +1316,9 @@ TEST(ScfsReplicatedTest, UnlinkIsOneOrderedCommand) {
 TEST(ScfsPartitionedTest, UnlinkIsOneOrderedCommand) {
   ScaledCoc coc(4);
   // The guarded remove reads the lock on the entry's partition.
-  EXPECT_EQ(coc.deployment->coord()->PartitionOf(LockKey("/f")),
-            coc.deployment->coord()->PartitionOf(MetadataKey("/f")));
+  PartitionedCoordination* coord = coc.deployment->partitioned_coord();
+  EXPECT_EQ(coord->PartitionOf(LockKey("/f")),
+            coord->PartitionOf(MetadataKey("/f")));
   ExpectOneOrderedCommandPerUnlink(coc.deployment.get());
 }
 
