@@ -39,7 +39,8 @@ uint64_t Fnv1a64(const std::string& key) {
 
 // The intent engine's record keyspace. Entries under it are owned by the
 // coordination admin principal, so user ReadPrefix sweeps skip them (ACL
-// filtering) and user traffic can never collide with them.
+// filtering), and Submit refuses any other principal's command addressing
+// it, so every record under it is the engine's own.
 constexpr const char kElasticPrefix[] = "__elastic:";
 constexpr const char kIntentPrefix[] = "__elastic:intent:";
 constexpr const char kCommitPrefix[] = "__elastic:commit:";
@@ -56,6 +57,23 @@ std::string Hex64(uint64_t v) {
 
 bool StartsWith(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
+}
+
+// True if a command would touch the engine's reserved keyspace on behalf of
+// an ordinary principal. The replay trusts every record under it, so only
+// the admin may address it: by key, or through a rename whose new keys
+// (aux + suffix) can land in it, which they can iff aux starts with the
+// reserved prefix or is itself a prefix of it.
+bool TouchesReservedKeys(const CoordCommand& command) {
+  if (command.client == kCoordAdminPrincipal) {
+    return false;
+  }
+  if (StartsWith(command.key, kElasticPrefix)) {
+    return true;
+  }
+  return command.op == CoordOp::kRenamePrefix &&
+         (StartsWith(command.aux, kElasticPrefix) ||
+          std::string(kElasticPrefix).rfind(command.aux, 0) == 0);
 }
 
 // How many times a single-key command re-routes on a stale-map rejection
@@ -210,6 +228,11 @@ std::shared_ptr<const RouteMap> PartitionedCoordination::ClientRouteMap(
 
 Result<CoordReply> PartitionedCoordination::Submit(
     const CoordCommand& command) {
+  if (TouchesReservedKeys(command)) {
+    CoordReply refused;
+    refused.code = ErrorCode::kPermissionDenied;
+    return refused;
+  }
   switch (command.op) {
     case CoordOp::kReadPrefix:
     case CoordOp::kExportPrefix:
@@ -451,7 +474,7 @@ Bytes PartitionedCoordination::EncodeSpec(const MoveSpec& spec) {
 }
 
 bool PartitionedCoordination::DecodeSpec(ConstByteSpan payload,
-                                         MoveSpec* spec) {
+                                         MoveSpec* spec) const {
   ByteReader reader(payload);
   uint64_t src = 0;
   uint64_t dst = 0;
@@ -459,7 +482,8 @@ bool PartitionedCoordination::DecodeSpec(ConstByteSpan payload,
   if (!reader.ReadU64(&spec->begin) || !reader.ReadU64(&spec->end) ||
       !reader.ReadU64(&src) || !reader.ReadU64(&dst) ||
       !reader.ReadU64(&merge) || !reader.ReadString(&spec->from) ||
-      !reader.ReadString(&spec->to) || !reader.ReadString(&spec->principal)) {
+      !reader.ReadString(&spec->to) || !reader.ReadString(&spec->principal) ||
+      src >= partitions_.size() || dst >= partitions_.size()) {
     return false;
   }
   spec->src = static_cast<unsigned>(src);
@@ -603,10 +627,12 @@ Result<size_t> PartitionedCoordination::StartMove(const MoveSpec& spec) {
 
 Result<size_t> PartitionedCoordination::ResumeMove(const MoveSpec& spec) {
   const VirtualTime started = env_->Now();
-  // The move may have finished between the replay's scan and its claim.
+  // The move may have finished between the replay's scan and its claim,
+  // and a later move with the same id may have left a different intent:
+  // that one is the next replay's, not this stale spec's.
   ASSIGN_OR_RETURN(CoordReply intent,
                    AdminExecute(spec.src, CoordOp::kRead, IntentKey(spec)));
-  if (!intent.ok()) {
+  if (!intent.ok() || intent.value != EncodeSpec(spec)) {
     ReleaseFreeze(spec);
     return size_t{0};
   }
@@ -929,16 +955,25 @@ Status PartitionedCoordination::MergePartitions(unsigned src, unsigned dst) {
 Status PartitionedCoordination::ReplayIntents() {
   // Scan every partition for outstanding intents and roll each forward.
   // Records never migrate, so a move's intent is still on the partition
-  // that prepared it, spares included.
-  Status first = OkStatus();
+  // that prepared it, spares included. The scans run concurrently, one
+  // round in all; not through ScatterGather, whose merge would keep only
+  // one of two intents that share an id on different partitions.
+  std::vector<Future<Result<CoordReply>>> scans;
+  scans.reserve(partitions_.size());
   for (unsigned p = 0; p < partitions_.size(); ++p) {
-    ASSIGN_OR_RETURN(CoordReply intents,
-                     AdminExecute(p, CoordOp::kReadPrefix, kIntentPrefix));
-    RETURN_IF_ERROR(intents.ToStatus("intent replay scan"));
-    for (const auto& record : intents.entries) {
+    scans.push_back(SubmitTracked(&inflight_, [this, p] {
+      return AdminExecute(p, CoordOp::kReadPrefix, kIntentPrefix);
+    }));
+  }
+  std::vector<Result<CoordReply>> intents = WhenAll(std::move(scans)).Get();
+  Status first = OkStatus();
+  for (unsigned p = 0; p < intents.size(); ++p) {
+    RETURN_IF_ERROR(intents[p].status());
+    RETURN_IF_ERROR(intents[p]->ToStatus("intent replay scan"));
+    for (const auto& record : intents[p]->entries) {
       MoveSpec spec;
-      if (!DecodeSpec(record.value, &spec)) {
-        return CorruptionError("undecodable intent " + record.key);
+      if (!DecodeSpec(record.value, &spec) || spec.src != p) {
+        return CorruptionError("malformed intent " + record.key);
       }
       Status replayed = Move(spec, /*resume=*/true).status();
       if (replayed.code() == ErrorCode::kBusy ||

@@ -41,7 +41,9 @@
 //     prefix; with one partition it stays the atomic trigger. Lease
 //     revocations of the engine's commands reach holders through the
 //     on_revocation hook before the engine moves on, and ReplayIntents()
-//     rolls every crashed move forward.
+//     rolls every crashed move forward. The engine's records live under the
+//     reserved `__elastic:` keyspace, which only the admin principal may
+//     address: the replay trusts what it finds there.
 //   * Operations surface — StateDigest() combines the per-partition
 //     order-quorum digests deterministically, sorted by partition index, so
 //     operators can compare partitioned deployments across restarts exactly
@@ -299,7 +301,8 @@ class PartitionedCoordination : public CoordinationService {
   // move's leftover with the same id shows up as kAlreadyExists.
   Status PrepareMove(const MoveSpec& spec,
                      const Result<std::vector<CoordEntryView>>& moved);
-  // Replay: check the records, select what is left, finish.
+  // Replay: check that the intent is still `spec`'s, select what is left,
+  // finish.
   Result<size_t> ResumeMove(const MoveSpec& spec);
   // Import, commit marker, a migration's route change, retire.
   Result<size_t> FinishMove(const MoveSpec& spec,
@@ -338,7 +341,8 @@ class PartitionedCoordination : public CoordinationService {
   static std::string IntentKey(const MoveSpec& spec);
   static std::string CommitKey(const MoveSpec& spec);
   static Bytes EncodeSpec(const MoveSpec& spec);
-  static bool DecodeSpec(ConstByteSpan payload, MoveSpec* spec);
+  // False for a malformed payload or one naming a partition out of range.
+  bool DecodeSpec(ConstByteSpan payload, MoveSpec* spec) const;
   static bool HashInRange(uint64_t hash, const MoveSpec& spec);
   // Same migration: range, source and destination.
   static bool SameRange(const MoveSpec& a, const MoveSpec& b);

@@ -1774,6 +1774,75 @@ TEST(PartitionedCoordinationTest, RenameRollsForwardACrashedRenameOfItsSource) {
   ExpectNoEngineRecords(&coord);
 }
 
+// A rename intent as the engine encodes it (begin, end, src, dst, merge,
+// from, to, principal), for forging one.
+Bytes RenameIntentPayload(const std::string& from, const std::string& to,
+                          const std::string& principal, unsigned src,
+                          unsigned dst) {
+  Bytes out;
+  for (uint64_t field : {uint64_t{0}, uint64_t{0}, uint64_t{src},
+                         uint64_t{dst}, uint64_t{0}}) {
+    AppendU64(&out, field);
+  }
+  AppendString(&out, from);
+  AppendString(&out, to);
+  AppendString(&out, principal);
+  return out;
+}
+
+// The replay runs whatever intent it finds, as the principal the intent
+// names, so the engine's keyspace is the admin's alone. Mallory can neither
+// write a forged rename of bob's subtree under it, directly or by renaming
+// her own entries into it, and the replay leaves bob's entries alone. An
+// intent naming a partition the plane does not have is refused, not
+// indexed.
+TEST(PartitionedCoordinationTest, OnlyTheAdminAddressesTheEngineKeyspace) {
+  auto env = Environment::Scaled(1e-3);
+  PartitionedCoordination coord(env.get(), FastPartitionedConfig(4));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        coord.Write("bob", "m:/bob/" + std::to_string(i) + "/", ToBytes("v"))
+            .ok());
+  }
+  const std::string intent = "__elastic:intent:rename:m:/bob/";
+  const Bytes forged =
+      RenameIntentPayload("m:/bob/", "m:/mallory/", "bob",
+                          coord.PartitionOf(intent), coord.PartitionOf(intent));
+  EXPECT_EQ(coord.Write("mallory", intent, forged).code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_EQ(coord.ConditionalCreate("mallory", intent, forged).code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_EQ(coord.Read("mallory", intent).status().code(),
+            ErrorCode::kPermissionDenied);
+  // Her own entry would land on the intent's key under the new prefix "__".
+  ASSERT_TRUE(coord.Write("mallory", "m:/mal/elastic:intent:rename:m:/bob/",
+                          forged)
+                  .ok());
+  for (const char* to : {"__", "", "__elastic:intent:"}) {
+    EXPECT_EQ(coord.RenamePrefix("mallory", "m:/mal/", to).code(),
+              ErrorCode::kPermissionDenied)
+        << to;
+  }
+  ExpectNoEngineRecords(&coord);
+  ASSERT_TRUE(coord.ReplayIntents().ok());
+  auto bobs = coord.ReadPrefix("bob", "m:/bob/");
+  ASSERT_TRUE(bobs.ok());
+  ASSERT_EQ(bobs->size(), 8u);
+  for (const auto& entry : *bobs) {
+    EXPECT_EQ(entry.version, 1u) << entry.key;
+  }
+  EXPECT_TRUE(coord.ReadPrefix("bob", "m:/mallory/")->empty());
+
+  // Even the admin's own record cannot steer the replay off the plane.
+  ASSERT_TRUE(coord
+                  .Write(kCoordAdminPrincipal, intent,
+                         RenameIntentPayload("m:/bob/", "m:/x/", "bob",
+                                             coord.PartitionOf(intent), 99))
+                  .ok());
+  EXPECT_EQ(coord.ReplayIntents().code(), ErrorCode::kCorruption);
+  EXPECT_EQ(coord.ReadPrefix("bob", "m:/bob/")->size(), 8u);
+}
+
 TEST(ElasticPartitionTest, ManualSplitMovesRangeExactlyOnce) {
   auto env = Environment::Scaled(1e-3);
   PartitionedCoordination coord(env.get(), ElasticConfig(2, 1));

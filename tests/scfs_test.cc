@@ -1207,6 +1207,53 @@ TEST(ScfsPartitionedTest, CocDeploymentWithPartitionedCoordination) {
   EXPECT_FALSE((*fs)->ReadFile("/docs/b.txt").ok());
 }
 
+// A mount finishes a rename that a crashed process left half done, before
+// it serves metadata: the subtree converges to the destination and no
+// intent-engine record survives.
+TEST(ScfsPartitionedTest, MountRollsACrashedRenameForward) {
+  auto env = Environment::Scaled(1e-3);
+  DeploymentOptions options;
+  options.backend = ScfsBackendKind::kCoc;
+  options.coord_partitions = 4;
+  auto deployment = Deployment::Create(env.get(), options);
+  PartitionedCoordination* coord = deployment->partitioned_coord();
+  ASSERT_NE(coord, nullptr);
+
+  auto crashed = deployment->Mount("alice", ScfsOptions{});
+  ASSERT_TRUE(crashed.ok()) << crashed.status().ToString();
+  ASSERT_TRUE((*crashed)->Mkdir("/docs").ok());
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE((*crashed)
+                    ->WriteFile("/docs/f" + std::to_string(i),
+                                ToBytes("v" + std::to_string(i)))
+                    .ok());
+  }
+  coord->set_move_crash_point(
+      PartitionedCoordination::MoveCrashPoint::kMidImport);
+  EXPECT_FALSE((*crashed)->Rename("/docs", "/papers").ok());
+
+  auto fs = deployment->Mount("alice", ScfsOptions{});
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "/f" + std::to_string(i);
+    auto moved = (*fs)->ReadFile("/papers" + name);
+    ASSERT_TRUE(moved.ok()) << name << ": " << moved.status().ToString();
+    EXPECT_EQ(ToString(*moved), "v" + std::to_string(i));
+    EXPECT_EQ((*fs)->Stat("/docs" + name).status().code(),
+              ErrorCode::kNotFound);
+  }
+  auto listed = (*fs)->ReadDir("/papers");
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(listed->size(), 6u);
+  CoordCommand scan;
+  scan.op = CoordOp::kReadPrefix;
+  scan.client = kCoordAdminPrincipal;
+  scan.key = "__elastic:";
+  auto records = coord->Submit(scan);
+  ASSERT_TRUE(records.ok());
+  EXPECT_TRUE(records->entries.empty());
+}
+
 TEST(ScfsPartitionedTest, WriterOpensTheVersionCurrentAtItsLock) {
   auto env = Environment::Scaled(1e-3);
   DeploymentOptions options;
