@@ -161,18 +161,18 @@ void RunCloseBurst(Environment* env) {
 // ---------------------------------------------------------------------------
 
 void RunDepSky(Environment* env) {
-  // The four storage clouds of the paper's CoC deployment, with their
-  // distinct wide-area latencies — what makes quorum waits pay off.
-  std::vector<ProviderId> providers = {
-      ProviderId::kAmazonS3, ProviderId::kGoogleStorage,
-      ProviderId::kAzureBlob, ProviderId::kRackspaceFiles};
+  // The four storage clouds of the paper's CoC deployment, cheapest first,
+  // with their distinct wide-area latencies — what makes quorum waits pay
+  // off.
+  const std::vector<CloudProfile> profiles = CocStorageProfiles();
 
   auto run = [&](bool use_async, double* write_ms, double* read_ms) {
     std::vector<std::unique_ptr<SimulatedCloud>> clouds;
     std::vector<std::unique_ptr<SyncOnlyStore>> wrappers;
     std::vector<DepSkyCloud> depsky_clouds;
-    for (size_t i = 0; i < providers.size(); ++i) {
-      clouds.push_back(MakeCloud(providers[i], env, 1000 + i));
+    for (size_t i = 0; i < profiles.size(); ++i) {
+      clouds.push_back(
+          std::make_unique<SimulatedCloud>(profiles[i], env, 1000 + i));
       DepSkyCloud entry;
       if (use_async) {
         entry.store = clouds.back().get();

@@ -1,5 +1,8 @@
 #include "src/cloud/providers.h"
 
+#include <algorithm>
+#include <tuple>
+
 namespace scfs {
 
 CloudProfile ProviderProfile(ProviderId id) {
@@ -48,10 +51,22 @@ CloudProfile ProviderProfile(ProviderId id) {
 }
 
 std::vector<CloudProfile> CocStorageProfiles() {
-  return {ProviderProfile(ProviderId::kAmazonS3),
-          ProviderProfile(ProviderId::kGoogleStorage),
-          ProviderProfile(ProviderId::kAzureBlob),
-          ProviderProfile(ProviderId::kRackspaceFiles)};
+  std::vector<CloudProfile> profiles = {
+      ProviderProfile(ProviderId::kAmazonS3),
+      ProviderProfile(ProviderId::kGoogleStorage),
+      ProviderProfile(ProviderId::kAzureBlob),
+      ProviderProfile(ProviderId::kRackspaceFiles)};
+  // DepSky's preferred quorum is the first n-f clouds of this list, so the
+  // list is the cost order: by PUT price (every shard is a PUT on a
+  // preferred cloud), then by GET price (a read gets k of those shards).
+  auto request_prices = [](const CloudProfile& p) {
+    return std::tie(p.prices.put_per_10k, p.prices.get_per_10k);
+  };
+  std::stable_sort(profiles.begin(), profiles.end(),
+                   [&](const CloudProfile& a, const CloudProfile& b) {
+                     return request_prices(a) < request_prices(b);
+                   });
+  return profiles;
 }
 
 std::unique_ptr<SimulatedCloud> MakeCloud(ProviderId id, Environment* env,

@@ -25,8 +25,9 @@ enum class ProviderId {
 // Storage profile for one provider, as observed from the paper's cluster.
 CloudProfile ProviderProfile(ProviderId id);
 
-// All four storage providers of the CoC backend, in DepSky order
-// {S3, GCS, Azure, Rackspace}.
+// All four storage providers of the CoC backend, cheapest first by request
+// price (PUT, then GET): {Rackspace, Azure, S3, GCS}. DepSky takes its list
+// in cost order, so its preferred quorum is the first n-f of these.
 std::vector<CloudProfile> CocStorageProfiles();
 
 // Creates a simulated cloud for the given provider.

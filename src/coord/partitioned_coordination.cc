@@ -736,23 +736,26 @@ Result<std::vector<CoordEntryView>> PartitionedCoordination::SelectSource(
 Status PartitionedCoordination::RunDataCommands(
     const MoveSpec& spec, CoordOp op, const std::vector<CoordEntryView>& entries,
     size_t count) {
-  std::vector<Future<Result<CoordReply>>> rounds;
-  rounds.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const CoordEntryView* entry = &entries[i];
-    rounds.push_back(SubmitTracked(&inflight_, [this, &spec, op, entry] {
-      return MoveCommand(spec, op, *entry);
+  // Each lane runs every lanes-th entry in turn: lanes commands stay in
+  // flight, and the join is charged the longest lane.
+  const size_t lanes = std::min<size_t>(count, kMoveWindow);
+  std::vector<Future<Status>> runs;
+  runs.reserve(lanes);
+  for (size_t lane = 0; lane < lanes; ++lane) {
+    runs.push_back(SubmitTracked(&inflight_, [&, lane]() -> Status {
+      for (size_t i = lane; i < count; i += lanes) {
+        ASSIGN_OR_RETURN(CoordReply reply, MoveCommand(spec, op, entries[i]));
+        if (!reply.ok() &&
+            !(op == CoordOp::kRemove && reply.code == ErrorCode::kNotFound)) {
+          return reply.ToStatus(op == CoordOp::kRemove ? "move retire"
+                                                       : "move import");
+        }
+      }
+      return OkStatus();
     }));
   }
-  for (auto& result : WhenAll(std::move(rounds)).Get()) {
-    if (!result.ok()) {
-      return result.status();
-    }
-    if (!result->ok() &&
-        !(op == CoordOp::kRemove && result->code == ErrorCode::kNotFound)) {
-      return result->ToStatus(op == CoordOp::kRemove ? "move retire"
-                                                     : "move import");
-    }
+  for (const Status& status : WhenAll(std::move(runs)).Get()) {
+    RETURN_IF_ERROR(status);
   }
   return OkStatus();
 }

@@ -187,6 +187,11 @@ struct ElasticCounters {
 
 class PartitionedCoordination : public CoordinationService {
  public:
+  // Data commands one move (a migration or a rename) keeps in flight, one
+  // executor task each: a full PROPOSE at SmrConfig's default max_batch,
+  // and however large the move, a bounded number of threads.
+  static constexpr unsigned kMoveWindow = 64;
+
   PartitionedCoordination(Environment* env,
                           PartitionedCoordinationConfig config,
                           uint64_t seed = 29);
@@ -313,7 +318,8 @@ class PartitionedCoordination : public CoordinationService {
   // scatter export of `from` as its principal.
   Result<std::vector<CoordEntryView>> SelectSource(const MoveSpec& spec);
   // Runs `op` (an import or a remove) for the first `count` entries
-  // concurrently: distinct keys commute. A remove tolerates kNotFound.
+  // concurrently, kMoveWindow at a time: distinct keys commute. A remove
+  // tolerates kNotFound.
   Status RunDataCommands(const MoveSpec& spec, CoordOp op,
                          const std::vector<CoordEntryView>& entries,
                          size_t count);

@@ -310,6 +310,20 @@ TEST(ProvidersTest, AllProfilesDistinctAndPriced) {
   EXPECT_EQ(names.size(), 4u);
 }
 
+TEST(ProvidersTest, CocStorageProfilesAreCheapestFirst) {
+  // DepSky's preferred quorum is the first n-f clouds of this list.
+  auto profiles = CocStorageProfiles();
+  ASSERT_EQ(profiles.size(), 4u);
+  for (size_t i = 1; i < profiles.size(); ++i) {
+    const PriceBook& prev = profiles[i - 1].prices;
+    const PriceBook& next = profiles[i].prices;
+    EXPECT_TRUE(prev.put_per_10k < next.put_per_10k ||
+                (prev.put_per_10k == next.put_per_10k &&
+                 prev.get_per_10k <= next.get_per_10k))
+        << profiles[i - 1].name << " listed before " << profiles[i].name;
+  }
+}
+
 TEST(ProvidersTest, CoordinationVmPricing) {
   // Figure 11a: 1 EC2 Large = $6.24/day; CoC Large ~= $39.6/day.
   EXPECT_DOUBLE_EQ(CoordinationVmPricePerDay(0, false), 6.24);

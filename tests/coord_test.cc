@@ -1040,6 +1040,7 @@ TEST(SmrClusterTest, BatchedOrderingSurvivesLeaderCrashMidBatch) {
   constexpr int kThreads = 4;
   constexpr int kOps = 10;
   std::atomic<int> failures{0};
+  std::atomic<int> first_writes_acked{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -1048,15 +1049,20 @@ TEST(SmrClusterTest, BatchedOrderingSurvivesLeaderCrashMidBatch) {
         if (!coord.Write("c" + std::to_string(t), key, ToBytes("x")).ok()) {
           failures.fetch_add(1);
         }
+        // Crash the view-0 leader once every writer's first write is
+        // acknowledged, from the writer whose ack completes the count: the
+        // other writers' next batches are in flight, and this writer's
+        // remaining writes can only meet the dead leader, so a view change
+        // must happen however the threads are scheduled. The view-change
+        // votes carry the followers' accepted proposals; the new leader
+        // adopts them, so in-flight batches commit under the new view
+        // without reordering or re-execution.
+        if (i == 0 && first_writes_acked.fetch_add(1) + 1 == kThreads) {
+          coord.cluster().CrashReplica(0);
+        }
       }
     });
   }
-  // Crash the view-0 leader while batches are in flight. The view-change
-  // votes carry the followers' accepted proposals; the new leader adopts
-  // them, so in-flight batches commit under the new view without
-  // reordering or re-execution.
-  env->Sleep(20 * kMillisecond);
-  coord.cluster().CrashReplica(0);
   for (auto& thread : threads) {
     thread.join();
   }
@@ -1743,6 +1749,32 @@ TEST(PartitionedCoordinationTest, RenamePrefixMovesAcrossPartitions) {
   auto moved = coord.ReadPrefix("alice", "m:/e/");
   ASSERT_TRUE(moved.ok());
   EXPECT_EQ(moved->size(), 8u);
+  ExpectNoEngineRecords(&coord);
+}
+
+// A move keeps at most kMoveWindow commands in flight, one executor task
+// each, however many entries it moves: without the bound a 200-entry rename
+// grew the process-wide executor by about one thread per entry. (The
+// executor's high-water mark is shared by the whole binary, so the bound
+// shows best with this test run alone.)
+TEST(PartitionedCoordinationTest, MoveFanOutIsBoundedByTheMoveWindow) {
+  auto env = Environment::Scaled(1e-3);
+  PartitionedCoordinationConfig config = FastPartitionedConfig(4);
+  PartitionedCoordination coord(env.get(), config);
+  constexpr int kEntries = 200;
+  for (int i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(
+        coord.Write("alice", "m:/big/" + std::to_string(i), ToBytes("v")).ok());
+  }
+  const size_t threads_before = DefaultExecutor().thread_count();
+  ASSERT_TRUE(coord.RenamePrefix("alice", "m:/big/", "m:/moved/").ok());
+  // The window, plus the scatter export's one task per partition.
+  EXPECT_LE(DefaultExecutor().thread_count() - threads_before,
+            PartitionedCoordination::kMoveWindow + config.partitions);
+  auto moved = coord.ReadPrefix("alice", "m:/moved/");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->size(), static_cast<size_t>(kEntries));
+  EXPECT_TRUE(coord.ReadPrefix("alice", "m:/big/")->empty());
   ExpectNoEngineRecords(&coord);
 }
 

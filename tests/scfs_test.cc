@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 
 #include "src/cloud/simulated_cloud.h"
@@ -981,6 +982,51 @@ std::string HashOf(const std::string& text) {
   return HexEncode(Sha1::Hash(ToBytes(text)));
 }
 
+TEST_F(ScfsCocTest, ShardsLiveOnTheCheapestCloudsAndColdReadsGetThere) {
+  auto writer = MountAgent();
+  Bytes data(5000, 6);
+  ASSERT_TRUE(writer->WriteFile("/f", data).ok());
+  ASSERT_TRUE(writer->SyncBarrier().ok());
+  // The preferred quorum is the n-f = 3 cheapest clouds; the priciest one,
+  // google-storage, is the spare and holds only DepSky metadata.
+  std::map<std::string, SimulatedCloud*> clouds;
+  auto gets = [](SimulatedCloud* cloud) {
+    cloud->Quiesce();
+    return cloud->costs().GrandTotals().gets;
+  };
+  for (unsigned i = 0; i < deployment_->cloud_count(); ++i) {
+    SimulatedCloud* cloud = deployment_->cloud(i);
+    cloud->Quiesce();
+    clouds[cloud->provider_name()] = cloud;
+    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/");
+    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+    size_t shards = 0;
+    for (const ObjectInfo& object : *listed) {
+      shards += object.key.find("/o") != std::string::npos;
+    }
+    EXPECT_EQ(shards, cloud->provider_name() == "google-storage" ? 0u : 1u)
+        << cloud->provider_name();
+  }
+  ASSERT_EQ(clouds.size(), 4u);
+
+  // A fresh agent has no latency samples, so its k = 2 shard GETs go to the
+  // first holders in cost order: rackspace-files and azure-blob.
+  auto reader = MountAgent();
+  std::map<std::string, uint64_t> gets_before;
+  for (const auto& [name, cloud] : clouds) {
+    gets_before[name] = gets(cloud);
+  }
+  auto read = reader->ReadFile("/f");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  const std::map<std::string, uint64_t> expected = {
+      {"rackspace-files", 1}, {"azure-blob", 1},
+      {"amazon-s3", 0}, {"google-storage", 0}};
+  for (const auto& [name, cloud] : clouds) {
+    EXPECT_EQ(gets(cloud) - gets_before[name], expected.at(name)) << name;
+  }
+}
+
 TEST_F(ScfsCocTest, CloseWhoseLockExpiredConflictsAndWritesNoMetadata) {
   auto late = MountAgent();
   auto other = MountAgent();
@@ -1138,8 +1184,9 @@ TEST_F(ScfsCocTest, SurvivesCloudCorruption) {
 
 TEST_F(ScfsCocTest, AnchoredStorageAlgorithm) {
   // The decoupled Figure 3 algorithm over the real substrates.
-  SingleCloudBackend backend(deployment_->cloud(0),
-                             CloudCredentials{"amazon-s3:alice"});
+  SimulatedCloud* cloud = deployment_->cloud(0);
+  SingleCloudBackend backend(
+      cloud, CloudCredentials{cloud->provider_name() + ":alice"});
   AnchorOptions anchor_options;
   anchor_options.retry_delay = 10 * kMillisecond;
   AnchoredStorage anchored(env_.get(), deployment_->coord(), "alice",
