@@ -257,8 +257,14 @@ Result<CoordReply> PartitionedCoordination::Submit(
 
 Result<CoordReply> PartitionedCoordination::RoutedExecute(
     const CoordCommand& command) {
-  const uint64_t hash = PartitionRoutingHash(command.key);
   CoordCommand cmd = command;
+  ASSIGN_OR_RETURN(unsigned target, Route(&cmd));
+  return partitions_[target]->Execute(cmd);
+}
+
+Result<unsigned> PartitionedCoordination::Route(CoordCommand* command) {
+  CoordCommand& cmd = *command;
+  const uint64_t hash = PartitionRoutingHash(cmd.key);
   bool counted_stall = false;
   VirtualTime stall_deadline = -1;
   int retries = 0;
@@ -308,7 +314,7 @@ Result<CoordReply> PartitionedCoordination::RoutedExecute(
       }
       continue;
     }
-    return partitions_[target]->Execute(cmd);
+    return target;
   }
 }
 
@@ -736,32 +742,60 @@ Result<std::vector<CoordEntryView>> PartitionedCoordination::SelectSource(
 Status PartitionedCoordination::RunDataCommands(
     const MoveSpec& spec, CoordOp op, const std::vector<CoordEntryView>& entries,
     size_t count) {
-  // Each lane runs every lanes-th entry in turn: lanes commands stay in
-  // flight, and the join is charged the longest lane.
-  const size_t lanes = std::min<size_t>(count, kMoveWindow);
-  std::vector<Future<Status>> runs;
-  runs.reserve(lanes);
-  for (size_t lane = 0; lane < lanes; ++lane) {
-    runs.push_back(SubmitTracked(&inflight_, [&, lane]() -> Status {
-      for (size_t i = lane; i < count; i += lanes) {
-        ASSIGN_OR_RETURN(CoordReply reply, MoveCommand(spec, op, entries[i]));
-        if (!reply.ok() &&
-            !(op == CoordOp::kRemove && reply.code == ErrorCode::kNotFound)) {
-          return reply.ToStatus(op == CoordOp::kRemove ? "move retire"
-                                                       : "move import");
-        }
-      }
-      return OkStatus();
+  // Group the commands by the partition that executes them. A rename's are
+  // its principal's own, routed like any other (stalling on a migrating
+  // range) and checked against its ACLs. A migration addresses its source
+  // and destination directly: mid-migration they disagree with the map by
+  // construction.
+  std::map<unsigned, std::vector<CoordCommand>> batches;
+  for (size_t i = 0; i < count; ++i) {
+    CoordCommand cmd = MoveCommand(spec, op, entries[i]);
+    unsigned target = op == CoordOp::kImportEntry ? spec.dst : spec.src;
+    if (spec.is_rename()) {
+      ASSIGN_OR_RETURN(target, Route(&cmd));
+    }
+    batches[target].push_back(std::move(cmd));
+  }
+  // One pipelined batch per partition, the partitions concurrently: a move
+  // takes one executor task per partition it touches, however many entries
+  // it moves, and is charged the slowest partition's batch.
+  std::vector<Future<std::vector<Result<CoordReply>>>> rounds;
+  rounds.reserve(batches.size());
+  for (const auto& [partition, commands] : batches) {
+    SmrCluster* cluster = partitions_[partition].get();
+    rounds.push_back(SubmitTracked(&inflight_, [cluster, &commands] {
+      return cluster->ExecuteBatch(commands);
     }));
   }
-  for (const Status& status : WhenAll(std::move(runs)).Get()) {
-    RETURN_IF_ERROR(status);
+  // Every executed command's revocations go out before the first failure
+  // is reported.
+  Status first_failure = OkStatus();
+  for (const auto& replies : WhenAll(std::move(rounds)).Get()) {
+    for (const auto& reply : replies) {
+      Status status = OkStatus();
+      if (!reply.ok()) {
+        status = reply.status();
+      } else {
+        if (!reply->revoked.empty() && config_.on_revocation) {
+          config_.on_revocation(reply->revoked);
+        }
+        if (!reply->ok() &&
+            !(op == CoordOp::kRemove && reply->code == ErrorCode::kNotFound)) {
+          status = reply->ToStatus(op == CoordOp::kRemove ? "move retire"
+                                                          : "move import");
+        }
+      }
+      if (first_failure.ok()) {
+        first_failure = std::move(status);
+      }
+    }
   }
-  return OkStatus();
+  return first_failure;
 }
 
-Result<CoordReply> PartitionedCoordination::MoveCommand(
-    const MoveSpec& spec, CoordOp op, const CoordEntryView& entry) {
+CoordCommand PartitionedCoordination::MoveCommand(const MoveSpec& spec,
+                                                  CoordOp op,
+                                                  const CoordEntryView& entry) {
   CoordCommand cmd;
   cmd.op = op;
   cmd.key = entry.key;
@@ -771,20 +805,8 @@ Result<CoordReply> PartitionedCoordination::MoveCommand(
       cmd.key = spec.to + entry.key.substr(spec.from.size());
     }
   }
-  // A rename's commands are its principal's own, routed like any other
-  // (stalling on a migrating range) and checked against its ACLs. A
-  // migration addresses its source and destination directly: mid-migration
-  // they disagree with the map by construction.
   cmd.client = spec.is_rename() ? spec.principal : kCoordAdminPrincipal;
-  Result<CoordReply> reply =
-      spec.is_rename()
-          ? RoutedExecute(cmd)
-          : partitions_[op == CoordOp::kImportEntry ? spec.dst : spec.src]
-                ->Execute(cmd);
-  if (reply.ok() && !reply->revoked.empty() && config_.on_revocation) {
-    config_.on_revocation(reply->revoked);
-  }
-  return reply;
+  return cmd;
 }
 
 Status PartitionedCoordination::RetireRecords(const MoveSpec& spec) {

@@ -187,11 +187,6 @@ struct ElasticCounters {
 
 class PartitionedCoordination : public CoordinationService {
  public:
-  // Data commands one move (a migration or a rename) keeps in flight, one
-  // executor task each: a full PROPOSE at SmrConfig's default max_batch,
-  // and however large the move, a bounded number of threads.
-  static constexpr unsigned kMoveWindow = 64;
-
   PartitionedCoordination(Environment* env,
                           PartitionedCoordinationConfig config,
                           uint64_t seed = 29);
@@ -280,6 +275,10 @@ class PartitionedCoordination : public CoordinationService {
   // Single-key commands: route with the submitter's cached map, enforce the
   // authoritative map at the partition boundary, retry on rejection.
   Result<CoordReply> RoutedExecute(const CoordCommand& command);
+  // RoutedExecute's routing half: stalls while the key's range is frozen,
+  // retries on rejection, and returns the partition that executes the
+  // command (tagged with the route epoch it was sent under).
+  Result<unsigned> Route(CoordCommand* command);
   // Fan a prefix command out to every partition, merge entries by key
   // (current owner wins on duplicates).
   Result<CoordReply> ScatterGather(const CoordCommand& command);
@@ -318,16 +317,16 @@ class PartitionedCoordination : public CoordinationService {
   // scatter export of `from` as its principal.
   Result<std::vector<CoordEntryView>> SelectSource(const MoveSpec& spec);
   // Runs `op` (an import or a remove) for the first `count` entries
-  // concurrently, kMoveWindow at a time: distinct keys commute. A remove
-  // tolerates kNotFound.
+  // concurrently, one SmrCluster::ExecuteBatch per partition: distinct keys
+  // commute. Every reply's revocations reach the on_revocation hook before
+  // it returns. A remove tolerates kNotFound.
   Status RunDataCommands(const MoveSpec& spec, CoordOp op,
                          const std::vector<CoordEntryView>& entries,
                          size_t count);
-  // One data command: a migration's on its partition as the admin, a
-  // rename's routed by key as its principal. The reply's revocations reach
-  // the on_revocation hook before it returns.
-  Result<CoordReply> MoveCommand(const MoveSpec& spec, CoordOp op,
-                                 const CoordEntryView& entry);
+  // One data command: a migration's as the admin, a rename's as its
+  // principal with the new prefix substituted.
+  static CoordCommand MoveCommand(const MoveSpec& spec, CoordOp op,
+                                  const CoordEntryView& entry);
   // Removes the commit marker, then the intent (the replay trigger goes
   // last); a record already gone is fine.
   Status RetireRecords(const MoveSpec& spec);

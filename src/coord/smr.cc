@@ -461,33 +461,23 @@ Result<CoordReply> SmrCluster::Execute(const CoordCommand& command) {
     }
   }
 
-  const uint64_t request_id = next_request_id_.fetch_add(1);
-  auto queue = std::make_shared<DelayedQueue<SmrMessage>>(env_);
-  {
-    std::lock_guard<std::mutex> lock(clients_mu_);
-    client_queues_[request_id] = queue;
+  std::vector<OrderedRequest> requests(1);
+  requests[0].payload = std::move(encoded);
+  requests[0].needed_matching = NeededMatching(command);
+  return std::move(ExecuteOrdered(std::move(requests)).front());
+}
+
+std::vector<Result<CoordReply>> SmrCluster::ExecuteBatch(
+    const std::vector<CoordCommand>& commands) {
+  std::vector<OrderedRequest> requests(commands.size());
+  for (size_t i = 0; i < commands.size(); ++i) {
+    requests[i].payload = commands[i].Encode();
+    requests[i].needed_matching = NeededMatching(commands[i]);
   }
+  return ExecuteOrdered(std::move(requests));
+}
 
-  SmrMessage request;
-  request.type = SmrMessage::Type::kRequest;
-  request.from = -1;
-  request.request_id = request_id;
-  request.payload = std::move(encoded);
-
-  auto broadcast_request = [&] {
-    client_request_msgs_.fetch_add(replicas_.size(),
-                                   std::memory_order_relaxed);
-    for (unsigned i = 0; i < replicas_.size(); ++i) {
-      VirtualDuration delay;
-      {
-        std::lock_guard<std::mutex> lock(rng_mu_);
-        delay = ClientLink(i).Sample(client_rng_, request.payload.size());
-      }
-      replicas_[i]->inbox.Push(request, env_->Now() + delay);
-    }
-  };
-  broadcast_request();
-
+unsigned SmrCluster::NeededMatching(const CoordCommand& command) const {
   // With the read fast path enabled, a mutating command is acknowledged
   // only once an order-quorum of replicas replies with matching results —
   // the executed set of every acked write then intersects any fast-read
@@ -496,69 +486,150 @@ Result<CoordReply> SmrCluster::Execute(const CoordCommand& command) {
   // reads with the fast path disabled) keep the cheap reply quorum: they
   // create no state a later fast read must observe, and f+1 matching
   // replies already vouch for the linearized result.
-  const unsigned needed_matching =
-      (config_.enable_read_fast_path && !command.is_read_only())
-          ? config_.order_quorum()
-          : config_.reply_quorum();
-  // replica -> (reply payload, committed-frontier tag)
-  std::map<int, std::pair<Bytes, uint64_t>> replies;
+  return (config_.enable_read_fast_path && !command.is_read_only())
+             ? config_.order_quorum()
+             : config_.reply_quorum();
+}
+
+std::vector<Result<CoordReply>> SmrCluster::ExecuteOrdered(
+    std::vector<OrderedRequest> requests) {
+  const size_t n = requests.size();
+  std::vector<Result<CoordReply>> results(
+      n, UnavailableError("smr cluster shut down"));
+  if (n == 0 || shutdown_.load()) {
+    return results;
+  }
+  // One reply queue and a contiguous block of request ids for the batch.
+  const uint64_t first_id = next_request_id_.fetch_add(n);
+  auto queue = std::make_shared<DelayedQueue<SmrMessage>>(env_);
+  std::vector<SmrMessage> messages(n);
+  for (size_t i = 0; i < n; ++i) {
+    messages[i].type = SmrMessage::Type::kRequest;
+    messages[i].from = -1;
+    messages[i].request_id = first_id + i;
+    messages[i].payload = std::move(requests[i].payload);
+  }
+  auto broadcast = [&](size_t i) {
+    client_request_msgs_.fetch_add(replicas_.size(),
+                                   std::memory_order_relaxed);
+    for (unsigned r = 0; r < replicas_.size(); ++r) {
+      VirtualDuration delay;
+      {
+        std::lock_guard<std::mutex> lock(rng_mu_);
+        delay = ClientLink(r).Sample(client_rng_, messages[i].payload.size());
+      }
+      replicas_[r]->inbox.Push(messages[i], env_->Now() + delay);
+    }
+  };
+  // Outstanding requests, kMaxOrderedInFlight at most: each completion
+  // launches the next. A slot's requests run back to back, so the charge is
+  // the busiest slot's sum of modelled rounds (one round when the whole
+  // batch fits the window).
+  struct Slot {
+    size_t request;
+    VirtualDuration charged;
+  };
+  std::vector<Slot> slots;
+  size_t next = 0;
+  size_t done = 0;
+  std::vector<bool> finished(n, false);
+  // replica -> (reply payload, committed-frontier tag), per request.
+  std::vector<std::map<int, std::pair<Bytes, uint64_t>>> replies(n);
+  auto launch = [&](VirtualDuration charged) {
+    {
+      std::lock_guard<std::mutex> lock(clients_mu_);
+      client_queues_[first_id + next] = queue;
+    }
+    broadcast(next);
+    slots.push_back({next++, charged});
+  };
+  while (next < n && slots.size() < kMaxOrderedInFlight) {
+    launch(0);
+  }
+  auto forget = [&](size_t i) {
+    std::lock_guard<std::mutex> lock(clients_mu_);
+    client_queues_.erase(first_id + i);
+  };
+  VirtualDuration charged = 0;
   int retries = 0;
-  for (;;) {
+  while (done < n) {
     auto msg = queue->PopFor(config_.client_timeout);
     if (shutdown_.load()) {
-      return UnavailableError("smr cluster shut down");
+      return results;
     }
     if (!msg.has_value()) {
       if (++retries > config_.max_client_retries) {
-        std::lock_guard<std::mutex> lock(clients_mu_);
-        client_queues_.erase(request_id);
-        return UnavailableError("coordination service not responding");
+        for (const Slot& slot : slots) {
+          forget(slot.request);
+          results[slot.request] =
+              UnavailableError("coordination service not responding");
+        }
+        for (size_t i = next; i < n; ++i) {
+          results[i] = UnavailableError("coordination service not responding");
+        }
+        break;
       }
-      broadcast_request();
+      for (const Slot& slot : slots) {
+        broadcast(slot.request);
+      }
       continue;
     }
     if (msg->type != SmrMessage::Type::kReply ||
-        msg->request_id != request_id) {
+        msg->request_id < first_id || msg->request_id - first_id >= n ||
+        finished[msg->request_id - first_id]) {
       continue;
     }
-    replies[msg->from] = {msg->payload, msg->seq};
+    const size_t i = msg->request_id - first_id;
+    replies[i][msg->from] = {msg->payload, msg->seq};
     unsigned votes = 0;
     std::vector<uint64_t> match_frontiers;
-    for (const auto& [from, reply] : replies) {
+    for (const auto& [from, reply] : replies[i]) {
       if (reply.first == msg->payload) {
         ++votes;
         match_frontiers.push_back(reply.second);
       }
     }
-    if (votes >= needed_matching) {
-      // Ordered acks advance the frontier watermark too, so a write (or
-      // fallback read) that exposes new state raises the bar for every
-      // subsequent fast read.
-      AdvanceObservedFrontier(VouchedFrontier(std::move(match_frontiers),
-                                              config_.reply_quorum()));
-      {
-        std::lock_guard<std::mutex> lock(clients_mu_);
-        client_queues_.erase(request_id);
-      }
-      queue->Close();
-      // Charge the modelled protocol latency of one coordination access:
-      // request one-way + leader ordering (2 inter-replica one-ways) + reply
-      // one-way. (The client's actual wait happens on the reply queue,
-      // outside Environment::Sleep, so it is not charged automatically.)
-      {
-        std::lock_guard<std::mutex> lock(rng_mu_);
-        const LatencyModel& link = ClientLink(0);
-        VirtualDuration modeled =
-            link.Sample(client_rng_, request.payload.size()) +
-            config_.replica_link.Sample(client_rng_, request.payload.size()) +
-            config_.replica_link.Sample(client_rng_, 64) +
-            link.Sample(client_rng_, msg->payload.size());
-        Environment::AddThreadCharge(modeled);
-      }
-      ordered_commands_.fetch_add(1, std::memory_order_relaxed);
-      return CoordReply::Decode(msg->payload);
+    if (votes < requests[i].needed_matching) {
+      continue;
+    }
+    // Ordered acks advance the frontier watermark too, so a write (or
+    // fallback read) that exposes new state raises the bar for every
+    // subsequent fast read.
+    AdvanceObservedFrontier(
+        VouchedFrontier(std::move(match_frontiers), config_.reply_quorum()));
+    forget(i);
+    finished[i] = true;
+    ++done;
+    replies[i].clear();
+    // The modelled protocol latency of one coordination access: request
+    // one-way + leader ordering (2 inter-replica one-ways) + reply one-way.
+    // (The client's actual wait happens on the reply queue, outside
+    // Environment::Sleep, so it is not charged automatically.)
+    VirtualDuration modeled;
+    {
+      std::lock_guard<std::mutex> lock(rng_mu_);
+      const LatencyModel& link = ClientLink(0);
+      modeled =
+          link.Sample(client_rng_, messages[i].payload.size()) +
+          config_.replica_link.Sample(client_rng_,
+                                      messages[i].payload.size()) +
+          config_.replica_link.Sample(client_rng_, 64) +
+          link.Sample(client_rng_, msg->payload.size());
+    }
+    ordered_commands_.fetch_add(1, std::memory_order_relaxed);
+    results[i] = CoordReply::Decode(msg->payload);
+    auto slot = std::find_if(slots.begin(), slots.end(),
+                             [i](const Slot& s) { return s.request == i; });
+    const VirtualDuration slot_charged = slot->charged + modeled;
+    charged = std::max(charged, slot_charged);
+    slots.erase(slot);
+    if (next < n) {
+      launch(slot_charged);
     }
   }
+  queue->Close();
+  Environment::AddThreadCharge(charged);
+  return results;
 }
 
 void SmrCluster::ReplicaLoop(unsigned index) {

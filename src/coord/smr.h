@@ -296,6 +296,13 @@ class SmrCluster {
   // Submits a command and blocks until enough matching replies arrive.
   // Read-only commands try the fast path first when enabled.
   Result<CoordReply> Execute(const CoordCommand& command);
+  // Submits independent commands on the ordered path from one client
+  // thread, as a pipelined client does: up to kMaxOrderedInFlight requests
+  // are outstanding at once and the leader packs them into batched,
+  // pipelined instances. Returns one result per command, in order; the
+  // caller is charged the batch's modelled rounds, not one per command.
+  std::vector<Result<CoordReply>> ExecuteBatch(
+      const std::vector<CoordCommand>& commands);
 
   unsigned replica_count() const { return config_.replica_count(); }
 
@@ -440,6 +447,11 @@ class SmrCluster {
   // renewal under the agent's client name; the GC bounds its tombstone
   // fan-out below this).
   static constexpr size_t kClientReplyWindow = 1024;
+  // Requests one ExecuteBatch keeps outstanding: half the reply window, so
+  // a batch's in-flight set stays far below it with room for the same
+  // client's other requests (and, at the default config, exactly one full
+  // pipeline: max_batch 64 x max_inflight_instances 8).
+  static constexpr size_t kMaxOrderedInFlight = kClientReplyWindow / 2;
   static constexpr uint64_t kExecutedSeqWindow = 4096;
   // Checkpoints retained per replica: two, so a peer that just rolled its
   // checkpoint forward can still vouch for the previous one while slower
@@ -490,6 +502,16 @@ class SmrCluster {
   // Builds the kReply for one executed (or cached) batch entry.
   SmrMessage MakeReply(unsigned index, const Replica& r, uint64_t request_id,
                        Bytes reply_bytes) const;
+  // One ordered-path request: its encoded command and the matching replies
+  // its acknowledgement needs.
+  struct OrderedRequest {
+    Bytes payload;
+    unsigned needed_matching = 0;
+  };
+  unsigned NeededMatching(const CoordCommand& command) const;
+  // The ordered path shared by Execute and ExecuteBatch.
+  std::vector<Result<CoordReply>> ExecuteOrdered(
+      std::vector<OrderedRequest> requests);
   // Fast path: broadcast, collect matching replies against the committed
   // state of the replicas. Returns the winning reply bytes, or nullopt when
   // the caller must fall back to the ordered path.

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -1032,6 +1034,61 @@ TEST(SmrClusterTest, BatchingOrdersConcurrentClientsInOneInstance) {
   EXPECT_LT(counters.proposed_instances, counters.proposed_requests);
 }
 
+// ExecuteBatch submits many commands from one thread as a pipelined client
+// does: the leader packs them into shared instances, each command gets its
+// own result in order, and the caller is charged one round, not one per
+// command.
+TEST(SmrClusterTest, ExecuteBatchPipelinesCommandsFromOneThread) {
+  auto env = Environment::Scaled(1e-3);
+  SmrConfig config = FastSmrConfig(true);
+  config.max_batch = 16;
+  ReplicatedCoordination coord(env.get(), config);
+  Environment::ResetThreadCharged();
+  ASSERT_TRUE(coord.Write("alice", "single", ToBytes("v")).ok());
+  const VirtualDuration one_round = Environment::ThreadCharged();
+
+  constexpr int kWrites = 40;
+  std::vector<CoordCommand> commands;
+  for (int i = 0; i < kWrites; ++i) {
+    CoordCommand cmd;
+    cmd.op = CoordOp::kWrite;
+    cmd.client = "alice";
+    cmd.key = "k" + std::to_string(i);
+    cmd.value = ToBytes("v");
+    commands.push_back(cmd);
+  }
+  // Two creates of one key: the first in order wins.
+  CoordCommand create;
+  create.op = CoordOp::kConditionalCreate;
+  create.client = "alice";
+  create.key = "the-one";
+  commands.push_back(create);
+  commands.push_back(create);
+  const SmrCounters before = coord.cluster().counters();
+  Environment::ResetThreadCharged();
+  std::vector<Result<CoordReply>> replies =
+      coord.cluster().ExecuteBatch(commands);
+  EXPECT_LT(Environment::ThreadCharged(), 2 * one_round);
+  ASSERT_EQ(replies.size(), commands.size());
+  for (int i = 0; i < kWrites; ++i) {
+    ASSERT_TRUE(replies[i].ok()) << "write " << i;
+    EXPECT_EQ(replies[i]->code, ErrorCode::kOk) << "write " << i;
+  }
+  ASSERT_TRUE(replies[kWrites].ok() && replies[kWrites + 1].ok());
+  EXPECT_EQ(replies[kWrites]->code, ErrorCode::kOk);
+  EXPECT_EQ(replies[kWrites + 1]->code, ErrorCode::kAlreadyExists);
+  const SmrCounters after = coord.cluster().counters();
+  EXPECT_EQ(after.ordered_commands - before.ordered_commands,
+            commands.size());
+  EXPECT_LT(after.proposed_instances - before.proposed_instances,
+            after.proposed_requests - before.proposed_requests);
+  for (int i = 0; i < kWrites; ++i) {
+    auto entry = coord.Read("alice", "k" + std::to_string(i));
+    ASSERT_TRUE(entry.ok());
+    EXPECT_EQ(entry->version, 1u) << "key k" << i;
+  }
+}
+
 TEST(SmrClusterTest, BatchedOrderingSurvivesLeaderCrashMidBatch) {
   auto env = Environment::Scaled(1e-3);
   SmrConfig config = FastSmrConfig(true);
@@ -1752,30 +1809,42 @@ TEST(PartitionedCoordinationTest, RenamePrefixMovesAcrossPartitions) {
   ExpectNoEngineRecords(&coord);
 }
 
-// A move keeps at most kMoveWindow commands in flight, one executor task
-// each, however many entries it moves: without the bound a 200-entry rename
-// grew the process-wide executor by about one thread per entry. (The
-// executor's high-water mark is shared by the whole binary, so the bound
-// shows best with this test run alone.)
-TEST(PartitionedCoordinationTest, MoveFanOutIsBoundedByTheMoveWindow) {
-  auto env = Environment::Scaled(1e-3);
-  PartitionedCoordinationConfig config = FastPartitionedConfig(4);
-  PartitionedCoordination coord(env.get(), config);
-  constexpr int kEntries = 200;
-  for (int i = 0; i < kEntries; ++i) {
-    ASSERT_TRUE(
-        coord.Write("alice", "m:/big/" + std::to_string(i), ToBytes("v")).ok());
-  }
-  const size_t threads_before = DefaultExecutor().thread_count();
-  ASSERT_TRUE(coord.RenamePrefix("alice", "m:/big/", "m:/moved/").ok());
-  // The window, plus the scatter export's one task per partition.
-  EXPECT_LE(DefaultExecutor().thread_count() - threads_before,
-            PartitionedCoordination::kMoveWindow + config.partitions);
-  auto moved = coord.ReadPrefix("alice", "m:/moved/");
-  ASSERT_TRUE(moved.ok());
-  EXPECT_EQ(moved->size(), static_cast<size_t>(kEntries));
-  EXPECT_TRUE(coord.ReadPrefix("alice", "m:/big/")->empty());
-  ExpectNoEngineRecords(&coord);
+// A move takes one executor task per partition it touches, however many
+// entries it moves: each partition's commands go out as one pipelined batch
+// (SmrCluster::ExecuteBatch). With a task per entry a 200-entry rename grew
+// the process-wide executor by about one thread per entry. The executor
+// never shrinks, so the rename runs in a fresh process (the death-test
+// child), where no idle worker left by an earlier test can absorb a task.
+TEST(PartitionedCoordinationTest, MoveFanOutIsOneTaskPerPartition) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        auto env = Environment::Scaled(1e-3);
+        PartitionedCoordinationConfig config = FastPartitionedConfig(4);
+        PartitionedCoordination coord(env.get(), config);
+        constexpr size_t kEntries = 200;
+        for (size_t i = 0; i < kEntries; ++i) {
+          if (!coord.Write("alice", "m:/big/" + std::to_string(i),
+                           ToBytes("v"))
+                   .ok()) {
+            std::exit(2);
+          }
+        }
+        const size_t threads_before = DefaultExecutor().thread_count();
+        if (!coord.RenamePrefix("alice", "m:/big/", "m:/moved/").ok()) {
+          std::exit(3);
+        }
+        // Three fan-outs of one task per partition: the scatter export,
+        // the imports, the removes.
+        const size_t grew = DefaultExecutor().thread_count() - threads_before;
+        std::fprintf(stderr, "executor grew by %zu threads\n", grew);
+        auto moved = coord.ReadPrefix("alice", "m:/moved/");
+        auto left = coord.ReadPrefix("alice", "m:/big/");
+        const bool exact = moved.ok() && moved->size() == kEntries &&
+                           left.ok() && left->empty();
+        std::exit(grew <= 3 * config.partitions && exact ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
 }
 
 // A rename whose source prefix still holds a crashed rename's intent rolls
