@@ -372,11 +372,7 @@ void RunStripeRepairDrill(const Options& options, BenchJsonWriter* json) {
   if (!written.ok()) {
     fatal("write", written.status());
   }
-  auto md = client.ReadMetadata("big");
-  if (!md.ok()) {
-    fatal("metadata", md.status());
-  }
-  const DepSkyVersion version = md->versions.back();
+  const DepSkyVersion version = *written;
   const size_t units = version.stripe_units.size();
 
   // The victim is the cloud holding shards of the most stripe units — the
@@ -429,7 +425,9 @@ void RunStripeRepairDrill(const Options& options, BenchJsonWriter* json) {
     }
     Status dropped = clouds[victim]->Delete(
         {clouds[victim]->provider_name() + ":bench"},
-        DepSkyClient::ValueKey("big", version, u));
+        DepSkyClient::ValueKey(
+            "big", version, u,
+            static_cast<unsigned>(version.stripe_units[u].cloud_shard[victim])));
     if (!dropped.ok()) {
       fatal("wipe", dropped);
     }

@@ -6,10 +6,15 @@
 //   (c) storage cost per file version per day vs size.
 //
 // (b)/(c) are *measured* through the cost meters of the simulated clouds: an
-// agent writes a file, a cache-cold agent reads it, and the per-account
-// usage deltas are converted to microdollars. The coordination share is the
+// agent writes a file (and drains its background work, so requests made
+// after the close count too), a cache-cold agent reads it, and the
+// per-account usage deltas are converted to microdollars. A failed mount,
+// write or read prints its status and exits non-zero. The coordination share is the
 // measured reply traffic times the replication amplification of the
 // BFT-SMaRt protocol (n replies + inter-replica ordering messages).
+
+#include <cstdio>
+#include <cstdlib>
 
 #include "bench/harness.h"
 #include "src/cloud/providers.h"
@@ -60,6 +65,17 @@ struct OpCosts {
   double storage_per_day_udollars = 0;
 };
 
+// A measurement that failed has no row to print.
+void Check(const Status& status, const char* what, ScfsBackendKind backend,
+           size_t size) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "bench_fig11_costs: %s of %zu bytes on %s failed: %s\n",
+                 what, size, backend == ScfsBackendKind::kCoc ? "CoC" : "AWS",
+                 status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
 OpCosts MeasureCosts(Environment* env, ScfsBackendKind backend, size_t size) {
   OpCosts costs;
   DeploymentOptions options;
@@ -68,16 +84,17 @@ OpCosts MeasureCosts(Environment* env, ScfsBackendKind backend, size_t size) {
   ScfsOptions fs_options;
   fs_options.mode = ScfsMode::kBlocking;
   auto writer = deployment->Mount("u", fs_options);
-  if (!writer.ok()) {
-    return costs;
-  }
+  Check(writer.status(), "mount", backend, size);
 
-  // --- Write cost: everything charged between open and close.
+  // --- Write cost: everything charged from the open until the writer's
+  // background work and every request it sent have finished.
   UsageTotals usage0 = deployment->CloudUsage("u");
   uint64_t coord0 = deployment->CoordReplyBytes();
   Bytes data(size, 1);
-  if (!(*writer)->WriteFile("/f", data).ok()) {
-    return costs;
+  Check((*writer)->WriteFile("/f", data), "write", backend, size);
+  (*writer)->DrainBackground();
+  for (unsigned i = 0; i < deployment->cloud_count(); ++i) {
+    deployment->cloud(i)->Quiesce();  // the requests past each quorum
   }
   UsageTotals usage1 = deployment->CloudUsage("u");
   uint64_t coord1 = deployment->CoordReplyBytes();
@@ -87,15 +104,11 @@ OpCosts MeasureCosts(Environment* env, ScfsBackendKind backend, size_t size) {
 
   // --- Read cost: a cache-cold agent of the same account reads the file.
   auto reader = deployment->Mount("u", fs_options);
-  if (!reader.ok()) {
-    return costs;
-  }
+  Check(reader.status(), "mount", backend, size);
   env->Sleep(kSecond);  // metadata cache expiry
   UsageTotals usage2 = deployment->CloudUsage("u");
   uint64_t coord2 = deployment->CoordReplyBytes();
-  if (!(*reader)->ReadFile("/f").ok()) {
-    return costs;
-  }
+  Check((*reader)->ReadFile("/f").status(), "read", backend, size);
   UsageTotals usage3 = deployment->CloudUsage("u");
   uint64_t coord3 = deployment->CoordReplyBytes();
   costs.read_udollars =

@@ -44,6 +44,9 @@ struct Options {
   bool lease_demo = true;
 };
 
+// Off/on pairs the lease demo runs; the median pair is gated.
+constexpr int kLeaseDemoPairs = 3;
+
 // Coarser than every other bench (1 virtual second = 0.2 real seconds):
 // the fleet executes thousands of crypto-bearing ops per virtual second,
 // and the host must have enough real time per virtual second to run that
@@ -302,7 +305,11 @@ void RunSkewDemo(const Options& options, BenchJsonWriter* json) {
 // delegated cache (zero coordination messages) and lingering write locks
 // collapse the append's lock/unlock rounds, so coordination messages per
 // successful op must drop by the ISSUE's >= 5x target (gated in
-// tools/check_bench_scenarios.py).
+// tools/check_bench_scenarios.py). One pair of runs is noisy — a failed
+// fast read costs its broadcast and an ordered round, and how many fail
+// follows host scheduling — so the pair runs kLeaseDemoPairs times on fresh
+// deployments and the median ratio is gated; its pair's metrics are the
+// ones recorded, with the spread beside them.
 void RunLeaseDemo(const Options& options, BenchJsonWriter* json) {
   auto env_owner = Environment::Scaled(ScenarioTimeScale());
   Environment* env = env_owner.get();
@@ -318,93 +325,148 @@ void RunLeaseDemo(const Options& options, BenchJsonWriter* json) {
   }
 
   PrintHeader("Scenario: webserver with lease-delegated metadata caching");
-  std::vector<int> widths = {10, 12, 10, 10, 10, 11, 10, 10, 10, 10};
+  std::vector<int> widths = {10, 12, 10, 10, 10, 11, 10, 10, 10, 10, 24};
   PrintRow({"leases", "achieved/s", "p50 ms", "p99 ms", "msgs/op",
-            "ordered/op", "fast/op", "hits/op", "grants", "revokes"},
+            "ordered/op", "fast/op", "hits/op", "grants", "revokes",
+            "fallbacks/op (t/d/s/c)"},
            widths);
 
   struct Variant {
     const char* key;
     VirtualDuration ttl;
   };
-  double msgs_per_op[2] = {0, 0};
-  // TTL well past the run duration: the webserver fileset is read-only once
-  // set up, so the interesting regime is long-lived leases (renewal cost is
-  // covered by ExpiredLeaseRegrants in lease_test.cc and the property test).
-  for (const Variant& variant :
-       {Variant{"off", 0}, Variant{"on", 30 * kSecond}}) {
-    DeploymentOptions dopts;
-    dopts.backend = ScfsBackendKind::kCoc;
-    dopts.coord_partitions = options.partitions;
-    dopts.lease_ttl = variant.ttl;
-    auto deployment = Deployment::Create(env, dopts);
-    std::vector<std::unique_ptr<ScfsFileSystem>> owned;
-    std::vector<FileSystem*> mounts =
-        MountAgents(deployment.get(), options.mounts, &owned);
+  struct Record {
+    std::string name;
+    double value;
+    std::string unit;
+  };
+  struct Round {
+    double ratio = 0;
+    std::vector<Record> records;
+  };
+  std::vector<Round> rounds(kLeaseDemoPairs);
+  for (Round& round : rounds) {
+    double msgs_per_op[2] = {0, 0};
+    // TTL well past the run duration: the webserver fileset is read-only
+    // once set up, so the interesting regime is long-lived leases (renewal
+    // cost is covered by ExpiredLeaseRegrants in lease_test.cc and the
+    // property test).
+    for (const Variant& variant :
+         {Variant{"off", 0}, Variant{"on", 30 * kSecond}}) {
+      DeploymentOptions dopts;
+      dopts.backend = ScfsBackendKind::kCoc;
+      dopts.coord_partitions = options.partitions;
+      dopts.lease_ttl = variant.ttl;
+      auto deployment = Deployment::Create(env, dopts);
+      std::vector<std::unique_ptr<ScfsFileSystem>> owned;
+      std::vector<FileSystem*> mounts =
+          MountAgents(deployment.get(), options.mounts, &owned);
 
-    ClientFleet fleet(env, spec, mounts, deployment.get());
-    Status setup = fleet.Setup();
-    if (!setup.ok()) {
-      std::fprintf(stderr, "lease demo setup failed: %s\n",
-                   setup.ToString().c_str());
-      std::exit(1);
+      ClientFleet fleet(env, spec, mounts, deployment.get());
+      Status setup = fleet.Setup();
+      if (!setup.ok()) {
+        std::fprintf(stderr, "lease demo setup failed: %s\n",
+                     setup.ToString().c_str());
+        std::exit(1);
+      }
+      // Filebench-style settle between fileset creation and measurement:
+      // the setup write burst leaves the fileset prefix in post-revocation
+      // lease holdoff; let it decay so the measured window is the
+      // read-mostly steady state. Both variants settle identically.
+      env->Sleep(5 * kSecond);
+
+      FleetConfig config;
+      config.clients = 100000;
+      config.workers = options.workers;
+      config.offered_ops_per_s = 200;
+      config.duration = (options.quick ? 4 : 8) * kSecond;
+      config.drain_grace = (options.quick ? 2 : 4) * kSecond;
+      // Prime caches, leases and the per-worker append logs outside the
+      // measured window (both variants warm identically): the demo
+      // measures steady-state coordination cost per op, not first-touch
+      // cold misses.
+      config.warmup_reads_per_mount = 4;
+      FleetResult result = fleet.Run(config);
+
+      // Failed fast reads per op, then their counts by cause: timeout,
+      // divergence, stale quorum, cooldown bypass.
+      const double ok_ops =
+          std::max(1.0, static_cast<double>(result.executed - result.errors));
+      char fallbacks[96];
+      std::snprintf(
+          fallbacks, sizeof(fallbacks), "%.2f (%llu/%llu/%llu/%llu)",
+          static_cast<double>(result.coord.fast_path_fallbacks) / ok_ops,
+          static_cast<unsigned long long>(result.coord.fast_path_timeouts),
+          static_cast<unsigned long long>(result.coord.fast_path_divergences),
+          static_cast<unsigned long long>(
+              result.coord.fast_path_stale_quorums),
+          static_cast<unsigned long long>(
+              result.coord.fast_path_cooldown_bypasses));
+      PrintRow({variant.key, FormatSeconds(result.achieved_ops_per_s),
+                FormatSeconds(result.latency.PercentileMs(50)),
+                FormatSeconds(result.latency.PercentileMs(99)),
+                FormatSeconds(result.coord_msgs_per_op),
+                FormatSeconds(result.coord_ordered_per_op),
+                FormatSeconds(result.coord_fast_reads_per_op),
+                FormatSeconds(result.lease_hit_share),
+                std::to_string(result.lease.grants),
+                std::to_string(result.lease.revocations), fallbacks},
+               widths);
+
+      const std::string prefix =
+          std::string("scenario_webserver_lease_") + variant.key;
+      std::vector<Record>& out = round.records;
+      out.push_back({prefix + "_msgs_per_op", result.coord_msgs_per_op,
+                     "msgs"});
+      out.push_back({prefix + "_ordered_per_op", result.coord_ordered_per_op,
+                     "cmds"});
+      out.push_back({prefix + "_fast_reads_per_op",
+                     result.coord_fast_reads_per_op, "reads"});
+      out.push_back({prefix + "_fallbacks_per_op",
+                     static_cast<double>(result.coord.fast_path_fallbacks) /
+                         ok_ops,
+                     "reads"});
+      out.push_back({prefix + "_p99_ms", result.latency.PercentileMs(99),
+                     "ms"});
+      out.push_back({prefix + "_errors", static_cast<double>(result.errors),
+                     "ops"});
+      if (variant.ttl > 0) {
+        out.push_back({prefix + "_grants",
+                       static_cast<double>(result.lease.grants), "grants"});
+        out.push_back({prefix + "_revocations",
+                       static_cast<double>(result.lease.revocations),
+                       "leases"});
+        out.push_back({prefix + "_notifications",
+                       static_cast<double>(result.lease.notifications),
+                       "calls"});
+        out.push_back({prefix + "_local_hits",
+                       static_cast<double>(result.lease.local_hits),
+                       "reads"});
+        out.push_back({prefix + "_linger_handoffs",
+                       static_cast<double>(result.lease.linger_handoffs),
+                       "locks"});
+        out.push_back({prefix + "_hit_share", result.lease_hit_share,
+                       "share"});
+      }
+      msgs_per_op[variant.ttl > 0 ? 1 : 0] = result.coord_msgs_per_op;
     }
-    // Filebench-style settle between fileset creation and measurement: the
-    // setup write burst leaves the fileset prefix in post-revocation lease
-    // holdoff; let it decay so the measured window is the read-mostly steady
-    // state. Both variants settle identically.
-    env->Sleep(5 * kSecond);
-
-    FleetConfig config;
-    config.clients = 100000;
-    config.workers = options.workers;
-    config.offered_ops_per_s = 200;
-    config.duration = (options.quick ? 4 : 8) * kSecond;
-    config.drain_grace = (options.quick ? 2 : 4) * kSecond;
-    // Prime caches, leases and the per-worker append logs outside the
-    // measured window (both variants warm identically): the demo measures
-    // steady-state coordination cost per op, not first-touch cold misses.
-    config.warmup_reads_per_mount = 4;
-    FleetResult result = fleet.Run(config);
-
-    PrintRow({variant.key, FormatSeconds(result.achieved_ops_per_s),
-              FormatSeconds(result.latency.PercentileMs(50)),
-              FormatSeconds(result.latency.PercentileMs(99)),
-              FormatSeconds(result.coord_msgs_per_op),
-              FormatSeconds(result.coord_ordered_per_op),
-              FormatSeconds(result.coord_fast_reads_per_op),
-              FormatSeconds(result.lease_hit_share),
-              std::to_string(result.lease.grants),
-              std::to_string(result.lease.revocations)},
-             widths);
-
-    const std::string prefix =
-        std::string("scenario_webserver_lease_") + variant.key;
-    json->Add(prefix + "_msgs_per_op", result.coord_msgs_per_op, "msgs");
-    json->Add(prefix + "_ordered_per_op", result.coord_ordered_per_op, "cmds");
-    json->Add(prefix + "_fast_reads_per_op", result.coord_fast_reads_per_op,
-              "reads");
-    json->Add(prefix + "_p99_ms", result.latency.PercentileMs(99), "ms");
-    json->Add(prefix + "_errors", static_cast<double>(result.errors), "ops");
-    if (variant.ttl > 0) {
-      json->Add(prefix + "_grants", static_cast<double>(result.lease.grants),
-                "grants");
-      json->Add(prefix + "_revocations",
-                static_cast<double>(result.lease.revocations), "leases");
-      json->Add(prefix + "_notifications",
-                static_cast<double>(result.lease.notifications), "calls");
-      json->Add(prefix + "_local_hits",
-                static_cast<double>(result.lease.local_hits), "reads");
-      json->Add(prefix + "_linger_handoffs",
-                static_cast<double>(result.lease.linger_handoffs), "locks");
-      json->Add(prefix + "_hit_share", result.lease_hit_share, "share");
-    }
-    msgs_per_op[variant.ttl > 0 ? 1 : 0] = result.coord_msgs_per_op;
+    round.ratio = msgs_per_op[1] > 0 ? msgs_per_op[0] / msgs_per_op[1] : 0;
+    std::printf("  coord msgs/op reduction (off/on): %.1fx\n", round.ratio);
   }
-  const double ratio =
-      msgs_per_op[1] > 0 ? msgs_per_op[0] / msgs_per_op[1] : 0;
-  json->Add("scenario_webserver_lease_msgs_ratio", ratio, "x");
-  std::printf("  coord msgs/op reduction (off/on): %.1fx\n", ratio);
+  std::sort(rounds.begin(), rounds.end(),
+            [](const Round& a, const Round& b) { return a.ratio < b.ratio; });
+  const Round& median = rounds[rounds.size() / 2];
+  for (const Record& record : median.records) {
+    json->Add(record.name, record.value, record.unit);
+  }
+  json->Add("scenario_webserver_lease_msgs_ratio", median.ratio, "x");
+  json->Add("scenario_webserver_lease_msgs_ratio_min", rounds.front().ratio,
+            "x");
+  json->Add("scenario_webserver_lease_msgs_ratio_max", rounds.back().ratio,
+            "x");
+  std::printf("  median reduction of %zu runs: %.1fx (range %.1f-%.1fx)\n",
+              rounds.size(), median.ratio, rounds.front().ratio,
+              rounds.back().ratio);
 }
 
 int Main(int argc, char** argv) {

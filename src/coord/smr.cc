@@ -203,6 +203,9 @@ SmrCounters SmrCluster::counters() const {
       fast_path_cooldown_bypasses_.load(std::memory_order_relaxed);
   out.fast_path_stale_quorums =
       fast_path_stale_quorums_.load(std::memory_order_relaxed);
+  out.fast_path_divergences =
+      fast_path_divergences_.load(std::memory_order_relaxed);
+  out.fast_path_timeouts = fast_path_timeouts_.load(std::memory_order_relaxed);
   out.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
   out.state_requests = state_requests_.load(std::memory_order_relaxed);
   out.snapshots_installed =
@@ -302,7 +305,8 @@ void SmrCluster::SendReplyToClient(unsigned from_replica,
   queue->Push(reply, env_->Now() + delay);
 }
 
-std::optional<Bytes> SmrCluster::TryFastRead(const Bytes& encoded_command) {
+std::optional<Bytes> SmrCluster::TryFastRead(const Bytes& encoded_command,
+                                             std::atomic<uint64_t>** miss) {
   const uint64_t request_id = next_request_id_.fetch_add(1);
   auto queue = std::make_shared<DelayedQueue<SmrMessage>>(env_);
   {
@@ -401,9 +405,9 @@ std::optional<Bytes> SmrCluster::TryFastRead(const Bytes& encoded_command) {
   }
   cleanup();
   queue->Close();
-  if (saw_stale_quorum) {
-    fast_path_stale_quorums_.fetch_add(1, std::memory_order_relaxed);
-  }
+  *miss = saw_stale_quorum                      ? &fast_path_stale_quorums_
+          : replies.size() >= replicas_.size() ? &fast_path_divergences_
+                                                : &fast_path_timeouts_;
   // The failed round is not free: before falling back the caller waited for
   // the divergence to become evident (a full round trip to the slowest
   // replier), and the ordered round's charge comes on top. Charged as one
@@ -445,13 +449,15 @@ Result<CoordReply> SmrCluster::Execute(const CoordCommand& command) {
       fast_path_cooldown_bypasses_.fetch_add(1, std::memory_order_relaxed);
       fast_path_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      auto fast = TryFastRead(encoded);
+      std::atomic<uint64_t>* miss = nullptr;
+      auto fast = TryFastRead(encoded, &miss);
       if (shutdown_.load()) {
         return UnavailableError("smr cluster shut down");
       }
       if (fast.has_value()) {
         return CoordReply::Decode(*fast);
       }
+      miss->fetch_add(1, std::memory_order_relaxed);
       fast_path_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       if (config_.fast_read_fallback_cooldown > 0) {
         fast_path_bypass_until_.store(

@@ -217,14 +217,22 @@ struct SmrCounters {
   uint64_t proposed_instances = 0;   // consensus instances proposed
   uint64_t proposed_requests = 0;    // requests across those instances
   uint64_t fast_path_reads = 0;      // reads served without ordering
-  uint64_t fast_path_fallbacks = 0;  // reads that fell back to ordering
+  // Reads that fell back to ordering: the sum of the four causes below,
+  // each fallback counted under exactly one.
+  uint64_t fast_path_fallbacks = 0;
   // Reads that skipped the fast round because a recent failure put the
-  // fast path in its fallback cooldown (each also counts as a fallback).
+  // fast path in its fallback cooldown.
   uint64_t fast_path_cooldown_bypasses = 0;
-  // Fast rounds where a value assembled a matching quorum whose committed
-  // frontiers were stale relative to the client's previously observed
-  // frontier — rejected instead of silently inverting reads.
+  // Failed fast rounds where a value assembled a matching quorum whose
+  // committed frontiers were stale relative to the client's previously
+  // observed frontier — rejected instead of silently inverting reads.
   uint64_t fast_path_stale_quorums = 0;
+  // Failed fast rounds, no stale quorum seen, where every replica replied
+  // and no value gathered a matching quorum.
+  uint64_t fast_path_divergences = 0;
+  // Failed fast rounds, no stale quorum seen, that ran out of time before
+  // every replica replied (a replica slow, crashed or partitioned).
+  uint64_t fast_path_timeouts = 0;
   uint64_t checkpoints_taken = 0;    // periodic snapshots across replicas
   uint64_t state_requests = 0;       // STATE_REQUEST broadcasts (wedges)
   uint64_t snapshots_installed = 0;  // f+1-vouched snapshot installs
@@ -253,6 +261,8 @@ struct SmrCounters {
     fast_path_fallbacks += other.fast_path_fallbacks;
     fast_path_cooldown_bypasses += other.fast_path_cooldown_bypasses;
     fast_path_stale_quorums += other.fast_path_stale_quorums;
+    fast_path_divergences += other.fast_path_divergences;
+    fast_path_timeouts += other.fast_path_timeouts;
     checkpoints_taken += other.checkpoints_taken;
     state_requests += other.state_requests;
     snapshots_installed += other.snapshots_installed;
@@ -274,6 +284,8 @@ struct SmrCounters {
     fast_path_fallbacks -= other.fast_path_fallbacks;
     fast_path_cooldown_bypasses -= other.fast_path_cooldown_bypasses;
     fast_path_stale_quorums -= other.fast_path_stale_quorums;
+    fast_path_divergences -= other.fast_path_divergences;
+    fast_path_timeouts -= other.fast_path_timeouts;
     checkpoints_taken -= other.checkpoints_taken;
     state_requests -= other.state_requests;
     snapshots_installed -= other.snapshots_installed;
@@ -514,8 +526,10 @@ class SmrCluster {
       std::vector<OrderedRequest> requests);
   // Fast path: broadcast, collect matching replies against the committed
   // state of the replicas. Returns the winning reply bytes, or nullopt when
-  // the caller must fall back to the ordered path.
-  std::optional<Bytes> TryFastRead(const Bytes& encoded_command);
+  // the caller must fall back to the ordered path, with `*miss` the
+  // counter of the round's failure cause.
+  std::optional<Bytes> TryFastRead(const Bytes& encoded_command,
+                                   std::atomic<uint64_t>** miss);
   // Monotone CAS-max on the client frontier watermark.
   void AdvanceObservedFrontier(uint64_t vouched);
   const LatencyModel& ClientLink(unsigned replica) const {
@@ -540,6 +554,8 @@ class SmrCluster {
   std::atomic<uint64_t> fast_path_fallbacks_{0};
   std::atomic<uint64_t> fast_path_cooldown_bypasses_{0};
   std::atomic<uint64_t> fast_path_stale_quorums_{0};
+  std::atomic<uint64_t> fast_path_divergences_{0};
+  std::atomic<uint64_t> fast_path_timeouts_{0};
   // Fallback cooldown: until this virtual time, read-only commands skip the
   // fast round and go straight to ordering.
   std::atomic<VirtualTime> fast_path_bypass_until_{0};

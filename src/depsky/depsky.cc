@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <deque>
+#include <map>
 #include <numeric>
+#include <string_view>
+#include <tuple>
 
 #include "src/crypto/chacha20.h"
 #include "src/crypto/secret_sharing.h"
@@ -29,6 +33,18 @@ struct RobustContext {
   std::atomic<uint64_t>* deadline_expiries = nullptr;
 };
 
+// A cloud that answers — even with NOT_FOUND or PERMISSION_DENIED — is
+// healthy; only unreachability (and deadline expiry) counts against it.
+bool Answered(const Status& s) {
+  return s.ok() || s.code() == ErrorCode::kNotFound ||
+         s.code() == ErrorCode::kPermissionDenied ||
+         s.code() == ErrorCode::kAlreadyExists;
+}
+template <typename V>
+bool Answered(const Result<V>& r) {
+  return Answered(r.status());
+}
+
 // One cloud request wrapped in the robustness envelope: a per-attempt
 // deadline (enforced by the shared timer queue, so no watchdog thread per
 // request), capped-backoff-with-jitter retries, and success/failure
@@ -39,16 +55,14 @@ struct RobustContext {
 template <typename T>
 class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
  public:
+  // `what` names the request in a deadline expiry's TIMEOUT status.
   RobustCall(RobustContext ctx, unsigned cloud,
-             std::function<Future<T>()> issue,
-             std::function<bool(const T&)> responsive,
-             std::function<T()> timeout_value,
+             std::function<Future<T>()> issue, std::string what,
              std::function<void()> on_first_failure = nullptr)
       : ctx_(ctx),
         cloud_(cloud),
         issue_(std::move(issue)),
-        responsive_(std::move(responsive)),
-        timeout_value_(std::move(timeout_value)),
+        what_(std::move(what)),
         on_first_failure_(std::move(on_first_failure)) {}
 
   Future<T> Start() {
@@ -72,7 +86,9 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
           [self, attempt, start, claimed] {
             if (!claimed->exchange(true)) {
               self->ctx_.deadline_expiries->fetch_add(1);
-              self->Settle(attempt, self->timeout_value_(), false);
+              self->Settle(attempt,
+                           T(TimeoutError("deadline expired: " + self->what_)),
+                           false);
             }
           });
     }
@@ -84,7 +100,7 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
             return;  // the deadline already declared this attempt dead
           }
           self->ctx_.timers->Cancel(*timer_id);
-          self->Settle(attempt, value, self->responsive_(value),
+          self->Settle(attempt, value, Answered(value),
                        self->ctx_.env->Now() - start);
         });
   }
@@ -131,165 +147,52 @@ class RobustCall : public std::enable_shared_from_this<RobustCall<T>> {
   RobustContext ctx_;
   unsigned cloud_;
   std::function<Future<T>()> issue_;
-  std::function<bool(const T&)> responsive_;
-  std::function<T()> timeout_value_;
+  std::string what_;
   std::function<void()> on_first_failure_;
   VirtualTime first_start_ = 0;
   Promise<T> promise_;
 };
 
-// A cloud that answers — even with NOT_FOUND or PERMISSION_DENIED — is
-// healthy; only unreachability (and deadline expiry) counts against it.
-bool ResponsiveStatus(const Status& s) {
-  return s.ok() || s.code() == ErrorCode::kNotFound ||
-         s.code() == ErrorCode::kPermissionDenied ||
-         s.code() == ErrorCode::kAlreadyExists;
+// The parts of a value object's name below du/<unit>/.
+struct ObjectName {
+  unsigned long long version = 0;
+  unsigned long long object_id = 0;
+  char content_hash[129] = {};
+  unsigned index = 0;  // the unit
+  unsigned shard = 0;
+};
+
+// Parses "v<16 hex>/o<16 hex>/h<hash>/u<index>/s<shard>"; false for any
+// other name (the grant object, or something else put under the prefix).
+bool ParseObjectName(const char* name, ObjectName* out) {
+  int end = -1;
+  return std::sscanf(name, "v%16llx/o%16llx/h%128[^/]/u%u/s%u%n",
+                     &out->version, &out->object_id, out->content_hash,
+                     &out->index, &out->shard, &end) == 5 &&
+         end >= 0 && name[end] == '\0';
 }
 
-// Every value object of one version: one per unit.
-std::vector<std::string> VersionValueKeys(const std::string& unit,
-                                          const DepSkyVersion& version) {
-  std::vector<std::string> keys;
-  for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-    keys.push_back(DepSkyClient::ValueKey(unit, version, u));
-  }
-  return keys;
+constexpr const char* kGrantsName = "acl";
+
+std::string UnitPrefix(const std::string& unit) { return "du/" + unit + "/"; }
+std::string GrantsKey(const std::string& unit) {
+  return UnitPrefix(unit) + kGrantsName;
 }
 
 }  // namespace
 
-// Authentic metadata copies collected by a read's quorum predicate. The
-// predicate runs serialized under the combinator's lock and never after the
-// trigger, so this state needs no further synchronization.
-struct DepSkyClient::MetadataReplies {
-  std::vector<std::optional<DepSkyMetadata>> entries;
-  unsigned authentic = 0;
-  unsigned answered = 0;  // clouds that answered at all (NOT_FOUND included)
-  unsigned foreign = 0;   // authentic copies of another n, k or mode
-
-  // Authentic copies listing the version named `object_id`.
-  unsigned Listing(uint64_t object_id) const {
-    return static_cast<unsigned>(std::count_if(
-        entries.begin(), entries.end(),
-        [&](const std::optional<DepSkyMetadata>& entry) {
-          return entry.has_value() &&
-                 std::any_of(entry->versions.begin(), entry->versions.end(),
-                             [&](const DepSkyVersion& v) {
-                               return v.object_id == object_id;
-                             });
-        }));
+unsigned DepSkyClient::ListedVersion::Listers(size_t unit_count) const {
+  unsigned fewest = UINT32_MAX;
+  for (uint32_t u = 0; u < unit_count; ++u) {
+    auto it = units.find(u);
+    fewest = std::min<unsigned>(
+        fewest, it == units.end() ? 0
+                                  : std::count_if(it->second.begin(),
+                                                  it->second.end(),
+                                                  [](int32_t s) { return s >= 0; }));
   }
-};
-
-// The metadata one write appends to, settled once from the write's
-// overlapped metadata read by whichever of the write's threads needs it
-// first: the write itself, or the first stripe unit to reach its ACLs.
-class DepSkyClient::WriteBase {
- public:
-  WriteBase(DepSkyClient* client, PendingMetadataRead read,
-            const std::vector<DepSkyGrant>* merge_grants,
-            const DepSkyVersion* predecessor)
-      : client_(client),
-        read_(std::move(read)),
-        merge_grants_(merge_grants),
-        predecessor_(predecessor) {
-    if (merge_grants != nullptr) {
-      caller_acls_.grants = *merge_grants;
-    }
-  }
-
-  // The unit's history — or, on NOT_FOUND, a fresh record owned by this
-  // client — with the write's grants merged in; or the read's error. The
-  // first call waits for the read and is charged what it took beyond
-  // `overlapped`; later calls return the same outcome at no charge.
-  Result<std::shared_ptr<const DepSkyMetadata>> Get(
-      VirtualDuration overlapped) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!settled_.has_value()) {
-      settled_ = Settle(overlapped);
-    }
-    return *settled_;
-  }
-
-  // The ACLs a write applies before it returns: the caller's grants only,
-  // known without the metadata.
-  const DepSkyMetadata& caller_acls() const { return caller_acls_; }
-  // The ACLs the write-behind applies: the owner ids and the stored grants
-  // the caller's grants do not replace. Valid once Get succeeded.
-  std::shared_ptr<const DepSkyMetadata> behind_acls() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return behind_acls_;
-  }
-  // How many of the authentic copies the read settled on list the
-  // predecessor. Valid once Get returned.
-  unsigned predecessor_copies() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return predecessor_copies_;
-  }
-
- private:
-  Result<std::shared_ptr<const DepSkyMetadata>> Settle(
-      VirtualDuration overlapped) {
-    // Counted before the settle moves the chosen copy out.
-    read_.settled.Wait();
-    if (predecessor_ != nullptr) {
-      predecessor_copies_ = read_.replies->Listing(predecessor_->object_id);
-    }
-    auto read = client_->SettleMetadataRead(std::move(read_), overlapped);
-    DepSkyMetadata md;
-    if (read.ok()) {
-      md = std::move(read->md);
-    } else if (read.status().code() == ErrorCode::kNotFound) {
-      const DepSkyConfig& config = client_->config_;
-      md.n = config.n();
-      md.k = config.k();
-      md.mode = config.mode;
-      for (const auto& cloud : client_->clouds_) {
-        md.owner_ids.push_back(cloud.creds.canonical_id);
-      }
-    } else {
-      return read.status();
-    }
-    auto behind = std::make_shared<DepSkyMetadata>();
-    behind->owner_ids = md.owner_ids;
-    for (const auto& grant : md.grants) {
-      const bool replaced =
-          merge_grants_ != nullptr &&
-          std::any_of(merge_grants_->begin(), merge_grants_->end(),
-                      [&](const DepSkyGrant& g) {
-                        return g.cloud_ids == grant.cloud_ids;
-                      });
-      if (!replaced) {
-        behind->grants.push_back(grant);
-      }
-    }
-    behind_acls_ = std::move(behind);
-    if (merge_grants_ != nullptr) {
-      for (const auto& grant : *merge_grants_) {
-        auto it = std::find_if(md.grants.begin(), md.grants.end(),
-                               [&](const DepSkyGrant& g) {
-                                 return g.cloud_ids == grant.cloud_ids;
-                               });
-        if (it != md.grants.end()) {
-          *it = grant;
-        } else if (grant.read || grant.write) {
-          md.grants.push_back(grant);
-        }
-      }
-    }
-    return std::make_shared<const DepSkyMetadata>(std::move(md));
-  }
-
-  DepSkyClient* client_;
-  PendingMetadataRead read_;  // moved out by the settle
-  const std::vector<DepSkyGrant>* merge_grants_;
-  const DepSkyVersion* predecessor_;
-  unsigned predecessor_copies_ = 0;
-  DepSkyMetadata caller_acls_;
-  mutable std::mutex mu_;
-  std::optional<Result<std::shared_ptr<const DepSkyMetadata>>> settled_;
-  std::shared_ptr<const DepSkyMetadata> behind_acls_;
-};
+  return fewest;
+}
 
 namespace {
 
@@ -329,7 +232,7 @@ Future<Status> DepSkyClient::RobustPut(unsigned cloud, const std::string& key,
                     &rng_,    &async_ops_, &retries_, &deadline_expiries_};
   // Every attempt shares the one encoded buffer — the store takes a
   // reference, not a copy, so a retry costs a request, not a payload copy.
-  auto call = std::make_shared<RobustCall<Status>>(
+  return std::make_shared<RobustCall<Status>>(
       ctx, cloud,
       [this, cloud, key, data = std::move(data)]() {
         {
@@ -346,9 +249,8 @@ Future<Status> DepSkyClient::RobustPut(unsigned cloud, const std::string& key,
         });
         return put;
       },
-      [](const Status& s) { return ResponsiveStatus(s); },
-      [key]() { return TimeoutError("deadline expired: PUT " + key); });
-  return call->Start();
+      "PUT " + key)
+      ->Start();
 }
 
 Future<Result<Bytes>> DepSkyClient::RobustGet(
@@ -356,44 +258,53 @@ Future<Result<Bytes>> DepSkyClient::RobustGet(
     std::function<void()> on_first_failure) {
   RobustContext ctx{env_,     &timers_, &health_,  &config_,           &rng_mu_,
                     &rng_,    &async_ops_, &retries_, &deadline_expiries_};
-  auto call = std::make_shared<RobustCall<Result<Bytes>>>(
-      ctx, cloud,
-      [this, cloud, key]() {
-        return clouds_[cloud].store->GetAsync(clouds_[cloud].creds, key);
-      },
-      [](const Result<Bytes>& r) { return ResponsiveStatus(r.status()) || r.ok(); },
-      [key]() -> Result<Bytes> {
-        return TimeoutError("deadline expired: GET " + key);
-      },
-      std::move(on_first_failure));
-  return call->Start();
+  return std::make_shared<RobustCall<Result<Bytes>>>(
+             ctx, cloud,
+             [this, cloud, key]() {
+               return clouds_[cloud].store->GetAsync(clouds_[cloud].creds,
+                                                     key);
+             },
+             "GET " + key, std::move(on_first_failure))
+      ->Start();
 }
 
-void DepSkyClient::ApplyAclsWhenWritten(
-    Future<Status> put, unsigned cloud,
-    std::shared_ptr<const DepSkyMetadata> md, const std::string& key) {
+Future<Result<std::vector<ObjectInfo>>> DepSkyClient::RobustList(
+    unsigned cloud, const std::string& prefix) {
+  RobustContext ctx{env_,     &timers_, &health_,  &config_,           &rng_mu_,
+                    &rng_,    &async_ops_, &retries_, &deadline_expiries_};
+  return std::make_shared<RobustCall<Result<std::vector<ObjectInfo>>>>(
+             ctx, cloud,
+             [this, cloud, prefix]() {
+               return clouds_[cloud].store->ListAsync(clouds_[cloud].creds,
+                                                      prefix);
+             },
+             "LIST " + prefix)
+      ->Start();
+}
+
+void DepSkyClient::ApplyAclsWhenWritten(Future<Status> put, unsigned cloud,
+                                        std::shared_ptr<const DepSkyGrants> acls,
+                                        const std::string& key) {
   async_ops_.Add();
-  put.OnReady([this, cloud, md, key](const Status& status, VirtualDuration) {
+  put.OnReady([this, cloud, acls, key](const Status& status, VirtualDuration) {
     if (status.ok()) {
       std::vector<Future<Status>> acl;
-      CollectAclFutures(*md, cloud, key, &acl);
+      CollectAclFutures(*acls, cloud, key, &acl);
       // The ACL requests' own completion is tracked by their store.
     }
     async_ops_.Done();
   });
 }
 
-std::string DepSkyClient::MetadataKey(const std::string& unit) {
-  return "du/" + unit + "/md";
-}
-
 std::string DepSkyClient::ValueKey(const std::string& unit,
-                                   const DepSkyVersion& version,
-                                   size_t index) {
-  char id[17];
-  std::snprintf(id, sizeof(id), "%016llx",
+                                   const DepSkyVersion& version, size_t index,
+                                   unsigned shard) {
+  char name[40];
+  std::snprintf(name, sizeof(name), "v%016llx/o%016llx/h",
+                static_cast<unsigned long long>(version.version),
                 static_cast<unsigned long long>(version.object_id));
-  return "du/" + unit + "/o" + id + "/u" + std::to_string(index);
+  return UnitPrefix(unit) + name + version.content_hash + "/u" +
+         std::to_string(index) + "/s" + std::to_string(shard);
 }
 
 Bytes DepSkyClient::RandomBytesLocked(size_t size) {
@@ -401,176 +312,17 @@ Bytes DepSkyClient::RandomBytesLocked(size_t size) {
   return rng_.RandomBytes(size);
 }
 
-Result<DepSkyMetadata> DepSkyClient::ReadMetadata(const std::string& unit) {
-  ASSIGN_OR_RETURN(MetadataRead read, ReadMetadata(unit, std::string()));
-  return std::move(read.md);
-}
-
-Result<DepSkyClient::MetadataRead> DepSkyClient::ReadMetadata(
-    const std::string& unit, const std::string& anchor) {
-  return SettleMetadataRead(LaunchMetadataRead(unit, anchor), 0);
-}
-
-DepSkyClient::PendingMetadataRead DepSkyClient::LaunchMetadataRead(
-    const std::string& unit, const std::string& anchor) {
-  const std::string key = MetadataKey(unit);
-  // Fan the GET out to every cloud through the async API; the settle step
-  // waits only until the read is settled — the protocol only needs n-f
-  // replies, and waiting for the slowest cloud is exactly the latency the
-  // paper's quorum design avoids.
-  std::vector<Future<Result<Bytes>>> futures;
-  futures.reserve(clouds_.size());
-  for (unsigned i = 0; i < clouds_.size(); ++i) {
-    futures.push_back(RobustGet(i, key));
-  }
-  // The predicate authenticates each reply once, keeps the decoded copy, and
-  // says whether this reply settles the read: the (n-f)-th authentic copy,
-  // or, for an anchored read, the first authentic copy that lists the
-  // anchor.
-  auto replies = std::make_shared<MetadataReplies>();
-  replies->entries.resize(clouds_.size());
-  const Bytes auth_key = config_.auth_key;
-  const unsigned quorum = config_.quorum();
-  const unsigned n = config_.n();
-  const unsigned k = config_.k();
-  const DepSkyMode mode = config_.mode;
-  auto settled = WhenQuorum<Result<Bytes>>(
-      std::move(futures), 1,
-      [replies, auth_key, anchor, quorum, n, k, mode](
-          size_t i, const Result<Bytes>& raw) {
-        if (!raw.ok()) {
-          replies->answered += ResponsiveStatus(raw.status()) ? 1 : 0;
-          return false;
-        }
-        ++replies->answered;
-        auto md = DepSkyMetadata::Decode(*raw, auth_key);
-        if (!md.ok()) {
-          return false;  // corrupted/forged copy: skip
-        }
-        if (md->n != n || md->k != k || md->mode != mode) {
-          // Written under another f or mode. Fetch and scrub code with this
-          // client's n, k and mode (the record carries neither), so the
-          // copy is unusable here.
-          ++replies->foreign;
-          return false;
-        }
-        const bool lists_anchor =
-            !anchor.empty() && md->FindByHash(anchor) != nullptr;
-        replies->entries[i] = std::move(*md);
-        ++replies->authentic;
-        return lists_anchor || replies->authentic >= quorum;
-      });
-  return PendingMetadataRead{unit, anchor, std::move(replies),
-                             std::move(settled)};
-}
-
-Result<DepSkyClient::MetadataRead> DepSkyClient::SettleMetadataRead(
-    PendingMetadataRead pending, VirtualDuration overlapped) {
-  pending.settled.Wait();
-  Environment::AddThreadCharge(
-      std::max<VirtualDuration>(0, pending.settled.charge() - overlapped));
-
-  // Keep the highest *authenticated* version view among the replies —
-  // among those listing the anchor, if any does. Byzantine clouds cannot
-  // forge the HMAC; at worst they serve an old copy, which loses the
-  // max-version vote as long as one honest fresh copy is in the quorum, and
-  // an old copy that still lists the anchor names immutable content.
-  const std::string& anchor = pending.anchor;
-  std::optional<DepSkyMetadata>* best = nullptr;
-  std::pair<bool, uint64_t> best_rank;
-  for (auto& entry : pending.replies->entries) {
-    if (!entry.has_value()) {
-      continue;
-    }
-    const std::pair<bool, uint64_t> rank(
-        !anchor.empty() && entry->FindByHash(anchor) != nullptr,
-        entry->versions.empty() ? 0 : entry->versions.back().version);
-    if (best == nullptr || rank > best_rank) {
-      best = &entry;
-      best_rank = rank;
-    }
-  }
-  // Unless a copy listing the anchor settled it, a read that fewer than n-f
-  // clouds answered proves nothing — neither the latest version nor that
-  // the unit does not exist. A write must not number itself (or start a
-  // fresh history) from it.
-  const unsigned quorum = config_.quorum();
-  if ((best == nullptr || !best_rank.first) &&
-      pending.replies->answered < quorum) {
-    return UnavailableError("metadata read quorum not reached for " +
-                            pending.unit);
-  }
-  if (best == nullptr) {
-    if (pending.replies->foreign > 0) {
-      // Not "no metadata": a write must not start a fresh history over it.
-      return FailedPreconditionError("metadata of " + pending.unit +
-                                     " was written under another n, k or "
-                                     "mode");
-    }
-    return NotFoundError("no metadata for " + pending.unit);
-  }
-  return MetadataRead{std::move(**best), pending.replies->authentic < quorum};
-}
-
-Status DepSkyClient::PushMetadata(const std::string& unit,
-                                  const DepSkyMetadata& md) {
-  return SettleMetadataPush(unit, md, LaunchMetadataPush(unit, md));
-}
-
-std::vector<Future<Status>> DepSkyClient::LaunchMetadataPush(
-    const std::string& unit, const DepSkyMetadata& md) {
-  const std::string key = MetadataKey(unit);
-  auto encoded = std::make_shared<const Bytes>(md.Encode(config_.auth_key));
-  std::vector<Future<Status>> futures;
-  futures.reserve(clouds_.size());
-  for (unsigned i = 0; i < clouds_.size(); ++i) {
-    futures.push_back(RobustPut(i, key, encoded));
-  }
-  return futures;
-}
-
-Status DepSkyClient::SettleMetadataPush(
-    const std::string& unit, const DepSkyMetadata& md,
-    const std::vector<Future<Status>>& futures) {
-  const std::string key = MetadataKey(unit);
-  // Return at the write quorum; stragglers finish inside their stores. ACLs
-  // for the acknowledged copies are applied (in parallel) before returning;
-  // a straggler's ACLs ride behind its PUT as a continuation so the slow
-  // cloud still converges to the granted state.
-  QuorumResult<Status> acks =
-      WhenQuorum<Status>(futures, config_.quorum(),
-                         [](size_t, const Status& s) { return s.ok(); })
-          .Get();
-  std::shared_ptr<const DepSkyMetadata> md_shared;
-  std::vector<Future<Status>> acl_futures;
-  for (unsigned i = 0; i < clouds_.size(); ++i) {
-    if (!acks.results[i].has_value()) {
-      if (!md_shared) {
-        md_shared = std::make_shared<const DepSkyMetadata>(md);
-      }
-      ApplyAclsWhenWritten(futures[i], i, md_shared, key);
-    } else if (acks.results[i]->ok()) {
-      CollectAclFutures(md, i, key, &acl_futures);
-    }
-  }
-  WhenAll<Status>(std::move(acl_futures)).Join();  // max-of-clouds
-  if (!acks.quorum_reached) {
-    return UnavailableError("metadata write quorum not reached for " + unit);
-  }
-  return OkStatus();
-}
-
-void DepSkyClient::CollectAclFutures(const DepSkyMetadata& md, unsigned cloud,
+void DepSkyClient::CollectAclFutures(const DepSkyGrants& acls, unsigned cloud,
                                      const std::string& key,
                                      std::vector<Future<Status>>* out) {
   // Owner of the data unit always gets read+write on objects we create.
-  if (cloud < md.owner_ids.size() && !md.owner_ids[cloud].empty() &&
-      md.owner_ids[cloud] != clouds_[cloud].creds.canonical_id) {
+  if (cloud < acls.owner_ids.size() && !acls.owner_ids[cloud].empty() &&
+      acls.owner_ids[cloud] != clouds_[cloud].creds.canonical_id) {
     out->push_back(clouds_[cloud].store->SetAclAsync(
-        clouds_[cloud].creds, key, md.owner_ids[cloud],
+        clouds_[cloud].creds, key, acls.owner_ids[cloud],
         ObjectPermissions::ReadWrite()));
   }
-  for (const auto& grant : md.grants) {
+  for (const auto& grant : acls.grants) {
     if (cloud >= grant.cloud_ids.size() || grant.cloud_ids[cloud].empty()) {
       continue;
     }
@@ -585,56 +337,343 @@ void DepSkyClient::CollectAclFutures(const DepSkyMetadata& md, unsigned cloud,
   }
 }
 
-void DepSkyClient::ApplyAclsToObject(const DepSkyMetadata& md, unsigned cloud,
+void DepSkyClient::ApplyAclsToObject(const DepSkyGrants& acls, unsigned cloud,
                                      const std::string& key) {
   std::vector<Future<Status>> futures;
-  CollectAclFutures(md, cloud, key, &futures);
+  CollectAclFutures(acls, cloud, key, &futures);
   WhenAll<Status>(std::move(futures)).Join();  // best effort, charge the wait
+}
+
+std::vector<Result<std::vector<ObjectInfo>>> DepSkyClient::ListEvery(
+    const std::string& prefix) {
+  std::vector<Future<Result<std::vector<ObjectInfo>>>> listings;
+  for (unsigned i = 0; i < clouds_.size(); ++i) {
+    listings.push_back(RobustList(i, prefix));
+  }
+  return WhenAll<Result<std::vector<ObjectInfo>>>(std::move(listings)).Get();
+}
+
+Result<DepSkyClient::Listing> DepSkyClient::List(const std::string& unit,
+                                                 const std::string& anchor,
+                                                 bool all) {
+  const std::string prefix = UnitPrefix(unit);
+  const unsigned n = cloud_count();
+  const unsigned quorum = config_.quorum();
+  // Every cloud is asked. The LIST settles at the n-f-th answer, or at the
+  // first answer naming the anchor; with `all`, once every cloud answered.
+  std::vector<Future<Result<std::vector<ObjectInfo>>>> futures;
+  for (unsigned c = 0; c < n; ++c) {
+    futures.push_back(RobustList(c, prefix));
+  }
+  auto answered = std::make_shared<unsigned>(0);
+  const std::vector<std::optional<Result<std::vector<ObjectInfo>>>> answers =
+      WhenQuorum<Result<std::vector<ObjectInfo>>>(
+          std::move(futures), 1,
+          [answered, all, quorum, anchor, prefix](
+              size_t, const Result<std::vector<ObjectInfo>>& r) {
+            if (all || !r.ok()) {
+              return false;
+            }
+            ObjectName name;
+            return ++*answered >= quorum ||
+                   std::any_of(r->begin(), r->end(), [&](const ObjectInfo& o) {
+                     return ParseObjectName(o.key.c_str() + prefix.size(),
+                                            &name) &&
+                            anchor == name.content_hash;
+                   });
+          })
+          .Get()
+          .results;
+
+  Listing listing;
+  listing.answered.assign(n, false);
+  std::map<std::tuple<uint64_t, uint64_t, std::string>, ListedVersion>
+      versions;
+  bool names_anchor = false;
+  for (unsigned c = 0; c < n; ++c) {
+    if (!answers[c].has_value() || !answers[c]->ok()) {
+      continue;
+    }
+    const std::vector<ObjectInfo>& objects = **answers[c];
+    listing.answered[c] = true;
+    ++listing.answers;
+    for (const ObjectInfo& object : objects) {
+      const char* name = object.key.c_str() + prefix.size();
+      if (std::strcmp(name, kGrantsName) == 0) {
+        listing.grants_listed = true;
+        continue;
+      }
+      ObjectName parsed;
+      if (!ParseObjectName(name, &parsed) || parsed.shard >= n) {
+        continue;
+      }
+      ListedVersion& version = versions[std::make_tuple(
+          parsed.version, parsed.object_id, parsed.content_hash)];
+      version.version = parsed.version;
+      version.object_id = parsed.object_id;
+      version.content_hash = parsed.content_hash;
+      auto [holders, added] = version.units.try_emplace(parsed.index);
+      if (added) {
+        holders->second.assign(n, -1);
+      }
+      holders->second[c] = static_cast<int32_t>(parsed.shard);
+      names_anchor = names_anchor || parsed.content_hash == anchor;
+    }
+  }
+  if (listing.answers < quorum) {
+    // Fewer than n-f answers prove nothing — neither the latest version
+    // nor that a hash is absent — unless one named the anchor.
+    if (anchor.empty() || !names_anchor) {
+      return UnavailableError("listing quorum not reached for " + unit);
+    }
+    listing.early = true;
+  }
+  for (auto& [name, version] : versions) {
+    listing.versions.push_back(std::move(version));
+  }
+  return listing;
+}
+
+Result<DepSkyVersion> DepSkyClient::ResolveRecord(const std::string& unit,
+                                                  const Listing& listing,
+                                                  const ListedVersion& listed) {
+  const unsigned n = config_.n();
+  DepSkyVersion named;
+  named.version = listed.version;
+  named.object_id = listed.object_id;
+  named.content_hash = listed.content_hash;
+  // Per listed unit, the header of the fastest cloud listing it that
+  // certifies its object's name — version, id, hash, unit and shard are all
+  // under its HMAC. The next lister is asked only if one fails.
+  std::map<uint32_t, Result<DepSkyShardHeader>> headers;
+  for (const auto& [index, holders] : listed.units) {
+    std::vector<unsigned> listers;
+    for (unsigned c = 0; c < holders.size(); ++c) {
+      if (holders[c] >= 0) {
+        listers.push_back(c);
+      }
+    }
+    Result<DepSkyShardHeader> header = NotFoundError("unit not listed");
+    for (unsigned cloud : health_.ReorderByLatency(listers, env_->Now())) {
+      const unsigned shard = static_cast<unsigned>(holders[cloud]);
+      Result<Bytes> raw =
+          RobustGet(cloud, ValueKey(unit, named, index, shard)).Get();
+      size_t offset = 0;
+      header = raw.ok() ? DepSkyShardHeader::Read(*raw, unit,
+                                                  config_.auth_key, &offset)
+                        : Result<DepSkyShardHeader>(raw.status());
+      if (header.ok() &&
+          (header->version != named.version ||
+           header->object_id != named.object_id ||
+           header->content_hash != named.content_hash ||
+           header->unit_index != index || header->shard_index != shard)) {
+        header = CorruptionError("header does not match its name in " + unit);
+      } else if (header.ok() &&
+                 (header->n != n || header->k != config_.k() ||
+                  header->mode != config_.mode ||
+                  header->shard_hashes.size() != n)) {
+        // Fetch and scrub code with this client's n, k and mode.
+        header = FailedPreconditionError(
+            "version of " + unit + " was written under another n, k or mode");
+      }
+      if (header.ok()) {
+        break;
+      }
+    }
+    headers.emplace(index, std::move(header));
+  }
+
+  auto base = std::find_if(headers.begin(), headers.end(), [](const auto& h) {
+    return h.second.ok();
+  });
+  if (base == headers.end()) {
+    // No header certifies the name. Objects missing under a listed name
+    // are a forgery here, not a version still missing units.
+    const Status failure = headers.begin()->second.status();
+    return failure.code() == ErrorCode::kNotFound
+               ? CorruptionError("no object under a listed name in " + unit)
+               : failure;
+  }
+  DepSkyVersion record = named;
+  record.size = base->second->size;
+  record.nonce = base->second->nonce;
+  record.stripe_unit_size = base->second->stripe_unit_size;
+  const uint64_t unit_count =
+      DepSkyVersion::UnitCount(record.size, record.stripe_unit_size);
+  // Every unit must be listed before the record is sized by the header's
+  // claim: a crashed write lacks some, and so does a made-up size.
+  for (uint64_t u = 0; u < unit_count; ++u) {
+    if (headers.count(static_cast<uint32_t>(u)) == 0) {
+      return NotFoundError("version of " + unit + " is missing units");
+    }
+  }
+  record.stripe_units.resize(unit_count);
+  for (size_t u = 0; u < unit_count; ++u) {
+    const Result<DepSkyShardHeader>& header =
+        headers.at(static_cast<uint32_t>(u));
+    RETURN_IF_ERROR(header.status());
+    if (header->size != record.size || header->nonce != record.nonce ||
+        header->stripe_unit_size != record.stripe_unit_size) {
+      return CorruptionError("headers of one version of " + unit +
+                             " disagree");
+    }
+    DepSkyStripeUnit& stripe = record.stripe_units[u];
+    stripe.content_hash = header->unit_hash;
+    stripe.shard_hashes = header->shard_hashes;
+    stripe.cloud_shard = listed.units.at(static_cast<uint32_t>(u));
+    for (uint32_t c : header->first_wave) {
+      const bool held = std::find(stripe.cloud_shard.begin(),
+                                  stripe.cloud_shard.end(),
+                                  static_cast<int32_t>(c)) !=
+                        stripe.cloud_shard.end();
+      if (c < n && !listing.answered[c] && !held) {
+        stripe.cloud_shard[c] = static_cast<int32_t>(c);
+      }
+    }
+  }
+  return record;
+}
+
+Result<Bytes> DepSkyClient::ReadListed(
+    const std::string& unit, const Listing& listing,
+    const std::function<bool(const ListedVersion&)>& pick,
+    const std::function<Result<Bytes>(const DepSkyVersion&)>& fetch) {
+  for (auto it = listing.versions.rbegin(); it != listing.versions.rend();
+       ++it) {
+    if (!pick(*it)) {
+      continue;
+    }
+    Result<DepSkyVersion> record =
+        ResolveRecord(unit, listing, *it);
+    if (record.status().code() == ErrorCode::kNotFound) {
+      continue;  // a unit missing: a write that crashed mid-wave
+    }
+    Result<Bytes> data =
+        record.ok() ? fetch(*record) : Result<Bytes>(record.status());
+    if (data.ok()) {
+      return data;
+    }
+    // Fewer than k listers cannot be an acknowledged version without f+1
+    // faulty clouds: a crashed or forged write, passed over.
+    const size_t units = record.ok() ? record->stripe_units.size() : 1;
+    if (it->Listers(units) >= config_.k()) {
+      return data.status();
+    }
+  }
+  return NotFoundError("no readable version of " + unit + " listed yet");
+}
+
+uint64_t DepSkyClient::NextVersionNumber(const std::string& unit,
+                                         const Listing& listing) {
+  for (auto it = listing.versions.rbegin(); it != listing.versions.rend();
+       ++it) {
+    // f+1 clouds include a correct one, which lists only what was PUT.
+    if (it->Listers(1) >= config_.f + 1) {
+      return it->version + 1;
+    }
+    // Past a header's authentication a resolve fails only with NOT_FOUND
+    // (units missing) or FAILED_PRECONDITION (another coding).
+    const ErrorCode code = ResolveRecord(unit, listing, *it).status().code();
+    if (code == ErrorCode::kOk || code == ErrorCode::kNotFound ||
+        code == ErrorCode::kFailedPrecondition) {
+      return it->version + 1;  // an authentic header names it
+    }
+  }
+  return 1;
+}
+
+Result<DepSkyGrants> DepSkyClient::ReadGrants(const std::string& unit) {
+  const std::string key = GrantsKey(unit);
+  std::vector<Future<Result<Bytes>>> futures;
+  futures.reserve(clouds_.size());
+  for (unsigned i = 0; i < clouds_.size(); ++i) {
+    futures.push_back(RobustGet(i, key));
+  }
+  QuorumResult<Result<Bytes>> answers =
+      WhenQuorum<Result<Bytes>>(std::move(futures), config_.quorum(),
+                                [](size_t, const Result<Bytes>& r) {
+                                  return Answered(r);
+                                })
+          .Get();
+  if (!answers.quorum_reached) {
+    return UnavailableError("grant object quorum not reached for " + unit);
+  }
+  DepSkyGrants best;
+  for (const auto& answer : answers.results) {
+    if (!answer.has_value() || !answer->ok()) {
+      continue;
+    }
+    auto grants = DepSkyGrants::Decode(**answer, unit, config_.auth_key);
+    if (grants.ok() && grants->sequence > best.sequence) {
+      best = std::move(*grants);
+    }
+  }
+  return best;
+}
+
+Status DepSkyClient::PushGrants(const std::string& unit,
+                                const DepSkyGrants& grants) {
+  const std::string key = GrantsKey(unit);
+  auto encoded =
+      std::make_shared<const Bytes>(grants.Encode(unit, config_.auth_key));
+  std::vector<Future<Status>> futures;
+  futures.reserve(clouds_.size());
+  for (unsigned i = 0; i < clouds_.size(); ++i) {
+    futures.push_back(RobustPut(i, key, encoded));
+  }
+  QuorumResult<Status> acks =
+      WhenQuorum<Status>(futures, config_.quorum(),
+                         [](size_t, const Status& s) { return s.ok(); })
+          .Get();
+  auto acls = std::make_shared<const DepSkyGrants>(grants);
+  std::vector<Future<Status>> acl_futures;
+  for (unsigned i = 0; i < clouds_.size(); ++i) {
+    if (!acks.results[i].has_value()) {
+      ApplyAclsWhenWritten(futures[i], i, acls, key);
+    } else if (acks.results[i]->ok()) {
+      CollectAclFutures(grants, i, key, &acl_futures);
+    }
+  }
+  WhenAll<Status>(std::move(acl_futures)).Join();  // max-of-clouds
+  if (!acks.quorum_reached) {
+    return UnavailableError("grant object write quorum not reached for " +
+                            unit);
+  }
+  return OkStatus();
 }
 
 Result<DepSkyVersion> DepSkyClient::WriteVersion(
     const std::string& unit, const std::string& content_hash,
-    ConstByteSpan data, const std::vector<DepSkyGrant>* merge_grants) {
-  ASSIGN_OR_RETURN(DepSkyWrite write,
-                   StartWrite(unit, content_hash, data, merge_grants));
-  RETURN_IF_ERROR(write.finish(std::nullopt).Get());
-  return std::move(write.record);
-}
-
-VirtualDuration DepSkyClient::RequestBudget() const {
-  // Every attempt may run to its deadline, and each retry first waits at
-  // most the uncapped-jitter backoff delay.
-  BackoffPolicy longest = config_.retry_backoff;
-  longest.jitter = 0;
-  Rng unused(0);
-  const int attempts = std::max(1, config_.max_attempts);
-  VirtualDuration budget = 0;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    budget += config_.request_deadline;
-    if (attempt + 1 < attempts) {
-      budget += longest.Delay(attempt, unused);
+    ConstByteSpan data, const std::vector<DepSkyGrant>* grants,
+    uint64_t version_number) {
+  if (content_hash.empty() || content_hash.size() > 128 ||
+      content_hash.find('/') != std::string::npos) {
+    return InvalidArgumentError("content hash unusable in an object name");
+  }
+  auto acls = std::make_shared<DepSkyGrants>();
+  if (grants != nullptr) {
+    acls->grants = *grants;
+  }
+  DepSkyVersion version;
+  version.version = version_number;
+  if (version_number == 0) {
+    // Unanchored: the LIST numbers the version and shows whether the unit
+    // has stored grants, which the caller's replace principal by principal.
+    ASSIGN_OR_RETURN(Listing listing, List(unit, std::string(), false));
+    version.version = NextVersionNumber(unit, listing);
+    if (listing.grants_listed) {
+      ASSIGN_OR_RETURN(DepSkyGrants stored, ReadGrants(unit));
+      acls->owner_ids = std::move(stored.owner_ids);
+      for (auto& grant : stored.grants) {
+        const bool replaced = std::any_of(
+            acls->grants.begin(), acls->grants.end(),
+            [&](const DepSkyGrant& g) { return g.cloud_ids == grant.cloud_ids; });
+        if (!replaced) {
+          acls->grants.push_back(std::move(grant));
+        }
+      }
     }
   }
-  return budget;
-}
-
-VirtualDuration DepSkyClient::HandoffBound() const {
-  return config_.request_deadline;
-}
-
-Result<DepSkyWrite> DepSkyClient::StartWrite(
-    const std::string& unit, const std::string& content_hash,
-    ConstByteSpan data, const std::vector<DepSkyGrant>* merge_grants,
-    const DepSkyVersion* predecessor) {
-  const VirtualTime started = env_->Now();
-  // Steps 1-2: start reading the version history, and name the objects by a
-  // fresh id. The read settles once the shards are encoded and PUT: the
-  // version number, history, owner ids and grants depend on it, the shards
-  // do not. Its copies listing the predecessor are counted for the
-  // write-behind.
-  WriteBase base(this, LaunchMetadataRead(unit, std::string()), merge_grants,
-                 predecessor);
-  DepSkyVersion version;
   version.object_id = MixSeed(object_id_salt_, objects_named_.fetch_add(1));
   version.content_hash = content_hash;
   version.size = data.size();
@@ -658,127 +697,18 @@ Result<DepSkyWrite> DepSkyClient::StartWrite(
     shares = std::move(*split);
   }
 
-  // Step 4 per unit. The first window starts while the metadata read is in
-  // flight; the first unit to reach its ACLs settles it.
+  // Step 4 per unit. Each unit writes only its own slot of the record.
+  std::shared_ptr<const DepSkyGrants> unit_acls = std::move(acls);
   RETURN_IF_ERROR(ForEachUnit(
       0, version.stripe_units.size(), [&](size_t u) -> Status {
-        const size_t begin = u * unit_size;
         ASSIGN_OR_RETURN(
             version.stripe_units[u],
-            WriteStripeUnit(&base, ValueKey(unit, version, u),
-                            data.subspan(begin, unit_size), key,
-                            version.nonce, shares,
-                            static_cast<uint32_t>(begin / 64)));
+            WriteStripeUnit(unit, version, u,
+                            data.subspan(u * unit_size, unit_size), key,
+                            shares, unit_acls));
         return OkStatus();
       }));
-
-  // Step 5: number the version after the highest one read and after the
-  // predecessor (whose metadata may not have landed yet), and hand the
-  // metadata to the write-behind.
-  ASSIGN_OR_RETURN(std::shared_ptr<const DepSkyMetadata> md, base.Get(0));
-  version.version = md->NextVersionNumber();
-  std::optional<DepSkyVersion> pred;
-  if (predecessor != nullptr) {
-    pred = *predecessor;
-    version.version = std::max(version.version, pred->version + 1);
-  }
-  // The straggler invariant: the predecessor's metadata PUT must be on n-f
-  // clouds before this one is launched, so at most f clouds can end up
-  // with the older history on top. Its finish launched all of its
-  // requests at most HandoffBound() after this write started (the handoff
-  // contract, depsky.h), so a RequestBudget() after that none of them can
-  // still land.
-  if (pred.has_value()) {
-    AwaitListed(unit, base.predecessor_copies(), pred->object_id,
-                started + RequestBudget() + HandoffBound());
-  }
-  DepSkyWrite write;
-  write.record = version;
-  write.finish = [this, unit, md, acls = base.behind_acls(),
-                  pred = std::move(pred), version = std::move(version)](
-                     std::optional<VirtualTime> handed_off) {
-    return FinishWrite(unit, *md, *acls, pred, version, handed_off);
-  };
-  return write;
-}
-
-Future<Status> DepSkyClient::FinishWrite(
-    const std::string& unit, const DepSkyMetadata& md,
-    const DepSkyMetadata& acls, const std::optional<DepSkyVersion>& pred,
-    const DepSkyVersion& version, std::optional<VirtualTime> handed_off) {
-  // The successor's listing wait counts on this launch coming at most
-  // HandoffBound() after the handoff, hence after its start. Later, its
-  // own PUT may already be out: launch nothing, and leave the listing to
-  // the successor's merge, as for a writer that crashed before its finish.
-  if (handed_off.has_value() && HandoffBound() > 0 &&
-      env_->Now() - *handed_off > HandoffBound()) {
-    late_handoffs_.fetch_add(1);
-    return Future<Status>::Ready(
-        TimeoutError("handoff of " + unit + " acknowledged too late to list "
-                     "its version; the next write lists it"));
-  }
-  // History ∪ predecessor ∪ this version, in version order.
-  auto merged = std::make_shared<DepSkyMetadata>(md);
-  if (pred.has_value() &&
-      std::none_of(merged->versions.begin(), merged->versions.end(),
-                   [&](const DepSkyVersion& v) {
-                     return v.object_id == pred->object_id;
-                   })) {
-    auto at = std::upper_bound(merged->versions.begin(),
-                               merged->versions.end(), pred->version,
-                               [](uint64_t number, const DepSkyVersion& v) {
-                                 return number < v.version;
-                               });
-    merged->versions.insert(at, *pred);
-  }
-  merged->versions.push_back(version);
-  // Launched before returning: the PUT, and alongside it the ACLs the
-  // metadata adds, on every acknowledged object.
-  std::vector<Future<Status>> puts = LaunchMetadataPush(unit, *merged);
-  std::vector<Future<Status>> acl_futures;
-  for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-    const std::vector<int32_t>& cloud_shard =
-        version.stripe_units[u].cloud_shard;
-    for (unsigned cloud = 0; cloud < cloud_shard.size(); ++cloud) {
-      if (cloud_shard[cloud] >= 0) {
-        CollectAclFutures(acls, cloud, ValueKey(unit, version, u),
-                          &acl_futures);
-      }
-    }
-  }
-  return SubmitTracked(&async_ops_, [this, unit, merged, puts, acl_futures]() {
-    Status pushed = SettleMetadataPush(unit, *merged, puts);
-    WhenAll<Status>(acl_futures).Join();  // max-of-clouds
-    return pushed;
-  });
-}
-
-void DepSkyClient::AwaitListed(const std::string& unit, unsigned listed,
-                               uint64_t object_id, VirtualTime deadline) {
-  const unsigned quorum = config_.quorum();
-  if (listed >= quorum) {
-    return;  // steady state: the write's own read saw it
-  }
-  predecessor_rereads_.fetch_add(1);
-  for (int attempt = 0;; ++attempt) {
-    PendingMetadataRead reread = LaunchMetadataRead(unit, std::string());
-    reread.settled.Wait();
-    Environment::AddThreadCharge(reread.settled.charge());
-    if (reread.replies->Listing(object_id) >= quorum) {
-      return;
-    }
-    const VirtualTime now = env_->Now();
-    if (now >= deadline) {
-      predecessor_budget_waits_.fetch_add(1);
-      return;
-    }
-    VirtualDuration delay;
-    {
-      std::lock_guard<std::mutex> lock(rng_mu_);
-      delay = config_.retry_backoff.Delay(attempt, rng_);
-    }
-    env_->Sleep(delay > 0 ? std::min(delay, deadline - now) : deadline - now);
-  }
+  return version;
 }
 
 Status DepSkyClient::ForEachUnit(
@@ -813,28 +743,30 @@ Status DepSkyClient::ForEachUnit(
   return first_error;
 }
 
-Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
-    WriteBase* base, const std::string& value_key,
-    std::vector<Bytes> objects,
-    const std::function<Bytes(unsigned)>& encode_object) {
+void DepSkyClient::PlanWave(std::vector<unsigned>* preferred,
+                            std::vector<unsigned>* spares) {
   // Preferred quorums: use the first n-f *healthy* clouds — the cost-ordered
   // list with breaker-demoted clouds moved to the back, so a flapping
   // provider drops out of the preferred set and only re-enters once its
   // breaker half-opens.
-  const unsigned quorum = config_.quorum();
   std::vector<unsigned> cost_order(clouds_.size());
   std::iota(cost_order.begin(), cost_order.end(), 0u);
-  std::vector<unsigned> ordered = health_.Reorder(cost_order, env_->Now());
-  std::vector<unsigned> preferred;
-  std::vector<unsigned> spares;
-  for (unsigned cloud : ordered) {
-    if (config_.preferred_quorums && preferred.size() >= quorum) {
-      spares.push_back(cloud);
+  for (unsigned cloud : health_.Reorder(cost_order, env_->Now())) {
+    if (config_.preferred_quorums && preferred->size() >= config_.quorum()) {
+      spares->push_back(cloud);
     } else {
-      preferred.push_back(cloud);
+      preferred->push_back(cloud);
     }
   }
+}
 
+Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
+    const std::string& unit, const DepSkyVersion& version, size_t index,
+    std::vector<Bytes> objects, const std::vector<unsigned>& preferred,
+    const std::vector<unsigned>& spares,
+    const std::function<Bytes(unsigned)>& encode_object,
+    const std::shared_ptr<const DepSkyGrants>& acls) {
+  const unsigned quorum = config_.quorum();
   std::vector<int32_t> cloud_shard(clouds_.size(), -1);
 
   // First wave: shard i -> preferred cloud i, fanned out through the async
@@ -845,66 +777,64 @@ Result<std::vector<int32_t>> DepSkyClient::PlaceObjects(
   futures.reserve(preferred.size());
   for (unsigned cloud : preferred) {
     futures.push_back(RobustPut(
-        cloud, value_key,
+        cloud, ValueKey(unit, version, index, cloud),
         std::make_shared<const Bytes>(std::move(objects[cloud]))));
   }
-  Future<QuorumResult<Status>> wave = WhenQuorum<Status>(
-      futures, quorum, [](size_t, const Status& s) { return s.ok(); });
-  QuorumResult<Status> acks = wave.Get();
-  // The version number needs the history: settle the write's metadata
-  // read, which ran alongside the wave and is charged only beyond it. A
-  // failed read fails the write; nothing has been published. Only the
-  // caller's grants are applied before the write returns; the ACLs the
-  // metadata adds ride the write-behind.
-  ASSIGN_OR_RETURN(std::shared_ptr<const DepSkyMetadata> md_shared,
-                   base->Get(wave.charge()));
-  const DepSkyMetadata& acls = base->caller_acls();
+  QuorumResult<Status> acks =
+      WhenQuorum<Status>(futures, quorum,
+                         [](size_t, const Status& s) { return s.ok(); })
+          .Get();
   unsigned successes = 0;
   std::vector<unsigned> failed_shards;
   std::vector<Future<Status>> acl_futures;
   for (size_t i = 0; i < preferred.size(); ++i) {
-    unsigned cloud = preferred[i];
+    const unsigned cloud = preferred[i];
+    const std::string key = ValueKey(unit, version, index, cloud);
     if (!acks.results[i].has_value()) {
       // Still in flight past the quorum: not recorded as a holder, but its
       // object (if the PUT lands) still gets every grant.
-      ApplyAclsWhenWritten(futures[i], cloud, md_shared, value_key);
+      ApplyAclsWhenWritten(futures[i], cloud, acls, key);
       continue;
     }
     if (acks.results[i]->ok()) {
       cloud_shard[cloud] = static_cast<int32_t>(cloud);
-      CollectAclFutures(acls, cloud, value_key, &acl_futures);
+      CollectAclFutures(*acls, cloud, key, &acl_futures);
       ++successes;
     } else {
       failed_shards.push_back(cloud);
     }
   }
   WhenAll<Status>(std::move(acl_futures)).Join();  // max-of-clouds
-  // Fallback wave: route failed shards to spare clouds.
+  // Fallback wave: route failed shards to spare clouds. The name carries
+  // the shard index, so a LIST shows where each shard went.
   for (unsigned spare : spares) {
     if (successes >= quorum || failed_shards.empty()) {
       break;
     }
-    unsigned shard = failed_shards.back();
-    Status s = RobustPut(spare, value_key,
+    const unsigned shard = failed_shards.back();
+    const std::string key = ValueKey(unit, version, index, shard);
+    Status s = RobustPut(spare, key,
                          std::make_shared<const Bytes>(encode_object(shard)))
                    .Get();
     if (s.ok()) {
-      ApplyAclsToObject(acls, spare, value_key);
+      ApplyAclsToObject(*acls, spare, key);
       cloud_shard[spare] = static_cast<int32_t>(shard);
       failed_shards.pop_back();
       ++successes;
     }
   }
   if (successes < quorum) {
-    return UnavailableError("write quorum not reached for " + value_key);
+    return UnavailableError("write quorum not reached for unit " +
+                            std::to_string(index) + " of " + unit);
   }
   return cloud_shard;
 }
 
 Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
-    WriteBase* base, const std::string& value_key,
-    ConstByteSpan plaintext, const Bytes& key, const Bytes& nonce,
-    const std::vector<SecretShare>& shares, uint32_t counter) {
+    const std::string& unit, const DepSkyVersion& version, size_t index,
+    ConstByteSpan plaintext, const Bytes& key,
+    const std::vector<SecretShare>& shares,
+    const std::shared_ptr<const DepSkyGrants>& acls) {
   // Zero-copy: the plaintext is encrypted straight into the pooled arena's
   // framed data region (the systematic shards alias that frame), parity is
   // derived in place, and shard hashing and wire-object serialization read
@@ -914,36 +844,78 @@ Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
   if (config_.mode == DepSkyMode::kSecretSharing) {
     ErasureCodec codec(config_.n(), config_.k());
     arena = codec.PrepareArena(plaintext.size(), &arena_pool_);
-    ChaCha20::CryptInto(key, nonce, counter, plaintext, arena->payload());
+    const uint32_t counter =
+        static_cast<uint32_t>(index * version.stripe_unit_size / 64);
+    ChaCha20::CryptInto(key, version.nonce, counter, plaintext,
+                        arena->payload());
     codec.ComputeParity(&*arena);
   }
 
+  const unsigned shard_count = static_cast<unsigned>(clouds_.size());
   DepSkyStripeUnit stripe;
   stripe.content_hash = Sha256::Hash(plaintext);
-  auto encode_object = [&](unsigned shard_index) -> Bytes {
+  // The header is the same for every shard but its index, and its size
+  // does not depend on the hash values: each value object is serialized
+  // behind a gap the header is written into once every shard is hashed.
+  DepSkyShardHeader header;
+  header.n = config_.n();
+  header.k = config_.k();
+  header.mode = config_.mode;
+  header.version = version.version;
+  header.object_id = version.object_id;
+  header.content_hash = version.content_hash;
+  header.size = version.size;
+  header.nonce = version.nonce;
+  header.stripe_unit_size = version.stripe_unit_size;
+  header.unit_index = static_cast<uint32_t>(index);
+  header.unit_hash = stripe.content_hash;
+  header.shard_hashes.assign(shard_count, Bytes(Sha256::kDigestSize, 0));
+  header.acls.owner_ids = acls->owner_ids;
+  header.acls.grants = acls->grants;
+  std::vector<unsigned> preferred;
+  std::vector<unsigned> spares;
+  PlanWave(&preferred, &spares);
+  header.first_wave.assign(preferred.begin(), preferred.end());
+  const size_t front = header.EncodedSize();
+  auto encode_value = [&](unsigned shard_index) -> Bytes {
     // The shard bytes move from the arena (or the caller's plaintext) to the
     // wire buffer in this one serialization copy.
     if (!arena) {
-      return DepSkyValueObject::EncodeParts(plaintext, 0, {});
+      return DepSkyValueObject::EncodeParts(plaintext, 0, {}, front);
     }
     return DepSkyValueObject::EncodeParts(arena->shard(shard_index),
                                           shares[shard_index].index,
-                                          shares[shard_index].data);
+                                          shares[shard_index].data, front);
   };
-  // The recorded hash covers the complete stored object — shard AND key
+  auto stamp = [&](unsigned shard_index, Bytes* object) {
+    DepSkyShardHeader own = header;
+    own.shard_index = shard_index;
+    own.WriteTo(unit, config_.auth_key, ByteSpan(*object).first(front));
+  };
+  // The recorded hash covers the complete value object — shard AND key
   // share AND framing — so a faulty cloud cannot slip a poisoned key share
   // past the check by leaving the shard untouched. Share i always rides
   // with shard i, fallback writes included, so the hash per shard index is
   // well-defined.
-  const unsigned shard_count = static_cast<unsigned>(clouds_.size());
   std::vector<Bytes> objects(shard_count);
   stripe.shard_hashes.resize(shard_count);
   for (unsigned i = 0; i < shard_count; ++i) {
-    objects[i] = encode_object(i);
-    stripe.shard_hashes[i] = Sha256::Hash(objects[i]);
+    objects[i] = encode_value(i);
+    stripe.shard_hashes[i] =
+        Sha256::Hash(ConstByteSpan(objects[i]).subspan(front));
   }
-  auto placed =
-      PlaceObjects(base, value_key, std::move(objects), encode_object);
+  header.shard_hashes = stripe.shard_hashes;
+  for (unsigned i = 0; i < shard_count; ++i) {
+    stamp(i, &objects[i]);
+  }
+  auto placed = PlaceObjects(
+      unit, version, index, std::move(objects), preferred, spares,
+      [&](unsigned shard_index) {
+        Bytes object = encode_value(shard_index);
+        stamp(shard_index, &object);
+        return object;
+      },
+      acls);
   if (arena) {
     arena_pool_.Release(std::move(*arena));
   }
@@ -957,10 +929,10 @@ Result<DepSkyStripeUnit> DepSkyClient::WriteStripeUnit(
 // coordinate through `mu`; `done_promise` settles exactly once.
 struct DepSkyClient::ShardFetchState {
   std::string unit;
-  std::string value_key;
+  std::vector<std::string> keys;  // by cloud: the shard object it holds
   unsigned k = 0;
   std::vector<unsigned> holders;     // latency-ordered launch sequence
-  std::vector<int32_t> cloud_shard;  // copy: outlives the caller's metadata
+  std::vector<int32_t> cloud_shard;  // copy: outlives the caller's record
   std::vector<Bytes> shard_hashes;
   VirtualTime started = 0;
 
@@ -993,7 +965,7 @@ void DepSkyClient::LaunchShardGet(
     // while its own retry still runs: failing over costs one round trip to
     // the failed cloud, not its retry backoff and a second round trip.
     auto replaced = std::make_shared<std::atomic<bool>>(false);
-    RobustGet(cloud, state->value_key,
+    RobustGet(cloud, state->keys[cloud],
               [this, state, replaced] {
                 replaced->store(true);
                 LaunchShardGet(state);
@@ -1009,14 +981,19 @@ void DepSkyClient::LaunchShardGet(
               return;  // straggler past the trigger
             }
             bool valid_shard = false;
-            if (raw.ok()) {
-              auto object = DepSkyValueObject::Decode(*raw);
+            // The header is skipped, not authenticated: the record's hash
+            // of the value object behind it is the check.
+            auto offset = raw.ok() ? DepSkyShardHeader::ValueOffset(*raw)
+                                   : Result<size_t>(raw.status());
+            if (offset.ok()) {
+              const ConstByteSpan value = ConstByteSpan(*raw).subspan(*offset);
+              auto object = DepSkyValueObject::Decode(value);
               if (object.ok() && cloud < state->cloud_shard.size() &&
                   state->cloud_shard[cloud] >= 0) {
                 unsigned shard_index =
                     static_cast<unsigned>(state->cloud_shard[cloud]);
                 if (shard_index < state->shard_hashes.size() &&
-                    Sha256::Hash(*raw) == state->shard_hashes[shard_index]) {
+                    Sha256::Hash(value) == state->shard_hashes[shard_index]) {
                   // Hash-valid over the full stored object: corrupted shards,
                   // poisoned key shares and byzantine swaps never get here.
                   if (!state->shards[shard_index].has_value()) {
@@ -1086,30 +1063,33 @@ void DepSkyClient::ArmHedgeTimer(
 }
 
 Result<DepSkyClient::FetchedShards> DepSkyClient::FetchShards(
-    const std::string& unit, const std::string& value_key, unsigned k,
-    const DepSkyStripeUnit& stripe) {
+    const std::string& unit, const DepSkyVersion& version, size_t index,
+    unsigned k) {
+  const DepSkyStripeUnit& stripe = version.stripe_units[index];
   const std::vector<int32_t>& cloud_shard = stripe.cloud_shard;
   // Clouds that hold a shard of this object, in cost order.
   std::vector<unsigned> holders;
+  auto state = std::make_shared<ShardFetchState>();
+  state->keys.resize(clouds_.size());
   for (unsigned i = 0; i < clouds_.size(); ++i) {
     if (i < cloud_shard.size() && cloud_shard[i] >= 0) {
       holders.push_back(i);
+      state->keys[i] = ValueKey(unit, version, index,
+                                static_cast<unsigned>(cloud_shard[i]));
     }
   }
   if (holders.size() < k) {
     return UnavailableError("not enough shard holders recorded");
   }
 
-  auto state = std::make_shared<ShardFetchState>();
   state->unit = unit;
-  state->value_key = value_key;
   state->k = k;
   // Fastest healthy holders first (the read waits for the k-th launched),
   // breaker-demoted ones at the back: a broken cloud is only asked once the
   // healthy ones cannot supply k valid shards.
   state->holders = health_.ReorderByLatency(holders, env_->Now());
   // Copies, not references: a straggler's collector may run after this
-  // frame (and the caller's metadata) are gone.
+  // frame (and the caller's record) are gone.
   state->cloud_shard = cloud_shard;
   state->shard_hashes = stripe.shard_hashes;
   state->started = env_->Now();
@@ -1188,9 +1168,8 @@ Status DepSkyClient::FetchStripeUnit(
   const bool secret_sharing = config_.mode == DepSkyMode::kSecretSharing;
   const unsigned n = config_.n();
   const unsigned k = secret_sharing ? config_.k() : 1;
-  ASSIGN_OR_RETURN(
-      FetchedShards fetched,
-      FetchShards(unit, ValueKey(unit, version, stripe_index), k, stripe));
+  ASSIGN_OR_RETURN(FetchedShards fetched,
+                   FetchShards(unit, version, stripe_index, k));
   // Hash-valid shards are what the writer stored, so they bound the unit:
   // a record claiming another length is corrupt, and nothing is sized by
   // its claim before this check.
@@ -1263,26 +1242,21 @@ Status DepSkyClient::FetchStripeUnit(
 Result<Bytes> DepSkyClient::ReadAnchored(
     const std::string& unit, const std::string& content_hash,
     const std::function<Result<Bytes>(const DepSkyVersion&)>& fetch) {
-  ASSIGN_OR_RETURN(MetadataRead read, ReadMetadata(unit, content_hash));
-  const DepSkyVersion* version = read.md.FindByHash(content_hash);
-  if (version == nullptr) {
-    return NotFoundError("version " + content_hash + " not visible yet");
-  }
-  Result<Bytes> data = fetch(*version);
-  if (data.ok() || !read.early) {
+  auto pick = [&](const ListedVersion& version) {
+    return version.content_hash == content_hash;
+  };
+  ASSIGN_OR_RETURN(Listing listing, List(unit, content_hash, false));
+  Result<Bytes> data = ReadListed(unit, listing, pick, fetch);
+  if (data.ok() || !listing.early) {
     return data;
   }
-  // The early-accepted copy named the right content but could not deliver
-  // it: a stale-but-authentic shard map (scrub relocation), a GC'd version,
-  // or a Byzantine cloud replaying an old copy. Settle the metadata at the
-  // full n-f quorum once and fetch again.
+  // The answer that settled the LIST early named the hash, but the version
+  // could not be read from what it and the guessed holders offered: a
+  // Byzantine cloud listing a forged name, or a holder map that the other
+  // clouds' answers would complete. LIST once more at the full quorum.
   anchored_read_fallbacks_.fetch_add(1);
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  version = md.FindByHash(content_hash);
-  if (version == nullptr) {
-    return NotFoundError("version " + content_hash + " not visible yet");
-  }
-  return fetch(*version);
+  ASSIGN_OR_RETURN(listing, List(unit, std::string(), false));
+  return ReadListed(unit, listing, pick, fetch);
 }
 
 Result<Bytes> DepSkyClient::ReadVersion(const std::string& unit,
@@ -1294,7 +1268,7 @@ Result<Bytes> DepSkyClient::ReadVersion(const std::string& unit,
   // The record could not deliver its version: its objects were
   // garbage-collected, a scrub relocation left its holder map stale, or it
   // is not the record the clouds hold at all. The content hash is still
-  // the anchor: locate the version by the metadata, once.
+  // the anchor: locate the version by a LIST, once.
   anchored_read_fallbacks_.fetch_add(1);
   return ReadByHash(unit, record.content_hash);
 }
@@ -1367,71 +1341,90 @@ Result<Bytes> DepSkyClient::ReadByHash(const std::string& unit,
 }
 
 Result<Bytes> DepSkyClient::ReadLatest(const std::string& unit) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  const DepSkyVersion* version = md.Latest();
-  if (version == nullptr) {
-    return NotFoundError("no versions of " + unit);
-  }
-  return FetchVersion(unit, *version);
+  ASSIGN_OR_RETURN(Listing listing, List(unit, std::string(), false));
+  return ReadListed(
+      unit, listing, [](const ListedVersion&) { return true; },
+      [&](const DepSkyVersion& version) { return FetchVersion(unit, version); });
 }
 
-void DepSkyClient::ScrubStripeUnit(const DepSkyMetadata& md,
-                                   const std::string& value_key,
-                                   DepSkyStripeUnit* stripe,
-                                   DepSkyScrubReport* report,
-                                   bool* metadata_dirty) {
-  const std::vector<Bytes>& shard_hashes = stripe->shard_hashes;
-  std::vector<int32_t>& cloud_shard = stripe->cloud_shard;
-  // Probe every recorded holder in parallel through the robust GET path.
+void DepSkyClient::ScrubStripeUnit(const std::string& unit,
+                                   const Listing& listing,
+                                   const DepSkyVersion& version, size_t index,
+                                   DepSkyScrubReport* report) {
+  const DepSkyStripeUnit& stripe = version.stripe_units[index];
+  const std::vector<Bytes>& shard_hashes = stripe.shard_hashes;
+  const std::vector<int32_t>& cloud_shard = stripe.cloud_shard;
+  const unsigned n = config_.n();
+  const unsigned k = config_.k();
+  // Probe every listed holder in parallel through the robust GET path.
   std::vector<unsigned> holders;
-  for (unsigned i = 0; i < clouds_.size(); ++i) {
-    if (i < cloud_shard.size() && cloud_shard[i] >= 0) {
-      holders.push_back(i);
-    }
-  }
   std::vector<Future<Result<Bytes>>> probes;
-  probes.reserve(holders.size());
-  for (unsigned cloud : holders) {
-    probes.push_back(RobustGet(cloud, value_key));
+  for (unsigned c = 0; c < clouds_.size(); ++c) {
+    if (c < cloud_shard.size() && cloud_shard[c] >= 0) {
+      holders.push_back(c);
+      probes.push_back(RobustGet(
+          c, ValueKey(unit, version, index,
+                      static_cast<unsigned>(cloud_shard[c]))));
+    }
   }
 
   // Hash-check each reply exactly like the read path: the recorded hash
-  // covers the complete stored object, so a poisoned key share or framing
+  // covers the complete value object, so a poisoned key share or framing
   // swap reads as corrupt even when the shard bytes survive.
   std::vector<std::optional<DepSkyValueObject>> objects(clouds_.size());
-  std::vector<unsigned> bad_holders;
+  std::optional<DepSkyShardHeader> survivor;  // an authentic valid header
+  std::set<unsigned> held;                    // shard indices held validly
+  std::vector<std::pair<unsigned, unsigned>> repairs;  // (shard, its cloud)
   size_t shard_size = 0;
   for (size_t h = 0; h < holders.size(); ++h) {
     const unsigned cloud = holders[h];
     const unsigned shard = static_cast<unsigned>(cloud_shard[cloud]);
     report->objects_checked++;
     Result<Bytes> raw = probes[h].Get();
-    bool valid = false;
-    if (raw.ok() && shard < shard_hashes.size() &&
-        Sha256::Hash(*raw) == shard_hashes[shard]) {
-      auto object = DepSkyValueObject::Decode(*raw);
-      if (object.ok()) {
-        shard_size = object->shard.size();
-        objects[cloud] = std::move(*object);
-        valid = true;
+    size_t offset = 0;
+    auto header = raw.ok() ? DepSkyShardHeader::Read(*raw, unit,
+                                                     config_.auth_key, &offset)
+                           : Result<DepSkyShardHeader>(raw.status());
+    const ConstByteSpan value =
+        header.ok() ? ConstByteSpan(*raw).subspan(offset) : ConstByteSpan();
+    auto object = header.ok() ? DepSkyValueObject::Decode(value)
+                              : Result<DepSkyValueObject>(header.status());
+    if (object.ok() && shard < shard_hashes.size() &&
+        header->shard_index == shard &&
+        Sha256::Hash(value) == shard_hashes[shard]) {
+      shard_size = object->shard.size();
+      objects[cloud] = std::move(*object);
+      if (!survivor.has_value()) {
+        survivor = std::move(*header);
       }
-    }
-    if (!valid) {
-      report->objects_missing++;
-      bad_holders.push_back(cloud);
+      held.insert(shard);
+    } else {
+      repairs.emplace_back(shard, cloud);  // corrupt or gone: in place
     }
   }
-  if (bad_holders.empty()) {
+  // Every listed shard counts as held once repaired; past those, restore
+  // missing shard indices until a write quorum's worth is held (n without
+  // preferred quorums), each first on the cloud of its own index.
+  const unsigned target = config_.preferred_quorums ? config_.quorum() : n;
+  for (const auto& repair : repairs) {
+    held.insert(repair.first);
+  }
+  for (unsigned shard = 0; shard < n && held.size() < target; ++shard) {
+    if (held.insert(shard).second) {
+      repairs.emplace_back(shard, shard);
+    }
+  }
+  if (repairs.empty()) {
     return;
   }
+  report->objects_missing += repairs.size();
 
   // Rebuild from the survivors. Any k hash-valid shards reproduce the whole
   // arena (data region + re-derived parity), and k key shares re-evaluate
   // the split polynomial at any lost share's x-coordinate — so the rebuilt
-  // stored object is byte-identical to the original and must re-hash to the
-  // recorded value before anything is uploaded.
-  const unsigned n = config_.n();
-  const unsigned k = config_.k();
+  // value object is byte-identical to the original and must re-hash to the
+  // recorded value before anything is uploaded; its header is the
+  // survivor's with its own shard index.
   std::vector<std::optional<ConstByteSpan>> views(n);
   std::vector<SecretShare> shares;
   unsigned valid_count = 0;
@@ -1449,9 +1442,12 @@ void DepSkyClient::ScrubStripeUnit(const DepSkyMetadata& md,
     }
     ++valid_count;
   }
-  if (valid_count < k || config_.mode != DepSkyMode::kSecretSharing) {
-    report->repair_failures += bad_holders.size();
+  auto failed = [report](size_t count) {
+    report->repair_failures += count;
     report->fully_redundant = false;
+  };
+  if (valid_count < k || config_.mode != DepSkyMode::kSecretSharing) {
+    failed(repairs.size());
     return;
   }
 
@@ -1462,113 +1458,127 @@ void DepSkyClient::ScrubStripeUnit(const DepSkyMetadata& md,
   if (decoded.ok()) {
     rs.EncodeParity(arena.data_region(), shard_size, arena.parity_region());
   }
-
-  for (unsigned cloud : bad_holders) {
-    const unsigned shard = static_cast<unsigned>(cloud_shard[cloud]);
-    if (!decoded.ok() || shard >= n || shard >= shard_hashes.size()) {
-      report->repair_failures++;
-      report->fully_redundant = false;
-      continue;
-    }
+  const size_t front = survivor->EncodedSize();
+  std::vector<bool> occupied(clouds_.size(), false);
+  for (unsigned cloud : holders) {
+    occupied[cloud] = true;
+  }
+  for (const auto& [shard, home] : repairs) {
     // Share for shard s has x-coordinate s+1 (Split's convention).
-    auto share =
-        SecretSharing::RecoverShare(shares, k, static_cast<uint8_t>(shard + 1));
-    if (!share.ok()) {
-      report->repair_failures++;
-      report->fully_redundant = false;
+    auto share = decoded.ok() ? SecretSharing::RecoverShare(
+                                    shares, k, static_cast<uint8_t>(shard + 1))
+                              : Result<SecretShare>(decoded);
+    Bytes rebuilt = share.ok() ? DepSkyValueObject::EncodeParts(
+                                     arena.shard(shard), share->index,
+                                     share->data, front)
+                               : Bytes();
+    if (!share.ok() || Sha256::Hash(ConstByteSpan(rebuilt).subspan(front)) !=
+                           shard_hashes[shard]) {
+      failed(1);
       continue;
     }
-    auto object_bytes =
-        std::make_shared<const Bytes>(DepSkyValueObject::EncodeParts(
-            arena.shard(shard), share->index, share->data));
-    if (Sha256::Hash(*object_bytes) != shard_hashes[shard]) {
-      report->repair_failures++;
-      report->fully_redundant = false;
-      continue;
+    DepSkyShardHeader header = *survivor;
+    header.shard_index = shard;
+    header.WriteTo(unit, config_.auth_key, ByteSpan(rebuilt).first(front));
+    auto object = std::make_shared<const Bytes>(std::move(rebuilt));
+    const std::string key = ValueKey(unit, version, index, shard);
+    // Its own cloud first, if that cloud answered and holds nothing else of
+    // the unit; else any cloud that answered and holds nothing of it. The
+    // name carries the shard index, so the next LIST shows where it went.
+    std::vector<unsigned> targets = {home};
+    for (unsigned c = 0; c < clouds_.size(); ++c) {
+      if (c != home) {
+        targets.push_back(c);
+      }
     }
-    // In-place first: same holder, same key, no metadata change needed.
-    Status put = RobustPut(cloud, value_key, object_bytes).Get();
-    if (put.ok()) {
-      ApplyAclsToObject(md, cloud, value_key);
-      report->objects_repaired++;
-      continue;
-    }
-    // Holder still down: relocate the shard to a cloud that holds nothing of
-    // this object, and flip the map so the caller pushes it once.
-    bool relocated = false;
-    for (unsigned target = 0; target < clouds_.size(); ++target) {
-      if (target < cloud_shard.size() && cloud_shard[target] >= 0) {
+    bool placed = false;
+    for (unsigned target : targets) {
+      if (!listing.answered[target] ||
+          (occupied[target] &&
+           cloud_shard[target] != static_cast<int32_t>(shard)) ||
+          !RobustPut(target, key, object).Get().ok()) {
         continue;
       }
-      Status moved = RobustPut(target, value_key, object_bytes).Get();
-      if (moved.ok()) {
-        ApplyAclsToObject(md, target, value_key);
-        cloud_shard[cloud] = -1;
-        cloud_shard[target] = static_cast<int32_t>(shard);
-        *metadata_dirty = true;
-        report->objects_relocated++;
-        relocated = true;
-        break;
-      }
+      ApplyAclsToObject(survivor->acls, target, key);
+      occupied[target] = true;
+      ++(target == home ? report->objects_repaired : report->objects_relocated);
+      placed = true;
+      break;
     }
-    if (!relocated) {
-      report->repair_failures++;
-      report->fully_redundant = false;
+    if (!placed) {
+      failed(1);
     }
   }
   arena_pool_.Release(std::move(arena));
 }
 
-Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  DepSkyScrubReport report;
-  bool metadata_dirty = false;
-  for (auto& version : md.versions) {
-    report.versions_checked++;
-    for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-      ScrubStripeUnit(md, ValueKey(unit, version, u),
-                      &version.stripe_units[u], &report, &metadata_dirty);
+std::vector<DepSkyVersion> DepSkyClient::Resolved(const std::string& unit,
+                                                  const Listing& listing) {
+  std::vector<DepSkyVersion> versions;
+  for (const ListedVersion& listed : listing.versions) {
+    auto record = ResolveRecord(unit, listing, listed);
+    if (record.ok() &&
+        listed.Listers(record->stripe_units.size()) >= config_.k()) {
+      versions.push_back(*std::move(record));
     }
   }
-  if (metadata_dirty) {
-    RETURN_IF_ERROR(PushMetadata(unit, md));
+  return versions;
+}
+
+Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
+  // Every cloud's answer: the scrub needs each unit's holders exactly.
+  ASSIGN_OR_RETURN(Listing listing, List(unit, std::string(), true));
+  DepSkyScrubReport report;
+  for (const DepSkyVersion& version : Resolved(unit, listing)) {
+    report.versions_checked++;
+    for (size_t u = 0; u < version.stripe_units.size(); ++u) {
+      ScrubStripeUnit(unit, listing, version, u, &report);
+    }
   }
   return report;
 }
 
+Result<std::vector<DepSkyVersion>> DepSkyClient::ListVersions(
+    const std::string& unit) {
+  ASSIGN_OR_RETURN(Listing listing, List(unit, std::string(), true));
+  return Resolved(unit, listing);
+}
+
 Status DepSkyClient::DeleteVersion(const std::string& unit,
                                    const std::string& content_hash) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
-  auto it = std::find_if(md.versions.begin(), md.versions.end(),
-                         [&](const DepSkyVersion& v) {
-                           return v.content_hash == content_hash;
-                         });
-  if (it == md.versions.end()) {
-    return NotFoundError("version " + content_hash + " not in metadata");
-  }
-  // Collect the value keys before erasing the record that names them.
-  const std::vector<std::string> value_keys = VersionValueKeys(unit, *it);
-  md.versions.erase(it);
-  RETURN_IF_ERROR(PushMetadata(unit, md));
-
-  std::vector<Future<Status>> futures;
-  futures.reserve(clouds_.size() * value_keys.size());
-  for (const auto& value_key : value_keys) {
-    for (unsigned i = 0; i < clouds_.size(); ++i) {
-      futures.push_back(
-          clouds_[i].store->DeleteAsync(clouds_[i].creds, value_key));
+  ASSIGN_OR_RETURN(Listing listing, List(unit, std::string(), true));
+  for (const ListedVersion& listed : listing.versions) {
+    if (listed.content_hash != content_hash) {
+      continue;
     }
+    // Only a name a header certifies: a forged one must not stand in for
+    // the version the caller means.
+    auto record = ResolveRecord(unit, listing, listed);
+    if (!record.ok()) {
+      continue;
+    }
+    std::vector<Future<Status>> futures;
+    for (const auto& [index, holders] : listed.units) {
+      for (unsigned c = 0; c < holders.size(); ++c) {
+        if (holders[c] >= 0) {
+          futures.push_back(clouds_[c].store->DeleteAsync(
+              clouds_[c].creds, ValueKey(unit, *record, index,
+                                         static_cast<unsigned>(holders[c]))));
+        }
+      }
+    }
+    WhenAll<Status>(std::move(futures)).Join();
+    return OkStatus();  // best effort: missing replicas are fine
   }
-  WhenAll<Status>(std::move(futures)).Join();
-  return OkStatus();  // best effort: missing replicas are fine
+  return NotFoundError("version " + content_hash + " of " + unit +
+                       " not listed");
 }
 
 Status DepSkyClient::DeleteUnit(const std::string& unit) {
-  // List the unit's prefix instead of trusting the metadata: a write that
-  // stored its shards but failed before publishing them left objects no
-  // version record names, and fresh object names mean no later write ever
-  // overwrites them. The prefix also covers the metadata object itself.
-  const std::string prefix = "du/" + unit + "/";
+  // List the unit's prefix: every version's objects, the grant object, and
+  // the objects of writes that failed, which fresh names mean no later
+  // write ever overwrites.
+  const std::string prefix = UnitPrefix(unit);
   // This client's PUTs under the prefix that are still in flight would
   // land after the listing: a write returns at its quorum, before the last
   // clouds' requests. Wait for them to land first.
@@ -1580,13 +1590,8 @@ Status DepSkyClient::DeleteUnit(const std::string& unit) {
              it->compare(0, prefix.size(), prefix) != 0;
     });
   }
-  std::vector<Future<Result<std::vector<ObjectInfo>>>> listings;
-  listings.reserve(clouds_.size());
-  for (unsigned i = 0; i < clouds_.size(); ++i) {
-    listings.push_back(clouds_[i].store->ListAsync(clouds_[i].creds, prefix));
-  }
   const std::vector<Result<std::vector<ObjectInfo>>> listed =
-      WhenAll<Result<std::vector<ObjectInfo>>>(std::move(listings)).Get();
+      ListEvery(prefix);
   for (unsigned i = 0; i < clouds_.size(); ++i) {
     if (!listed[i].ok()) {
       continue;  // best effort, like the deletes below
@@ -1600,35 +1605,43 @@ Status DepSkyClient::DeleteUnit(const std::string& unit) {
 
 Status DepSkyClient::SetGrant(const std::string& unit,
                               const DepSkyGrant& grant) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, ReadMetadata(unit));
+  ASSIGN_OR_RETURN(DepSkyGrants stored, ReadGrants(unit));
+  stored.sequence++;
+  if (stored.owner_ids.empty()) {
+    for (const auto& cloud : clouds_) {
+      stored.owner_ids.push_back(cloud.creds.canonical_id);
+    }
+  }
   // Replace an existing grant for the same principal ids, else append.
-  auto it = std::find_if(md.grants.begin(), md.grants.end(),
+  auto it = std::find_if(stored.grants.begin(), stored.grants.end(),
                          [&](const DepSkyGrant& g) {
                            return g.cloud_ids == grant.cloud_ids;
                          });
-  if (it != md.grants.end()) {
+  if (it != stored.grants.end()) {
     if (!grant.read && !grant.write) {
-      md.grants.erase(it);
+      stored.grants.erase(it);
     } else {
       *it = grant;
     }
   } else if (grant.read || grant.write) {
-    md.grants.push_back(grant);
+    stored.grants.push_back(grant);
   }
+  RETURN_IF_ERROR(PushGrants(unit, stored));
 
-  // Apply to the metadata object and to every existing version object.
-  RETURN_IF_ERROR(PushMetadata(unit, md));
+  // Apply to every object the clouds list under the unit.
   ObjectPermissions perms;
   perms.read = grant.read;
   perms.write = grant.write;
-  for (const auto& version : md.versions) {
-    for (const auto& value_key : VersionValueKeys(unit, version)) {
-      for (unsigned i = 0; i < clouds_.size(); ++i) {
-        if (i < grant.cloud_ids.size() && !grant.cloud_ids[i].empty()) {
-          (void)clouds_[i].store->SetAcl(clouds_[i].creds, value_key,
-                                         grant.cloud_ids[i], perms);
-        }
-      }
+  const std::vector<Result<std::vector<ObjectInfo>>> listed =
+      ListEvery(UnitPrefix(unit));
+  for (unsigned i = 0; i < clouds_.size(); ++i) {
+    if (!listed[i].ok() || i >= grant.cloud_ids.size() ||
+        grant.cloud_ids[i].empty()) {
+      continue;
+    }
+    for (const auto& object : *listed[i]) {
+      (void)clouds_[i].store->SetAcl(clouds_[i].creds, object.key,
+                                     grant.cloud_ids[i], perms);
     }
   }
   return OkStatus();

@@ -5,45 +5,39 @@
 // A data unit is a versioned object spread over n = 3f+1 clouds. A version
 // is a list of units: the file cut into stripe_unit()-sized slices, at
 // least one, so a small file is a one-unit version. A write:
-//   1. launches the read of the unit's metadata from every cloud, and does
-//      not wait for it yet,
+//   1. takes its version number from the caller's anchor (SCFS: the
+//      predecessor's number + 1, or the file entry's version), or, for an
+//      unanchored write, from a LIST of the unit's objects on n-f clouds,
 //   2. draws a fresh random object id that names the version's objects,
 //   3. generates a fresh random key K and secret-shares it so each cloud
 //      gets one share (f+1 shares recover K),
 //   4. per unit: encrypts the slice with K at its offset in the file's
 //      keystream, erasure-codes the ciphertext into n shards (any k = f+1
-//      recover it) and stores shard_i + share_i in cloud i — with preferred
-//      quorums only the cheapest n-f clouds are used unless one fails,
-//   5. once n-f clouds have acknowledged every unit's shards and the
-//      metadata read has settled, applies the caller's grants to the
-//      stored objects and numbers the version after the highest one read
-//      (and after the caller's predecessor record, if any),
-//   6. behind the write (StartWrite returns before it, once n-f copies
-//      list the caller's predecessor version, and its caller starts it with
-//      DepSkyWrite::finish): appends the version to the authenticated
-//      metadata object replicated in every cloud, and applies the ACLs the
-//      metadata adds (owner ids, stored grants) alongside.
+//      recover it), puts an authenticated header in front of each shard
+//      (what the object's name claims, and every shard's hash) and stores
+//      shard_i + share_i in cloud i — with preferred quorums only the
+//      cheapest n-f clouds are used unless one fails,
+//   5. once n-f clouds have acknowledged every unit's shards, applies the
+//      grants to the stored objects and returns the version record.
+// There is no metadata object: the objects' names (version, object id,
+// content hash, unit, shard) are the version list, and their headers
+// certify them (DESIGN.md "Self-certifying shards"). An anchored write
+// therefore makes n-f PUTs per unit and no GET or LIST.
 // Units run through a bounded window on the executor; a one-unit version
-// runs on the caller's thread. StartWrite returns the numbered version
-// record after max(metadata read, shard PUT wave); the caller may anchor
-// the record next to the hash at once, because record reads need no
-// metadata (DESIGN.md "Write-behind metadata"), and then call finish.
-// WriteVersion does both: max(read, wave) plus the metadata PUT.
-// Replication mode (DepSky-A) runs the same unit steps with no key: each
-// cloud stores the unit's plaintext.
+// runs on the caller's thread. Replication mode (DepSky-A) runs the same
+// unit steps with no key: each cloud stores the unit's plaintext.
 // Reads come in three forms, all ending in the same fetch of k valid shards
 // per unit from the fastest healthy holders (hash-checked, so corrupted or
 // byzantine clouds are detected and skipped), and a check of the plaintext
 // against the content hash:
-//   - ReadVersion (the record the consistency anchor carries): no metadata
-//     round at all; the read waits for the k-th fastest holder only. If the
-//     record cannot deliver, it falls back once to ReadByHash.
-//   - ReadByHash (the hash alone): asks every cloud for the metadata and
-//     settles on the first authenticated copy that lists the hash. If the
-//     shards that copy names cannot be fetched, it re-reads the metadata
-//     once at the full quorum.
-//   - ReadLatest: waits for n-f authenticated metadata copies and keeps the
-//     highest version.
+//   - ReadVersion (the record the consistency anchor carries): no LIST and
+//     no header GET; the read waits for the k-th fastest holder only. If
+//     the record cannot deliver, it falls back once to ReadByHash.
+//   - ReadByHash (the hash alone): LISTs every cloud and settles on the
+//     first answer naming the hash, then authenticates one header per unit
+//     and fetches. If that fails, it LISTs once more at the full quorum.
+//   - ReadLatest: LISTs n-f clouds and reads the highest version whose
+//     headers authenticate.
 //
 // No single cloud ever holds the plaintext or the whole key: confidentiality,
 // integrity and availability survive f arbitrary cloud faults.
@@ -54,6 +48,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -85,7 +80,7 @@ struct DepSkyConfig {
   unsigned f = 1;
   DepSkyMode mode = DepSkyMode::kSecretSharing;
   bool preferred_quorums = true;  // write shards to n-f clouds only
-  Bytes auth_key;                 // metadata HMAC key (deployment secret)
+  Bytes auth_key;  // header and grant object HMAC key (deployment secret)
 
   // --- Degraded-mode behavior (see DESIGN.md "Failure model") ---
   // Per-attempt deadline on every cloud request; a request that has not
@@ -107,7 +102,7 @@ struct DepSkyConfig {
   // Every write is cut into stripe_unit() sized units, each its own
   // encrypt→erasure-encode→quorum-PUT, fanned out with bounded depth; a
   // file no larger than one unit is one unit. One version number, one
-  // metadata record and one key/nonce cover all units.
+  // record and one key/nonce cover all units.
   size_t stripe_unit_size = 4 * 1024 * 1024;
   // Units in flight per write/read: peak client memory for a multi-unit
   // transfer is O(stripe_window() × stripe_unit()), not O(file). 0 = auto:
@@ -137,26 +132,9 @@ struct DepSkyConfig {
   }
 };
 
-// A write acknowledged at the shard quorum (DepSkyClient::StartWrite).
-struct DepSkyWrite {
-  // The version record, numbered; every unit's shards are on a write
-  // quorum.
-  DepSkyVersion record;
-  // Starts the write-behind: call it once, after the record is anchored,
-  // or never (a write whose anchor failed must not be listed). It returns
-  // once the metadata PUT requests are launched, with the future of the
-  // PUT's write quorum and of the metadata-derived ACLs. `handed_off` is
-  // when the caller sent the command that lets the next writer start
-  // (SCFS: the publish that releases the file lock); nullopt if no next
-  // writer can start yet. Past HandoffBound() after it, nothing is
-  // launched (the future fails with kTimeout, late_handoffs()): the next
-  // writer lists the version instead, as it would a crashed writer's.
-  std::function<Future<Status>(std::optional<VirtualTime> handed_off)> finish;
-};
-
 // Outcome of one scrub pass over a data unit (see ScrubUnit): how many stored
-// objects were probed, found missing/corrupt, rebuilt in place, moved to a
-// substitute cloud, or left unrepaired.
+// objects were probed, found missing/corrupt, rebuilt on their own cloud,
+// moved to a substitute cloud, or left unrepaired.
 struct DepSkyScrubReport {
   uint64_t versions_checked = 0;
   uint64_t objects_checked = 0;
@@ -164,7 +142,8 @@ struct DepSkyScrubReport {
   uint64_t objects_repaired = 0;
   uint64_t objects_relocated = 0;
   uint64_t repair_failures = 0;
-  // True when every recorded holder ended the pass with a hash-valid object.
+  // True when every unit ended the pass with a write quorum's worth of
+  // hash-valid shards on distinct clouds.
   bool fully_redundant = true;
 };
 
@@ -180,47 +159,29 @@ class DepSkyClient {
   ~DepSkyClient();
 
   // Stores a new version. `content_hash` is the hex consistency-anchor hash
-  // of `data` (computed by the caller; verified on read). Returns once
-  // every unit's shards are on a write quorum, the metadata read has
-  // settled and n-f copies list the predecessor (below): the version
-  // record, its number filled in, and the step that writes the metadata
-  // listing it (DepSkyWrite::finish). If
-  // `merge_grants` is non-null, they are applied to the objects before the
-  // call returns and folded into the unit metadata.
+  // of `data` (computed by the caller; verified on read; part of every
+  // object's name, so 1-128 characters and no '/'). Returns the
+  // version record once every unit's shards are on a write quorum and the
+  // grants are on the acknowledged objects.
   //
-  // `predecessor` is the record of the version this one replaces, as the
-  // caller's consistency anchor holds it (SCFS: the locator read under the
-  // file lock). The version is numbered after it too, and the metadata
-  // lists it even if its own metadata PUT never landed. The straggler
-  // invariant — at most f clouds end up with a history older than the
-  // newest anchored version — needs two things of the caller: this call
-  // started after the predecessor's handoff (SCFS: the file lock's
-  // release), and this write's finish gets the time of its own handoff.
-  // The predecessor's finish then launched every request it launched at
-  // most HandoffBound() after this call started, so the wait for its
-  // listing (if the write's own read did not show n-f copies listing it,
-  // re-reading the metadata meanwhile) ends at the latest RequestBudget()
-  // + HandoffBound() after this call started: by then none of those
-  // requests can still land.
+  // `version` is the number the caller's anchor gives the version (SCFS:
+  // the predecessor's + 1, or the file entry's version); the write then
+  // makes no GET and no LIST. 0 means unanchored: the write LISTs the unit
+  // on n-f clouds and numbers itself after the highest version listed by
+  // f+1 of them (or whose header authenticates), and applies the grants of
+  // the unit's grant object (SetGrant) besides `grants`.
   //
   // `data` is a borrowed view: each unit is encrypted straight into its
   // erasure-coding arena (secret-sharing mode) or serialized straight into
   // the per-cloud wire objects (replication mode) — the client never makes
   // its own copy of the plaintext.
-  Result<DepSkyWrite> StartWrite(
-      const std::string& unit, const std::string& content_hash,
-      ConstByteSpan data,
-      const std::vector<DepSkyGrant>* merge_grants = nullptr,
-      const DepSkyVersion* predecessor = nullptr);
-  // StartWrite, then its finish, waited to its end: returns the version
-  // record once the metadata listing it is on a write quorum.
   Result<DepSkyVersion> WriteVersion(
       const std::string& unit, const std::string& content_hash,
-      ConstByteSpan data,
-      const std::vector<DepSkyGrant>* merge_grants = nullptr);
+      ConstByteSpan data, const std::vector<DepSkyGrant>* grants = nullptr,
+      uint64_t version = 0);
 
   // Reads the version `record` describes (one WriteVersion returned) with
-  // no metadata GET: per unit, k shard GETs from its fastest holders,
+  // no LIST or header GET: per unit, k shard GETs from its fastest holders,
   // decoded with this client's n, k and mode. If they cannot produce the
   // version, falls back once to ReadByHash(unit, record.content_hash),
   // counted in anchored_read_fallbacks(); its NOT_FOUND still means "not
@@ -236,71 +197,64 @@ class DepSkyClient {
                             const Bytes& encoded_record);
 
   // Reads the version with the given content hash when no record is at
-  // hand; NOT_FOUND if no (visible) metadata lists it — the
-  // consistency-anchor read loop retries. The hash is the anchor: the
-  // metadata read settles on the first authenticated copy listing it (or on
-  // n-f authenticated copies, none listing it), fetches the record it names
-  // as ReadVersion does, and falls back to one full-quorum re-read if that
-  // copy's shards cannot be fetched.
+  // hand; NOT_FOUND if no cloud names a readable version with that hash —
+  // the consistency-anchor read loop retries. The LIST settles on the
+  // first answer naming the hash (or on n-f answers, none naming it); the
+  // record is rebuilt from one authenticated header per unit and the
+  // listed holders, and one full-quorum LIST follows if that fails.
   Result<Bytes> ReadByHash(const std::string& unit,
                            const std::string& content_hash);
 
-  // Reads the highest authenticated version.
+  // Reads the highest version that n-f LIST answers name and whose headers
+  // authenticate (DESIGN.md "Self-certifying shards": which version counts
+  // as latest).
   Result<Bytes> ReadLatest(const std::string& unit);
 
   // Range read of the version with the given content hash: only the units
   // overlapping [offset, offset+length) are fetched, each verified against
-  // its recorded plaintext hash. Reads past EOF are clamped. Reads the
-  // metadata exactly like ReadByHash.
+  // its recorded plaintext hash. Reads past EOF are clamped. Locates the
+  // version exactly like ReadByHash.
   Result<Bytes> ReadAt(const std::string& unit, const std::string& content_hash,
                        uint64_t offset, size_t length);
 
-  // Scrub & repair: probes every recorded holder of every unit of every
-  // version, and rebuilds missing or corrupt stored objects from k
-  // surviving shards — re-deriving parity with the erasure code and the lost
-  // key share by Lagrange interpolation, so the repaired object is
-  // byte-identical to the original (same recorded hash, no metadata change).
-  // If a holder stays unreachable, the shard is relocated to a cloud that
-  // holds none of this object's shards and the metadata map is updated.
-  // Client reads keep working throughout — repair touches only clouds,
-  // never the read path.
+  // Scrub & repair: LISTs every cloud, probes every listed shard of every
+  // version, and rebuilds missing or corrupt objects from k surviving
+  // shards — re-deriving parity with the erasure code and the lost key
+  // share by Lagrange interpolation, so the repaired object is
+  // byte-identical to the original (same hash, same name). It goes back to
+  // the cloud that lost it if that cloud answers, else to a cloud holding
+  // no shard of the unit; the next LIST shows where. Client reads keep
+  // working throughout — repair touches only clouds, never the read path.
   Result<DepSkyScrubReport> ScrubUnit(const std::string& unit);
 
-  // Quorum-read of the data unit's metadata: the highest version among n-f
-  // authenticated copies.
-  Result<DepSkyMetadata> ReadMetadata(const std::string& unit);
+  // The unit's versions, oldest first, as records rebuilt from a LIST of
+  // every cloud and one authenticated header per unit. Names no header
+  // certifies, and versions listed by fewer than k clouds (a writer that
+  // crashed mid-wave), are left out.
+  Result<std::vector<DepSkyVersion>> ListVersions(const std::string& unit);
 
-  // Garbage collection. DeleteVersion drops the oldest version with the
-  // given content hash (its objects and its metadata entry) after one
-  // metadata read; NOT_FOUND if no version has that hash. DeleteUnit lists
-  // du/<unit>/ on every cloud and deletes everything under it that the
-  // caller may read: the metadata, every version's objects, and the orphans
-  // of the caller's own writes that stored shards but failed before
-  // publishing them. A grantee's failed write never got the owner's ACLs,
-  // so its orphans are listed (and deleted) only by the grantee. It first
-  // waits for this client's own PUTs under du/<unit>/ still in flight (the
-  // last clouds' requests of a write that returned at its quorum), which
-  // would otherwise land after the listing; another client's stragglers
-  // are bounded only by their request budget.
+  // Garbage collection. DeleteVersion deletes the objects of the oldest
+  // listed version with the given content hash; NOT_FOUND if none has it.
+  // DeleteUnit lists du/<unit>/ on every cloud and deletes everything under
+  // it that the caller may read: every version's objects, the grant object
+  // and the orphans of writes that failed. A grantee's write that failed
+  // before its ACLs were applied left objects only the grantee can list
+  // (and delete). It first waits for this client's own PUTs under
+  // du/<unit>/ still in flight (the last clouds' requests of a write that
+  // returned at its quorum), which would otherwise land after the listing;
+  // another client's stragglers are bounded only by their request budget.
   Status DeleteVersion(const std::string& unit,
                        const std::string& content_hash);
   Status DeleteUnit(const std::string& unit);
 
   // Sharing: grants `grant.cloud_ids[i]` access at cloud i to all current and
-  // future objects of the unit, and records the grant in the metadata so
-  // future writers re-apply it. Empty read+write revokes.
+  // future objects of the unit: stores it in the unit's grant object, which
+  // unanchored writers apply, and applies it to every listed object. Empty
+  // read+write revokes.
   Status SetGrant(const std::string& unit, const DepSkyGrant& grant);
 
   unsigned cloud_count() const { return static_cast<unsigned>(clouds_.size()); }
   const DepSkyConfig& config() const { return config_; }
-  // The longest one robust cloud request can take: every attempt to its
-  // deadline plus the longest backoff before each retry.
-  VirtualDuration RequestBudget() const;
-  // H, the longest a writer's handoff may take to be acknowledged for its
-  // finish still to launch the metadata PUT: one request deadline, the
-  // bound one cloud request attempt gets. With deadlines off (0) no finish
-  // is late, and no bound on stragglers holds.
-  VirtualDuration HandoffBound() const;
 
   // Self-healing telemetry: the per-cloud breaker/EWMA state and the
   // counters the fault benches report.
@@ -309,38 +263,26 @@ class DepSkyClient {
   uint64_t deadline_expiries() const { return deadline_expiries_.load(); }
   uint64_t hedged_reads() const { return hedged_reads_.load(); }
   // Reads that fell back: record reads whose record could not deliver the
-  // version, and reads by hash whose early-accepted metadata copy could not
-  // and that re-read the metadata at the full quorum.
+  // version, and reads by hash whose early-settled LIST could not and that
+  // LISTed again at the full quorum.
   uint64_t anchored_read_fallbacks() const {
     return anchored_read_fallbacks_.load();
   }
-  // Write-behinds whose write's metadata read did not show n-f copies
-  // listing the predecessor, so that they re-read the metadata; and those
-  // of them that never saw it and waited out the predecessor's request
-  // budget before listing it themselves.
-  uint64_t predecessor_rereads() const { return predecessor_rereads_.load(); }
-  uint64_t predecessor_budget_waits() const {
-    return predecessor_budget_waits_.load();
-  }
-  // Finishes called more than HandoffBound() after their handoff, which
-  // launched nothing.
-  uint64_t late_handoffs() const { return late_handoffs_.load(); }
   // Arena recycling across units and sequential writes.
   uint64_t arena_pool_hits() const { return arena_pool_.hits(); }
   uint64_t arena_pool_misses() const { return arena_pool_.misses(); }
 
-  // Cloud key naming for a unit's metadata and value objects (exposed so
-  // tests and inspection tooling can address stored objects). Unit i's
-  // value objects are named by the version record's object id:
-  // du/<unit>/o<id>/u<i>.
-  static std::string MetadataKey(const std::string& unit);
+  // Cloud key naming (exposed so tests and inspection tooling can address
+  // stored objects): shard `shard` of unit `index` of a version is
+  // du/<unit>/v<version>/o<object id>/h<content hash>/u<index>/s<shard>,
+  // version and id in 16 hex digits. The unit's grant object is
+  // du/<unit>/acl.
   static std::string ValueKey(const std::string& unit,
-                              const DepSkyVersion& version, size_t index);
+                              const DepSkyVersion& version, size_t index,
+                              unsigned shard);
 
  private:
   struct ShardFetchState;
-  struct MetadataReplies;
-  class WriteBase;
 
   // Shards + key shares collected by one quorum shard fetch.
   struct FetchedShards {
@@ -348,41 +290,73 @@ class DepSkyClient {
     std::vector<SecretShare> shares;
   };
 
-  // One metadata read: the chosen copy, and whether the read settled before
-  // n-f authenticated copies had answered.
-  struct MetadataRead {
-    DepSkyMetadata md;
+  // One version as a LIST names it.
+  struct ListedVersion {
+    uint64_t version = 0;
+    uint64_t object_id = 0;
+    std::string content_hash;
+    // Per listed unit index, the shard each answering cloud lists (-1:
+    // none). Sparse: a holder may have lost some units' objects.
+    std::map<uint32_t, std::vector<int32_t>> units;
+    // The fewest answering clouds listing any one of its first `unit_count`
+    // units (0 if one is missing).
+    unsigned Listers(size_t unit_count) const;
+  };
+
+  // One LIST of du/<unit>/ over the clouds.
+  struct Listing {
+    std::vector<bool> answered;  // by cloud
+    unsigned answers = 0;
+    // Settled on the first answer naming the anchor, before n-f answers.
     bool early = false;
+    bool grants_listed = false;  // some answer lists the grant object
+    std::vector<ListedVersion> versions;  // ascending (version, object_id)
   };
 
-  // A metadata read in flight: every cloud has been asked, and the quorum
-  // predicate collects the authentic copies into `replies` as they arrive.
-  struct PendingMetadataRead {
-    std::string unit;
-    std::string anchor;
-    std::shared_ptr<MetadataReplies> replies;
-    Future<QuorumResult<Result<Bytes>>> settled;
-  };
+  // LISTs du/<unit>/ on every cloud and returns once n-f clouds answered,
+  // or — when `anchor` (a content hash) is non-empty — once one answer
+  // names a version with that hash; with `all`, once every cloud answered
+  // or gave up. UNAVAILABLE if fewer than n-f clouds answered and no
+  // answer named the anchor.
+  Result<Listing> List(const std::string& unit, const std::string& anchor,
+                       bool all);
+  // Every cloud's LIST of `prefix`, each to its answer or its last attempt.
+  std::vector<Result<std::vector<ObjectInfo>>> ListEvery(
+      const std::string& prefix);
 
-  // The one metadata read path, in two steps. The launch asks every cloud
-  // and returns at once; the read settles on the (n-f)-th authenticated copy
-  // or — when `anchor` (a content hash) is non-empty — on the first
-  // authenticated copy listing it. The settle step waits for that, and of
-  // the copies in hand keeps the highest version, preferring copies that
-  // list the anchor; NOT_FOUND when no authenticated copy answered. It
-  // charges the calling thread only the part of the read's modelled time
-  // beyond `overlapped`, the time the thread was charged while the read was
-  // in flight: a read overlapped with a PUT wave costs max(read, wave).
-  PendingMetadataRead LaunchMetadataRead(const std::string& unit,
-                                         const std::string& anchor);
-  Result<MetadataRead> SettleMetadataRead(PendingMetadataRead pending,
-                                          VirtualDuration overlapped);
-  // Launch and settle back to back.
-  Result<MetadataRead> ReadMetadata(const std::string& unit,
-                                    const std::string& anchor);
+  // The record of a listed version: one header per unit, GET from the
+  // fastest cloud listing that unit's shard and authenticated against the
+  // name (the next lister is tried if it fails), with the holder map the
+  // LIST gave, where a cloud of the header's first wave that did not
+  // answer is presumed to hold the shard of its own index. CORRUPTION if no
+  // header certifies the name, NOT_FOUND if a unit is not listed,
+  // FAILED_PRECONDITION if the version was written under another n, k or
+  // mode.
+  Result<DepSkyVersion> ResolveRecord(const std::string& unit,
+                                      const Listing& listing,
+                                      const ListedVersion& listed);
+  // The listed versions whose headers certify them and that k or more
+  // clouds list (no crashed or forged write), oldest first.
+  std::vector<DepSkyVersion> Resolved(const std::string& unit,
+                                      const Listing& listing);
+  // Resolves and fetches the versions `pick` selects, newest first, until
+  // one reads. A version listed by fewer than k clouds that fails is
+  // skipped (a crashed or forged write); the failure of one listed by k or
+  // more is the result. NOT_FOUND if none is left.
+  Result<Bytes> ReadListed(
+      const std::string& unit, const Listing& listing,
+      const std::function<bool(const ListedVersion&)>& pick,
+      const std::function<Result<Bytes>(const DepSkyVersion&)>& fetch);
+  // An unanchored write's number: after the highest version listed by f+1
+  // clouds, or above it one whose header authenticates.
+  uint64_t NextVersionNumber(const std::string& unit, const Listing& listing);
+  // The unit's grant object: the highest authentic sequence among n-f
+  // answers; empty if no cloud stores one.
+  Result<DepSkyGrants> ReadGrants(const std::string& unit);
 
-  // Read by hash: anchored metadata read, `fetch` on the version it names,
-  // and one full-quorum re-read + fetch if an early-accepted copy fails.
+  // Read by hash: LIST settled on the hash, `fetch` on the version it
+  // names, and one full-quorum LIST + fetch if an early-settled LIST's
+  // version could not be read.
   Result<Bytes> ReadAnchored(
       const std::string& unit, const std::string& content_hash,
       const std::function<Result<Bytes>(const DepSkyVersion&)>& fetch);
@@ -391,58 +365,35 @@ class DepSkyClient {
                           const DepSkyVersion& version, uint64_t offset,
                           size_t length);
 
-  // Writes the given metadata to every cloud through the async ObjectStore
-  // API, returning as soon as a write quorum (n-f) has acknowledged; the
-  // stragglers keep running inside their stores. In two steps, like the
-  // read: the launch sends every PUT and returns at once; the settle waits
-  // for the quorum and applies the metadata object's ACLs.
-  Status PushMetadata(const std::string& unit, const DepSkyMetadata& md);
-  std::vector<Future<Status>> LaunchMetadataPush(const std::string& unit,
-                                                 const DepSkyMetadata& md);
-  Status SettleMetadataPush(const std::string& unit, const DepSkyMetadata& md,
-                            const std::vector<Future<Status>>& puts);
-
   // Fetches and reassembles one version from its record alone, unit by
   // unit, and checks it against the content hash: the one fetch of every
   // read path. No fallback.
   Result<Bytes> FetchVersion(const std::string& unit,
                              const DepSkyVersion& version);
 
-  // Places one object set (shard i + share i per cloud) under `value_key`:
-  // health-ordered preferred wave fanned out to the write quorum, then — once
-  // `base` has settled the write's metadata — the caller's grants on the
-  // acknowledged copies and a fallback wave routing failed shards to spare
-  // clouds (re-encoding via `encode_object`). Returns the cloud→shard map,
-  // the metadata read's error if it failed, or UNAVAILABLE if no write
-  // quorum was reached.
+  // Places unit `index`'s objects (shard i + share i per cloud, each behind
+  // its header): health-ordered preferred wave fanned out to the write
+  // quorum, then the `acls` on the acknowledged copies and a fallback wave
+  // routing failed shards to spare clouds (re-encoding via
+  // `encode_object`). Returns the cloud→shard map, or UNAVAILABLE if no
+  // write quorum was reached.
   Result<std::vector<int32_t>> PlaceObjects(
-      WriteBase* base, const std::string& value_key,
-      std::vector<Bytes> objects,
-      const std::function<Bytes(unsigned)>& encode_object);
+      const std::string& unit, const DepSkyVersion& version, size_t index,
+      std::vector<Bytes> objects, const std::vector<unsigned>& preferred,
+      const std::vector<unsigned>& spares,
+      const std::function<Bytes(unsigned)>& encode_object,
+      const std::shared_ptr<const DepSkyGrants>& acls);
+  // The first wave's clouds (the first n-f healthy ones in cost order, or
+  // all of them without preferred quorums) and the spares behind them.
+  void PlanWave(std::vector<unsigned>* preferred,
+                std::vector<unsigned>* spares);
 
   // Quorum-fetches k hash-valid stored objects of one unit through the
   // hedged/breaker read path, launching the holders with the lowest EWMA
   // latency first.
   Result<FetchedShards> FetchShards(const std::string& unit,
-                                    const std::string& value_key, unsigned k,
-                                    const DepSkyStripeUnit& stripe);
-
-  // A write's step 6 (DepSkyWrite::finish): unless `handed_off` is more
-  // than HandoffBound() ago, launches the PUT of `md` with `pred` (if
-  // missing) and `version` appended and the `acls` on the version's
-  // acknowledged objects, and returns the future of both.
-  Future<Status> FinishWrite(const std::string& unit,
-                             const DepSkyMetadata& md,
-                             const DepSkyMetadata& acls,
-                             const std::optional<DepSkyVersion>& pred,
-                             const DepSkyVersion& version,
-                             std::optional<VirtualTime> handed_off);
-  // Returns once n-f authentic copies list the version named `object_id` —
-  // `listed` did in the write's metadata read, or else those of fresh
-  // metadata reads, backing off between them — or once `deadline` has
-  // passed.
-  void AwaitListed(const std::string& unit, unsigned listed,
-                   uint64_t object_id, VirtualTime deadline);
+                                    const DepSkyVersion& version,
+                                    size_t index, unsigned k);
 
   // Runs body(i) for every i in [begin, end), at most stripe_window() calls
   // in flight on the executor, and returns the first error; it launches no
@@ -453,15 +404,13 @@ class DepSkyClient {
                      const std::function<Status(size_t)>& body);
 
   // One unit of a write: pooled arena, encrypt at the unit's keystream
-  // offset, parity, hash, place. In replication mode every object is the
-  // plaintext itself (no key, nonce or shares).
-  Result<DepSkyStripeUnit> WriteStripeUnit(WriteBase* base,
-                                           const std::string& value_key,
-                                           ConstByteSpan plaintext,
-                                           const Bytes& key,
-                                           const Bytes& nonce,
-                                           const std::vector<SecretShare>& shares,
-                                           uint32_t counter);
+  // offset, parity, hash, headers, place. In replication mode every object
+  // is the plaintext itself (no key, nonce or shares).
+  Result<DepSkyStripeUnit> WriteStripeUnit(
+      const std::string& unit, const DepSkyVersion& version, size_t index,
+      ConstByteSpan plaintext, const Bytes& key,
+      const std::vector<SecretShare>& shares,
+      const std::shared_ptr<const DepSkyGrants>& acls);
 
   // Fetches one unit's plaintext into `out_for(length)`, which is called
   // with the unit's length once its fetched shards confirm it (CORRUPTION
@@ -473,22 +422,23 @@ class DepSkyClient {
                          const std::function<ByteSpan(size_t)>& out_for,
                          bool verify_unit_hash);
 
-  // Scrub of one unit: probes recorded holders, rebuilds lost or corrupt
-  // objects byte-identically (erasure re-encode + Lagrange share recovery),
-  // re-uploads in place or relocates to an unused cloud (updates the unit's
-  // cloud map and flips *metadata_dirty so the caller pushes it once).
-  void ScrubStripeUnit(const DepSkyMetadata& md, const std::string& value_key,
-                       DepSkyStripeUnit* stripe, DepSkyScrubReport* report,
-                       bool* metadata_dirty);
+  // Scrub of one unit of a version whose holder map came from a LIST of
+  // every cloud: probes the holders, rebuilds lost or corrupt objects
+  // byte-identically (erasure re-encode + Lagrange share recovery) and
+  // re-uploads them on their own cloud, or on one holding nothing of the
+  // unit, until a write quorum's worth of shards is held.
+  void ScrubStripeUnit(const std::string& unit, const Listing& listing,
+                       const DepSkyVersion& version, size_t index,
+                       DepSkyScrubReport* report);
 
   // Applies all grants (+ owner) to one object at one cloud, waiting for
   // the ACL round trips.
-  void ApplyAclsToObject(const DepSkyMetadata& md, unsigned cloud,
+  void ApplyAclsToObject(const DepSkyGrants& acls, unsigned cloud,
                          const std::string& key);
   // Same, but queues the ACL round trips through the async API and appends
   // their futures to `out` — post-quorum call sites fan ACLs out across
   // clouds and pay max-of-clouds, not the sum.
-  void CollectAclFutures(const DepSkyMetadata& md, unsigned cloud,
+  void CollectAclFutures(const DepSkyGrants& acls, unsigned cloud,
                          const std::string& key,
                          std::vector<Future<Status>>* out);
   // Applies the ACLs once `put` completes successfully — attached to PUTs
@@ -496,23 +446,25 @@ class DepSkyClient {
   // correct) cloud still converges to the granted state instead of
   // permanently consuming the fault margin.
   void ApplyAclsWhenWritten(Future<Status> put, unsigned cloud,
-                            std::shared_ptr<const DepSkyMetadata> md,
+                            std::shared_ptr<const DepSkyGrants> acls,
                             const std::string& key);
+  // Writes the unit's grant object to every cloud, returning at the write
+  // quorum, with its ACLs applied on the acknowledged copies.
+  Status PushGrants(const std::string& unit, const DepSkyGrants& grants);
 
   Bytes RandomBytesLocked(size_t size);
 
   // Wraps one cloud request with the robustness envelope: a per-attempt
-  // deadline, capped-backoff retries, and health accounting. `issue` starts
-  // (or restarts) the underlying async request; `responsive` decides
-  // whether a completed value counts as the cloud answering (NOT_FOUND is a
-  // perfectly healthy answer); `timeout_value` synthesizes the value for a
-  // deadline expiry; `on_first_failure`, if set, runs when the first
-  // attempt fails, before any retry. Defined in depsky.cc.
+  // deadline, capped-backoff retries, and health accounting. Defined in
+  // depsky.cc. `on_first_failure`, if set, runs when a GET's first attempt
+  // fails, before any retry.
   Future<Status> RobustPut(unsigned cloud, const std::string& key,
                            std::shared_ptr<const Bytes> data);
   Future<Result<Bytes>> RobustGet(
       unsigned cloud, const std::string& key,
       std::function<void()> on_first_failure = nullptr);
+  Future<Result<std::vector<ObjectInfo>>> RobustList(unsigned cloud,
+                                                     const std::string& prefix);
 
   // Launches the next `count` unlaunched holders of a shard fetch (the
   // first wave, or one failure-triggered or hedged holder), and arms the
@@ -537,9 +489,6 @@ class DepSkyClient {
   std::atomic<uint64_t> deadline_expiries_{0};
   std::atomic<uint64_t> hedged_reads_{0};
   std::atomic<uint64_t> anchored_read_fallbacks_{0};
-  std::atomic<uint64_t> predecessor_rereads_{0};
-  std::atomic<uint64_t> predecessor_budget_waits_{0};
-  std::atomic<uint64_t> late_handoffs_{0};
   // The keys of this client's cloud PUT requests still in flight, every
   // attempt until its store answers (a request past its deadline
   // included), so DeleteUnit can wait for them. Shared with the requests'

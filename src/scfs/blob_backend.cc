@@ -6,22 +6,14 @@
 
 namespace scfs {
 
-Result<Bytes> BlobBackend::WriteVersion(
-    const std::string& id, const std::string& content_hash, ConstByteSpan data,
-    const std::vector<BackendGrant>& grants) {
-  ASSIGN_OR_RETURN(StartedVersion started,
-                   StartVersion(id, content_hash, data, grants, Bytes{}));
-  RETURN_IF_ERROR(started.finish(std::nullopt).Get());
-  return std::move(started.locator);
-}
-
 // ---------------------------------------------------------------------------
 // SingleCloudBackend (SCFS-AWS)
 // ---------------------------------------------------------------------------
 
-Result<StartedVersion> SingleCloudBackend::StartVersion(
+Result<Bytes> SingleCloudBackend::WriteVersion(
     const std::string& id, const std::string& content_hash, ConstByteSpan data,
-    const std::vector<BackendGrant>& grants, const Bytes& /*predecessor*/) {
+    const std::vector<BackendGrant>& grants, const Bytes& /*predecessor*/,
+    uint64_t /*anchored_version*/) {
   const std::string key = VersionKey(id, content_hash);
   // The store takes ownership of what it keeps; this is the single
   // materialization on the single-cloud write path.
@@ -36,9 +28,7 @@ Result<StartedVersion> SingleCloudBackend::StartVersion(
     (void)store_->SetAcl(creds_, key, grant.cloud_ids[0], perms);
   }
   // The key id|hash locates the version.
-  return StartedVersion{Bytes{}, [](std::optional<VirtualTime>) {
-                          return Future<Status>::Ready(OkStatus());
-                        }};
+  return Bytes{};
 }
 
 Result<Bytes> SingleCloudBackend::ReadByHash(const std::string& id,
@@ -127,23 +117,26 @@ DepSkyGrant ToDepSkyGrant(const BackendGrant& grant) {
 }
 }  // namespace
 
-Result<StartedVersion> DepSkyBackend::StartVersion(
+Result<Bytes> DepSkyBackend::WriteVersion(
     const std::string& id, const std::string& content_hash, ConstByteSpan data,
-    const std::vector<BackendGrant>& grants, const Bytes& predecessor) {
-  std::vector<DepSkyGrant> merged;
-  merged.reserve(grants.size());
+    const std::vector<BackendGrant>& grants, const Bytes& predecessor,
+    uint64_t anchored_version) {
+  std::vector<DepSkyGrant> depsky_grants;
+  depsky_grants.reserve(grants.size());
   for (const auto& grant : grants) {
-    merged.push_back(ToDepSkyGrant(grant));
+    depsky_grants.push_back(ToDepSkyGrant(grant));
   }
-  // No predecessor, or one that does not decode: the write numbers and
-  // lists versions from the metadata alone.
+  uint64_t version = anchored_version;
   Result<DepSkyVersion> pred = DepSkyVersion::Decode(predecessor);
+  if (pred.ok()) {
+    version = std::max(version, pred->version + 1);
+  }
   ASSIGN_OR_RETURN(
-      DepSkyWrite write,
-      client_->StartWrite(id, content_hash, data,
-                          merged.empty() ? nullptr : &merged,
-                          pred.ok() ? &*pred : nullptr));
-  return StartedVersion{write.record.Encode(), std::move(write.finish)};
+      DepSkyVersion record,
+      client_->WriteVersion(id, content_hash, data,
+                            depsky_grants.empty() ? nullptr : &depsky_grants,
+                            version));
+  return record.Encode();
 }
 
 Result<Bytes> DepSkyBackend::ReadByHash(const std::string& id,
@@ -161,10 +154,11 @@ Result<Bytes> DepSkyBackend::ReadLatest(const std::string& id) {
 
 Result<std::vector<BlobVersionInfo>> DepSkyBackend::ListVersions(
     const std::string& id) {
-  ASSIGN_OR_RETURN(DepSkyMetadata md, client_->ReadMetadata(id));
+  ASSIGN_OR_RETURN(std::vector<DepSkyVersion> versions,
+                   client_->ListVersions(id));
   std::vector<BlobVersionInfo> out;
-  out.reserve(md.versions.size());
-  for (const auto& version : md.versions) {
+  out.reserve(versions.size());
+  for (const auto& version : versions) {
     out.push_back(BlobVersionInfo{version.content_hash, version.size});
   }
   return out;

@@ -13,15 +13,11 @@
 #define SCFS_SCFS_BLOB_BACKEND_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/cloud/object_store.h"
-#include <functional>
-
 #include "src/common/bytes.h"
-#include "src/common/future.h"
 #include "src/common/status.h"
 #include "src/depsky/depsky.h"
 
@@ -33,21 +29,6 @@ struct BackendGrant {
   std::vector<CanonicalId> cloud_ids;
   bool read = false;
   bool write = false;
-};
-
-// A version stored up to the backend's data quorum (StartVersion).
-struct StartedVersion {
-  // Opaque bytes the caller anchors next to the hash (see StartVersion).
-  Bytes locator;
-  // Starts the rest of the write — for DepSkyBackend its metadata
-  // (DepSkyWrite::finish); nothing for a backend with none. Call it once
-  // the locator is anchored, never if the anchor failed, with the time the
-  // caller handed the id to the next writer (SCFS: sent the publish that
-  // releases the file lock), or nullopt while no next writer can start.
-  // Recovery tools that list versions rather than follow the anchor
-  // (ListVersions, ReadLatest) see the version once the future it returns
-  // completes OK.
-  std::function<Future<Status>(std::optional<VirtualTime> handed_off)> finish;
 };
 
 struct BlobVersionInfo {
@@ -67,21 +48,26 @@ class BlobBackend {
   // Returns once the version is readable through its locator: opaque bytes
   // the caller anchors next to the hash and hands back to ReadByHash — the
   // encoded DepSky version record for DepSkyBackend (its reads then skip
-  // the metadata round), empty for SingleCloudBackend (the key id|hash is
-  // all it needs). Like the hash, a locator is only as trustworthy as the
-  // store that anchors it; a wrong one can fail a read, never change the
-  // bytes it returns. `predecessor` is the locator of the version this one
-  // replaces (empty if none or unknown).
-  virtual Result<StartedVersion> StartVersion(
-      const std::string& id, const std::string& content_hash,
-      ConstByteSpan data, const std::vector<BackendGrant>& grants,
-      const Bytes& predecessor) = 0;
-  // StartVersion with no predecessor, then its finish, waited to its end;
-  // returns the locator.
+  // the LIST), empty for SingleCloudBackend (the key id|hash is all it
+  // needs). Like the hash, a locator is only as trustworthy as the store
+  // that anchors it; a wrong one can fail a read, never change the bytes it
+  // returns. An anchored write passes the locator of the version it
+  // replaces as `predecessor` (empty if none) and the version its anchor
+  // gives it as `anchored_version`; DepSkyBackend numbers the version from
+  // them without reading the clouds. Both empty: an unanchored write.
+  virtual Result<Bytes> WriteVersion(const std::string& id,
+                                     const std::string& content_hash,
+                                     ConstByteSpan data,
+                                     const std::vector<BackendGrant>& grants,
+                                     const Bytes& predecessor,
+                                     uint64_t anchored_version) = 0;
+  // An unanchored write.
   Result<Bytes> WriteVersion(const std::string& id,
                              const std::string& content_hash,
                              ConstByteSpan data,
-                             const std::vector<BackendGrant>& grants);
+                             const std::vector<BackendGrant>& grants) {
+    return WriteVersion(id, content_hash, data, grants, Bytes{}, 0);
+  }
 
   // Reads the version with the given hash, starting from the locator
   // WriteVersion returned for it (empty: locate the version by the hash
@@ -131,11 +117,14 @@ class SingleCloudBackend : public BlobBackend {
   SingleCloudBackend(ObjectStore* store, CloudCredentials creds)
       : store_(store), creds_(std::move(creds)) {}
 
-  // The whole write happens before it returns; finish has nothing to do.
-  Result<StartedVersion> StartVersion(
-      const std::string& id, const std::string& content_hash,
-      ConstByteSpan data, const std::vector<BackendGrant>& grants,
-      const Bytes& predecessor) override;
+  using BlobBackend::WriteVersion;
+  // The key id|hash names the version; an anchor adds nothing to it.
+  Result<Bytes> WriteVersion(const std::string& id,
+                             const std::string& content_hash,
+                             ConstByteSpan data,
+                             const std::vector<BackendGrant>& grants,
+                             const Bytes& predecessor,
+                             uint64_t anchored_version) override;
   Result<Bytes> ReadByHash(const std::string& id,
                            const std::string& content_hash,
                            const Bytes& locator) override;
@@ -166,15 +155,18 @@ class DepSkyBackend : public BlobBackend {
   explicit DepSkyBackend(std::shared_ptr<DepSkyClient> client)
       : client_(std::move(client)) {}
 
-  // DepSkyClient::StartWrite: the locator is the encoded DepSkyVersion
+  using BlobBackend::WriteVersion;
+  // DepSkyClient::WriteVersion: the locator is the encoded DepSkyVersion
   // record, the predecessor the same encoding (one that does not decode is
-  // ignored), and finish DepSkyWrite::finish, the write-behind of the
-  // metadata.
-  Result<StartedVersion> StartVersion(
-      const std::string& id, const std::string& content_hash,
-      ConstByteSpan data, const std::vector<BackendGrant>& grants,
-      const Bytes& predecessor) override;
-  // With a locator: DepSkyClient::ReadVersion, no metadata round (a locator
+  // ignored). The version number is max(predecessor's + 1,
+  // `anchored_version`), or, with neither, the client's unanchored LIST.
+  Result<Bytes> WriteVersion(const std::string& id,
+                             const std::string& content_hash,
+                             ConstByteSpan data,
+                             const std::vector<BackendGrant>& grants,
+                             const Bytes& predecessor,
+                             uint64_t anchored_version) override;
+  // With a locator: DepSkyClient::ReadVersion, no LIST (a locator
   // that does not decode, or names another hash, costs one counted
   // fallback to the hash). Without: DepSkyClient::ReadByHash.
   Result<Bytes> ReadByHash(const std::string& id,

@@ -525,8 +525,8 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
   // whole chain atomically also means the producer never holds one stage's
   // slot while blocking for another's, and the pending count covers the
   // chain from the first enqueue, so a concurrent Unlink's barrier cannot
-  // slip between the stages.
-  uploader_->Reserve(2);
+  // slip between the stages. A blocking close is one stage.
+  uploader_->Reserve(options_.mode == ScfsMode::kBlocking ? 1 : 2);
 
   // Per-file ordering: a close of a re-opened file must apply its path-keyed
   // metadata updates only after the previous close of the same path (the
@@ -560,43 +560,33 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
     // Level 2/3 before the future completes: data to disk and a cloud write
     // quorum, then the entry published (a compare-and-swap on the version
     // the open's lock read) in the command that also releases the lock
-    // (DESIGN.md "Publish-and-release"). DepSky's cloud metadata is written
-    // behind the close, started once the publish succeeded; the chain's
-    // last stage waits for it (`behind`). A failed push still releases the
+    // (DESIGN.md "Publish-and-release"). A failed push still releases the
     // file lock — a failed write must not leave the file locked. The task's
     // charge reaches the foreground waiter through the future, so it is
     // excluded from the uploader's background accounting.
-    Promise<Status> behind;
-    auto task = [this, md, data, hash, grants, path, written, predecessor,
-                 behind]() mutable {
+    auto task = [this, md, data, hash, grants, path, written,
+                 predecessor]() mutable {
       // Renew the file lock's lease if it runs short: the renewal's
       // coordination round overlaps the cloud push instead of risking a
       // mid-push expiry. Joined before the release (renew/unlock on the
       // same path must not race).
       Future<Status> lease = locks_->RenewAsync(path);
-      Future<Status> metadata_written = Future<Status>::Ready(OkStatus());
       Status s = OkStatus();
-      std::function<Future<Status>(std::optional<VirtualTime>)> finish;
       if (!hash.empty()) {
-        Result<StartedVersion> started = storage_->StartPush(
-            md.object_id, hash, *data, grants, predecessor);
-        if (started.ok()) {
-          md.locator = std::move(started->locator);
-          finish = std::move(started->finish);
+        Result<Bytes> locator = storage_->Push(md.object_id, hash, *data,
+                                               grants, predecessor, md.version);
+        if (locator.ok()) {
+          md.locator = std::move(*locator);
         } else {
-          s = started.status();
+          s = locator.status();
         }
       }
       lease.Join();
       if (s.ok()) {
-        s = PublishAndRelease(md, finish, &metadata_written);
+        s = PublishAndRelease(md);
       } else {
         (void)locks_->Release(path);
       }
-      metadata_written.OnReady(
-          [behind](const Status& status, VirtualDuration charge) {
-            behind.Set(status, charge);
-          });
       if (s.ok()) {
         MaybeTriggerGc(written);
       }
@@ -607,11 +597,7 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
                                                    /*account_charge=*/false)
                  : uploader_->EnqueueReserved(std::move(task),
                                               /*account_charge=*/false);
-    // Background work: charged to the uploader, not to the close.
-    chain_end = uploader_->EnqueueAfterReserved(
-        behind.future(), [written_behind = behind.future()] {
-          return written_behind.Get();
-        });
+    chain_end = result;
   } else {
     // Non-blocking / non-sharing. Stage 1 — durability level 1 plus the
     // local visibility updates, which happen only once the flush succeeded
@@ -641,19 +627,16 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
           // Lease renewal overlaps the cloud upload (see blocking mode);
           // joined before the release.
           Future<Status> lease = locks_->RenewAsync(path);
-          std::function<Future<Status>(std::optional<VirtualTime>)> finish;
           if (!hash.empty()) {
-            Result<StartedVersion> started = storage_->backend().StartVersion(
-                md.object_id, hash, *data, grants, predecessor);
-            if (started.ok()) {
-              md.locator = std::move(started->locator);
-              finish = std::move(started->finish);
+            Result<Bytes> locator = storage_->backend().WriteVersion(
+                md.object_id, hash, *data, grants, predecessor, md.version);
+            if (locator.ok()) {
+              md.locator = std::move(*locator);
             } else {
               SCFS_LOG(Warning) << "background upload failed: "
-                                << started.status().ToString();
+                                << locator.status().ToString();
             }
           }
-          Future<Status> metadata_written = Future<Status>::Ready(OkStatus());
           Status released;
           if (private_entry) {
             // Stage 1 put the entry in the PNS without a locator.
@@ -662,27 +645,16 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
             if (!s.ok()) {
               SCFS_LOG(Warning) << "background pns flush failed: "
                                 << s.ToString();
-            } else if (finish) {
-              // DepSky's cloud metadata: started before the unlock, so the
-              // next writer's wait for it is bounded (DESIGN.md
-              // "Write-behind metadata"), landing after it, still inside
-              // this close's chain.
-              metadata_written = finish(std::nullopt);
             }
             lease.Join();
             released = locks_->Release(path);
           } else {
             lease.Join();
-            released = PublishAndRelease(md, finish, &metadata_written);
+            released = PublishAndRelease(md);
             if (!released.ok()) {
               SCFS_LOG(Warning) << "background metadata update failed: "
                                 << released.ToString();
             }
-          }
-          Status written_behind = metadata_written.Get();
-          if (!written_behind.ok()) {
-            SCFS_LOG(Warning) << "background metadata write failed: "
-                              << written_behind.ToString();
           }
           return released;
         });
@@ -740,31 +712,16 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
   return result;
 }
 
-Status ScfsFileSystem::PublishAndRelease(
-    const FileMetadata& md,
-    const std::function<Future<Status>(std::optional<VirtualTime>)>& finish,
-    Future<Status>* written_behind) {
+Status ScfsFileSystem::PublishAndRelease(const FileMetadata& md) {
   return locks_->PublishAndRelease(
       md.path, [&](const std::optional<CoordLockRelease>& release) {
-        // Handing the lock off with this command lets the next writer start
-        // once its slot has run: the write-behind must launch soon after.
-        std::optional<VirtualTime> handed_off;
-        if (release.has_value()) {
-          handed_off = env_->Now();
-        }
         Status published = metadata_->Put(md, release);
-        if (!published.ok()) {
-          return published;
-        }
-        if (!release.has_value()) {
+        if (published.ok() && !release.has_value()) {
           // Write credit: the lock stays held (a re-entrant reference, or
           // the release lingers it), so nobody else can publish and our
           // own publish stays the newest — serve reads of it locally until
           // the lock lease bound.
           metadata_->PinOwned(md, locks_->HeldUntil(md.path));
-        }
-        if (finish) {
-          *written_behind = finish(handed_off);
         }
         return published;
       });
@@ -995,8 +952,8 @@ Status ScfsFileSystem::SetFacl(const std::string& path, const std::string& user,
     return NotSupportedError("sharing disabled in non-sharing mode");
   }
   const std::string normalized = NormalizePath(path);
-  // The backend grant rewrites the file's cloud metadata: this agent's
-  // pending write-behind of it must land first.
+  // The backend grant reaches the objects the clouds list: this agent's
+  // closes of the file still in flight must have stored theirs first.
   WaitForCloseChains(normalized);
   ASSIGN_OR_RETURN(FileMetadata md, metadata_->Get(normalized));
   if (md.owner != options_.user) {
@@ -1070,9 +1027,6 @@ Status ScfsFileSystem::GcCollectFile(const FileMetadata& metadata) {
   if (metadata.type != FileType::kFile || metadata.object_id.empty()) {
     return OkStatus();
   }
-  // Listing and deleting versions rewrite the file's cloud metadata: this
-  // agent's pending write-behind of it must land first.
-  WaitForCloseChains(metadata.path);
   ASSIGN_OR_RETURN(std::vector<BlobVersionInfo> versions,
                    backend_->ListVersions(metadata.object_id));
   if (versions.size() <= options_.gc.versions_to_keep) {

@@ -4,8 +4,7 @@
 //
 // Modes of operation (paper §3.1, Table 2):
 //   kBlocking     close() returns after data reaches the cloud(s) and the
-//                 metadata/lock updates complete (durability level 2/3);
-//                 DepSky's cloud metadata is written behind the close.
+//                 metadata/lock updates complete (durability level 2/3).
 //   kNonBlocking  close() returns once the file is durable on the local disk;
 //                 upload, metadata update and unlock run in background, in
 //                 that order, so mutual exclusion is preserved.
@@ -91,8 +90,7 @@ class ScfsFileSystem : public FileSystem {
   // Close() is CloseAsync().Get().
   Future<Status> CloseAsync(FileHandle handle) override;
   // Waits until every close issued so far is fully synchronized (uploads
-  // done, metadata published, locks released, DepSky's cloud metadata
-  // written).
+  // done, metadata published, locks released).
   Status SyncBarrier() override;
   Status Mkdir(const std::string& path) override;
   Status Rmdir(const std::string& path) override;
@@ -161,13 +159,9 @@ class ScfsFileSystem : public FileSystem {
   // lock (DESIGN.md "Publish-and-release"): the release rides the publish
   // when the close drops the last local reference and the lock does not
   // linger; otherwise the entry is published, pinned while the lock stays
-  // held, and the reference released. Once the publish succeeded, starts
-  // the write-behind (`finish`, if any) into *written_behind. Returns the
-  // publish's status if it failed, else the release's.
-  Status PublishAndRelease(
-      const FileMetadata& md,
-      const std::function<Future<Status>(std::optional<VirtualTime>)>& finish,
-      Future<Status>* written_behind);
+  // held, and the reference released. Returns the publish's status if it
+  // failed, else the release's.
+  Status PublishAndRelease(const FileMetadata& md);
   // Blocks until every in-flight close chain publishing at `path` or below
   // it has completed. Namespace operations use this instead of a full
   // Drain(): the resurrection hazard they guard against is path-keyed, so
@@ -204,7 +198,7 @@ class ScfsFileSystem : public FileSystem {
   // `level1` (local flush + local metadata — the next close's stage 1 waits
   // only for this, a disk flush, never the previous cloud upload) and
   // `publish` (upload + coordination metadata + unlock — gates the next
-  // stage 2, and the DepSky metadata written behind the close). Entries
+  // stage 2). Entries
   // are pruned when the chain completes; the generation counter guards
   // against pruning a newer chain that reused the path.
   struct CloseChainTails {

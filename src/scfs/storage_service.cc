@@ -195,26 +195,20 @@ Result<Bytes> StorageService::Fetch(const std::string& id,
                       " never became visible");
 }
 
-Result<StartedVersion> StorageService::StartPush(
-    const std::string& id, const std::string& hash, ConstByteSpan data,
-    const std::vector<BackendGrant>& grants, const Bytes& predecessor) {
-  // Local disk first (cheap), then the cloud. A started push gives
+Result<Bytes> StorageService::Push(const std::string& id,
+                                   const std::string& hash, ConstByteSpan data,
+                                   const std::vector<BackendGrant>& grants,
+                                   const Bytes& predecessor,
+                                   uint64_t anchored_version) {
+  // Local disk first (cheap), then the cloud. A finished push gives
   // durability level 2 (single cloud) or 3 (cloud-of-clouds).
   RETURN_IF_ERROR(FlushToDisk(id, hash, data));
   {
     std::lock_guard<std::mutex> lock(mu_);
     memory_.Put(CacheKey(id, hash), CopyToBytes(data));
   }
-  return backend_->StartVersion(id, hash, data, grants, predecessor);
-}
-
-Result<Bytes> StorageService::Push(const std::string& id,
-                                   const std::string& hash, ConstByteSpan data,
-                                   const std::vector<BackendGrant>& grants) {
-  ASSIGN_OR_RETURN(StartedVersion started,
-                   StartPush(id, hash, data, grants, Bytes{}));
-  RETURN_IF_ERROR(started.finish(std::nullopt).Get());
-  return std::move(started.locator);
+  return backend_->WriteVersion(id, hash, data, grants, predecessor,
+                                anchored_version);
 }
 
 }  // namespace scfs

@@ -73,20 +73,16 @@ class StorageService {
   Status FlushToDisk(const std::string& id, const std::string& hash,
                      ConstByteSpan data);
 
-  // Pushes to local disk, then starts the cloud backend's write
-  // (BlobBackend::StartVersion, with `predecessor`) and returns once the
-  // data is on the cloud(s) — close in blocking mode, durability level
-  // 2/3; the caller runs the returned finish. `data` is a borrowed view; the only copy made
-  // here is the one the memory cache keeps.
-  Result<StartedVersion> StartPush(const std::string& id,
-                                   const std::string& hash, ConstByteSpan data,
-                                   const std::vector<BackendGrant>& grants,
-                                   const Bytes& predecessor);
-  // StartPush with no predecessor, then its finish, waited to its end;
-  // returns the version's locator.
+  // Pushes to local disk, then to the cloud backend (BlobBackend::
+  // WriteVersion, with the anchor's `predecessor` and `anchored_version`),
+  // and returns the version's locator once the data is on the cloud(s) —
+  // close in blocking mode, durability level 2/3. `data` is a borrowed
+  // view; the only copy made here is the one the memory cache keeps.
   Result<Bytes> Push(const std::string& id, const std::string& hash,
                      ConstByteSpan data,
-                     const std::vector<BackendGrant>& grants);
+                     const std::vector<BackendGrant>& grants,
+                     const Bytes& predecessor = {},
+                     uint64_t anchored_version = 0);
 
   BlobBackend& backend() { return *backend_; }
   const std::filesystem::path& disk_dir() const { return disk_dir_; }

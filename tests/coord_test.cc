@@ -1157,7 +1157,7 @@ TEST(SmrClusterTest, BatchedOrderingSurvivesLeaderCrashMidBatch) {
   }
 }
 
-TEST(SmrClusterTest, FastReadFallsBackOnByzantineDivergence) {
+TEST(SmrClusterTest, FastReadTimesOutWithASilentAndALyingReplica) {
   auto env = Environment::Scaled(1e-3);
   SmrConfig config = FastSmrConfig(true);
   config.fast_read_timeout = 200 * kMillisecond;
@@ -1167,7 +1167,8 @@ TEST(SmrClusterTest, FastReadFallsBackOnByzantineDivergence) {
   ASSERT_TRUE(coord.Write("alice", "k", ToBytes("v")).ok());
   // One replica silent, one lying: the fast path can never assemble 2f+1
   // matching replies, so reads must fall back to the ordered path — and
-  // still return the correct value (f+1 matching there).
+  // still return the correct value (f+1 matching there). Each fast round
+  // waits for the silent replica until its timeout.
   coord.cluster().CrashReplica(3);
   coord.cluster().SetReplicaByzantine(2, true);
   for (int i = 0; i < 3; ++i) {
@@ -1177,6 +1178,36 @@ TEST(SmrClusterTest, FastReadFallsBackOnByzantineDivergence) {
   }
   SmrCounters counters = coord.cluster().counters();
   EXPECT_EQ(counters.fast_path_fallbacks, 3u);
+  EXPECT_EQ(counters.fast_path_timeouts, 3u);
+  EXPECT_EQ(counters.fast_path_divergences, 0u);
+  EXPECT_EQ(counters.fast_path_stale_quorums, 0u);
+  EXPECT_EQ(counters.fast_path_cooldown_bypasses, 0u);
+  EXPECT_EQ(counters.fast_path_reads, 0u);
+}
+
+TEST(SmrClusterTest, FastReadFallsBackOnByzantineDivergence) {
+  auto env = Environment::Scaled(1e-3);
+  SmrConfig config = FastSmrConfig(true);
+  // Far beyond the replies' few virtual ms: the round ends because every
+  // replica replied, never by the clock.
+  config.fast_read_timeout = 60 * kSecond;
+  config.fast_read_fallback_cooldown = 0;
+  ReplicatedCoordination coord(env.get(), config);
+  ASSERT_TRUE(coord.Write("alice", "k", ToBytes("v")).ok());
+  // Two replicas tell the same lie: every replica replies, two values get
+  // two votes each, and neither reaches 2f+1. (With f+1 liars the ordered
+  // path may return the lie, so only the fast round is checked.)
+  coord.cluster().SetReplicaByzantine(2, true);
+  coord.cluster().SetReplicaByzantine(3, true);
+  for (int i = 0; i < 3; ++i) {
+    (void)coord.Read("alice", "k");
+  }
+  SmrCounters counters = coord.cluster().counters();
+  EXPECT_EQ(counters.fast_path_fallbacks, 3u);
+  EXPECT_EQ(counters.fast_path_divergences, 3u);
+  EXPECT_EQ(counters.fast_path_timeouts, 0u);
+  EXPECT_EQ(counters.fast_path_stale_quorums, 0u);
+  EXPECT_EQ(counters.fast_path_cooldown_bypasses, 0u);
   EXPECT_EQ(counters.fast_path_reads, 0u);
 }
 
@@ -1405,6 +1436,9 @@ TEST(SmrClusterTest, FallbackCooldownBypassesDoomedFastRounds) {
   EXPECT_EQ(counters.fast_path_reads, 0u);
   EXPECT_EQ(counters.fast_path_fallbacks, 5u);
   EXPECT_EQ(counters.fast_path_cooldown_bypasses, 4u);
+  EXPECT_EQ(counters.fast_path_timeouts, 1u);
+  EXPECT_EQ(counters.fast_path_divergences, 0u);
+  EXPECT_EQ(counters.fast_path_stale_quorums, 0u);
 }
 
 TEST(SmrClusterTest, FastReadRejectsStaleQuorumAgainstWatermark) {
@@ -1442,8 +1476,10 @@ TEST(SmrClusterTest, FastReadRejectsStaleQuorumAgainstWatermark) {
   EXPECT_EQ(ToString(guarded->value), "v");
   SmrCounters counters = cluster.counters();
   EXPECT_EQ(counters.fast_path_reads, 1u);  // only the pre-inflation read
-  EXPECT_GE(counters.fast_path_stale_quorums, 1u);
-  EXPECT_GE(counters.fast_path_fallbacks, 1u);
+  EXPECT_EQ(counters.fast_path_stale_quorums, 1u);
+  EXPECT_EQ(counters.fast_path_fallbacks, 1u);
+  EXPECT_EQ(counters.fast_path_divergences, 0u);
+  EXPECT_EQ(counters.fast_path_timeouts, 0u);
 }
 
 // ---------------------------------------------------------------------------

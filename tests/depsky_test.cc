@@ -1,8 +1,7 @@
-// Tests for the DepSky cloud-of-clouds protocols: metadata authentication,
-// write/read quorums, read-by-hash, confidentiality (no single cloud holds
-// the plaintext), corruption/outage/byzantine tolerance, preferred quorums,
-// version GC, cross-account sharing grants, and the overlapped write's
-// fresh object names.
+// Tests for the DepSky cloud-of-clouds protocols: self-certifying shard
+// headers, write/read quorums, read-by-hash, confidentiality (no single cloud
+// holds the plaintext), corruption/outage/byzantine tolerance, preferred
+// quorums, version GC, cross-account sharing grants, and fresh object names.
 
 #include <gtest/gtest.h>
 
@@ -79,92 +78,153 @@ class DepSkyTest : public ::testing::Test {
     return DepSkyClient(env_.get(), std::move(set), config, 1234);
   }
 
+  // The key of unit `u`'s shard at `cloud`, as the record places it.
+  static std::string KeyAt(const std::string& unit, const DepSkyVersion& v,
+                           size_t u, unsigned cloud) {
+    return DepSkyClient::ValueKey(
+        unit, v, u, static_cast<unsigned>(v.stripe_units[u].cloud_shard[cloud]));
+  }
+
+  CloudCredentials Creds(unsigned cloud, const std::string& user = "alice") {
+    return {clouds_[cloud]->provider_name() + ":" + user};
+  }
+
+  // Re-authenticates every stored header of unit `u` after `edit`, in
+  // place: what a writer holding the deployment key could store.
+  void RewriteHeaders(const std::string& unit, const DepSkyVersion& v,
+                      size_t u,
+                      const std::function<void(DepSkyShardHeader*)>& edit) {
+    for (unsigned c = 0; c < kClouds; ++c) {
+      if (v.stripe_units[u].cloud_shard[c] < 0) {
+        continue;
+      }
+      const std::string key = KeyAt(unit, v, u, c);
+      auto stored = clouds_[c]->PeekLatest(key);
+      ASSERT_TRUE(stored.ok());
+      size_t offset = 0;
+      auto header = DepSkyShardHeader::Read(
+          *stored, unit, ToBytes("deployment-auth-key"), &offset);
+      ASSERT_TRUE(header.ok()) << header.status().ToString();
+      edit(&*header);
+      Bytes rewritten(header->EncodedSize());
+      header->WriteTo(unit, ToBytes("deployment-auth-key"),
+                      ByteSpan(rewritten));
+      rewritten.insert(rewritten.end(), stored->begin() + offset,
+                       stored->end());
+      ASSERT_TRUE(clouds_[c]->Delete(Creds(c), key).ok());
+      ASSERT_TRUE(clouds_[c]->Put(Creds(c), key, rewritten).ok());
+    }
+  }
+
   std::unique_ptr<Environment> env_;
   std::vector<std::unique_ptr<SimulatedCloud>> clouds_;
 };
 
-TEST_F(DepSkyTest, MetadataEncodeDecodeRoundTrip) {
-  DepSkyMetadata md;
-  md.n = 4;
-  md.k = 2;
-  md.mode = DepSkyMode::kSecretSharing;
-  md.owner_ids = {"a", "b", "c", "d"};
-  DepSkyVersion v;
-  v.version = 3;
-  v.content_hash = "abcd";
-  v.size = 100;
-  v.nonce = Bytes(12, 9);
-  v.stripe_unit_size = 4096;
-  DepSkyStripeUnit unit;
-  unit.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
-  unit.cloud_shard = {0, 1, 2, -1};
-  v.stripe_units.push_back(unit);
-  md.versions.push_back(v);
+// A header with every field set, for unit 1 of a three-unit version.
+DepSkyShardHeader SampleHeader() {
+  DepSkyShardHeader h;
+  h.n = 4;
+  h.k = 2;
+  h.mode = DepSkyMode::kSecretSharing;
+  h.version = 3;
+  h.object_id = 0x0123456789abcdefULL;
+  h.content_hash = "abcd";
+  h.size = 9000;
+  h.nonce = Bytes(12, 9);
+  h.stripe_unit_size = 4096;
+  h.unit_index = 1;
+  h.shard_index = 2;
+  h.unit_hash = Bytes(32, 7);
+  h.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
+  h.acls.owner_ids = {"a", "b", "c", "d"};
   DepSkyGrant grant;
   grant.cloud_ids = {"u0", "u1", "u2", "u3"};
   grant.read = true;
-  md.grants.push_back(grant);
-
-  Bytes key = ToBytes("k");
-  auto decoded = DepSkyMetadata::Decode(md.Encode(key), key);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->n, 4u);
-  EXPECT_EQ(decoded->owner_ids[2], "c");
-  ASSERT_EQ(decoded->versions.size(), 1u);
-  EXPECT_EQ(decoded->versions[0].version, 3u);
-  ASSERT_EQ(decoded->versions[0].stripe_units.size(), 1u);
-  EXPECT_EQ(decoded->versions[0].stripe_units[0].cloud_shard[3], -1);
-  ASSERT_EQ(decoded->grants.size(), 1u);
-  EXPECT_TRUE(decoded->grants[0].read);
-  EXPECT_FALSE(decoded->grants[0].write);
+  h.acls.grants.push_back(grant);
+  return h;
 }
 
-TEST_F(DepSkyTest, MetadataStripeManifestRoundTrip) {
-  DepSkyMetadata md;
-  md.n = 4;
-  md.k = 2;
-  // Version 1 is one unit, version 2 three: each carries its own units.
-  DepSkyVersion small;
-  small.version = 1;
-  small.content_hash = "aaaa";
-  small.size = 10;
-  small.stripe_unit_size = 4 * 1024 * 1024;
-  DepSkyStripeUnit only;
-  only.shard_hashes = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3), Bytes(32, 4)};
-  only.cloud_shard = {0, 1, 2, 3};
-  small.stripe_units.push_back(only);
-  md.versions.push_back(small);
-  DepSkyVersion striped;
-  striped.version = 2;
-  striped.content_hash = "bbbb";
-  striped.size = 10 * 1024 * 1024;
-  striped.nonce = Bytes(12, 7);
-  striped.stripe_unit_size = 4 * 1024 * 1024;
-  for (int u = 0; u < 3; ++u) {
-    DepSkyStripeUnit unit;
-    unit.content_hash = Bytes(32, static_cast<uint8_t>(0x10 + u));
-    unit.shard_hashes = {Bytes(32, 5), Bytes(32, 6), Bytes(32, 7),
-                         Bytes(32, 8)};
-    unit.cloud_shard = {3, 2, 1, -1};
-    striped.stripe_units.push_back(unit);
-  }
-  md.versions.push_back(striped);
+TEST_F(DepSkyTest, ShardHeaderRoundTrip) {
+  const DepSkyShardHeader h = SampleHeader();
+  const Bytes key = ToBytes("k");
+  // The header goes in front of a value object; the reader finds the value
+  // object where the header ends, authenticated or not.
+  Bytes stored = DepSkyValueObject::EncodeParts(ToBytes("shard"), 3,
+                                                ToBytes("share"),
+                                                h.EncodedSize());
+  h.WriteTo("f", key, ByteSpan(stored).first(h.EncodedSize()));
+  size_t offset = 0;
+  auto decoded = DepSkyShardHeader::Read(stored, "f", key, &offset);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(offset, h.EncodedSize());
+  EXPECT_EQ(*DepSkyShardHeader::ValueOffset(stored), offset);
+  EXPECT_EQ(decoded->version, 3u);
+  EXPECT_EQ(decoded->object_id, h.object_id);
+  EXPECT_EQ(decoded->content_hash, "abcd");
+  EXPECT_EQ(decoded->size, 9000u);
+  EXPECT_EQ(decoded->nonce, h.nonce);
+  EXPECT_EQ(decoded->unit_index, 1u);
+  EXPECT_EQ(decoded->shard_index, 2u);
+  EXPECT_EQ(decoded->unit_hash, h.unit_hash);
+  EXPECT_EQ(decoded->shard_hashes, h.shard_hashes);
+  EXPECT_EQ(decoded->acls.owner_ids[2], "c");
+  ASSERT_EQ(decoded->acls.grants.size(), 1u);
+  EXPECT_TRUE(decoded->acls.grants[0].read);
+  EXPECT_FALSE(decoded->acls.grants[0].write);
+  auto value = DepSkyValueObject::Decode(ConstByteSpan(stored).subspan(offset));
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value->shard, ToBytes("shard"));
+  EXPECT_EQ(value->share_index, 3u);
 
-  Bytes key = ToBytes("k");
-  auto decoded = DepSkyMetadata::Decode(md.Encode(key), key);
+  // The size depends on neither the shard index nor the hash values.
+  DepSkyShardHeader other = h;
+  other.shard_index = 0;
+  other.shard_hashes.assign(4, Bytes(32, 0));
+  EXPECT_EQ(other.EncodedSize(), h.EncodedSize());
+}
+
+TEST_F(DepSkyTest, ShardHeaderAndGrantObjectRejectTampering) {
+  const DepSkyShardHeader h = SampleHeader();
+  const Bytes key = ToBytes("k");
+  Bytes stored(h.EncodedSize());
+  h.WriteTo("f", key, ByteSpan(stored));
+  size_t offset = 0;
+  ASSERT_TRUE(DepSkyShardHeader::Read(stored, "f", key, &offset).ok());
+  // Another key, another unit, or any flipped bit fails the HMAC.
+  EXPECT_EQ(DepSkyShardHeader::Read(stored, "f", ToBytes("other"), &offset)
+                .status()
+                .code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(DepSkyShardHeader::Read(stored, "g", key, &offset).status().code(),
+            ErrorCode::kCorruption);
+  for (size_t i : {size_t{6}, stored.size() / 2, stored.size() - 1}) {
+    Bytes tampered = stored;
+    tampered[i] ^= 0x01;
+    EXPECT_EQ(DepSkyShardHeader::Read(tampered, "f", key, &offset)
+                  .status()
+                  .code(),
+              ErrorCode::kCorruption)
+        << "byte " << i;
+  }
+  EXPECT_EQ(DepSkyShardHeader::ValueOffset(Bytes(3, 0)).status().code(),
+            ErrorCode::kCorruption);
+
+  DepSkyGrants grants;
+  grants.sequence = 4;
+  grants.owner_ids = h.acls.owner_ids;
+  grants.grants = h.acls.grants;
+  const Bytes encoded = grants.Encode("f", key);
+  auto decoded = DepSkyGrants::Decode(encoded, "f", key);
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->versions.size(), 2u);
-  ASSERT_EQ(decoded->versions[0].stripe_units.size(), 1u);
-  EXPECT_EQ(decoded->versions[0].stripe_units[0].cloud_shard,
-            (std::vector<int32_t>{0, 1, 2, 3}));
-  const auto& v = decoded->versions[1];
-  EXPECT_EQ(v.stripe_unit_size, 4u * 1024 * 1024);
-  ASSERT_EQ(v.stripe_units.size(), 3u);
-  EXPECT_EQ(v.stripe_units[1].content_hash, Bytes(32, 0x11));
-  ASSERT_EQ(v.stripe_units[2].shard_hashes.size(), 4u);
-  EXPECT_EQ(v.stripe_units[2].shard_hashes[3], Bytes(32, 8));
-  EXPECT_EQ(v.stripe_units[0].cloud_shard,
-            (std::vector<int32_t>{3, 2, 1, -1}));
+  EXPECT_EQ(decoded->sequence, 4u);
+  EXPECT_EQ(decoded->owner_ids, grants.owner_ids);
+  ASSERT_EQ(decoded->grants.size(), 1u);
+  EXPECT_EQ(DepSkyGrants::Decode(encoded, "g", key).status().code(),
+            ErrorCode::kCorruption);
+  Bytes tampered = encoded;
+  tampered[8] ^= 0x01;
+  EXPECT_EQ(DepSkyGrants::Decode(tampered, "f", key).status().code(),
+            ErrorCode::kCorruption);
 }
 
 // A one-unit and a three-unit record, every field set.
@@ -235,41 +295,6 @@ TEST_F(DepSkyTest, VersionRecordRoundTrip) {
   }
 }
 
-TEST_F(DepSkyTest, MetadataEncodesEachVersionWithTheRecordCodec) {
-  DepSkyMetadata md;
-  md.owner_ids = {"a", "b", "c", "d"};
-  md.versions = SampleRecords();
-  Bytes key = ToBytes("k");
-  const Bytes encoded = md.Encode(key);
-  // The metadata body embeds each record's encoding as is, the stripe
-  // manifest included.
-  for (const DepSkyVersion& record : md.versions) {
-    const Bytes bytes = record.Encode();
-    EXPECT_NE(std::search(encoded.begin(), encoded.end(), bytes.begin(),
-                          bytes.end()),
-              encoded.end());
-  }
-  auto decoded = DepSkyMetadata::Decode(encoded, key);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->versions.size(), md.versions.size());
-  for (size_t i = 0; i < md.versions.size(); ++i) {
-    ExpectSameRecord(decoded->versions[i], md.versions[i]);
-  }
-}
-
-TEST_F(DepSkyTest, MetadataAuthenticatorRejectsTampering) {
-  DepSkyMetadata md;
-  Bytes key = ToBytes("k");
-  Bytes encoded = md.Encode(key);
-  encoded[6] ^= 0x01;
-  EXPECT_EQ(DepSkyMetadata::Decode(encoded, key).status().code(),
-            ErrorCode::kCorruption);
-  EXPECT_EQ(DepSkyMetadata::Decode(md.Encode(key), ToBytes("other"))
-                .status()
-                .code(),
-            ErrorCode::kCorruption);
-}
-
 TEST_F(DepSkyTest, WriteReadRoundTrip) {
   auto client = MakeClient("alice");
   Rng rng(1);
@@ -297,9 +322,11 @@ TEST_F(DepSkyTest, VersionsAccumulate) {
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
 
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  EXPECT_EQ(md->versions.size(), 2u);
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 2u);
+  EXPECT_EQ((*versions)[0].version, 1u);
+  EXPECT_EQ((*versions)[1].version, 2u);
 
   // Both versions remain readable (multi-versioning for error recovery).
   EXPECT_EQ(*client.ReadByHash("f", ContentHash(v1)), v1);
@@ -349,7 +376,7 @@ TEST_F(DepSkyTest, PreferredQuorumLeavesOneCloudEmpty) {
   // extra block ... the fourth cloud is not used".
   unsigned clouds_with_value = 0;
   for (auto& cloud : clouds_) {
-    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/o");
+    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/v");
     ASSERT_TRUE(listed.ok());
     clouds_with_value += listed->empty() ? 0 : 1;
   }
@@ -364,7 +391,7 @@ TEST_F(DepSkyTest, WithoutPreferredQuorumsAllCloudsUsed) {
   for (auto& cloud : clouds_) {
     // The write returns at a quorum; let the last shard PUT land.
     cloud->Quiesce();
-    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/o");
+    auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/v");
     ASSERT_TRUE(listed.ok());
     EXPECT_EQ(listed->size(), 1u);
   }
@@ -378,7 +405,7 @@ TEST_F(DepSkyTest, StorageOverheadIsAboutOnePointFive) {
   for (auto& cloud : clouds_) {
     stored += cloud->costs().StoredBytes(cloud->provider_name() + ":alice");
   }
-  // 3 shards of |F|/2 plus small metadata: ~1.5x (Figure 11c).
+  // 3 shards of |F|/2, each behind its small header: ~1.5x (Figure 11c).
   EXPECT_GT(stored, data.size() * 14 / 10);
   EXPECT_LT(stored, data.size() * 17 / 10);
 }
@@ -430,20 +457,211 @@ TEST_F(DepSkyTest, DetectsAndRoutesAroundCorruption) {
   clouds_[0]->faults().SetCorruptAllReads(false);
 }
 
-TEST_F(DepSkyTest, ByzantineMetadataRollbackOutvoted) {
+// The Byzantine properties the authenticated metadata object used to give
+// now rest on the headers: a cloud that lists forged names, serves a header
+// with a bad HMAC, serves an old object under a new name, or hides objects
+// from its LIST cannot change what a reader takes as a version.
+
+TEST_F(DepSkyTest, ForgedNamesListedByACloudAreIgnored) {
+  auto client = MakeClient("alice");
+  Bytes v1 = ToBytes("v1");
+  auto record = client.WriteVersion("f", ContentHash(v1), v1);
+  ASSERT_TRUE(record.ok());
+  // The spare cloud lists a much newer "version" it made up, with and
+  // without a header, and a name with the hash of content never written.
+  DepSkyVersion forged = *record;
+  forged.version = 0xff;
+  forged.object_id ^= 1;
+  ASSERT_TRUE(clouds_[3]
+                  ->Put(Creds(3), DepSkyClient::ValueKey("f", forged, 0, 3),
+                        ToBytes("no header at all"))
+                  .ok());
+  forged.version = 0xfe;
+  forged.content_hash = ContentHash(ToBytes("never written"));
+  ASSERT_TRUE(clouds_[3]
+                  ->Put(Creds(3), DepSkyClient::ValueKey("f", forged, 0, 3),
+                        *clouds_[0]->PeekLatest(KeyAt("f", *record, 0, 0)))
+                  .ok());
+
+  EXPECT_EQ(*client.ReadLatest("f"), v1);
+  EXPECT_EQ(client.ReadByHash("f", forged.content_hash).status().code(),
+            ErrorCode::kNotFound);
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 1u);
+  EXPECT_EQ(versions->front().object_id, record->object_id);
+  // An unanchored writer does not number itself after a forged name.
+  Bytes v2 = ToBytes("v2");
+  auto next = client.WriteVersion("f", ContentHash(v2), v2);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->version, 2u);
+  EXPECT_EQ(*client.ReadLatest("f"), v2);
+}
+
+TEST_F(DepSkyTest, HeaderWithABadHmacIsPassedOver) {
+  auto client = MakeClient("alice");
+  Bytes v1 = ToBytes("v1");
+  Bytes v2 = ToBytes("v2, the latest");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  auto record = client.WriteVersion("f", ContentHash(v2), v2);
+  ASSERT_TRUE(record.ok());
+  // Cloud 0, the first holder a reader asks, serves v2 behind a header
+  // whose HMAC fails: resolving v2 falls through to the next holder.
+  ASSERT_GE(record->stripe_units[0].cloud_shard[0], 0);
+  const std::string key = KeyAt("f", *record, 0, 0);
+  Bytes stored = *clouds_[0]->PeekLatest(key);
+  stored[8] ^= 0x01;
+  ASSERT_TRUE(clouds_[0]->Delete(Creds(0), key).ok());
+  ASSERT_TRUE(clouds_[0]->Put(Creds(0), key, stored).ok());
+  EXPECT_EQ(*client.ReadLatest("f"), v2);
+  auto read = client.ReadByHash("f", ContentHash(v2));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, v2);
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  EXPECT_EQ(versions->size(), 2u);
+}
+
+TEST_F(DepSkyTest, OldObjectServedUnderANewNameFailsItsHeader) {
   auto client = MakeClient("alice");
   Bytes v1 = ToBytes("v1");
   Bytes v2 = ToBytes("v2");
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  auto old_record = client.WriteVersion("f", ContentHash(v1), v1);
+  ASSERT_TRUE(old_record.ok());
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
-  // Cloud 2 serves arbitrarily old (but authentic) state; the metadata read
-  // takes the maximum authenticated version from the other clouds.
-  clouds_[2]->faults().SetByzantine(true);
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  EXPECT_EQ(md->versions.size(), 2u);
+  // Cloud 0 replays v1's authentic object as a newer version, and as v1
+  // under another object id: its header names version 1 and v1's id.
+  DepSkyVersion replay = *old_record;
+  const Bytes old_object = *clouds_[0]->PeekLatest(KeyAt("f", replay, 0, 0));
+  for (uint64_t bump : {uint64_t{7}, uint64_t{0}}) {
+    DepSkyVersion renamed = replay;
+    renamed.version += bump;
+    renamed.object_id += 1;
+    ASSERT_TRUE(clouds_[0]
+                    ->Put(Creds(0),
+                          KeyAt("f", renamed, 0, 0), old_object)
+                    .ok());
+  }
   EXPECT_EQ(*client.ReadLatest("f"), v2);
-  clouds_[2]->faults().SetByzantine(false);
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 2u);
+  EXPECT_EQ(versions->back().content_hash, ContentHash(v2));
+}
+
+// Forwards to a SimulatedCloud, but while `blind_list` is set answers every
+// LIST with UNAVAILABLE, and drops the names `hidden` matches from the
+// answers it gives.
+class FilteringStore : public ObjectStore {
+ public:
+  explicit FilteringStore(SimulatedCloud* cloud) : cloud_(cloud) {}
+
+  bool blind_list = false;
+  std::function<bool(const std::string&)> hidden;
+
+  Status Put(const CloudCredentials& creds, const std::string& key,
+             std::shared_ptr<const Bytes> data) override {
+    return cloud_->Put(creds, key, std::move(data));
+  }
+  Result<Bytes> Get(const CloudCredentials& creds,
+                    const std::string& key) override {
+    return cloud_->Get(creds, key);
+  }
+  Status Delete(const CloudCredentials& creds,
+                const std::string& key) override {
+    return cloud_->Delete(creds, key);
+  }
+  Result<std::vector<ObjectInfo>> List(const CloudCredentials& creds,
+                                       const std::string& prefix) override {
+    if (blind_list) {
+      return UnavailableError("LIST unanswered at " + provider_name());
+    }
+    ASSIGN_OR_RETURN(std::vector<ObjectInfo> objects,
+                     cloud_->List(creds, prefix));
+    if (hidden) {
+      objects.erase(std::remove_if(objects.begin(), objects.end(),
+                                   [&](const ObjectInfo& object) {
+                                     return hidden(object.key);
+                                   }),
+                    objects.end());
+    }
+    return objects;
+  }
+  Status SetAcl(const CloudCredentials& creds, const std::string& key,
+                const CanonicalId& grantee,
+                ObjectPermissions permissions) override {
+    return cloud_->SetAcl(creds, key, grantee, permissions);
+  }
+  Result<ObjectAcl> GetAcl(const CloudCredentials& creds,
+                           const std::string& key) override {
+    return cloud_->GetAcl(creds, key);
+  }
+  const std::string& provider_name() const override {
+    return cloud_->provider_name();
+  }
+
+ private:
+  SimulatedCloud* cloud_;
+};
+
+class DepSkyFilteredTest : public DepSkyTest {
+ protected:
+  DepSkyFilteredTest() {
+    for (auto& cloud : clouds_) {
+      stores_.push_back(std::make_unique<FilteringStore>(cloud.get()));
+    }
+  }
+
+  DepSkyClient MakeFilteredClient() {
+    DepSkyConfig config;
+    config.f = 1;
+    config.auth_key = ToBytes("deployment-auth-key");
+    std::vector<DepSkyCloud> set;
+    for (auto& store : stores_) {
+      set.push_back(DepSkyCloud{store.get(),
+                                {store->provider_name() + ":alice"}});
+    }
+    return DepSkyClient(env_.get(), std::move(set), config, 99);
+  }
+
+  // Objects stored under du/<unit>/ on each cloud.
+  std::vector<std::vector<std::string>> ListUnit(const std::string& unit) {
+    std::vector<std::vector<std::string>> keys;
+    for (auto& cloud : clouds_) {
+      cloud->Quiesce();
+      auto listed =
+          cloud->List({cloud->provider_name() + ":alice"}, "du/" + unit + "/");
+      EXPECT_TRUE(listed.ok());
+      keys.emplace_back();
+      for (const auto& info : *listed) {
+        keys.back().push_back(info.key);
+      }
+    }
+    return keys;
+  }
+
+  std::vector<std::unique_ptr<FilteringStore>> stores_;
+};
+
+// A Byzantine holder hides v2 from its LIST, and the other holder that
+// would list it does not answer: one answering cloud lists v2. Its header
+// authenticates, and the silent holder is asked for the shard of its own
+// index, so the reader still gets v2, not v1.
+TEST_F(DepSkyFilteredTest, CloudHidingObjectsFromListIsOutvoted) {
+  auto client = MakeFilteredClient();
+  Bytes v1 = ToBytes("v1");
+  Bytes v2 = ToBytes("v2, the latest");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  auto record = client.WriteVersion("f", ContentHash(v2), v2);
+  ASSERT_TRUE(record.ok());
+  const std::string hidden_hash = ContentHash(v2);
+  stores_[0]->hidden = [hidden_hash](const std::string& key) {
+    return key.find(hidden_hash) != std::string::npos;
+  };
+  stores_[2]->blind_list = true;
+  EXPECT_EQ(*client.ReadLatest("f"), v2);
+  EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
 }
 
 TEST_F(DepSkyTest, ReplicationModeRoundTrip) {
@@ -478,10 +696,10 @@ TEST_F(DepSkyTest, DeleteVersionReclaimsSpace) {
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
   ASSERT_TRUE(client.DeleteVersion("f", ContentHash(v1)).ok());
 
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  ASSERT_EQ(md->versions.size(), 1u);
-  EXPECT_EQ(md->versions[0].version, 2u);
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 1u);
+  EXPECT_EQ(versions->front().version, 2u);
   EXPECT_EQ(client.ReadByHash("f", ContentHash(v1)).status().code(),
             ErrorCode::kNotFound);
   EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
@@ -492,7 +710,8 @@ TEST_F(DepSkyTest, DeleteUnitRemovesEverything) {
   Bytes data = ToBytes("gone soon");
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
   ASSERT_TRUE(client.DeleteUnit("f").ok());
-  EXPECT_EQ(client.ReadMetadata("f").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(client.ReadLatest("f").status().code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(client.ListVersions("f")->empty());
   for (auto& cloud : clouds_) {
     auto listed = cloud->List({cloud->provider_name() + ":alice"}, "du/f/");
     ASSERT_TRUE(listed.ok());
@@ -548,14 +767,10 @@ TEST_F(DepSkyTest, RevokedGrantDeniesAccess) {
   EXPECT_FALSE(bob.ReadLatest("doc").ok());
 }
 
-TEST_F(DepSkyTest, EventualConsistencyNotFoundUntilVisible) {
-  // With a consistency window on metadata overwrites, a second version is
-  // invisible to readers until the window passes — exactly the situation the
-  // SCFS consistency anchor loop handles.
-  for (auto& cloud : clouds_) {
-    // Rebuild clouds with a window is not possible in place; emulate with a
-    // fresh set.
-  }
+// Objects are never overwritten, and the clouds make new keys visible at
+// once: a version reads back as soon as its write returns, even from clouds
+// whose overwrites take seconds to show.
+TEST_F(DepSkyTest, FreshNamesAreReadableInsideTheConsistencyWindow) {
   std::vector<std::unique_ptr<SimulatedCloud>> windowed;
   std::vector<DepSkyCloud> set;
   for (unsigned i = 0; i < kClouds; ++i) {
@@ -573,17 +788,11 @@ TEST_F(DepSkyTest, EventualConsistencyNotFoundUntilVisible) {
   Bytes v1 = ToBytes("v1");
   Bytes v2 = ToBytes("v2");
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
-  env_->Sleep(6 * kSecond);
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
-
-  // Metadata overwrite still in the window: v2 not found yet, by either
-  // anchored read.
-  EXPECT_EQ(client.ReadByHash("f", ContentHash(v2)).status().code(),
-            ErrorCode::kNotFound);
-  EXPECT_EQ(client.ReadAt("f", ContentHash(v2), 0, 2).status().code(),
-            ErrorCode::kNotFound);
-  env_->Sleep(6 * kSecond);
   EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
+  EXPECT_EQ(*client.ReadAt("f", ContentHash(v2), 0, 2), v2);
+  EXPECT_EQ(*client.ReadLatest("f"), v2);
+  EXPECT_EQ(*client.ReadByHash("f", ContentHash(v1)), v1);
   EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
 }
 
@@ -596,10 +805,10 @@ TEST_F(DepSkyTest, StripedWriteReadRoundTrip) {
   Bytes data = Rng(77).RandomBytes(10 * 1024 + 37);  // 11 units, last partial
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
 
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  ASSERT_EQ(md->versions.size(), 1u);
-  const DepSkyVersion& v = md->versions.back();
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 1u);
+  const DepSkyVersion& v = versions->back();
   EXPECT_EQ(v.stripe_unit_size, 1024u);
   ASSERT_EQ(v.stripe_units.size(), 11u);
   for (const auto& su : v.stripe_units) {
@@ -631,8 +840,7 @@ TEST_F(DepSkyTest, EmptyFileIsOneUnitOfZeroBytes) {
       if (record->stripe_units[0].cloud_shard[c] >= 0) {
         ++holders;
         EXPECT_TRUE(
-            clouds_[c]->PeekLatest(DepSkyClient::ValueKey(unit, *record, 0))
-                .ok());
+            clouds_[c]->PeekLatest(KeyAt(unit, *record, 0, c)).ok());
       }
     }
     EXPECT_EQ(holders, 3u);
@@ -679,10 +887,10 @@ TEST_F(DepSkyTest, ReplicationModeCutsLargeFilesIntoUnits) {
       if (su.cloud_shard[c] < 0) {
         continue;
       }
-      auto stored =
-          clouds_[c]->PeekLatest(DepSkyClient::ValueKey("f", *record, u));
+      auto stored = clouds_[c]->PeekLatest(KeyAt("f", *record, u, c));
       ASSERT_TRUE(stored.ok());
-      auto object = DepSkyValueObject::Decode(*stored);
+      auto object = DepSkyValueObject::Decode(ConstByteSpan(*stored).subspan(
+          *DepSkyShardHeader::ValueOffset(*stored)));
       ASSERT_TRUE(object.ok());
       EXPECT_EQ(object->shard, slice) << "unit " << u << " cloud " << c;
       EXPECT_EQ(object->share_index, 0u);
@@ -736,26 +944,6 @@ TEST_F(DepSkyTest, RecordWithWrongUnitCountIsCorrupt) {
     EXPECT_EQ(client.anchored_read_fallbacks(), fallbacks + 1);
   }
 
-  // Inside authentic metadata the record fails the copy's decode too: a
-  // range read past the last listed unit gets an error, not a unit the
-  // record does not have.
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  md->versions.back() = too_few;
-  const Bytes forged = md->Encode(ToBytes("deployment-auth-key"));
-  EXPECT_EQ(DepSkyMetadata::Decode(forged, ToBytes("deployment-auth-key"))
-                .status()
-                .code(),
-            ErrorCode::kCorruption);
-  for (auto& cloud : clouds_) {
-    ASSERT_TRUE(cloud
-                    ->Put({cloud->provider_name() + ":alice"},
-                          DepSkyClient::MetadataKey("f"), forged)
-                    .ok());
-  }
-  auto range = client.ReadAt("f", hash, 2 * 1024, 10);
-  EXPECT_FALSE(range.ok());
-  EXPECT_FALSE(client.ReadByHash("f", hash).ok());
 }
 
 TEST_F(DepSkyTest, RecordClaimingAHugeSizeIsCorruptWithoutAllocatingIt) {
@@ -769,16 +957,12 @@ TEST_F(DepSkyTest, RecordClaimingAHugeSizeIsCorruptWithoutAllocatingIt) {
   huge.size = uint64_t{1} << 50;
   huge.stripe_unit_size = huge.size;
   ASSERT_TRUE(DepSkyVersion::Decode(huge.Encode()).ok());
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  md->versions.back() = huge;
-  const Bytes forged = md->Encode(ToBytes("deployment-auth-key"));
-  for (auto& cloud : clouds_) {
-    ASSERT_TRUE(cloud
-                    ->Put({cloud->provider_name() + ":alice"},
-                          DepSkyClient::MetadataKey("f"), forged)
-                    .ok());
-  }
+  // Headers claiming the same, authentic: a writer holding the key made
+  // them, and the record a reader rebuilds from them claims it too.
+  RewriteHeaders("f", *record, 0, [&](DepSkyShardHeader* header) {
+    header->size = huge.size;
+    header->stripe_unit_size = huge.stripe_unit_size;
+  });
 
   largest_allocation = 0;
   track_allocations = true;
@@ -788,7 +972,7 @@ TEST_F(DepSkyTest, RecordClaimingAHugeSizeIsCorruptWithoutAllocatingIt) {
   EXPECT_EQ(whole.status().code(), ErrorCode::kCorruption);
   EXPECT_EQ(range.status().code(), ErrorCode::kCorruption);
   // Nothing near the claim was allocated: the largest buffer is of the
-  // order of the fetched shards and metadata copies.
+  // order of the fetched shards.
   EXPECT_LT(largest_allocation.load(), size_t{1} << 20);
 }
 
@@ -842,9 +1026,9 @@ TEST_F(DepSkyTest, StripedUnitsSurviveIndependentShardLoss) {
   const std::string hash = ContentHash(data);
   ASSERT_TRUE(client.WriteVersion("f", hash, data).ok());
 
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  const DepSkyVersion& v = md->versions.back();
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  const DepSkyVersion& v = versions->back();
   ASSERT_EQ(v.stripe_units.size(), 8u);
   for (size_t u = 0; u < v.stripe_units.size(); ++u) {
     // Rotate which holder loses its object from unit to unit.
@@ -856,12 +1040,12 @@ TEST_F(DepSkyTest, StripedUnitsSurviveIndependentShardLoss) {
     }
     ASSERT_GE(holders.size(), 3u);
     const unsigned victim = holders[u % holders.size()];
-    ASSERT_TRUE(clouds_[victim]
-                    ->Delete({clouds_[victim]->provider_name() + ":alice"},
-                             DepSkyClient::ValueKey("f", v, u))
-                    .ok());
+    ASSERT_TRUE(
+        clouds_[victim]->Delete(Creds(victim), KeyAt("f", v, u, victim)).ok());
   }
-  EXPECT_EQ(*client.ReadByHash("f", hash), data);
+  auto read = client.ReadByHash("f", hash);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
 }
 
 // ---------------------------------------------------------------------------
@@ -885,11 +1069,9 @@ TEST_F(DepSkyTest, ScrubRebuildsLostStripeShardsByteIdentically) {
   auto client = MakeStripedClient("alice");
   Bytes data = Rng(19).RandomBytes(6 * 1024);
   const std::string hash = ContentHash(data);
-  ASSERT_TRUE(client.WriteVersion("f", hash, data).ok());
-
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  const DepSkyVersion v = md->versions.back();
+  auto record = client.WriteVersion("f", hash, data);
+  ASSERT_TRUE(record.ok());
+  const DepSkyVersion v = *record;
   ASSERT_EQ(v.stripe_units.size(), 6u);
 
   // Lose one stored object per unit (rotating holders), then scrub.
@@ -902,10 +1084,8 @@ TEST_F(DepSkyTest, ScrubRebuildsLostStripeShardsByteIdentically) {
       }
     }
     const unsigned victim = holders[u % holders.size()];
-    const std::string key = DepSkyClient::ValueKey("f", v, u);
-    ASSERT_TRUE(clouds_[victim]
-                    ->Delete({clouds_[victim]->provider_name() + ":alice"}, key)
-                    .ok());
+    const std::string key = KeyAt("f", v, u, victim);
+    ASSERT_TRUE(clouds_[victim]->Delete(Creds(victim), key).ok());
     lost.emplace_back(victim, key);
   }
 
@@ -916,15 +1096,20 @@ TEST_F(DepSkyTest, ScrubRebuildsLostStripeShardsByteIdentically) {
   EXPECT_EQ(report->objects_relocated, 0u);
   EXPECT_EQ(report->repair_failures, 0u);
 
-  // The rebuilt objects hash-match the manifest (byte-identical repair), so
-  // the metadata needed no update and a second pass finds nothing missing.
+  // The rebuilt objects hash-match the record (byte-identical repair) under
+  // their old names, so the record still names them and a second pass finds
+  // nothing missing.
   for (size_t u = 0; u < lost.size(); ++u) {
     auto restored = clouds_[lost[u].first]->PeekLatest(lost[u].second);
     ASSERT_TRUE(restored.ok()) << "unit " << u;
     const unsigned shard = static_cast<unsigned>(
         v.stripe_units[u].cloud_shard[lost[u].first]);
-    EXPECT_EQ(Sha256::Hash(*restored), v.stripe_units[u].shard_hashes[shard]);
+    EXPECT_EQ(Sha256::Hash(ConstByteSpan(*restored).subspan(
+                  *DepSkyShardHeader::ValueOffset(*restored))),
+              v.stripe_units[u].shard_hashes[shard]);
   }
+  EXPECT_EQ(*client.ReadVersion("f", v), data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
   auto second = client.ScrubUnit("f");
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->objects_missing, 0u);
@@ -936,11 +1121,9 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
   auto client = MakeClient("alice");
   Bytes data = Rng(23).RandomBytes(5000);
   const std::string hash = ContentHash(data);
-  ASSERT_TRUE(client.WriteVersion("f", hash, data).ok());
-
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  const DepSkyVersion v = md->versions.back();
+  auto record = client.WriteVersion("f", hash, data);
+  ASSERT_TRUE(record.ok());
+  const DepSkyVersion v = *record;
   ASSERT_EQ(v.stripe_units.size(), 1u);
   const std::vector<int32_t>& cloud_shard = v.stripe_units[0].cloud_shard;
   // Preferred quorums leave one cloud without a shard — the relocation target.
@@ -956,12 +1139,10 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
   ASSERT_GE(spare, 0);
 
   // The holder loses the object *and* stays unreachable: in-place repair is
-  // impossible, so the scrubber must move the shard to the spare cloud and
-  // update the metadata map.
-  ASSERT_TRUE(clouds_[holder]
-                  ->Delete({clouds_[holder]->provider_name() + ":alice"},
-                           DepSkyClient::ValueKey("f", v, 0))
-                  .ok());
+  // impossible, so the scrubber must move the shard to the spare cloud,
+  // under the same name, where the next LIST finds it.
+  ASSERT_TRUE(
+      clouds_[holder]->Delete(Creds(holder), KeyAt("f", v, 0, holder)).ok());
   clouds_[holder]->faults().SetUnavailable(true);
 
   auto report = client.ScrubUnit("f");
@@ -971,9 +1152,10 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
   EXPECT_EQ(report->objects_relocated, 1u);
   EXPECT_EQ(report->repair_failures, 0u);
 
-  auto after = client.ReadMetadata("f");
+  auto after = client.ListVersions("f");
   ASSERT_TRUE(after.ok());
-  const DepSkyStripeUnit& moved = after->versions.back().stripe_units[0];
+  ASSERT_EQ(after->size(), 1u);
+  const DepSkyStripeUnit& moved = after->back().stripe_units[0];
   EXPECT_EQ(moved.cloud_shard[holder], -1);
   EXPECT_EQ(moved.cloud_shard[static_cast<unsigned>(spare)],
             cloud_shard[holder]);
@@ -987,7 +1169,8 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
 // relocations leave the record with one valid holder: the first moves a
 // shard to the spare cloud, the second moves another onto the first
 // relocation's source, which the record still lists for its old shard.
-// Every record read then pays one fallback, and still returns the bytes.
+// Every record read then pays one fallback to the LIST, and still returns
+// the bytes.
 TEST_F(DepSkyTest, RecordFallsBackAfterScrubRelocations) {
   auto client = MakeClient("alice");
   Bytes data = Rng(24).RandomBytes(5000);
@@ -1009,41 +1192,41 @@ TEST_F(DepSkyTest, RecordFallsBackAfterScrubRelocations) {
   };
   auto relocate = [&](unsigned holder) {
     ASSERT_TRUE(clouds_[holder]
-                    ->Delete(creds(holder),
-                             DepSkyClient::ValueKey("f", *record, 0))
+                    ->Delete(creds(holder), KeyAt("f", *record, 0, holder))
                     .ok());
     clouds_[holder]->faults().SetUnavailable(true);
     auto report = client.ScrubUnit("f");
     clouds_[holder]->faults().SetUnavailable(false);
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->objects_relocated, 1u);
-    // The holder missed the scrub's metadata PUT; give it the new copy, as
-    // the unit's next metadata write would.
-    const std::string key = DepSkyClient::MetadataKey("f");
-    auto fresh = clouds_[holders[2]]->Get(creds(holders[2]), key);
-    ASSERT_TRUE(fresh.ok());
-    ASSERT_TRUE(clouds_[holder]->Put(creds(holder), key, *fresh).ok());
   };
   relocate(holders[0]);
   relocate(holders[1]);
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  EXPECT_EQ(md->versions.back().stripe_units[0].cloud_shard[holders[0]],
+  auto listed = client.ListVersions("f");
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed->size(), 1u);
+  EXPECT_EQ(listed->back().stripe_units[0].cloud_shard[holders[0]],
             cloud_shard[holders[1]]);
 
-  EXPECT_EQ(*client.ReadVersion("f", *record), data);
-  EXPECT_EQ(client.anchored_read_fallbacks(), 1u);
-  EXPECT_EQ(*client.ReadVersion("f", *record), data);
-  EXPECT_EQ(client.anchored_read_fallbacks(), 2u);
-  // The metadata's current holder map reads without one.
-  EXPECT_EQ(*client.ReadByHash("f", hash), data);
-  EXPECT_EQ(client.anchored_read_fallbacks(), 2u);
+  // The record falls back to the hash; the LIST that settled on the first
+  // answer naming it may guess the silent holders' shards wrong after the
+  // relocations and LIST once more, also counted.
+  for (int read = 0; read < 2; ++read) {
+    const uint64_t fallbacks = client.anchored_read_fallbacks();
+    EXPECT_EQ(*client.ReadVersion("f", *record), data);
+    EXPECT_GE(client.anchored_read_fallbacks(), fallbacks + 1);
+    EXPECT_LE(client.anchored_read_fallbacks(), fallbacks + 2);
+  }
+  // The quorum LIST's current holder map reads without one.
+  const uint64_t fallbacks = client.anchored_read_fallbacks();
+  EXPECT_EQ(*client.ReadLatest("f"), data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), fallbacks);
 }
 
-// Fetch and scrub code with the client's own n, k and mode, so a metadata
-// copy written under another mode is skipped, not decoded with the wrong
-// coding: the reader can neither read nor extend the unit.
-TEST_F(DepSkyTest, MetadataOfAnotherModeIsSkipped) {
+// Fetch and scrub code with the client's own n, k and mode, so a version
+// whose headers say another mode is not decoded with the wrong coding: the
+// reader cannot read it, and a write numbers itself after it.
+TEST_F(DepSkyTest, VersionOfAnotherModeIsNotRead) {
   auto writer = MakeClient("alice", DepSkyMode::kReplication);
   Bytes data = ToBytes("replicated");
   const std::string hash = ContentHash(data);
@@ -1057,192 +1240,161 @@ TEST_F(DepSkyTest, MetadataOfAnotherModeIsSkipped) {
             ErrorCode::kFailedPrecondition);
   EXPECT_EQ(reader.ReadVersion("f", *record).status().code(),
             ErrorCode::kFailedPrecondition);
-  // Not "no metadata": the write must not start a fresh history over it.
+  // Not "no versions": the write does not start a fresh history over it.
   Bytes other = ToBytes("erasure-coded");
-  EXPECT_EQ(reader.WriteVersion("f", ContentHash(other), other)
-                .status()
-                .code(),
-            ErrorCode::kFailedPrecondition);
+  auto next = reader.WriteVersion("f", ContentHash(other), other);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->version, record->version + 1);
   auto read = writer.ReadByHash("f", hash);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, data);
 }
 
 // ---------------------------------------------------------------------------
-// Overlapped writes: fresh object names, the metadata read settling after
-// the shard PUT wave, and orphan reclamation.
+// Anchored and unanchored writes: the LIST, fresh object names, and orphan
+// reclamation.
 // ---------------------------------------------------------------------------
 
-// Forwards to a SimulatedCloud, but answers every GET of a metadata object
-// with UNAVAILABLE while `blind` is set: the unit's metadata cannot be read
-// from this cloud, while its value objects can still be written.
-class MetadataBlindStore : public ObjectStore {
- public:
-  explicit MetadataBlindStore(SimulatedCloud* cloud) : cloud_(cloud) {}
-
-  bool blind = false;
-
-  Status Put(const CloudCredentials& creds, const std::string& key,
-             std::shared_ptr<const Bytes> data) override {
-    return cloud_->Put(creds, key, std::move(data));
-  }
-  Result<Bytes> Get(const CloudCredentials& creds,
-                    const std::string& key) override {
-    const bool metadata =
-        key.size() >= 3 && key.compare(key.size() - 3, 3, "/md") == 0;
-    if (blind && metadata) {
-      return UnavailableError("metadata unreadable at " + provider_name());
-    }
-    return cloud_->Get(creds, key);
-  }
-  Status Delete(const CloudCredentials& creds,
-                const std::string& key) override {
-    return cloud_->Delete(creds, key);
-  }
-  Result<std::vector<ObjectInfo>> List(const CloudCredentials& creds,
-                                       const std::string& prefix) override {
-    return cloud_->List(creds, prefix);
-  }
-  Status SetAcl(const CloudCredentials& creds, const std::string& key,
-                const CanonicalId& grantee,
-                ObjectPermissions permissions) override {
-    return cloud_->SetAcl(creds, key, grantee, permissions);
-  }
-  Result<ObjectAcl> GetAcl(const CloudCredentials& creds,
-                           const std::string& key) override {
-    return cloud_->GetAcl(creds, key);
-  }
-  const std::string& provider_name() const override {
-    return cloud_->provider_name();
-  }
-
- private:
-  SimulatedCloud* cloud_;
-};
-
-class DepSkyBlindMetadataTest : public DepSkyTest {
- protected:
-  DepSkyBlindMetadataTest() {
-    for (auto& cloud : clouds_) {
-      stores_.push_back(std::make_unique<MetadataBlindStore>(cloud.get()));
-    }
-  }
-
-  DepSkyClient MakeBlindableClient() {
-    DepSkyConfig config;
-    config.f = 1;
-    config.auth_key = ToBytes("deployment-auth-key");
-    std::vector<DepSkyCloud> set;
-    for (auto& store : stores_) {
-      set.push_back(DepSkyCloud{store.get(),
-                                {store->provider_name() + ":alice"}});
-    }
-    return DepSkyClient(env_.get(), std::move(set), config, 99);
-  }
-
-  // Objects stored under du/<unit>/ on each cloud.
-  std::vector<std::vector<std::string>> ListUnit(const std::string& unit) {
-    std::vector<std::vector<std::string>> keys;
-    for (auto& cloud : clouds_) {
-      cloud->Quiesce();
-      auto listed =
-          cloud->List({cloud->provider_name() + ":alice"}, "du/" + unit + "/");
-      EXPECT_TRUE(listed.ok());
-      keys.emplace_back();
-      for (const auto& info : *listed) {
-        keys.back().push_back(info.key);
-      }
-    }
-    return keys;
-  }
-
-  std::vector<std::unique_ptr<MetadataBlindStore>> stores_;
-};
-
-// The metadata read runs alongside the shard PUT wave; if it cannot reach
-// n-f clouds the write fails with its status, after the shards were stored,
-// and publishes nothing.
-TEST_F(DepSkyBlindMetadataTest, UnreadableMetadataQuorumFailsTheWrite) {
-  auto client = MakeBlindableClient();
-  Bytes v1 = ToBytes("published");
-  Bytes v2 = ToBytes("never published");
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
-
-  stores_[0]->blind = true;
-  stores_[1]->blind = true;
-  auto failed = client.WriteVersion("f", ContentHash(v2), v2);
-  EXPECT_EQ(failed.status().code(), ErrorCode::kUnavailable);
-  stores_[0]->blind = false;
-  stores_[1]->blind = false;
-
-  // No metadata copy lists the failed version, and the history is intact.
-  for (auto& cloud : clouds_) {
+// Cloud requests of one kind summed over the clouds, once every request in
+// flight has landed.
+UsageTotals CloudUsage(std::vector<std::unique_ptr<SimulatedCloud>>& clouds) {
+  UsageTotals total;
+  for (auto& cloud : clouds) {
     cloud->Quiesce();
-    auto raw = cloud->PeekLatest(DepSkyClient::MetadataKey("f"));
-    ASSERT_TRUE(raw.ok());
-    auto md = DepSkyMetadata::Decode(*raw, ToBytes("deployment-auth-key"));
-    ASSERT_TRUE(md.ok());
-    EXPECT_EQ(md->FindByHash(ContentHash(v2)), nullptr);
-    ASSERT_EQ(md->versions.size(), 1u);
+    const UsageTotals t = cloud->costs().GrandTotals();
+    total.puts += t.puts;
+    total.gets += t.gets;
+    total.lists += t.lists;
   }
-  EXPECT_EQ(*client.ReadLatest("f"), v1);
-  // The next write numbers itself after the published history.
-  auto next = client.WriteVersion("f", ContentHash(v2), v2);
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->version, 2u);
-  EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
+  return total;
 }
 
-// The read side of the same rule: with two of four clouds unable to serve
-// the metadata, no read may claim a latest version or that a hash is
-// absent, but a copy that lists the anchored hash still settles a read by
-// hash.
-TEST_F(DepSkyBlindMetadataTest, UnreadableMetadataQuorumFailsUnanchoredReads) {
-  auto client = MakeBlindableClient();
+// An anchored write is the shard wave alone: n-f PUTs, no GET, no LIST.
+// An unanchored one adds one LIST per cloud.
+TEST_F(DepSkyTest, AnchoredWriteMakesNoGetOrList) {
+  auto client = MakeClient("alice");
+  Bytes v1 = ToBytes("v1");
+  Bytes v2 = ToBytes("v2");
+  UsageTotals before = CloudUsage(clouds_);
+  auto first = client.WriteVersion("f", ContentHash(v1), v1, nullptr, 5);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->version, 5u);
+  UsageTotals after = CloudUsage(clouds_);
+  EXPECT_EQ(after.puts - before.puts, 3u);
+  EXPECT_EQ(after.gets - before.gets, 0u);
+  EXPECT_EQ(after.lists - before.lists, 0u);
+
+  before = after;
+  auto second = client.WriteVersion("f", ContentHash(v2), v2);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->version, 6u);  // after the anchored version
+  after = CloudUsage(clouds_);
+  EXPECT_EQ(after.puts - before.puts, 3u);
+  EXPECT_EQ(after.gets - before.gets, 0u);
+  EXPECT_EQ(after.lists - before.lists, kClouds);
+
+  // Both are listed and read without any further write.
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 2u);
+  EXPECT_EQ(*client.ReadLatest("f"), v2);
+  EXPECT_EQ(*client.ReadByHash("f", ContentHash(v1)), v1);
+}
+
+// A writer that crashed mid-wave left its version on fewer than k clouds:
+// readers skip it, and the previous version stays the latest.
+TEST_F(DepSkyTest, WriterCrashedMidWaveLeavesReadLatestAtThePreviousVersion) {
+  auto client = MakeClient("alice");
+  Bytes v1 = ToBytes("acknowledged");
+  Bytes v2 = ToBytes("crashed mid-wave");
+  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
+  // Only cloud 0 takes v2's shard; the wave fails, as a crash would end it.
+  for (unsigned c = 1; c < kClouds; ++c) {
+    clouds_[c]->faults().SetUnavailable(true);
+  }
+  EXPECT_EQ(client.WriteVersion("f", ContentHash(v2), v2, nullptr, 2)
+                .status()
+                .code(),
+            ErrorCode::kUnavailable);
+  for (unsigned c = 1; c < kClouds; ++c) {
+    clouds_[c]->faults().SetUnavailable(false);
+  }
+  ASSERT_EQ(clouds_[0]->List(Creds(0), "du/f/v").value().size(), 2u);
+
+  EXPECT_EQ(*client.ReadLatest("f"), v1);
+  EXPECT_EQ(client.ReadByHash("f", ContentHash(v2)).status().code(),
+            ErrorCode::kNotFound);
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 1u);
+  EXPECT_EQ(versions->front().content_hash, ContentHash(v1));
+  auto report = client.ScrubUnit("f");
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->versions_checked, 1u);
+  EXPECT_TRUE(report->fully_redundant);
+  // The next write becomes the latest, whether or not its LIST saw the
+  // crashed write's number.
+  Bytes v3 = ToBytes("v3");
+  auto next = client.WriteVersion("f", ContentHash(v3), v3);
+  ASSERT_TRUE(next.ok());
+  EXPECT_GE(next->version, 2u);
+  EXPECT_EQ(*client.ReadLatest("f"), v3);
+}
+
+// With two of four clouds not answering the LIST, nothing may claim a
+// latest version or that a hash is absent, and an unanchored write stores
+// nothing; an answer naming the anchored hash still settles a read by hash,
+// and an anchored write, which lists nothing, goes through.
+TEST_F(DepSkyFilteredTest, UnansweredListQuorumFailsUnanchoredOperations) {
+  auto client = MakeFilteredClient();
   Bytes v1 = ToBytes("anchored content");
+  Bytes v2 = ToBytes("never stored");
+  Bytes v3 = ToBytes("anchored write");
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
 
-  stores_[0]->blind = true;
-  stores_[1]->blind = true;
+  stores_[0]->blind_list = true;
+  stores_[1]->blind_list = true;
   EXPECT_EQ(client.ReadLatest("f").status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(client.ReadMetadata("f").status().code(),
+  EXPECT_EQ(client.ListVersions("f").status().code(),
             ErrorCode::kUnavailable);
   EXPECT_EQ(client.ReadByHash("f", ContentHash(ToBytes("unknown")))
                 .status()
                 .code(),
             ErrorCode::kUnavailable);
-
+  EXPECT_EQ(client.WriteVersion("f", ContentHash(v2), v2).status().code(),
+            ErrorCode::kUnavailable);
+  for (const auto& keys : ListUnit("f")) {
+    EXPECT_LE(keys.size(), 1u);
+  }
   auto anchored = client.ReadByHash("f", ContentHash(v1));
   ASSERT_TRUE(anchored.ok()) << anchored.status().ToString();
   EXPECT_EQ(*anchored, v1);
   EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+  auto record = client.WriteVersion("f", ContentHash(v3), v3, nullptr, 2);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(*client.ReadVersion("f", *record), v3);
 }
 
-// The failed write above leaves its shards behind under a name no version
-// record holds. DeleteUnit lists the unit's prefix, so it reclaims them too.
-TEST_F(DepSkyBlindMetadataTest, DeleteUnitReclaimsOrphansOfFailedWrites) {
-  auto client = MakeBlindableClient();
+// A write that failed its quorum leaves its shards behind under a name no
+// anchor holds. DeleteUnit lists the unit's prefix, so it reclaims them too.
+TEST_F(DepSkyFilteredTest, DeleteUnitReclaimsOrphansOfFailedWrites) {
+  auto client = MakeFilteredClient();
   Bytes v1 = ToBytes("published");
   Bytes v2 = ToBytes("orphaned");
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
-  stores_[0]->blind = true;
-  stores_[1]->blind = true;
-  ASSERT_FALSE(client.WriteVersion("f", ContentHash(v2), v2).ok());
-  stores_[0]->blind = false;
-  stores_[1]->blind = false;
+  clouds_[0]->faults().SetUnavailable(true);
+  clouds_[1]->faults().SetUnavailable(true);
+  ASSERT_FALSE(client.WriteVersion("f", ContentHash(v2), v2, nullptr, 2).ok());
+  clouds_[0]->faults().SetUnavailable(false);
+  clouds_[1]->faults().SetUnavailable(false);
 
-  // Metadata + one published object + one orphan on each shard holder.
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  const std::string published =
-      DepSkyClient::ValueKey("f", md->versions[0], 0);
   size_t orphans = 0;
   for (const auto& keys : ListUnit("f")) {
     for (const auto& key : keys) {
-      orphans += (key != published && key != DepSkyClient::MetadataKey("f"));
+      orphans += key.find(ContentHash(v2)) != std::string::npos ? 1 : 0;
     }
   }
-  EXPECT_EQ(orphans, 3u);
+  EXPECT_EQ(orphans, 2u);
 
   ASSERT_TRUE(client.DeleteUnit("f").ok());
   for (const auto& keys : ListUnit("f")) {
@@ -1250,95 +1402,28 @@ TEST_F(DepSkyBlindMetadataTest, DeleteUnitReclaimsOrphansOfFailedWrites) {
   }
 }
 
-// Two writers that both read the metadata before the other's version is
-// visible pick the same version number. Their objects carry different
-// names, so neither overwrites the other's shards, and the second version
-// reads back as soon as one cloud shows its metadata — inside the clouds'
-// consistency window, when an overwritten object would still serve the
-// first writer's bytes and fail its hash check.
+// Two writers that take the same version number from their anchors store
+// disjoint objects: the names carry their object ids, so neither overwrites
+// the other's shards, and each record reads its own bytes.
 TEST_F(DepSkyTest, SameVersionNumberWritersKeepSeparateObjects) {
-  // Clouds 0-2 (the preferred quorum) make overwrites visible after 5 s;
-  // cloud 3 at once.
-  std::vector<std::unique_ptr<SimulatedCloud>> windowed;
-  std::vector<std::unique_ptr<MetadataBlindStore>> stores;
-  for (unsigned i = 0; i < kClouds; ++i) {
-    CloudProfile profile;
-    profile.name = "w" + std::to_string(i);
-    profile.consistency_window_base = i < 3 ? 5 * kSecond : 0;
-    windowed.push_back(
-        std::make_unique<SimulatedCloud>(profile, env_.get(), 70 + i));
-    stores.push_back(std::make_unique<MetadataBlindStore>(windowed[i].get()));
-  }
   // Two clients of one user built with one seed, as two agents of a user
   // may be: only the object-id salt keeps their names apart.
-  auto make = [&] {
-    DepSkyConfig config;
-    config.f = 1;
-    config.auth_key = ToBytes("deployment-auth-key");
-    std::vector<DepSkyCloud> set;
-    for (auto& store : stores) {
-      set.push_back(DepSkyCloud{store.get(), {"w:alice"}});
-    }
-    return std::make_unique<DepSkyClient>(env_.get(), std::move(set), config,
-                                          1);
-  };
-  auto first = make();
-  auto second = make();
-
-  Bytes v1 = ToBytes("v1");
+  auto first = MakeClient("alice");
+  auto second = MakeClient("alice");
   Bytes a = ToBytes("first writer");
   Bytes b = ToBytes("second writer");
-  ASSERT_TRUE(first->WriteVersion("f", ContentHash(v1), v1).ok());
-  env_->Sleep(6 * kSecond);
-  // The first writer's version 2 reaches clouds 0-2 only; its metadata there
-  // stays invisible for the window.
-  windowed[3]->faults().SetUnavailable(true);
-  auto va = first->WriteVersion("f", ContentHash(a), a);
-  windowed[3]->faults().SetUnavailable(false);
+  auto va = first.WriteVersion("f", ContentHash(a), a, nullptr, 2);
+  auto vb = second.WriteVersion("f", ContentHash(b), b, nullptr, 2);
   ASSERT_TRUE(va.ok());
-  EXPECT_EQ(va->version, 2u);
-  windowed[0]->Quiesce();
-  auto a_md = DepSkyMetadata::Decode(
-      *windowed[0]->PeekLatest(DepSkyClient::MetadataKey("f")),
-      ToBytes("deployment-auth-key"));
-  ASSERT_TRUE(a_md.ok());
-  const DepSkyVersion a_record = *a_md->FindByHash(ContentHash(a));
-  ASSERT_EQ(a_record.stripe_units.size(), 1u);
-  const DepSkyStripeUnit& a_unit = a_record.stripe_units[0];
-
-  // Every visible copy still says version 1: the second writer also picks 2.
-  auto vb = second->WriteVersion("f", ContentHash(b), b);
   ASSERT_TRUE(vb.ok());
-  EXPECT_EQ(vb->version, 2u);
-
-  // Only cloud 3's copy, which shows the second writer's metadata at once,
-  // is readable: the anchored read accepts it and fetches the shards from
-  // clouds 0-2, which still hide every overwrite.
-  for (unsigned c = 0; c < 3; ++c) {
-    stores[c]->blind = true;
-  }
-  auto read = second->ReadByHash("f", ContentHash(b));
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(*read, b);
-  EXPECT_EQ(second->anchored_read_fallbacks(), 0u);
-  for (unsigned c = 0; c < 3; ++c) {
-    stores[c]->blind = false;
-  }
-
-  // After the window the first writer's objects are still its own.
-  env_->Sleep(6 * kSecond);
-  for (unsigned c = 0; c < kClouds; ++c) {
-    windowed[c]->Quiesce();
-    if (a_unit.cloud_shard[c] < 0) {
-      continue;
-    }
-    auto stored =
-        windowed[c]->PeekLatest(DepSkyClient::ValueKey("f", a_record, 0));
-    ASSERT_TRUE(stored.ok()) << "cloud " << c;
-    EXPECT_EQ(Sha256::Hash(*stored),
-              a_unit.shard_hashes[a_unit.cloud_shard[c]])
-        << "cloud " << c;
-  }
+  EXPECT_NE(va->object_id, vb->object_id);
+  EXPECT_EQ(*first.ReadVersion("f", *vb), b);
+  EXPECT_EQ(*second.ReadVersion("f", *va), a);
+  EXPECT_EQ(first.anchored_read_fallbacks() + second.anchored_read_fallbacks(),
+            0u);
+  auto versions = first.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  EXPECT_EQ(versions->size(), 2u);
 }
 
 TEST_F(DepSkyTest, ValueObjectsAreNamedByTheRecordedObjectId) {
@@ -1347,38 +1432,33 @@ TEST_F(DepSkyTest, ValueObjectsAreNamedByTheRecordedObjectId) {
   Bytes v2 = ToBytes("two");
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  ASSERT_EQ(md->versions.size(), 2u);
-  EXPECT_NE(md->versions[0].object_id, md->versions[1].object_id);
-  for (const auto& v : md->versions) {
-    const std::string key = DepSkyClient::ValueKey("f", v, 0);
-    EXPECT_EQ(key.rfind("du/f/o", 0), 0u) << key;
-    EXPECT_EQ(key.substr(key.size() - 3), "/u0") << key;
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 2u);
+  EXPECT_NE((*versions)[0].object_id, (*versions)[1].object_id);
+  for (const auto& v : *versions) {
+    char id[17];
+    std::snprintf(id, sizeof(id), "%016llx",
+                  static_cast<unsigned long long>(v.object_id));
     unsigned holders = 0;
     for (unsigned c = 0; c < kClouds; ++c) {
+      if (v.stripe_units[0].cloud_shard[c] < 0) {
+        continue;
+      }
+      const std::string key = KeyAt("f", v, 0, c);
+      EXPECT_EQ(key.rfind("du/f/v", 0), 0u) << key;
+      EXPECT_NE(key.find(std::string("/o") + id + "/h" + v.content_hash +
+                         "/u0/s"),
+                std::string::npos)
+          << key;
       holders += clouds_[c]->PeekLatest(key).ok() ? 1 : 0;
     }
-    EXPECT_EQ(holders, 3u) << key;
+    EXPECT_EQ(holders, 3u);
   }
-  // The id is authenticated: changing it breaks the HMAC.
-  DepSkyMetadata tampered = *md;
-  Bytes good = tampered.Encode(ToBytes("deployment-auth-key"));
-  tampered.versions[0].object_id ^= 1;
-  Bytes bad = tampered.Encode(ToBytes("deployment-auth-key"));
-  ASSERT_EQ(good.size(), bad.size());
-  // Splice the old authenticator onto the new body.
-  Bytes spliced(bad.begin(), bad.end() - 32);
-  spliced.insert(spliced.end(), good.end() - 32, good.end());
-  EXPECT_EQ(DepSkyMetadata::Decode(spliced, ToBytes("deployment-auth-key"))
-                .status()
-                .code(),
-            ErrorCode::kCorruption);
 }
 
-// The owner's ids come from the metadata read, which settles after the
-// grantee's shard PUT wave: every acknowledged object must still carry the
-// owner's ACL.
+// An unanchored grantee write takes the owner's ids from the grant object
+// SetGrant stored: every acknowledged object must carry the owner's ACL.
 TEST_F(DepSkyTest, GranteeWriteLeavesEveryObjectReadableByOwner) {
   auto alice = MakeClient("alice");
   auto bob = MakeClient("bob");
@@ -1394,10 +1474,11 @@ TEST_F(DepSkyTest, GranteeWriteLeavesEveryObjectReadableByOwner) {
 
   Bytes update = ToBytes("bob's update");
   ASSERT_TRUE(bob.WriteVersion("doc", ContentHash(update), update).ok());
-  auto md = alice.ReadMetadata("doc");
-  ASSERT_TRUE(md.ok());
-  const DepSkyVersion* written = md->FindByHash(ContentHash(update));
-  ASSERT_NE(written, nullptr);
+  auto versions = alice.ListVersions("doc");
+  ASSERT_TRUE(versions.ok());
+  ASSERT_EQ(versions->size(), 2u);
+  const DepSkyVersion* written = &versions->back();
+  ASSERT_EQ(written->content_hash, ContentHash(update));
   ASSERT_EQ(written->stripe_units.size(), 1u);
   unsigned readable = 0;
   for (unsigned c = 0; c < kClouds; ++c) {
@@ -1405,8 +1486,7 @@ TEST_F(DepSkyTest, GranteeWriteLeavesEveryObjectReadableByOwner) {
       continue;
     }
     clouds_[c]->Quiesce();
-    auto object = clouds_[c]->Get({clouds_[c]->provider_name() + ":alice"},
-                                  DepSkyClient::ValueKey("doc", *written, 0));
+    auto object = clouds_[c]->Get(Creds(c), KeyAt("doc", *written, 0, c));
     ASSERT_TRUE(object.ok()) << "cloud " << c << ": "
                              << object.status().ToString();
     ++readable;
@@ -1415,66 +1495,15 @@ TEST_F(DepSkyTest, GranteeWriteLeavesEveryObjectReadableByOwner) {
   EXPECT_EQ(*alice.ReadByHash("doc", ContentHash(update)), update);
 }
 
-// ---------------------------------------------------------------------------
-// Write-behind metadata: StartWrite returns at the shard quorum, and the
-// metadata PUT follows.
-// ---------------------------------------------------------------------------
-
-TEST_F(DepSkyTest, UnpublishedWriteNeverWritesItsMetadata) {
-  auto client = MakeClient("alice");
-  Bytes v1 = ToBytes("published");
-  Bytes v2 = ToBytes("lost its publish");
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
-  // The caller's anchor fails, so it never calls finish.
-  auto write = client.StartWrite("f", ContentHash(v2), v2);
-  ASSERT_TRUE(write.ok()) << write.status().ToString();
-  EXPECT_EQ(write->record.version, 2u);
-  // The shards are stored: the record reads before any metadata lists it.
-  EXPECT_EQ(*client.ReadVersion("f", write->record), v2);
-  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  ASSERT_EQ(md->versions.size(), 1u);
-  EXPECT_EQ(md->versions[0].content_hash, ContentHash(v1));
-}
-
-TEST_F(DepSkyTest, DroppedPredecessorMetadataIsListedByTheNextWriter) {
-  auto first = MakeClient("alice");
-  auto second = MakeClient("alice");  // another agent of the same user
-  Bytes v1 = ToBytes("first writer");
-  Bytes v2 = ToBytes("second writer");
-  // The first writer published v1's record but crashed before its finish:
-  // no cloud lists v1.
-  auto w1 = first.StartWrite("f", ContentHash(v1), v1);
-  ASSERT_TRUE(w1.ok());
-
-  // The next writer, handed v1's record as its predecessor, numbers after
-  // it and lists it, once v1's requests could no longer land.
-  const VirtualTime started = env_->Now();
-  auto w2 = second.StartWrite("f", ContentHash(v2), v2, nullptr, &w1->record);
-  ASSERT_TRUE(w2.ok()) << w2.status().ToString();
-  EXPECT_EQ(w2->record.version, w1->record.version + 1);
-  ASSERT_TRUE(w2->finish(std::nullopt).Get().ok());
-  EXPECT_GE(env_->Now(), started + second.RequestBudget());
-  EXPECT_EQ(second.predecessor_rereads(), 1u);
-  EXPECT_EQ(second.predecessor_budget_waits(), 1u);
-  auto md = second.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  ASSERT_EQ(md->versions.size(), 2u);
-  EXPECT_EQ(md->versions[0].content_hash, ContentHash(v1));
-  EXPECT_EQ(md->versions[1].content_hash, ContentHash(v2));
-
-  auto reader = MakeClient("alice");
-  EXPECT_EQ(*reader.ReadVersion("f", w1->record), v1);
-  EXPECT_EQ(reader.anchored_read_fallbacks(), 0u);
-  EXPECT_EQ(*reader.ReadByHash("f", ContentHash(v1)), v1);
-}
-
-TEST_F(DepSkyTest, GranteeReadsACrossUserWriteBeforeItsMetadata) {
+// An anchored grantee write applies the caller's grants, the owner among
+// them as an SCFS agent passes it, so the owner reads the new version at
+// once, by its record and by the LIST.
+TEST_F(DepSkyTest, GranteeAnchoredWriteIsReadableByTheOwnerAtOnce) {
   auto alice = MakeClient("alice");
   auto bob = MakeClient("bob");
   Bytes data = ToBytes("alice's version");
-  ASSERT_TRUE(alice.WriteVersion("doc", ContentHash(data), data).ok());
+  auto first = alice.WriteVersion("doc", ContentHash(data), data);
+  ASSERT_TRUE(first.ok());
   DepSkyGrant to_bob;
   DepSkyGrant to_alice;
   for (auto& cloud : clouds_) {
@@ -1485,23 +1514,21 @@ TEST_F(DepSkyTest, GranteeReadsACrossUserWriteBeforeItsMetadata) {
   to_alice.read = to_alice.write = true;
   ASSERT_TRUE(alice.SetGrant("doc", to_bob).ok());
 
-  // Bob writes with the owner among its grants, as an SCFS agent does; its
-  // metadata is held back, yet alice reads the new version at once.
   Bytes update = ToBytes("bob's update");
   const std::vector<DepSkyGrant> grants = {to_alice};
-  auto write = bob.StartWrite("doc", ContentHash(update), update, &grants);
+  auto write = bob.WriteVersion("doc", ContentHash(update), update, &grants,
+                                first->version + 1);
   ASSERT_TRUE(write.ok()) << write.status().ToString();
-  auto read = alice.ReadVersion("doc", write->record);
+  auto read = alice.ReadVersion("doc", *write);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, update);
   EXPECT_EQ(alice.anchored_read_fallbacks(), 0u);
-  ASSERT_TRUE(write->finish(std::nullopt).Get().ok());
   EXPECT_EQ(*alice.ReadLatest("doc"), update);
 }
 
-// Garbage collection of one version reads the metadata once: one GET per
-// cloud, not two rounds (the backend no longer looks the version up first).
-TEST_F(DepSkyTest, DeleteVersionByHashReadsMetadataOnce) {
+// Garbage collection of one version lists every cloud once and
+// authenticates one header; the backend does not look the version up first.
+TEST_F(DepSkyTest, DeleteVersionByHashListsOnce) {
   DepSkyConfig config;
   config.f = 1;
   config.auth_key = ToBytes("deployment-auth-key");
@@ -1517,17 +1544,11 @@ TEST_F(DepSkyTest, DeleteVersionByHashReadsMetadataOnce) {
   ASSERT_TRUE(backend.WriteVersion("f", ContentHash(v1), v1, {}).ok());
   ASSERT_TRUE(backend.WriteVersion("f", ContentHash(v2), v2, {}).ok());
 
-  auto gets = [&] {
-    uint64_t total = 0;
-    for (auto& cloud : clouds_) {
-      cloud->Quiesce();
-      total += cloud->costs().GrandTotals().gets;
-    }
-    return total;
-  };
-  const uint64_t before = gets();
+  const UsageTotals before = CloudUsage(clouds_);
   ASSERT_TRUE(backend.DeleteVersionByHash("f", ContentHash(v1)).ok());
-  EXPECT_EQ(gets() - before, kClouds);
+  const UsageTotals after = CloudUsage(clouds_);
+  EXPECT_EQ(after.lists - before.lists, kClouds);
+  EXPECT_EQ(after.gets - before.gets, 1u);
   EXPECT_EQ(backend.DeleteVersionByHash("f", ContentHash(v1)).code(),
             ErrorCode::kNotFound);
   auto versions = backend.ListVersions("f");

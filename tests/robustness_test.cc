@@ -1,7 +1,7 @@
 // Data-plane robustness tests: DepSky read/write with exactly f faulty
 // clouds (outage, corruption, Byzantine) at (n=4, f=1) and (n=7, f=2),
-// hedged reads racing a straggler on a scaled clock, anchored reads against
-// forged, replayed and stale metadata copies, per-attempt deadlines,
+// hedged reads racing a straggler on a scaled clock, reads by hash against
+// forged and missing listings, per-attempt deadlines,
 // fake-clock circuit-breaker unit tests, and BackoffPolicy bounds.
 
 #include <gtest/gtest.h>
@@ -113,13 +113,13 @@ TEST_P(DepSkyFaultMarginTest, ReadsSurviveExactlyFCorruptClouds) {
 TEST_P(DepSkyFaultMarginTest, ReadsSurvivePoisonedKeyShareAtFClouds) {
   auto client = MakeClient();
   Bytes data(9000, 8);
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  const std::string value_key =
-      DepSkyClient::ValueKey("f", md->versions.back(), 0);
+  auto record = client.WriteVersion("f", ContentHash(data), data);
+  ASSERT_TRUE(record.ok());
   for (unsigned i = 0; i < f(); ++i) {
     CloudCredentials creds{clouds_[i]->provider_name() + ":alice"};
+    const std::string value_key = DepSkyClient::ValueKey(
+        "f", *record, 0,
+        static_cast<unsigned>(record->stripe_units[0].cloud_shard[i]));
     auto object = clouds_[i]->Get(creds, value_key);
     ASSERT_TRUE(object.ok());
     object->back() ^= 0x01;  // the share rides at the tail, after the shard
@@ -136,8 +136,8 @@ TEST_P(DepSkyFaultMarginTest, ReadsSurviveExactlyFByzantineClouds) {
   Bytes v2 = ToBytes("version two!");
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
-  // f clouds serve arbitrarily stale (but authentic) state; the quorum's
-  // maximum authenticated version must win.
+  // f clouds serve arbitrarily stale (but authentic) state; no object is
+  // ever overwritten, so the LIST's highest authenticated version wins.
   for (unsigned i = 0; i < f(); ++i) {
     clouds_[i]->faults().SetByzantine(true);
   }
@@ -177,8 +177,8 @@ class DepSkyTimerTest : public ::testing::Test {
     UseLatencies({0, 0, 0, 0});
   }
 
-  // Rebuilds the four clouds with one fixed latency per cloud for every GET
-  // and PUT (call before MakeClient).
+  // Rebuilds the four clouds with one fixed latency per cloud for every
+  // request (call before MakeClient).
   void UseLatencies(const std::vector<VirtualDuration>& latencies) {
     clouds_.clear();
     for (unsigned i = 0; i < latencies.size(); ++i) {
@@ -186,6 +186,7 @@ class DepSkyTimerTest : public ::testing::Test {
       profile.name = "cloud" + std::to_string(i);
       profile.read_latency = LatencyModel::Fixed(latencies[i]);
       profile.write_latency = LatencyModel::Fixed(latencies[i]);
+      profile.control_latency = LatencyModel::Fixed(latencies[i]);
       clouds_.push_back(
           std::make_unique<SimulatedCloud>(profile, env_.get(), 40 + i));
     }
@@ -272,8 +273,8 @@ TEST_F(DepSkyTimerTest, DeadlineExpiryCountsAndRecovers) {
     // One cloud stops answering within any deadline; quorum operations must
     // still complete from the other three, and the expiry must be counted.
     clouds_[3]->faults().SetLatencyDegradation(30 * kSecond);
-    auto md = client.ReadMetadata("f");
-    ASSERT_TRUE(md.ok()) << md.status().ToString();
+    auto latest = client.ReadLatest("f");
+    ASSERT_TRUE(latest.ok()) << latest.status().ToString();
     // Let the straggler's deadline fire on the timer thread.
     env_->Sleep(2 * kSecond);
     EXPECT_GE(client.deadline_expiries(), 1u);
@@ -282,11 +283,12 @@ TEST_F(DepSkyTimerTest, DeadlineExpiryCountsAndRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// Anchored reads: ReadByHash settles its metadata on the first authentic
-// copy listing the hash and fetches shards from the fastest holders.
+// Reads by hash: the LIST settles on the first answer naming the hash, one
+// header from that cloud certifies the version, and the shards come from
+// the fastest holders.
 // ---------------------------------------------------------------------------
 
-TEST_F(DepSkyTimerTest, AnchoredReadWaitsForFastestCopyAndFastestHolders) {
+TEST_F(DepSkyTimerTest, ReadByHashWaitsForFirstListingHeaderAndHolders) {
   UseSlowClock();
   UseLatencies(Spread());
   DepSkyConfig config;
@@ -294,7 +296,6 @@ TEST_F(DepSkyTimerTest, AnchoredReadWaitsForFastestCopyAndFastestHolders) {
   auto client = MakeClient(config);
   Bytes data(9000, 3);
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
-  env_->Sleep(kSecond);  // the straggling metadata PUT lands
   const uint64_t gets_before[] = {Gets(0), Gets(1), Gets(2), Gets(3)};
 
   Environment::ResetThreadCharged();
@@ -302,63 +303,65 @@ TEST_F(DepSkyTimerTest, AnchoredReadWaitsForFastestCopyAndFastestHolders) {
   const VirtualDuration charged = Environment::ThreadCharged();
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, data);
-  // Cloud 2's copy (100 ms) settles the metadata; the shards come from the
-  // two fastest holders, clouds 2 and 0 (600 ms): 700 ms. The quorum read
-  // waited for the third copy (cloud 0, 600 ms) and then the two cheapest
-  // holders, clouds 0 and 1 (800 ms): 1400 ms. Either half alone would
-  // take 900 ms or more.
-  EXPECT_GE(charged, 700 * kMillisecond);
-  EXPECT_LT(charged, 850 * kMillisecond);
-  // One metadata GET per cloud; shard GETs only at clouds 2 and 0.
-  EXPECT_EQ(Gets(0) - gets_before[0], 2u);
-  EXPECT_EQ(Gets(1) - gets_before[1], 1u);
+  // Cloud 2's LIST answer (100 ms) names the hash; its header (100 ms)
+  // gives the shard hashes and the first wave, clouds 0-2; the shards come
+  // from the two fastest holders, clouds 2 and 0 (600 ms): 800 ms. Waiting
+  // for n-f answers alone would take 600 ms before the header.
+  EXPECT_GE(charged, 800 * kMillisecond);
+  EXPECT_LT(charged, 950 * kMillisecond);
+  // The header and a shard from cloud 2, a shard from cloud 0.
+  EXPECT_EQ(Gets(0) - gets_before[0], 1u);
+  EXPECT_EQ(Gets(1) - gets_before[1], 0u);
   EXPECT_EQ(Gets(2) - gets_before[2], 2u);
-  EXPECT_EQ(Gets(3) - gets_before[3], 1u);
+  EXPECT_EQ(Gets(3) - gets_before[3], 0u);
   EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
   EXPECT_EQ(client.hedged_reads(), 0u);
 }
 
-TEST_F(DepSkyTimerTest, InauthenticFastestCopyNeverSettlesAnchoredRead) {
+// The fastest cloud serves its object behind a header that fails its HMAC
+// (forged, then bit-flipped): the LIST settled on its answer alone cannot
+// certify the version, so the read LISTs once more at the full quorum and
+// takes the header from the next holder.
+TEST_F(DepSkyTimerTest, InauthenticFastestHeaderCostsOneQuorumList) {
   UseLatencies(Spread());
   DepSkyConfig config;
   config.request_deadline = 60 * kSecond;
   auto client = MakeClient(config);
   Bytes data(9000, 4);
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
-  env_->Sleep(kSecond);
+  auto record = client.WriteVersion("f", ContentHash(data), data);
+  ASSERT_TRUE(record.ok());
+  const std::string key = DepSkyClient::ValueKey("f", *record, 0, 2);
+  auto stored = clouds_[2]->Get(Creds(2), key);
+  ASSERT_TRUE(stored.ok());
+  size_t offset = 0;
+  auto header = DepSkyShardHeader::Read(
+      *stored, "f", ToBytes("deployment-auth-key"), &offset);
+  ASSERT_TRUE(header.ok());
+  Bytes forged(stored->size());
+  std::copy(stored->begin(), stored->end(), forged.begin());
+  header->WriteTo("f", ToBytes("not-the-deployment-key"),
+                  ByteSpan(forged).first(offset));
+  ASSERT_TRUE(clouds_[2]->Delete(Creds(2), key).ok());
+  ASSERT_TRUE(clouds_[2]->Put(Creds(2), key, forged).ok());
 
-  // Forged: the fastest cloud serves a copy that lists the hash with an
-  // emptied shard map, authenticated under the wrong key. Accepting it
-  // would fail the fetch and fall back.
-  auto md = client.ReadMetadata("f");
-  ASSERT_TRUE(md.ok()) << md.status().ToString();
-  DepSkyMetadata forged = *md;
-  forged.versions.back().stripe_units[0].cloud_shard.assign(4, -1);
-  ASSERT_TRUE(clouds_[2]
-                  ->Put(Creds(2), DepSkyClient::MetadataKey("f"),
-                        forged.Encode(ToBytes("not-the-deployment-key")))
-                  .ok());
-  Environment::ResetThreadCharged();
   auto read = client.ReadByHash("f", ContentHash(data));
-  const VirtualDuration charged = Environment::ThreadCharged();
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, data);
-  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
-  // Settled by an authentic copy (cloud 3: 400 ms), not by cloud 2's
-  // (100 ms); then the shards (600 ms).
-  EXPECT_GE(charged, 1000 * kMillisecond);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 1u);
 
   // Corrupted: every read from the fastest cloud comes back bit-flipped,
-  // its metadata copy and its shard alike.
+  // its header and its shard alike.
   clouds_[2]->faults().SetCorruptAllReads(true);
   read = client.ReadByHash("f", ContentHash(data));
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, data);
-  EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 2u);
   clouds_[2]->faults().SetCorruptAllReads(false);
 }
 
-TEST_F(DepSkyTimerTest, ByzantineFastestCopyWithoutTheHashIsPassedOver) {
+// The fastest cloud lost v2's object (or hides it): its LIST answer does not
+// name v2, so the read waits for the next answer that does.
+TEST_F(DepSkyTimerTest, FastestCloudMissingTheVersionIsPassedOver) {
   UseLatencies(Spread());
   DepSkyConfig config;
   config.request_deadline = 60 * kSecond;
@@ -366,57 +369,16 @@ TEST_F(DepSkyTimerTest, ByzantineFastestCopyWithoutTheHashIsPassedOver) {
   Bytes v1 = ToBytes("version one");
   Bytes v2 = ToBytes("version two!");
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
-  env_->Sleep(kSecond);
-  auto old_copy = clouds_[2]->Get(Creds(2), DepSkyClient::MetadataKey("f"));
-  ASSERT_TRUE(old_copy.ok());
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v2), v2).ok());
-  env_->Sleep(kSecond);
-  // The fastest cloud replays its authentic pre-v2 copy.
-  ASSERT_TRUE(
-      clouds_[2]->Put(Creds(2), DepSkyClient::MetadataKey("f"), *old_copy)
-          .ok());
+  auto record = client.WriteVersion("f", ContentHash(v2), v2);
+  ASSERT_TRUE(record.ok());
+  ASSERT_TRUE(clouds_[2]
+                  ->Delete(Creds(2), DepSkyClient::ValueKey("f", *record, 0, 2))
+                  .ok());
 
   auto read = client.ReadByHash("f", ContentHash(v2));
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, v2);
   EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
-}
-
-TEST_F(DepSkyTimerTest, EarlyCopyNamingDeletedObjectsFallsBackToQuorum) {
-  UseLatencies(Spread());
-  DepSkyConfig config;
-  config.request_deadline = 60 * kSecond;
-  auto client = MakeClient(config);
-  Bytes a = ToBytes("contents a");
-  Bytes b = ToBytes("contents b");
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(a), a).ok());
-  env_->Sleep(kSecond);
-  // An authentic copy that lists a's hash at version 1.
-  auto stale = clouds_[2]->Get(Creds(2), DepSkyClient::MetadataKey("f"));
-  ASSERT_TRUE(stale.ok());
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(b), b).ok());
-  auto v3 = client.WriteVersion("f", ContentHash(a), a);
-  ASSERT_TRUE(v3.ok());
-  ASSERT_EQ(v3->version, 3u);
-  // Drops the oldest version with a's hash: version 1.
-  ASSERT_TRUE(client.DeleteVersion("f", ContentHash(a)).ok());
-  env_->Sleep(kSecond);
-  // The fastest cloud replays it, and a brown-out on the others keeps its
-  // copy first: the early accept picks version 1, whose objects are gone;
-  // the quorum re-read finds version 3.
-  ASSERT_TRUE(
-      clouds_[2]->Put(Creds(2), DepSkyClient::MetadataKey("f"), *stale).ok());
-  for (unsigned cloud : {0u, 1u, 3u}) {
-    clouds_[cloud]->faults().SetLatencyDegradation(2 * kSecond);
-  }
-
-  auto read = client.ReadByHash("f", ContentHash(a));
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(*read, a);
-  EXPECT_EQ(client.anchored_read_fallbacks(), 1u);
-  for (unsigned cloud : {0u, 1u, 3u}) {
-    clouds_[cloud]->faults().SetLatencyDegradation(0);
-  }
 }
 
 TEST_F(DepSkyTimerTest, AnchoredReadOfInvisibleVersionIsNotFoundAtQuorum) {
@@ -429,7 +391,7 @@ TEST_F(DepSkyTimerTest, AnchoredReadOfInvisibleVersionIsNotFoundAtQuorum) {
     Bytes data = ToBytes("published");
     ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
     env_->Sleep(kSecond);
-    // A brown-out cloud does not hold up the answer: n-f authentic copies
+    // A brown-out cloud does not hold up the answer: n-f LIST answers
     // without the hash settle the read as NOT_FOUND.
     clouds_[1]->faults().SetLatencyDegradation(10 * kSecond);
     const std::string unpublished = ContentHash(ToBytes("not yet"));
@@ -447,7 +409,7 @@ TEST_F(DepSkyTimerTest, AnchoredReadOfInvisibleVersionIsNotFoundAtQuorum) {
 
 // ---------------------------------------------------------------------------
 // Record reads: with the version record WriteVersion returned, ReadVersion
-// skips the metadata round and fetches the shards from the fastest holders.
+// makes no LIST and fetches the shards from the fastest holders.
 // ---------------------------------------------------------------------------
 
 TEST_F(DepSkyTimerTest, RecordReadWaitsForFastestHoldersOnly) {
@@ -459,7 +421,6 @@ TEST_F(DepSkyTimerTest, RecordReadWaitsForFastestHoldersOnly) {
   Bytes data(9000, 3);
   auto record = client.WriteVersion("f", ContentHash(data), data);
   ASSERT_TRUE(record.ok()) << record.status().ToString();
-  env_->Sleep(kSecond);  // the straggling metadata PUT lands
   const uint64_t gets_before[] = {Gets(0), Gets(1), Gets(2), Gets(3)};
 
   Environment::ResetThreadCharged();
@@ -468,11 +429,11 @@ TEST_F(DepSkyTimerTest, RecordReadWaitsForFastestHoldersOnly) {
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, data);
   // The shards come from the two fastest holders, clouds 2 (100 ms) and 0
-  // (600 ms): 600 ms, where AnchoredReadWaitsForFastestCopyAndFastestHolders
-  // first waits 100 ms for cloud 2's metadata copy (700 ms).
+  // (600 ms): 600 ms, where ReadByHashWaitsForFirstListingHeaderAndHolders
+  // first waits 200 ms for cloud 2's LIST answer and header (800 ms).
   EXPECT_GE(charged, 600 * kMillisecond);
   EXPECT_LT(charged, 700 * kMillisecond);
-  // No metadata GET: one shard GET each at clouds 2 and 0, nothing else.
+  // No header GET: one shard GET each at clouds 2 and 0, nothing else.
   EXPECT_EQ(Gets(0) - gets_before[0], 1u);
   EXPECT_EQ(Gets(1) - gets_before[1], 0u);
   EXPECT_EQ(Gets(2) - gets_before[2], 1u);
@@ -499,7 +460,7 @@ TEST_F(DepSkyTimerTest, RecordNamingDeletedObjectsFallsBackOnce) {
   env_->Sleep(kSecond);
 
   // Version 1's objects are gone: the record cannot deliver, and the read
-  // locates a's hash through the metadata instead, which lists version 3.
+  // locates a's hash through the LIST instead, which names version 3.
   auto read = client.ReadVersion("f", *v1);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, a);
@@ -556,11 +517,11 @@ TEST_F(DepSkyTimerTest, DownHolderIsReplacedAfterItsFirstFailedAttempt) {
 }
 
 // ---------------------------------------------------------------------------
-// Overlapped writes: the metadata read runs alongside the shard PUT wave, so
-// a write waits for the slower of the two, then the metadata PUT.
+// Writes: an anchored write is the shard PUT wave alone; an unanchored one
+// LISTs first, because the version number is part of every object's name.
 // ---------------------------------------------------------------------------
 
-TEST_F(DepSkyTimerTest, WriteChargesSlowerOfMetadataReadAndPutWave) {
+TEST_F(DepSkyTimerTest, AnchoredWriteIsChargedTheWaveAlone) {
   UseSlowClock();
   UseLatencies(Spread());
   DepSkyConfig config;
@@ -569,59 +530,30 @@ TEST_F(DepSkyTimerTest, WriteChargesSlowerOfMetadataReadAndPutWave) {
   Bytes v1(9000, 1);
   Bytes v2(9000, 2);
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
-  env_->Sleep(kSecond);  // the straggling metadata PUT lands
 
+  // Shard PUT wave: the preferred quorum, clouds 0-2, ends with cloud 1
+  // (800 ms).
   Environment::ResetThreadCharged();
-  const VirtualTime before = env_->Now();
-  auto written = client.WriteVersion("f", ContentHash(v2), v2);
-  const VirtualDuration charged = Environment::ThreadCharged();
-  const VirtualDuration elapsed = env_->Now() - before;
-  ASSERT_TRUE(written.ok()) << written.status().ToString();
-  EXPECT_EQ(written->version, 2u);
-  // Metadata read: the third authentic copy, cloud 0 (600 ms). Shard PUT
-  // wave: the preferred quorum, clouds 0-2, ends with cloud 1 (800 ms).
-  // Metadata PUT: the third ack, cloud 0 (600 ms). Overlapped:
-  // max(600, 800) + 600 = 1400 ms; the serial rounds would take 2000 ms.
+  auto anchored = client.WriteVersion("f", ContentHash(v2), v2, nullptr, 2);
+  VirtualDuration charged = Environment::ThreadCharged();
+  ASSERT_TRUE(anchored.ok()) << anchored.status().ToString();
+  EXPECT_GE(charged, 800 * kMillisecond);
+  EXPECT_LT(charged, 950 * kMillisecond);
+
+  // The LIST's third answer, cloud 0 (600 ms), then the wave: 1400 ms.
+  Environment::ResetThreadCharged();
+  auto unanchored = client.WriteVersion("f", ContentHash(v1), v1);
+  charged = Environment::ThreadCharged();
+  ASSERT_TRUE(unanchored.ok()) << unanchored.status().ToString();
+  EXPECT_EQ(unanchored->version, 3u);
   EXPECT_GE(charged, 1400 * kMillisecond);
   EXPECT_LT(charged, 1550 * kMillisecond);
-  EXPECT_LT(elapsed, 1800 * kMillisecond);
-  EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
-}
-
-TEST_F(DepSkyTimerTest, WriteChargesMetadataReadWhenItIsTheSlowerPart) {
-  UseSlowClock();
-  UseLatencies({100 * kMillisecond, 200 * kMillisecond, 300 * kMillisecond,
-                1000 * kMillisecond});
-  DepSkyConfig config;
-  config.request_deadline = 60 * kSecond;
-  auto client = MakeClient(config);
-  Bytes v1(9000, 1);
-  Bytes v2(9000, 2);
-  ASSERT_TRUE(client.WriteVersion("f", ContentHash(v1), v1).ok());
-  env_->Sleep(2 * kSecond);
-  // Cloud 0's metadata copy comes back corrupted, so the read needs the
-  // slow cloud 3's copy as its third authentic one.
-  clouds_[0]->faults().SetCorruptAllReads(true);
-
-  Environment::ResetThreadCharged();
-  const VirtualTime before = env_->Now();
-  auto written = client.WriteVersion("f", ContentHash(v2), v2);
-  const VirtualDuration charged = Environment::ThreadCharged();
-  const VirtualDuration elapsed = env_->Now() - before;
-  clouds_[0]->faults().SetCorruptAllReads(false);
-  ASSERT_TRUE(written.ok()) << written.status().ToString();
-  EXPECT_EQ(written->version, 2u);
-  // Metadata read 1000 ms (cloud 3), shard PUT wave 300 ms (clouds 0-2),
-  // metadata PUT 300 ms (third ack): max(1000, 300) + 300 = 1300 ms against
-  // a serial 1600 ms.
-  EXPECT_GE(charged, 1300 * kMillisecond);
-  EXPECT_LT(charged, 1450 * kMillisecond);
-  EXPECT_LT(elapsed, 1500 * kMillisecond);
+  EXPECT_EQ(*client.ReadLatest("f"), v1);
 }
 
 // A blocking close waits for the shard quorum and one coordination round,
 // the publish that also releases the lock — not for an unlock round, nor
-// for DepSky's metadata PUT, which is written behind it.
+// for any DepSky read: the close is an anchored write.
 TEST_F(DepSkyTimerTest, CloseIsChargedShardQuorumAndOnePublishRound) {
   UseSlowClock();
   UseLatencies(Spread());
@@ -646,7 +578,6 @@ TEST_F(DepSkyTimerTest, CloseIsChargedShardQuorumAndOnePublishRound) {
   ASSERT_TRUE(fs.Mount().ok());
   ASSERT_TRUE(fs.WriteFile("/f", Bytes(9000, 1)).ok());
   ASSERT_TRUE(fs.SyncBarrier().ok());
-  env_->Sleep(kSecond);  // the straggling metadata PUT lands
 
   auto fh = fs.Open("/f", kOpenWrite | kOpenTruncate);
   ASSERT_TRUE(fh.ok()) << fh.status().ToString();
@@ -655,10 +586,9 @@ TEST_F(DepSkyTimerTest, CloseIsChargedShardQuorumAndOnePublishRound) {
   Status closed = fs.Close(*fh);
   const VirtualDuration charged = Environment::ThreadCharged();
   ASSERT_TRUE(closed.ok()) << closed.ToString();
-  // Disk 5 ms; metadata read (cloud 0, the third authentic copy: 600 ms)
-  // overlapped with the shard wave (cloud 1: 800 ms); the publish that
-  // releases the lock, 100 ms: 905 ms. The metadata PUT (600 ms) is not in
-  // it, and neither is an unlock round.
+  // Disk 5 ms; the shard wave (cloud 1: 800 ms); the publish that releases
+  // the lock, 100 ms: 905 ms. No LIST or GET precedes the wave, and no
+  // unlock round follows the publish.
   EXPECT_GE(charged, 905 * kMillisecond);
   EXPECT_LT(charged, 1050 * kMillisecond);
   EXPECT_EQ(*fs.ReadFile("/f"), Bytes(9000, 2));
@@ -754,242 +684,14 @@ TEST_F(DepSkyTimerTest, WriteOpenFetchesDuringTheLockRound) {
   ASSERT_TRUE(writer.Unmount().ok());
 }
 
-// How many clouds hold a metadata copy of `unit` listing every one of
-// `hashes` (after every request in flight has landed).
-unsigned CloudsListingAll(
-    const std::vector<std::unique_ptr<SimulatedCloud>>& clouds,
-    const std::string& unit, const std::vector<std::string>& hashes) {
-  unsigned listing = 0;
-  for (auto& cloud : clouds) {
-    cloud->Quiesce();
-    auto raw = cloud->Get({cloud->provider_name() + ":alice"},
-                          DepSkyClient::MetadataKey(unit));
-    if (!raw.ok()) {
-      continue;
-    }
-    auto md = DepSkyMetadata::Decode(*raw, ToBytes("deployment-auth-key"));
-    listing += md.ok() && std::all_of(hashes.begin(), hashes.end(),
-                                      [&](const std::string& hash) {
-                                        return md->FindByHash(hash) != nullptr;
-                                      });
-  }
-  return listing;
-}
-
-// The chain v0 -> v1 -> v2, each written by another client. v0's writer
-// crashed before its finish, so v1's finish waits out v0's request budget.
-// v2's writer starts the moment v1's finish returns (as the lock handoff
-// allows), while v1's metadata PUT is still in flight: v2 waits for that
-// PUT, not for a budget, and all three versions end up listed on n-f
-// clouds.
-TEST_F(DepSkyTimerTest, HeldUpPredecessorStaysListedWithItsSuccessor) {
-  UseLatencies(Spread());
-  DepSkyConfig config;
-  config.request_deadline = kSecond;
-  auto c0 = MakeClient(config);
-  auto c1 = MakeClient(config);
-  auto c2 = MakeClient(config);
-  const Bytes d0 = ToBytes("v0"), d1 = ToBytes("v1"), d2 = ToBytes("v2");
-  auto w0 = c0.StartWrite("f", ContentHash(d0), d0);
-  ASSERT_TRUE(w0.ok()) << w0.status().ToString();
-
-  const VirtualTime started1 = env_->Now();
-  auto w1 = c1.StartWrite("f", ContentHash(d1), d1, nullptr, &w0->record);
-  ASSERT_TRUE(w1.ok()) << w1.status().ToString();
-  Future<Status> metadata1 = w1->finish(std::nullopt);
-  EXPECT_GE(env_->Now(), started1 + c1.RequestBudget());
-  EXPECT_EQ(c1.predecessor_budget_waits(), 1u);
-
-  const VirtualTime started2 = env_->Now();
-  auto w2 = c2.StartWrite("f", ContentHash(d2), d2, nullptr, &w1->record);
-  ASSERT_TRUE(w2.ok()) << w2.status().ToString();
-  Future<Status> metadata2 = w2->finish(std::nullopt);
-  EXPECT_LT(env_->Now(), started2 + c2.RequestBudget());
-  EXPECT_EQ(c2.predecessor_budget_waits(), 0u);
-  ASSERT_TRUE(metadata1.Get().ok());
-  ASSERT_TRUE(metadata2.Get().ok());
-
-  EXPECT_GE(CloudsListingAll(clouds_, "f",
-                             {ContentHash(d0), ContentHash(d1),
-                              ContentHash(d2)}),
-            3u);
-}
-
-// A cross-agent handoff whose next writer does not read first: it opens
-// with truncate and closes at once, so its metadata read may run before the
-// first close's metadata PUT has landed. That costs it at most a re-read,
-// never the request budget, and both versions end up listed on n-f clouds.
-TEST_F(DepSkyTimerTest, TruncatingHandoffWaitsForThePutNotTheBudget) {
-  UseLatencies(Spread());
-  DepSkyConfig config;
-  config.f = 1;
-  config.auth_key = ToBytes("deployment-auth-key");
-  std::vector<DepSkyCloud> set;
-  std::vector<CanonicalId> ids;
-  for (auto& cloud : clouds_) {
-    ids.push_back(cloud->provider_name() + ":alice");
-    set.push_back(DepSkyCloud{cloud.get(), {ids.back()}});
-  }
-  auto first_client =
-      std::make_shared<DepSkyClient>(env_.get(), set, config, 7);
-  auto second_client =
-      std::make_shared<DepSkyClient>(env_.get(), set, config, 8);
-  DepSkyBackend first_backend(first_client);
-  DepSkyBackend second_backend(second_client);
-  LocalCoordination coord(env_.get(), LatencyModel::Fixed(50 * kMillisecond));
-  ScfsOptions options;
-  options.user = "alice";
-  options.user_cloud_ids = ids;
-  ScfsFileSystem first(env_.get(), &coord, &first_backend, options);
-  ScfsFileSystem second(env_.get(), &coord, &second_backend, options);
-  ASSERT_TRUE(first.Mount().ok());
-  ASSERT_TRUE(second.Mount().ok());
-
-  ASSERT_TRUE(first.WriteFile("/f", Bytes(9000, 1)).ok());
-  auto fh = second.Open("/f", kOpenWrite | kOpenTruncate);
-  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
-  ASSERT_TRUE(second.Write(*fh, 0, Bytes(9000, 2)).ok());
-  const VirtualTime closing = env_->Now();
-  ASSERT_TRUE(second.Close(*fh).ok());
-  EXPECT_LT(env_->Now(), closing + second_client->RequestBudget());
-  ASSERT_TRUE(first.SyncBarrier().ok());
-  ASSERT_TRUE(second.SyncBarrier().ok());
-  EXPECT_LE(second_client->predecessor_rereads(), 1u);
-  EXPECT_EQ(second_client->predecessor_budget_waits(), 0u);
-
-  auto entry = coord.Read("alice", MetadataKey("/f"));
-  ASSERT_TRUE(entry.ok());
-  auto md = FileMetadata::Decode(entry->value);
-  ASSERT_TRUE(md.ok());
-  EXPECT_GE(CloudsListingAll(clouds_, md->object_id,
-                             {ContentHash(Bytes(9000, 1)),
-                              ContentHash(Bytes(9000, 2))}),
-            3u);
-  ASSERT_TRUE(first.Unmount().ok());
-  ASSERT_TRUE(second.Unmount().ok());
-}
-
-// A coordination service whose replies to a publish that releases a lock
-// come back `delay` late: the command's slot runs at once — the next
-// writer can take the lock — but its writer hears of it only later.
-class LateReleaseReplies : public CoordinationService {
- public:
-  LateReleaseReplies(Environment* env, CoordinationService* inner,
-                     VirtualDuration delay)
-      : env_(env), inner_(inner), delay_(delay) {}
-
-  Result<CoordReply> Submit(const CoordCommand& command) override {
-    Result<CoordReply> reply = inner_->Submit(command);
-    if (command.op == CoordOp::kCompareAndSwap && !command.aux.empty()) {
-      released_.Set(OkStatus());
-      env_->Sleep(delay_);
-    }
-    return reply;
-  }
-
-  // Completes once a release's slot has run.
-  Future<Status> released() const { return released_.future(); }
-
- private:
-  Environment* env_;
-  CoordinationService* inner_;
-  VirtualDuration delay_;
-  Promise<Status> released_;
-};
-
-// The handoff bound: a writer whose publish-and-release reply arrives more
-// than HandoffBound() after it was sent launches no metadata PUT, because
-// its successor may already have written its own. The successor waits out
-// RequestBudget() + HandoffBound() for the listing, merges the late
-// writer's version itself, and every version ends up listed on n-f clouds.
-// (Had the late writer launched its PUT after the reply, its older history
-// would land on top of the successor's on every cloud.)
-TEST_F(DepSkyTimerTest, LateHandoffReplyLeavesTheListingToTheSuccessor) {
-  UseLatencies(Spread());
-  DepSkyConfig config;
-  config.f = 1;
-  config.auth_key = ToBytes("deployment-auth-key");
-  config.request_deadline = kSecond;
-  std::vector<DepSkyCloud> set;
-  std::vector<CanonicalId> ids;
-  for (auto& cloud : clouds_) {
-    ids.push_back(cloud->provider_name() + ":alice");
-    set.push_back(DepSkyCloud{cloud.get(), {ids.back()}});
-  }
-  auto late_client = std::make_shared<DepSkyClient>(env_.get(), set, config, 7);
-  auto next_client = std::make_shared<DepSkyClient>(env_.get(), set, config, 8);
-  DepSkyBackend late_backend(late_client);
-  DepSkyBackend next_backend(next_client);
-  LocalCoordination coord(env_.get(), LatencyModel::Fixed(50 * kMillisecond));
-  const VirtualDuration delay = next_client->RequestBudget() +
-                                2 * next_client->HandoffBound() + kSecond;
-  LateReleaseReplies late_coord(env_.get(), &coord, delay);
-  ScfsOptions options;
-  options.user = "alice";
-  options.user_cloud_ids = ids;
-  ScfsFileSystem late(env_.get(), &late_coord, &late_backend, options);
-  ScfsFileSystem next(env_.get(), &coord, &next_backend, options);
-  ASSERT_TRUE(late.Mount().ok());
-  ASSERT_TRUE(next.Mount().ok());
-
-  const Bytes v1(9000, 1), v2(9000, 2), v3(9000, 3);
-  ASSERT_TRUE(next.WriteFile("/f", v1).ok());
-  ASSERT_TRUE(next.SyncBarrier().ok());
-  env_->Sleep(kSecond);  // the straggling metadata PUT lands
-
-  auto fh = late.Open("/f", kOpenWrite | kOpenTruncate);
-  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
-  ASSERT_TRUE(late.Write(*fh, 0, v2).ok());
-  Status late_closed;
-  std::thread closer([&] { late_closed = late.Close(*fh); });
-  const auto patience =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!late_coord.released().ready() &&
-         std::chrono::steady_clock::now() < patience) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (!late_coord.released().ready()) {
-    closer.join();
-    FAIL() << "the close sent no publish that releases the lock";
-  }
-
-  // The successor takes the lock at once and writes v3 on top of v2.
-  auto next_fh = next.Open("/f", kOpenWrite);
-  ASSERT_TRUE(next_fh.ok()) << next_fh.status().ToString();
-  EXPECT_EQ(*next.Read(*next_fh, 0, v2.size()), v2);
-  ASSERT_TRUE(next.Write(*next_fh, 0, v3).ok());
-  const VirtualTime closing = env_->Now();
-  ASSERT_TRUE(next.Close(*next_fh).ok());
-  const VirtualDuration bound =
-      next_client->RequestBudget() + next_client->HandoffBound();
-  EXPECT_GE(env_->Now(), closing + bound);
-  EXPECT_LT(env_->Now(), closing + bound + 1500 * kMillisecond);
-  EXPECT_EQ(next_client->predecessor_budget_waits(), 1u);
-
-  closer.join();
-  EXPECT_TRUE(late_closed.ok()) << late_closed.ToString();
-  EXPECT_EQ(late_client->late_handoffs(), 1u);
-  ASSERT_TRUE(late.SyncBarrier().ok());
-  ASSERT_TRUE(next.SyncBarrier().ok());
-  auto entry = coord.Read("alice", MetadataKey("/f"));
-  ASSERT_TRUE(entry.ok());
-  auto md = FileMetadata::Decode(entry->value);
-  ASSERT_TRUE(md.ok());
-  EXPECT_GE(CloudsListingAll(clouds_, md->object_id,
-                             {ContentHash(v1), ContentHash(v2),
-                              ContentHash(v3)}),
-            3u);
-  ASSERT_TRUE(late.Unmount().ok());
-  ASSERT_TRUE(next.Unmount().ok());
-}
-
 // DeleteUnit waits for this client's own PUTs under the unit that are still
-// in flight: a write returns at its quorum, and the slow cloud's metadata
-// PUT would otherwise land after the listing and outlive the delete.
+// in flight: a write returns at its quorum, and the slow cloud's shard PUT
+// would otherwise land after the listing and outlive the delete.
 TEST_F(DepSkyTimerTest, DeleteUnitWaitsForItsOwnStragglingPuts) {
   UseLatencies({0, 0, 0, 2 * kSecond});
   DepSkyConfig config;
   config.request_deadline = 60 * kSecond;
+  config.preferred_quorums = false;  // cloud 3 gets a shard too
   auto client = MakeClient(config);
   const Bytes data(9000, 4);
   ASSERT_TRUE(client.WriteVersion("f", ContentHash(data), data).ok());
@@ -1190,9 +892,9 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
   auto locator = backend.WriteVersion("f", hash, data, {});
   ASSERT_TRUE(locator.ok());
 
-  auto md = client->ReadMetadata("f");
-  ASSERT_TRUE(md.ok());
-  const DepSkyVersion version = md->versions.back();
+  auto record = DepSkyVersion::Decode(*locator);
+  ASSERT_TRUE(record.ok());
+  const DepSkyVersion version = *record;
   ASSERT_EQ(version.stripe_units.size(), 8u);
 
   // Pick a cloud that holds a shard of every unit, fail it with a chaos
@@ -1213,7 +915,10 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
     ASSERT_TRUE(
         clouds[victim]
             ->Delete({clouds[victim]->provider_name() + ":alice"},
-                     DepSkyClient::ValueKey("f", version, u))
+                     DepSkyClient::ValueKey(
+                         "f", version, u,
+                         static_cast<unsigned>(
+                             version.stripe_units[u].cloud_shard[victim])))
             .ok());
   }
   auto schedule = ParseFaultSchedule(
@@ -1226,7 +931,7 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
   ChaosRunner runner(env.get(), *schedule, std::move(targets));
   ASSERT_TRUE(runner.Start().ok());
 
-  // Clients read throughout the outage, both record-less (metadata round
+  // Clients read throughout the outage, both record-less (LIST and header
   // first) and through the written record: the quorum protocol masks the
   // lost cloud, so not a single client operation may fail on either path.
   int client_errors = 0;
@@ -1277,6 +982,21 @@ TEST(StripedRepairChaosTest, OutageWithDataLossScrubRestoresRedundancy) {
 // bounded while the coordination plane is degraded underneath.
 // ---------------------------------------------------------------------------
 
+// Whether the runner has applied a lease_expiry window and not yet cleared
+// it, from its log of applied edges. The campaign thread applies an edge
+// when it next runs after the edge's due time, which on a loaded host can
+// be well past it: the test gates on this, not on the clock.
+bool LeaseWindowApplied(const ChaosRunner& runner) {
+  const std::string kind = FaultKindName(FaultKind::kLeaseExpiry);
+  int open = 0;
+  for (const std::string& edge : runner.log()) {
+    if (edge.find(" " + kind + " ") != std::string::npos) {
+      open += edge.rfind("apply ", 0) == 0 ? 1 : -1;
+    }
+  }
+  return open > 0;
+}
+
 TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
   // Real SMR timers (view change, resend) need time to flow: Instant() would
   // fire every client timeout at once. 100x compression keeps the 8 s
@@ -1318,7 +1038,7 @@ TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
   // after the runner's origin. Blocking writes under the concurrent cloud
   // outage can span seconds of virtual time, so instead of relying on op
   // pacing to land reads inside the window, phase 1 mixes writes and reads
-  // until the window approaches, then phase 2 jumps the clock to mid-window
+  // until the window approaches, then phase 2 jumps the clock into the window
   // for a read-only burst (the grants-frozen assertion only applies to
   // reads that start AND finish inside the window).
   const auto window_open = runner.origin() + 5 * kSecond;
@@ -1347,11 +1067,16 @@ TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
     }
   }
 
-  // Phase 2: jump to mid-window. The chaos plane has suspended grants and
-  // invalidated every delegation; reads must keep succeeding through the
-  // anchored path without installing a single new grant.
-  if (env->Now() < window_open + 600 * kMillisecond) {
-    env->Sleep(window_open + 600 * kMillisecond - env->Now());
+  // Phase 2: jump into the window, then wait for the runner to have
+  // applied it: its thread may run the edge late on a loaded host. The
+  // chaos plane has then suspended grants and invalidated every delegation;
+  // reads must keep succeeding through the anchored path without
+  // installing a single new grant.
+  if (env->Now() < window_open) {
+    env->Sleep(window_open - env->Now());
+  }
+  while (!LeaseWindowApplied(runner) && env->Now() < window_close) {
+    env->Sleep(10 * kMillisecond);
   }
   ASSERT_LT(env->Now(), window_close) << "phase 1 overran the lease window";
   EXPECT_FALSE(deployment->lease_manager()->AllowsGrants());
@@ -1359,7 +1084,7 @@ TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
       reader->metadata_service().lease_grants();
   int suspension_reads_ok = 0;
   for (int i = 0; i < 5; ++i) {
-    const auto started = env->Now();
+    const bool suspended_at_start = LeaseWindowApplied(runner);
     auto stat = reader->Stat("/chaos/f");
     ++read_ops;
     if (!stat.ok()) {
@@ -1367,7 +1092,7 @@ TEST(LeaseChaosTest, ReplicaCampaignFallsBackWithZeroStaleReads) {
     } else if (stat->size < acked) {
       ++stale_reads;
     }
-    if (started >= window_open && env->Now() < window_close) {
+    if (suspended_at_start && LeaseWindowApplied(runner)) {
       if (stat.ok()) {
         ++suspension_reads_ok;
       }

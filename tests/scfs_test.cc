@@ -449,8 +449,6 @@ TEST_P(ScfsTest, GarbageCollectorTrimsOldVersions) {
   }
   auto stat = (*fs)->Stat("/f");
   ASSERT_TRUE(stat.ok());
-  // The last close's cloud metadata is written behind it.
-  ASSERT_TRUE((*fs)->SyncBarrier().ok());
 
   // Find the object id through the metadata service.
   auto md = (*fs)->metadata_service().Get("/f");
@@ -907,13 +905,17 @@ class ScfsCocTest : public ::testing::Test {
     return *md;
   }
 
-  uint64_t CloudGets() {
-    uint64_t gets = 0;
+  // Requests over every cloud, once those in flight have landed.
+  UsageTotals CloudUsage() {
+    UsageTotals total;
     for (unsigned i = 0; i < deployment_->cloud_count(); ++i) {
       deployment_->cloud(i)->Quiesce();
-      gets += deployment_->cloud(i)->costs().GrandTotals().gets;
+      const UsageTotals t = deployment_->cloud(i)->costs().GrandTotals();
+      total.puts += t.puts;
+      total.gets += t.gets;
+      total.lists += t.lists;
     }
-    return gets;
+    return total;
   }
 
   // The DepSky client of the most recent mount.
@@ -925,7 +927,7 @@ class ScfsCocTest : public ::testing::Test {
   std::unique_ptr<Deployment> deployment_;
 };
 
-TEST_F(ScfsCocTest, OpenReadsTheAnchoredRecordWithoutDepSkyMetadata) {
+TEST_F(ScfsCocTest, OpenReadsTheAnchoredRecordWithoutAList) {
   auto writer = MountAgent();
   Bytes data(5000, 4);
   ASSERT_TRUE(writer->WriteFile("/f", data).ok());
@@ -934,46 +936,56 @@ TEST_F(ScfsCocTest, OpenReadsTheAnchoredRecordWithoutDepSkyMetadata) {
   ASSERT_TRUE(record.ok()) << record.status().ToString();
   EXPECT_EQ(record->content_hash, md.content_hash);
 
-  // Remove the file's DepSky metadata, once written behind the close, from
-  // every cloud: no cloud can serve a GET of it any more, so a read that
-  // needed one would fail.
-  ASSERT_TRUE(writer->SyncBarrier().ok());
-  for (unsigned i = 0; i < deployment_->cloud_count(); ++i) {
-    SimulatedCloud* cloud = deployment_->cloud(i);
-    cloud->Quiesce();
-    ASSERT_TRUE(cloud
-                    ->Delete({cloud->provider_name() + ":alice"},
-                             DepSkyClient::MetadataKey(md.object_id))
-                    .ok());
-  }
   auto reader = MountAgent();
-  const uint64_t gets_before = CloudGets();
+  const UsageTotals before = CloudUsage();
   auto read = reader->ReadFile("/f");
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, data);
-  // k = 2 shard GETs, no metadata round and no fallback.
-  EXPECT_EQ(CloudGets() - gets_before, 2u);
+  // k = 2 shard GETs: no LIST, no header GET and no fallback.
+  const UsageTotals after = CloudUsage();
+  EXPECT_EQ(after.gets - before.gets, 2u);
+  EXPECT_EQ(after.lists - before.lists, 0u);
   EXPECT_EQ(LastClient().anchored_read_fallbacks(), 0u);
 }
 
-// The hashes of every version the unit's metadata copy at `cloud` lists.
+// A drained blocking overwrite of an anchored file is DepSky's shard wave
+// alone: n-f PUTs, and no GET or LIST at any cloud, before or behind the
+// close.
+TEST_F(ScfsCocTest, DrainedOverwriteMakesOnlyTheShardPuts) {
+  auto fs = MountAgent();
+  ASSERT_TRUE(fs->WriteFile("/f", Bytes(16 * 1024, 1)).ok());
+  ASSERT_TRUE(fs->SyncBarrier().ok());
+  const UsageTotals before = CloudUsage();
+  auto fh = fs->Open("/f", kOpenWrite);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  ASSERT_TRUE(fs->Write(*fh, 0, Bytes(16 * 1024, 2)).ok());
+  ASSERT_TRUE(fs->Close(*fh).ok());
+  ASSERT_TRUE(fs->SyncBarrier().ok());
+  const UsageTotals after = CloudUsage();
+  EXPECT_EQ(after.puts - before.puts, 3u);
+  EXPECT_EQ(after.gets - before.gets, 0u);
+  EXPECT_EQ(after.lists - before.lists, 0u);
+  auto record = DepSkyVersion::Decode(Published("/f").locator);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->version, 2u);
+  EXPECT_EQ(*MountAgent()->ReadFile("/f"), Bytes(16 * 1024, 2));
+}
+
+// The hashes of every version the objects of `unit` at `cloud` name.
 std::vector<std::string> ListedHashes(Deployment* deployment, unsigned cloud,
                                       const std::string& unit) {
   SimulatedCloud* store = deployment->cloud(cloud);
   store->Quiesce();
-  auto raw = store->Get({store->provider_name() + ":alice"},
-                        DepSkyClient::MetadataKey(unit));
+  auto listed = store->List({store->provider_name() + ":alice"},
+                            "du/" + unit + "/");
   std::vector<std::string> hashes;
-  if (!raw.ok()) {
-    return hashes;
-  }
-  auto md = DepSkyMetadata::Decode(*raw, deployment->depsky_clients()
-                                             .front()
-                                             ->config()
-                                             .auth_key);
-  EXPECT_TRUE(md.ok()) << md.status().ToString();
-  for (const auto& version : md->versions) {
-    hashes.push_back(version.content_hash);
+  EXPECT_TRUE(listed.ok()) << listed.status().ToString();
+  for (const ObjectInfo& object : *listed) {
+    const size_t at = object.key.find("/h");
+    if (at != std::string::npos) {
+      const size_t end = object.key.find('/', at + 1);
+      hashes.push_back(object.key.substr(at + 2, end - at - 2));
+    }
   }
   return hashes;
 }
@@ -988,7 +1000,7 @@ TEST_F(ScfsCocTest, ShardsLiveOnTheCheapestCloudsAndColdReadsGetThere) {
   ASSERT_TRUE(writer->WriteFile("/f", data).ok());
   ASSERT_TRUE(writer->SyncBarrier().ok());
   // The preferred quorum is the n-f = 3 cheapest clouds; the priciest one,
-  // google-storage, is the spare and holds only DepSky metadata.
+  // google-storage, is the spare and holds nothing.
   std::map<std::string, SimulatedCloud*> clouds;
   auto gets = [](SimulatedCloud* cloud) {
     cloud->Quiesce();
@@ -1002,7 +1014,7 @@ TEST_F(ScfsCocTest, ShardsLiveOnTheCheapestCloudsAndColdReadsGetThere) {
     ASSERT_TRUE(listed.ok()) << listed.status().ToString();
     size_t shards = 0;
     for (const ObjectInfo& object : *listed) {
-      shards += object.key.find("/o") != std::string::npos;
+      shards += object.key.find("/v") != std::string::npos;
     }
     EXPECT_EQ(shards, cloud->provider_name() == "google-storage" ? 0u : 1u)
         << cloud->provider_name();
@@ -1027,7 +1039,7 @@ TEST_F(ScfsCocTest, ShardsLiveOnTheCheapestCloudsAndColdReadsGetThere) {
   }
 }
 
-TEST_F(ScfsCocTest, CloseWhoseLockExpiredConflictsAndWritesNoMetadata) {
+TEST_F(ScfsCocTest, CloseWhoseLockExpiredConflictsAndIsNeverAnchored) {
   auto late = MountAgent();
   auto other = MountAgent();
   ASSERT_TRUE(late->WriteFile("/f", ToBytes("base")).ok());
@@ -1043,14 +1055,8 @@ TEST_F(ScfsCocTest, CloseWhoseLockExpiredConflictsAndWritesNoMetadata) {
   ASSERT_TRUE(late->SyncBarrier().ok());
   ASSERT_TRUE(other->SyncBarrier().ok());
   EXPECT_EQ(ToString(*MountAgent()->ReadFile("/f")), "other");
-  // The late version's shards were stored, but its metadata never was.
-  const std::string unit = Published("/f").object_id;
-  for (unsigned cloud = 0; cloud < deployment_->cloud_count(); ++cloud) {
-    std::vector<std::string> listed =
-        ListedHashes(deployment_.get(), cloud, unit);
-    EXPECT_EQ(std::count(listed.begin(), listed.end(), HashOf("late")), 0)
-        << "cloud " << cloud;
-  }
+  // The late version's shards were stored, but the entry never named them.
+  EXPECT_EQ(Published("/f").content_hash, HashOf("other"));
 }
 
 TEST_F(ScfsCocTest, HandoffListsBothVersionsOnAWriteQuorum) {
@@ -1058,7 +1064,7 @@ TEST_F(ScfsCocTest, HandoffListsBothVersionsOnAWriteQuorum) {
   auto second = MountAgent();
   ASSERT_TRUE(first->WriteFile("/f", ToBytes("one")).ok());
   // No barrier: the second writer may lock the file while the first's
-  // metadata is still being written behind its close.
+  // last shard PUTs are still in flight.
   ASSERT_TRUE(second->WriteFile("/f", ToBytes("two")).ok());
   ASSERT_TRUE(first->SyncBarrier().ok());
   ASSERT_TRUE(second->SyncBarrier().ok());

@@ -22,10 +22,11 @@ import sys
 MIN_SKEW_INFLATION = 1.2
 
 # The lease demo runs the webserver personality with metadata leases off and
-# on at the same offered rate; leases must cut coordination messages per
-# successful op by at least this factor (the ISSUE's >= 5x target — the
-# design estimate is ~8-9x: read leases on the never-mutated fileset, plus
-# lingering write locks collapsing the append's lock/unlock rounds).
+# on at the same offered rate, k times on fresh deployments; the median of
+# the k reductions in coordination messages per successful op must reach
+# this factor (the ISSUE's >= 5x target — the design estimate is ~8-9x: read
+# leases on the never-mutated fileset, plus lingering write locks collapsing
+# the append's lock/unlock rounds).
 MIN_LEASE_MSGS_RATIO = 5.0
 
 
@@ -123,6 +124,8 @@ def main() -> int:
             "scenario_webserver_lease_off_msgs_per_op",
             "scenario_webserver_lease_on_msgs_per_op",
             "scenario_webserver_lease_msgs_ratio",
+            "scenario_webserver_lease_msgs_ratio_min",
+            "scenario_webserver_lease_msgs_ratio_max",
             "scenario_webserver_lease_on_grants",
             "scenario_webserver_lease_on_local_hits",
             "scenario_webserver_lease_on_hit_share",
@@ -136,11 +139,13 @@ def main() -> int:
             ratio = metrics["scenario_webserver_lease_msgs_ratio"]
             grants = metrics["scenario_webserver_lease_on_grants"]
             hits = metrics["scenario_webserver_lease_on_local_hits"]
+            low = metrics["scenario_webserver_lease_msgs_ratio_min"]
+            high = metrics["scenario_webserver_lease_msgs_ratio_max"]
             print(f"lease demo: coord msgs/op {off:.2f} -> {on:.2f} "
-                  f"({ratio:.1f}x), {grants:.0f} grants, "
-                  f"{hits:.0f} local hits")
+                  f"(median {ratio:.1f}x, range {low:.1f}-{high:.1f}x), "
+                  f"{grants:.0f} grants, {hits:.0f} local hits")
             if ratio < MIN_LEASE_MSGS_RATIO:
-                rc |= fail(f"lease demo: msgs/op reduction {ratio:.2f}x < "
+                rc |= fail(f"lease demo: median msgs/op reduction {ratio:.2f}x < "
                            f"{MIN_LEASE_MSGS_RATIO}x — lease-delegated "
                            "caching is not absorbing the metadata plane")
             if grants <= 0 or hits <= 0:
