@@ -75,8 +75,8 @@ void Run() {
       uint64_t bytes =
           cloud->costs().StoredBytes(cloud->provider_name() + ":u");
       stored += bytes;
-      // Count clouds holding a value object (not just metadata).
-      auto listed = cloud->List({cloud->provider_name() + ":u"}, "du/f/o");
+      // Count clouds holding a shard object of a version.
+      auto listed = cloud->List({cloud->provider_name() + ":u"}, "du/f/v");
       if (listed.ok() && !listed->empty()) {
         ++clouds_used;
       }
