@@ -550,14 +550,15 @@ TEST_F(DepSkyTest, OldObjectServedUnderANewNameFailsItsHeader) {
 }
 
 // Forwards to a SimulatedCloud, but while `blind_list` is set answers every
-// LIST with UNAVAILABLE, and drops the names `hidden` matches from the
-// answers it gives.
+// LIST with UNAVAILABLE, drops the names `hidden` matches from the answers
+// it gives, and adds `phantoms`, names it holds no object for.
 class FilteringStore : public ObjectStore {
  public:
   explicit FilteringStore(SimulatedCloud* cloud) : cloud_(cloud) {}
 
   bool blind_list = false;
   std::function<bool(const std::string&)> hidden;
+  std::vector<std::string> phantoms;
 
   Status Put(const CloudCredentials& creds, const std::string& key,
              std::shared_ptr<const Bytes> data) override {
@@ -584,6 +585,11 @@ class FilteringStore : public ObjectStore {
                                      return hidden(object.key);
                                    }),
                     objects.end());
+    }
+    for (const std::string& key : phantoms) {
+      ObjectInfo info;
+      info.key = key;
+      objects.push_back(info);
     }
     return objects;
   }
@@ -662,6 +668,29 @@ TEST_F(DepSkyFilteredTest, CloudHidingObjectsFromListIsOutvoted) {
   EXPECT_EQ(*client.ReadLatest("f"), v2);
   EXPECT_EQ(*client.ReadByHash("f", ContentHash(v2)), v2);
   EXPECT_EQ(client.anchored_read_fallbacks(), 0u);
+}
+
+// A cloud lists a much newer name it holds no object for: no header can
+// certify it, so readers pass it over and writers do not number after it.
+TEST_F(DepSkyFilteredTest, ListedNameWithoutAnObjectIsIgnored) {
+  auto client = MakeFilteredClient();
+  Bytes v1 = ToBytes("v1");
+  auto record = client.WriteVersion("f", ContentHash(v1), v1);
+  ASSERT_TRUE(record.ok());
+  DepSkyVersion phantom = *record;
+  phantom.version = 0xff;
+  phantom.object_id ^= 1;
+  stores_[0]->phantoms = {DepSkyClient::ValueKey("f", phantom, 0, 0)};
+
+  EXPECT_EQ(*client.ReadLatest("f"), v1);
+  auto versions = client.ListVersions("f");
+  ASSERT_TRUE(versions.ok());
+  EXPECT_EQ(versions->size(), 1u);
+  Bytes v2 = ToBytes("v2");
+  auto next = client.WriteVersion("f", ContentHash(v2), v2);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->version, 2u);
+  EXPECT_EQ(*client.ReadLatest("f"), v2);
 }
 
 TEST_F(DepSkyTest, ReplicationModeRoundTrip) {
