@@ -457,10 +457,10 @@ TEST_F(DepSkyTest, DetectsAndRoutesAroundCorruption) {
   clouds_[0]->faults().SetCorruptAllReads(false);
 }
 
-// The Byzantine properties the authenticated metadata object used to give
-// now rest on the headers: a cloud that lists forged names, serves a header
-// with a bad HMAC, serves an old object under a new name, or hides objects
-// from its LIST cannot change what a reader takes as a version.
+// Byzantine clouds against the headers: a cloud that lists forged names,
+// serves a header with a bad HMAC, serves an old object under a new name,
+// or hides objects from its LIST cannot change what a reader takes as a
+// version.
 
 TEST_F(DepSkyTest, ForgedNamesListedByACloudAreIgnored) {
   auto client = MakeClient("alice");

@@ -106,7 +106,7 @@ TEST_P(DepSkyFaultMarginTest, ReadsSurviveExactlyFCorruptClouds) {
 }
 
 // The stored value object carries the erasure shard AND a key share; the
-// metadata hash must cover both. A fault that flips only the share bytes
+// recorded hash must cover both. A fault that flips only the share bytes
 // (leaving the shard intact) used to pass the shard-only hash check and
 // poison key reconstruction — the read then failed the final content hash
 // instead of routing around the bad object.
