@@ -6,7 +6,6 @@
 #include <deque>
 #include <map>
 #include <numeric>
-#include <string_view>
 #include <tuple>
 
 #include "src/crypto/chacha20.h"
