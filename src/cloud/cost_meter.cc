@@ -118,9 +118,4 @@ UsageTotals CostMeter::GrandTotals() const {
   return out;
 }
 
-void CostMeter::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  usage_.clear();
-}
-
 }  // namespace scfs

@@ -75,8 +75,6 @@ class CostMeter {
   UsageTotals GrandTotals() const;
   const PriceBook& prices() const { return prices_; }
 
-  void Reset();
-
  private:
   PriceBook prices_;
   mutable std::mutex mu_;

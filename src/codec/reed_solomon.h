@@ -69,10 +69,6 @@ class ShardArena {
     return ConstByteSpan(buffer_.data() + static_cast<size_t>(i) * shard_size_,
                          shard_size_);
   }
-  ByteSpan mutable_shard(unsigned i) {
-    return ByteSpan(buffer_.data() + static_cast<size_t>(i) * shard_size_,
-                    shard_size_);
-  }
 
   // The k data shards as one contiguous region (the frame).
   ConstByteSpan data_region() const {

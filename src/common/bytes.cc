@@ -105,14 +105,6 @@ bool ByteReader::ReadU8(uint8_t* v) {
   return true;
 }
 
-bool ByteReader::Skip(size_t n) {
-  if (remaining() < n) {
-    return false;
-  }
-  pos_ += n;
-  return true;
-}
-
 bool ByteReader::ReadU32(uint32_t* v) {
   if (remaining() < 4) {
     return false;

@@ -129,7 +129,6 @@ class ByteReader {
   bool ReadBytes(Bytes* out);          // length-prefixed, copies out
   bool ReadBytesSpan(ConstByteSpan* out);  // length-prefixed, zero-copy view
   bool ReadString(std::string* out);
-  bool Skip(size_t n);
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
 

@@ -93,12 +93,6 @@ class LruCache {
     EvictUntilFits();
   }
 
-  void Clear() {
-    map_.clear();
-    order_.clear();
-    used_ = 0;
-  }
-
   size_t size() const { return map_.size(); }
   size_t used_bytes() const { return used_; }
   size_t budget() const { return budget_; }

@@ -257,17 +257,6 @@ Future<Status> CoordinationService::RenewLockAsync(const std::string& client,
   return AsStatus(SubmitAsync(cmd), "coord renew " + name);
 }
 
-Future<Status> CoordinationService::UnlockAsync(const std::string& client,
-                                                const std::string& name,
-                                                uint64_t token) {
-  CoordCommand cmd;
-  cmd.op = CoordOp::kUnlock;
-  cmd.client = client;
-  cmd.key = name;
-  cmd.b = token;
-  return AsStatus(SubmitAsync(cmd), "coord unlock " + name);
-}
-
 std::string PartitionRoutingKey(const std::string& key) {
   if (key.compare(0, 3, "lk:") == 0) {
     return "m:" + key.substr(3) + "/";

@@ -157,8 +157,6 @@ class CoordinationService {
   Future<Status> RenewLockAsync(const std::string& client,
                                 const std::string& name, uint64_t token,
                                 VirtualDuration lease);
-  Future<Status> UnlockAsync(const std::string& client, const std::string& name,
-                             uint64_t token);
 };
 
 // The key a partitioned router hashes to place `key`: the key itself, except

@@ -107,7 +107,6 @@ class Deployment {
     return depsky_clients_;
   }
   CoordinationService* coord() { return coord_.get(); }
-  LocalCoordination* local_coord() { return local_coord_; }
   ReplicatedCoordination* replicated_coord() { return replicated_coord_; }
   PartitionedCoordination* partitioned_coord() { return partitioned_coord_; }
   // Always present; only consulted by agents when lease_ttl > 0. The chaos

@@ -261,12 +261,6 @@ bool LockService::RequestRelease(const std::string& path) {
   return LingerEnabled() && options_.leases->RequestLockRelease(LockKey(path));
 }
 
-bool LockService::Holds(const std::string& path) {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = held_.find(path);
-  return it != held_.end() && !it->second.lingering;
-}
-
 VirtualTime LockService::HeldUntil(const std::string& path) {
   if (coord_ == nullptr) {
     return 0;

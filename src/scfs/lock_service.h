@@ -114,7 +114,6 @@ class LockService {
   // With more than half the lease remaining this is a ready no-op
   // (renew-on-demand).
   Future<Status> RenewAsync(const std::string& path);
-  bool Holds(const std::string& path);
   // Write-credit delegation: asks the mount in this deployment that lingers
   // on the path's lock, if any, to release it for real. True if the lock is
   // now free of that holder; always false without linger.
