@@ -178,6 +178,23 @@ std::string GrantsKey(const std::string& unit) {
   return UnitPrefix(unit) + kGrantsName;
 }
 
+// Lets each of `winners` replace the grant of the same principal in `base`,
+// or joins it there.
+void OverrideGrants(const std::vector<DepSkyGrant>& winners,
+                    std::vector<DepSkyGrant>* base) {
+  for (const DepSkyGrant& winner : winners) {
+    auto it = std::find_if(base->begin(), base->end(),
+                           [&](const DepSkyGrant& g) {
+                             return g.cloud_ids == winner.cloud_ids;
+                           });
+    if (it != base->end()) {
+      *it = winner;
+    } else {
+      base->push_back(winner);
+    }
+  }
+}
+
 }  // namespace
 
 unsigned DepSkyClient::ListedVersion::Listers(size_t unit_count) const {
@@ -325,8 +342,9 @@ void DepSkyClient::CollectAclFutures(const DepSkyGrants& acls, unsigned cloud,
     if (cloud >= grant.cloud_ids.size() || grant.cloud_ids[cloud].empty()) {
       continue;
     }
-    if (grant.cloud_ids[cloud] == clouds_[cloud].creds.canonical_id) {
-      continue;
+    if (grant.cloud_ids[cloud] == clouds_[cloud].creds.canonical_id ||
+        (!grant.read && !grant.write)) {
+      continue;  // a revocation: a new object grants nothing to begin with
     }
     ObjectPermissions perms;
     perms.read = grant.read;
@@ -663,13 +681,9 @@ Result<DepSkyVersion> DepSkyClient::WriteVersion(
     if (listing.grants_listed) {
       ASSIGN_OR_RETURN(DepSkyGrants stored, ReadGrants(unit));
       acls->owner_ids = std::move(stored.owner_ids);
-      for (auto& grant : stored.grants) {
-        const bool replaced = std::any_of(
-            acls->grants.begin(), acls->grants.end(),
-            [&](const DepSkyGrant& g) { return g.cloud_ids == grant.cloud_ids; });
-        if (!replaced) {
-          acls->grants.push_back(std::move(grant));
-        }
+      acls->grants = std::move(stored.grants);
+      if (grants != nullptr) {
+        OverrideGrants(*grants, &acls->grants);
       }
     }
   }
@@ -1346,10 +1360,11 @@ Result<Bytes> DepSkyClient::ReadLatest(const std::string& unit) {
       [&](const DepSkyVersion& version) { return FetchVersion(unit, version); });
 }
 
-void DepSkyClient::ScrubStripeUnit(const std::string& unit,
-                                   const Listing& listing,
-                                   const DepSkyVersion& version, size_t index,
-                                   DepSkyScrubReport* report) {
+void DepSkyClient::ScrubStripeUnit(
+    const std::string& unit, const Listing& listing,
+    const DepSkyVersion& version, size_t index,
+    std::optional<Result<DepSkyGrants>>* stored_grants,
+    DepSkyScrubReport* report) {
   const DepSkyStripeUnit& stripe = version.stripe_units[index];
   const std::vector<Bytes>& shard_hashes = stripe.shard_hashes;
   const std::vector<int32_t>& cloud_shard = stripe.cloud_shard;
@@ -1449,6 +1464,20 @@ void DepSkyClient::ScrubStripeUnit(const std::string& unit,
     failed(repairs.size());
     return;
   }
+  // A rebuilt object gets the grants its header recorded at write time as
+  // every SetGrant since left them: the grant object's entries, revocations
+  // among them, replace the header's principal by principal.
+  DepSkyGrants acls = survivor->acls;
+  if (listing.grants_listed) {
+    if (!stored_grants->has_value()) {
+      *stored_grants = ReadGrants(unit);
+    }
+    if (!(*stored_grants)->ok()) {
+      failed(repairs.size());
+      return;
+    }
+    OverrideGrants((**stored_grants)->grants, &acls.grants);
+  }
 
   ShardArena arena = arena_pool_.Acquire(n, k, shard_size, 0);
   ReedSolomon rs(n, k);
@@ -1498,7 +1527,7 @@ void DepSkyClient::ScrubStripeUnit(const std::string& unit,
           !RobustPut(target, key, object).Get().ok()) {
         continue;
       }
-      ApplyAclsToObject(survivor->acls, target, key);
+      ApplyAclsToObject(acls, target, key);
       occupied[target] = true;
       ++(target == home ? report->objects_repaired : report->objects_relocated);
       placed = true;
@@ -1528,10 +1557,11 @@ Result<DepSkyScrubReport> DepSkyClient::ScrubUnit(const std::string& unit) {
   // Every cloud's answer: the scrub needs each unit's holders exactly.
   ASSIGN_OR_RETURN(Listing listing, List(unit, std::string(), true));
   DepSkyScrubReport report;
+  std::optional<Result<DepSkyGrants>> stored_grants;  // read on first repair
   for (const DepSkyVersion& version : Resolved(unit, listing)) {
     report.versions_checked++;
     for (size_t u = 0; u < version.stripe_units.size(); ++u) {
-      ScrubStripeUnit(unit, listing, version, u, &report);
+      ScrubStripeUnit(unit, listing, version, u, &stored_grants, &report);
     }
   }
   return report;
@@ -1611,20 +1641,9 @@ Status DepSkyClient::SetGrant(const std::string& unit,
       stored.owner_ids.push_back(cloud.creds.canonical_id);
     }
   }
-  // Replace an existing grant for the same principal ids, else append.
-  auto it = std::find_if(stored.grants.begin(), stored.grants.end(),
-                         [&](const DepSkyGrant& g) {
-                           return g.cloud_ids == grant.cloud_ids;
-                         });
-  if (it != stored.grants.end()) {
-    if (!grant.read && !grant.write) {
-      stored.grants.erase(it);
-    } else {
-      *it = grant;
-    }
-  } else if (grant.read || grant.write) {
-    stored.grants.push_back(grant);
-  }
+  // A revocation stays stored as a grant of nothing: it must override the
+  // grant a version's headers recorded when a scrub rebuilds its objects.
+  OverrideGrants({grant}, &stored.grants);
   RETURN_IF_ERROR(PushGrants(unit, stored));
 
   // Apply to every object the clouds list under the unit.

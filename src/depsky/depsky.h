@@ -223,7 +223,8 @@ class DepSkyClient {
   // share by Lagrange interpolation, so the repaired object is
   // byte-identical to the original (same hash, same name). It goes back to
   // the cloud that lost it if that cloud answers, else to a cloud holding
-  // no shard of the unit; the next LIST shows where. Client reads keep
+  // no shard of the unit; the next LIST shows where, and with the grants
+  // SetGrant left (see ScrubStripeUnit). Client reads keep
   // working throughout — repair touches only clouds, never the read path.
   Result<DepSkyScrubReport> ScrubUnit(const std::string& unit);
 
@@ -249,8 +250,8 @@ class DepSkyClient {
 
   // Sharing: grants `grant.cloud_ids[i]` access at cloud i to all current and
   // future objects of the unit: stores it in the unit's grant object, which
-  // unanchored writers apply, and applies it to every listed object. Empty
-  // read+write revokes.
+  // unanchored writers and scrub repairs apply, and applies it to every
+  // listed object. Empty read+write revokes, and stays stored as a revoke.
   Status SetGrant(const std::string& unit, const DepSkyGrant& grant);
 
   unsigned cloud_count() const { return static_cast<unsigned>(clouds_.size()); }
@@ -426,9 +427,12 @@ class DepSkyClient {
   // every cloud: probes the holders, rebuilds lost or corrupt objects
   // byte-identically (erasure re-encode + Lagrange share recovery) and
   // re-uploads them on their own cloud, or on one holding nothing of the
-  // unit, until a write quorum's worth of shards is held.
+  // unit, until a write quorum's worth of shards is held. A rebuilt object
+  // gets its header's grants with the unit's grant object applied over
+  // them, read into `stored_grants` by the scrub's first repair.
   void ScrubStripeUnit(const std::string& unit, const Listing& listing,
                        const DepSkyVersion& version, size_t index,
+                       std::optional<Result<DepSkyGrants>>* stored_grants,
                        DepSkyScrubReport* report);
 
   // Applies all grants (+ owner) to one object at one cloud, waiting for

@@ -94,8 +94,9 @@ struct DepSkyGrant {
 };
 
 // The unit's grant object (du/<unit>/acl), written only by SetGrant: the
-// owner's ids and the stored grants an unanchored writer applies to its
-// objects. The highest authentic sequence among n-f copies wins.
+// owner's ids and the stored grants (a revocation is a grant of nothing)
+// that an unanchored writer and a scrub repair apply to their objects. The
+// highest authentic sequence among n-f copies wins.
 struct DepSkyGrants {
   uint64_t sequence = 0;
   // Canonical id of the data-unit owner at each cloud; writers grant the
@@ -132,7 +133,7 @@ struct DepSkyShardHeader {
   // a reader looks for the shards of clouds whose LIST it did not wait for.
   std::vector<uint32_t> first_wave;
   // The ACLs the writer applied to the version's objects (owner ids and
-  // grants; no sequence). A scrub applies them to the objects it rebuilds.
+  // grants; no sequence), which a scrub repair starts from.
   DepSkyGrants acls;
 
   // Bytes the header takes at the front of a stored object. Does not depend

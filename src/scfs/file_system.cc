@@ -143,7 +143,13 @@ Status ScfsFileSystem::SyncBarrier() {
 void ScfsFileSystem::WaitForCloseChains(const std::string& path) {
   std::vector<Future<Status>> tails;
   {
-    std::lock_guard<std::mutex> lock(fs_mu_);
+    std::unique_lock<std::mutex> lock(fs_mu_);
+    // A close that has left its handle registers its chain next.
+    close_chain_registered_.wait(lock, [&] {
+      return std::none_of(
+          closes_leaving_.begin(), closes_leaving_.end(),
+          [&](const auto& leaving) { return PathIsWithin(leaving.first, path); });
+    });
     for (const auto& [chain_path, chain] : close_chains_) {
       if (PathIsWithin(chain_path, path)) {
         tails.push_back(chain.publish);
@@ -551,7 +557,12 @@ Future<Status> ScfsFileSystem::SynchronizeOnCloseAsync(OpenFile&& file) {
     gen = ++close_chain_gen_;
     close_chains_[path] =
         CloseChainTails{gen, level1_tail.future(), publish_tail.future()};
+    auto leaving = closes_leaving_.find(path);
+    if (--leaving->second == 0) {
+      closes_leaving_.erase(leaving);
+    }
   }
+  close_chain_registered_.notify_all();
 
   Future<Status> result;     // what the caller waits on
   Future<Status> chain_end;  // completion of the whole chain
@@ -743,6 +754,7 @@ Future<Status> ScfsFileSystem::CloseAsync(FileHandle handle) {
     open_files_.erase(it);
     if (file.write_mode && file.dirty) {
       StopOpenFileStats(file.metadata.path);  // this close publishes
+      ++closes_leaving_[file.metadata.path];  // until its chain registers
     }
   }
 
@@ -952,47 +964,73 @@ Status ScfsFileSystem::SetFacl(const std::string& path, const std::string& user,
     return NotSupportedError("sharing disabled in non-sharing mode");
   }
   const std::string normalized = NormalizePath(path);
-  // The backend grant reaches the objects the clouds list: this agent's
-  // closes of the file still in flight must have stored theirs first.
-  WaitForCloseChains(normalized);
-  ASSIGN_OR_RETURN(FileMetadata md, metadata_->Get(normalized));
-  if (md.owner != options_.user) {
-    return PermissionDeniedError("only the owner may change ACLs");
-  }
+  // Under the file lock no other agent writes the file between the cloud
+  // grant and the entry update: a writer holding it makes this BUSY, and
+  // one that opens later reads the new ACL.
+  LockService::LockedRead locked;
+  RETURN_IF_ERROR(locks_->Acquire(normalized, &locked));
+  Status status = [&]() -> Status {
+    ASSIGN_OR_RETURN(FileMetadata md,
+                     locked.fresh
+                         ? metadata_->OpenLocked(normalized, locked.entry)
+                         : metadata_->Get(normalized));
+    if (md.owner != options_.user) {
+      return PermissionDeniedError("only the owner may change ACLs");
+    }
+    ASSIGN_OR_RETURN(std::vector<CanonicalId> ids, LookupUserCloudIds(user));
+    const uint8_t bits = (read ? 1 : 0) | (write ? 2 : 0);
+    auto apply = [&](FileMetadata* entry) {
+      if (bits == 0) {
+        entry->acl.erase(user);
+      } else {
+        entry->acl[user] = bits;
+      }
+    };
+    if (!locked.fresh) {
+      // This agent holds the lock for its own handles of the file: their
+      // closes take the new ACL, and the closes under way store their
+      // objects (and publish) before the grant LISTs them.
+      {
+        std::lock_guard<std::mutex> lock(fs_mu_);
+        for (auto& [handle, file] : open_files_) {
+          if (file.metadata.path == normalized) {
+            apply(&file.metadata);
+          }
+        }
+      }
+      WaitForCloseChains(normalized);
+      ASSIGN_OR_RETURN(md, metadata_->Get(normalized));
+    }
 
-  // Step (i) — paper §2.6: update the ACLs of the cloud objects holding the
-  // file data, using the grantee's registered canonical ids.
-  ASSIGN_OR_RETURN(std::vector<CanonicalId> ids, LookupUserCloudIds(user));
-  BackendGrant grant;
-  grant.cloud_ids = std::move(ids);
-  grant.read = read;
-  grant.write = write;
-  if (md.type == FileType::kFile && !md.content_hash.empty()) {
-    RETURN_IF_ERROR(backend_->SetGrant(md.object_id, grant));
-  }
+    // Step (i) — paper §2.6: update the ACLs of the cloud objects holding
+    // the file data, using the grantee's registered canonical ids.
+    BackendGrant grant;
+    grant.cloud_ids = std::move(ids);
+    grant.read = read;
+    grant.write = write;
+    if (md.type == FileType::kFile && !md.content_hash.empty()) {
+      RETURN_IF_ERROR(backend_->SetGrant(md.object_id, grant));
+    }
 
-  const bool was_shared = md.IsShared();
-  uint8_t bits = (read ? 1 : 0) | (write ? 2 : 0);
-  if (bits == 0) {
-    md.acl.erase(user);
-  } else {
-    md.acl[user] = bits;
-  }
-
-  // Step (ii): update the metadata tuple's ACL in the coordination service —
-  // moving the entry out of (or back into) the PNS as its shared status
-  // changes (§2.7).
-  if (!was_shared && md.IsShared()) {
-    RETURN_IF_ERROR(metadata_->PromoteToShared(md));
-  } else if (was_shared && !md.IsShared()) {
-    RETURN_IF_ERROR(metadata_->DemoteToPrivate(md));
-  } else {
-    RETURN_IF_ERROR(metadata_->Put(md));
-  }
-  if (md.IsShared()) {
-    RETURN_IF_ERROR(metadata_->GrantEntry(normalized, user, read, write));
-  }
-  return OkStatus();
+    // Step (ii): update the metadata tuple's ACL in the coordination
+    // service — moving the entry out of (or back into) the PNS as its
+    // shared status changes (§2.7).
+    const bool was_shared = md.IsShared();
+    apply(&md);
+    if (!was_shared && md.IsShared()) {
+      RETURN_IF_ERROR(metadata_->PromoteToShared(md));
+    } else if (was_shared && !md.IsShared()) {
+      RETURN_IF_ERROR(metadata_->DemoteToPrivate(md));
+    } else {
+      RETURN_IF_ERROR(metadata_->Put(md));
+    }
+    if (md.IsShared()) {
+      RETURN_IF_ERROR(metadata_->GrantEntry(normalized, user, read, write));
+    }
+    return OkStatus();
+  }();
+  Status released = locks_->Release(normalized);
+  return status.ok() ? released : status;
 }
 
 Result<std::vector<AclEntry>> ScfsFileSystem::GetFacl(const std::string& path) {

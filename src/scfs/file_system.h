@@ -16,6 +16,7 @@
 #define SCFS_SCFS_FILE_SYSTEM_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -101,6 +102,8 @@ class ScfsFileSystem : public FileSystem {
   // metadata round; otherwise the metadata service answers.
   Result<FileStat> Stat(const std::string& path) override;
   Result<std::vector<DirEntry>> ReadDir(const std::string& path) override;
+  // Takes the file lock for its cloud grant and entry update: BUSY while
+  // another agent writes the file.
   Status SetFacl(const std::string& path, const std::string& user, bool read,
                  bool write) override;
   Result<std::vector<AclEntry>> GetFacl(const std::string& path) override;
@@ -163,7 +166,7 @@ class ScfsFileSystem : public FileSystem {
   // failed, else the release's.
   Status PublishAndRelease(const FileMetadata& md);
   // Blocks until every in-flight close chain publishing at `path` or below
-  // it has completed. Namespace operations use this instead of a full
+  // it, and every close there that has left its handle, has completed. Namespace operations use this instead of a full
   // Drain(): the resurrection hazard they guard against is path-keyed, so
   // an unlink or rename must not barrier behind unrelated files' uploads.
   void WaitForCloseChains(const std::string& path);
@@ -208,6 +211,10 @@ class ScfsFileSystem : public FileSystem {
   };
   std::map<std::string, CloseChainTails> close_chains_;
   uint64_t close_chain_gen_ = 0;
+  // Closes per path that have left their handle but not yet registered
+  // their chain (a close reserves its uploader slots in between).
+  std::map<std::string, int> closes_leaving_;
+  std::condition_variable close_chain_registered_;
   // Tombstone writes of shared unlinks, queued behind their acks; a garbage
   // collection pass waits for them. Completed ones are pruned on insert.
   std::vector<Future<Status>> pending_tombstones_;

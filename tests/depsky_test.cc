@@ -1199,29 +1199,21 @@ TEST_F(DepSkyTest, ScrubRelocatesShardWhenHolderStaysDown) {
 // shard to the spare cloud, the second moves another onto the first
 // relocation's source, which the record still lists for its old shard.
 // Every record read then pays one fallback to the LIST, and still returns
-// the bytes.
-TEST_F(DepSkyTest, RecordFallsBackAfterScrubRelocations) {
-  auto client = MakeClient("alice");
+// the bytes. The filtering stores answer inline, in cloud order, so which
+// answer settles a LIST is fixed.
+TEST_F(DepSkyFilteredTest, RecordFallsBackAfterScrubRelocations) {
+  auto client = MakeFilteredClient();
   Bytes data = Rng(24).RandomBytes(5000);
   const std::string hash = ContentHash(data);
   auto record = client.WriteVersion("f", hash, data);
   ASSERT_TRUE(record.ok());
   ASSERT_EQ(record->stripe_units.size(), 1u);
   const std::vector<int32_t>& cloud_shard = record->stripe_units[0].cloud_shard;
-  std::vector<unsigned> holders;
-  for (unsigned c = 0; c < kClouds; ++c) {
-    if (cloud_shard[c] >= 0) {
-      holders.push_back(c);
-    }
-  }
-  ASSERT_EQ(holders.size(), 3u);
+  ASSERT_EQ(cloud_shard, (std::vector<int32_t>{0, 1, 2, -1}));
 
-  auto creds = [&](unsigned c) {
-    return CloudCredentials{clouds_[c]->provider_name() + ":alice"};
-  };
   auto relocate = [&](unsigned holder) {
     ASSERT_TRUE(clouds_[holder]
-                    ->Delete(creds(holder), KeyAt("f", *record, 0, holder))
+                    ->Delete(Creds(holder), KeyAt("f", *record, 0, holder))
                     .ok());
     clouds_[holder]->faults().SetUnavailable(true);
     auto report = client.ScrubUnit("f");
@@ -1229,27 +1221,37 @@ TEST_F(DepSkyTest, RecordFallsBackAfterScrubRelocations) {
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->objects_relocated, 1u);
   };
-  relocate(holders[0]);
-  relocate(holders[1]);
+  relocate(0);  // shard 0 to cloud 3
+  relocate(1);  // shard 1 to cloud 0
   auto listed = client.ListVersions("f");
   ASSERT_TRUE(listed.ok());
   ASSERT_EQ(listed->size(), 1u);
-  EXPECT_EQ(listed->back().stripe_units[0].cloud_shard[holders[0]],
-            cloud_shard[holders[1]]);
+  EXPECT_EQ(listed->back().stripe_units[0].cloud_shard,
+            (std::vector<int32_t>{1, -1, 2, 0}));
 
-  // The record falls back to the hash; the LIST that settled on the first
-  // answer naming it may guess the silent holders' shards wrong after the
-  // relocations and LIST once more, also counted.
-  for (int read = 0; read < 2; ++read) {
-    const uint64_t fallbacks = client.anchored_read_fallbacks();
-    EXPECT_EQ(*client.ReadVersion("f", *record), data);
-    EXPECT_GE(client.anchored_read_fallbacks(), fallbacks + 1);
-    EXPECT_LE(client.anchored_read_fallbacks(), fallbacks + 2);
-  }
-  // The quorum LIST's current holder map reads without one.
-  const uint64_t fallbacks = client.anchored_read_fallbacks();
+  // Cloud 0's answer settles the LIST: it lists shard 1, and cloud 2, which
+  // has not answered, is asked for shard 2 of its own index.
+  EXPECT_EQ(*client.ReadVersion("f", *record), data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 1u);
+  EXPECT_EQ(*client.ReadVersion("f", *record), data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 2u);
+  // The LIST's current holder map reads without one.
+  EXPECT_EQ(*client.ReadByHash("f", hash), data);
   EXPECT_EQ(*client.ReadLatest("f"), data);
-  EXPECT_EQ(client.anchored_read_fallbacks(), fallbacks);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 2u);
+
+  // With cloud 0 silent, cloud 2's answer settles the LIST, and cloud 0 is
+  // guessed to hold shard 0 of its own index, which moved: the read costs
+  // one more LIST, of n-f answers, counted as a fallback.
+  auto lists = [&] {
+    clouds_[1]->Quiesce();
+    return clouds_[1]->costs().GrandTotals().lists;
+  };
+  const uint64_t lists_before = lists();
+  stores_[0]->blind_list = true;
+  EXPECT_EQ(*client.ReadByHash("f", hash), data);
+  EXPECT_EQ(client.anchored_read_fallbacks(), 3u);
+  EXPECT_EQ(lists() - lists_before, 2u);
 }
 
 // Fetch and scrub code with the client's own n, k and mode, so a version
@@ -1553,6 +1555,42 @@ TEST_F(DepSkyTest, GranteeAnchoredWriteIsReadableByTheOwnerAtOnce) {
   EXPECT_EQ(*read, update);
   EXPECT_EQ(alice.anchored_read_fallbacks(), 0u);
   EXPECT_EQ(*alice.ReadLatest("doc"), update);
+}
+
+// A scrub gives a rebuilt object the grants its header recorded as SetGrant
+// has changed them since: a grantee revoked after the write does not get
+// access back, and one granted after it gets access.
+TEST_F(DepSkyTest, ScrubAppliesTheGrantsSetSinceTheWrite) {
+  auto alice = MakeClient("alice");
+  DepSkyGrant to_bob;
+  DepSkyGrant to_carol;
+  for (auto& cloud : clouds_) {
+    to_bob.cloud_ids.push_back(cloud->provider_name() + ":bob");
+    to_carol.cloud_ids.push_back(cloud->provider_name() + ":carol");
+  }
+  to_bob.read = true;
+  const std::vector<DepSkyGrant> grants = {to_bob};
+  Bytes data = ToBytes("shared with bob at write time");
+  auto record = alice.WriteVersion("doc", ContentHash(data), data, &grants, 1);
+  ASSERT_TRUE(record.ok());
+  const std::string key = KeyAt("doc", *record, 0, 0);
+  clouds_[0]->Quiesce();
+  ASSERT_TRUE(clouds_[0]->Get(Creds(0, "bob"), key).ok());
+
+  to_bob.read = false;
+  ASSERT_TRUE(alice.SetGrant("doc", to_bob).ok());
+  to_carol.read = true;
+  ASSERT_TRUE(alice.SetGrant("doc", to_carol).ok());
+  ASSERT_TRUE(clouds_[0]->Delete(Creds(0), key).ok());
+  auto report = alice.ScrubUnit("doc");
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->objects_repaired, 1u);
+
+  clouds_[0]->Quiesce();
+  EXPECT_TRUE(clouds_[0]->Get(Creds(0), key).ok());
+  EXPECT_EQ(clouds_[0]->Get(Creds(0, "bob"), key).status().code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_TRUE(clouds_[0]->Get(Creds(0, "carol"), key).ok());
 }
 
 // Garbage collection of one version lists every cloud once and

@@ -1059,6 +1059,38 @@ TEST_F(ScfsCocTest, CloseWhoseLockExpiredConflictsAndIsNeverAnchored) {
   EXPECT_EQ(Published("/f").content_hash, HashOf("other"));
 }
 
+// SetFacl takes the file lock for its cloud grant and entry update. While
+// this agent has the file open for writing, the grant reaches the version
+// the handle closes, and the close publishes the new ACL; while another
+// agent writes the file, SetFacl is BUSY instead of granting around it.
+TEST_F(ScfsCocTest, SetFaclRacingACloseGrantsTheClosedVersion) {
+  auto alice = MountAgent();
+  auto bob = deployment_->Mount("bob", ScfsOptions{});
+  ASSERT_TRUE(bob.ok()) << bob.status().ToString();
+  ASSERT_TRUE(alice->WriteFile("/doc", ToBytes("before")).ok());
+  auto fh = alice->Open("/doc", kOpenWrite | kOpenTruncate);
+  ASSERT_TRUE(fh.ok());
+  const Bytes update = ToBytes("closed after bob was granted");
+  ASSERT_TRUE(alice->Write(*fh, 0, update).ok());
+  ASSERT_TRUE(alice->SetFacl("/doc", "bob", true, false).ok());
+  ASSERT_TRUE(alice->Close(*fh).ok());
+  EXPECT_EQ(Published("/doc").acl.count("bob"), 1u);
+  env_->Sleep(kSecond);
+  auto read = (*bob)->ReadFile("/doc");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, update);
+
+  auto other = MountAgent();
+  auto held = other->Open("/doc", kOpenWrite);
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ(alice->SetFacl("/doc", "bob", false, false).code(),
+            ErrorCode::kBusy);
+  ASSERT_TRUE(other->Close(*held).ok());
+  ASSERT_TRUE(alice->SetFacl("/doc", "bob", false, false).ok());
+  env_->Sleep(kSecond);
+  EXPECT_FALSE((*bob)->ReadFile("/doc").ok());
+}
+
 TEST_F(ScfsCocTest, HandoffListsBothVersionsOnAWriteQuorum) {
   auto first = MountAgent();
   auto second = MountAgent();
