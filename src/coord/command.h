@@ -32,7 +32,8 @@ enum class CoordOp : uint8_t {
                          // client) may hold (kBusy)
   kTryLock,              // key=lock name, a=lease duration (virtual us),
                          // aux=entry to read in the same slot (optional),
-                         // value=principal it is read as (default: client)
+                         // value=principal it is read as (default: client);
+                         // b=1: create aux if absent (value: + the entry)
   kRenewLock,            // a=new lease duration, b=token
   kUnlock,               // b=token
   kRenamePrefix,         // key=old prefix, aux=new prefix (trigger extension)

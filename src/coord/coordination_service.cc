@@ -96,7 +96,8 @@ Result<CoordLock> CoordinationService::TryLock(const std::string& client,
                                                const std::string& name,
                                                VirtualDuration lease,
                                                const std::string& read_key,
-                                               const std::string& reader) {
+                                               const std::string& reader,
+                                               const Bytes* create) {
   CoordCommand cmd;
   cmd.op = CoordOp::kTryLock;
   cmd.client = client;
@@ -104,9 +105,15 @@ Result<CoordLock> CoordinationService::TryLock(const std::string& client,
   cmd.aux = read_key;
   cmd.value = ToBytes(reader);
   cmd.a = static_cast<uint64_t>(lease);
+  if (create != nullptr) {  // the principal, then the entry to create
+    cmd.b = 1;
+    cmd.value.clear();
+    AppendString(&cmd.value, reader);
+    AppendBytes(&cmd.value, *create);
+  }
   ASSIGN_OR_RETURN(CoordReply reply, Submit(cmd));
   RETURN_IF_ERROR(reply.ToStatus("coord lock " + name));
-  CoordLock lock{reply.a, std::nullopt};
+  CoordLock lock{reply.a, std::nullopt, !reply.value.empty()};
   if (!reply.entries.empty()) {
     lock.entry = CoordEntry{std::move(reply.entries[0].value),
                             reply.entries[0].version};

@@ -27,6 +27,8 @@ struct CoordLock {
   // The entry a lock-and-read asked for, read in the lock's ordered slot;
   // nullopt if it does not exist (or none was asked for).
   std::optional<CoordEntry> entry;
+  // True when a lock-and-create's slot created `entry`.
+  bool created = false;
 };
 
 // A lock a publish releases in its own ordered slot (publish-and-release,
@@ -110,16 +112,20 @@ class CoordinationService {
                                    uint64_t expected_version,
                                    const std::string& lock = "",
                                    const std::string& lock_owner = "");
-  // Ephemeral lock with a lease; kBusy if held by another client. With a
-  // non-empty `read_key` the same ordered command also reads that entry
-  // (CoordLock::entry) as `reader` (default: `client`); a reader that may
-  // not read it gets kPermissionDenied and no lock. The entry must live on
-  // the lock's partition: PartitionRoutingKey co-locates "lk:<path>" with
-  // "m:<path>/".
+  // Ephemeral lock with a lease; kBusy if held by another client (its holder
+  // retakes it: same token, fresh lease). With a non-empty `read_key` the
+  // same ordered command also reads that entry (CoordLock::entry) as
+  // `reader` (default: `client`); a reader that may not read it gets
+  // kPermissionDenied and no lock. The entry must live on the lock's
+  // partition: PartitionRoutingKey co-locates "lk:<path>" with "m:<path>/".
+  // A non-null `create` makes it a lock-and-create: a granted lock's slot
+  // creates an absent `read_key` from it as a compare-and-swap on version 0
+  // would, and `read_key` must be PartitionRoutingKey(name).
   Result<CoordLock> TryLock(const std::string& client, const std::string& name,
                             VirtualDuration lease,
                             const std::string& read_key = "",
-                            const std::string& reader = "");
+                            const std::string& reader = "",
+                            const Bytes* create = nullptr);
   Status RenewLock(const std::string& client, const std::string& name,
                    uint64_t token, VirtualDuration lease);
   Status Unlock(const std::string& client, const std::string& name,
@@ -161,11 +167,11 @@ class CoordinationService {
 
 // The key a partitioned router hashes to place `key`: the key itself, except
 // that a file lock "lk:<path>" routes as the file's metadata entry
-// "m:<path>/", so one ordered command can take the lock and read the entry
-// (TryLock's `read_key`) or remove the entry unless another session holds
-// the lock (RemoveGuarded's `lock`), or publish the entry and release the
-// lock (CompareAndSwap's `release`), and an elastic split, which moves
-// whole hash ranges, keeps the two on one partition.
+// "m:<path>/", so one ordered command can take the lock and read or create
+// the entry (TryLock's `read_key`) or remove the entry unless another
+// session holds the lock (RemoveGuarded's `lock`), or publish the entry and
+// release the lock (CompareAndSwap's `release`), and an elastic split,
+// which moves whole hash ranges, keeps the two on one partition.
 std::string PartitionRoutingKey(const std::string& key);
 
 }  // namespace scfs

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/coord/coordination_service.h"
 #include "src/crypto/sha256.h"
 
 namespace scfs {
@@ -148,7 +149,7 @@ CoordReply TupleSpace::Apply(VirtualTime now, const CoordCommand& command) {
   // Entry mutations revoke the leases covering their key in their own
   // ordered slot, after the mutation succeeded: a failed mutation leaves the
   // state (and thus every lease snapshot) untouched. Lock operations touch a
-  // disjoint table and revoke nothing.
+  // disjoint table and revoke nothing, save a lock-and-create that creates.
   switch (command.op) {
     case CoordOp::kWrite: {
       CoordReply reply = Write(command);
@@ -447,34 +448,46 @@ CoordReply TupleSpace::TryLock(VirtualTime now, const CoordCommand& cmd) {
   // Lock-and-read: `aux` names an entry to read in the lock's own ordered
   // slot, as the principal `value` names (the lock owner is a session of
   // that user). A caller that may not read it does not get the lock either.
+  // Lock-and-create (`b` != 0): `value` is that principal, then the entry a
+  // granted lock creates if `aux` is absent. Only the lock's own entry may
+  // be created: any other key could be one a router reserves.
+  std::string reader = ToString(cmd.value);
+  Bytes create;
+  if (cmd.b != 0) {
+    ByteReader payload(cmd.value);
+    if (cmd.key.compare(0, 3, "lk:") != 0 ||
+        cmd.aux != PartitionRoutingKey(cmd.key) ||
+        !payload.ReadString(&reader) || !payload.ReadBytes(&create) ||
+        !payload.AtEnd()) {
+      return ErrorReply(ErrorCode::kInvalidArgument);
+    }
+  }
+  if (reader.empty()) reader = cmd.client;
   auto entry = cmd.aux.empty() ? entries_.end() : entries_.find(cmd.aux);
-  if (entry != entries_.end() &&
-      !entry->second.acl.AllowsRead(
-          cmd.value.empty() ? cmd.client : ToString(cmd.value))) {
+  if (entry != entries_.end() && !entry->second.acl.AllowsRead(reader)) {
     return ErrorReply(ErrorCode::kPermissionDenied);
   }
-  CoordReply reply;
-  if (entry != entries_.end()) {
-    reply.entries.push_back(
-        CoordEntryView{entry->first, entry->second.value,
-                       entry->second.version});
-  }
   auto it = locks_.find(cmd.key);
-  if (it != locks_.end()) {
-    if (it->second.owner == cmd.client) {
-      // Re-entrant: refresh the lease, return the same token.
-      it->second.expires_at = now + static_cast<VirtualDuration>(cmd.a);
-      reply.a = it->second.token;
-      return reply;
-    }
+  if (it == locks_.end()) {
+    it = locks_.emplace(cmd.key, Lock{cmd.client, next_token_++, 0}).first;
+  } else if (it->second.owner != cmd.client) {
     return ErrorReply(ErrorCode::kBusy);
   }
-  Lock lock;
-  lock.owner = cmd.client;
-  lock.token = next_token_++;
-  lock.expires_at = now + static_cast<VirtualDuration>(cmd.a);
-  locks_.emplace(cmd.key, lock);
-  reply.a = lock.token;
+  // Taken, or re-entrant: the lease restarts and the token stays.
+  it->second.expires_at = now + static_cast<VirtualDuration>(cmd.a);
+  CoordReply reply;
+  reply.a = it->second.token;
+  if (cmd.b != 0 && entry == entries_.end()) {
+    // As a compare-and-swap on version 0 creates it, owned by `reader`.
+    Write(CoordCommand{CoordOp::kWrite, reader, cmd.aux, std::move(create)});
+    RevokeCoveringLeases(cmd.aux, &reply);
+    entry = entries_.find(cmd.aux);
+    reply.value = {1};  // created
+  }
+  if (entry != entries_.end()) {
+    reply.entries.push_back(CoordEntryView{entry->first, entry->second.value,
+                                           entry->second.version});
+  }
   return reply;
 }
 

@@ -187,25 +187,7 @@ Status ScfsFileSystem::CheckParentDirectory(const std::string& path) {
   return OkStatus();
 }
 
-Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
-    const std::string& path, uint32_t flags,
-    const LockService::LockedRead* locked,
-    const std::function<Status()>& check_parent, bool* created) {
-  *created = false;
-  // A lock taken with a coordination round read the entry at the lock's
-  // position in the total order: a cached entry could predate another
-  // agent's acknowledged close.
-  auto existing = locked != nullptr && locked->fresh
-                      ? metadata_->OpenLocked(path, locked->entry)
-                      : metadata_->Get(path);
-  if (existing.ok()) {
-    return existing;
-  }
-  if (existing.status().code() != ErrorCode::kNotFound ||
-      (flags & kOpenCreate) == 0) {
-    return existing.status();
-  }
-  RETURN_IF_ERROR(check_parent());
+FileMetadata ScfsFileSystem::NewFileEntry(const std::string& path) {
   FileMetadata md;
   md.path = path;
   md.type = FileType::kFile;
@@ -213,9 +195,51 @@ Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
   md.object_id = NewObjectId();
   md.ctime = env_->Now();
   md.mtime = md.ctime;
-  RETURN_IF_ERROR(metadata_->Create(md));
-  *created = true;
   return md;
+}
+
+Result<FileMetadata> ScfsFileSystem::ResolveForOpen(
+    const std::string& path, uint32_t flags,
+    const LockService::LockedRead* locked,
+    const std::function<Status()>& check_parent) {
+  // A lock taken with a coordination round read the entry at the lock's
+  // position in the total order: a cached entry could predate another
+  // agent's acknowledged close.
+  auto existing = locked != nullptr && locked->fresh
+                      ? metadata_->OpenLocked(path, locked->entry)
+                      : metadata_->Get(path);
+  if (existing.ok()) {
+    // A lock's slot created the entry before the parent lookup beside it
+    // answered: a failed lookup removes it (DESIGN.md "Lock-and-create").
+    Status parent = locked != nullptr && locked->created ? check_parent()
+                                                          : OkStatus();
+    if (parent.ok()) {
+      return existing;
+    }
+    auto removed = metadata_->RemoveShared(path, existing->entry_version);
+    if (!removed.ok()) {
+      SCFS_LOG(Warning) << "create of " << path << " left its entry: "
+                        << removed.status().ToString();
+    }
+    return parent;
+  }
+  if (existing.status().code() != ErrorCode::kNotFound ||
+      (flags & kOpenCreate) == 0) {
+    return existing.status();
+  }
+  RETURN_IF_ERROR(check_parent());
+  FileMetadata md = NewFileEntry(path);
+  if (locked == nullptr || metadata_->using_pns()) {
+    RETURN_IF_ERROR(metadata_->Create(md));
+    return md;
+  }
+  // A write lock this agent already held read nothing: the create takes it
+  // again, re-entrant, to create the entry in the lock's slot.
+  LockService::LockedRead relocked;
+  const Bytes entry = md.Encode();
+  RETURN_IF_ERROR(locks_->Acquire(path, &relocked, &entry));
+  (void)locks_->Release(path);  // the reference that Acquire added
+  return metadata_->OpenLocked(path, relocked.entry);
 }
 
 std::optional<FileMetadata> ScfsFileSystem::PrefetchGuess(
@@ -259,17 +283,18 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
   const bool write_mode = (flags & kOpenWrite) != 0;
 
   // Step (ii) of the open protocol (Figure 4): opening for writing locks the
-  // file before anything else so a losing racer fails fast with BUSY.
-  // (Creation also takes the lock: the created entry is immediately
-  // write-opened.) A lock taken with a coordination round runs beside it
-  // the step that would follow it (DESIGN.md "Fetch during the lock round"):
-  // the data of the entry this agent holds for the path, if not local, used
-  // only if the lock's read names the same version; failing that, a
-  // create's parent lookup, used only if the lock's read finds no entry.
-  // Side work the open does not use is left to finish on its own (tracked,
-  // DrainBackground waits for it). A reclaimed lock costs no round to
-  // overlap with.
+  // file before anything else so a losing racer fails fast with BUSY. A
+  // shared create's lock round creates the entry, if absent, in its slot
+  // (DESIGN.md "Lock-and-create"). A lock taken with a coordination round
+  // runs beside it the step that would follow it (DESIGN.md "Fetch during
+  // the lock round"): the data of the entry this agent holds for the path,
+  // if not local, used only if the lock's read names the same version;
+  // failing that, a create's parent lookup, used only if the lock's slot
+  // creates the entry. Side work the open does not use is left to finish on
+  // its own (tracked, DrainBackground waits for it). A reclaimed lock costs
+  // no round to overlap with.
   LockService::LockedRead locked;
+  Bytes placeholder;  // a shared create's entry, for its lock round
   std::optional<FileMetadata> guess;
   Future<Result<Bytes>> prefetch;
   Future<Status> parent;
@@ -287,6 +312,9 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
   } abandon_on_return{abandoned};
   if (write_mode) {
     if (coord_ != nullptr && locks_->HeldUntil(normalized) == 0) {
+      if ((flags & kOpenCreate) != 0 && !metadata_->using_pns()) {
+        placeholder = NewFileEntry(normalized).Encode();
+      }
       guess = PrefetchGuess(normalized, flags);
       if (guess.has_value()) {
         abandoned = std::make_shared<std::atomic<bool>>(false);
@@ -301,18 +329,16 @@ Result<FileHandle> ScfsFileSystem::Open(const std::string& path,
       }
     }
     const VirtualDuration before = Environment::ThreadCharged();
-    RETURN_IF_ERROR(locks_->Acquire(normalized, &locked));
+    RETURN_IF_ERROR(locks_->Acquire(
+        normalized, &locked, placeholder.empty() ? nullptr : &placeholder));
     lock_round = Environment::ThreadCharged() - before;
   }
 
-  bool created = false;
   auto metadata = ResolveForOpen(
-      normalized, flags, write_mode ? &locked : nullptr,
-      [&] {
+      normalized, flags, write_mode ? &locked : nullptr, [&] {
         return parent.valid() ? JoinBesideLockRound(parent, lock_round)
                               : CheckParentDirectory(normalized);
-      },
-      &created);
+      });
   if (!metadata.ok()) {
     if (write_mode) {
       (void)locks_->Release(normalized);

@@ -136,14 +136,16 @@ class ScfsFileSystem : public FileSystem {
   };
 
   std::string NewObjectId();
+  // The entry a create of `path` makes: an empty file of this user.
+  FileMetadata NewFileEntry(const std::string& path);
   // `locked`: what the open's write lock read, or null for a read-only
-  // open. A freshly taken lock resolves from the entry it read.
+  // open. A freshly taken lock resolves from the entry it read or created.
   // `check_parent`: checks a create's parent directory, called only if the
-  // path is absent.
+  // path was absent; a failed check removes the entry the lock created.
   Result<FileMetadata> ResolveForOpen(
       const std::string& path, uint32_t flags,
       const LockService::LockedRead* locked,
-      const std::function<Status()>& check_parent, bool* created);
+      const std::function<Status()>& check_parent);
   // The entry whose data a write open fetches during its lock round
   // (DESIGN.md "Fetch during the lock round"): the copy this agent holds for
   // `path` without a coordination message, if it names a non-empty file the

@@ -2,7 +2,8 @@
 
 namespace scfs {
 
-Status LockService::Acquire(const std::string& path, LockedRead* read) {
+Status LockService::Acquire(const std::string& path, LockedRead* read,
+                            const Bytes* create) {
   if (read != nullptr) {
     *read = LockedRead{};
   }
@@ -29,9 +30,10 @@ Status LockService::Acquire(const std::string& path, LockedRead* read) {
       token = it->second.token;
       reclaimed = true;
       // Renew-on-demand: only when less than half the lease remains. The
-      // steady-state reclaim costs zero coordination messages.
-      need_renew = it->second.expires_at <
-                   env_->Now() + options_.lease / 2;
+      // steady-state reclaim costs zero coordination messages; a create
+      // renews it with its (re-entrant) lock-and-create.
+      need_renew = create != nullptr ||
+                   it->second.expires_at < env_->Now() + options_.lease / 2;
       if (!need_renew) {
         ++reclaim_hits_;
       }
@@ -47,7 +49,9 @@ Status LockService::Acquire(const std::string& path, LockedRead* read) {
       return OkStatus();
     }
     const VirtualTime asked = env_->Now();
-    Status renewed = coord_->RenewLock(user_, key, token, options_.lease);
+    Status renewed = create != nullptr
+                         ? NotFoundError(key)
+                         : coord_->RenewLock(user_, key, token, options_.lease);
     if (renewed.ok()) {
       std::lock_guard<std::mutex> guard(mu_);
       auto it = held_.find(path);
@@ -57,8 +61,8 @@ Status LockService::Acquire(const std::string& path, LockedRead* read) {
       return OkStatus();
     }
     // kNotFound: the server lease expired while the lock lingered (the
-    // crash backstop); fall through to a fresh TryLock, keeping the
-    // refcount this Acquire already took.
+    // crash backstop), or a create takes the lock again; fall through to a
+    // TryLock, keeping the refcount this Acquire already took.
     if (renewed.code() != ErrorCode::kNotFound) {
       bool dropped = false;
       {
@@ -77,15 +81,15 @@ Status LockService::Acquire(const std::string& path, LockedRead* read) {
   }
   const std::string read_key = read != nullptr ? MetadataKey(path) : "";
   VirtualTime asked = env_->Now();
-  auto lock =
-      coord_->TryLock(user_, key, options_.lease, read_key, options_.reader);
+  auto lock = coord_->TryLock(user_, key, options_.lease, read_key,
+                              options_.reader, create);
   // The holder may be another mount in this deployment lingering on the
   // lock; ask it to release for real and retry once.
   if (!lock.ok() && lock.status().code() == ErrorCode::kBusy &&
       RequestRelease(path)) {
     asked = env_->Now();
     lock = coord_->TryLock(user_, key, options_.lease, read_key,
-                           options_.reader);
+                           options_.reader, create);
   }
   if (!lock.ok()) {
     bool dropped = false;
@@ -105,6 +109,7 @@ Status LockService::Acquire(const std::string& path, LockedRead* read) {
   if (read != nullptr) {
     read->fresh = true;
     read->entry = std::move(lock->entry);
+    read->created = lock->created;
   }
   std::lock_guard<std::mutex> guard(mu_);
   Held& held = held_[path];

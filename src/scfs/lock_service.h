@@ -9,6 +9,7 @@
 // file's metadata entry in the same ordered command (CoordinationService::
 // TryLock's read_key), so the writer opens the version current at the lock's
 // position in the total order — never a cached one — without a second round.
+// A create's lock round also creates the entry if absent (lock-and-create).
 //
 // Renew-on-demand: a held lock is renewed only once less than half its lease
 // remains; with the default 120 s lease a close never pays a renewal round.
@@ -82,15 +83,19 @@ class LockService {
     // have published since this agent took the lock.
     bool fresh = false;
     std::optional<CoordEntry> entry;
+    // True when the lock's slot created `entry` from Acquire's `create`.
+    bool created = false;
   };
 
   // BUSY if another client holds the file. Re-entrant within this agent:
   // acquisitions are refcounted (the non-blocking mode may re-open a file
   // whose previous close is still uploading; the lock must survive until the
-  // last release). A non-null `read` asks for the lock-and-read. While this
-  // agent's release of the path is in flight it waits for it, and then
-  // takes the lock afresh.
-  Status Acquire(const std::string& path, LockedRead* read = nullptr);
+  // last release). A non-null `read` asks for the lock-and-read; a non-null
+  // `create` (an encoded entry) with it for the lock-and-create, which takes
+  // a round even when this agent holds the lock. While this agent's release
+  // of the path is in flight it waits for it, and then takes it afresh.
+  Status Acquire(const std::string& path, LockedRead* read = nullptr,
+                 const Bytes* create = nullptr);
   Status Release(const std::string& path);
   // The publish a close's release can ride: called with the lock to release
   // in its own ordered command, or with nullopt while the lock stays held.

@@ -518,28 +518,10 @@ Status MetadataService::Create(const FileMetadata& metadata) {
     return OkStatus();
   }
 
-  bool locked = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = locked_versions_.find(metadata.path);
-    locked = it != locked_versions_.end() && it->second == 0;
-  }
-  uint64_t version = 0;
-  if (locked) {
-    // Created under this agent's write lock: the create is the first
-    // publish on the "no entry" base the lock read.
-    Result<uint64_t> created = WriteShared(metadata);
-    if (created.status().code() == ErrorCode::kConflict) {
-      return AlreadyExistsError(metadata.path);
-    }
-    RETURN_IF_ERROR(created.status());
-    version = *created;
-  } else {
-    RETURN_IF_ERROR(coord_->ConditionalCreate(
-        user_, MetadataKey(metadata.path), metadata.Encode()));
-  }
+  RETURN_IF_ERROR(coord_->ConditionalCreate(user_, MetadataKey(metadata.path),
+                                            metadata.Encode()));
   std::lock_guard<std::mutex> lock(mu_);
-  CacheWithVersion(metadata, version);
+  CacheWithVersion(metadata, 0);
   return OkStatus();
 }
 

@@ -448,6 +448,117 @@ TEST(TupleSpaceTest, PublishAndReleaseRevokesCoveringLeasesInItsSlot) {
   EXPECT_EQ(space.lock_count(), 0u);
 }
 
+// A lock-and-create: kTryLock with b = 1 and `value` = the reader
+// principal, then the entry value to create.
+CoordCommand LockAndCreate(const std::string& session, const std::string& lock,
+                           const std::string& entry, const std::string& reader,
+                           const std::string& value) {
+  CoordCommand cmd =
+      Cmd(CoordOp::kTryLock, session, lock, {}, kSecond, 1, entry);
+  AppendString(&cmd.value, reader);
+  AppendBytes(&cmd.value, ToBytes(value));
+  return cmd;
+}
+
+// The slot creates the entry iff the lock is granted and the entry is
+// absent, as a compare-and-swap on version 0 would: owned by the reader
+// principal, not the session, and above every version the key had.
+TEST(TupleSpaceTest, LockAndCreateCreatesTheEntryIffAbsent) {
+  TupleSpace space;
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v1")));
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/f/", ToBytes("v2")));
+  ASSERT_TRUE(space.Apply(0, Cmd(CoordOp::kRemove, "alice", "m:/f/")).ok());
+  auto created = space.Apply(
+      10, LockAndCreate("alice@s1", "lk:/f", "m:/f/", "alice", "new"));
+  ASSERT_TRUE(created.ok());
+  EXPECT_FALSE(created.value.empty());
+  ASSERT_EQ(created.entries.size(), 1u);
+  EXPECT_EQ(ToString(created.entries[0].value), "new");
+  EXPECT_EQ(created.entries[0].version, 3u);
+  EXPECT_EQ(space.lock_count(), 1u);
+  // The user publishes on the created version.
+  ASSERT_TRUE(space
+                  .Apply(20, Cmd(CoordOp::kCompareAndSwap, "alice", "m:/f/",
+                                 ToBytes("v4"), 3))
+                  .ok());
+  // Re-entrant: the same token, and the present entry is read, not created.
+  auto again = space.Apply(
+      30, LockAndCreate("alice@s1", "lk:/f", "m:/f/", "alice", "other"));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.a, created.a);
+  EXPECT_TRUE(again.value.empty());
+  ASSERT_EQ(again.entries.size(), 1u);
+  EXPECT_EQ(ToString(again.entries[0].value), "v4");
+  // A lock another session holds creates nothing.
+  EXPECT_EQ(space
+                .Apply(40, LockAndCreate("alice@s2", "lk:/f", "m:/f/", "alice",
+                                         "x"))
+                .code,
+            ErrorCode::kBusy);
+  ASSERT_TRUE(
+      space.Apply(40, Cmd(CoordOp::kTryLock, "bob@s3", "lk:/g", {}, kSecond))
+          .ok());
+  EXPECT_EQ(
+      space.Apply(50, LockAndCreate("alice@s1", "lk:/g", "m:/g/", "alice", "x"))
+          .code,
+      ErrorCode::kBusy);
+  EXPECT_EQ(space.entry_count(), 1u);
+}
+
+// A payload-bearing kTryLock creates only the entry its lock routes with
+// (PartitionRoutingKey of an "lk:" key). Any other target, a router-reserved
+// key among them, or none at all, is refused and leaves the state alone.
+TEST(TupleSpaceTest, LockAndCreateCreatesOnlyTheEntryItsLockRoutesWith) {
+  TupleSpace space;
+  space.Apply(0, Cmd(CoordOp::kWrite, "bob", "m:/bob/", ToBytes("v")));
+  const Bytes digest = space.StateDigest();
+  for (const std::string target :
+       {"m:/bob/", "__elastic:intent:rename:m:/bob/", ""}) {
+    EXPECT_EQ(space
+                  .Apply(10, LockAndCreate("mallory@s1", "lk:/mal", target,
+                                           "mallory", "forged"))
+                  .code,
+              ErrorCode::kInvalidArgument)
+        << target;
+    EXPECT_EQ(space.StateDigest(), digest) << target;
+  }
+  // A key that is not a lock routes as itself, but creates nothing either.
+  EXPECT_EQ(space
+                .Apply(10, LockAndCreate("mallory@s1", "m:/x/", "m:/x/",
+                                         "mallory", "forged"))
+                .code,
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(space.StateDigest(), digest);
+}
+
+// A lock-and-create that creates its entry revokes the leases covering it
+// in its slot; one that finds the entry, like a lock-and-read of an absent
+// one, changes no entry and revokes nothing.
+TEST(TupleSpaceTest, LockAndCreateRevokesCoveringLeasesInItsSlot) {
+  TupleSpace space;
+  space.Apply(0, Cmd(CoordOp::kWrite, "alice", "m:/d/g/", ToBytes("v1")));
+  ASSERT_TRUE(space
+                  .Apply(0, Cmd(CoordOp::kLeaseAcquire, "alice", "m:/d/", {},
+                                kSecond, 0, "s3"))
+                  .ok());
+  auto read = space.Apply(0, Cmd(CoordOp::kTryLock, "alice@s1", "lk:/d/f",
+                                 ToBytes("alice"), kSecond, 0, "m:/d/f/"));
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read.entries.empty());
+  EXPECT_TRUE(read.revoked.empty());
+  auto found = space.Apply(
+      10, LockAndCreate("alice@s2", "lk:/d/g", "m:/d/g/", "alice", "x"));
+  ASSERT_TRUE(found.ok());
+  EXPECT_TRUE(found.revoked.empty());
+  EXPECT_EQ(space.lease_count(), 1u);
+  auto created = space.Apply(
+      20, LockAndCreate("alice@s1", "lk:/d/f", "m:/d/f/", "alice", "new"));
+  ASSERT_TRUE(created.ok());
+  ASSERT_EQ(created.revoked.size(), 1u);
+  EXPECT_EQ(created.revoked[0].prefix, "m:/d/");
+  EXPECT_EQ(space.lease_count(), 0u);
+}
+
 // A writer holding version 2 of "k" must not overwrite a "k" that was
 // removed and created again, however often the new one was written.
 TEST(TupleSpaceTest, RecreatedEntryNeverRepeatsARemovedVersion) {
@@ -1960,6 +2071,12 @@ TEST(PartitionedCoordinationTest, OnlyTheAdminAddressesTheEngineKeyspace) {
               ErrorCode::kPermissionDenied)
         << to;
   }
+  // Nor by a lock-and-create aimed at it through a lock of her own.
+  EXPECT_EQ(coord.TryLock("mallory@s1", "lk:/mal", kSecond, intent, "mallory",
+                          &forged)
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
   ExpectNoEngineRecords(&coord);
   ASSERT_TRUE(coord.ReplayIntents().ok());
   auto bobs = coord.ReadPrefix("bob", "m:/bob/");

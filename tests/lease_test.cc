@@ -105,6 +105,27 @@ TEST_F(LeaseTest, LeaseCoversNegativeLookups) {
   EXPECT_GT(fs->metadata_service().lease_hits(), hits_before);
 }
 
+// A create's lock round creates the entry and revokes the leases covering
+// it in the same ordered slot: once the open returns, an agent leasing the
+// parent directory sees the new file without waiting out the lease.
+TEST_F(LeaseTest, CreateRevokesTheParentLeaseInItsLockRound) {
+  auto writer = MountAgent("alice");
+  auto reader = MountAgent("alice");
+  ASSERT_TRUE(writer->Mkdir("/d").ok());
+  ASSERT_TRUE(writer->WriteFile("/d/a", ToBytes("aa")).ok());
+  env_->Sleep(kSecond);
+  ASSERT_TRUE(reader->Stat("/d/a").ok());  // grants the /d lease
+  const uint64_t hits_before = reader->metadata_service().lease_hits();
+  EXPECT_EQ(reader->Stat("/d/new").status().code(), ErrorCode::kNotFound);
+  EXPECT_GT(reader->metadata_service().lease_hits(), hits_before);
+
+  auto fh = writer->Open("/d/new", kOpenWrite | kOpenCreate);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  auto stat = reader->Stat("/d/new");
+  EXPECT_TRUE(stat.ok()) << stat.status().ToString();
+  ASSERT_TRUE(writer->Close(*fh).ok());
+}
+
 TEST_F(LeaseTest, MutationRevokesBeforeAck) {
   auto writer = MountAgent("alice");
   auto reader = MountAgent("alice");

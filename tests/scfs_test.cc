@@ -1391,10 +1391,10 @@ void ExpectOneOrderedCommandPerUnlink(Deployment* deployment) {
 }
 
 // A blocking close publishes its entry and releases the file lock in one
-// ordered command: a create is the lock round, the create's placeholder
-// publish (Figure 4 creates the entry at open) and the close's publish; an
-// append is the lock round and the publish. No unlock round, no fast read
-// (the root needs no parent lookup).
+// ordered command: a create is the lock round, which creates the entry
+// (Figure 4 creates it at open), and the close's publish; an append is the
+// lock round and the publish. No unlock round, no fast read (the root needs
+// no parent lookup).
 void ExpectBlockingCloseIsLockThenOnePublishRound(Deployment* deployment) {
   auto fs = MountAlice(deployment);
   auto contender = MountAlice(deployment);
@@ -1403,7 +1403,7 @@ void ExpectBlockingCloseIsLockThenOnePublishRound(Deployment* deployment) {
   ASSERT_TRUE(fs->WriteFile("/f", ToBytes("created")).ok());
   SmrCounters delta = CoordCounters(deployment);
   delta -= before;
-  EXPECT_EQ(delta.ordered_commands, 3u);
+  EXPECT_EQ(delta.ordered_commands, 2u);
   EXPECT_EQ(delta.fast_path_reads + delta.fast_path_fallbacks, 0u);
 
   before = CoordCounters(deployment);
@@ -1421,6 +1421,58 @@ void ExpectBlockingCloseIsLockThenOnePublishRound(Deployment* deployment) {
   ASSERT_TRUE(taken.ok()) << taken.status().ToString();
   EXPECT_EQ(ToString(*contender->Read(*taken, 0, 100)), "created+");
   ASSERT_TRUE(contender->Close(*taken).ok());
+}
+
+// A create's lock round creates the entry before the parent lookup beside
+// it answers (DESIGN.md "Lock-and-create"). A failed lookup removes the
+// entry again: the create fails as the lookup did, no agent finds the entry,
+// and the lock is free for another agent's create once the parent exists.
+void ExpectFailedCreateLeavesNoEntry(Deployment* deployment) {
+  auto fs = MountAlice(deployment);
+  auto other = MountAlice(deployment);
+  ASSERT_TRUE(fs && other);
+  ASSERT_TRUE(fs->WriteFile("/file", ToBytes("x")).ok());
+  EXPECT_EQ(fs->Open("/d/f", kOpenWrite | kOpenCreate).status().code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(fs->Open("/file/f", kOpenWrite | kOpenCreate).status().code(),
+            ErrorCode::kNotDirectory);
+  auto fresh = MountAlice(deployment);
+  ASSERT_TRUE(fresh);
+  EXPECT_EQ(fresh->Stat("/d/f").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(fresh->Stat("/file/f").status().code(), ErrorCode::kNotFound);
+
+  ASSERT_TRUE(other->Mkdir("/d").ok());
+  ASSERT_TRUE(other->WriteFile("/d/f", ToBytes("made")).ok());
+  ASSERT_TRUE(other->Unlink("/file").ok());
+  ASSERT_TRUE(other->Mkdir("/file").ok());
+  ASSERT_TRUE(other->WriteFile("/file/f", ToBytes("too")).ok());
+  EXPECT_EQ(ToString(*fresh->ReadFile("/d/f")), "made");
+  EXPECT_EQ(ToString(*fresh->ReadFile("/file/f")), "too");
+}
+
+// A create under a write lock this agent already holds, of a path whose
+// entry is gone, takes the lock again, re-entrant, and the lock's slot
+// creates the entry: one ordered command, and the close publishes on it.
+void ExpectCreateUnderAHeldLockIsOneRound(Deployment* deployment) {
+  auto fs = MountAlice(deployment);
+  ASSERT_TRUE(fs);
+  auto held = fs->Open("/g", kOpenWrite | kOpenCreate);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(fs->Unlink("/g").ok());
+  SmrCounters before = CoordCounters(deployment);
+  auto fh = fs->Open("/g", kOpenWrite | kOpenCreate);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  SmrCounters delta = CoordCounters(deployment);
+  delta -= before;
+  EXPECT_EQ(delta.ordered_commands, 1u);
+  ASSERT_TRUE(fs->Write(*fh, 0, ToBytes("again")).ok());
+  ASSERT_TRUE(fs->Close(*fh).ok());
+  ASSERT_TRUE(fs->Close(*held).ok());
+  auto fresh = MountAlice(deployment);
+  ASSERT_TRUE(fresh);
+  auto data = fresh->ReadFile("/g");
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(ToString(*data), "again");
 }
 
 // A CoC deployment whose coordination is replicated (one partition) or
@@ -1483,6 +1535,26 @@ TEST(ScfsReplicatedTest, BlockingCloseIsLockThenOnePublishRound) {
 TEST(ScfsPartitionedTest, BlockingCloseIsLockThenOnePublishRound) {
   ScaledCoc coc(4);
   ExpectBlockingCloseIsLockThenOnePublishRound(coc.deployment.get());
+}
+
+TEST(ScfsReplicatedTest, CreateUnderAHeldLockIsOneRound) {
+  ScaledCoc coc(1);
+  ExpectCreateUnderAHeldLockIsOneRound(coc.deployment.get());
+}
+
+TEST(ScfsPartitionedTest, CreateUnderAHeldLockIsOneRound) {
+  ScaledCoc coc(4);
+  ExpectCreateUnderAHeldLockIsOneRound(coc.deployment.get());
+}
+
+TEST(ScfsReplicatedTest, FailedCreateLeavesNoEntry) {
+  ScaledCoc coc(1);
+  ExpectFailedCreateLeavesNoEntry(coc.deployment.get());
+}
+
+TEST(ScfsPartitionedTest, FailedCreateLeavesNoEntry) {
+  ScaledCoc coc(4);
+  ExpectFailedCreateLeavesNoEntry(coc.deployment.get());
 }
 
 // A write open that fetches during its lock round sends the messages it
